@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-perf fix fuzz bench bench-tokens bench-scaling bench-serve bench-serve-scaling
+.PHONY: build test race vet lint lint-perf fix fuzz loc bench bench-tokens bench-scaling bench-serve bench-serve-scaling
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,14 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME) ./internal/rules
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/table
 
+# "Least code" (ROADMAP aim 2) as a number: lines of non-test,
+# non-testdata Go per top-level package, and the total outside bench/.
+loc:
+	@for d in bench cmd/* examples internal/*; do \
+		printf '%7d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)" $$d; \
+	done
+	@printf '%7d total outside bench/\n' "$$(find cmd examples internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"
+
 # Regenerates BENCH_parallel.json: the workers x n scaling sweep over the
 # similarity join and forest training. Warns (cores_ok=false) on a 1-core
 # box; add -requirecores to refuse instead.
@@ -62,8 +70,9 @@ bench-scaling:
 	$(GO) run ./cmd/benchem -exp parallel -scalen 2000,20000 -scaleworkers 1,2,4 \
 		-minspeedup $(MINSPEEDUP) -benchout /tmp/BENCH_parallel_smoke.json
 
-# Regenerates BENCH_tokens.json (string kernels vs interned integer
-# kernels). Exits non-zero if the two paths ever disagree bit-for-bit.
+# Regenerates BENCH_tokens.json (feature extraction with and without the
+# interning cache, flat vs pointer forest, the Figure-2 guide). Exits
+# non-zero if two paths ever disagree bit-for-bit.
 bench-tokens:
 	$(GO) run ./cmd/benchem -exp tokens
 

@@ -143,7 +143,6 @@ func All() []*Analyzer {
 		MapOrder,
 		MetricNames,
 		MutexCopy,
-		NoDeprecated,
 		NoGoroutine,
 		NonDeterminism,
 		RLockWrite,

@@ -118,7 +118,7 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 	if NoGoroutine.Tests {
 		t.Fatal("nogoroutine must skip test files (tests orchestrate goroutines legitimately)")
 	}
-	if !NoDeprecated.Tests || !CtxFirst.Tests || !MutexCopy.Tests {
+	if !CtxFirst.Tests || !MutexCopy.Tests {
 		t.Fatal("API-surface analyzers must cover test files")
 	}
 	if NonDeterminism.Tests || MetricNames.Tests {

@@ -1,7 +1,8 @@
 // Package bitvec provides a roaring-style compressed bitset over dense
-// uint32 IDs — the representation layer under the set-similarity joins'
-// bitmap postings and dense-set verification (package simjoin) and the
-// dense-set similarity kernels (package sim's *Bits variants).
+// uint32 IDs (Set) and, built on it, the one postings-list representation
+// (Postings, postings.go) that both the set-similarity joins (package
+// simjoin) and the serving core (package serve) index their tokens with.
+// Set also backs simjoin's dense-record verification.
 //
 // A Set partitions the 32-bit ID space into 64Ki-ID blocks keyed by the
 // high 16 bits. Each populated block holds one container, chosen by
@@ -46,13 +47,11 @@ type container struct {
 	bits []uint64 // packed bitmap of low-16-bit members, len == wordsPerBlock
 }
 
-// Set is a compressed set of uint32 IDs. Build one with FromSorted (or
-// grow one incrementally with Add); the zero value is the empty set. A
-// Set is not safe for concurrent mutation: construct — or mutate under
-// the owner's lock — then share read-only across goroutines (the
-// DESIGN.md §5 convention). The serving core (package serve) is the one
-// mutating owner: it patches bitmap postings in place under the corpus
-// write lock.
+// Set is a compressed set of uint32 IDs. Build one with FromSorted; the
+// zero value is the empty set. A Set is immutable once built, so it is
+// shared read-only across goroutines (the DESIGN.md §5 convention);
+// Postings.With grows a list by building a fresh Set, never by patching
+// one a reader may hold.
 type Set struct {
 	cons []container
 	n    int
@@ -90,91 +89,6 @@ func FromSorted(ids []uint32) *Set {
 // Len returns the number of members.
 func (s *Set) Len() int { return s.n }
 
-// Add inserts id, keeping the container layout canonical: array
-// containers stay sorted and flip to bitmaps once they exceed
-// ArrayMaxCard, exactly as FromSorted would have built them — so a Set
-// grown by Add is indistinguishable from one built from the final
-// membership (pinned by TestAddMatchesFromSorted). Adding a present
-// member is a no-op.
-func (s *Set) Add(id uint32) {
-	key := uint16(id >> blockShift)
-	low := uint16(id & blockMask)
-	ci := sort.Search(len(s.cons), func(k int) bool { return s.cons[k].key >= key })
-	if ci == len(s.cons) || s.cons[ci].key != key {
-		s.cons = append(s.cons, container{})
-		copy(s.cons[ci+1:], s.cons[ci:])
-		s.cons[ci] = container{key: key, card: 1, arr: []uint16{low}}
-		s.n++
-		return
-	}
-	c := &s.cons[ci]
-	if c.bits != nil {
-		w, bit := low>>6, uint64(1)<<(low&63)
-		if c.bits[w]&bit != 0 {
-			return
-		}
-		c.bits[w] |= bit
-		c.card++
-		s.n++
-		return
-	}
-	i := sort.Search(len(c.arr), func(k int) bool { return c.arr[k] >= low })
-	if i < len(c.arr) && c.arr[i] == low {
-		return
-	}
-	if len(c.arr) >= ArrayMaxCard {
-		// Flip to a bitmap before inserting the member that would push
-		// the array past the roaring threshold.
-		bm := make([]uint64, wordsPerBlock)
-		for _, m := range c.arr {
-			bm[m>>6] |= 1 << (m & 63)
-		}
-		bm[low>>6] |= 1 << (low & 63)
-		c.arr, c.bits = nil, bm
-		c.card++
-		s.n++
-		return
-	}
-	c.arr = append(c.arr, 0)
-	copy(c.arr[i+1:], c.arr[i:])
-	c.arr[i] = low
-	c.card++
-	s.n++
-}
-
-// Contains reports membership of id.
-//
-//emlint:zeroalloc
-func (s *Set) Contains(id uint32) bool {
-	c := s.find(uint16(id >> blockShift))
-	if c == nil {
-		return false
-	}
-	low := uint16(id & blockMask)
-	if c.bits != nil {
-		return c.bits[low>>6]&(1<<(low&63)) != 0
-	}
-	i := sort.Search(len(c.arr), func(k int) bool { return c.arr[k] >= low })
-	return i < len(c.arr) && c.arr[i] == low
-}
-
-// find returns the container for key, or nil.
-func (s *Set) find(key uint16) *container {
-	lo, hi := 0, len(s.cons)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.cons[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.cons) && s.cons[lo].key == key {
-		return &s.cons[lo]
-	}
-	return nil
-}
-
 // AppendTo appends the members in ascending order to dst and returns the
 // extended slice — the round-trip back to the sorted-slice representation
 // the merge kernels consume.
@@ -199,12 +113,11 @@ func (s *Set) AppendTo(dst []uint32) []uint32 {
 }
 
 // ForEachIn calls fn for every member in [lo, hi) in ascending order,
-// stopping early when fn returns false. It is the enumeration primitive
-// the simjoin bitmap postings use to walk only the candidate records
-// inside a probe's size window.
-func (s *Set) ForEachIn(lo, hi uint32, fn func(id uint32) bool) {
+// stopping early when fn returns false; it reports whether the walk ran
+// to completion. It is the bitmap half of Postings.ForEachIn.
+func (s *Set) ForEachIn(lo, hi uint32, fn func(id uint32) bool) bool {
 	if hi <= lo {
-		return
+		return true
 	}
 	loKey := uint16(lo >> blockShift)
 	ci := sort.Search(len(s.cons), func(k int) bool { return s.cons[k].key >= loKey })
@@ -212,7 +125,7 @@ func (s *Set) ForEachIn(lo, hi uint32, fn func(id uint32) bool) {
 		c := &s.cons[ci]
 		base := uint32(c.key) << blockShift
 		if base >= hi {
-			return
+			return true
 		}
 		if c.bits != nil {
 			wLo := 0
@@ -226,7 +139,7 @@ func (s *Set) ForEachIn(lo, hi uint32, fn func(id uint32) bool) {
 				}
 				wb := base | uint32(w<<6)
 				if wb >= hi {
-					return
+					return true
 				}
 				for word != 0 {
 					b := bits.TrailingZeros64(word)
@@ -236,10 +149,10 @@ func (s *Set) ForEachIn(lo, hi uint32, fn func(id uint32) bool) {
 						continue
 					}
 					if id >= hi {
-						return
+						return true
 					}
 					if !fn(id) {
-						return
+						return false
 					}
 				}
 			}
@@ -252,43 +165,23 @@ func (s *Set) ForEachIn(lo, hi uint32, fn func(id uint32) bool) {
 			for ; k < len(c.arr); k++ {
 				id := base | uint32(c.arr[k])
 				if id >= hi {
-					return
+					return true
 				}
 				if !fn(id) {
-					return
+					return false
 				}
 			}
 		}
 	}
-}
-
-// AndCount returns |a ∩ b|. Containers intersect pairwise by block key;
-// bitmap×bitmap blocks run the word-level AND + popcount kernel.
-//
-//emlint:zeroalloc
-func AndCount(a, b *Set) int {
-	inter := 0
-	i, j := 0, 0
-	for i < len(a.cons) && j < len(b.cons) {
-		ca, cb := &a.cons[i], &b.cons[j]
-		switch {
-		case ca.key == cb.key:
-			inter += containerAndCount(ca, cb)
-			i++
-			j++
-		case ca.key < cb.key:
-			i++
-		default:
-			j++
-		}
-	}
-	return inter
+	return true
 }
 
 // AndCountBounded returns |a ∩ b| when it is at least need, or -1 as soon
 // as the remaining containers cannot reach need — the container-granular
 // analogue of sim.IntersectSortedU32Bounded's suffix early exit. A
-// non-negative return is always the exact intersection size.
+// non-negative return is always the exact intersection size (so need 0
+// is the plain count). Containers intersect pairwise by block key;
+// bitmap×bitmap blocks run the word-level AND + popcount kernel.
 //
 //emlint:zeroalloc
 func AndCountBounded(a, b *Set, need int) int {
@@ -371,41 +264,15 @@ func arrayAndCount(a, b []uint16) int {
 	return inter
 }
 
-// AndCountArray returns |s ∩ ids| for ascending, duplicate-free ids —
-// the asymmetric kernel the joins use to verify a small probe set against
-// a dense indexed record without materializing the probe as a Set. It
-// walks ids block-run by block-run, advancing the container cursor once
-// per run rather than once per ID.
-//
-//emlint:zeroalloc
-func AndCountArray(s *Set, ids []uint32) int {
-	inter := 0
-	ci := 0
-	for lo := 0; lo < len(ids); {
-		key := uint16(ids[lo] >> blockShift)
-		hi := lo + 1
-		for hi < len(ids) && uint16(ids[hi]>>blockShift) == key {
-			hi++
-		}
-		for ci < len(s.cons) && s.cons[ci].key < key {
-			ci++
-		}
-		if ci == len(s.cons) {
-			return inter
-		}
-		if c := &s.cons[ci]; c.key == key {
-			inter += containerRunAndCount(c, ids[lo:hi])
-		}
-		lo = hi
-	}
-	return inter
-}
-
-// AndCountArrayBounded is AndCountArray with the suffix early exit of
-// sim.IntersectSortedU32Bounded: it returns -1 as soon as the remaining
-// ids cannot lift the intersection to need. A non-negative return is
-// always the exact intersection size (it may still be below need when the
-// walk completes before the bound triggers).
+// AndCountArrayBounded returns |s ∩ ids| for ascending, duplicate-free
+// ids — the asymmetric kernel the joins use to verify a small probe set
+// against a dense indexed record without materializing the probe as a
+// Set. It walks ids block-run by block-run, advancing the container
+// cursor once per run rather than once per ID, with the suffix early exit
+// of sim.IntersectSortedU32Bounded: it returns -1 as soon as the
+// remaining ids cannot lift the intersection to need. A non-negative
+// return is always the exact intersection size (it may still be below
+// need when the walk completes before the bound triggers).
 //
 //emlint:zeroalloc
 func AndCountArrayBounded(s *Set, ids []uint32, need int) int {

@@ -75,16 +75,8 @@ func TestQuickKernelEquivalence(t *testing.T) {
 			t.Errorf("Len mismatch: %d vs %d", sa.Len(), len(a))
 			return false
 		}
-		if got := AndCount(sa, sb); got != want {
-			t.Errorf("AndCount=%d want %d", got, want)
-			return false
-		}
-		if got := AndCountArray(sa, b); got != want {
-			t.Errorf("AndCountArray=%d want %d", got, want)
-			return false
-		}
-		// Bounded variants: a non-negative return must be the exact count,
-		// and -1 may only occur when the exact count is below need.
+		// A non-negative return must be the exact count (always, at need
+		// 0), and -1 may only occur when the exact count is below need.
 		for _, need := range []int{0, 1, want, want + 1, len(a)} {
 			if got := AndCountBounded(sa, sb, need); got >= 0 && got != want {
 				t.Errorf("AndCountBounded(need=%d)=%d want %d", need, got, want)
@@ -109,36 +101,6 @@ func TestQuickKernelEquivalence(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickContains cross-checks membership against a map oracle.
-func TestQuickContains(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	prop := func() bool {
-		a := genSet(rng)
-		s := FromSorted(a)
-		in := make(map[uint32]bool, len(a))
-		for _, id := range a {
-			in[id] = true
-		}
-		for _, id := range a {
-			if !s.Contains(id) {
-				t.Errorf("Contains(%d) = false for member", id)
-				return false
-			}
-		}
-		for k := 0; k < 200; k++ {
-			id := uint32(rng.Intn(4 << 16))
-			if s.Contains(id) != in[id] {
-				t.Errorf("Contains(%d) = %v want %v", id, s.Contains(id), in[id])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -189,16 +151,14 @@ func TestBlockBoundary(t *testing.T) {
 	a := []uint32{0, 65534, 65535, 65536, 65537, 131071, 131072}
 	b := []uint32{65535, 65536, 131072}
 	sa, sb := FromSorted(a), FromSorted(b)
-	if got := AndCount(sa, sb); got != 3 {
-		t.Fatalf("AndCount across block boundary = %d, want 3", got)
+	if got := AndCountBounded(sa, sb, 0); got != 3 {
+		t.Fatalf("AndCountBounded across block boundary = %d, want 3", got)
 	}
-	for _, id := range b {
-		if !sa.Contains(id) {
-			t.Fatalf("Contains(%d) = false", id)
-		}
+	if got := sa.AppendTo(nil); !reflect.DeepEqual(got, a) {
+		t.Fatalf("members across block boundary = %v, want %v", got, a)
 	}
-	if got := AndCountArray(sb, a); got != 3 {
-		t.Fatalf("AndCountArray across block boundary = %d, want 3", got)
+	if got := AndCountArrayBounded(sb, a, 0); got != 3 {
+		t.Fatalf("AndCountArrayBounded across block boundary = %d, want 3", got)
 	}
 }
 
@@ -222,8 +182,8 @@ func TestContainerShapes(t *testing.T) {
 	for _, a := range [][]uint32{dense, atCap, sparse} {
 		for _, b := range [][]uint32{dense, atCap, sparse} {
 			want := mergeCount(a, b)
-			if got := AndCount(FromSorted(a), FromSorted(b)); got != want {
-				t.Errorf("AndCount(%d ids, %d ids) = %d, want %d", len(a), len(b), got, want)
+			if got := AndCountBounded(FromSorted(a), FromSorted(b), 0); got != want {
+				t.Errorf("AndCountBounded(%d ids, %d ids) = %d, want %d", len(a), len(b), got, want)
 			}
 		}
 	}
@@ -236,14 +196,14 @@ func TestEmptySet(t *testing.T) {
 	if s.Len() != 0 || zero.Len() != 0 {
 		t.Fatal("empty sets must have Len 0")
 	}
-	if got := AndCount(s, &zero); got != 0 {
-		t.Fatalf("AndCount(empty) = %d", got)
+	if got := AndCountBounded(s, &zero, 0); got != 0 {
+		t.Fatalf("AndCountBounded(empty) = %d", got)
 	}
-	if got := AndCountArray(&zero, []uint32{1, 2}); got != 0 {
-		t.Fatalf("AndCountArray(empty set) = %d", got)
+	if got := AndCountArrayBounded(&zero, []uint32{1, 2}, 0); got != 0 {
+		t.Fatalf("AndCountArrayBounded(empty set) = %d", got)
 	}
-	if zero.Contains(5) {
-		t.Fatal("empty set contains nothing")
+	if got := zero.AppendTo(nil); len(got) != 0 {
+		t.Fatalf("empty set has members %v", got)
 	}
 }
 
@@ -254,15 +214,27 @@ func TestIntersectionKernelsZeroAlloc(t *testing.T) {
 	a, b := genSet(rng), genSet(rng)
 	sa, sb := FromSorted(a), FromSorted(b)
 	need := mergeCount(a, b)
+	// A grown list with both a frozen bitmap and a live tail.
+	var grown *Postings
+	for id := uint32(0); id < 3*postingsFlipMin+7; id++ {
+		grown = grown.With(id)
+	}
+	if grown.bits == nil || len(grown.tail) == 0 {
+		t.Fatal("fixture should hold a bitmap and a tail")
+	}
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"AndCount", func() { AndCount(sa, sb) }},
 		{"AndCountBounded", func() { AndCountBounded(sa, sb, need) }},
-		{"AndCountArray", func() { AndCountArray(sa, b) }},
 		{"AndCountArrayBounded", func() { AndCountArrayBounded(sa, b, need) }},
-		{"Contains", func() { sa.Contains(b[0]) }},
+		{"Postings.ForEachIn", func() {
+			n := 0
+			grown.ForEachIn(300, 1540, func(uint32) bool { n++; return true })
+			if n != 1240 {
+				t.Errorf("ForEachIn visited %d of 1240", n)
+			}
+		}},
 	} {
 		if allocs := testing.AllocsPerRun(20, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f per run, want 0", tc.name, allocs)

@@ -5,8 +5,8 @@ package cloud
 // clients branch on the code, never on message text. The emlint
 // httperrors check enforces that handlers pass one of these named
 // constants to writeError — an inline string would mint an unregistered
-// code that drifts out of the docs (GUIDE.md "HTTP API") and out of
-// client switch statements.
+// code that drifts out of the docs (docs/GUIDE.md, "The serving API") and
+// out of client switch statements.
 const (
 	// codeBadJSON: the request body is not valid JSON for the route's
 	// schema (400).

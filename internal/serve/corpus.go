@@ -45,7 +45,7 @@ type Corpus struct {
 	dict  *intern.SnapDict
 	slots []slot
 	byID  map[string]uint32 // live records only
-	posts []atomic.Pointer[postings]
+	posts []atomic.Pointer[bitvec.Postings]
 	tombs *tombSet
 	dead  int    // tombstoned slots awaiting compaction
 	epoch uint64 // bumps on every mutation
@@ -108,7 +108,7 @@ func (c *Corpus) ensurePosts(n int) {
 	if ncap < 64 {
 		ncap = 64
 	}
-	np := make([]atomic.Pointer[postings], ncap)
+	np := make([]atomic.Pointer[bitvec.Postings], ncap)
 	for i := range c.posts {
 		np[i].Store(c.posts[i].Load())
 	}
@@ -215,11 +215,10 @@ func (c *Corpus) ingest(rec Record, op string) {
 	c.byID[rec.ID] = si
 	c.ensurePosts(c.dict.Len())
 	for _, t := range s.toks {
-		// Copy-on-write: the entry gets a fresh *postings; the old value
-		// stays frozen for any snapshot still holding it. si exceeds every
-		// slot already present (slots are append-only), so the tail stays
-		// sorted without a search.
-		c.posts[t].Store(c.posts[t].Load().with(si, c.cfg.bitmapMin))
+		// Copy-on-write: the entry gets a fresh list; the old value stays
+		// frozen for any snapshot still holding it. si exceeds every slot
+		// already present (slots are append-only), as With requires.
+		c.posts[t].Store(c.posts[t].Load().With(si))
 	}
 	mrec := obs.Or(c.cfg.metrics)
 	mrec.Count(obs.ServeIngestTotal, 1, obs.L("op", op))
@@ -276,16 +275,11 @@ func (c *Corpus) compactLocked() {
 			lists[t] = append(lists[t], si)
 		}
 	}
-	c.posts = make([]atomic.Pointer[postings], len(lists))
+	c.posts = make([]atomic.Pointer[bitvec.Postings], len(lists))
 	for t, list := range lists {
-		if list == nil {
-			continue
+		if list != nil {
+			c.posts[t].Store(bitvec.PostingsFromSorted(list))
 		}
-		p := &postings{slots: list}
-		if c.cfg.bitmapMin > 0 && len(list) >= c.cfg.bitmapMin {
-			p = &postings{bits: bitvec.FromSorted(list)}
-		}
-		c.posts[t].Store(p)
 	}
 	c.tombs = nil
 	c.dead = 0
@@ -374,8 +368,8 @@ func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 	defer matchPool.Put(sc)
 
 	stopCand := obs.StartTimer(rec, obs.ServeStageSeconds, obs.L("stage", "candidates"))
-	qtoks := sn.queryTokens(blockTokens(c.cfg.tok, q.Attrs), sc)
-	cands := sn.candidateSlots(qtoks, c.cfg.minOverlap, sc)
+	btoks := blockTokens(c.cfg.tok, q.Attrs)
+	cands := sn.candidateSlots(sn.queryTokens(btoks, sc), c.cfg.minOverlap, sc)
 	stopCand()
 	if len(cands) == 0 {
 		return []ScoredPair{}, nil
@@ -388,7 +382,7 @@ func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 	if sn.fs != nil {
 		qsets = sn.fs.RecordSets(q.Attrs, false, sn.view.SortedSetEphemeral)
 	} else {
-		qset = sn.view.SortedSetEphemeral(blockTokens(c.cfg.tok, q.Attrs))
+		qset = sn.view.SortedSetEphemeral(btoks)
 	}
 	stopFeat()
 

@@ -71,14 +71,21 @@ func mutate(t *testing.T, c *Corpus, ids map[string]bool, next *int, rng *rand.R
 // compaction both forced tiny (firing constantly) and disabled — the
 // incrementally maintained indexes must surface candidates bit-identical
 // to a from-scratch batch rebuild of the live records, for every probe.
+// The flip from array to bitmap postings is not a knob, so tiny_knobs
+// reaches it with size: each of the 20 words lands in ~2 of 5 records, so
+// 2 600 preloaded records put every list past the 512-member flip and the
+// merge at 1 024, and the interleaving then runs over bitmap-plus-tail
+// lists that compaction keeps rebuilding.
 func TestInterleavingsMatchRebuild(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		opts []CorpusOption
+		name    string
+		opts    []CorpusOption
+		preload int
+		count   int
 	}{
-		{"defaults", nil},
-		{"tiny_knobs", []CorpusOption{WithBitmapPostingMin(2), WithCompactAfter(3), WithMinOverlap(2)}},
-		{"no_compact", []CorpusOption{WithCompactAfter(-1), WithBitmapPostingMin(-1)}},
+		{"defaults", nil, 0, 25},
+		{"tiny_knobs", []CorpusOption{WithCompactAfter(3), WithMinOverlap(2)}, 2600, 6},
+		{"no_compact", []CorpusOption{WithCompactAfter(-1)}, 0, 25},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			prop := func(seed int64, steps uint8) bool {
@@ -86,6 +93,13 @@ func TestInterleavingsMatchRebuild(t *testing.T) {
 				c := NewCorpus(cfg.opts...)
 				ids := make(map[string]bool)
 				next := 0
+				for ; next < cfg.preload; next++ {
+					id := fmt.Sprintf("r%d", next)
+					if err := c.Add(randomRecord(id, rng)); err != nil {
+						t.Fatal(err)
+					}
+					ids[id] = true
+				}
 				for i := 0; i < 20+int(steps); i++ {
 					mutate(t, c, ids, &next, rng)
 				}
@@ -105,7 +119,7 @@ func TestInterleavingsMatchRebuild(t *testing.T) {
 				}
 				return true
 			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+			if err := quick.Check(prop, &quick.Config{MaxCount: cfg.count}); err != nil {
 				t.Fatal(err)
 			}
 		})

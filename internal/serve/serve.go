@@ -1,7 +1,7 @@
 // Package serve is the incremental serving core: a long-lived Corpus that
-// keeps the interned dictionary, sorted integer postings (array lists that
-// flip to bitvec bitmaps past a threshold, the simjoin/PR-6 layout), and
-// cached per-record feature sets resident and incrementally maintained
+// keeps the interned dictionary, sorted integer postings (bitvec.Postings,
+// the same lists the batch joins index with), and cached per-record
+// feature sets resident and incrementally maintained
 // under Add/Update/Delete — instead of re-interning, re-blocking, and
 // re-featurizing the whole corpus per request the way the batch pipeline
 // does. All read-path state lives in an immutable snapshot published
@@ -56,20 +56,14 @@ type CorpusOption func(*corpusConfig)
 type corpusConfig struct {
 	minOverlap   int
 	limit        int
-	bitmapMin    int
 	compactAfter int
 	tok          tokenize.Tokenizer
 	metrics      obs.Recorder
 }
 
-const (
-	// defaultBitmapPostingMin is the posting length at which an array
-	// posting flips to a bitvec bitmap — the simjoin default.
-	defaultBitmapPostingMin = 512
-	// defaultCompactAfter is the tombstone count that triggers a
-	// compaction pass.
-	defaultCompactAfter = 1024
-)
+// defaultCompactAfter is the tombstone count that triggers a compaction
+// pass.
+const defaultCompactAfter = 1024
 
 // WithMinOverlap sets the blocking bar: a corpus record is a candidate
 // when it shares at least k distinct tokens with the query. Default 1.
@@ -81,12 +75,6 @@ func WithMinOverlap(k int) CorpusOption {
 // default) returns every candidate.
 func WithLimit(n int) CorpusOption {
 	return func(c *corpusConfig) { c.limit = n }
-}
-
-// WithBitmapPostingMin sets the posting length at which an array posting
-// flips to a bitmap (0 = default 512, -1 = never flip).
-func WithBitmapPostingMin(n int) CorpusOption {
-	return func(c *corpusConfig) { c.bitmapMin = n }
 }
 
 // WithCompactAfter sets how many tombstones accumulate before a
@@ -109,7 +97,6 @@ func WithMetrics(r obs.Recorder) CorpusOption {
 func applyCorpusOptions(opts []CorpusOption) corpusConfig {
 	c := corpusConfig{
 		minOverlap:   1,
-		bitmapMin:    defaultBitmapPostingMin,
 		compactAfter: defaultCompactAfter,
 		tok:          tokenize.Whitespace{ReturnSet: true},
 	}
@@ -118,9 +105,6 @@ func applyCorpusOptions(opts []CorpusOption) corpusConfig {
 	}
 	if c.minOverlap < 1 {
 		c.minOverlap = 1
-	}
-	if c.bitmapMin == 0 {
-		c.bitmapMin = defaultBitmapPostingMin
 	}
 	if c.compactAfter == 0 {
 		c.compactAfter = defaultCompactAfter

@@ -30,7 +30,8 @@ import (
 //     safe because postings only ever gain slots >= len(snapshot.slots):
 //     readers bound every enumeration by hi = len(snapshot.slots), so any
 //     post-publication growth is invisible. Each entry is loaded atomically
-//     and each loaded *postings value is internally immutable.
+//     and each loaded *bitvec.Postings value is immutable (the writer swaps
+//     in the successor Postings.With returns).
 //   - view: resolves exactly the tokens interned before publication
 //     (intern.View contract), so every resolvable token ID indexes within
 //     posts and every posting it reaches predates the snapshot.
@@ -38,7 +39,7 @@ type snapshot struct {
 	view  intern.View
 	slots []slot
 	tombs *tombSet
-	posts []atomic.Pointer[postings]
+	posts []atomic.Pointer[bitvec.Postings]
 
 	records int
 	dead    int
@@ -101,53 +102,6 @@ func (t *tombSet) withDead(si uint32) *tombSet {
 	return nt
 }
 
-// postings is one token's slot list: an optional frozen bitmap holding the
-// cold prefix plus a sorted array tail for recent appends. Both parts
-// enumerate slots ascending and the bitmap's members all precede the
-// tail's. The struct is immutable once stored into a posts entry: the
-// writer publishes changes by building a new *postings (the tail may share
-// backing with the predecessor — appends only write indices beyond every
-// published length) and atomically swapping the entry pointer.
-type postings struct {
-	bits  *bitvec.Set
-	slots []uint32
-}
-
-// with returns the postings extended by slot si (which must exceed every
-// member — slots are append-only). When the tail has grown past bitmapMin
-// and past a fixed fraction of the frozen bitmap, the whole set is merged
-// into a fresh bitmap: the old bitmap is never mutated (readers hold it),
-// and the geometric trigger keeps the amortized merge cost per append
-// constant.
-func (p *postings) with(si uint32, bitmapMin int) *postings {
-	np := &postings{}
-	if p != nil {
-		np.bits = p.bits
-		np.slots = p.slots
-	}
-	np.slots = append(np.slots, si)
-	if bitmapMin > 0 && len(np.slots) >= bitmapMin {
-		if np.bits == nil || len(np.slots)*8 >= np.bits.Len() {
-			return np.merged()
-		}
-	}
-	return np
-}
-
-// merged folds bitmap and tail into one fresh bitmap.
-func (p *postings) merged() *postings {
-	n := len(p.slots)
-	if p.bits != nil {
-		n += p.bits.Len()
-	}
-	all := make([]uint32, 0, n)
-	if p.bits != nil {
-		all = p.bits.AppendTo(all)
-	}
-	all = append(all, p.slots...)
-	return &postings{bits: bitvec.FromSorted(all)}
-}
-
 // matchScratch is the per-query working state of the read path, recycled
 // through matchPool so steady-state queries allocate only their result
 // slice. counts is a dense per-slot overlap counter; touched remembers
@@ -204,22 +158,12 @@ func (sn *snapshot) candidateSlots(qtoks []uint32, minOverlap int, sc *matchScra
 		if int(t) >= len(sn.posts) {
 			continue // interned for features only; no postings entry
 		}
-		p := sn.posts[t].Load()
-		if p == nil {
-			continue
-		}
-		if p.bits != nil {
-			p.bits.ForEachIn(0, hi, func(si uint32) bool {
-				sc.bump(si)
-				return true
-			})
-		}
-		for _, si := range p.slots {
-			if si >= hi {
-				break // appended after this snapshot was published
-			}
+		// Bounded by hi: slots appended after this snapshot was published
+		// stay invisible.
+		sn.posts[t].Load().ForEachIn(0, hi, func(si uint32) bool {
 			sc.bump(si)
-		}
+			return true
+		})
 	}
 	cands := sc.cands
 	for _, si := range sc.touched {

@@ -55,10 +55,12 @@ func TestReadsProceedWhileWriterStalled(t *testing.T) {
 
 // TestSnapshotKernelsZeroAlloc pins the //emlint:zeroalloc contracts on the
 // lock-free candidate kernels: with warmed scratch, candidate generation
-// over array and bitmap postings allocates nothing.
+// over array and bitmap postings allocates nothing. 1 100 records put the
+// four shared tokens past the flip and one merge (a frozen bitmap of
+// 1 024 plus a tail) and leave each item token a 137-member array.
 func TestSnapshotKernelsZeroAlloc(t *testing.T) {
-	c := NewCorpus(WithBitmapPostingMin(4))
-	for i := 0; i < 64; i++ {
+	c := NewCorpus()
+	for i := 0; i < 1100; i++ {
 		rec := Record{ID: fmt.Sprintf("r%02d", i), Attrs: map[string]string{
 			"name": fmt.Sprintf("common shared alpha beta item%d", i%8),
 		}}

@@ -1,18 +1,133 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
 )
 
-// The string set measures are thin wrappers around the merge kernels in
-// setint.go: each call canonicalizes its token lists to sorted duplicate-free
-// form once and runs the same generic merge the integer kernels use, instead
-// of building throwaway hash sets per call. One-off scoring pays two small
-// slice allocations here; bulk callers (simjoin, the feature cache) intern
-// tokens up front and hit the []uint32 kernels with zero allocations per
-// pair.
+// Set similarity in one place. Each measure is written once, as a formula
+// over (|A∩B|, |A|, |B|) — the …Of functions — and everything else is an
+// entry point that obtains those three numbers and calls the formula: the
+// string APIs canonicalize their token lists to sorted duplicate-free
+// form, the …U32 APIs take interned token IDs (package intern) already in
+// that form and run a zero-allocation merge, and the similarity joins
+// (package simjoin) call the formulas directly with the overlap their
+// verifier counted. One formula per measure is what makes all of those
+// agree bit for bit.
+//
+// Contract of the …U32 kernels: inputs must be sorted ascending with no
+// duplicates (what intern.SortedDedup / Dict.SortedSet produce). The
+// kernels do not verify this. One-off string scoring pays two small slice
+// allocations; bulk callers intern tokens up front and pay none per pair.
+
+// JaccardOf returns inter / |A∪B| for sets of sizes na and nb sharing
+// inter members. Two empty sets score 1.
+func JaccardOf(inter, na, nb int) float64 {
+	union := na + nb - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
+
+// DiceOf returns 2·inter / (na+nb).
+func DiceOf(inter, na, nb int) float64 {
+	if na+nb == 0 {
+		return 1
+	}
+	return 2 * float64(inter) / float64(na+nb)
+}
+
+// OverlapCoefficientOf returns inter / min(na, nb).
+func OverlapCoefficientOf(inter, na, nb int) float64 {
+	m := min(na, nb)
+	if m == 0 {
+		if na == 0 && nb == 0 {
+			return 1
+		}
+		return 0
+	}
+	return float64(inter) / float64(m)
+}
+
+// CosineOf returns inter / sqrt(na·nb) (the set semantics
+// py_stringsimjoin uses for its cosine join).
+func CosineOf(inter, na, nb int) float64 {
+	if na == 0 && nb == 0 {
+		return 1
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return float64(inter) / math.Sqrt(float64(na)*float64(nb))
+}
+
+// TverskyOf returns the Tversky index with parameters alpha and beta
+// (alpha=beta=0.5 reduces to Dice; alpha=beta=1 to Jaccard).
+func TverskyOf(inter, na, nb int, alpha, beta float64) float64 {
+	onlyA := float64(na - inter)
+	onlyB := float64(nb - inter)
+	den := float64(inter) + alpha*onlyA + beta*onlyB
+	if den == 0 {
+		return 1
+	}
+	return float64(inter) / den
+}
+
+// intersectSorted is the shared merge kernel: |a ∩ b| for two ascending,
+// duplicate-free slices.
+//
+//emlint:zeroalloc
+func intersectSorted[T cmp.Ordered](a, b []T) int {
+	inter := 0
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			inter++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return inter
+}
+
+// IntersectSortedU32Bounded returns |a ∩ b| when it is at least need, and -1
+// as soon as the remaining suffixes cannot reach need (the suffix-length
+// early exit the similarity joins use to abandon hopeless candidates
+// mid-verify). A non-negative return is always the exact intersection size.
+//
+//emlint:zeroalloc
+func IntersectSortedU32Bounded(a, b []uint32, need int) int {
+	inter := 0
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		rem := len(a) - i
+		if r := len(b) - j; r < rem {
+			rem = r
+		}
+		if inter+rem < need {
+			return -1
+		}
+		switch {
+		case a[i] == b[j]:
+			inter++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return inter
+}
 
 // sortedUnique returns a sorted duplicate-free copy of toks.
 func sortedUnique(toks []string) []string {
@@ -25,77 +140,80 @@ func sortedUnique(toks []string) []string {
 	return slices.Compact(out)
 }
 
-// intersectionSize returns |set(a) ∩ set(b)| along with both set sizes,
-// all derived from the two canonicalized sets built here.
-func intersectionSize(a, b []string) (inter, sizeA, sizeB int) {
+// counts returns |set(a) ∩ set(b)| along with both set sizes, all derived
+// from the two canonicalized sets built here.
+func counts(a, b []string) (inter, na, nb int) {
 	sa, sb := sortedUnique(a), sortedUnique(b)
 	return intersectSorted(sa, sb), len(sa), len(sb)
 }
 
-// Jaccard returns |A∩B| / |A∪B| of the token sets. Two empty sets score 1.
-func Jaccard(a, b []string) float64 {
-	inter, sa, sb := intersectionSize(a, b)
-	union := sa + sb - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+// countsU32 is counts over sorted duplicate-free ID sets.
+func countsU32(a, b []uint32) (inter, na, nb int) {
+	return intersectSorted(a, b), len(a), len(b)
 }
+
+// Jaccard returns |A∩B| / |A∪B| of the token sets.
+func Jaccard(a, b []string) float64 { return JaccardOf(counts(a, b)) }
 
 // Dice returns 2|A∩B| / (|A|+|B|).
-func Dice(a, b []string) float64 {
-	inter, sa, sb := intersectionSize(a, b)
-	if sa+sb == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(sa+sb)
-}
+func Dice(a, b []string) float64 { return DiceOf(counts(a, b)) }
 
 // OverlapCoefficient returns |A∩B| / min(|A|,|B|).
-func OverlapCoefficient(a, b []string) float64 {
-	inter, sa, sb := intersectionSize(a, b)
-	m := sa
-	if sb < m {
-		m = sb
-	}
-	if m == 0 {
-		if sa == 0 && sb == 0 {
-			return 1
-		}
-		return 0
-	}
-	return float64(inter) / float64(m)
+func OverlapCoefficient(a, b []string) float64 { return OverlapCoefficientOf(counts(a, b)) }
+
+// CosineSet returns |A∩B| / sqrt(|A|·|B|) over token sets.
+func CosineSet(a, b []string) float64 { return CosineOf(counts(a, b)) }
+
+// Tversky returns the Tversky index of the token sets.
+func Tversky(a, b []string, alpha, beta float64) float64 {
+	inter, na, nb := counts(a, b)
+	return TverskyOf(inter, na, nb, alpha, beta)
 }
 
 // OverlapSize returns the raw overlap |A∩B|; the overlap blocker thresholds
 // on this count rather than a normalized score.
 func OverlapSize(a, b []string) int {
-	inter, _, _ := intersectionSize(a, b)
+	inter, _, _ := counts(a, b)
 	return inter
 }
 
-// CosineSet returns |A∩B| / sqrt(|A|·|B|) over token sets (the set
-// semantics py_stringsimjoin uses for its cosine join).
-func CosineSet(a, b []string) float64 {
-	inter, sa, sb := intersectionSize(a, b)
-	if sa == 0 && sb == 0 {
-		return 1
-	}
-	if sa == 0 || sb == 0 {
-		return 0
-	}
-	return float64(inter) / math.Sqrt(float64(sa)*float64(sb))
+// JaccardU32 is Jaccard over sorted duplicate-free ID sets.
+//
+//emlint:zeroalloc
+func JaccardU32(a, b []uint32) float64 { return JaccardOf(countsU32(a, b)) }
+
+// DiceU32 is Dice over sorted duplicate-free ID sets.
+//
+//emlint:zeroalloc
+func DiceU32(a, b []uint32) float64 { return DiceOf(countsU32(a, b)) }
+
+// OverlapCoefficientU32 is the overlap coefficient over sorted
+// duplicate-free ID sets.
+//
+//emlint:zeroalloc
+func OverlapCoefficientU32(a, b []uint32) float64 { return OverlapCoefficientOf(countsU32(a, b)) }
+
+// CosineSetU32 is set cosine over sorted duplicate-free ID sets.
+//
+//emlint:zeroalloc
+func CosineSetU32(a, b []uint32) float64 { return CosineOf(countsU32(a, b)) }
+
+// TverskyU32 is the Tversky index over sorted duplicate-free ID sets.
+//
+//emlint:zeroalloc
+func TverskyU32(a, b []uint32, alpha, beta float64) float64 {
+	return TverskyOf(intersectSorted(a, b), len(a), len(b), alpha, beta)
 }
 
-// Tversky returns the Tversky index with parameters alpha and beta
-// (alpha=beta=0.5 reduces to Dice; alpha=beta=1 to Jaccard).
-func Tversky(a, b []string, alpha, beta float64) float64 {
-	inter, sa, sb := intersectionSize(a, b)
-	onlyA := float64(sa - inter)
-	onlyB := float64(sb - inter)
-	den := float64(inter) + alpha*onlyA + beta*onlyB
-	if den == 0 {
-		return 1
-	}
-	return float64(inter) / den
-}
+// IntersectSortedU32 returns |a ∩ b| for two sorted duplicate-free ID sets.
+//
+//emlint:zeroalloc
+//emlint:hotpath
+func IntersectSortedU32(a, b []uint32) int { return intersectSorted(a, b) }
+
+// OverlapSizeU32 is the raw overlap |a ∩ b| over sorted duplicate-free ID
+// sets.
+//
+//emlint:zeroalloc
+//emlint:hotpath
+func OverlapSizeU32(a, b []uint32) int { return intersectSorted(a, b) }

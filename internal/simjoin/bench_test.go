@@ -31,6 +31,20 @@ func BenchmarkJaccardJoin1K(b *testing.B) {
 	}
 }
 
+// BenchmarkReferenceJaccardJoin1K is the retained string-kernel join on
+// the BenchmarkJaccardJoin1K input — the interned-vs-reference number the
+// tokens bench used to carry.
+func BenchmarkReferenceJaccardJoin1K(b *testing.B) {
+	l := benchRecords(1000, 5, 2000, 1)
+	r := benchRecords(1000, 5, 2000, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReferenceJaccardJoin(l, r, 0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkJaccardNaive1K is the quadratic baseline the prefix filter is
 // compared against.
 func BenchmarkJaccardNaive1K(b *testing.B) {

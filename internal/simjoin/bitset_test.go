@@ -5,73 +5,134 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
-// denseRandomRecords builds records with large token sets over a small
-// vocabulary, so that low DenseMinTokens / BitmapPostingMin knobs force
-// every special-cased path: bitset-vs-bitset verification, asymmetric
-// contains-probe verification, and bitmap postings on hot tokens.
-func denseRandomRecords(n, minToks, maxToks int, rng *rand.Rand) []Record {
-	const vocabSize = 120
+// flipLen mirrors bitvec's unexported flip point (postingsFlipMin): a
+// postings list at least this long is a bitmap. The tests below only use
+// it to prove their fixtures reach both representations.
+const flipLen = 512
+
+// skewedRecords builds records of minToks..maxToks draws over a 400-token
+// vocabulary, half of the draws from a 9-token hot head with a skew of its
+// own — so the head tokens get long postings lists of different lengths,
+// and records of more than ~70 draws cross denseMinTokens.
+func skewedRecords(prefix string, n, minToks, maxToks int, rng *rand.Rand) []Record {
 	out := make([]Record, n)
 	for i := range out {
 		k := minToks + rng.Intn(maxToks-minToks+1)
 		toks := make([]string, k)
 		for j := range toks {
-			idx := rng.Intn(vocabSize)
+			idx := 9 + rng.Intn(391)
 			if rng.Intn(2) == 0 {
-				idx = rng.Intn(vocabSize/4 + 1) // skew: hot tokens
+				idx = rng.Intn(1 + rng.Intn(9))
 			}
 			toks[j] = fmt.Sprintf("t%d", idx)
 		}
-		out[i] = Record{ID: fmt.Sprintf("r%d", i), Tokens: toks}
+		out[i] = Record{ID: fmt.Sprintf("%s%d", prefix, i), Tokens: toks}
 	}
 	return out
 }
 
-// TestBitsetPathsBitIdentical is the equivalence oracle of the tentpole
-// representation change: the same join run with bitmap postings and bitset
-// verification forced on (tiny knobs) must be bit-identical — pairs AND
-// similarity floats — to the run with both disabled (pure array postings
-// and merge verification), at every worker count.
+// bitsetFixture is one join input reaching every representation at the
+// real thresholds: 4 500 sparse right records make the hot tokens' lists
+// bitmaps while the 391 tail tokens stay arrays, and dense records on both
+// sides meet sparse ones, so the verifier takes its AND/popcount,
+// contains-probe and merge branches.
+func bitsetFixture(seed int64) (l, r []Record) {
+	rng := rand.New(rand.NewSource(seed))
+	l = append(skewedRecords("ls", 120, 1, 10, rng), skewedRecords("ld", 30, 90, 180, rng)...)
+	r = append(skewedRecords("rs", 4500, 1, 10, rng), skewedRecords("rd", 40, 90, 180, rng)...)
+	return l, r
+}
+
+var bitsetJoins = []struct {
+	name      string
+	m         measure
+	threshold float64
+	run       func(l, r []Record, opts ...JoinOption) ([]Pair, error)
+	ref       func(l, r []Record) ([]Pair, error)
+}{
+	{"jaccard", measureJaccard, 0.3,
+		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return JaccardJoin(l, r, 0.3, o...) },
+		func(l, r []Record) ([]Pair, error) { return ReferenceJaccardJoin(l, r, 0.3) }},
+	{"cosine", measureCosine, 0.5,
+		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return CosineJoin(l, r, 0.5, o...) },
+		func(l, r []Record) ([]Pair, error) { return ReferenceCosineJoin(l, r, 0.5) }},
+	{"dice", measureDice, 0.45,
+		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return DiceJoin(l, r, 0.45, o...) },
+		func(l, r []Record) ([]Pair, error) { return ReferenceDiceJoin(l, r, 0.45) }},
+	{"overlap", measureOverlap, 3,
+		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return OverlapJoin(l, r, 3, o...) },
+		func(l, r []Record) ([]Pair, error) { return ReferenceOverlapJoin(l, r, 3) }},
+}
+
+// specCandidates counts, from the definition alone, the pairs a join must
+// verify: the partner's size is in the probe's window, the pair's first
+// common token lies in both prefixes (so the index surfaces the pair, at
+// that token), and the positional filter passes there. Nothing in it
+// depends on how postings are stored.
+func specCandidates(l, r []Record, m measure, threshold float64) int {
+	pl, pr, _ := prepare(internRecords(l, r))
+	count := 0
+	for _, a := range pl {
+		n := len(a.toks)
+		lo, hi := sizeBounds(m, threshold, n)
+		for _, b := range pr {
+			cn := len(b.toks)
+			if cn < lo || cn > hi {
+				continue
+			}
+			p, pos := 0, 0
+			for p < n && pos < cn && a.toks[p] != b.toks[pos] {
+				if a.toks[p] < b.toks[pos] {
+					p++
+				} else {
+					pos++
+				}
+			}
+			if p >= prefixLen(m, threshold, n) || pos >= prefixLen(m, threshold, cn) {
+				continue
+			}
+			if min(n-p, cn-pos) >= pairMinOverlap(m, threshold, n, cn) {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// TestBitsetPathsBitIdentical is the equivalence oracle of the shared
+// representation: on a fixture where array postings, bitmap postings and
+// all three verifier kernels are live at once, every join must be
+// bit-identical — pairs AND similarity floats — to the retained string
+// reference at every worker count, and must verify exactly the candidates
+// the representation-free definition names: array and bitmap postings
+// apply the same positional filter, so neither verifies a pair the other
+// would have pruned.
 func TestBitsetPathsBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	// Mix of sparse and dense probes so both sides of each knob threshold
-	// appear in one join.
-	mk := func() []Record {
-		return append(denseRandomRecords(40, 20, 60, rng), denseRandomRecords(40, 1, 6, rng)...)
-	}
-	l, r := mk(), mk()
-	off := []JoinOption{WithDenseMinTokens(-1), WithBitmapPostingMin(-1)}
-	joins := []struct {
-		name string
-		run  func(opts ...JoinOption) ([]Pair, error)
-	}{
-		{"jaccard", func(o ...JoinOption) ([]Pair, error) { return JaccardJoin(l, r, 0.4, o...) }},
-		{"cosine", func(o ...JoinOption) ([]Pair, error) { return CosineJoin(l, r, 0.6, o...) }},
-		{"dice", func(o ...JoinOption) ([]Pair, error) { return DiceJoin(l, r, 0.5, o...) }},
-		{"overlap", func(o ...JoinOption) ([]Pair, error) { return OverlapJoin(l, r, 3, o...) }},
-	}
-	for _, j := range joins {
-		want, err := j.run(off...)
+	l, r := bitsetFixture(41)
+	for _, j := range bitsetJoins {
+		want, err := j.ref(l, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(want) == 0 {
 			t.Fatalf("%s: oracle produced no pairs — workload too sparse to test anything", j.name)
 		}
-		for _, denseMin := range []int{2, 16} {
-			for _, bitmapMin := range []int{2, 8} {
-				for _, workers := range []int{1, 4} {
-					got, err := j.run(WithWorkers(workers), WithDenseMinTokens(denseMin), WithBitmapPostingMin(bitmapMin))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s dense=%d bitmap=%d workers=%d: %d pairs != reference %d (bit-identity broken)",
-							j.name, denseMin, bitmapMin, workers, len(got), len(want))
-					}
-				}
+		wantCands := specCandidates(l, r, j.m, j.threshold)
+		for _, workers := range []int{1, 4} {
+			reg := obs.NewRegistry()
+			got, err := j.run(l, r, WithWorkers(workers), WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: %d pairs != reference %d (bit-identity broken)", j.name, workers, len(got), len(want))
+			}
+			if cands := int(reg.CounterValue(obs.SimjoinCandidates, obs.L("join", j.name))); cands != wantCands {
+				t.Fatalf("%s workers=%d: verified %d candidates, definition names %d", j.name, workers, cands, wantCands)
 			}
 		}
 	}
@@ -82,8 +143,8 @@ func TestBitsetPathsBitIdentical(t *testing.T) {
 // contains-probe verifier in both directions.
 func TestBitsetKnobsAsymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	dense := denseRandomRecords(50, 30, 70, rng)
-	sparse := denseRandomRecords(50, 1, 5, rng)
+	dense := skewedRecords("d", 50, 90, 180, rng)
+	sparse := skewedRecords("s", 50, 1, 8, rng)
 	for _, tc := range []struct {
 		name string
 		l, r []Record
@@ -91,11 +152,14 @@ func TestBitsetKnobsAsymmetric(t *testing.T) {
 		{"dense_probes_sparse", dense, sparse},
 		{"sparse_probes_dense", sparse, dense},
 	} {
-		want, err := JaccardJoin(tc.l, tc.r, 0.1, WithDenseMinTokens(-1), WithBitmapPostingMin(-1))
+		want, err := ReferenceJaccardJoin(tc.l, tc.r, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := JaccardJoin(tc.l, tc.r, 0.1, WithDenseMinTokens(8), WithBitmapPostingMin(4))
+		if len(want) == 0 {
+			t.Fatalf("%s: oracle produced no pairs", tc.name)
+		}
+		got, err := JaccardJoin(tc.l, tc.r, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,36 +169,39 @@ func TestBitsetKnobsAsymmetric(t *testing.T) {
 	}
 }
 
-// TestBitmapPostingsBuilt sanity-checks that the tiny knobs actually flip
-// postings to bitmaps in buildIndex — guarding the tests above against
-// silently testing the array path twice.
+// TestBitmapPostingsBuilt sanity-checks that bitsetFixture really reaches
+// every representation in buildIndex and probeSets — guarding the tests
+// above against silently testing the array-and-merge path alone.
 func TestBitmapPostingsBuilt(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	l := denseRandomRecords(60, 10, 30, rng)
-	il, _ := internRecords(l, l)
-	_, pr, nids := prepare(nil, il)
-	idx := buildIndex(pr, nids, func(n int) int { return n }, Options{BitmapPostingMin: 4})
-	if idx.bits == nil {
-		t.Fatal("BitmapPostingMin=4 on a hot vocabulary built no bitmap postings")
-	}
-	nbits := 0
-	for t2, b := range idx.bits {
-		if b != nil {
-			nbits++
-			if idx.posts[t2] != nil {
-				t.Fatalf("token %d holds both array and bitmap postings", t2)
+	l, r := bitsetFixture(41)
+	pl, pr, nids := prepare(internRecords(l, r))
+	for _, j := range bitsetJoins {
+		idx := buildIndex(pr, nids, j.m, j.threshold)
+		arrays, bitmaps := 0, 0
+		for _, p := range idx.posts {
+			switch {
+			case p.Len() >= flipLen:
+				bitmaps++
+			case p.Len() > 0:
+				arrays++
 			}
 		}
-	}
-	if nbits == 0 {
-		t.Fatal("bitmap postings array allocated but empty")
-	}
-	// Dense records carry bitsets at the default threshold only when big
-	// enough; with DenseMinTokens=-1 nothing does.
-	idxOff := buildIndex(pr, nids, func(n int) int { return n }, Options{DenseMinTokens: -1})
-	for _, d := range idxOff.dense {
-		if d != nil {
-			t.Fatal("DenseMinTokens=-1 still built record bitsets")
+		if arrays == 0 || bitmaps == 0 {
+			t.Errorf("%s: %d array and %d bitmap postings lists, want both", j.name, arrays, bitmaps)
 		}
+		dense, sparse := 0, 0
+		for _, d := range idx.dense {
+			if d != nil {
+				dense++
+			} else {
+				sparse++
+			}
+		}
+		if dense == 0 || sparse == 0 {
+			t.Errorf("%s: %d dense and %d sparse indexed records, want both", j.name, dense, sparse)
+		}
+	}
+	if probeSets(pl) == nil {
+		t.Error("no dense probe records")
 	}
 }

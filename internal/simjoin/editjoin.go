@@ -29,11 +29,11 @@ type DistPair struct {
 // candidates with the exact distance. Strings shorter than one q-gram are
 // compared against everything that passes the length filter.
 func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]DistPair, error) {
-	opts := applyJoinOptions(jopts)
+	cfg := applyJoinOptions(jopts)
 	if maxDist < 0 {
 		return nil, fmt.Errorf("simjoin: negative edit-distance bound %d", maxDist)
 	}
-	mrec := obs.Or(opts.Metrics)
+	mrec := obs.Or(cfg.metrics)
 	join := obs.L("join", "edit")
 	defer obs.StartTimer(mrec, obs.SimjoinSeconds, join)()
 	const q = 2
@@ -78,7 +78,7 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 		pairs []DistPair
 		cands int
 	}
-	shards, err := parallel.MapChunks(opts.Workers, len(l), func(clo, chi int) (distShard, error) {
+	shards, err := parallel.MapChunks(cfg.workers, len(l), func(clo, chi int) (distShard, error) {
 		var out []DistPair
 		nc := 0
 		counts := make(map[int]int)

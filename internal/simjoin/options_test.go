@@ -1,43 +1,21 @@
 package simjoin
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestJoinOptionsApplyInOrder pins the functional-options contract: options
 // apply in order, so a later option overrides an earlier one.
 func TestJoinOptionsApplyInOrder(t *testing.T) {
-	o := applyJoinOptions([]JoinOption{
+	reg := obs.NewRegistry()
+	c := applyJoinOptions([]JoinOption{
 		WithWorkers(2),
-		WithDenseMinTokens(7),
-		WithBitmapPostingMin(9),
+		WithMetrics(reg),
 		WithWorkers(5),
 	})
-	want := Options{Workers: 5, DenseMinTokens: 7, BitmapPostingMin: 9}
-	if o != want {
-		t.Fatalf("applied options = %+v, want %+v", o, want)
-	}
-}
-
-// TestWithOptionsShimEquivalent keeps the deprecated struct bridge honest:
-// passing a legacy Options value through WithOptions must behave exactly
-// like spelling the same knobs as individual options.
-func TestWithOptionsShimEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	l := randomRecords(60, rng)
-	r := randomRecords(60, rng)
-	//emlint:allow nodeprecated -- this test is the shim's equivalence oracle
-	got, err := JaccardJoin(l, r, 0.5, WithOptions(Options{Workers: 2, DenseMinTokens: 4, BitmapPostingMin: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := JaccardJoin(l, r, 0.5, WithWorkers(2), WithDenseMinTokens(4), WithBitmapPostingMin(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("WithOptions shim diverged: %d pairs vs %d", len(got), len(want))
+	if want := (config{workers: 5, metrics: reg}); c != want {
+		t.Fatalf("applied options = %+v, want %+v", c, want)
 	}
 }

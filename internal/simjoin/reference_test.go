@@ -10,10 +10,9 @@ import (
 // This file preserves the pre-interning string-kernel join: per-record
 // token sorting by a map-backed frequency table, a map[string][]posting
 // index, a per-probe map[int]bool candidate set, and map-based set
-// intersection per verification. It exists as the baseline the integer
-// kernels are measured against (benchem -exp tokens) and as the oracle of
-// the equivalence tests: the live joins must reproduce its output bit for
-// bit. It is not wired into any production path.
+// intersection per verification. It is the oracle of the equivalence
+// tests (the live joins must reproduce its output bit for bit) and the
+// baseline of BenchmarkReferenceJaccardJoin1K.
 
 // refPrepared is a record with canonicalized (deduped, globally ordered)
 // string tokens.
@@ -92,7 +91,7 @@ func refIntersection(a, b []string) (inter, sizeA, sizeB int) {
 
 func refVerify(m measure, a, b []string) float64 {
 	inter, sa, sb := refIntersection(a, b)
-	return simFromOverlap(m, inter, sa, sb)
+	return similarity(m, inter, sa, sb)
 }
 
 // ReferenceJaccardJoin is the retained string-kernel JaccardJoin.
@@ -111,7 +110,7 @@ func ReferenceDiceJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]
 }
 
 // refSetJoin is the retained string-kernel prefix-filter driver.
-func refSetJoin(l, r []Record, threshold float64, m measure, opts Options) ([]Pair, error) {
+func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}
@@ -133,7 +132,7 @@ func refSetJoin(l, r []Record, threshold float64, m measure, opts Options) ([]Pa
 		}
 	}
 
-	shards, err := parallel.MapChunks(opts.Workers, len(pl), func(clo, chi int) (joinShard, error) {
+	shards, err := parallel.MapChunks(cfg.workers, len(pl), func(clo, chi int) (joinShard, error) {
 		out := make([]Pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
@@ -171,14 +170,14 @@ func refSetJoin(l, r []Record, threshold float64, m measure, opts Options) ([]Pa
 	if err != nil {
 		return nil, err
 	}
-	all, _ := mergeShards(opts.Workers, shards)
+	all, _ := mergeShards(cfg.workers, shards)
 	sortPairs(all)
 	return all, nil
 }
 
 // ReferenceOverlapJoin is the retained string-kernel OverlapJoin.
 func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, error) {
-	opts := applyJoinOptions(jopts)
+	cfg := applyJoinOptions(jopts)
 	if k < 1 {
 		return nil, fmt.Errorf("simjoin: overlap threshold %d must be >= 1", k)
 	}
@@ -197,7 +196,7 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 			index[rec.toks[p]] = append(index[rec.toks[p]], j)
 		}
 	}
-	shards, err := parallel.MapChunks(opts.Workers, len(pl), func(clo, chi int) (joinShard, error) {
+	shards, err := parallel.MapChunks(cfg.workers, len(pl), func(clo, chi int) (joinShard, error) {
 		out := make([]Pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
@@ -227,7 +226,7 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 	if err != nil {
 		return nil, err
 	}
-	all, _ := mergeShards(opts.Workers, shards)
+	all, _ := mergeShards(cfg.workers, shards)
 	sortPairs(all)
 	return all, nil
 }

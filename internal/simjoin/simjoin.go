@@ -19,8 +19,8 @@
 // per-call dictionary; callers that already hold interned IDs (the blockers
 // in package block) use the *JoinIDs variants and share one dictionary
 // across blocking, joining, and feature extraction. The retained map-based
-// string implementation lives in reference.go as the equivalence-test and
-// benchmark baseline.
+// string implementation lives in reference_test.go as the equivalence
+// oracle.
 package simjoin
 
 import (
@@ -61,106 +61,52 @@ type Pair struct {
 	Sim float64
 }
 
-// JoinOption tunes join execution; see WithWorkers, WithMetrics,
-// WithDenseMinTokens, and WithBitmapPostingMin. Options apply in order, so
-// later options win. The same option surface serves the string-token APIs
-// (JaccardJoin et al.), the pre-interned *JoinIDs variants, the
-// edit-distance join, and the frozen reference joins.
-type JoinOption func(*Options)
+// JoinOption tunes join execution; see WithWorkers and WithMetrics.
+// Options apply in order, so later options win. The same option surface
+// serves the string-token APIs (JaccardJoin et al.), the pre-interned
+// *JoinIDs variants, and the edit-distance join. How postings and records
+// are represented is not an option: it follows from list length
+// (bitvec.Postings) and record size (denseMinTokens).
+type JoinOption func(*config)
+
+// config is the resolved option set.
+type config struct {
+	workers int
+	metrics obs.Recorder
+}
 
 // WithWorkers sets the number of goroutines probing the index; 0 (the
-// default) means GOMAXPROCS (parallel.Resolve).
+// default) means GOMAXPROCS (parallel.Resolve). The paper scales PyMatcher
+// commands with Dask on multicore machines; this is the equivalent knob.
+// Probe scans below probeMinWork records stay serial regardless (the
+// parallel cost gate).
 func WithWorkers(n int) JoinOption {
-	return func(o *Options) { o.Workers = n }
+	return func(c *config) { c.workers = n }
 }
 
 // WithMetrics directs join timings and candidate/output counters
 // (obs.SimjoinSeconds/Candidates/Pairs, labeled by join name) into r; nil
 // (the default) means off.
 func WithMetrics(r obs.Recorder) JoinOption {
-	return func(o *Options) { o.Metrics = r }
+	return func(c *config) { c.metrics = r }
 }
 
-// WithDenseMinTokens sets the token-set size at which a record additionally
-// carries a compressed bitset (bitvec.Set), switching its verifications
-// from the sorted merge to the word-level AND/popcount kernels. 0 means the
-// default (64); negative disables bitset verification entirely.
-func WithDenseMinTokens(n int) JoinOption {
-	return func(o *Options) { o.DenseMinTokens = n }
-}
-
-// WithBitmapPostingMin sets the postings-list length at which a token's
-// postings flip from an array of (record, position) entries to a compressed
-// bitmap over right-record positions. 0 means the default (512); negative
-// disables bitmap postings.
-func WithBitmapPostingMin(n int) JoinOption {
-	return func(o *Options) { o.BitmapPostingMin = n }
-}
-
-// WithOptions replaces the whole resolved option set with a legacy Options
-// struct. It exists so pre-redesign call sites can migrate mechanically.
-//
-// Deprecated: pass WithWorkers, WithMetrics, WithDenseMinTokens, and
-// WithBitmapPostingMin directly.
-func WithOptions(o Options) JoinOption {
-	return func(dst *Options) { *dst = o }
-}
-
-// applyJoinOptions resolves a variadic option list into the Options carrier.
-func applyJoinOptions(opts []JoinOption) Options {
-	var o Options
+func applyJoinOptions(opts []JoinOption) config {
+	var c config
 	for _, fn := range opts {
-		fn(&o)
+		fn(&c)
 	}
-	return o
+	return c
 }
 
-// Options is the resolved join configuration JoinOption values mutate.
-// Construct it through the With* options; the exported fields remain only
-// as the deprecated struct-literal surface WithOptions bridges.
-type Options struct {
-	// Workers is the number of goroutines probing the index; 0 means
-	// GOMAXPROCS (parallel.Resolve). The paper scales PyMatcher commands
-	// with Dask on multicore machines; this is the equivalent knob. Probe
-	// scans below probeMinWork records stay serial regardless (the
-	// parallel cost gate).
-	//
-	// Deprecated: set through WithWorkers.
-	Workers int
-	// Metrics receives join timings and candidate/output counters
-	// (obs.SimjoinSeconds/Candidates/Pairs, labeled by join name); nil
-	// means off.
-	//
-	// Deprecated: set through WithMetrics.
-	Metrics obs.Recorder
-	// DenseMinTokens is the token-set size at which a record additionally
+const (
+	// denseMinTokens is the token-set size at which a record additionally
 	// carries a compressed bitset (bitvec.Set), switching its
 	// verifications from the sorted merge to the word-level AND/popcount
-	// kernels. 0 means the default (64); negative disables bitset
-	// verification entirely.
-	//
-	// Deprecated: set through WithDenseMinTokens.
-	DenseMinTokens int
-	// BitmapPostingMin is the postings-list length at which a token's
-	// postings flip from an array of (record, position) entries to a
-	// compressed bitmap over right-record positions — the high-frequency
-	// tokens every dense record shares. 0 means the default (512);
-	// negative disables bitmap postings.
-	//
-	// Deprecated: set through WithBitmapPostingMin.
-	BitmapPostingMin int
-}
-
-// Join tuning defaults. The GUIDE.md tuning section documents when to
-// override them through Options.
-const (
-	// defaultDenseMinTokens: below ~64 tokens the zero-alloc bounded merge
-	// wins; above it the container kernels start to pay, and the 8 KiB
-	// worst-case bitmap cost amortizes.
-	defaultDenseMinTokens = 64
-	// defaultBitmapPostingMin: a postings list this long costs more to
-	// re-scan per probe than a bitmap walk of the same members.
-	defaultBitmapPostingMin = 512
+	// kernels: below ~64 tokens the zero-alloc bounded merge wins; above
+	// it the container kernels start to pay, and the 8 KiB worst-case
+	// bitmap cost amortizes.
+	denseMinTokens = 64
 	// bitsetVerifyRatio gates the asymmetric contains-probe verify: the
 	// small side must be at least this many times smaller than the dense
 	// side before per-ID probing beats the linear merge.
@@ -170,26 +116,6 @@ const (
 	// tiny scans lose to serial execution.
 	probeMinWork = 128
 )
-
-func (o Options) denseMinTokens() int {
-	if o.DenseMinTokens == 0 {
-		return defaultDenseMinTokens
-	}
-	if o.DenseMinTokens < 0 {
-		return math.MaxInt
-	}
-	return o.DenseMinTokens
-}
-
-func (o Options) bitmapPostingMin() int {
-	if o.BitmapPostingMin == 0 {
-		return defaultBitmapPostingMin
-	}
-	if o.BitmapPostingMin < 0 {
-		return math.MaxInt
-	}
-	return o.BitmapPostingMin
-}
 
 // joinShard is one worker's contiguous share of a join probe scan: the
 // pairs it emitted and the candidates it verified. Shards concatenate in
@@ -206,17 +132,13 @@ const (
 	measureJaccard measure = iota
 	measureCosine
 	measureDice
+	// measureOverlap is the raw shared-token count; its threshold is the
+	// integer k rather than a score in (0, 1].
+	measureOverlap
 )
 
 func (m measure) String() string {
-	switch m {
-	case measureJaccard:
-		return "jaccard"
-	case measureCosine:
-		return "cosine"
-	default:
-		return "dice"
-	}
+	return [...]string{"jaccard", "cosine", "dice", "overlap"}[m]
 }
 
 // JaccardJoin returns all pairs with Jaccard similarity >= threshold.
@@ -329,12 +251,22 @@ func minOverlap(m measure, t float64, n int) int {
 		o = t * t * float64(n)
 	case measureDice:
 		o = t / (2 - t) * float64(n)
+	case measureOverlap:
+		o = t
 	}
 	v := int(math.Ceil(o - 1e-9))
 	if v < 1 {
 		v = 1
 	}
 	return v
+}
+
+// prefixLen returns how many of a size-n record's rarest tokens are
+// indexed (right side) or probed (left side): two records whose prefixes
+// are disjoint cannot share minOverlap tokens. It is 0 for records too
+// small to qualify at all (empty ones; fewer than k tokens under overlap).
+func prefixLen(m measure, t float64, n int) int {
+	return min(n, max(0, n-minOverlap(m, t, n)+1))
 }
 
 // pairMinOverlap returns the minimum |x∩y| two records of sizes n1 and n2
@@ -353,6 +285,8 @@ func pairMinOverlap(m measure, t float64, n1, n2 int) int {
 		o = t * math.Sqrt(float64(n1)*float64(n2))
 	case measureDice:
 		o = t / 2 * float64(n1+n2)
+	case measureOverlap:
+		o = t
 	}
 	v := int(math.Ceil(o - 1e-6))
 	if v < 1 {
@@ -362,52 +296,44 @@ func pairMinOverlap(m measure, t float64, n1, n2 int) int {
 }
 
 // sizeBounds returns the inclusive [lo, hi] partner-size window for a
-// record of size n under the measure and threshold.
+// record of size n under the measure and threshold. hi is clamped below
+// math.MaxInt (sizeWindow searches for hi+1): n/t overflows int for tiny
+// thresholds, and overlap has no upper bound at all.
 func sizeBounds(m measure, t float64, n int) (lo, hi int) {
+	var flo, fhi float64
 	switch m {
 	case measureJaccard:
-		lo = int(math.Ceil(t*float64(n) - 1e-9))
-		hi = int(math.Floor(float64(n)/t + 1e-9))
+		flo, fhi = t*float64(n), float64(n)/t
 	case measureCosine:
-		lo = int(math.Ceil(t*t*float64(n) - 1e-9))
-		hi = int(math.Floor(float64(n)/(t*t) + 1e-9))
+		flo, fhi = t*t*float64(n), float64(n)/(t*t)
 	case measureDice:
-		lo = int(math.Ceil(t/(2-t)*float64(n) - 1e-9))
-		hi = int(math.Floor((2-t)/t*float64(n) + 1e-9))
+		flo, fhi = t/(2-t)*float64(n), (2-t)/t*float64(n)
+	case measureOverlap:
+		flo, fhi = t, math.Inf(1)
 	}
-	if lo < 1 {
-		lo = 1
+	lo = max(1, int(math.Ceil(flo-1e-9)))
+	hi = math.MaxInt - 1
+	if f := math.Floor(fhi + 1e-9); f < float64(hi) {
+		hi = int(f)
 	}
 	return lo, hi
 }
 
-// simFromOverlap computes the exact similarity from a verified overlap and
-// the two set sizes, mirroring the formulas of package sim bit for bit.
-func simFromOverlap(m measure, inter, n1, n2 int) float64 {
+// similarity is the exact score of a verified pair from its overlap and
+// the two set sizes — package sim's formulas, so a join reports the very
+// float the per-pair kernels would.
+func similarity(m measure, inter, n1, n2 int) float64 {
 	switch m {
 	case measureJaccard:
-		union := n1 + n2 - inter
-		if union == 0 {
-			return 1
-		}
-		return float64(inter) / float64(union)
+		return sim.JaccardOf(inter, n1, n2)
 	case measureCosine:
-		if n1 == 0 || n2 == 0 {
-			return 0
-		}
-		return float64(inter) / math.Sqrt(float64(n1)*float64(n2))
+		return sim.CosineOf(inter, n1, n2)
+	case measureDice:
+		return sim.DiceOf(inter, n1, n2)
 	default:
-		if n1+n2 == 0 {
-			return 1
-		}
-		return 2 * float64(inter) / float64(n1+n2)
+		return float64(inter)
 	}
 }
-
-// posting locates one indexed prefix token: which right-side record holds
-// it (its position in the size-sorted order) and at which position of that
-// record's canonical token order.
-type posting struct{ rec, pos int32 }
 
 // joinIndex is the probe-side view of the indexed right collection.
 //
@@ -418,65 +344,43 @@ type posting struct{ rec, pos int32 }
 // searches, postings lists are size-sorted for free (they are built in
 // record order), and the per-candidate size check disappears.
 //
-// Each indexed token holds either an array postings list (posts[t]) or,
-// once the list passes Options.BitmapPostingMin, a compressed bitmap over
-// record positions (bitmaps[t]) — high-frequency tokens stop costing 8
-// bytes per occurrence and intersect by whole 64-record words. Records at
-// or above Options.DenseMinTokens also carry their token set as a
-// bitvec.Set (dense[j]) for the bitset verifier.
+// posts[t] lists the positions (in pr) of the records holding token t
+// within their prefix. A posting does not store where in the record t
+// sits: records are sorted token slices, so the probe loop recovers it
+// with a binary search when the positional filter needs it. Records of at
+// least denseMinTokens tokens also carry their token set as a bitvec.Set
+// (dense[j]) for the bitset verifier.
 type joinIndex struct {
 	pr    []intRec
-	sizes []int         // sizes[j] = len(pr[j].toks), ascending
-	posts [][]posting   // array postings, nil where bitmaps[t] != nil
-	bits  []*bitvec.Set // bitmap postings for high-frequency tokens
+	sizes []int // sizes[j] = len(pr[j].toks), ascending
+	posts []*bitvec.Postings
 	dense []*bitvec.Set // token bitsets of dense records, else nil
 }
 
 // buildIndex size-sorts the right collection and indexes each record's
-// prefix (per prefixFor) under its tokens. nids is the remapped ID-space
-// size from prepare.
-func buildIndex(pr []intRec, nids int, prefixFor func(n int) int, opts Options) *joinIndex {
+// prefix under its tokens. nids is the remapped ID-space size from
+// prepare.
+func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex {
 	idx := &joinIndex{pr: pr}
 	sort.SliceStable(idx.pr, func(a, b int) bool { return len(idx.pr[a].toks) < len(idx.pr[b].toks) })
 	idx.sizes = make([]int, len(idx.pr))
-	for j, rec := range idx.pr {
-		idx.sizes[j] = len(rec.toks)
-	}
-	idx.posts = make([][]posting, nids)
-	denseMin := opts.denseMinTokens()
 	idx.dense = make([]*bitvec.Set, len(idx.pr))
+	lists := make([][]uint32, nids)
 	for j, rec := range idx.pr {
 		n := len(rec.toks)
-		if n >= denseMin {
+		idx.sizes[j] = n
+		if n >= denseMinTokens {
 			idx.dense[j] = bitvec.FromSorted(rec.toks)
 		}
-		prefix := prefixFor(n)
-		for p := 0; p < prefix; p++ {
-			t := rec.toks[p]
-			idx.posts[t] = append(idx.posts[t], posting{int32(j), int32(p)})
+		for _, t := range rec.toks[:prefixLen(m, threshold, n)] {
+			lists[t] = append(lists[t], uint32(j))
 		}
 	}
-	// Flip high-frequency postings lists to bitmaps. Record positions are
-	// ascending within each list (built in record order), so they feed
-	// bitvec.FromSorted directly.
-	bitmapMin := opts.bitmapPostingMin()
-	var scratch []uint32
-	for t, list := range idx.posts {
-		if len(list) < bitmapMin {
-			continue
+	idx.posts = make([]*bitvec.Postings, nids)
+	for t, list := range lists {
+		if list != nil {
+			idx.posts[t] = bitvec.PostingsFromSorted(list)
 		}
-		if cap(scratch) < len(list) {
-			scratch = make([]uint32, len(list))
-		}
-		scratch = scratch[:len(list)]
-		for i, post := range list {
-			scratch[i] = uint32(post.rec)
-		}
-		if idx.bits == nil {
-			idx.bits = make([]*bitvec.Set, nids)
-		}
-		idx.bits[t] = bitvec.FromSorted(scratch)
-		idx.posts[t] = nil
 	}
 	return idx
 }
@@ -490,13 +394,11 @@ func (idx *joinIndex) sizeWindow(lo, hi int) (jlo, jhi int) {
 }
 
 // probeSets builds the probe-side dense bitsets (the left counterpart of
-// joinIndex.dense), nil when bitset verification is disabled or no record
-// qualifies.
-func probeSets(pl []intRec, opts Options) []*bitvec.Set {
-	denseMin := opts.denseMinTokens()
+// joinIndex.dense), nil when no record qualifies.
+func probeSets(pl []intRec) []*bitvec.Set {
 	var sets []*bitvec.Set
 	for i, rec := range pl {
-		if len(rec.toks) >= denseMin {
+		if len(rec.toks) >= denseMinTokens {
 			if sets == nil {
 				sets = make([]*bitvec.Set, len(pl))
 			}
@@ -558,7 +460,7 @@ func (e *epochScratch) next() {
 //
 //emlint:zeroalloc
 //emlint:hotpath
-func (e *epochScratch) mark(j int32) bool {
+func (e *epochScratch) mark(j uint32) bool {
 	if e.stamp[j] == e.epoch {
 		return true
 	}
@@ -566,39 +468,31 @@ func (e *epochScratch) mark(j int32) bool {
 	return false
 }
 
-// setJoin is the shared prefix-filter join driver over interned records.
-func setJoin(l, r []IDRecord, threshold float64, m measure, opts Options) ([]Pair, error) {
-	if threshold <= 0 || threshold > 1 {
+// setJoin is the one prefix-filter join driver over interned records. For
+// measureOverlap the threshold is the integer k.
+func setJoin(l, r []IDRecord, threshold float64, m measure, cfg config) ([]Pair, error) {
+	if m == measureOverlap {
+		if threshold < 1 {
+			return nil, fmt.Errorf("simjoin: overlap threshold %v must be >= 1", threshold)
+		}
+	} else if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}
-	rec := obs.Or(opts.Metrics)
+	rec := obs.Or(cfg.metrics)
 	join := obs.L("join", m.String())
 	defer obs.StartTimer(rec, obs.SimjoinSeconds, join)()
 	pl, pr, nids := prepare(l, r)
-
-	// Index the right side: token ID -> postings of the records holding
-	// the token within their prefix, size-sorted with bitmap postings for
-	// high-frequency tokens and bitsets on dense records.
-	idx := buildIndex(pr, nids, func(n int) int {
-		if n == 0 {
-			return 0
-		}
-		prefix := n - minOverlap(m, threshold, n) + 1
-		if prefix > n {
-			prefix = n
-		}
-		return prefix
-	}, opts)
-	plSets := probeSets(pl, opts)
+	idx := buildIndex(pr, nids, m, threshold)
+	plSets := probeSets(pl)
 
 	// Probe the index in contiguous shards through the shared pool (kept
 	// serial below probeMinWork probes — the cost gate). Candidates
 	// surviving the size and positional filters (i.e. actually verified)
 	// are tallied shard-locally and recorded once — the no-op path never
 	// sees a per-pair recorder call.
-	shards, err := parallel.MapChunksMin(opts.Workers, len(pl), probeMinWork, func(clo, chi int) (joinShard, error) {
-		// Shard-local probe state, hoisted so the verify/visit closures
-		// are allocated once per shard (per worker), not once per probe.
+	shards, err := parallel.MapChunksMin(cfg.workers, len(pl), probeMinWork, func(clo, chi int) (joinShard, error) {
+		// Shard-local probe state, hoisted so the visit closure is
+		// allocated once per shard (per worker), not once per probe.
 		out := make([]Pair, 0, chi-clo)
 		nc := 0
 		seen := newEpochScratch(len(idx.pr))
@@ -606,12 +500,14 @@ func setJoin(l, r []IDRecord, threshold float64, m measure, opts Options) ([]Pai
 			probe intRec
 			pset  *bitvec.Set
 			n, p  int
+			t     uint32
 		)
-		// verify checks one candidate j first met at probe prefix position
-		// p and candidate position pos; pos < 0 means "unknown" (bitmap
-		// postings drop it), which weakens the positional filter to the
-		// candidate's full length but never changes the verified result.
-		verify := func(j, pos int) {
+		// visit handles right record j reached through the postings of
+		// probe token t (prefix position p).
+		visit := func(j uint32) bool {
+			if seen.mark(j) {
+				return true
+			}
 			cand := idx.pr[j]
 			cn := len(cand.toks)
 			need := pairMinOverlap(m, threshold, n, cn)
@@ -619,65 +515,39 @@ func setJoin(l, r []IDRecord, threshold float64, m measure, opts Options) ([]Pai
 			// first common token, so everything before (p, pos) is
 			// disjoint and the overlap is bounded by the shorter
 			// remaining suffix (PPJoin's ubound).
-			rem := cn
-			if pos >= 0 {
-				rem = cn - pos
-			}
-			if ub := min(n-p, rem); ub < need {
-				return
+			pos, _ := slices.BinarySearch(cand.toks, t)
+			if min(n-p, cn-pos) < need {
+				return true
 			}
 			nc++
 			inter := verifyOverlap(probe.toks, pset, cand.toks, idx.dense[j], need)
 			if inter < 0 {
-				return // suffix-length early exit: can't reach need
+				return true // suffix-length early exit: can't reach need
 			}
-			if s := simFromOverlap(m, inter, n, cn); s >= threshold-1e-12 {
+			if s := similarity(m, inter, n, cn); s >= threshold-1e-12 {
 				out = append(out, Pair{LID: probe.id, RID: cand.id, Sim: s})
-			}
-		}
-		bmVisit := func(recPos uint32) bool {
-			if j := int32(recPos); !seen.mark(j) {
-				verify(int(j), -1)
 			}
 			return true
 		}
 		for i := clo; i < chi; i++ {
 			probe = pl[i]
 			n = len(probe.toks)
-			if n == 0 {
+			prefix := prefixLen(m, threshold, n)
+			lo, hi := sizeBounds(m, threshold, n)
+			jlo, jhi := idx.sizeWindow(lo, hi)
+			if prefix == 0 || jlo >= jhi {
 				continue
 			}
 			pset = nil
 			if plSets != nil {
 				pset = plSets[i]
 			}
-			lo, hi := sizeBounds(m, threshold, n)
-			jlo, jhi := idx.sizeWindow(lo, hi)
-			if jlo >= jhi {
-				continue
-			}
-			prefix := n - minOverlap(m, threshold, n) + 1
-			if prefix > n {
-				prefix = n
-			}
 			seen.next()
+			// The size window is a contiguous rec range and postings are
+			// rec-sorted, so ForEachIn skips both tails wholesale.
 			for p = 0; p < prefix; p++ {
-				t := probe.toks[p]
-				if idx.bits != nil && idx.bits[t] != nil {
-					idx.bits[t].ForEachIn(uint32(jlo), uint32(jhi), bmVisit)
-					continue
-				}
-				list := idx.posts[t]
-				// The size window is a contiguous rec range: postings are
-				// rec-sorted, so binary search skips both tails wholesale.
-				k := sort.Search(len(list), func(k int) bool { return int(list[k].rec) >= jlo })
-				for ; k < len(list) && int(list[k].rec) < jhi; k++ {
-					post := list[k]
-					if seen.mark(post.rec) {
-						continue
-					}
-					verify(int(post.rec), int(post.pos))
-				}
+				t = probe.toks[p]
+				idx.posts[t].ForEachIn(uint32(jlo), uint32(jhi), visit)
 			}
 		}
 		return joinShard{pairs: out, cands: nc}, nil
@@ -685,7 +555,7 @@ func setJoin(l, r []IDRecord, threshold float64, m measure, opts Options) ([]Pai
 	if err != nil {
 		return nil, err
 	}
-	all, total := mergeShards(opts.Workers, shards)
+	all, total := mergeShards(cfg.workers, shards)
 	rec.Count(obs.SimjoinCandidates, float64(total), join)
 	rec.Count(obs.SimjoinPairs, float64(len(all)), join)
 	sortPairs(all)
@@ -710,105 +580,12 @@ func mergeShards(workers int, shards []joinShard) ([]Pair, int) {
 // output is the raw overlap count.
 func OverlapJoin(l, r []Record, k int, opts ...JoinOption) ([]Pair, error) {
 	il, ir := internRecords(l, r)
-	return OverlapJoinIDs(il, ir, k, opts...)
+	return setJoin(il, ir, float64(k), measureOverlap, applyJoinOptions(opts))
 }
 
 // OverlapJoinIDs is OverlapJoin over pre-interned records.
-func OverlapJoinIDs(l, r []IDRecord, k int, jopts ...JoinOption) ([]Pair, error) {
-	opts := applyJoinOptions(jopts)
-	if k < 1 {
-		return nil, fmt.Errorf("simjoin: overlap threshold %d must be >= 1", k)
-	}
-	rec := obs.Or(opts.Metrics)
-	join := obs.L("join", "overlap")
-	defer obs.StartTimer(rec, obs.SimjoinSeconds, join)()
-	pl, pr, nids := prepare(l, r)
-	// Records with fewer than k tokens can never reach k overlaps; the
-	// prefix length n-k+1 bottoms out at 0 for them, so they are simply
-	// never indexed, and the probe side's size window starts at k.
-	idx := buildIndex(pr, nids, func(n int) int {
-		prefix := n - k + 1
-		if prefix < 0 {
-			return 0
-		}
-		return prefix
-	}, opts)
-	plSets := probeSets(pl, opts)
-	shards, err := parallel.MapChunksMin(opts.Workers, len(pl), probeMinWork, func(clo, chi int) (joinShard, error) {
-		out := make([]Pair, 0, chi-clo)
-		nc := 0
-		seen := newEpochScratch(len(idx.pr))
-		var (
-			probe intRec
-			pset  *bitvec.Set
-			n, p  int
-		)
-		verify := func(j, pos int) {
-			cand := idx.pr[j]
-			cn := len(cand.toks)
-			// Positional filter with the fixed bound k; pos < 0 (bitmap
-			// postings) falls back to the candidate's full length.
-			rem := cn
-			if pos >= 0 {
-				rem = cn - pos
-			}
-			if ub := min(n-p, rem); ub < k {
-				return
-			}
-			nc++
-			if ov := verifyOverlap(probe.toks, pset, cand.toks, idx.dense[j], k); ov >= k {
-				out = append(out, Pair{LID: probe.id, RID: cand.id, Sim: float64(ov)})
-			}
-		}
-		bmVisit := func(recPos uint32) bool {
-			if j := int32(recPos); !seen.mark(j) {
-				verify(int(j), -1)
-			}
-			return true
-		}
-		// The overlap window is probe-independent: any record of size >= k
-		// can qualify, so the length bucket is the suffix starting at the
-		// first record with k tokens.
-		jlo, jhi := idx.sizeWindow(k, math.MaxInt-1)
-		for i := clo; i < chi; i++ {
-			probe = pl[i]
-			n = len(probe.toks)
-			if n < k || jlo >= jhi {
-				continue
-			}
-			pset = nil
-			if plSets != nil {
-				pset = plSets[i]
-			}
-			prefix := n - k + 1
-			seen.next()
-			for p = 0; p < prefix; p++ {
-				t := probe.toks[p]
-				if idx.bits != nil && idx.bits[t] != nil {
-					idx.bits[t].ForEachIn(uint32(jlo), uint32(jhi), bmVisit)
-					continue
-				}
-				list := idx.posts[t]
-				kk := sort.Search(len(list), func(kk int) bool { return int(list[kk].rec) >= jlo })
-				for ; kk < len(list) && int(list[kk].rec) < jhi; kk++ {
-					post := list[kk]
-					if seen.mark(post.rec) {
-						continue
-					}
-					verify(int(post.rec), int(post.pos))
-				}
-			}
-		}
-		return joinShard{pairs: out, cands: nc}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	all, total := mergeShards(opts.Workers, shards)
-	rec.Count(obs.SimjoinCandidates, float64(total), join)
-	rec.Count(obs.SimjoinPairs, float64(len(all)), join)
-	sortPairs(all)
-	return all, nil
+func OverlapJoinIDs(l, r []IDRecord, k int, opts ...JoinOption) ([]Pair, error) {
+	return setJoin(l, r, float64(k), measureOverlap, applyJoinOptions(opts))
 }
 
 func sortPairs(ps []Pair) {

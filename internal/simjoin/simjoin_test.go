@@ -203,6 +203,26 @@ func TestJoinExactThreshold(t *testing.T) {
 	}
 }
 
+// TestJoinTinyThreshold: a valid threshold so small that n/t overflows int
+// must widen the size window to everything, not wrap it negative and
+// silently return nothing.
+func TestJoinTinyThreshold(t *testing.T) {
+	l, r := recs("a b c"), recs("a b d")
+	for name, join := range map[string]func([]Record, []Record, float64, ...JoinOption) ([]Pair, error){
+		"jaccard": JaccardJoin, "cosine": CosineJoin, "dice": DiceJoin,
+	} {
+		for _, th := range []float64{0.1, 1e-18, 1e-19, 1e-200} {
+			got, err := join(l, r, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 {
+				t.Errorf("%s at threshold %g: %d pairs, want the one sharing 2 of 3 tokens", name, th, len(got))
+			}
+		}
+	}
+}
+
 func TestJoinWorkersConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := randomRecords(80, rng)
