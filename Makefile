@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-perf fix fuzz loc bench bench-tokens bench-scaling bench-serve bench-serve-scaling
+.PHONY: build test race vet lint fuzz loc bench bench-tokens bench-scaling bench-serve bench-serve-scaling
 
 build:
 	$(GO) build ./...
@@ -17,28 +17,18 @@ race:
 vet:
 	$(GO) vet ./...
 
-# emlint enforces the repo's concurrency, determinism, and observability
-# invariants (see DESIGN.md §7). Exit 1 with file:line diagnostics on any
-# violation; suppress deliberate exceptions with //emlint:allow.
+# emlint enforces the repo's concurrency, determinism, observability and
+# performance-contract invariants (see DESIGN.md §7). Exit 1 with
+# file:line diagnostics on any violation; suppress deliberate exceptions
+# with //emlint:allow. The suite includes escapecheck, which compiles each
+# //emlint:zeroalloc / //emlint:hotpath package with -gcflags=-m=2 and
+# fails on any escape or inlining regression not grandfathered by
+# lint/escape_baseline.json, and allocguard, which requires every
+# zeroalloc function to carry a testing.AllocsPerRun guard. After a
+# deliberate change (or a Go toolchain bump), refresh the baseline with:
+#   $(GO) run ./cmd/emlint -update-baseline ./internal/... ./cmd/...
 lint:
 	$(GO) run ./cmd/emlint ./internal/... ./cmd/...
-
-# Performance-contract verification (DESIGN.md §12): escapecheck compiles
-# each //emlint:zeroalloc / //emlint:hotpath package with -gcflags=-m=2
-# and fails on any escape or inlining regression not grandfathered by
-# lint/escape_baseline.json; allocguard requires every zeroalloc function
-# to carry a testing.AllocsPerRun guard. After a deliberate change (or a
-# Go toolchain bump), refresh the baseline with:
-#   $(GO) run ./cmd/emlint -update-baseline ./internal/... ./cmd/...
-lint-perf:
-	$(GO) run ./cmd/emlint -checks=escapecheck,allocguard \
-		-escape-report=escape-report.json ./internal/... ./cmd/...
-
-# Applies the machine-applicable suggested fixes emlint diagnostics carry
-# (e.g. hotalloc prealloc rewrites) and gofmts the touched files. Safe to
-# run repeatedly: the engine is idempotent.
-fix:
-	$(GO) run ./cmd/emlint -fix ./internal/... ./cmd/...
 
 # Short fuzz smoke over the text-format parsers. Override FUZZTIME for a
 # longer soak, e.g. `make fuzz FUZZTIME=5m`.

@@ -6,38 +6,24 @@
 //
 // Usage:
 //
-//	emlint [-checks list] [-list] [-fix] [-json] [-format mode] [-staleallows]
-//	       [-update-baseline] [-escape-report file] [patterns...]
+//	emlint [-checks list] [-list] [-format mode] [-update-baseline] [patterns...]
 //
 // Patterns default to ./internal/... ./cmd/... — the whole production
 // tree. Each package is analyzed as a cross-package program: its
 // module-local dependencies are loaded with full syntax so the call-graph
-// analyzers (locksafety, lockorder, rlockwrite, ctxflow) follow facts
-// across package boundaries. -checks picks a subset by name, or — when
-// every entry is negated — the full suite minus the named checks
-// (-checks=-hotalloc,-maporder); the forms cannot be mixed.
-// -staleallows restricts output to the staleallow audit — the
-// //emlint:allow directives that no longer suppress anything.
-// -update-baseline rewrites lint/escape_baseline.json from the current
-// escapecheck violations and exits; -escape-report writes the parsed
-// escape/inlining facts of every contract-annotated package to a JSON
-// file (the CI artifact uploaded next to emlint-report.json). Output
-// modes:
+// analyzers (locksafety, lockorder, rlockwrite) follow facts across
+// package boundaries. -checks picks a subset by name; -list prints the
+// suite. -update-baseline rewrites lint/escape_baseline.json from the
+// current escapecheck violations and exits. Output modes:
 //
 //	-format=text    file:line:col: [check] message (default)
 //	-format=github  ::error workflow annotations for inline PR comments
-//	-format=json    machine-readable diagnostics including suggested fixes
-//	-json           shorthand for -format=json
 //
-// -fix applies the suggested fixes diagnostics carry (non-overlapping
-// byte edits, gofmt on every touched file) and is idempotent: a second
-// run applies zero edits. Exit status is 0 for a clean tree (or when -fix
-// repaired every finding), 1 when diagnostics remain, and 2 on load or
-// usage errors.
+// Exit status is 0 for a clean tree, 1 when diagnostics remain, and 2 on
+// load or usage errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -63,26 +49,17 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "print the available checks and exit")
-	fix := fs.Bool("fix", false, "apply suggested fixes (non-overlapping edits, gofmt on touched files)")
-	jsonOut := fs.Bool("json", false, "shorthand for -format=json")
-	format := fs.String("format", "text", "output mode: text, github, or json")
-	staleOnly := fs.Bool("staleallows", false, "report only //emlint:allow directives that no longer suppress anything (runs the full suite to find out)")
+	format := fs.String("format", "text", "output mode: text or github")
 	updateBaseline := fs.Bool("update-baseline", false, "rewrite lint/escape_baseline.json from the current escapecheck violations and exit")
-	escapeReportPath := fs.String("escape-report", "", "write the parsed escape/inlining report of contract-annotated packages to this JSON file")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: emlint [-checks list] [-list] [-fix] [-json] [-format mode] [-staleallows] [-update-baseline] [-escape-report file] [patterns...]\n")
+		fmt.Fprintf(stderr, "usage: emlint [-checks list] [-list] [-format mode] [-update-baseline] [patterns...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *jsonOut {
-		*format = "json"
-	}
-	switch *format {
-	case "text", "github", "json":
-	default:
-		fmt.Fprintf(stderr, "emlint: unknown -format %q (want text, github, or json)\n", *format)
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(stderr, "emlint: unknown -format %q (want text or github)\n", *format)
 		return 2
 	}
 
@@ -95,16 +72,11 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	}
 	if *checks != "" {
 		var err error
-		analyzers, err = selectChecks(*checks)
+		analyzers, err = analysis.ByName(*checks)
 		if err != nil {
 			fmt.Fprintln(stderr, "emlint:", err)
 			return 2
 		}
-	}
-	if *staleOnly {
-		// The audit is only meaningful against the checks that actually
-		// ran, so the whole suite runs and everything else is filtered.
-		analyzers = analysis.All()
 	}
 
 	patterns := fs.Args()
@@ -128,38 +100,46 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *updateBaseline || *escapeReportPath != "" {
-		reports, err := collectEscapeReports(loader, paths)
-		if err != nil {
+	if *updateBaseline {
+		baseline := analysis.EscapeBaseline{}
+		accepted, annotated := 0, 0
+		for _, path := range paths {
+			pkg, err := loader.Load(path)
+			if err != nil {
+				fmt.Fprintln(stderr, "emlint:", err)
+				return 2
+			}
+			// Test files are excluded, matching the escapecheck pass
+			// (contracts annotate shipped code).
+			files := make([]*ast.File, 0, len(pkg.Files))
+			for _, f := range pkg.Files {
+				if !strings.HasSuffix(loader.Fset.Position(f.Pos()).Filename, "_test.go") {
+					files = append(files, f)
+				}
+			}
+			rep, err := analysis.CollectEscapeReport(pkg, files)
+			if err != nil {
+				fmt.Fprintln(stderr, "emlint:", err)
+				return 2
+			}
+			if rep == nil {
+				continue
+			}
+			annotated++
+			for _, fn := range rep.Funcs {
+				for _, v := range fn.Violations {
+					baseline.Record(rep.Package, fn.Name, v)
+					accepted++
+				}
+			}
+		}
+		if err := analysis.SaveEscapeBaseline(filepath.Join(root, analysis.EscapeBaselinePath), baseline); err != nil {
 			fmt.Fprintln(stderr, "emlint:", err)
 			return 2
 		}
-		if *escapeReportPath != "" {
-			if err := writeEscapeReports(*escapeReportPath, reports); err != nil {
-				fmt.Fprintln(stderr, "emlint:", err)
-				return 2
-			}
-		}
-		if *updateBaseline {
-			baseline := analysis.EscapeBaseline{}
-			accepted := 0
-			for _, rep := range reports {
-				for _, fn := range rep.Funcs {
-					for _, v := range fn.Violations {
-						baseline.Record(rep.Package, fn.Name, v)
-						accepted++
-					}
-				}
-			}
-			path := filepath.Join(root, analysis.EscapeBaselinePath)
-			if err := analysis.SaveEscapeBaseline(path, baseline); err != nil {
-				fmt.Fprintln(stderr, "emlint:", err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "emlint: wrote %s: %d accepted violation(s) across %d annotated package(s)\n",
-				analysis.EscapeBaselinePath, accepted, len(reports))
-			return 0
-		}
+		fmt.Fprintf(stdout, "emlint: wrote %s: %d accepted violation(s) across %d annotated package(s)\n",
+			analysis.EscapeBaselinePath, accepted, annotated)
+		return 0
 	}
 
 	var diags []analysis.Diagnostic
@@ -171,74 +151,19 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		}
 		diags = append(diags, analysis.RunProgram(prog, analyzers)...)
 	}
-	if *staleOnly {
-		var stale []analysis.Diagnostic
-		for _, d := range diags {
-			if d.Check == analysis.StaleAllow.Name {
-				stale = append(stale, d)
-			}
-		}
-		diags = stale
-	}
-
-	if *fix {
-		res, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "emlint:", err)
-			return 2
-		}
-		for i, f := range res.Files {
-			if rel, err := filepath.Rel(root, f); err == nil {
-				res.Files[i] = rel
-			}
-		}
-		fmt.Fprintf(stdout, "emlint: applied %d fix(es) across %d file(s)", res.Applied, len(res.Files))
-		if len(res.Files) > 0 {
-			fmt.Fprintf(stdout, ": %s", strings.Join(res.Files, " "))
-		}
-		fmt.Fprintln(stdout)
-		if res.Skipped > 0 {
-			fmt.Fprintf(stdout, "emlint: skipped %d overlapping fix(es); re-run -fix to apply\n", res.Skipped)
-		}
-		// Only findings without an applied fix still stand.
-		var remaining []analysis.Diagnostic
-		for _, d := range diags {
-			if len(d.Fixes) == 0 {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
-	}
-
 	// Print module-relative paths so output is stable across checkouts.
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil {
 			diags[i].Pos.Filename = rel
 		}
-		for j := range diags[i].Fixes {
-			for k := range diags[i].Fixes[j].Edits {
-				e := &diags[i].Fixes[j].Edits[k]
-				if rel, err := filepath.Rel(root, e.Filename); err == nil {
-					e.Filename = rel
-				}
-			}
-		}
 	}
 
-	switch *format {
-	case "json":
-		if err := writeJSON(stdout, diags); err != nil {
-			fmt.Fprintln(stderr, "emlint:", err)
-			return 2
-		}
-	case "github":
-		for _, d := range diags {
+	for _, d := range diags {
+		if *format == "github" {
 			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d::%s\n",
 				d.Pos.Filename, d.Pos.Line, d.Pos.Column,
 				githubEscape(fmt.Sprintf("[%s] %s", d.Check, d.Message)))
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			fmt.Fprintln(stdout, d)
 		}
 	}
@@ -247,119 +172,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// selectChecks resolves the -checks spec. A plain comma-separated list
-// picks exactly those checks; a list where every entry is negated
-// ("-hotalloc,-maporder") runs the whole suite minus the named checks.
-// Mixing the two forms is ambiguous and rejected.
-func selectChecks(spec string) ([]*analysis.Analyzer, error) {
-	var pos, neg []string
-	for _, p := range strings.Split(spec, ",") {
-		p = strings.TrimSpace(p)
-		if rest, ok := strings.CutPrefix(p, "-"); ok {
-			neg = append(neg, rest)
-		} else {
-			pos = append(pos, p)
-		}
-	}
-	if len(neg) == 0 {
-		return analysis.ByName(spec)
-	}
-	if len(pos) > 0 {
-		return nil, fmt.Errorf("-checks %q mixes selections and negations; use one form", spec)
-	}
-	// Resolve the negated names first so typos are rejected, not silently
-	// kept in the suite.
-	if _, err := analysis.ByName(strings.Join(neg, ",")); err != nil {
-		return nil, err
-	}
-	drop := make(map[string]bool, len(neg))
-	for _, n := range neg {
-		drop[n] = true
-	}
-	var out []*analysis.Analyzer
-	for _, a := range analysis.All() {
-		if !drop[a.Name] {
-			out = append(out, a)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-checks %q negates every check", spec)
-	}
-	return out, nil
-}
-
-// collectEscapeReports gathers the compiler escape/inlining facts of every
-// contract-annotated package among paths. Test files are excluded,
-// matching the escapecheck pass (contracts annotate shipped code).
-func collectEscapeReports(l *analysis.Loader, paths []string) ([]*analysis.EscapeReport, error) {
-	var reports []*analysis.EscapeReport
-	for _, path := range paths {
-		pkg, err := l.Load(path)
-		if err != nil {
-			return nil, err
-		}
-		files := make([]*ast.File, 0, len(pkg.Files))
-		for _, f := range pkg.Files {
-			if strings.HasSuffix(l.Fset.Position(f.Pos()).Filename, "_test.go") {
-				continue
-			}
-			files = append(files, f)
-		}
-		rep, err := analysis.CollectEscapeReport(pkg, files)
-		if err != nil {
-			return nil, err
-		}
-		if rep != nil {
-			reports = append(reports, rep)
-		}
-	}
-	return reports, nil
-}
-
-// writeEscapeReports writes the report array (never null) as indented JSON.
-func writeEscapeReports(path string, reports []*analysis.EscapeReport) error {
-	if reports == nil {
-		reports = []*analysis.EscapeReport{}
-	}
-	data, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// jsonDiagnostic is the stable -json output shape.
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-	// HasFix mirrors Fixes so scripted consumers can count repairable
-	// findings without materializing the edit payloads.
-	HasFix bool                    `json:"has_fix"`
-	Fixes  []analysis.SuggestedFix `json:"fixes,omitempty"`
-}
-
-// writeJSON emits the diagnostics as a JSON array (never null).
-func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:    d.Pos.Filename,
-			Line:    d.Pos.Line,
-			Col:     d.Pos.Column,
-			Check:   d.Check,
-			Message: d.Message,
-			HasFix:  len(d.Fixes) > 0,
-			Fixes:   d.Fixes,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // githubEscape encodes the characters the workflow-command grammar

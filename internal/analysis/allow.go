@@ -49,22 +49,31 @@ func (s allowSet) allows(d Diagnostic) bool {
 // stale returns a staleallow diagnostic for every directive range that
 // suppressed nothing, restricted to checks the run actually executed (a
 // directive for a check outside the list might suppress plenty on a fuller
-// run). Directives for staleallow itself are exempt: they exist to pin a
-// deliberately-dormant directive and are used precisely when nothing fires.
+// run), and for every directive naming something that is no check of the
+// suite at all — what a deleted or misspelled analyzer leaves behind, and
+// otherwise accepted silently forever. Directives for staleallow itself are
+// exempt: they exist to pin a deliberately-dormant directive and are used
+// precisely when nothing fires.
 //
 //emlint:allow hotalloc -- runs once per package at the end of a lint pass; not a hot path
 func (s allowSet) stale(executed map[string]bool) []Diagnostic {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, ranges := range s {
 		for _, r := range ranges {
-			if r.used || r.check == StaleAllow.Name || !executed[r.check] {
+			var msg string
+			switch {
+			case !known[r.check]:
+				msg = "allow directive names " + r.check + ", which is not an emlint check; remove it"
+			case r.used || r.check == StaleAllow.Name || !executed[r.check]:
 				continue
+			default:
+				msg = "allow directive for " + r.check + " suppresses no diagnostic; remove it"
 			}
-			out = append(out, Diagnostic{
-				Pos:     r.pos,
-				Check:   StaleAllow.Name,
-				Message: "allow directive for " + r.check + " suppresses no diagnostic; remove it",
-			})
+			out = append(out, Diagnostic{Pos: r.pos, Check: StaleAllow.Name, Message: msg})
 		}
 	}
 	return out

@@ -1,11 +1,14 @@
 // Package analysis is the repo's own static-analysis driver: a
 // dependency-free (go/parser + go/types, no golang.org/x/tools) framework
 // plus the project-invariant analyzers behind cmd/emlint. The analyzers
-// enforce the conventions DESIGN.md §5–§7 establish — fan-out only through
-// internal/parallel, no wall-clock or global randomness in result-producing
-// paths, canonical metric names, no deprecated API calls, context.Context
-// first, and no copying of lock-bearing types — so the conventions survive
-// codebase growth instead of living only in documentation.
+// enforce the conventions DESIGN.md §5–§7 and §12 establish — fan-out only
+// through internal/parallel, no wall-clock or global randomness or map
+// order in result-producing paths, canonical metric names and HTTP error
+// codes, well-formed lock regions in one global order, no dropped errors,
+// and the compiler-verified zeroalloc/hotpath contracts — so the
+// conventions survive codebase growth instead of living only in
+// documentation. DESIGN.md §7 holds the one table of checks and why each
+// stays.
 //
 // Every diagnostic can be suppressed at a sanctioned call site with a
 // directive comment on the flagged line, the line directly above it, or in
@@ -24,32 +27,11 @@ import (
 	"strings"
 )
 
-// TextEdit is one byte-range replacement inside a file. Start and End are
-// 0-based byte offsets into the file named by Filename; the half-open
-// range [Start, End) is replaced by NewText. An insertion has Start == End.
-type TextEdit struct {
-	Filename string `json:"file"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	NewText  string `json:"new_text"`
-}
-
-// SuggestedFix is a machine-applicable repair attached to a diagnostic:
-// a set of non-overlapping edits that, applied together, resolve the
-// finding. emlint -fix applies fixes whose edits do not collide with
-// edits already accepted from earlier diagnostics.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// Diagnostic is one analyzer finding at a source position, optionally
-// carrying machine-applicable fixes.
+// Diagnostic is one analyzer finding at a source position.
 type Diagnostic struct {
 	Pos     token.Position
 	Check   string
 	Message string
-	Fixes   []SuggestedFix
 }
 
 // String renders the diagnostic in the file:line:col form emlint prints.
@@ -83,34 +65,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFix records a diagnostic at pos carrying a machine-applicable fix.
-// A fix with no edits is dropped (the diagnostic is still reported), so
-// analyzers can build edits optimistically and bail without branching.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	d := Diagnostic{
-		Pos:     p.Fset.Position(pos),
-		Check:   p.check,
-		Message: fmt.Sprintf(format, args...),
-	}
-	if len(fix.Edits) > 0 {
-		d.Fixes = []SuggestedFix{fix}
-	}
-	p.diags = append(p.diags, d)
-}
-
-// Edit builds a TextEdit replacing the source range [from, to) with text,
-// converting token positions to the byte offsets the fix engine applies.
-func (p *Pass) Edit(from, to token.Pos, text string) TextEdit {
-	start := p.Fset.Position(from)
-	end := p.Fset.Position(to)
-	return TextEdit{
-		Filename: start.Filename,
-		Start:    start.Offset,
-		End:      end.Offset,
-		NewText:  text,
-	}
-}
-
 // Analyzer is one invariant check.
 type Analyzer struct {
 	// Name is the check name diagnostics carry and allow comments cite.
@@ -131,9 +85,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AliasLeak,
 		AllocGuard,
-		AtomicMix,
-		CtxFirst,
-		CtxFlow,
 		ErrDrop,
 		EscapeCheck,
 		HotAlloc,
@@ -142,7 +93,6 @@ func All() []*Analyzer {
 		LockSafety,
 		MapOrder,
 		MetricNames,
-		MutexCopy,
 		NoGoroutine,
 		NonDeterminism,
 		RLockWrite,
@@ -189,9 +139,9 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 // RunProgram executes the analyzers over a program, anchoring diagnostics
 // in the root package. Allow directives are tracked: when the staleallow
 // analyzer is in the list, directives that suppressed nothing across the
-// whole run are themselves reported (a directive citing a check outside
-// the executed list is left alone — this run cannot tell if it earns its
-// keep).
+// whole run are themselves reported, as is a directive citing a name that
+// is no check of the suite (a directive citing a real check outside the
+// executed list is left alone — this run cannot tell if it earns its keep).
 func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	pkg := prog.Root
 	allows := collectAllows(pkg)

@@ -118,9 +118,6 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 	if NoGoroutine.Tests {
 		t.Fatal("nogoroutine must skip test files (tests orchestrate goroutines legitimately)")
 	}
-	if !CtxFirst.Tests || !MutexCopy.Tests {
-		t.Fatal("API-surface analyzers must cover test files")
-	}
 	if NonDeterminism.Tests || MetricNames.Tests {
 		t.Fatal("clock/metric analyzers must skip test files")
 	}
@@ -130,13 +127,13 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 	if MapOrder.Tests || HotAlloc.Tests {
 		t.Fatal("ordering/allocation analyzers must skip test files (tests assert on small fixed inputs)")
 	}
-	if CtxFlow.Tests || LockOrder.Tests || HTTPErrors.Tests {
+	if LockOrder.Tests || HTTPErrors.Tests {
 		t.Fatal("serving-path analyzers must skip test files (tests spawn helpers and fake handlers legitimately)")
 	}
 	if !StaleAllow.Tests {
 		t.Fatal("the allow audit must cover directives in test files too")
 	}
-	if AliasLeak.Tests || AtomicMix.Tests || EscapeCheck.Tests {
+	if AliasLeak.Tests || EscapeCheck.Tests {
 		t.Fatal("performance-contract analyzers must skip test files (contracts annotate shipped code)")
 	}
 	if !AllocGuard.Tests {
@@ -147,7 +144,7 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 
 // TestByName resolves subsets and rejects unknown checks.
 func TestByName(t *testing.T) {
-	got, err := ByName("nogoroutine, mutexcopy")
+	got, err := ByName("nogoroutine, lockorder")
 	if err != nil || len(got) != 2 {
 		t.Fatalf("ByName = %v, %v", got, err)
 	}

@@ -14,6 +14,10 @@ import (
 // dependencies, and resolves calls through interface methods to every
 // program-local concrete method whose receiver type satisfies the
 // interface (method-set aware: value and pointer receivers both count).
+// An implementer declared in a _test.go file stands only behind calls made
+// from test files: production code never runs against a test double, and
+// wiring one in would charge the double's behavior (a gate that blocks on
+// a channel, say) to the production call site.
 // Calls through stored function values are still not resolved — the graph
 // remains a cheap under-approximation; analyzers use it to extend an
 // intra-procedural fact ("this body performs a channel operation",
@@ -28,6 +32,8 @@ type CallGraph struct {
 	// pkgOf maps a declared function to the program package holding it,
 	// so analyzers can resolve positions and info on the callee's side.
 	pkgOf map[*types.Func]*Package
+	// inTest marks the functions declared in _test.go files.
+	inTest map[*types.Func]bool
 }
 
 // NewCallGraph builds the single-package call graph — the historical
@@ -42,6 +48,7 @@ func buildCallGraph(prog *Program) *CallGraph {
 		callees: make(map[*types.Func]map[*types.Func]bool),
 		decls:   make(map[*types.Func]*ast.FuncDecl),
 		pkgOf:   make(map[*types.Func]*Package),
+		inTest:  make(map[*types.Func]bool),
 	}
 	// Pass 1: register every declared function so interface dispatch can
 	// check "is this concrete method declared in the program".
@@ -58,6 +65,7 @@ func buildCallGraph(prog *Program) *CallGraph {
 				}
 				g.decls[fn] = fd
 				g.pkgOf[fn] = pkg
+				g.inTest[fn] = isTestFile(pkg.Fset, f)
 			}
 		}
 	}
@@ -93,7 +101,9 @@ func buildCallGraph(prog *Program) *CallGraph {
 					// program-declared concrete method that can stand behind
 					// the interface value.
 					for _, impl := range impls.resolve(callee) {
-						edges[impl] = true
+						if g.inTest[fn] || !g.inTest[impl] {
+							edges[impl] = true
+						}
 					}
 					return true
 				})

@@ -41,16 +41,33 @@ func funcUnits(f *ast.File) []funcUnit {
 	return units
 }
 
-// walkUnit inspects the statements of one unit without descending into
-// nested function literals (they are their own units). The root body node
+// walkUnit inspects a unit body (or any subtree of one) without descending
+// into nested function literals (they are their own units). The root node
 // itself is visited.
-func walkUnit(body *ast.BlockStmt, visit func(ast.Node) bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func walkUnit(root ast.Node, visit func(ast.Node) bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		return visit(n)
 	})
+}
+
+// findNode returns the first node of root's subtree, in source order and
+// root included, that satisfies pred, or nil. Like every unit walk it does
+// not enter function literals. It is the one early-exit search the
+// analyzers share: "does this statement release the lock", "where is the
+// first channel operation", "does this expression mention a tainted
+// variable".
+func findNode(root ast.Node, pred func(ast.Node) bool) ast.Node {
+	var hit ast.Node
+	walkUnit(root, func(n ast.Node) bool {
+		if hit == nil && n != nil && pred(n) {
+			hit = n
+		}
+		return hit == nil
+	})
+	return hit
 }
 
 // objOf resolves the object an identifier expression denotes, unwrapping
@@ -174,24 +191,6 @@ func declSorts(g *CallGraph, fn *types.Func, seen map[*types.Func]bool) bool {
 	return false
 }
 
-// mentionsAny reports whether the expression mentions an identifier bound
-// to one of the given objects.
-func mentionsAny(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil && objs[obj] {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // errorResults returns the result indices of sig whose type is the
 // built-in error interface.
 func errorResults(sig *types.Signature) []int {
@@ -233,47 +232,4 @@ func callSignature(info *types.Info, call *ast.CallExpr) *types.Signature {
 		return nil
 	}
 	return sig
-}
-
-// hasChanOp reports whether the unit body contains a channel send,
-// receive, or select statement (not descending into nested literals).
-func hasChanOp(body *ast.BlockStmt) bool {
-	found := false
-	walkUnit(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// nodeContainsChanOp is hasChanOp generalized to any subtree.
-func nodeContainsChanOp(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		switch v := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

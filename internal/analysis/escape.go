@@ -24,7 +24,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,37 +75,23 @@ var EscapeCheck = &Analyzer{
 // function.
 type EscapeFunc struct {
 	// Name is the compiler-style function name (Func, (*T).Method).
-	Name string `json:"name"`
-	// File/Line locate the declaration (module-root-relative file).
-	File string `json:"file"`
-	Line int    `json:"line"`
-	// Zeroalloc/Hotpath are the promises the function makes.
-	Zeroalloc bool `json:"zeroalloc,omitempty"`
-	Hotpath   bool `json:"hotpath,omitempty"`
-	// Facts are every compiler diagnostic attributed to the function's
-	// line range (escape facts, inlining verdicts), normalized.
-	Facts []string `json:"facts,omitempty"`
-	// Violations is the contract-violating subset of Facts.
-	Violations []string `json:"violations,omitempty"`
+	Name string
+	// Violations are the compiler diagnostics attributed to the function's
+	// line range (escape facts, inlining verdicts) that break one of its
+	// contracts, normalized and sorted.
+	Violations []string
 
 	pos token.Pos // declaration position for diagnostics
 }
 
 // EscapeReport is the parsed escape/inlining state of one package's
-// contract-annotated functions — the artifact CI uploads next to
-// emlint-report.json.
+// contract-annotated functions.
 type EscapeReport struct {
 	// Package is the import path the baseline is keyed by.
-	Package string `json:"package"`
-	// Dir is the module-root-relative package directory that was built.
-	Dir string `json:"dir"`
-	// GoVersion records the toolchain the facts belong to (escape analysis
-	// and inlining budgets change across releases).
-	GoVersion string       `json:"go_version"`
-	Funcs     []EscapeFunc `json:"funcs"`
-
+	Package string
+	Funcs   []EscapeFunc
 	// Root is the absolute module root the build ran in.
-	Root string `json:"-"`
+	Root string
 }
 
 // CollectEscapeReport builds and parses the compiler diagnostics for the
@@ -134,48 +119,26 @@ func CollectEscapeReport(pkg *Package, files []*ast.File) (*EscapeReport, error)
 	if err != nil {
 		return nil, err
 	}
-	rep := &EscapeReport{
-		Package:   pkg.Path,
-		Dir:       filepath.ToSlash(relDir),
-		GoVersion: runtime.Version(),
-		Root:      root,
-	}
+	rep := &EscapeReport{Package: pkg.Path, Root: root}
 	for _, c := range contracts {
 		absFile, err := filepath.Abs(c.file)
 		if err != nil {
 			return nil, err
 		}
-		fn := EscapeFunc{
-			Name:      c.name(),
-			File:      filepath.ToSlash(relPathOr(root, absFile)),
-			Line:      c.from,
-			Zeroalloc: c.zeroalloc,
-			Hotpath:   c.hotpath,
-			pos:       c.decl.Pos(),
-		}
+		fn := EscapeFunc{Name: c.name(), pos: c.decl.Pos()}
 		for _, d := range diags {
 			if d.file != absFile || d.line < c.from || d.line > c.to {
 				continue
 			}
-			fn.Facts = append(fn.Facts, d.message)
 			if v, ok := contractViolation(c, d.message); ok {
 				fn.Violations = append(fn.Violations, v)
 			}
 		}
-		sort.Strings(fn.Facts)
 		sort.Strings(fn.Violations)
 		rep.Funcs = append(rep.Funcs, fn)
 	}
 	sort.Slice(rep.Funcs, func(i, j int) bool { return rep.Funcs[i].Name < rep.Funcs[j].Name })
 	return rep, nil
-}
-
-// relPathOr renders path relative to root, falling back to path itself.
-func relPathOr(root, path string) string {
-	if rel, err := filepath.Rel(root, path); err == nil {
-		return rel
-	}
-	return path
 }
 
 // contractViolation classifies one compiler message against the

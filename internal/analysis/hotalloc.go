@@ -14,10 +14,7 @@ import (
 //
 //   - an un-preallocated slice (var s []T, s := []T{}, s := make([]T, 0))
 //     grown by append inside a loop nested two deep, or inside any loop
-//     when the declaration itself already sits in a loop. When the trip
-//     count of the declaration-adjacent loop is derivable from pure
-//     expressions, the diagnostic carries a machine-applicable fix that
-//     rewrites the declaration to make([]T, 0, n).
+//     when the declaration itself already sits in a loop.
 //   - fmt.Sprintf/fmt.Sprint in a loop nested two deep: per-pair
 //     formatting; hoist it or build keys with strconv/Builder.
 //   - non-constant string concatenation in a loop nested two deep.
@@ -32,7 +29,7 @@ import (
 // with //emlint:allow hotalloc -- reason.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "per-pair inner-loop allocations: un-preallocated append (auto-fixable), fmt.Sprintf, string concatenation, make() in per-task parallel closures",
+	Doc:  "per-pair inner-loop allocations: un-preallocated append, fmt.Sprintf, string concatenation, make() in per-task parallel closures",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			for _, unit := range funcUnits(f) {
@@ -175,10 +172,8 @@ func isStringExpr(info *types.Info, e ast.Expr) bool {
 // preallocCandidate is one un-preallocated slice declaration.
 type preallocCandidate struct {
 	obj types.Object
-	// stmt is the whole declaration statement (replaced by a fix).
+	// stmt is the whole declaration statement the diagnostic anchors at.
 	stmt ast.Stmt
-	// typ is the slice type expression, reused in the fix's make call.
-	typ ast.Expr
 	// inLoop records whether the declaration itself sits inside a loop.
 	inLoop bool
 	// blockStmts is the statement list the declaration belongs to, and
@@ -188,8 +183,7 @@ type preallocCandidate struct {
 }
 
 // checkPrealloc finds un-preallocated slice declarations grown by append
-// in a qualifying loop and reports them, attaching a make(cap) rewrite
-// when the trip count is derivable.
+// in a qualifying loop and reports them.
 func checkPrealloc(pass *Pass, unit funcUnit) {
 	var cands []preallocCandidate
 	var scan func(n ast.Node, depth int)
@@ -201,9 +195,9 @@ func checkPrealloc(pass *Pass, unit funcUnit) {
 			depth++
 		case *ast.BlockStmt:
 			for i, stmt := range v.List {
-				if obj, typ := uninitSliceDecl(pass, stmt); obj != nil {
+				if obj := uninitSliceDecl(pass, stmt); obj != nil {
 					cands = append(cands, preallocCandidate{
-						obj: obj, stmt: stmt, typ: typ,
+						obj: obj, stmt: stmt,
 						inLoop: depth > 0, blockStmts: v.List, index: i,
 					})
 				}
@@ -214,103 +208,88 @@ func checkPrealloc(pass *Pass, unit funcUnit) {
 	scan(unit.body, 0)
 
 	for _, c := range cands {
-		loop, appendDepth := adjacentGrowthLoop(pass, c)
-		if loop == nil {
-			continue
-		}
+		appendDepth := adjacentGrowthDepth(pass, c)
 		// Per-pair shape: append nested two deep, or any append loop when
 		// the declaration re-executes per outer iteration.
-		if appendDepth < 2 && !c.inLoop {
+		if appendDepth == 0 || (appendDepth < 2 && !c.inLoop) {
 			continue
 		}
-		capText, ok := tripCountText(pass, loop)
-		if !ok {
-			pass.Reportf(c.stmt.Pos(), "slice grown by append in a per-pair inner loop without preallocation; size it with make([]T, 0, n) (//emlint:allow hotalloc -- reason if the size is unknowable)")
-			continue
-		}
-		newText := c.obj.Name() + " := make(" + types.ExprString(c.typ) + ", 0, " + capText + ")"
-		fix := SuggestedFix{
-			Message: "preallocate with the loop's trip count as capacity",
-			Edits:   []TextEdit{pass.Edit(c.stmt.Pos(), c.stmt.End(), newText)},
-		}
-		pass.ReportFix(c.stmt.Pos(), fix,
-			"slice grown by append in a per-pair inner loop without preallocation; preallocate: %s", newText)
+		pass.Reportf(c.stmt.Pos(), "slice grown by append in a per-pair inner loop without preallocation; size it with make([]T, 0, n) (//emlint:allow hotalloc -- reason if the size is unknowable)")
 	}
 }
 
 // uninitSliceDecl matches the un-preallocated slice declaration forms and
-// returns the declared object and its slice type expression.
-func uninitSliceDecl(pass *Pass, stmt ast.Stmt) (types.Object, ast.Expr) {
+// returns the declared object, or nil.
+func uninitSliceDecl(pass *Pass, stmt ast.Stmt) types.Object {
 	switch v := stmt.(type) {
 	case *ast.DeclStmt:
 		gd, ok := v.Decl.(*ast.GenDecl)
 		if !ok || gd.Tok != token.VAR || len(gd.Specs) != 1 {
-			return nil, nil
+			return nil
 		}
 		spec, ok := gd.Specs[0].(*ast.ValueSpec)
 		if !ok || len(spec.Names) != 1 || len(spec.Values) != 0 {
-			return nil, nil
+			return nil
 		}
 		at, ok := spec.Type.(*ast.ArrayType)
 		if !ok || at.Len != nil {
-			return nil, nil
+			return nil
 		}
-		return pass.Info.Defs[spec.Names[0]], spec.Type
+		return pass.Info.Defs[spec.Names[0]]
 	case *ast.AssignStmt:
 		if v.Tok != token.DEFINE || len(v.Lhs) != 1 || len(v.Rhs) != 1 {
-			return nil, nil
+			return nil
 		}
 		id, ok := v.Lhs[0].(*ast.Ident)
 		if !ok {
-			return nil, nil
+			return nil
 		}
 		switch rhs := ast.Unparen(v.Rhs[0]).(type) {
 		case *ast.CompositeLit:
 			at, ok := rhs.Type.(*ast.ArrayType)
 			if !ok || at.Len != nil || len(rhs.Elts) != 0 {
-				return nil, nil
+				return nil
 			}
-			return pass.Info.Defs[id], rhs.Type
+			return pass.Info.Defs[id]
 		case *ast.CallExpr:
 			// make([]T, 0) with no capacity argument.
 			if fn, ok := ast.Unparen(rhs.Fun).(*ast.Ident); !ok || fn.Name != "make" {
-				return nil, nil
+				return nil
 			} else if _, isBuiltin := pass.Info.Uses[fn].(*types.Builtin); !isBuiltin {
-				return nil, nil
+				return nil
 			}
 			if len(rhs.Args) != 2 {
-				return nil, nil
+				return nil
 			}
 			at, ok := rhs.Args[0].(*ast.ArrayType)
 			if !ok || at.Len != nil {
-				return nil, nil
+				return nil
 			}
 			if lit, ok := rhs.Args[1].(*ast.BasicLit); !ok || lit.Value != "0" {
-				return nil, nil
+				return nil
 			}
-			return pass.Info.Defs[id], rhs.Args[0]
+			return pass.Info.Defs[id]
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// adjacentGrowthLoop finds the first loop following the declaration in
-// its block that appends to the declared slice, returning the loop and
-// the nesting depth of the deepest such append within it (1 = directly in
-// the loop body).
-func adjacentGrowthLoop(pass *Pass, c preallocCandidate) (ast.Stmt, int) {
+// adjacentGrowthDepth finds the first loop following the declaration in
+// its block that appends to the declared slice and returns the nesting
+// depth of the deepest such append within it (1 = directly in the loop
+// body), or 0 when no following loop grows the slice.
+func adjacentGrowthDepth(pass *Pass, c preallocCandidate) int {
 	for _, stmt := range c.blockStmts[c.index+1:] {
 		switch stmt.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 		default:
 			continue
 		}
-		depth := deepestAppendDepth(pass, stmt, c.obj)
-		if depth > 0 {
-			return stmt, depth
+		if depth := deepestAppendDepth(pass, stmt, c.obj); depth > 0 {
+			return depth
 		}
 	}
-	return nil, 0
+	return 0
 }
 
 // deepestAppendDepth returns the maximum loop-nesting depth (counting the
@@ -335,71 +314,4 @@ func deepestAppendDepth(pass *Pass, loop ast.Stmt, obj types.Object) int {
 	}
 	walk(loop, 0)
 	return maxDepth
-}
-
-// tripCountText derives a pure capacity expression for the loop's trip
-// count: len(X) for `range X` over a pure expression, and B - A (or B
-// when A is 0) for `for i := A; i < B; i++` with pure bounds.
-func tripCountText(pass *Pass, loop ast.Stmt) (string, bool) {
-	switch v := loop.(type) {
-	case *ast.RangeStmt:
-		if !isPureExpr(v.X) {
-			return "", false
-		}
-		if t := pass.Info.TypeOf(v.X); t != nil {
-			switch u := t.Underlying().(type) {
-			case *types.Slice, *types.Array, *types.Map:
-				return "len(" + types.ExprString(v.X) + ")", true
-			case *types.Basic:
-				if u.Info()&types.IsString != 0 {
-					return "len(" + types.ExprString(v.X) + ")", true
-				}
-				if u.Info()&types.IsInteger != 0 { // range-over-int
-					return types.ExprString(v.X), true
-				}
-			}
-		}
-		return "", false
-	case *ast.ForStmt:
-		init, ok := v.Init.(*ast.AssignStmt)
-		if !ok || init.Tok != token.DEFINE || len(init.Lhs) != 1 || len(init.Rhs) != 1 {
-			return "", false
-		}
-		cond, ok := v.Cond.(*ast.BinaryExpr)
-		if !ok || cond.Op != token.LSS {
-			return "", false
-		}
-		iv := objOf(pass.Info, init.Lhs[0])
-		if iv == nil || objOf(pass.Info, cond.X) != iv {
-			return "", false
-		}
-		lo, hi := init.Rhs[0], cond.Y
-		if !isPureExpr(lo) || !isPureExpr(hi) {
-			return "", false
-		}
-		if lit, ok := ast.Unparen(lo).(*ast.BasicLit); ok && lit.Value == "0" {
-			return types.ExprString(hi), true
-		}
-		return types.ExprString(hi) + "-" + types.ExprString(lo), true
-	}
-	return "", false
-}
-
-// isPureExpr reports whether e is a side-effect-free, loop-invariant
-// expression safe to hoist into a make capacity: identifiers, selector
-// chains, literals, len of a pure expression, and arithmetic over those.
-func isPureExpr(e ast.Expr) bool {
-	switch v := ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.BasicLit:
-		return true
-	case *ast.SelectorExpr:
-		return isPureExpr(v.X)
-	case *ast.BinaryExpr:
-		return isPureExpr(v.X) && isPureExpr(v.Y)
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok && id.Name == "len" && len(v.Args) == 1 {
-			return isPureExpr(v.Args[0])
-		}
-	}
-	return false
 }

@@ -3,14 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -148,10 +147,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // parseDir parses the Go files of one directory in name order, optionally
-// including _test.go files. Files starting with "_" or "." are skipped,
-// matching the go tool, as are files excluded by a build constraint — a
-// //go:build (or legacy // +build) line, or a _GOOS/_GOARCH filename
-// suffix — that does not match the current platform.
+// including _test.go files. Which files belong to the build is the go
+// tool's own decision (go/build's MatchFile: "_"/"." prefixes, //go:build
+// and // +build lines, _GOOS/_GOARCH suffixes, release tags), so the
+// loader sees exactly the files `go build` compiles on this platform.
 func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -160,17 +159,19 @@ func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 	names := make([]string, 0, len(ents))
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
 		if !includeTests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if !matchFileName(name) {
-			continue
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
 		}
-		names = append(names, name)
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	files := make([]*ast.File, 0, len(names))
@@ -179,86 +180,9 @@ func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !matchBuildConstraint(f) {
-			continue
-		}
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// knownOS and knownArch drive the filename-suffix build constraints
-// (name_GOOS.go, name_GOARCH.go, name_GOOS_GOARCH.go), mirroring the go
-// tool's rule for the platforms this repo plausibly meets.
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// matchFileName applies the _GOOS/_GOARCH filename constraint of the go
-// tool: a trailing _linux or _amd64 (or _linux_amd64) component restricts
-// the file to that platform.
-func matchFileName(name string) bool {
-	base := strings.TrimSuffix(strings.TrimSuffix(name, ".go"), "_test")
-	parts := strings.Split(base, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 3 && knownOS[parts[len(parts)-2]] {
-			return parts[len(parts)-2] == runtime.GOOS
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
-}
-
-// matchBuildConstraint evaluates the file's //go:build (or legacy
-// // +build) lines against the current platform. Unknown tags evaluate
-// false, so `//go:build ignore` files are skipped like the go tool does.
-func matchBuildConstraint(f *ast.File) bool {
-	tagOK := func(tag string) bool {
-		if tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" {
-			return true
-		}
-		// Treat every go1.N language gate as satisfied: the loader runs
-		// under the same toolchain that builds the module.
-		return strings.HasPrefix(tag, "go1")
-	}
-	for _, group := range f.Comments {
-		if group.Pos() >= f.Package {
-			break // constraints must precede the package clause
-		}
-		for _, c := range group.List {
-			if !constraint.IsGoBuild(c.Text) && !constraint.IsPlusBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				continue
-			}
-			if !expr.Eval(tagOK) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Package is one type-checked analysis unit: a package directory with its

@@ -42,6 +42,9 @@ func TestLoadSkipsForeignBuildTags(t *testing.T) {
 			"func AlsoBroken() int { return undefinedOnPurpose }\n",
 		"pkg/ignored.go": "//go:build ignore\n\npackage pkg\n\n" +
 			"func Scratch() int { return undefinedOnPurpose }\n",
+		// A release tag the toolchain does not have yet is unsatisfied.
+		"pkg/future.go": "//go:build go1.999\n\npackage pkg\n\n" +
+			"func Future() int { return undefinedOnPurpose }\n",
 	})
 	pkg, err := l.Load("fixturemod/pkg")
 	if err != nil {
@@ -65,6 +68,26 @@ func TestLoadMatchingBuildTag(t *testing.T) {
 	}
 	if len(pkg.Files) != 2 {
 		t.Fatalf("got %d files, want 2 (matching constraint must be kept)", len(pkg.Files))
+	}
+}
+
+// TestLoadUnixBuildTag: `unix` is a tag the go tool derives from GOOS, not
+// one of GOOS's values; a file gated on it is compiled on linux, so the
+// loader must analyze it (a naked go statement there is still a finding).
+func TestLoadUnixBuildTag(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the unix tag is only known to hold on linux")
+	}
+	l := tempModule(t, map[string]string{
+		"pkg/ok.go":   "package pkg\n\nfunc Ok() int { return Extra() }\n",
+		"pkg/unix.go": "//go:build unix\n\npackage pkg\n\nfunc Extra() int { return 2 }\n",
+	})
+	pkg, err := l.Load("fixturemod/pkg")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(pkg.Files) != 2 {
+		t.Fatalf("got %d files, want 2 (the unix-gated file is part of the linux build)", len(pkg.Files))
 	}
 }
 
@@ -109,6 +132,8 @@ func TestLoadParseErrorIsError(t *testing.T) {
 	}
 }
 
+// TestMatchFileName: the _GOOS/_GOARCH filename rule is the go tool's, as
+// seen through the loader's directory scan.
 func TestMatchFileName(t *testing.T) {
 	// Pick an OS that is guaranteed foreign to the host so the negative
 	// cases hold on any platform.
@@ -124,9 +149,22 @@ func TestMatchFileName(t *testing.T) {
 		"name_test.go":                  true,
 		"deep_blue.go":                  true, // "blue" is neither an OS nor an arch
 	}
+	files := make(map[string]string)
+	for name := range cases {
+		files["pkg/"+name] = "package pkg\n"
+	}
+	l := tempModule(t, files)
+	parsed, err := l.parseDir(filepath.Join(l.Root, "pkg"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]bool)
+	for _, f := range parsed {
+		got[filepath.Base(l.Fset.Position(f.Pos()).Filename)] = true
+	}
 	for name, want := range cases {
-		if got := matchFileName(name); got != want {
-			t.Errorf("matchFileName(%q) = %v, want %v", name, got, want)
+		if got[name] != want {
+			t.Errorf("%s: loaded = %v, want %v", name, got[name], want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // LockOrder detects inconsistent lock acquisition orders across the whole
@@ -17,9 +16,11 @@ import (
 // Registry.mu → Pool.mu ordering is tracked from cloud handlers down
 // through serve even though no single function sees both acquires.
 //
-// The scan is linear per function (held set maintained in source order,
-// closures excluded — they run under their own dynamic context) and
-// call-graph transitive for the second lock: a call made while holding A
+// Which code runs under a lock is the region model of locks.go (closures
+// excluded — they run under their own dynamic context; a deferred unlock
+// keeps the lock held to the end of the function, so the idiomatic
+// `Lock(); defer Unlock()` nesting is ordered like the explicit form). The
+// second lock is call-graph transitive: a call made while holding A
 // contributes (A, X) for every identified lock X the callee may acquire.
 // Diagnostics anchor at acquisition sites in the package under analysis
 // and cite the opposite-order site.
@@ -38,44 +39,34 @@ var LockOrder = &Analyzer{
 		for _, fn := range graph.Functions() {
 			fd := graph.Decl(fn)
 			pkg := graph.PackageOf(fn)
-			if strings.HasSuffix(pass.Fset.Position(fd.Pos()).Filename, "_test.go") {
+			if graph.inTest[fn] {
 				continue
 			}
-			var held []lockCall
-			walkUnit(fd.Body, func(n ast.Node) bool {
-				if lc, ok := resolveLockCall(pkg.Info, n); ok {
-					if _, isAcquire := syncLockMethods[lc.method]; isAcquire {
-						for _, h := range held {
-							if h.id != "" && lc.id != "" && h.id != lc.id {
-								recs = append(recs, rec{h.id, lc.id, n.Pos(), ""})
-							}
-						}
-						held = append(held, lc)
-					} else {
-						// Release: drop the most recent matching acquire.
-						for i := len(held) - 1; i >= 0; i-- {
-							if held[i].key == lc.key {
-								held = append(held[:i], held[i+1:]...)
-								break
-							}
-						}
-					}
-					return true
+			for _, r := range lockRegions(pkg.Info, fd.Body) {
+				held := r.lock.id
+				if held == "" {
+					continue // only identified locks compare across functions
 				}
-				if call, ok := n.(*ast.CallExpr); ok && len(held) > 0 {
-					callee := calleeFunc(pkg.Info, call)
-					if callee != nil && graph.Decl(callee) != nil {
-						for _, id := range acq.ids(callee) {
-							for _, h := range held {
-								if h.id != "" && id != h.id {
-									recs = append(recs, rec{h.id, id, call.Pos(), callee.Name()})
+				r.walk(fd.Body, func(n ast.Node) bool {
+					if lc, ok := resolveLockCall(pkg.Info, n); ok {
+						if _, isAcquire := syncLockMethods[lc.method]; isAcquire && lc.id != "" && lc.id != held {
+							recs = append(recs, rec{held, lc.id, n.Pos(), ""})
+						}
+						return true
+					}
+					if call, ok := n.(*ast.CallExpr); ok {
+						callee := calleeFunc(pkg.Info, call)
+						if callee != nil && graph.Decl(callee) != nil {
+							for _, id := range acq.ids(callee) {
+								if id != held {
+									recs = append(recs, rec{held, id, call.Pos(), callee.Name()})
 								}
 							}
 						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 		// First occurrence of each ordered pair, in deterministic
 		// collection order, is the site conflicts cite.

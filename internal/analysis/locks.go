@@ -7,10 +7,15 @@
 // "missing unlock" reports. Beyond the textual key it resolves a
 // type-level identity ("pkg.Type.field") that is stable across functions
 // and packages — the unit lockorder compares acquisition orders with.
+//
+// It also holds the one model of "which code runs while this lock is
+// held" (lockRegions): the three analyzers differ only in what they look
+// for inside a region, never in where a region starts and ends.
 package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -219,12 +224,105 @@ func namedTypeName(t types.Type) string {
 	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
 }
 
-// lockCallInfo is the legacy (key, method) view of resolveLockCall that
-// the region scanner in locksafety pairs acquires and releases with.
-func lockCallInfo(info *types.Info, n ast.Node) (key, method string, ok bool) {
-	lc, ok := resolveLockCall(info, n)
-	if !ok {
-		return "", "", false
+// lockRegion is one Lock/RLock statement of a function unit together with
+// the code that runs while that lock is held.
+type lockRegion struct {
+	// lock is the resolved acquire and stmt the statement performing it.
+	lock lockCall
+	stmt *ast.ExprStmt
+	// body is the run of sibling statements after the acquire that execute
+	// under the lock: up to the matching release statement, up to (and
+	// excluding) a statement that releases somewhere inside branching
+	// control flow — the branches are assumed to balance, so the region
+	// ends there without reports — or to the end of the statement list.
+	body []ast.Stmt
+	// deferred is the end of a sibling `defer x.Unlock()`, or NoPos when
+	// the release is not deferred. A deferred release runs at return, so
+	// every node of the unit positioned after it is under the lock too;
+	// body then holds only the statements between acquire and defer.
+	deferred token.Pos
+	// released reports whether the unit releases the lock anywhere at all,
+	// as a statement or deferred.
+	released bool
+}
+
+// lockRegions delimits the region of every Lock/RLock expression statement
+// in the statement lists of one unit, in source order. Function literals
+// are their own units: a closure created under the lock may run after the
+// release.
+func lockRegions(info *types.Info, unit *ast.BlockStmt) []lockRegion {
+	var regions []lockRegion
+	scan := func(stmts []ast.Stmt) {
+		for i, stmt := range stmts {
+			es, ok := stmt.(*ast.ExprStmt)
+			if !ok {
+				continue
+			}
+			lc, ok := resolveLockCall(info, es.X)
+			if !ok {
+				continue
+			}
+			release, isAcquire := syncLockMethods[lc.method]
+			if !isAcquire {
+				continue
+			}
+			releases := func(n ast.Node) bool {
+				r, ok := resolveLockCall(info, n)
+				return ok && r.key == lc.key && r.method == release
+			}
+			r := lockRegion{lock: lc, stmt: es}
+			end := i + 1
+			for ; end < len(stmts); end++ {
+				if d, ok := stmts[end].(*ast.DeferStmt); ok && releases(d.Call) {
+					r.deferred = d.End()
+					break
+				}
+				if findNode(stmts[end], releases) != nil {
+					break
+				}
+			}
+			r.body = stmts[i+1 : end]
+			// A release among the siblings settles it; only otherwise is
+			// the whole unit searched.
+			r.released = end < len(stmts) || findNode(unit, releases) != nil
+			regions = append(regions, r)
+		}
 	}
-	return lc.key, lc.method, true
+	walkUnit(unit, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.BlockStmt:
+			scan(v.List)
+		case *ast.CaseClause:
+			scan(v.Body)
+		case *ast.CommClause:
+			scan(v.Body)
+		}
+		return true
+	})
+	return regions
+}
+
+// walk visits, in source order, every node that runs while the region's
+// lock is held: the subtrees of body, then whatever a deferred release
+// leaves covered.
+func (r lockRegion) walk(unit *ast.BlockStmt, visit func(ast.Node) bool) {
+	for _, stmt := range r.body {
+		walkUnit(stmt, visit)
+	}
+	r.walkDeferred(unit, visit)
+}
+
+// walkDeferred visits every node of the unit positioned after the
+// region's deferred release; it visits nothing when the release is not
+// deferred.
+func (r lockRegion) walkDeferred(unit *ast.BlockStmt, visit func(ast.Node) bool) {
+	if !r.deferred.IsValid() {
+		return
+	}
+	walkUnit(unit, func(n ast.Node) bool {
+		if n == nil || n.Pos() <= r.deferred {
+			return true
+		}
+		return visit(n)
+	})
 }

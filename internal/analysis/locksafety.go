@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // LockSafety flags mutex regions with unsound shapes: a Lock (or RLock)
@@ -20,11 +19,11 @@ import (
 // release (`c.Mutex.Unlock()`) and vice versa.
 //
 // The analysis is intra-procedural per function body (closures are
-// separate units) and scans statement siblings forward from each Lock:
-// a defer Unlock protects the rest of the unit (only the channel-op check
-// still applies); an Unlock nested inside branching control flow ends the
-// scan conservatively without reports. Deliberate hand-off patterns opt
-// out with //emlint:allow locksafety -- reason.
+// separate units) over the regions locks.go delimits: a defer Unlock
+// protects the rest of the unit (only the channel-op check still applies);
+// an Unlock nested inside branching control flow ends the region
+// conservatively without reports. Deliberate hand-off patterns opt out
+// with //emlint:allow locksafety -- reason.
 var LockSafety = &Analyzer{
 	Name:  "locksafety",
 	Doc:   "Lock without Unlock on some path, or a lock held across a channel operation (call-graph aware)",
@@ -32,11 +31,21 @@ var LockSafety = &Analyzer{
 	Run: func(pass *Pass) {
 		graph := pass.Prog.CallGraph()
 		chanFuncs := make(map[*ast.FuncDecl]bool)
-		reachesChan := func(fn *types.Func) bool {
+		// chanCall matches a call whose program-local callee (transitively)
+		// performs a channel operation.
+		chanCall := func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return false
+			}
+			fn := calleeFunc(pass.Info, call)
+			if fn == nil || pass.Prog.Local(fn.Pkg()) == nil {
+				return false
+			}
 			return graph.AnyReachable(fn, func(fd *ast.FuncDecl) bool {
 				has, ok := chanFuncs[fd]
 				if !ok {
-					has = fd.Body != nil && hasChanOp(fd.Body)
+					has = fd.Body != nil && findNode(fd.Body, isChanOpNode) != nil
 					chanFuncs[fd] = has
 				}
 				return has
@@ -44,164 +53,50 @@ var LockSafety = &Analyzer{
 		}
 		for _, f := range pass.Files {
 			for _, unit := range funcUnits(f) {
-				checkLockUnit(pass, unit, reachesChan)
+				for _, r := range lockRegions(pass.Info, unit.body) {
+					checkRegion(pass, unit.body, r, chanCall)
+				}
 			}
 		}
 	},
 }
 
-// checkLockUnit scans every statement list of the unit for lock regions.
-func checkLockUnit(pass *Pass, unit funcUnit, reachesChan func(*types.Func) bool) {
-	var lists func(n ast.Node)
-	lists = func(n ast.Node) {
-		switch v := n.(type) {
-		case nil, *ast.FuncLit:
-			return
-		case *ast.BlockStmt:
-			scanLockRegions(pass, unit, v.List, reachesChan)
-		case *ast.CaseClause:
-			scanLockRegions(pass, unit, v.Body, reachesChan)
-		case *ast.CommClause:
-			scanLockRegions(pass, unit, v.Body, reachesChan)
-		}
-		children(n, lists)
+// checkRegion reports the first unsound shape of one lock region: no
+// release at all, else — statement by statement — a return, a channel
+// operation or a channel-reaching call under the lock.
+func checkRegion(pass *Pass, unit *ast.BlockStmt, r lockRegion, chanCall func(ast.Node) bool) {
+	key, release := r.lock.key, syncLockMethods[r.lock.method]
+	if !r.released {
+		pass.Reportf(r.stmt.Pos(), "%s.%s has no matching %s in this function; unlock on every path (or //emlint:allow locksafety -- reason for hand-off)", key, r.lock.method, release)
+		return
 	}
-	lists(unit.body)
-}
-
-// scanLockRegions walks one statement list and checks the region following
-// each Lock/RLock expression statement.
-func scanLockRegions(pass *Pass, unit funcUnit, stmts []ast.Stmt, reachesChan func(*types.Func) bool) {
-	for i, stmt := range stmts {
-		es, ok := stmt.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		key, method, ok := lockCallInfo(pass.Info, es.X)
-		if !ok {
-			continue
-		}
-		release, isAcquire := syncLockMethods[method]
-		if !isAcquire {
-			continue
-		}
-		if !unitHasRelease(pass, unit, key, release) {
-			pass.Reportf(es.Pos(), "%s.%s has no matching %s in this function; unlock on every path (or //emlint:allow locksafety -- reason for hand-off)", key, method, release)
-			continue
-		}
-		checkRegion(pass, unit, stmts[i+1:], es, key, release, reachesChan)
-	}
-}
-
-// checkRegion inspects the statements following a Lock until its release.
-func checkRegion(pass *Pass, unit funcUnit, rest []ast.Stmt, lock *ast.ExprStmt, key, release string, reachesChan func(*types.Func) bool) {
-	for _, stmt := range rest {
-		switch v := stmt.(type) {
-		case *ast.DeferStmt:
-			if k, m, ok := lockCallInfo(pass.Info, v.Call); ok && k == key && m == release {
-				// Protected until the unit returns; the lock is still held
-				// across anything after this point.
-				reportChanOpsAfter(pass, unit, v.End(), key, reachesChan)
-				return
-			}
-		case *ast.ExprStmt:
-			if k, m, ok := lockCallInfo(pass.Info, v.X); ok && k == key && m == release {
-				return // clean linear region
-			}
-		}
-		if stmtHasRelease(pass, stmt, key, release) {
-			return // released inside branching flow; assume the branches balance
-		}
-		if ret := firstNode(stmt, isReturnStmt); ret != nil {
+	for _, stmt := range r.body {
+		if ret := findNode(stmt, isReturnStmt); ret != nil {
 			pass.Reportf(ret.Pos(), "return while %s is locked (no %s on this path); release before returning or use defer", key, release)
 			return
 		}
-		if op := firstNode(stmt, isChanOpNode); op != nil {
+		if op := findNode(stmt, isChanOpNode); op != nil {
 			pass.Reportf(op.Pos(), "channel operation while %s is locked; a blocked send/receive here can deadlock the lock's other users", key)
 			return
 		}
-		if call := firstChanReachingCall(pass, stmt, reachesChan); call != nil {
-			pass.Reportf(call.Pos(), "%s performs channel operations and is called while %s is locked; a blocked send/receive there can deadlock the lock's other users", calleeLabel(pass.Info, call), key)
+		if call := findNode(stmt, chanCall); call != nil {
+			pass.Reportf(call.Pos(), "%s performs channel operations and is called while %s is locked; a blocked send/receive there can deadlock the lock's other users", calleeLabel(pass.Info, call.(*ast.CallExpr)), key)
 			return
 		}
 	}
-}
-
-// reportChanOpsAfter flags channel ops (direct or one call hop away)
-// positioned after pos in the unit — the region a defer Unlock leaves
-// covered by the lock.
-func reportChanOpsAfter(pass *Pass, unit funcUnit, pos token.Pos, key string, reachesChan func(*types.Func) bool) {
-	walkUnit(unit.body, func(n ast.Node) bool {
-		if n == nil || n.Pos() <= pos {
-			return true
-		}
+	// Protected until the unit returns; the lock is still held across
+	// anything after the defer.
+	r.walkDeferred(unit, func(n ast.Node) bool {
 		if isChanOpNode(n) {
 			pass.Reportf(n.Pos(), "channel operation while %s is locked (deferred unlock runs at return); a blocked send/receive here can deadlock the lock's other users", key)
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(pass.Info, call); fn != nil && pass.Prog.Local(fn.Pkg()) != nil && reachesChan(fn) {
-				pass.Reportf(call.Pos(), "%s performs channel operations and is called while %s is locked (deferred unlock runs at return)", calleeLabel(pass.Info, call), key)
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// unitHasRelease reports whether the unit contains key.release() anywhere,
-// as a statement or deferred.
-func unitHasRelease(pass *Pass, unit funcUnit, key, release string) bool {
-	found := false
-	walkUnit(unit.body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if k, m, ok := lockCallInfo(pass.Info, n); ok && k == key && m == release {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// stmtHasRelease reports whether the statement subtree contains
-// key.release(), not descending into function literals.
-func stmtHasRelease(pass *Pass, stmt ast.Stmt, key, release string) bool {
-	found := false
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if k, m, ok := lockCallInfo(pass.Info, n); ok && k == key && m == release {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// firstNode returns the first node in the statement subtree satisfying
-// pred, skipping nested function literals.
-func firstNode(stmt ast.Stmt, pred func(ast.Node) bool) ast.Node {
-	var hit ast.Node
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if hit != nil || n == nil {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if pred(n) {
-			hit = n
+		if chanCall(n) {
+			pass.Reportf(n.Pos(), "%s performs channel operations and is called while %s is locked (deferred unlock runs at return)", calleeLabel(pass.Info, n.(*ast.CallExpr)), key)
 			return false
 		}
 		return true
 	})
-	return hit
 }
 
 func isReturnStmt(n ast.Node) bool {
@@ -217,26 +112,4 @@ func isChanOpNode(n ast.Node) bool {
 		return v.Op == token.ARROW
 	}
 	return false
-}
-
-// firstChanReachingCall returns the first call in the statement subtree
-// whose same-package callee (transitively) performs a channel operation.
-func firstChanReachingCall(pass *Pass, stmt ast.Stmt, reachesChan func(*types.Func) bool) *ast.CallExpr {
-	var hit *ast.CallExpr
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if hit != nil {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(pass.Info, call); fn != nil && pass.Prog.Local(fn.Pkg()) != nil && reachesChan(fn) {
-				hit = call
-				return false
-			}
-		}
-		return true
-	})
-	return hit
 }

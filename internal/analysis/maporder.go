@@ -67,7 +67,7 @@ func checkMapOrderUnit(pass *Pass, unit funcUnit) {
 		}
 		// Forward walk of the loop body in source order: propagate taint
 		// through local assignments, then report ordered sinks.
-		walkUnit(bodyBlock(rng.Body), func(m ast.Node) bool {
+		walkUnit(rng.Body, func(m ast.Node) bool {
 			switch s := m.(type) {
 			case *ast.AssignStmt:
 				propagateTaint(pass, s, tainted, sorted)
@@ -80,8 +80,14 @@ func checkMapOrderUnit(pass *Pass, unit funcUnit) {
 	})
 }
 
-// bodyBlock keeps the range body walk shaped like a unit walk.
-func bodyBlock(b *ast.BlockStmt) *ast.BlockStmt { return b }
+// mentionsTainted reports whether the expression mentions an identifier
+// bound to one of the tainted objects.
+func mentionsTainted(info *types.Info, e ast.Expr, tainted map[types.Object]bool) bool {
+	return findNode(e, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && tainted[info.Uses[id]]
+	}) != nil
+}
 
 // rangesOverMap reports whether the range statement iterates a map or a
 // maps.Keys/maps.Values iterator (equally order-randomized).
@@ -114,7 +120,7 @@ func propagateTaint(pass *Pass, s *ast.AssignStmt, tainted map[types.Object]bool
 			}
 			carriesOrder := false
 			for _, arg := range call.Args[1:] {
-				if mentionsAny(pass.Info, arg, tainted) {
+				if mentionsTainted(pass.Info, arg, tainted) {
 					carriesOrder = true
 				}
 			}
@@ -130,7 +136,7 @@ func propagateTaint(pass *Pass, s *ast.AssignStmt, tainted map[types.Object]bool
 			}
 			continue
 		}
-		if mentionsAny(pass.Info, rhs, tainted) {
+		if mentionsTainted(pass.Info, rhs, tainted) {
 			if obj := objOf(pass.Info, s.Lhs[i]); obj != nil {
 				tainted[obj] = true
 			}
@@ -153,7 +159,7 @@ func reportTaintedWrite(pass *Pass, call *ast.CallExpr, tainted map[types.Object
 		return
 	}
 	for _, arg := range call.Args {
-		if mentionsAny(pass.Info, arg, tainted) {
+		if mentionsTainted(pass.Info, arg, tainted) {
 			pass.Reportf(call.Pos(), "map-iteration value reaches %s in map order; emit from a sorted collection, or annotate //emlint:allow maporder -- reason", name)
 			return
 		}

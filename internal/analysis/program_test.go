@@ -26,6 +26,14 @@ func Dispatch(r Runner) int {
 	return r.Run()
 }
 `,
+		"root/root_test.go": `package root
+
+type fake struct{}
+
+func (fake) Run() int { return 3 }
+
+func viaTest(r Runner) int { return r.Run() }
+`,
 		"dep/dep.go": `package dep
 
 type D struct{ n int }
@@ -76,7 +84,7 @@ func TestLoadProgramMembers(t *testing.T) {
 
 // TestProgramCallGraphCrossPackage: edges cross the package boundary for
 // both plain calls and method calls, and interface dispatch fans out to
-// the program-local implementer.
+// the program-local implementer — a _test.go one only for test callers.
 func TestProgramCallGraphCrossPackage(t *testing.T) {
 	l := progFixture(t)
 	prog, err := l.LoadProgram("fixturemod/root")
@@ -104,6 +112,22 @@ func TestProgramCallGraphCrossPackage(t *testing.T) {
 	dispatch, run := find("Dispatch"), find("Run")
 	if !g.Reaches(dispatch, run) {
 		t.Fatal("interface dispatch must resolve Runner.Run to dep.Impl.Run")
+	}
+	// A test double stands only behind calls made from test files.
+	var fakeRun *types.Func
+	for _, fn := range g.Functions() {
+		if fn.Name() == "Run" && g.PackageOf(fn).Path == "fixturemod/root" {
+			fakeRun = fn
+		}
+	}
+	if fakeRun == nil {
+		t.Fatal("fake.Run (root_test.go) not in graph")
+	}
+	if g.Reaches(dispatch, fakeRun) {
+		t.Fatal("production Dispatch must not resolve Runner.Run to the _test.go double")
+	}
+	if !g.Reaches(find("viaTest"), fakeRun) {
+		t.Fatal("a test-file caller must still reach the _test.go double")
 	}
 	if pkg := g.PackageOf(touch); pkg == nil || pkg.Path != "fixturemod/dep" {
 		t.Fatalf("PackageOf(Touch) = %v", pkg)

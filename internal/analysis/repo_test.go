@@ -1,6 +1,10 @@
 package analysis
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -40,5 +44,37 @@ func TestRepoInvariantsClean(t *testing.T) {
 	}
 	if len(violations) > 0 {
 		t.Logf("%d invariant violations; see docs/GUIDE.md for the emlint workflow", len(violations))
+	}
+}
+
+// TestDesignTableNamesSuite holds the one analyzer table in DESIGN.md §7
+// to the suite: every row names a check of All(), and every check has its
+// row, so the documentation cannot drift from what runs.
+func TestDesignTableNamesSuite(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(loader(t).Root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := strings.Index(string(data), "| check | invariant enforced |")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no `| check | invariant enforced |` table")
+	}
+	var rows []string
+	row := regexp.MustCompile("^\\| `([a-z]+)` \\|")
+	for _, line := range strings.Split(string(data)[start:], "\n")[2:] {
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			break // the table ends at the first non-row line
+		}
+		rows = append(rows, m[1])
+	}
+	var suite []string
+	for _, a := range All() {
+		suite = append(suite, a.Name)
+	}
+	sort.Strings(rows)
+	sort.Strings(suite)
+	if got, want := strings.Join(rows, " "), strings.Join(suite, " "); got != want {
+		t.Fatalf("DESIGN.md §7 table rows and analysis.All() differ:\n table: %s\n suite: %s", got, want)
 	}
 }

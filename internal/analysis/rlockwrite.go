@@ -9,14 +9,15 @@ import (
 // where only `x.RLock()` is held, any assignment, increment, or delete
 // whose target hangs off x — or a call to a method of x that (transitively,
 // through the program call graph) writes its receiver's fields — is a data
-// race the moment two readers overlap. Before this check the only proof
-// that Corpus.MatchOne stays read-only under its RLock was eyeballing it
-// against Add/Update/Delete.
+// race the moment two readers overlap. The read paths it guards today are
+// the registry and catalog lookups (serve.Registry, cloud.Registry,
+// table.Catalog); the serving core's match path takes no lock at all.
 //
-// The region scan mirrors locksafety: statement siblings forward from the
-// RLock to its RUnlock; a deferred RUnlock extends the region to the end
-// of the unit. Function literals are separate units (a closure created
-// under the lock may run after release).
+// The regions are the ones locks.go delimits for every lock analyzer:
+// statement siblings forward from the RLock to its RUnlock, a deferred
+// RUnlock extending the region to the end of the unit. Function literals
+// are separate units (a closure created under the lock may run after
+// release).
 var RLockWrite = &Analyzer{
 	Name:  "rlockwrite",
 	Doc:   "Field write on a struct while only its RWMutex.RLock is held",
@@ -26,74 +27,20 @@ var RLockWrite = &Analyzer{
 		w := &receiverWrites{graph: graph, memo: make(map[*types.Func]int)}
 		for _, f := range pass.Files {
 			for _, unit := range funcUnits(f) {
-				rlockScanUnit(pass, unit, w)
+				for _, r := range lockRegions(pass.Info, unit.body) {
+					// Only identifier-rooted read locks name a base whose
+					// writes can be attributed.
+					if r.lock.method != "RLock" || r.lock.base == nil {
+						continue
+					}
+					r.walk(unit.body, func(n ast.Node) bool {
+						reportRLockWrites(pass, n, r.lock, w)
+						return true
+					})
+				}
 			}
 		}
 	},
-}
-
-// rlockScanUnit scans every statement list of the unit for RLock regions.
-func rlockScanUnit(pass *Pass, unit funcUnit, w *receiverWrites) {
-	var lists func(n ast.Node)
-	lists = func(n ast.Node) {
-		switch v := n.(type) {
-		case nil, *ast.FuncLit:
-			return
-		case *ast.BlockStmt:
-			rlockScanList(pass, unit, v.List, w)
-		case *ast.CaseClause:
-			rlockScanList(pass, unit, v.Body, w)
-		case *ast.CommClause:
-			rlockScanList(pass, unit, v.Body, w)
-		}
-		children(n, lists)
-	}
-	lists(unit.body)
-}
-
-// rlockScanList walks one statement list and checks the region following
-// each RLock acquire on an identifier-rooted lock.
-func rlockScanList(pass *Pass, unit funcUnit, stmts []ast.Stmt, w *receiverWrites) {
-	for i, stmt := range stmts {
-		es, ok := stmt.(*ast.ExprStmt)
-		if !ok {
-			continue
-		}
-		lc, ok := resolveLockCall(pass.Info, es.X)
-		if !ok || lc.method != "RLock" || lc.base == nil {
-			continue
-		}
-		for _, rest := range stmts[i+1:] {
-			if d, ok := rest.(*ast.DeferStmt); ok {
-				if k, m, ok := lockCallInfo(pass.Info, d.Call); ok && k == lc.key && m == "RUnlock" {
-					// Held until the unit returns: audit everything after.
-					walkUnit(unit.body, func(n ast.Node) bool {
-						if n == nil || n.Pos() <= d.End() {
-							return true
-						}
-						reportRLockWrites(pass, n, lc, w)
-						return true
-					})
-					return
-				}
-			}
-			if e, ok := rest.(*ast.ExprStmt); ok {
-				if k, m, ok := lockCallInfo(pass.Info, e.X); ok && k == lc.key && m == "RUnlock" {
-					break // region closed cleanly
-				}
-			}
-			if stmtHasRelease(pass, rest, lc.key, "RUnlock") {
-				break // released inside branching flow; assume balanced
-			}
-			ast.Inspect(rest, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false
-				}
-				reportRLockWrites(pass, n, lc, w)
-				return true
-			})
-		}
-	}
 }
 
 // reportRLockWrites flags n if it writes through the read-locked base.

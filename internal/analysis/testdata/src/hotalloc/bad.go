@@ -1,6 +1,6 @@
 // Package fixture exercises the hotalloc analyzer: per-pair allocations
-// in inner loops — un-preallocated appended slices (auto-fixable when the
-// trip count is derivable), fmt.Sprintf, and string concatenation.
+// in inner loops — un-preallocated appended slices, fmt.Sprintf, and
+// string concatenation.
 package fixture
 
 import (

@@ -4,7 +4,6 @@ package fixture
 // diagnostic every run — it earns its keep and is never reported stale.
 //
 //emlint:allow nogoroutine -- fixture demo: daemon loop outside the parallel package
-//emlint:allow ctxflow -- fixture demo: process-lifetime loop by design
 func spawns() {
 	go quiet()
 }

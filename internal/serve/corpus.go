@@ -147,10 +147,7 @@ func (c *Corpus) Add(rec Record) error {
 	if _, ok := c.byID[rec.ID]; ok {
 		return fmt.Errorf("serve: record %q already in corpus", rec.ID)
 	}
-	// The chan-op reachability below is the test-only gate tokenizer
-	// (pool_test.go) showing up on the Tokenize dispatch edge; every
-	// production tokenizer is pure computation.
-	c.ingest(rec, "add") //emlint:allow locksafety -- only the test gate tokenizer does channel ops under Tokenize; writers already serialize on mu
+	c.ingest(rec, "add")
 	c.publishLocked()
 	return nil
 }
@@ -171,7 +168,7 @@ func (c *Corpus) Update(rec Record) error {
 	c.epoch++
 	c.tombs = c.tombs.withDead(si)
 	c.dead++
-	c.ingest(rec, "update") //emlint:allow locksafety -- only the test gate tokenizer does channel ops under Tokenize; writers already serialize on mu
+	c.ingest(rec, "update")
 	c.maybeCompact()
 	c.publishLocked()
 	return nil
@@ -319,7 +316,7 @@ func (c *Corpus) SetMatcher(fs *feature.Set, clf ml.Classifier) error {
 			fresh[i].fsets = nil
 			continue
 		}
-		fresh[i].fsets = fs.RecordSets(fresh[i].rec.Attrs, true, c.dict.SortedSet) //emlint:allow locksafety -- only the test gate tokenizer does channel ops under Tokenize; writers already serialize on mu
+		fresh[i].fsets = fs.RecordSets(fresh[i].rec.Attrs, true, c.dict.SortedSet)
 	}
 	c.slots = fresh
 	c.publishLocked()
