@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz loc bench bench-tokens bench-scaling bench-serve bench-serve-scaling
+.PHONY: build test race vet lint fuzz loc bench
 
 build:
 	$(GO) build ./...
@@ -44,45 +44,9 @@ loc:
 	done
 	@printf '%7d total outside bench/\n' "$$(find cmd examples internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"
 
-# Regenerates BENCH_parallel.json: the workers x n scaling sweep over the
-# similarity join and forest training. Warns (cores_ok=false) on a 1-core
-# box; add -requirecores to refuse instead.
+# The repo's one benchmark (BENCHMARK.json, bench/README.md): every
+# workload over the real /v1/match handler and the Figure-2 batch run.
+# Writes bench/out/; compare two sets of results with
+# `$(GO) run ./bench -compare a.json b.json`.
 bench:
-	$(GO) run ./cmd/benchem -exp parallel
-
-# Smoke-size scaling sweep: same workloads and gates as `bench`, sized for
-# CI. Fails on any output divergence from Workers=1, and on a runner with
-# >= 4 cores also fails when workers=4 speedup drops below MINSPEEDUP
-# (slightly under the 1.5x bar of the full bench to absorb shared-vCPU
-# noise).
-MINSPEEDUP ?= 1.3
-bench-scaling:
-	$(GO) run ./cmd/benchem -exp parallel -scalen 2000,20000 -scaleworkers 1,2,4 \
-		-minspeedup $(MINSPEEDUP) -benchout /tmp/BENCH_parallel_smoke.json
-
-# Regenerates BENCH_tokens.json (feature extraction with and without the
-# interning cache, flat vs pointer forest, the Figure-2 guide). Exits
-# non-zero if two paths ever disagree bit-for-bit.
-bench-tokens:
-	$(GO) run ./cmd/benchem -exp tokens
-
-# Regenerates BENCH_serve.json: sustained QPS and tail latency of the
-# incremental serving core across the ingest-interference sweep, the
-# match-workers x ingest reader-scaling cells, plus the overload burst.
-# Exits non-zero when the incrementally-maintained corpus diverges from a
-# from-scratch rebuild, the flat forest diverges from the pointer
-# classifier, backpressure never engages, or (on a >= 4-core box) the
-# workers=4 query-only QPS scaling falls below 1.5x.
-bench-serve:
-	$(GO) run ./cmd/benchem -exp serve
-
-# Smoke-size reader-scaling sweep: same gates as `bench-serve`, sized for
-# CI. The QPS gate arms only when the runner has >= 4 cores (cores_ok);
-# SERVEMINSPEEDUP sits slightly under the full bench's 1.5x bar to absorb
-# shared-vCPU noise. The two identity gates (rebuild, flat-vs-pointer)
-# hold at any core count.
-SERVEMINSPEEDUP ?= 1.3
-bench-serve-scaling:
-	$(GO) run ./cmd/benchem -exp serve -serven 1500 -servequeries 600 \
-		-serveworkers 1,2,4 -serveminspeedup $(SERVEMINSPEEDUP) \
-		-serveout /tmp/BENCH_serve_smoke.json
+	$(GO) run ./bench -workload all

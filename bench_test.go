@@ -98,7 +98,7 @@ func BenchmarkTable4ServiceCatalog(b *testing.B) {
 func BenchmarkFigure2GuideWorkflow(b *testing.B) {
 	var last *experiments.GuideResult
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunGuide(800, 800, 300, 300, 1)
+		res, err := experiments.RunGuide(800, 800, 300, 300, 1, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

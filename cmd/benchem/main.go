@@ -10,308 +10,161 @@
 //	benchem -exp smurf         Falcon vs Smurf labeling effort (§5.3)
 //	benchem -exp mlrules       ML/rules/ML+rules ablation (§6)
 //	benchem -exp blockers      blocker recall/reduction ablation
-//	benchem -exp parallel      Workers=1 vs multicore regression bench (BENCH_parallel.json)
-//	benchem -exp obsbench      no-op vs live metrics overhead bench (BENCH_obs.json)
-//	benchem -exp tokens        string vs interned similarity kernels (BENCH_tokens.json)
-//	benchem -exp serve         incremental serving core QPS/latency bench (BENCH_serve.json)
 //	benchem -exp all           everything above
 //
 // With -metrics PATH the guide experiment records per-stage timings into a
 // live registry and writes the snapshot as JSON ("-" for stdout).
+//
+// benchem takes no timings of its own: performance is measured by bench/
+// (see bench/README.md and BENCHMARK.json).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
 
-// parseIntList parses a comma-separated list of positive ints ("1,2,4,8").
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid list entry %q (want positive integers)", f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
+// options carries the flag values an experiment may read.
+type options struct {
+	seed    int64
+	workers int
+	metrics string
 }
 
-// writeMetricsSnapshot dumps a registry's per-stage timings as indented
-// JSON to path, or to stdout when path is "-".
-func writeMetricsSnapshot(reg *obs.Registry, path string) error {
+// experiment is one regenerable paper artifact: run returns its rendering.
+type experiment struct {
+	name, title string
+	run         func(o options) (string, error)
+}
+
+// artifacts lists every experiment in the order -exp all runs them
+// (cheapest first).
+var artifacts = []experiment{
+	{"table3", "Table 3: tools per step of the PyMatcher guide", func(options) (string, error) {
+		return experiments.FormatTable3(experiments.Table3()), nil
+	}},
+	{"table4", "Table 4: CloudMatcher services", func(options) (string, error) {
+		return experiments.FormatTable4(), nil
+	}},
+	{"guide", "Figure 2: the PyMatcher how-to guide, end to end", runGuide},
+	{"table1", "Table 1: PyMatcher deployments (ML workflow vs incumbent rules)",
+		seeded(experiments.RunTable1, experiments.FormatTable1)},
+	{"smurf", "§5.3: Smurf labeling reduction vs Falcon",
+		seeded(experiments.RunSmurfComparison, experiments.FormatSmurf)},
+	{"mlrules", "§6 ablation: ML only vs rules only vs ML+rules",
+		seeded(experiments.RunMLRulesAblation, experiments.FormatMLRules)},
+	{"blockers", "ablation: blocker recall vs reduction",
+		seeded(experiments.RunBlockerAblation, experiments.FormatBlockers)},
+	{"concurrency", "Figure 5: serial CloudMatcher 0.1 vs concurrent 1.0",
+		seeded(func(seed int64) (*experiments.ConcurrencyResult, error) {
+			return experiments.RunConcurrency(6, seed)
+		}, experiments.FormatConcurrency)},
+	{"table2", "Table 2: CloudMatcher deployments",
+		seeded(experiments.RunTable2, experiments.FormatTable2)},
+}
+
+// seeded adapts an experiment that needs only the seed, plus its renderer.
+func seeded[T any](run func(seed int64) (T, error), format func(T) string) func(options) (string, error) {
+	return func(o options) (string, error) {
+		v, err := run(o.seed)
+		if err != nil {
+			return "", err
+		}
+		return format(v), nil
+	}
+}
+
+func runGuide(o options) (string, error) {
+	// A nil *Registry must stay a nil Recorder interface, so it is
+	// assigned only when live.
+	var reg *obs.Registry
+	var rec obs.Recorder
+	if o.metrics != "" {
+		reg = obs.NewRegistry()
+		rec = reg
+	}
+	res, err := experiments.RunGuide(2000, 2000, 600, 600, o.seed, o.workers, rec)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "down-sampled to %d/%d rows\n", res.DownsampledA, res.DownsampledB)
+	fmt.Fprintf(&b, "blocker chosen: %s -> %d candidates\n", res.BlockerChosen, res.Candidates)
+	fmt.Fprintf(&b, "cross-validation winner: %s (F1 %.2f)\n", res.CVWinner, res.CVF1)
+	fmt.Fprintf(&b, "final accuracy: P %.1f%%  R %.1f%%  (%d questions)\n",
+		100*res.Precision, 100*res.Recall, res.Questions)
+	if reg == nil {
+		return b.String(), nil
+	}
+	// The per-stage timings as indented JSON, to stdout when the path is "-".
 	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 	if err != nil {
-		return err
+		return "", err
 	}
 	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
+	if o.metrics == "-" {
+		b.Write(data)
+		return b.String(), nil
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
+	if err := os.WriteFile(o.metrics, data, 0o644); err != nil {
+		return "", err
 	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	fmt.Fprintf(&b, "wrote %s\n", o.metrics)
+	return b.String(), nil
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1|table2|table3|table4|guide|concurrency|smurf|mlrules|blockers|parallel|obsbench|tokens|serve|all)")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "worker goroutines for parallelized stages; 0 means GOMAXPROCS")
-	benchout := flag.String("benchout", "BENCH_parallel.json", "output path for the parallel bench JSON")
-	scaleWorkers := flag.String("scaleworkers", "1,2,4,8", "comma-separated worker counts for the parallel scaling sweep")
-	scaleN := flag.String("scalen", "1000,10000,100000", "comma-separated input sizes for the parallel scaling sweep")
-	requireCores := flag.Bool("requirecores", false, "fail the parallel experiment when GOMAXPROCS < 2 instead of just warning")
-	minSpeedup := flag.Float64("minspeedup", 1.5, "fail the parallel experiment when speedup at workers=4 on the largest n falls below this (enforced only when GOMAXPROCS >= 4; 0 disables)")
-	obsout := flag.String("obsout", "BENCH_obs.json", "output path for the metrics-overhead bench JSON")
-	tokensout := flag.String("tokensout", "BENCH_tokens.json", "output path for the token-interning bench JSON")
-	tokensn := flag.Int("tokensn", 1000, "records per side (and candidate pairs) for the tokens bench workloads")
-	serveout := flag.String("serveout", "BENCH_serve.json", "output path for the serving-core bench JSON")
-	serven := flag.Int("serven", 5000, "corpus size for the serve bench")
-	servequeries := flag.Int("servequeries", 2000, "query count per phase for the serve bench")
-	serveWorkers := flag.String("serveworkers", "1,2,4,8", "comma-separated match-worker counts for the serve reader-scaling sweep")
-	serveMinSpeedup := flag.Float64("serveminspeedup", 1.5, "fail the serve experiment when query-only QPS scaling at workers=4 falls below this (enforced only when GOMAXPROCS >= 4; 0 disables)")
-	metricsPath := flag.String("metrics", "", "write the guide run's per-stage metrics snapshot as JSON to this path (\"-\" for stdout)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	run := func(name string) error {
-		switch name {
-		case "table1":
-			fmt.Println("== Table 1: PyMatcher deployments (ML workflow vs incumbent rules) ==")
-			rows, err := experiments.RunTable1(*seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatTable1(rows))
-		case "table2":
-			fmt.Println("== Table 2: CloudMatcher deployments ==")
-			rows, err := experiments.RunTable2(*seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatTable2(rows))
-		case "table3":
-			fmt.Println("== Table 3: tools per step of the PyMatcher guide ==")
-			fmt.Print(experiments.FormatTable3(experiments.Table3()))
-		case "table4":
-			fmt.Println("== Table 4: CloudMatcher services ==")
-			fmt.Print(experiments.FormatTable4())
-		case "guide":
-			fmt.Println("== Figure 2: the PyMatcher how-to guide, end to end ==")
-			var reg *obs.Registry
-			if *metricsPath != "" {
-				reg = obs.NewRegistry()
-			}
-			// A nil *Registry must stay a nil Recorder interface, so pass
-			// it through obs.Or only when live.
-			var rec obs.Recorder
-			if reg != nil {
-				rec = reg
-			}
-			res, err := experiments.RunGuideObserved(2000, 2000, 600, 600, *seed, *workers, rec)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("down-sampled to %d/%d rows\n", res.DownsampledA, res.DownsampledB)
-			fmt.Printf("blocker chosen: %s -> %d candidates\n", res.BlockerChosen, res.Candidates)
-			fmt.Printf("cross-validation winner: %s (F1 %.2f)\n", res.CVWinner, res.CVF1)
-			fmt.Printf("final accuracy: P %.1f%%  R %.1f%%  (%d questions)\n",
-				100*res.Precision, 100*res.Recall, res.Questions)
-			if reg != nil {
-				if err := writeMetricsSnapshot(reg, *metricsPath); err != nil {
-					return err
-				}
-			}
-		case "concurrency":
-			fmt.Println("== Figure 5: serial CloudMatcher 0.1 vs concurrent 1.0 ==")
-			res, err := experiments.RunConcurrency(6, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatConcurrency(res))
-		case "smurf":
-			fmt.Println("== §5.3: Smurf labeling reduction vs Falcon ==")
-			rows, err := experiments.RunSmurfComparison(*seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatSmurf(rows))
-		case "mlrules":
-			fmt.Println("== §6 ablation: ML only vs rules only vs ML+rules ==")
-			rows, err := experiments.RunMLRulesAblation(*seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatMLRules(rows))
-		case "blockers":
-			fmt.Println("== ablation: blocker recall vs reduction ==")
-			rows, err := experiments.RunBlockerAblation(*seed)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatBlockers(rows))
-		case "parallel":
-			fmt.Println("== parallel execution layer: workers x n scaling sweep ==")
-			// A 1-core box cannot show scaling: speedups recorded there are
-			// noise around 1.0, not evidence. Warn loudly, or refuse when the
-			// caller demands real cores (-requirecores, the CI setting).
-			if runtime.GOMAXPROCS(0) < 2 {
-				if *requireCores {
-					return fmt.Errorf("GOMAXPROCS=%d < 2 and -requirecores is set: this box cannot measure scaling", runtime.GOMAXPROCS(0))
-				}
-				fmt.Fprintf(os.Stderr, "benchem: warning: GOMAXPROCS=%d < 2 — speedup columns cannot show scaling on this box (cores_ok=false in %s)\n",
-					runtime.GOMAXPROCS(0), *benchout)
-			}
-			ws, err := parseIntList(*scaleWorkers)
-			if err != nil {
-				return fmt.Errorf("-scaleworkers: %w", err)
-			}
-			ns, err := parseIntList(*scaleN)
-			if err != nil {
-				return fmt.Errorf("-scalen: %w", err)
-			}
-			res, err := experiments.RunParallelBench(*seed, ws, ns)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatParallelBench(res))
-			data, err := res.MarshalBenchJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchout, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *benchout)
-			// Divergence from the Workers=1 output is a correctness bug at
-			// any core count: fail the run so CI catches it.
-			if div := res.Diverged(); len(div) > 0 {
-				return fmt.Errorf("parallel outputs diverged from Workers=1 on: %v", div)
-			}
-			// The scaling gate only means something with real cores behind
-			// the workers; with fewer the sweep still pins determinism and
-			// allocs, but speedup is physically capped at ~1.0.
-			if *minSpeedup > 0 && runtime.GOMAXPROCS(0) >= 4 {
-				for _, name := range []string{"simjoin_jaccard", "forest_fit_32trees"} {
-					if s := res.SpeedupAt(name, 4); s > 0 && s < *minSpeedup {
-						return fmt.Errorf("%s speedup at workers=4 is %.2fx, below the %.2fx regression floor", name, s, *minSpeedup)
-					}
-				}
-			}
-		case "obsbench":
-			fmt.Println("== observability layer: no-op vs live recorder overhead ==")
-			res, err := experiments.RunObsBench(*seed, *workers, *benchout)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatObsBench(res))
-			data, err := res.MarshalBenchJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*obsout, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *obsout)
-		case "tokens":
-			fmt.Println("== token interning: string kernels vs integer kernels ==")
-			res, err := experiments.RunTokensBench(*seed, *workers, *tokensn, *benchout)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatTokensBench(res))
-			data, err := res.MarshalBenchJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*tokensout, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *tokensout)
-			// A divergence means the interned kernels broke bit-identity
-			// with the string path: fail the run so CI catches it.
-			if div := res.Diverged(); len(div) > 0 {
-				return fmt.Errorf("interned kernels diverged from string path on: %v", div)
-			}
-		case "serve":
-			fmt.Println("== serving core: sustained QPS, tail latency, and backpressure ==")
-			if runtime.GOMAXPROCS(0) < 2 {
-				fmt.Fprintf(os.Stderr, "benchem: warning: GOMAXPROCS=%d < 2 — the reader-scaling cells cannot show scaling on this box (cores_ok=false in %s)\n",
-					runtime.GOMAXPROCS(0), *serveout)
-			}
-			sws, err := parseIntList(*serveWorkers)
-			if err != nil {
-				return fmt.Errorf("-serveworkers: %w", err)
-			}
-			res, err := experiments.RunServeBench(*seed, *workers, *serven, *servequeries, sws)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatServeBench(res))
-			data, err := res.MarshalBenchJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*serveout, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *serveout)
-			// Divergence between the incrementally-maintained corpus and a
-			// from-scratch rebuild is a correctness bug: fail the run.
-			if !res.Identical {
-				return fmt.Errorf("incremental corpus diverged from from-scratch rebuild after the ingest phases")
-			}
-			// So is divergence between the flat batch kernel and the
-			// pointer-walking classifier: bit-identity is the contract that
-			// made the flattening a pure performance change.
-			if !res.FlatIdentical {
-				return fmt.Errorf("flat forest scores diverged from the pointer classifier path")
-			}
-			if res.Overload.Rejected == 0 {
-				return fmt.Errorf("overload burst of %d was fully absorbed — backpressure never engaged", res.Overload.Submitted)
-			}
-			// The reader-scaling gate only means something with real cores
-			// behind the match workers; a 1-core box caps speedup at ~1.0.
-			if *serveMinSpeedup > 0 && runtime.GOMAXPROCS(0) >= 4 {
-				if s := res.ScalingAt(4); s > 0 && s < *serveMinSpeedup {
-					return fmt.Errorf("query-only QPS scaling at workers=4 is %.2fx, below the %.2fx regression floor", s, *serveMinSpeedup)
-				}
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		fmt.Println()
-		return nil
+// run is the testable driver body: the exit code is returned instead of
+// calling os.Exit.
+//
+//emlint:allow errdrop -- the driver only prints to the injected stdout/stderr; a failed print has no further channel to report on
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, len(artifacts))
+	for i, e := range artifacts {
+		names[i] = e.name
+	}
+	fs := flag.NewFlagSet("benchem", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run ("+strings.Join(names, "|")+"|all)")
+	var o options
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.workers, "workers", 0, "worker goroutines for parallelized stages; 0 means GOMAXPROCS")
+	fs.StringVar(&o.metrics, "metrics", "", "write the guide run's per-stage metrics snapshot as JSON to this path (\"-\" for stdout)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
-	var names []string
-	if *exp == "all" {
-		names = []string{"table3", "table4", "guide", "table1", "smurf", "mlrules", "blockers", "parallel", "obsbench", "tokens", "serve", "concurrency", "table2"}
-	} else {
-		names = []string{*exp}
-	}
-	for _, n := range names {
-		if err := run(n); err != nil {
-			fmt.Fprintf(os.Stderr, "benchem: %s: %v\n", n, err)
-			os.Exit(1)
+	selected := artifacts
+	if *exp != "all" {
+		selected = nil
+		for _, e := range artifacts {
+			if e.name == *exp {
+				selected = []experiment{e}
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(stderr, "benchem: %s: unknown experiment %q\n", *exp, *exp)
+			return 1
 		}
 	}
+	for _, e := range selected {
+		fmt.Fprintf(stdout, "== %s ==\n", e.title)
+		out, err := e.run(o)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchem: %s: %v\n", e.name, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "%s\n", out)
+	}
+	return 0
 }

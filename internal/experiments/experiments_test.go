@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestRunTable1Deployment(t *testing.T) {
 }
 
 func TestRunGuide(t *testing.T) {
-	res, err := RunGuide(400, 400, 250, 250, 7)
+	res, err := RunGuide(400, 400, 250, 250, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +103,14 @@ func TestRunGuide(t *testing.T) {
 	}
 	if res.Precision < 0.8 {
 		t.Errorf("guide precision = %.3f", res.Precision)
+	}
+	// Every guide stage must be bit-identical across worker counts.
+	par, err := RunGuide(400, 400, 250, 250, 7, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, par) {
+		t.Errorf("guide result differs across workers:\n 1: %+v\n 4: %+v", res, par)
 	}
 }
 
@@ -214,25 +223,5 @@ func TestTable3And4Render(t *testing.T) {
 	t4 := FormatTable4()
 	if !strings.Contains(t4, "falcon") || !strings.Contains(t4, "18 basic + 2 composite") {
 		t.Errorf("table 4 rendering incomplete:\n%s", t4)
-	}
-}
-
-// TestProvenance pins that every benchmark payload can identify its
-// environment: toolchain, platform, core budget, and (inside a checkout)
-// the commit read straight from the .git directory.
-func TestProvenance(t *testing.T) {
-	p := CollectProvenance()
-	if p.GoVersion == "" || p.GOOS == "" || p.GOARCH == "" || p.NumCPU < 1 || p.GOMAXPROCS < 1 {
-		t.Fatalf("incomplete provenance: %+v", p)
-	}
-	if p.GitCommit != "" {
-		if len(p.GitCommit) != 40 {
-			t.Fatalf("implausible git commit %q", p.GitCommit)
-		}
-		for _, c := range p.GitCommit {
-			if !strings.ContainsRune("0123456789abcdef", c) {
-				t.Fatalf("git commit %q is not hex", p.GitCommit)
-			}
-		}
 	}
 }

@@ -35,23 +35,12 @@ type GuideResult struct {
 
 // RunGuide executes the full Figure 2 guide on a generated person task:
 // down-sample → try blockers → block → sample+label → CV-select matcher →
-// predict → evaluate. It runs with GOMAXPROCS workers; RunGuideWorkers
-// exposes the knob.
-func RunGuide(sizeA, sizeB, downA, downB int, seed int64) (*GuideResult, error) {
-	return RunGuideWorkers(sizeA, sizeB, downA, downB, seed, 0)
-}
-
-// RunGuideWorkers is RunGuide with an explicit worker count for every
-// parallelized stage (blocking, feature extraction, forest training, CV);
-// 0 means GOMAXPROCS. Results are identical for every setting.
-func RunGuideWorkers(sizeA, sizeB, downA, downB int, seed int64, workers int) (*GuideResult, error) {
-	return RunGuideObserved(sizeA, sizeB, downA, downB, seed, workers, nil)
-}
-
-// RunGuideObserved is RunGuideWorkers with a metrics recorder threaded
-// through the session and every blocker, so one guide run yields the full
-// per-stage timing breakdown (benchem -metrics). nil means off.
-func RunGuideObserved(sizeA, sizeB, downA, downB int, seed int64, workers int, rec obs.Recorder) (*GuideResult, error) {
+// predict → evaluate. workers is the goroutine count of every parallelized
+// stage (blocking, feature extraction, forest training, CV); 0 means
+// GOMAXPROCS, and the result is identical for every setting. rec is
+// threaded through the session and every blocker, so one run yields the
+// full per-stage timing breakdown (benchem -metrics); nil means off.
+func RunGuide(sizeA, sizeB, downA, downB int, seed int64, workers int, rec obs.Recorder) (*GuideResult, error) {
 	task, err := datagen.Generate(datagen.Spec{
 		Name: "guide", Domain: datagen.PersonDomain(),
 		SizeA: sizeA, SizeB: sizeB, MatchFraction: 0.4, Typo: 0.2, Seed: seed,

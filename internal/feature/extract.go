@@ -19,12 +19,6 @@ type ExtractOptions struct {
 	// Metrics receives extraction timings and vector counts
 	// (obs.FeatureExtractSeconds, obs.FeatureVectors); nil means off.
 	Metrics obs.Recorder
-	// NoTokenCache disables the per-row tokenization cache, forcing every
-	// feature through its string PairFunc as if no token-set fast path
-	// existed. The cached and uncached paths produce bit-identical
-	// vectors; the flag exists for the equivalence tests and as the
-	// string-path baseline of benchem -exp tokens.
-	NoTokenCache bool
 }
 
 // tokenCache holds each token-set feature's attribute columns tokenized and
@@ -227,10 +221,7 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 		return nil, err
 	}
 
-	var cache *tokenCache
-	if !opts.NoTokenCache {
-		cache = buildTokenCache(s, meta.LTable, meta.RTable)
-	}
+	cache := buildTokenCache(s, meta.LTable, meta.RTable)
 
 	n := pairs.Len()
 	out := make([][]float64, n)

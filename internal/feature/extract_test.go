@@ -66,6 +66,27 @@ func cacheTables(t *testing.T, rows int, seed int64) (*table.Table, *table.Table
 	return a, b, pairs, cat
 }
 
+// stringPathVectors is the reference extraction: every pair through
+// Set.Vector (by way of VectorForIDs), which never touches the token cache.
+func stringPathVectors(t *testing.T, s *Set, pairs *table.Table, cat *table.Catalog) [][]float64 {
+	t.Helper()
+	meta, ok := cat.PairMeta(pairs)
+	if !ok {
+		t.Fatal("pair table not registered")
+	}
+	out := make([][]float64, pairs.Len())
+	for i := range out {
+		lid := pairs.Get(i, meta.LID).AsString()
+		rid := pairs.Get(i, meta.RID).AsString()
+		x, err := VectorForIDs(s, meta.LTable, meta.RTable, lid, rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = x
+	}
+	return out
+}
+
 // TestVectorsCacheEquivalence pins the token-cache contract promised in the
 // Feature doc comment: extraction through the per-row interning cache is bit
 // for bit identical to the string path, across missing policies, null
@@ -87,10 +108,7 @@ func TestVectorsCacheEquivalence(t *testing.T) {
 	}
 	for _, missing := range []MissingPolicy{MissingZero, MissingNeutral} {
 		s.Missing = missing
-		want, err := Vectors(s, pairs, cat, ExtractOptions{NoTokenCache: true, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := stringPathVectors(t, s, pairs, cat)
 		for _, workers := range []int{1, 4, 0} {
 			got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers})
 			if err != nil {
@@ -137,10 +155,7 @@ func TestCacheFallsBackOnMissingAttr(t *testing.T) {
 	if err := s.Add(ghost); err != nil {
 		t.Fatal(err)
 	}
-	want, err := Vectors(s, pairs, cat, ExtractOptions{NoTokenCache: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := stringPathVectors(t, s, pairs, cat)
 	got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -45,11 +45,6 @@ const (
 	// FeatureVectors counts feature vectors extracted.
 	FeatureVectors = "em_feature_vectors_total"
 
-	// ParallelSerialFallbacks counts fan-outs the parallel cost gate sent
-	// down the serial path because the input was below its MinWork
-	// threshold (parallel.Gate / ForEachMin / MapChunksMin).
-	ParallelSerialFallbacks = "em_parallel_serial_fallbacks_total"
-
 	// ServeIngestTotal counts corpus mutations: labels {op}
 	// (add|update|delete).
 	ServeIngestTotal = "em_serve_ingest_total"
@@ -110,7 +105,6 @@ func DescribeStandard(g *Registry) {
 		{SimjoinPairs, "Pairs emitted by a similarity join."},
 		{FeatureExtractSeconds, "Duration of one feature-vector extraction pass."},
 		{FeatureVectors, "Feature vectors extracted."},
-		{ParallelSerialFallbacks, "Fan-outs the parallel cost gate kept serial (input below MinWork)."},
 		{ServeIngestTotal, "Corpus mutations by op (add|update|delete)."},
 		{ServeCorpusRecords, "Live records resident in a serving corpus."},
 		{ServeCorpusTombstones, "Tombstoned corpus slots awaiting compaction."},

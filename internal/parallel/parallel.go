@@ -15,8 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // Resolve returns the effective worker count for a Workers knob: the knob
@@ -30,53 +28,27 @@ func Resolve(workers int) int {
 }
 
 // serialFallbacks counts fan-outs the cost gate sent down the serial path
-// because the input was below MinWork. Exposed via SerialFallbacks and
-// mirrored to the recorder installed with SetRecorder, so the gate's
-// behavior is observable (benchem reports it; tests assert on it).
+// because the input was below MinWork, so tests can assert the gate fired.
 var serialFallbacks atomic.Int64
-
-// gateRecorder optionally mirrors fallback counts into an obs.Recorder.
-var gateRecorder atomic.Pointer[obs.Recorder]
-
-// SetRecorder installs a process-wide recorder that receives one
-// obs.ParallelSerialFallbacks count per gated fallback. The parallel
-// helpers are free functions, so unlike the per-type Metrics fields this
-// hook is global; nil uninstalls it.
-func SetRecorder(r obs.Recorder) {
-	if r == nil {
-		gateRecorder.Store(nil)
-		return
-	}
-	gateRecorder.Store(&r)
-}
 
 // SerialFallbacks returns the number of fan-outs the cost gate kept
 // serial since process start.
 func SerialFallbacks() int64 { return serialFallbacks.Load() }
-
-// countFallback records one gated serial fallback.
-func countFallback() {
-	serialFallbacks.Add(1)
-	if r := gateRecorder.Load(); r != nil {
-		(*r).Count(obs.ParallelSerialFallbacks, 1)
-	}
-}
 
 // Gate applies the fan-out cost model: it returns the effective worker
 // count for n items of which minWork is the smallest batch worth spinning
 // up goroutines for. Inputs below minWork run serially — the spawn,
 // scheduling, and merge overhead of a fan-out is on the order of tens of
 // microseconds, so tiny batches lose outright — and each such decision is
-// counted (SerialFallbacks / obs.ParallelSerialFallbacks). A workers knob
-// of 1 is an explicit caller choice, not a gate decision, and is not
-// counted.
+// counted (SerialFallbacks). A workers knob of 1 is an explicit caller
+// choice, not a gate decision, and is not counted.
 func Gate(workers, n, minWork int) int {
 	w := Resolve(workers)
 	if w <= 1 || n <= 1 {
 		return 1
 	}
 	if n < minWork {
-		countFallback()
+		serialFallbacks.Add(1)
 		return 1
 	}
 	return w
@@ -228,7 +200,7 @@ func MapChunksMin[T any](workers, n, minWork int, fn func(lo, hi int) (T, error)
 			}
 			w = maxParts
 			if w == 1 {
-				countFallback()
+				serialFallbacks.Add(1)
 			}
 		}
 	}

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestResolve(t *testing.T) {
@@ -320,29 +318,5 @@ func TestConcatMatchesAppend(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSetRecorderMirrorsFallbacks checks the obs hook: gated fallbacks
-// reach an installed recorder and stop when uninstalled.
-func TestSetRecorderMirrorsFallbacks(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetRecorder(reg)
-	defer SetRecorder(nil)
-	Gate(4, 2, 1000)
-	SetRecorder(nil)
-	Gate(4, 2, 1000) // must not reach the uninstalled recorder
-	snap := reg.Snapshot()
-	found := false
-	for _, c := range snap.Counters {
-		if c.Name == obs.ParallelSerialFallbacks {
-			found = true
-			if c.Value != 1 {
-				t.Fatalf("recorded %v fallbacks, want 1", c.Value)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("fallback counter never reached the recorder")
 	}
 }

@@ -32,8 +32,7 @@ func BenchmarkJaccardJoin1K(b *testing.B) {
 }
 
 // BenchmarkReferenceJaccardJoin1K is the retained string-kernel join on
-// the BenchmarkJaccardJoin1K input — the interned-vs-reference number the
-// tokens bench used to carry.
+// the BenchmarkJaccardJoin1K input: the interned-vs-reference number.
 func BenchmarkReferenceJaccardJoin1K(b *testing.B) {
 	l := benchRecords(1000, 5, 2000, 1)
 	r := benchRecords(1000, 5, 2000, 2)
