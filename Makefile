@@ -17,7 +17,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# emlint enforces the repo's concurrency, determinism, observability and
+# emlint enforces the repo's concurrency, determinism, error-envelope and
 # performance-contract invariants (see DESIGN.md §7). Exit 1 with
 # file:line diagnostics on any violation; suppress deliberate exceptions
 # with //emlint:allow. The suite includes escapecheck, which compiles each

@@ -1,7 +1,7 @@
 // Command cloudmatcher serves the CloudMatcher microservice catalog over
 // HTTP — the cloud-native shape of the envisioned Magellan ecosystem
-// (Figure 6). The API is versioned under /v1 (legacy unversioned paths
-// answer 308 Permanent Redirect):
+// (Figure 6). The API is versioned under /v1 (an unversioned path is a
+// plain 404):
 //
 //	GET  /v1/services      list the 18 basic + 2 composite services (Table 4)
 //	POST /v1/jobs          submit a workflow DAG; returns step-by-step results
@@ -62,8 +62,8 @@ func main() {
 	flag.Parse()
 
 	// One registry shared by the HTTP server, the metamanager, and (via
-	// JobContext.Metrics) the pipeline code the services call — so /metrics
-	// shows engine state and per-stage timings side by side.
+	// JobContext.Metrics) the pipeline code the services call — so
+	// /v1/metrics shows engine state and per-stage timings side by side.
 	reg := obs.NewRegistry()
 	mm := cloud.NewMetamanager(cloud.NewRegistry(), cloud.EngineConfig{
 		BatchWorkers: *batch,

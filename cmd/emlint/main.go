@@ -11,7 +11,7 @@
 // Patterns default to ./internal/... ./cmd/... — the whole production
 // tree. Each package is analyzed as a cross-package program: its
 // module-local dependencies are loaded with full syntax so the call-graph
-// analyzers (locksafety, lockorder, rlockwrite) follow facts across
+// analyzers (locksafety, lockorder) follow facts across
 // package boundaries. -checks picks a subset by name; -list prints the
 // suite. -update-baseline rewrites lint/escape_baseline.json from the
 // current escapecheck violations and exits. Output modes:
@@ -104,20 +104,20 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		baseline := analysis.EscapeBaseline{}
 		accepted, annotated := 0, 0
 		for _, path := range paths {
-			pkg, err := loader.Load(path)
+			prog, err := loader.LoadProgram(path)
 			if err != nil {
 				fmt.Fprintln(stderr, "emlint:", err)
 				return 2
 			}
 			// Test files are excluded, matching the escapecheck pass
 			// (contracts annotate shipped code).
-			files := make([]*ast.File, 0, len(pkg.Files))
-			for _, f := range pkg.Files {
+			files := make([]*ast.File, 0, len(prog.Root.Files))
+			for _, f := range prog.Root.Files {
 				if !strings.HasSuffix(loader.Fset.Position(f.Pos()).Filename, "_test.go") {
 					files = append(files, f)
 				}
 			}
-			rep, err := analysis.CollectEscapeReport(pkg, files)
+			rep, err := analysis.CollectEscapeReport(prog.Root, files)
 			if err != nil {
 				fmt.Fprintln(stderr, "emlint:", err)
 				return 2

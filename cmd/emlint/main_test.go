@@ -140,8 +140,8 @@ func TestRunList(t *testing.T) {
 	}
 	for _, check := range []string{
 		"errdrop", "hotalloc", "locksafety", "maporder", "nondeterminism",
-		"rlockwrite", "lockorder", "httperrors", "staleallow",
-		"aliasleak", "allocguard", "escapecheck",
+		"nogoroutine", "lockorder", "httperrors", "staleallow",
+		"allocguard", "escapecheck",
 	} {
 		if !strings.Contains(stdout.String(), check) {
 			t.Errorf("-list missing %s", check)

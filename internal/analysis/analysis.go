@@ -1,10 +1,10 @@
 // Package analysis is the repo's own static-analysis driver: a
 // dependency-free (go/parser + go/types, no golang.org/x/tools) framework
 // plus the project-invariant analyzers behind cmd/emlint. The analyzers
-// enforce the conventions DESIGN.md §5–§7 and §12 establish — fan-out only
+// enforce the conventions DESIGN.md §5–§7 and §10 establish — fan-out only
 // through internal/parallel, no wall-clock or global randomness or map
-// order in result-producing paths, canonical metric names and HTTP error
-// codes, well-formed lock regions in one global order, no dropped errors,
+// order in result-producing paths, canonical HTTP error codes,
+// well-formed lock regions in one global order, no dropped errors,
 // and the compiler-verified zeroalloc/hotpath contracts — so the
 // conventions survive codebase growth instead of living only in
 // documentation. DESIGN.md §7 holds the one table of checks and why each
@@ -45,11 +45,9 @@ type Pass struct {
 	// Files is the subset of the package's files the analyzer should
 	// inspect (test files are filtered out unless the analyzer opts in).
 	Files []*ast.File
-	// Prog is the analysis unit the package was loaded as. Under Run it is
-	// a single-package program (no cross-package edges); under RunProgram
-	// it carries the module-local dependency closure, and Prog.CallGraph()
-	// resolves calls across package boundaries. Diagnostics still anchor
-	// only in Pass.Package (the program root).
+	// Prog is the analysis unit the package is the root of: it carries the
+	// module-local dependency closure, and Prog.CallGraph() resolves calls
+	// across package boundaries. Diagnostics anchor only in Pass.Package.
 	Prog *Program
 
 	check string
@@ -83,7 +81,6 @@ type Analyzer struct {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AliasLeak,
 		AllocGuard,
 		ErrDrop,
 		EscapeCheck,
@@ -92,10 +89,8 @@ func All() []*Analyzer {
 		LockOrder,
 		LockSafety,
 		MapOrder,
-		MetricNames,
 		NoGoroutine,
 		NonDeterminism,
-		RLockWrite,
 		StaleAllow,
 	}
 }
@@ -127,13 +122,6 @@ func ByName(names string) ([]*Analyzer, error) {
 // isTestFile reports whether the file at pos is a _test.go file.
 func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// Run executes the analyzers over one package as a single-package program
-// and returns the surviving (not allow-suppressed) diagnostics sorted by
-// position.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunProgram(singleProgram(pkg), analyzers)
 }
 
 // RunProgram executes the analyzers over a program, anchoring diagnostics

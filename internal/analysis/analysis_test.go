@@ -29,16 +29,15 @@ func loader(t *testing.T) *Loader {
 	return l
 }
 
-// loadFixture type-checks one testdata fixture package.
-func loadFixture(t *testing.T, name string) *Package {
+// loadFixture loads one testdata fixture package the way the sweep loads
+// any package: as the root of a Program.
+func loadFixture(t *testing.T, name string) *Program {
 	t.Helper()
-	l := loader(t)
-	dir := filepath.Join("testdata", "src", name)
-	pkg, err := l.LoadDir(dir, "repro/internal/analysis/testdata/src/"+name)
+	prog, err := loader(t).LoadProgram("repro/internal/analysis/testdata/src/" + name)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	return pkg
+	return prog
 }
 
 // wantMarkers extracts the "// want <check>" expectations of a fixture:
@@ -74,8 +73,8 @@ func TestFixtures(t *testing.T) {
 	for _, a := range All() {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
-			pkg := loadFixture(t, a.Name)
-			want := wantMarkers(pkg)
+			prog := loadFixture(t, a.Name)
+			want := wantMarkers(prog.Root)
 			suite := []*Analyzer{a}
 			if a.Name == StaleAllow.Name {
 				// The audit only reports directives whose check actually
@@ -84,7 +83,7 @@ func TestFixtures(t *testing.T) {
 				suite = All()
 			}
 			got := make(map[string]bool)
-			for _, d := range Run(pkg, suite) {
+			for _, d := range RunProgram(prog, suite) {
 				if d.Check != a.Name {
 					continue
 				}
@@ -118,11 +117,11 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 	if NoGoroutine.Tests {
 		t.Fatal("nogoroutine must skip test files (tests orchestrate goroutines legitimately)")
 	}
-	if NonDeterminism.Tests || MetricNames.Tests {
-		t.Fatal("clock/metric analyzers must skip test files")
+	if NonDeterminism.Tests {
+		t.Fatal("the clock analyzer must skip test files")
 	}
-	if !ErrDrop.Tests || !LockSafety.Tests || !RLockWrite.Tests {
-		t.Fatal("errdrop, locksafety, and rlockwrite guard correctness in test files too")
+	if !ErrDrop.Tests || !LockSafety.Tests {
+		t.Fatal("errdrop and locksafety guard correctness in test files too")
 	}
 	if MapOrder.Tests || HotAlloc.Tests {
 		t.Fatal("ordering/allocation analyzers must skip test files (tests assert on small fixed inputs)")
@@ -133,8 +132,8 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 	if !StaleAllow.Tests {
 		t.Fatal("the allow audit must cover directives in test files too")
 	}
-	if AliasLeak.Tests || EscapeCheck.Tests {
-		t.Fatal("performance-contract analyzers must skip test files (contracts annotate shipped code)")
+	if EscapeCheck.Tests {
+		t.Fatal("escapecheck must skip test files (contracts annotate shipped code)")
 	}
 	if !AllocGuard.Tests {
 		t.Fatal("allocguard must see test files: that is where the AllocsPerRun guards live")

@@ -6,13 +6,11 @@ import (
 	"sort"
 )
 
-// CallGraph is the static call graph of an analysis unit. Built over a
-// single package it matches the historical behavior: for every function or
-// method declared in the package, the set of same-package functions its
-// body (including nested function literals) calls directly. Built over a
-// Program it additionally carries cross-package edges into module-local
-// dependencies, and resolves calls through interface methods to every
-// program-local concrete method whose receiver type satisfies the
+// CallGraph is the static call graph of a Program: for every function or
+// method declared in a member package, the set of program functions its
+// body (including nested function literals) calls directly — same-package
+// and cross-package alike — plus, for calls through interface methods,
+// every program-local concrete method whose receiver type satisfies the
 // interface (method-set aware: value and pointer receivers both count).
 // An implementer declared in a _test.go file stands only behind calls made
 // from test files: production code never runs against a test double, and
@@ -34,12 +32,6 @@ type CallGraph struct {
 	pkgOf map[*types.Func]*Package
 	// inTest marks the functions declared in _test.go files.
 	inTest map[*types.Func]bool
-}
-
-// NewCallGraph builds the single-package call graph — the historical
-// same-package-only unit fixture tests exercise directly.
-func NewCallGraph(pkg *Package) *CallGraph {
-	return buildCallGraph(singleProgram(pkg))
 }
 
 // buildCallGraph constructs the graph over every package of the program.

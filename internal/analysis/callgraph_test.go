@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// loadSource type-checks an in-memory package through the real loader so
-// the graph is built the same way analyzers see it.
-func loadSource(t *testing.T, src string) *Package {
+// loadSource loads an in-memory package through the real loader, as a
+// program of its own, so the graph is built the same way analyzers see it.
+func loadSource(t *testing.T, src string) *Program {
 	t.Helper()
 	root := t.TempDir()
 	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module fixturemod\n\ngo 1.24\n"), 0o644); err != nil {
@@ -27,11 +27,11 @@ func loadSource(t *testing.T, src string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := l.Load("fixturemod/pkg")
+	prog, err := l.LoadProgram("fixturemod/pkg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkg
+	return prog
 }
 
 const graphSrc = `package pkg
@@ -69,8 +69,8 @@ func fnByName(t *testing.T, pkg *Package, name string) *types.Func {
 }
 
 func TestCallGraphEdges(t *testing.T) {
-	pkg := loadSource(t, graphSrc)
-	g := NewCallGraph(pkg)
+	prog := loadSource(t, graphSrc)
+	pkg, g := prog.Root, prog.CallGraph()
 
 	a := fnByName(t, pkg, "a")
 	callees := g.Callees(a)
@@ -89,8 +89,8 @@ func TestCallGraphEdges(t *testing.T) {
 }
 
 func TestCallGraphReaches(t *testing.T) {
-	pkg := loadSource(t, graphSrc)
-	g := NewCallGraph(pkg)
+	prog := loadSource(t, graphSrc)
+	pkg, g := prog.Root, prog.CallGraph()
 
 	a, leaf, standalone := fnByName(t, pkg, "a"), fnByName(t, pkg, "leaf"), fnByName(t, pkg, "standalone")
 	if !g.Reaches(a, leaf) {
@@ -112,8 +112,8 @@ func TestCallGraphReaches(t *testing.T) {
 }
 
 func TestCallGraphAnyReachable(t *testing.T) {
-	pkg := loadSource(t, graphSrc)
-	g := NewCallGraph(pkg)
+	prog := loadSource(t, graphSrc)
+	pkg, g := prog.Root, prog.CallGraph()
 
 	hasChan := func(fd *ast.FuncDecl) bool {
 		found := false

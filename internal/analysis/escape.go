@@ -11,7 +11,7 @@
 // (lint/escape_baseline.json at the module root): a violation recorded
 // there is grandfathered and only *regressions* — new facts the baseline
 // does not list — fail the build. `emlint -update-baseline` rewrites the
-// file from current state; DESIGN.md §12 records the workflow and the
+// file from current state; DESIGN.md §10 records the workflow and the
 // compiler-version caveats (facts are a property of the toolchain, so the
 // baseline is honest only on the pinned CI Go version).
 package analysis

@@ -29,9 +29,8 @@ type Loader struct {
 	Fset *token.FileSet
 
 	std      types.Importer
-	cache    map[string]*types.Package // import-facing packages, test files excluded
-	pkgs     map[string]*Package       // full syntax+info for module-local imports
-	checking map[string]bool           // cycle guard
+	pkgs     map[string]*Package // module-local imports: syntax+info, test files excluded
+	checking map[string]bool     // cycle guard
 }
 
 // NewLoader builds a loader for the module rooted at root.
@@ -46,7 +45,6 @@ func NewLoader(root string) (*Loader, error) {
 		Module:   module,
 		Fset:     fset,
 		std:      importer.ForCompiler(fset, "source", nil),
-		cache:    make(map[string]*types.Package),
 		pkgs:     make(map[string]*Package),
 		checking: make(map[string]bool),
 	}, nil
@@ -99,10 +97,13 @@ func (l *Loader) local(path string) (string, bool) {
 
 // Import implements types.Importer: module-local packages are compiled
 // from source (without their test files, matching how the go tool resolves
-// imports); all other paths go to the standard-library source importer.
+// imports) and retained with syntax and type info, so LoadProgram can hand
+// analyzers the dependency's bodies (the cross-package call graph needs
+// callee syntax, not just signatures); all other paths go to the
+// standard-library source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if pkg, ok := l.cache[path]; ok {
-		return pkg, nil
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg.Types, nil
 	}
 	dir, ok := l.local(path)
 	if !ok {
@@ -113,16 +114,32 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	}
 	l.checking[path] = true
 	defer delete(l.checking, path)
-	files, err := l.parseDir(dir, false)
+	pkg, err := l.check(path, dir, false)
 	if err != nil {
 		return nil, err
 	}
+	l.pkgs[path] = pkg
+	return pkg.Types, nil
+}
+
+// check parses and type-checks the package in dir under the given import
+// path — the one place a Package is made, for a program root (with its
+// test files) and for an imported dependency (without) alike.
+//
+// A directory may legally hold two package clauses — foo plus the external
+// test package foo_test — which cannot type-check as one unit; the
+// in-package group is chosen and the external test files are skipped. A
+// directory holding only external test files (a test-only package like the
+// module root's bench harness) is analyzed as that _test package.
+func (l *Loader) check(path, dir string, includeTests bool) (*Package, error) {
+	files, err := l.parseDir(dir, includeTests)
+	if err != nil {
+		return nil, err
+	}
+	files = primaryPackageFiles(files)
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
-	// Retain syntax and type info alongside the import-facing package so
-	// LoadProgram can hand analyzers the dependency's bodies (the
-	// cross-package call graph needs callee syntax, not just signatures).
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -130,20 +147,11 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.Fset, files, info)
+	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking dependency %s: %w", path, err)
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	l.cache[path] = pkg
-	l.pkgs[path] = &Package{
-		Path:   path,
-		Module: l.Module,
-		Fset:   l.Fset,
-		Files:  files,
-		Types:  pkg,
-		Info:   info,
-	}
-	return pkg, nil
+	return &Package{Path: path, Module: l.Module, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // parseDir parses the Go files of one directory in name order, optionally
@@ -185,8 +193,9 @@ func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
 	return files, nil
 }
 
-// Package is one type-checked analysis unit: a package directory with its
-// in-package test files included, so invariants hold in tests too.
+// Package is one type-checked package directory: a program root carries
+// its in-package test files (invariants hold in tests too), an imported
+// dependency does not.
 type Package struct {
 	// Path is the unit's import path.
 	Path string
@@ -196,56 +205,6 @@ type Package struct {
 	Files  []*ast.File
 	Types  *types.Package
 	Info   *types.Info
-}
-
-// Load type-checks the module-local package at the given import path as an
-// analysis unit.
-func (l *Loader) Load(path string) (*Package, error) {
-	dir, ok := l.local(path)
-	if !ok {
-		return nil, fmt.Errorf("analysis: %s is not in module %s", path, l.Module)
-	}
-	return l.LoadDir(dir, path)
-}
-
-// LoadDir type-checks the package in dir under the given import path. It
-// is the entry point fixture tests use for packages outside the module's
-// build graph (testdata trees).
-//
-// Test files are included, so invariants hold in tests too. A directory
-// may legally hold two package clauses — foo plus the external test
-// package foo_test — which cannot type-check as one unit; the in-package
-// group is chosen and the external test files are skipped. A directory
-// holding only external test files (a test-only package like the module
-// root's bench harness) is analyzed as that _test package.
-func (l *Loader) LoadDir(dir, path string) (*Package, error) {
-	files, err := l.parseDir(dir, true)
-	if err != nil {
-		return nil, err
-	}
-	files = primaryPackageFiles(files)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-	return &Package{
-		Path:   path,
-		Module: l.Module,
-		Fset:   l.Fset,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
-	}, nil
 }
 
 // primaryPackageFiles keeps the files of one package clause: the

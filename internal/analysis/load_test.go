@@ -46,10 +46,11 @@ func TestLoadSkipsForeignBuildTags(t *testing.T) {
 		"pkg/future.go": "//go:build go1.999\n\npackage pkg\n\n" +
 			"func Future() int { return undefinedOnPurpose }\n",
 	})
-	pkg, err := l.Load("fixturemod/pkg")
+	prog, err := l.LoadProgram("fixturemod/pkg")
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadProgram: %v", err)
 	}
+	pkg := prog.Root
 	if len(pkg.Files) != 1 {
 		t.Fatalf("got %d files, want 1 (constrained files must be skipped)", len(pkg.Files))
 	}
@@ -62,10 +63,11 @@ func TestLoadMatchingBuildTag(t *testing.T) {
 		"pkg/tagged.go": "//go:build linux || darwin || windows || freebsd || netbsd || openbsd || solaris || aix || dragonfly || illumos || plan9 || js || wasip1 || android || ios\n\n" +
 			"package pkg\n\nfunc Extra() int { return 2 }\n",
 	})
-	pkg, err := l.Load("fixturemod/pkg")
+	prog, err := l.LoadProgram("fixturemod/pkg")
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadProgram: %v", err)
 	}
+	pkg := prog.Root
 	if len(pkg.Files) != 2 {
 		t.Fatalf("got %d files, want 2 (matching constraint must be kept)", len(pkg.Files))
 	}
@@ -82,10 +84,11 @@ func TestLoadUnixBuildTag(t *testing.T) {
 		"pkg/ok.go":   "package pkg\n\nfunc Ok() int { return Extra() }\n",
 		"pkg/unix.go": "//go:build unix\n\npackage pkg\n\nfunc Extra() int { return 2 }\n",
 	})
-	pkg, err := l.Load("fixturemod/pkg")
+	prog, err := l.LoadProgram("fixturemod/pkg")
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadProgram: %v", err)
 	}
+	pkg := prog.Root
 	if len(pkg.Files) != 2 {
 		t.Fatalf("got %d files, want 2 (the unix-gated file is part of the linux build)", len(pkg.Files))
 	}
@@ -98,10 +101,11 @@ func TestLoadTestOnlyPackage(t *testing.T) {
 		"pkg/pkg_test.go": "package pkg\n\nimport \"testing\"\n\n" +
 			"func TestNothing(t *testing.T) { t.Log(\"ok\") }\n",
 	})
-	pkg, err := l.Load("fixturemod/pkg")
+	prog, err := l.LoadProgram("fixturemod/pkg")
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadProgram: %v", err)
 	}
+	pkg := prog.Root
 	if len(pkg.Files) != 1 || pkg.Types.Name() != "pkg" {
 		t.Fatalf("files=%d name=%q, want the test-only group", len(pkg.Files), pkg.Types.Name())
 	}
@@ -113,9 +117,9 @@ func TestLoadTypeErrorIsError(t *testing.T) {
 	l := tempModule(t, map[string]string{
 		"pkg/bad.go": "package pkg\n\nfunc Bad() int { return undefinedSymbol }\n",
 	})
-	pkg, err := l.Load("fixturemod/pkg")
+	prog, err := l.LoadProgram("fixturemod/pkg")
 	if err == nil {
-		t.Fatalf("Load returned %+v, want type-check error", pkg)
+		t.Fatalf("LoadProgram returned %+v, want type-check error", prog)
 	}
 	if !strings.Contains(err.Error(), "undefinedSymbol") {
 		t.Fatalf("error does not name the failure: %v", err)
@@ -127,8 +131,8 @@ func TestLoadParseErrorIsError(t *testing.T) {
 	l := tempModule(t, map[string]string{
 		"pkg/bad.go": "package pkg\n\nfunc Bad( {\n",
 	})
-	if _, err := l.Load("fixturemod/pkg"); err == nil {
-		t.Fatal("Load accepted a parse error")
+	if _, err := l.LoadProgram("fixturemod/pkg"); err == nil {
+		t.Fatal("LoadProgram accepted a parse error")
 	}
 }
 

@@ -1,5 +1,5 @@
 // locks.go is the shared lock-site resolution layer for the mutex
-// analyzers (locksafety, rlockwrite, lockorder). It matches
+// analyzers (locksafety, lockorder). It matches
 // `expr.Lock()`-shaped calls to the sync package's primitives and
 // canonicalizes the lock expression: a promoted call through an embedded
 // mutex (`c.Lock()`) and its explicit spelling (`c.Mutex.Lock()`) resolve
@@ -9,8 +9,8 @@
 // and packages — the unit lockorder compares acquisition orders with.
 //
 // It also holds the one model of "which code runs while this lock is
-// held" (lockRegions): the three analyzers differ only in what they look
-// for inside a region, never in where a region starts and ends.
+// held" (lockRegions): the analyzers differ only in what they look for
+// inside a region, never in where a region starts and ends.
 package analysis
 
 import (
@@ -27,7 +27,7 @@ var syncLockMethods = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
 type lockCall struct {
 	// key is the canonical textual form of the lock expression within its
 	// function ("c.mu", "c.Mutex" — embedded hops spelled out), the unit
-	// locksafety and rlockwrite pair acquires with releases by.
+	// locksafety pairs acquires with releases by.
 	key string
 	// method is Lock, Unlock, RLock, or RUnlock.
 	method string
@@ -37,12 +37,6 @@ type lockCall struct {
 	// resolver cannot canonicalize (index, call result). Only identified
 	// locks participate in cross-function order comparison.
 	id string
-	// base is the object at the root of the selector chain (the receiver
-	// or variable the lock hangs off), or nil when the root is not a plain
-	// identifier.
-	base types.Object
-	// rw reports whether the primitive is a sync.RWMutex.
-	rw bool
 }
 
 // resolveLockCall matches a node against `expr.(R)Lock()` / `expr.(R)Unlock()`
@@ -66,7 +60,7 @@ func resolveLockCall(info *types.Info, n ast.Node) (lockCall, bool) {
 	if !ok {
 		return lockCall{}, false
 	}
-	lc := lockCall{method: fn.Name(), rw: recvIsRWMutex(fn)}
+	lc := lockCall{method: fn.Name()}
 
 	// The method selection's implicit steps are the embedded-field hops a
 	// promoted call (`c.Lock()`) elides; spelling them out is what makes
@@ -86,24 +80,9 @@ func resolveLockCall(info *types.Info, n ast.Node) (lockCall, bool) {
 		lc.key = joinKey(types.ExprString(ast.Unparen(sel.X)), implicit)
 		return lc, true
 	}
-	lc.base = root
 	lc.key = joinKey(root.Name(), fields)
 	lc.id = lockIdentity(root, fields)
 	return lc, true
-}
-
-// recvIsRWMutex reports whether the sync method's receiver is RWMutex.
-func recvIsRWMutex(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "RWMutex"
 }
 
 // selectorChain unwinds an expression like c.inner.mu to its root object

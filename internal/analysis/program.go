@@ -4,11 +4,12 @@
 // cross-package call graph built over a Program is what lets the serving
 // analyzers follow a fact — "this function performs a channel op",
 // "this callee acquires that lock" — across package boundaries, e.g. from
-// a cloud HTTP handler into serve.Corpus. DESIGN.md §11 records the scope
+// a cloud HTTP handler into serve.Corpus. DESIGN.md §10 records the scope
 // and limits.
 package analysis
 
 import (
+	"fmt"
 	"go/types"
 	"sort"
 )
@@ -49,13 +50,6 @@ func newProgram(root *Package, pkgs []*Package) *Program {
 	return p
 }
 
-// singleProgram wraps one package as a trivial Program — the shape fixture
-// tests and the package-local Run entry point use. Cross-package edges are
-// simply absent.
-func singleProgram(pkg *Package) *Program {
-	return newProgram(pkg, []*Package{pkg})
-}
-
 // Package returns the member with the given import path, or nil.
 func (p *Program) Package(path string) *Package {
 	return p.byPath[path]
@@ -82,7 +76,11 @@ func (p *Program) CallGraph() *CallGraph {
 // full syntax+types package. A dependency that fails to parse or
 // type-check surfaces as the root's load error, never a panic.
 func (l *Loader) LoadProgram(path string) (*Program, error) {
-	root, err := l.Load(path)
+	dir, ok := l.local(path)
+	if !ok {
+		return nil, fmt.Errorf("analysis: %s is not in module %s", path, l.Module)
+	}
+	root, err := l.check(path, dir, true)
 	if err != nil {
 		return nil, err
 	}

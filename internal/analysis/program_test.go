@@ -178,21 +178,3 @@ func TestLoadProgramRootTestsIncluded(t *testing.T) {
 		t.Fatalf("dep = %+v, want 1 file (dependency tests are not imported)", dep)
 	}
 }
-
-// TestSingleProgramCompat: Run over a bare package behaves as a
-// single-package program — no cross-package members, graph identical to
-// NewCallGraph's historical same-package behavior.
-func TestSingleProgramCompat(t *testing.T) {
-	l := progFixture(t)
-	pkg, err := l.Load("fixturemod/dep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := singleProgram(pkg)
-	if len(prog.Packages) != 1 || prog.Root != pkg {
-		t.Fatalf("singleProgram members = %d", len(prog.Packages))
-	}
-	if prog.Local(pkg.Types) != pkg {
-		t.Fatal("Local must resolve the root")
-	}
-}

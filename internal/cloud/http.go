@@ -28,9 +28,8 @@ import (
 //	POST /v1/match         — match one record against a serving corpus
 //	GET  /debug/pprof/*    — the standard Go profiler endpoints (unversioned)
 //
-// The legacy unversioned routes (/services, /jobs, /healthz, /metrics)
-// answer with 308 Permanent Redirect to their /v1 twins — 308 preserves
-// the method and body, so redirect-following clients keep POSTing.
+// Nothing else is routed: an unversioned path (/healthz, /jobs, ...) is a
+// plain 404.
 //
 // Interactive labeling cannot ride a synchronous HTTP call, so job
 // payloads carry the gold matches ("gold": [["a1","b1"], ...]) from which
@@ -65,7 +64,7 @@ func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.timeout = d }
 }
 
-// WithMaxBodySize caps the POST /jobs payload in bytes; larger requests
+// WithMaxBodySize caps every POST payload in bytes; larger requests
 // get a 413. The default is 8 MiB.
 func WithMaxBodySize(n int64) ServerOption {
 	return func(s *Server) { s.maxBody = n }
@@ -79,7 +78,7 @@ func WithCorpora(reg *serve.Registry) ServerOption {
 
 // WithMetrics replaces the server's own registry, so the process can share
 // one registry between the server, the metamanager, and anything else that
-// records. /metrics renders whatever registry the server holds.
+// records. /v1/metrics renders whatever registry the server holds.
 func WithMetrics(reg *obs.Registry) ServerOption {
 	return func(s *Server) { s.registry = reg }
 }
@@ -111,19 +110,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/corpus/add", s.handleCorpusAdd)
 	mux.HandleFunc("POST /v1/corpus/delete", s.handleCorpusDelete)
 	mux.HandleFunc("POST /v1/match", s.handleMatch)
-	// Legacy unversioned routes: 308 keeps method and body intact, so
-	// old clients that follow redirects continue to work.
-	for _, route := range []struct{ pattern, target string }{
-		{"GET /services", "/v1/services"},
-		{"POST /jobs", "/v1/jobs"},
-		{"GET /healthz", "/v1/healthz"},
-		{"GET /metrics", "/v1/metrics"},
-	} {
-		target := route.target
-		mux.HandleFunc(route.pattern, func(w http.ResponseWriter, r *http.Request) {
-			http.Redirect(w, r, target, http.StatusPermanentRedirect)
-		})
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -132,7 +118,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// healthResponse is the GET /healthz reply.
+// healthResponse is the GET /v1/healthz reply.
 type healthResponse struct {
 	Status       string        `json:"status"`
 	Engines      []EngineState `json:"engines"`
@@ -171,7 +157,7 @@ func (s *Server) handleServices(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// jobRequest is the POST /jobs payload.
+// jobRequest is the POST /v1/jobs payload.
 type jobRequest struct {
 	Name  string      `json:"name"`
 	Seed  int64       `json:"seed"`
@@ -185,7 +171,7 @@ type jobRequest struct {
 	} `json:"steps"`
 }
 
-// jobResponse is the POST /jobs reply.
+// jobResponse is the POST /v1/jobs reply.
 type jobResponse struct {
 	Name  string `json:"name"`
 	Error string `json:"error,omitempty"`

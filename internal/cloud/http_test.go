@@ -30,6 +30,15 @@ func TestHTTPHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d", resp.StatusCode)
 	}
+	// Only /v1 is routed: the unversioned path is a plain 404.
+	bare, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Body.Close()
+	if bare.StatusCode != http.StatusNotFound {
+		t.Errorf("unversioned /healthz = %d, want 404", bare.StatusCode)
+	}
 }
 
 func TestHTTPServices(t *testing.T) {

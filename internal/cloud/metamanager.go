@@ -148,7 +148,7 @@ func NewMetamanager(reg *Registry, cfg EngineConfig) *Metamanager {
 func (m *Metamanager) Registry() *Registry { return m.registry }
 
 // EngineState is a point-in-time snapshot of one engine, as reported by
-// the enriched /healthz endpoint.
+// the enriched /v1/healthz endpoint.
 type EngineState struct {
 	Engine  string `json:"engine"`
 	Workers int    `json:"workers"`

@@ -52,53 +52,6 @@ func postJSON(t *testing.T, url string, v any) *http.Response {
 	return resp
 }
 
-// TestHTTPLegacyRedirects: the unversioned routes answer 308 with the /v1
-// twin in Location, and a redirect-following client still reaches the
-// handler through them.
-func TestHTTPLegacyRedirects(t *testing.T) {
-	srv, _ := newTestServer(t)
-	// Observe the redirect itself rather than following it.
-	noFollow := &http.Client{
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	for _, tc := range []struct{ method, path, target string }{
-		{http.MethodGet, "/services", "/v1/services"},
-		{http.MethodPost, "/jobs", "/v1/jobs"},
-		{http.MethodGet, "/healthz", "/v1/healthz"},
-		{http.MethodGet, "/metrics", "/v1/metrics"},
-	} {
-		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := noFollow.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s = %d, want 308", tc.method, tc.path, resp.StatusCode)
-		}
-		if loc := resp.Header.Get("Location"); loc != tc.target {
-			t.Errorf("%s %s Location = %q, want %q", tc.method, tc.path, loc, tc.target)
-		}
-	}
-	// A default client follows the 308 transparently, method and body
-	// preserved — the legacy-compatibility contract.
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("followed /healthz = %d, want 200", resp.StatusCode)
-	}
-}
-
 // TestHTTPCorpusLifecycle drives add, list, match, and delete through the
 // /v1 surface and checks the JSON shapes round-trip.
 func TestHTTPCorpusLifecycle(t *testing.T) {

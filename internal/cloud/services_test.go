@@ -237,8 +237,8 @@ func TestNewClassifierFactory(t *testing.T) {
 	}
 }
 
-// TestRegistryListSnapshotIsCopy is the dynamic pin of what the aliasleak
-// check enforces statically: List hands out a fresh slice, so readers
+// TestRegistryListSnapshotIsCopy pins the ownership rule of DESIGN.md §7
+// ("what was cut") under writes: List hands out a fresh slice, so readers
 // iterating a listing while another goroutine registers services never
 // share slice memory with the registry. Under the race detector
 // (make race) aliased state fails the run.

@@ -15,11 +15,14 @@ import (
 // "Python script of a sequence of commands" the paper captures a finished
 // development-stage workflow as for the production stage.
 type workflowDTO struct {
-	Blocker  blockerDTO      `json:"blocker"`
-	Features []feature.Spec  `json:"features"`
-	Matcher  json.RawMessage `json:"matcher"`
-	Promote  []string        `json:"promote_rules,omitempty"`
-	Veto     []string        `json:"veto_rules,omitempty"`
+	Blocker  blockerDTO     `json:"blocker"`
+	Features []feature.Spec `json:"features"`
+	// Missing is Features.Missing; absent (files saved before the field
+	// existed) reads as feature.MissingZero, its zero value.
+	Missing feature.MissingPolicy `json:"missing,omitempty"`
+	Matcher json.RawMessage       `json:"matcher"`
+	Promote []string              `json:"promote_rules,omitempty"`
+	Veto    []string              `json:"veto_rules,omitempty"`
 }
 
 // blockerDTO serializes the standard blocker configurations.
@@ -69,7 +72,7 @@ func SaveWorkflow(w *Workflow) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	dto.Features = specs
+	dto.Features, dto.Missing = specs, w.Features.Missing
 
 	matcher, err := ml.Export(w.Matcher)
 	if err != nil {
@@ -111,7 +114,7 @@ func LoadWorkflow(data []byte) (*Workflow, error) {
 		return nil, fmt.Errorf("core: load workflow: unknown blocker type %q", dto.Blocker.Type)
 	}
 
-	fs, err := feature.FromSpecs(dto.Features, feature.MissingZero)
+	fs, err := feature.FromSpecs(dto.Features, dto.Missing)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/datagen"
+	"repro/internal/feature"
 	"repro/internal/label"
 	"repro/internal/ml"
 	"repro/internal/rules"
@@ -75,6 +77,31 @@ func TestWorkflowSaveLoadRoundTrip(t *testing.T) {
 		if !bs[k] {
 			t.Fatalf("round trip changed match set: %s appeared", k)
 		}
+	}
+	if loaded.Features.Missing != feature.MissingZero {
+		t.Fatalf("default missing policy loaded as %v", loaded.Features.Missing)
+	}
+
+	// A MissingNeutral workflow keeps its policy, and so its vectors on
+	// pairs with a null side, across the save/load.
+	wf.Features.Missing = feature.MissingNeutral
+	if data, err = SaveWorkflow(wf); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = LoadWorkflow(data); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Features.Missing != feature.MissingNeutral {
+		t.Fatalf("MissingNeutral loaded as %v", loaded.Features.Missing)
+	}
+	nulls := make(table.Row, task.A.Schema().Len())
+	for i, col := range task.A.Schema().Columns() {
+		nulls[i] = table.Null(col.Kind)
+	}
+	want := wf.Features.Vector(task.A, task.B, nulls, task.B.Row(0))
+	got := loaded.Features.Vector(task.A, task.B, nulls, task.B.Row(0))
+	if !reflect.DeepEqual(got, want) || want[0] != 0.5 {
+		t.Fatalf("null-side vector changed across save/load: %v vs %v", got, want)
 	}
 }
 

@@ -259,7 +259,11 @@ func AutoGenerate(a, b *table.Table, exclude ...string) (*Set, error) {
 		}
 		matched++
 		at := InferType(kind, avgTokenCount(a, b, col.Name))
-		for _, f := range featuresFor(at, col.Name) {
+		for _, kind := range kindsFor(at) {
+			f, err := NewFeature(kind, col.Name)
+			if err != nil {
+				return nil, err
+			}
 			if err := s.Add(f); err != nil {
 				return nil, err
 			}
@@ -271,57 +275,20 @@ func AutoGenerate(a, b *table.Table, exclude ...string) (*Set, error) {
 	return s, nil
 }
 
-// featuresFor instantiates the battery of features appropriate to an
-// attribute type.
-func featuresFor(at AttrType, attr string) []Feature {
-	mk := func(kind string, fn PairFunc) Feature {
-		return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: fn}
-	}
-	// mkSet builds a token-set feature carrying both the string path (Fn,
-	// used by per-pair Vector calls) and the interned fast path (Tok +
-	// SetFn, used by the Vectors extraction cache).
-	mkSet := func(kind string, tok tokenize.Tokenizer, setFn func(a, b []uint32) float64, fn func(a, b []string) float64) Feature {
-		f := mk(kind, tokenized(tok, fn))
-		f.Tok, f.SetFn = tok, setFn
-		return f
-	}
-	ws := tokenize.Whitespace{ReturnSet: true}
-	g3 := tokenize.QGram{Q: 3, ReturnSet: true}
+// kindsFor lists the builder kinds (registry.go) of the feature battery
+// appropriate to an attribute type.
+func kindsFor(at AttrType) []string {
 	switch at {
 	case TypeNumeric:
-		return []Feature{
-			mk("exact", sim.ExactMatch),
-			mk("rel_diff", RelDiff),
-			mk("lev", sim.Levenshtein),
-		}
+		return []string{"exact", "rel_diff", "lev"}
 	case TypeBoolean:
-		return []Feature{mk("exact", sim.ExactMatch)}
+		return []string{"exact"}
 	case TypeShortString:
-		return []Feature{
-			mk("exact", sim.ExactMatch),
-			mk("lev", sim.Levenshtein),
-			mk("jaro", sim.Jaro),
-			mk("jaro_winkler", sim.JaroWinkler),
-			mkSet("jaccard_3gram", g3, sim.JaccardU32, sim.Jaccard),
-			mk("soundex", sim.SoundexSim),
-		}
+		return []string{"exact", "lev", "jaro", "jaro_winkler", "jaccard_3gram", "soundex"}
 	case TypeMediumString:
-		return []Feature{
-			mk("exact", sim.ExactMatch),
-			mk("lev", sim.Levenshtein),
-			mkSet("jaccard_ws", ws, sim.JaccardU32, sim.Jaccard),
-			mkSet("jaccard_3gram", g3, sim.JaccardU32, sim.Jaccard),
-			mkSet("cosine_ws", ws, sim.CosineSetU32, sim.CosineSet),
-			mkSet("overlap_coeff_ws", ws, sim.OverlapCoefficientU32, sim.OverlapCoefficient),
-			mk("monge_elkan_jw", mongeElkanJW),
-		}
+		return []string{"exact", "lev", "jaccard_ws", "jaccard_3gram", "cosine_ws", "overlap_coeff_ws", "monge_elkan_jw"}
 	default: // TypeLongText
-		return []Feature{
-			mkSet("jaccard_ws", ws, sim.JaccardU32, sim.Jaccard),
-			mkSet("cosine_ws", ws, sim.CosineSetU32, sim.CosineSet),
-			mkSet("dice_ws", ws, sim.DiceU32, sim.Dice),
-			mkSet("overlap_coeff_ws", ws, sim.OverlapCoefficientU32, sim.OverlapCoefficient),
-		}
+		return []string{"jaccard_ws", "cosine_ws", "dice_ws", "overlap_coeff_ws"}
 	}
 }
 

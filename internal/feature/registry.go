@@ -8,29 +8,51 @@ import (
 	"repro/internal/tokenize"
 )
 
-// builders maps a builder kind — the prefix of generated feature names,
-// e.g. "jaccard_3gram" in "jaccard_3gram_name" — to its PairFunc. The
-// registry is what lets a feature set round-trip through the workflow
-// persistence layer: a serialized feature is just (kind, attribute).
-var builders = map[string]PairFunc{
-	"exact":            sim.ExactMatch,
-	"lev":              sim.Levenshtein,
-	"jaro":             sim.Jaro,
-	"jaro_winkler":     sim.JaroWinkler,
-	"soundex":          sim.SoundexSim,
-	"rel_diff":         RelDiff,
-	"monge_elkan_jw":   mongeElkanJW,
-	"needleman_wunsch": sim.NeedlemanWunsch,
-	"smith_waterman":   sim.SmithWaterman,
-	"affine_gap":       sim.AffineGap,
-	"hamming":          sim.Hamming,
-	"jaccard_ws":       tokenized(tokenize.Whitespace{ReturnSet: true}, sim.Jaccard),
-	"jaccard_3gram":    tokenized(tokenize.QGram{Q: 3, ReturnSet: true}, sim.Jaccard),
-	"jaccard_2gram":    tokenized(tokenize.QGram{Q: 2, ReturnSet: true}, sim.Jaccard),
-	"cosine_ws":        tokenized(tokenize.Whitespace{ReturnSet: true}, sim.CosineSet),
-	"dice_ws":          tokenized(tokenize.Whitespace{ReturnSet: true}, sim.Dice),
-	"overlap_coeff_ws": tokenized(tokenize.Whitespace{ReturnSet: true}, sim.OverlapCoefficient),
+// builder is one registered feature kind: the string path every feature
+// has, plus — for the token-set kinds — the tokenizer and interned-set
+// kernel of the fast path (Feature.Tok, Feature.SetFn).
+type builder struct {
+	fn    PairFunc
+	tok   tokenize.Tokenizer
+	setFn func(a, b []uint32) float64
 }
+
+// setBuilder registers a token-set kind: fn over tok's tokens is the string
+// path, setFn over the interned sets the fast one.
+func setBuilder(tok tokenize.Tokenizer, setFn func(a, b []uint32) float64, fn func(a, b []string) float64) builder {
+	return builder{fn: tokenized(tok, fn), tok: tok, setFn: setFn}
+}
+
+// builders maps a builder kind — the prefix of generated feature names,
+// e.g. "jaccard_3gram" in "jaccard_3gram_name" — to what a feature of that
+// kind computes. It is the one table of feature kinds: AutoGenerate
+// instantiates from it, and it is what lets a feature set round-trip
+// through the workflow persistence layer with its fast path intact — a
+// serialized feature is just (kind, attribute).
+var builders = func() map[string]builder {
+	ws := tokenize.Whitespace{ReturnSet: true}
+	g3 := tokenize.QGram{Q: 3, ReturnSet: true}
+	g2 := tokenize.QGram{Q: 2, ReturnSet: true}
+	return map[string]builder{
+		"exact":            {fn: sim.ExactMatch},
+		"lev":              {fn: sim.Levenshtein},
+		"jaro":             {fn: sim.Jaro},
+		"jaro_winkler":     {fn: sim.JaroWinkler},
+		"soundex":          {fn: sim.SoundexSim},
+		"rel_diff":         {fn: RelDiff},
+		"monge_elkan_jw":   {fn: mongeElkanJW},
+		"needleman_wunsch": {fn: sim.NeedlemanWunsch},
+		"smith_waterman":   {fn: sim.SmithWaterman},
+		"affine_gap":       {fn: sim.AffineGap},
+		"hamming":          {fn: sim.Hamming},
+		"jaccard_ws":       setBuilder(ws, sim.JaccardU32, sim.Jaccard),
+		"jaccard_3gram":    setBuilder(g3, sim.JaccardU32, sim.Jaccard),
+		"jaccard_2gram":    setBuilder(g2, sim.JaccardU32, sim.Jaccard),
+		"cosine_ws":        setBuilder(ws, sim.CosineSetU32, sim.CosineSet),
+		"dice_ws":          setBuilder(ws, sim.DiceU32, sim.Dice),
+		"overlap_coeff_ws": setBuilder(ws, sim.OverlapCoefficientU32, sim.OverlapCoefficient),
+	}
+}()
 
 // BuilderKinds returns the registered builder kinds, sorted.
 func BuilderKinds() []string {
@@ -45,11 +67,11 @@ func BuilderKinds() []string {
 // NewFeature constructs the feature "<kind>_<attr>" comparing the same
 // attribute of both tables with the registered builder.
 func NewFeature(kind, attr string) (Feature, error) {
-	fn, ok := builders[kind]
+	b, ok := builders[kind]
 	if !ok {
 		return Feature{}, fmt.Errorf("feature: unknown builder kind %q (have %v)", kind, BuilderKinds())
 	}
-	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: fn}, nil
+	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: b.fn, Tok: b.tok, SetFn: b.setFn}, nil
 }
 
 // Spec is the serializable form of one feature. Only same-attribute,

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -70,5 +71,67 @@ func TestSpecsRejectsCustomFeatures(t *testing.T) {
 	}
 	if _, err := s.Specs(); err == nil {
 		t.Fatal("custom features must not serialize silently")
+	}
+}
+
+// TestSpecsRoundTripKeepsSetPath: a saved-then-loaded set — the paper's
+// development→production hand-off — carries the interned fast path exactly
+// where the generated one does, so bulk extraction takes the same route
+// and yields the same bits.
+func TestSpecsRoundTripKeepsSetPath(t *testing.T) {
+	a, b, pairs, cat := cacheTables(t, 40, 5)
+	s, err := AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := s.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromSpecs(specs, s.Missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := 0
+	for i, f := range s.Features {
+		g := back.Features[i]
+		if (f.SetFn != nil) != (g.SetFn != nil) || (f.Tok != nil) != (g.Tok != nil) {
+			t.Errorf("%s: set path original=%v round-tripped=%v", f.Name, f.SetFn != nil, g.SetFn != nil)
+		}
+		if f.Tok != nil && g.Tok != nil && f.Tok.Name() != g.Tok.Name() {
+			t.Errorf("%s: tokenizer %s became %s", f.Name, f.Tok.Name(), g.Tok.Name())
+		}
+		if f.SetFn != nil {
+			fast++
+		}
+	}
+	if fast == 0 {
+		t.Fatal("fixture generated no token-set feature; the test proves nothing")
+	}
+	if (buildTokenCache(back, a, b) == nil) != (buildTokenCache(s, a, b) == nil) {
+		t.Fatal("round-tripped set lost the extraction cache")
+	}
+	want, err := Vectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Vectors(back, pairs, cat, ExtractOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Vectors differ between the generated and the round-tripped set")
+	}
+}
+
+// TestKindsForAreRegistered: every battery AutoGenerate can pick resolves
+// through the one table.
+func TestKindsForAreRegistered(t *testing.T) {
+	for at := TypeNumeric; at <= TypeLongText; at++ {
+		for _, kind := range kindsFor(at) {
+			if _, err := NewFeature(kind, "x"); err != nil {
+				t.Errorf("%s: %v", at, err)
+			}
+		}
 	}
 }

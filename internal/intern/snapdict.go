@@ -6,7 +6,7 @@ import "sync/atomic"
 // open-addressing table. One goroutine (the owner) calls Intern; any number
 // of goroutines may concurrently resolve tokens through a View captured at a
 // publication point. This is the dictionary behind the serving corpus
-// snapshots (DESIGN.md §13): the writer interns while queries run, and each
+// snapshots (DESIGN.md §9): the writer interns while queries run, and each
 // published snapshot carries a View that sees exactly the tokens interned
 // before the snapshot was built.
 //

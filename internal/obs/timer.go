@@ -5,7 +5,7 @@ import "time"
 // StartTimer begins timing a stage and returns the function that stops it,
 // observing the elapsed seconds into the named histogram series:
 //
-//	defer obs.StartTimer(s.Metrics, "em_stage_seconds", obs.L("stage", "block"))()
+//	defer obs.StartTimer(s.Metrics, obs.StageSeconds, obs.L("stage", "block"))()
 //
 // When the recorder is disabled (nil or Nop) no clock is read and a shared
 // no-capture closure is returned, so the call is free on production paths

@@ -334,8 +334,8 @@ func TestServeMetrics(t *testing.T) {
 	}
 }
 
-// TestCorpusSnapshotsAreCopies is the dynamic pin of what the aliasleak
-// check enforces statically: everything the read API hands out (Stats
+// TestCorpusSnapshotsAreCopies pins the ownership rule of the read API
+// (DESIGN.md §7, "what was cut"): everything it hands out (Stats
 // values, CandidateIDs slices) is a copy, so a reader snapshotting while
 // a writer mutates never shares memory with corpus internals. Under the
 // race detector (make race) any aliased state fails the run.

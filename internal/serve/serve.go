@@ -5,7 +5,7 @@
 // under Add/Update/Delete — instead of re-interning, re-blocking, and
 // re-featurizing the whole corpus per request the way the batch pipeline
 // does. All read-path state lives in an immutable snapshot published
-// through an atomic pointer (DESIGN.md §13): MatchOne, CandidateIDs,
+// through an atomic pointer (DESIGN.md §9): MatchOne, CandidateIDs,
 // Stats, and Len load the snapshot once and take no locks, while writers
 // serialize on a writer-only mutex, apply copy-on-write deltas, and
 // publish a fresh snapshot as their last act. Deletions tombstone their

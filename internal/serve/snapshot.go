@@ -15,7 +15,7 @@ import (
 // Corpus.snap (an atomic.Pointer). A reader loads it once and then runs the
 // whole query — candidate generation, featurization, scoring — with zero
 // locks; the writer builds the next snapshot with copy-on-write deltas and
-// publishes it in one atomic store (DESIGN.md §13).
+// publishes it in one atomic store (DESIGN.md §9).
 //
 // What immutability means here, field by field:
 //
