@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz loc bench
+.PHONY: build test race vet lint fuzz loc bench examples
 
 build:
 	$(GO) build ./...
@@ -50,3 +50,11 @@ loc:
 # `$(GO) run ./bench -compare a.json b.json`.
 bench:
 	$(GO) run ./bench -workload all
+
+# The five example programs, run (CI only compiled them): each must exit
+# 0; their output is discarded. Seconds in total.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done

@@ -8,27 +8,6 @@ import (
 	"testing/quick"
 )
 
-// mergeCount is the reference intersection: the same sorted merge as
-// sim.IntersectSortedU32, restated here so the equivalence oracle does not
-// depend on the package under comparison.
-func mergeCount(a, b []uint32) int {
-	inter := 0
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return inter
-}
-
 func sortedDedup(ids []uint32) []uint32 {
 	out := slices.Clone(ids)
 	slices.Sort(out)
@@ -63,35 +42,17 @@ func genSet(rng *rand.Rand) []uint32 {
 	return sortedDedup(ids)
 }
 
-// TestQuickKernelEquivalence is the oracle: every bitset kernel must agree
-// with the sorted-merge reference on arbitrary mixed-density inputs.
+// TestQuickKernelEquivalence is the oracle of the build/enumerate pair:
+// on arbitrary mixed-density inputs a Set holds exactly the IDs it was
+// built from and hands them back in order.
 func TestQuickKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	prop := func() bool {
-		a, b := genSet(rng), genSet(rng)
-		sa, sb := FromSorted(a), FromSorted(b)
-		want := mergeCount(a, b)
-		if sa.Len() != len(a) || sb.Len() != len(b) {
+		a := genSet(rng)
+		sa := FromSorted(a)
+		if sa.Len() != len(a) {
 			t.Errorf("Len mismatch: %d vs %d", sa.Len(), len(a))
 			return false
-		}
-		// A non-negative return must be the exact count (always, at need
-		// 0), and -1 may only occur when the exact count is below need.
-		for _, need := range []int{0, 1, want, want + 1, len(a)} {
-			if got := AndCountBounded(sa, sb, need); got >= 0 && got != want {
-				t.Errorf("AndCountBounded(need=%d)=%d want %d", need, got, want)
-				return false
-			} else if got < 0 && want >= need {
-				t.Errorf("AndCountBounded(need=%d)=-1 but exact %d >= need", need, want)
-				return false
-			}
-			if got := AndCountArrayBounded(sa, b, need); got >= 0 && got != want {
-				t.Errorf("AndCountArrayBounded(need=%d)=%d want %d", need, got, want)
-				return false
-			} else if got < 0 && want >= need {
-				t.Errorf("AndCountArrayBounded(need=%d)=-1 but exact %d >= need", need, want)
-				return false
-			}
 		}
 		// Round trip back to the sorted-slice representation.
 		if got := sa.AppendTo(nil); !reflect.DeepEqual(got, a) && !(len(got) == 0 && len(a) == 0) {
@@ -146,32 +107,31 @@ func TestQuickForEachIn(t *testing.T) {
 }
 
 // TestBlockBoundary pins the exact 64k edges: 65535 and 65536 land in
-// different containers and must still intersect correctly.
+// different containers and must still enumerate in order, whole and
+// through a window that straddles the edge.
 func TestBlockBoundary(t *testing.T) {
 	a := []uint32{0, 65534, 65535, 65536, 65537, 131071, 131072}
-	b := []uint32{65535, 65536, 131072}
-	sa, sb := FromSorted(a), FromSorted(b)
-	if got := AndCountBounded(sa, sb, 0); got != 3 {
-		t.Fatalf("AndCountBounded across block boundary = %d, want 3", got)
+	sa := FromSorted(a)
+	if len(sa.cons) != 3 {
+		t.Fatalf("%d containers, want one per 64k block (3)", len(sa.cons))
 	}
 	if got := sa.AppendTo(nil); !reflect.DeepEqual(got, a) {
 		t.Fatalf("members across block boundary = %v, want %v", got, a)
 	}
-	if got := AndCountArrayBounded(sb, a, 0); got != 3 {
-		t.Fatalf("AndCountArrayBounded across block boundary = %d, want 3", got)
+	if got, want := window(&Postings{bits: sa}, 65535, 131072), a[2:6]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("window across block boundary = %v, want %v", got, want)
 	}
 }
 
 // TestContainerShapes pins the array/bitmap flip: exactly ArrayMaxCard
-// members stay an array, one more flips to a bitmap, and every pairing of
-// shapes intersects identically.
+// members stay an array, one more flips to a bitmap, and both shapes
+// enumerate the same members.
 func TestContainerShapes(t *testing.T) {
 	dense := make([]uint32, ArrayMaxCard+1)
 	for i := range dense {
 		dense[i] = uint32(i * 3)
 	}
 	atCap := dense[:ArrayMaxCard]
-	sparse := []uint32{0, 3, 7, 9000}
 
 	if c := FromSorted(atCap).cons[0]; c.arr == nil {
 		t.Fatal("ArrayMaxCard members should remain an array container")
@@ -179,12 +139,13 @@ func TestContainerShapes(t *testing.T) {
 	if c := FromSorted(dense).cons[0]; c.bits == nil {
 		t.Fatal("ArrayMaxCard+1 members should flip to a bitmap container")
 	}
-	for _, a := range [][]uint32{dense, atCap, sparse} {
-		for _, b := range [][]uint32{dense, atCap, sparse} {
-			want := mergeCount(a, b)
-			if got := AndCountBounded(FromSorted(a), FromSorted(b), 0); got != want {
-				t.Errorf("AndCountBounded(%d ids, %d ids) = %d, want %d", len(a), len(b), got, want)
-			}
+	for _, ids := range [][]uint32{dense, atCap} {
+		s := FromSorted(ids)
+		if got := s.AppendTo(nil); !reflect.DeepEqual(got, ids) {
+			t.Errorf("%d ids: AppendTo diverged", len(ids))
+		}
+		if got, want := window(&Postings{bits: s}, 300, 3000), ids[100:1000]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%d ids: window [300, 3000) has %d members, want %d", len(ids), len(got), len(want))
 		}
 	}
 }
@@ -196,24 +157,18 @@ func TestEmptySet(t *testing.T) {
 	if s.Len() != 0 || zero.Len() != 0 {
 		t.Fatal("empty sets must have Len 0")
 	}
-	if got := AndCountBounded(s, &zero, 0); got != 0 {
-		t.Fatalf("AndCountBounded(empty) = %d", got)
-	}
-	if got := AndCountArrayBounded(&zero, []uint32{1, 2}, 0); got != 0 {
-		t.Fatalf("AndCountArrayBounded(empty set) = %d", got)
-	}
 	if got := zero.AppendTo(nil); len(got) != 0 {
 		t.Fatalf("empty set has members %v", got)
 	}
+	if got := window(&Postings{bits: s}, 0, 1<<20); len(got) != 0 {
+		t.Fatalf("empty set enumerates %v", got)
+	}
 }
 
-// TestIntersectionKernelsZeroAlloc is the satellite guard: none of the
-// intersection kernels may allocate.
+// TestIntersectionKernelsZeroAlloc is the guard on the one kernel both
+// indexes probe with: walking a postings list may not allocate, on the
+// bitmap half or the tail half.
 func TestIntersectionKernelsZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a, b := genSet(rng), genSet(rng)
-	sa, sb := FromSorted(a), FromSorted(b)
-	need := mergeCount(a, b)
 	// A grown list with both a frozen bitmap and a live tail.
 	var grown *Postings
 	for id := uint32(0); id < 3*postingsFlipMin+7; id++ {
@@ -222,22 +177,14 @@ func TestIntersectionKernelsZeroAlloc(t *testing.T) {
 	if grown.bits == nil || len(grown.tail) == 0 {
 		t.Fatal("fixture should hold a bitmap and a tail")
 	}
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"AndCountBounded", func() { AndCountBounded(sa, sb, need) }},
-		{"AndCountArrayBounded", func() { AndCountArrayBounded(sa, b, need) }},
-		{"Postings.ForEachIn", func() {
-			n := 0
-			grown.ForEachIn(300, 1540, func(uint32) bool { n++; return true })
-			if n != 1240 {
-				t.Errorf("ForEachIn visited %d of 1240", n)
-			}
-		}},
-	} {
-		if allocs := testing.AllocsPerRun(20, tc.fn); allocs != 0 {
-			t.Errorf("%s allocates %.1f per run, want 0", tc.name, allocs)
+	allocs := testing.AllocsPerRun(20, func() {
+		n := 0
+		grown.ForEachIn(300, 1540, func(uint32) bool { n++; return true })
+		if n != 1240 {
+			t.Errorf("ForEachIn visited %d of 1240", n)
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("Postings.ForEachIn allocates %.1f per run, want 0", allocs)
 	}
 }

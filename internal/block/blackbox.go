@@ -2,7 +2,6 @@ package block
 
 import (
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/table"
 )
 
@@ -33,38 +32,20 @@ func (b BlackBoxBlocker) Name() string {
 
 // Block implements Blocker.
 func (b BlackBoxBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	if err := requireKeys(lt, rt); err != nil {
-		return nil, err
-	}
-	rec := obs.Or(b.Metrics)
-	bl := obs.L("blocker", b.Name())
-	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
-	pairs, err := table.NewPairTable(b.Name(), lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	lkey := lt.Schema().Lookup(lt.Key())
-	rkey := rt.Schema().Lookup(rt.Key())
-	shards, err := parallel.MapChunks(b.Workers, lt.Len(), func(lo, hi int) ([]table.PairID, error) {
-		stop := obs.StartTimer(rec, obs.BlockShardSeconds, bl)
-		defer stop()
-		out := make([]table.PairID, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			for j := 0; j < rt.Len(); j++ {
-				if b.Keep(lt.Row(i), rt.Row(j)) {
-					out = append(out, table.PairID{L: lt.Row(i)[lkey].AsString(), R: rt.Row(j)[rkey].AsString()})
+	f := frame{b.Name(), b.Workers, b.Metrics}
+	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
+		lids, rids := keyStrings(lt), keyStrings(rt)
+		shards, err := probeShards(f, len(lids), func(lo, hi int) []table.PairID {
+			out := make([]table.PairID, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				for j, rid := range rids {
+					if b.Keep(lt.Row(i), rt.Row(j)) {
+						out = append(out, table.PairID{L: lids[i], R: rid})
+					}
 				}
 			}
-		}
-		return out, nil
+			return out
+		})
+		return shards, len(lids) * len(rids), err
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, shard := range shards {
-		table.AppendPairs(pairs, shard)
-	}
-	rec.Count(obs.BlockPairsConsidered, float64(lt.Len()*rt.Len()), bl)
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
 }

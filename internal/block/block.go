@@ -41,6 +41,69 @@ func requireKeys(lt, rt *table.Table) error {
 	return nil
 }
 
+// frame is what every Block method shares: the blocker's name (the
+// candidate table's name and the {blocker} label of every em_block_*
+// series) and its Workers and Metrics knobs.
+type frame struct {
+	name    string
+	workers int
+	metrics obs.Recorder
+}
+
+// run is the one Block body. Both tables must declare keys; the call is
+// timed under BlockSeconds; the candidates gen produces — shard by shard,
+// in output order — are appended to a pair table registered in cat; and
+// BlockPairsEmitted is recorded, with BlockPairsConsidered beside it when
+// gen reports how many pairs it examined (negative: it kept no count —
+// the join-backed blockers leave that to em_simjoin_candidates_total).
+func (f frame) run(lt, rt *table.Table, cat *table.Catalog, gen func() (shards [][]table.PairID, considered int, err error)) (*table.Table, error) {
+	if err := requireKeys(lt, rt); err != nil {
+		return nil, err
+	}
+	rec := obs.Or(f.metrics)
+	bl := obs.L("blocker", f.name)
+	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
+	shards, considered, err := gen()
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := table.NewPairTable(f.name, lt, rt, cat)
+	if err != nil {
+		return nil, err
+	}
+	for _, shard := range shards {
+		table.AppendPairs(pairs, shard)
+	}
+	if considered >= 0 {
+		rec.Count(obs.BlockPairsConsidered, float64(considered), bl)
+	}
+	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
+	return pairs, nil
+}
+
+// probeShards runs probe over contiguous shards of [0, n), one per worker,
+// each timed under BlockShardSeconds. Every worker batches into a local
+// buffer; concatenating the buffers in shard order reproduces the serial
+// probe order exactly.
+func probeShards[T any](f frame, n int, probe func(lo, hi int) T) ([]T, error) {
+	rec := obs.Or(f.metrics)
+	bl := obs.L("blocker", f.name)
+	return parallel.MapChunks(f.workers, n, func(lo, hi int) (T, error) {
+		defer obs.StartTimer(rec, obs.BlockShardSeconds, bl)()
+		return probe(lo, hi), nil
+	})
+}
+
+// keyStrings returns the key value of every row of a keyed table.
+func keyStrings(t *table.Table) []string {
+	kj := t.Schema().Lookup(t.Key())
+	ids := make([]string, t.Len())
+	for i := range ids {
+		ids[i] = t.Row(i)[kj].AsString()
+	}
+	return ids
+}
+
 // CrossBlocker emits the full cross product. It exists as the "no blocking"
 // baseline for debugging and for tiny tables; the candidate set has
 // |L|×|R| rows.
@@ -56,43 +119,24 @@ func (CrossBlocker) Name() string { return "cross" }
 
 // Block implements Blocker.
 func (b CrossBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	if err := requireKeys(lt, rt); err != nil {
-		return nil, err
-	}
-	rec := obs.Or(b.Metrics)
-	bl := obs.L("blocker", b.Name())
-	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
-	pairs, err := table.NewPairTable("cross("+lt.Name()+","+rt.Name()+")", lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	lkey := lt.Schema().Lookup(lt.Key())
-	rkey := rt.Schema().Lookup(rt.Key())
-	rids := make([]string, rt.Len())
-	for j := range rids {
-		rids[j] = rt.Row(j)[rkey].AsString()
-	}
-	shards, err := parallel.MapChunks(b.Workers, lt.Len(), func(lo, hi int) ([]table.PairID, error) {
-		stop := obs.StartTimer(rec, obs.BlockShardSeconds, bl)
-		defer stop()
-		out := make([]table.PairID, 0, (hi-lo)*len(rids))
-		for i := lo; i < hi; i++ {
-			lid := lt.Row(i)[lkey].AsString()
-			for _, rid := range rids {
-				out = append(out, table.PairID{L: lid, R: rid})
+	f := frame{b.Name(), b.Workers, b.Metrics}
+	pairs, err := f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
+		lids, rids := keyStrings(lt), keyStrings(rt)
+		shards, err := probeShards(f, len(lids), func(lo, hi int) []table.PairID {
+			out := make([]table.PairID, 0, (hi-lo)*len(rids))
+			for _, lid := range lids[lo:hi] {
+				for _, rid := range rids {
+					out = append(out, table.PairID{L: lid, R: rid})
+				}
 			}
-		}
-		return out, nil
+			return out
+		})
+		return shards, len(lids) * len(rids), err
 	})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		pairs.SetName("cross(" + lt.Name() + "," + rt.Name() + ")")
 	}
-	for _, shard := range shards {
-		table.AppendPairs(pairs, shard)
-	}
-	rec.Count(obs.BlockPairsConsidered, float64(lt.Len()*rt.Len()), bl)
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
+	return pairs, err
 }
 
 // AttrEquivalenceBlocker keeps pairs whose named attribute values are
@@ -142,71 +186,47 @@ func (b HashBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Tabl
 }
 
 func (b HashBlocker) block(lt, rt *table.Table, cat *table.Catalog, name string) (*table.Table, error) {
-	if err := requireKeys(lt, rt); err != nil {
-		return nil, err
-	}
-	rec := obs.Or(b.Metrics)
-	bl := obs.L("blocker", name)
-	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
-	lj := lt.Schema().Lookup(b.Attr)
-	rj := rt.Schema().Lookup(b.Attr)
-	if lj < 0 || rj < 0 {
-		return nil, fmt.Errorf("block: %s: attribute %q missing from %q or %q", name, b.Attr, lt.Name(), rt.Name())
-	}
-	key := func(v table.Value) string {
-		if v.IsNull() {
-			return ""
+	f := frame{name, b.Workers, b.Metrics}
+	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
+		lj := lt.Schema().Lookup(b.Attr)
+		rj := rt.Schema().Lookup(b.Attr)
+		if lj < 0 || rj < 0 {
+			return nil, 0, fmt.Errorf("block: %s: attribute %q missing from %q or %q", name, b.Attr, lt.Name(), rt.Name())
 		}
-		s := v.AsString()
-		if b.Transform != nil {
-			return b.Transform(s)
-		}
-		return s
-	}
-	// Bucket the right table.
-	rkey := rt.Schema().Lookup(rt.Key())
-	buckets := make(map[string][]string)
-	for j := 0; j < rt.Len(); j++ {
-		k := key(rt.Row(j)[rj])
-		if k == "" {
-			continue
-		}
-		buckets[k] = append(buckets[k], rt.Row(j)[rkey].AsString())
-	}
-	pairs, err := table.NewPairTable(name, lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	// Probe the left table in contiguous shards, each worker batching
-	// into a local buffer; concatenating the buffers in shard order
-	// reproduces the serial probe order exactly.
-	lkey := lt.Schema().Lookup(lt.Key())
-	shards, err := parallel.MapChunks(b.Workers, lt.Len(), func(lo, hi int) ([]table.PairID, error) {
-		stop := obs.StartTimer(rec, obs.BlockShardSeconds, bl)
-		defer stop()
-		out := make([]table.PairID, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			k := key(lt.Row(i)[lj])
-			if k == "" {
-				continue
+		key := func(v table.Value) string {
+			if v.IsNull() {
+				return ""
 			}
-			lid := lt.Row(i)[lkey].AsString()
-			for _, rid := range buckets[k] {
-				out = append(out, table.PairID{L: lid, R: rid})
+			s := v.AsString()
+			if b.Transform != nil {
+				return b.Transform(s)
+			}
+			return s
+		}
+		// Bucket the right table, then probe with the left.
+		buckets := make(map[string][]string)
+		for j, rid := range keyStrings(rt) {
+			if k := key(rt.Row(j)[rj]); k != "" {
+				buckets[k] = append(buckets[k], rid)
 			}
 		}
-		return out, nil
+		lids := keyStrings(lt)
+		shards, err := probeShards(f, len(lids), func(lo, hi int) []table.PairID {
+			out := make([]table.PairID, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				for _, rid := range buckets[key(lt.Row(i)[lj])] {
+					out = append(out, table.PairID{L: lids[i], R: rid})
+				}
+			}
+			return out
+		})
+		// Hash blocking examines exactly the bucket-sharing pairs it emits.
+		emitted := 0
+		for _, shard := range shards {
+			emitted += len(shard)
+		}
+		return shards, emitted, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, shard := range shards {
-		table.AppendPairs(pairs, shard)
-	}
-	// Hash blocking examines exactly the bucket-sharing pairs it emits.
-	rec.Count(obs.BlockPairsConsidered, float64(pairs.Len()), bl)
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
 }
 
 // LowerTransform lower-cases and trims the value: the usual normalization

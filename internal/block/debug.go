@@ -3,11 +3,9 @@ package block
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/tokenize"
 )
 
 // MissedPair is a likely match that blocking discarded, found by the
@@ -19,11 +17,11 @@ type MissedPair struct {
 }
 
 // DebugBlocker searches for probable matches missing from the candidate
-// set — the "blocking debugger" pain-point tool of Table 3. It concatenates
-// all non-key string attributes of each tuple, finds the topK most similar
-// cross pairs via an inverted token index, and returns those not already
-// in cand. A blocker whose debugger output contains plausible matches is
-// too aggressive.
+// set — the "blocking debugger" pain-point tool of Table 3. It takes each
+// tuple's whole-tuple token set (table.WholeTupleTokens), finds the topK
+// most similar cross pairs via an inverted token index, and returns those
+// not already in cand. A blocker whose debugger output contains plausible
+// matches is too aggressive.
 func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair, error) {
 	meta, ok := cat.PairMeta(cand)
 	if !ok {
@@ -34,14 +32,13 @@ func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair
 	}
 	lt, rt := meta.LTable, meta.RTable
 
-	inCand := make(map[string]bool, cand.Len())
+	inCand := make(map[[2]string]bool, cand.Len())
 	for i := 0; i < cand.Len(); i++ {
-		inCand[pairKey(cand, meta, i)] = true
+		inCand[[2]string{cand.Get(i, meta.LID).AsString(), cand.Get(i, meta.RID).AsString()}] = true
 	}
 
-	tok := tokenize.Alphanumeric{ReturnSet: true}
-	ltoks := tupleTokens(lt, tok)
-	rtoks := tupleTokens(rt, tok)
+	ltoks := table.WholeTupleTokens(lt)
+	rtoks := table.WholeTupleTokens(rt)
 
 	// Inverted index over the right table, skipping stop-word-like tokens.
 	inv := make(map[string][]int)
@@ -52,11 +49,10 @@ func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair
 	}
 	maxPosting := rt.Len()/10 + 50
 
-	lkey := lt.Schema().Lookup(lt.Key())
-	rkey := rt.Schema().Lookup(rt.Key())
-	//emlint:allow hotalloc -- miss count is data-dependent and this explain path runs once per debug report, not per candidate pair
+	lids, rids := keyStrings(lt), keyStrings(rt)
+	//emlint:allow hotalloc -- how many pairs share two tokens outside cand is data-dependent; the only bound to preallocate from is |L|×|R|
 	var missed []MissedPair
-	for i := 0; i < lt.Len(); i++ {
+	for i, lid := range lids {
 		counts := make(map[int]int)
 		for _, t := range ltoks[i] {
 			post := inv[t]
@@ -67,18 +63,15 @@ func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair
 				counts[j]++
 			}
 		}
-		lid := lt.Row(i)[lkey].AsString()
 		for j, c := range counts {
 			if c < 2 && len(ltoks[i]) > 2 {
 				continue // too little overlap to bother verifying
 			}
-			rid := rt.Row(j)[rkey].AsString()
-			//emlint:allow hotalloc -- the concat IS the map key being probed; debug report path, not blocking hot loop
-			if inCand[lid+"\x00"+rid] {
+			if inCand[[2]string{lid, rids[j]}] {
 				continue
 			}
 			s := sim.Jaccard(ltoks[i], rtoks[j])
-			missed = append(missed, MissedPair{LID: lid, RID: rid, Sim: s})
+			missed = append(missed, MissedPair{LID: lid, RID: rids[j], Sim: s})
 		}
 	}
 	sort.Slice(missed, func(a, b int) bool {
@@ -94,34 +87,6 @@ func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair
 		missed = missed[:topK]
 	}
 	return missed, nil
-}
-
-// tupleTokens concatenates all non-key string attributes of each row and
-// tokenizes the result.
-func tupleTokens(t *table.Table, tok tokenize.Tokenizer) [][]string {
-	var cols []int
-	for j := 0; j < t.Schema().Len(); j++ {
-		c := t.Schema().Col(j)
-		if c.Name == t.Key() {
-			continue
-		}
-		cols = append(cols, j)
-	}
-	out := make([][]string, t.Len())
-	var b strings.Builder
-	for i := 0; i < t.Len(); i++ {
-		b.Reset()
-		for _, j := range cols {
-			v := t.Row(i)[j]
-			if v.IsNull() {
-				continue
-			}
-			b.WriteString(v.AsString())
-			b.WriteByte(' ')
-		}
-		out[i] = tok.Tokenize(b.String())
-	}
-	return out
 }
 
 // Stats summarizes a candidate set against known gold matches.

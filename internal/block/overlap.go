@@ -3,7 +3,6 @@ package block
 import (
 	"fmt"
 
-	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/simjoin"
 	"repro/internal/table"
@@ -39,41 +38,12 @@ func (b OverlapBlocker) minOverlap() int {
 	return b.MinOverlap
 }
 
-func (b OverlapBlocker) tokenizer() tokenize.Tokenizer {
-	if b.Tokenizer == nil {
-		return tokenize.Alphanumeric{ReturnSet: true}
-	}
-	return b.Tokenizer
-}
-
 // Block implements Blocker.
 func (b OverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	if err := requireKeys(lt, rt); err != nil {
-		return nil, err
-	}
-	rec := obs.Or(b.Metrics)
-	bl := obs.L("blocker", b.Name())
-	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
-	d := intern.NewDict()
-	lrecs, err := tokenIDRecords(lt, b.Attr, b.tokenizer(), d)
-	if err != nil {
-		return nil, err
-	}
-	rrecs, err := tokenIDRecords(rt, b.Attr, b.tokenizer(), d)
-	if err != nil {
-		return nil, err
-	}
-	joined, err := simjoin.OverlapJoinIDs(lrecs, rrecs, b.minOverlap(), simjoin.WithWorkers(b.Workers), simjoin.WithMetrics(b.Metrics))
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := table.NewPairTable(b.Name(), lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	table.AppendPairs(pairs, joinedPairIDs(joined))
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
+	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr, b.Tokenizer),
+		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
+			return simjoin.OverlapJoin(l, r, b.minOverlap(), opts...)
+		})
 }
 
 // JaccardBlocker keeps pairs whose tokenized attribute Jaccard similarity
@@ -96,66 +66,58 @@ func (b JaccardBlocker) Name() string {
 
 // Block implements Blocker.
 func (b JaccardBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	if err := requireKeys(lt, rt); err != nil {
-		return nil, err
-	}
-	rec := obs.Or(b.Metrics)
-	bl := obs.L("blocker", b.Name())
-	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
-	tok := b.Tokenizer
+	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr, b.Tokenizer),
+		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
+			return simjoin.JaccardJoin(l, r, b.Threshold, opts...)
+		})
+}
+
+// joinBlock is the one body of the join-backed blockers: both tables'
+// records go through one filtered similarity join (package simjoin, given
+// the blocker's Workers and Metrics), and the joined pairs are the
+// candidate set.
+func (f frame) joinBlock(lt, rt *table.Table, cat *table.Catalog,
+	records func(*table.Table) ([]simjoin.Record, error),
+	join func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error)) (*table.Table, error) {
+	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
+		lrecs, err := records(lt)
+		if err != nil {
+			return nil, 0, err
+		}
+		rrecs, err := records(rt)
+		if err != nil {
+			return nil, 0, err
+		}
+		joined, err := join(lrecs, rrecs, simjoin.WithWorkers(f.workers), simjoin.WithMetrics(f.metrics))
+		if err != nil {
+			return nil, 0, err
+		}
+		out := make([]table.PairID, len(joined))
+		for i, p := range joined {
+			out[i] = table.PairID{L: p.LID, R: p.RID}
+		}
+		return [][]table.PairID{out}, -1, nil
+	})
+}
+
+// attrRecords returns the join input of an attribute blocker: one record
+// per row whose attr is non-null, keyed by the table key and tokenized by
+// tok (nil means lower-cased alphanumeric word tokens).
+func attrRecords(attr string, tok tokenize.Tokenizer) func(*table.Table) ([]simjoin.Record, error) {
 	if tok == nil {
 		tok = tokenize.Alphanumeric{ReturnSet: true}
 	}
-	d := intern.NewDict()
-	lrecs, err := tokenIDRecords(lt, b.Attr, tok, d)
-	if err != nil {
-		return nil, err
-	}
-	rrecs, err := tokenIDRecords(rt, b.Attr, tok, d)
-	if err != nil {
-		return nil, err
-	}
-	joined, err := simjoin.JaccardJoinIDs(lrecs, rrecs, b.Threshold, simjoin.WithWorkers(b.Workers), simjoin.WithMetrics(b.Metrics))
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := table.NewPairTable(b.Name(), lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	table.AppendPairs(pairs, joinedPairIDs(joined))
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
-}
-
-// joinedPairIDs converts simjoin output to a batch-append buffer.
-func joinedPairIDs(joined []simjoin.Pair) []table.PairID {
-	out := make([]table.PairID, len(joined))
-	for i, p := range joined {
-		out[i] = table.PairID{L: p.LID, R: p.RID}
-	}
-	return out
-}
-
-// tokenIDRecords tokenizes one attribute of every row into pre-interned
-// simjoin records keyed by the table key. Callers pass one dictionary for
-// both tables of a blocking run, so the join never re-hashes token strings.
-func tokenIDRecords(t *table.Table, attr string, tok tokenize.Tokenizer, d *intern.Dict) ([]simjoin.IDRecord, error) {
-	j := t.Schema().Lookup(attr)
-	if j < 0 {
-		return nil, fmt.Errorf("block: attribute %q missing from %q", attr, t.Name())
-	}
-	kj := t.Schema().Lookup(t.Key())
-	out := make([]simjoin.IDRecord, 0, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		v := t.Row(i)[j]
-		if v.IsNull() {
-			continue
+	return func(t *table.Table) ([]simjoin.Record, error) {
+		j := t.Schema().Lookup(attr)
+		if j < 0 {
+			return nil, fmt.Errorf("block: attribute %q missing from %q", attr, t.Name())
 		}
-		out = append(out, simjoin.IDRecord{
-			ID:     t.Row(i)[kj].AsString(),
-			Tokens: d.InternTokens(tok.Tokenize(v.AsString())),
-		})
+		out := make([]simjoin.Record, 0, t.Len())
+		for i, id := range keyStrings(t) {
+			if v := t.Row(i)[j]; !v.IsNull() {
+				out = append(out, simjoin.Record{ID: id, Tokens: tok.Tokenize(v.AsString())})
+			}
+		}
+		return out, nil
 	}
-	return out, nil
 }

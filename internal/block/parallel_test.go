@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/feature"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/table"
 )
@@ -49,8 +50,29 @@ func requireSameTable(t *testing.T, serial, par *table.Table, label string) {
 // buffer discipline.
 func TestBlockersParallelDeterminism(t *testing.T) {
 	a, b := parallelTables(t)
+	for _, blk := range everyBlocker(a) {
+		serial, err := withKnobs(blk, 1, nil).Block(a, b, table.NewCatalog())
+		if err != nil {
+			t.Fatalf("%s: %v", blk.Name(), err)
+		}
+		if serial.Len() == 0 {
+			t.Fatalf("%s: empty candidate set, test exercises nothing", blk.Name())
+		}
+		for _, workers := range []int{0, 3, 16} {
+			par, err := withKnobs(blk, workers, nil).Block(a, b, table.NewCatalog())
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", blk.Name(), workers, err)
+			}
+			requireSameTable(t, serial, par, blk.Name())
+		}
+	}
+}
+
+// everyBlocker is one configuration of each candidate-generating blocker
+// over the person schema of a.
+func everyBlocker(a *table.Table) []Blocker {
 	state := a.Schema().Lookup("state")
-	blockers := []Blocker{
+	return []Blocker{
 		CrossBlocker{},
 		AttrEquivalenceBlocker{Attr: "state"},
 		HashBlocker{Attr: "city", Transform: LowerTransform},
@@ -68,50 +90,35 @@ func TestBlockersParallelDeterminism(t *testing.T) {
 		JaccardBlocker{Attr: "name", Threshold: 0.3},
 		WholeTupleOverlapBlocker{MinOverlap: 2},
 	}
-	for _, blk := range blockers {
-		serial, err := withWorkers(blk, 1).Block(a, b, table.NewCatalog())
-		if err != nil {
-			t.Fatalf("%s: %v", blk.Name(), err)
-		}
-		if serial.Len() == 0 {
-			t.Fatalf("%s: empty candidate set, test exercises nothing", blk.Name())
-		}
-		for _, workers := range []int{0, 3, 16} {
-			par, err := withWorkers(blk, workers).Block(a, b, table.NewCatalog())
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", blk.Name(), workers, err)
-			}
-			requireSameTable(t, serial, par, blk.Name())
-		}
-	}
 }
 
-// withWorkers returns a copy of the blocker with its Workers knob set.
-func withWorkers(blk Blocker, workers int) Blocker {
+// withKnobs returns a copy of the blocker with its Workers and Metrics
+// knobs set.
+func withKnobs(blk Blocker, workers int, rec obs.Recorder) Blocker {
 	switch b := blk.(type) {
 	case CrossBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	case AttrEquivalenceBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	case HashBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	case SortedNeighborhoodBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	case BlackBoxBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	case OverlapBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	case JaccardBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	case WholeTupleOverlapBlocker:
-		b.Workers = workers
+		b.Workers, b.Metrics = workers, rec
 		return b
 	}
 	return blk

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/feature"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/rules"
 	"repro/internal/table"
 )
@@ -36,8 +35,9 @@ type RuleFilter struct {
 // rule fires, registered in cat. It also reports how many pairs each rule
 // dropped (aligned with Rules.Rules).
 func (rf RuleFilter) Filter(cand *table.Table, cat *table.Catalog) (*table.Table, []int, error) {
-	rec := obs.Or(rf.Metrics)
-	bl := obs.L("blocker", "rule_filter")
+	f := frame{"rule_filter", rf.Workers, rf.Metrics}
+	rec := obs.Or(f.metrics)
+	bl := obs.L("blocker", f.name)
 	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
 	meta, ok := cat.PairMeta(cand)
 	if !ok {
@@ -71,9 +71,7 @@ func (rf RuleFilter) Filter(cand *table.Table, cat *table.Catalog) (*table.Table
 		kept    []table.PairID
 		dropped []int
 	}
-	shards, err := parallel.MapChunks(rf.Workers, cand.Len(), func(lo, hi int) (shardResult, error) {
-		stop := obs.StartTimer(rec, obs.BlockShardSeconds, bl)
-		defer stop()
+	shards, err := probeShards(f, cand.Len(), func(lo, hi int) shardResult {
 		res := shardResult{dropped: make([]int, rf.Rules.Len())}
 		for i := lo; i < hi; i++ {
 			fired, idx := compiled.AnyFires(x[i])
@@ -86,7 +84,7 @@ func (rf RuleFilter) Filter(cand *table.Table, cat *table.Catalog) (*table.Table
 				R: cand.Get(i, meta.RID).AsString(),
 			})
 		}
-		return res, nil
+		return res
 	})
 	if err != nil {
 		return nil, nil, err

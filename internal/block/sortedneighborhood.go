@@ -3,11 +3,9 @@ package block
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/intern"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/table"
 )
 
@@ -43,12 +41,16 @@ func (b SortedNeighborhoodBlocker) window() int {
 
 // Block implements Blocker.
 func (b SortedNeighborhoodBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	if err := requireKeys(lt, rt); err != nil {
-		return nil, err
-	}
-	rec := obs.Or(b.Metrics)
-	bl := obs.L("blocker", b.Name())
-	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
+	f := frame{b.Name(), b.Workers, b.Metrics}
+	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
+		merged, err := b.scan(f, lt, rt)
+		return [][]table.PairID{merged}, -1, err
+	})
+}
+
+// scan is the sorted-neighborhood method proper: the cross-table pairs
+// that co-occur in some window, in first-occurrence order.
+func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.PairID, error) {
 	lj := lt.Schema().Lookup(b.Attr)
 	rj := rt.Schema().Lookup(b.Attr)
 	if lj < 0 || rj < 0 {
@@ -56,7 +58,7 @@ func (b SortedNeighborhoodBlocker) Block(lt, rt *table.Table, cat *table.Catalog
 	}
 	keyFn := b.KeyFunc
 	if keyFn == nil {
-		keyFn = func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
+		keyFn = LowerTransform
 	}
 
 	// Row IDs are interned to dense uint32s so the window-scan dedup runs
@@ -70,28 +72,18 @@ func (b SortedNeighborhoodBlocker) Block(lt, rt *table.Table, cat *table.Catalog
 		left bool
 	}
 	var entries []entry
-	lkey := lt.Schema().Lookup(lt.Key())
-	for i := 0; i < lt.Len(); i++ {
-		v := lt.Row(i)[lj]
-		if v.IsNull() {
-			continue
+	for i, id := range keyStrings(lt) {
+		if v := lt.Row(i)[lj]; !v.IsNull() {
+			entries = append(entries, entry{keyFn(v.AsString()), d.Intern(id), true})
 		}
-		entries = append(entries, entry{keyFn(v.AsString()), d.Intern(lt.Row(i)[lkey].AsString()), true})
 	}
-	rkey := rt.Schema().Lookup(rt.Key())
-	for i := 0; i < rt.Len(); i++ {
-		v := rt.Row(i)[rj]
-		if v.IsNull() {
-			continue
+	for i, id := range keyStrings(rt) {
+		if v := rt.Row(i)[rj]; !v.IsNull() {
+			entries = append(entries, entry{keyFn(v.AsString()), d.Intern(id), false})
 		}
-		entries = append(entries, entry{keyFn(v.AsString()), d.Intern(rt.Row(i)[rkey].AsString()), false})
 	}
 	sort.SliceStable(entries, func(a, c int) bool { return entries[a].key < entries[c].key })
 
-	pairs, err := table.NewPairTable(b.Name(), lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
 	w := b.window()
 	// Each shard scans its own range of window starts, deduplicating
 	// locally; windows starting near a shard boundary reach into the next
@@ -100,10 +92,8 @@ func (b SortedNeighborhoodBlocker) Block(lt, rt *table.Table, cat *table.Catalog
 	// in window-start order, so the output matches the serial scan.
 	// Pairs travel as packed (left id << 32 | right id) keys until the
 	// final emit; interning is injective, so the packed key identifies the
-	// (L, R) string pair exactly as the old [2]string key did.
-	shards, err := parallel.MapChunks(b.Workers, len(entries), func(lo, hi int) ([]uint64, error) {
-		stop := obs.StartTimer(rec, obs.BlockShardSeconds, bl)
-		defer stop()
+	// (L, R) string pair exactly as a [2]string key would.
+	shards, err := probeShards(f, len(entries), func(lo, hi int) []uint64 {
 		out := make([]uint64, 0, hi-lo)
 		local := make(map[uint64]bool)
 		for i := lo; i < hi; i++ {
@@ -126,7 +116,7 @@ func (b SortedNeighborhoodBlocker) Block(lt, rt *table.Table, cat *table.Catalog
 				}
 			}
 		}
-		return out, nil
+		return out
 	})
 	if err != nil {
 		return nil, err
@@ -145,7 +135,5 @@ func (b SortedNeighborhoodBlocker) Block(lt, rt *table.Table, cat *table.Catalog
 			}
 		}
 	}
-	table.AppendPairs(pairs, merged)
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
+	return merged, nil
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simjoin"
 	"repro/internal/table"
-	"repro/internal/tokenize"
 )
 
 // WholeTupleOverlapBlocker keeps pairs whose concatenated non-key string
@@ -27,49 +26,24 @@ type WholeTupleOverlapBlocker struct {
 
 // Name implements Blocker.
 func (b WholeTupleOverlapBlocker) Name() string {
-	k := b.MinOverlap
-	if k < 1 {
-		k = 1
-	}
-	return fmt.Sprintf("whole_tuple_overlap(k=%d)", k)
+	return fmt.Sprintf("whole_tuple_overlap(k=%d)", max(b.MinOverlap, 1))
 }
 
 // Block implements Blocker.
 func (b WholeTupleOverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	if err := requireKeys(lt, rt); err != nil {
-		return nil, err
-	}
-	rec := obs.Or(b.Metrics)
-	bl := obs.L("blocker", b.Name())
-	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
-	k := b.MinOverlap
-	if k < 1 {
-		k = 1
-	}
-	tok := tokenize.Alphanumeric{ReturnSet: true}
-	lrecs := wholeTupleRecords(lt, tok)
-	rrecs := wholeTupleRecords(rt, tok)
-	joined, err := simjoin.OverlapJoin(lrecs, rrecs, k, simjoin.WithWorkers(b.Workers), simjoin.WithMetrics(b.Metrics))
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := table.NewPairTable(b.Name(), lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	table.AppendPairs(pairs, joinedPairIDs(joined))
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
+	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, wholeTupleRecords,
+		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
+			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
+		})
 }
 
-// wholeTupleRecords tokenizes the concatenation of all non-key attributes
-// of every row.
-func wholeTupleRecords(t *table.Table, tok tokenize.Tokenizer) []simjoin.Record {
-	toks := tupleTokens(t, tok)
-	kj := t.Schema().Lookup(t.Key())
-	out := make([]simjoin.Record, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		out[i] = simjoin.Record{ID: t.Row(i)[kj].AsString(), Tokens: toks[i]}
+// wholeTupleRecords keys every row's whole-tuple token set
+// (table.WholeTupleTokens) by the table key.
+func wholeTupleRecords(t *table.Table) ([]simjoin.Record, error) {
+	ids := keyStrings(t)
+	out := make([]simjoin.Record, len(ids))
+	for i, toks := range table.WholeTupleTokens(t) {
+		out[i] = simjoin.Record{ID: ids[i], Tokens: toks}
 	}
-	return out
+	return out, nil
 }

@@ -3,7 +3,6 @@ package cloud
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -193,16 +192,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), "raise the server's -maxbody or shrink the payload")
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadJSON, err.Error(), "")
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	gold := label.NewGold(req.Gold)

@@ -223,7 +223,8 @@ func TestHTTPBadJSONStructuredError(t *testing.T) {
 }
 
 // TestHTTPPayloadTooLarge checks the body cap configured via
-// WithMaxBodySize yields a 413 with a payload_too_large error.
+// WithMaxBodySize yields a 413 with a payload_too_large error whose detail
+// names the flag that raises the cap.
 func TestHTTPPayloadTooLarge(t *testing.T) {
 	mm := NewMetamanager(NewRegistry(), EngineConfig{})
 	srv := httptest.NewServer(NewServer(mm, WithMaxBodySize(128)).Handler())
@@ -245,8 +246,13 @@ func TestHTTPPayloadTooLarge(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
 	}
-	if e := decodeError(t, resp.Body); e.Code != "payload_too_large" {
+	e := decodeError(t, resp.Body)
+	if e.Code != "payload_too_large" {
 		t.Errorf("code = %q, want payload_too_large", e.Code)
+	}
+	// The detail names the flag cmd/cloudmatcher really has.
+	if !strings.Contains(e.Detail, "-max-body") {
+		t.Errorf("detail = %q, want it to name the -max-body flag", e.Detail)
 	}
 }
 

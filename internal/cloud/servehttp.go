@@ -23,7 +23,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), "raise the server's -maxbody or shrink the payload")
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), "raise the server's -max-body or shrink the payload")
 			return false
 		}
 		writeError(w, http.StatusBadRequest, codeBadJSON, err.Error(), "")
@@ -90,6 +90,13 @@ func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.corpusEntry(w, req.Corpus)
 	if !ok {
 		return
+	}
+	for i, rec := range req.Records {
+		if err := rec.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRecord, err.Error(),
+				fmt.Sprintf("record %d of %d; nothing was applied", i+1, len(req.Records)))
+			return
+		}
 	}
 	applied := 0
 	for _, rec := range req.Records {

@@ -152,6 +152,34 @@ func TestHTTPCorpusUpsert(t *testing.T) {
 	}
 }
 
+// TestHTTPCorpusAddBadRecord: a record that fails validation is a 400
+// bad_record, with or without upsert, and the batch it rode in on is not
+// applied — not even the valid records ahead of it.
+func TestHTTPCorpusAddBadRecord(t *testing.T) {
+	srv, c, _ := newServeTestServer(t)
+	for _, upsert := range []bool{false, true} {
+		resp := postJSON(t, srv.URL+"/v1/corpus/add", corpusAddRequest{
+			Corpus: "products",
+			Records: []serve.Record{
+				{ID: "fresh", Attrs: map[string]string{"name": "initech llc"}},
+				{ID: "", Attrs: map[string]string{"name": "nameless"}},
+			},
+			Upsert: upsert,
+		})
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("upsert=%v: bad record = %d, want 400", upsert, resp.StatusCode)
+		}
+		eb := decodeError(t, resp.Body)
+		if eb.Code != "bad_record" || !strings.Contains(eb.Detail, "record 2 of 2") {
+			t.Fatalf("upsert=%v: bad_record envelope = %+v", upsert, eb)
+		}
+		if got := c.Stats().Records; got != 3 {
+			t.Fatalf("upsert=%v: %d records after a rejected batch, want the original 3", upsert, got)
+		}
+	}
+}
+
 // TestHTTPServeErrors covers the structured envelope on the serving
 // routes: unknown corpus, unconfigured registry, and bad JSON.
 func TestHTTPServeErrors(t *testing.T) {

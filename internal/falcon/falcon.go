@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/active"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/rules"
 	"repro/internal/simjoin"
 	"repro/internal/table"
-	"repro/internal/tokenize"
 )
 
 // Config tunes a Falcon run.
@@ -252,7 +250,17 @@ func samplePairs(a, b *table.Table, cat *table.Catalog, n int, rng *rand.Rand) (
 		}
 	}
 
-	joined, err := simjoin.OverlapJoin(wholeTupleRecords(a), wholeTupleRecords(b), 1)
+	// Every row's whole-tuple token set, keyed by the table key.
+	records := func(t *table.Table) []simjoin.Record {
+		kj := t.Schema().Lookup(t.Key())
+		out := make([]simjoin.Record, t.Len())
+		for i, toks := range table.WholeTupleTokens(t) {
+			out[i] = simjoin.Record{ID: t.Row(i)[kj].AsString(), Tokens: toks}
+		}
+		return out
+	}
+	lrecs, rrecs := records(a), records(b)
+	joined, err := simjoin.OverlapJoin(lrecs, rrecs, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -284,40 +292,11 @@ func samplePairs(a, b *table.Table, cat *table.Catalog, n int, rng *rand.Rand) (
 	}
 
 	// Random remainder (also tops up if the overlap halves fell short).
-	lkey := a.Schema().Lookup(a.Key())
-	rkey := b.Schema().Lookup(b.Key())
 	maxAttempts := 20 * n
 	for attempt := 0; sample.Len() < n && attempt < maxAttempts; attempt++ {
-		i := rng.Intn(a.Len())
-		j := rng.Intn(b.Len())
-		add(a.Row(i)[lkey].AsString(), b.Row(j)[rkey].AsString())
+		add(lrecs[rng.Intn(len(lrecs))].ID, rrecs[rng.Intn(len(rrecs))].ID)
 	}
 	return sample, nil
-}
-
-// wholeTupleRecords tokenizes the concatenation of every row's non-key
-// string attributes for the sampler's overlap join.
-func wholeTupleRecords(t *table.Table) []simjoin.Record {
-	tok := tokenize.Alphanumeric{ReturnSet: true}
-	kj := t.Schema().Lookup(t.Key())
-	out := make([]simjoin.Record, t.Len())
-	var sb strings.Builder
-	for i := 0; i < t.Len(); i++ {
-		sb.Reset()
-		for j := 0; j < t.Schema().Len(); j++ {
-			if j == kj {
-				continue
-			}
-			v := t.Row(i)[j]
-			if v.IsNull() {
-				continue
-			}
-			sb.WriteString(v.AsString())
-			sb.WriteByte(' ')
-		}
-		out[i] = simjoin.Record{ID: t.Row(i)[kj].AsString(), Tokens: tok.Tokenize(sb.String())}
-	}
-	return out
 }
 
 // sortByVoteDesc orders pool indices by the forest's match-vote fraction,

@@ -139,7 +139,7 @@ func (c *Corpus) Len() int { return c.snap.Load().records }
 
 // Add inserts a new record; it is an error if the ID is already live.
 func (c *Corpus) Add(rec Record) error {
-	if err := rec.validate(); err != nil {
+	if err := rec.Validate(); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -156,7 +156,7 @@ func (c *Corpus) Add(rec Record) error {
 // a fresh slot appended (so postings stay sorted by construction). It is
 // an error if the ID is not live.
 func (c *Corpus) Update(rec Record) error {
-	if err := rec.validate(); err != nil {
+	if err := rec.Validate(); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -352,7 +352,7 @@ func (c *Corpus) CandidateIDs(q Record) []string {
 // sync.Pool; with a matcher installed, candidates are featurized into one
 // flat matrix and scored through the FlatForest batch kernel.
 func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
-	if err := q.validate(); err != nil {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	rec := obs.Or(c.cfg.metrics)

@@ -128,8 +128,10 @@ func blockTokens(tok tokenize.Tokenizer, attrs map[string]string) []string {
 	return out
 }
 
-// validate rejects records the corpus cannot hold.
-func (r Record) validate() error {
+// Validate rejects records the corpus cannot hold. Add, Update and MatchOne
+// run it themselves; a caller applying a batch runs it over the whole
+// batch first so that a bad record leaves nothing half-applied.
+func (r Record) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("serve: record with empty ID")
 	}

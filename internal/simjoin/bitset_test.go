@@ -16,8 +16,7 @@ const flipLen = 512
 
 // skewedRecords builds records of minToks..maxToks draws over a 400-token
 // vocabulary, half of the draws from a 9-token hot head with a skew of its
-// own — so the head tokens get long postings lists of different lengths,
-// and records of more than ~70 draws cross denseMinTokens.
+// own — so the head tokens get long postings lists of different lengths.
 func skewedRecords(prefix string, n, minToks, maxToks int, rng *rand.Rand) []Record {
 	out := make([]Record, n)
 	for i := range out {
@@ -35,11 +34,11 @@ func skewedRecords(prefix string, n, minToks, maxToks int, rng *rand.Rand) []Rec
 	return out
 }
 
-// bitsetFixture is one join input reaching every representation at the
-// real thresholds: 4 500 sparse right records make the hot tokens' lists
-// bitmaps while the 391 tail tokens stay arrays, and dense records on both
-// sides meet sparse ones, so the verifier takes its AND/popcount,
-// contains-probe and merge branches.
+// bitsetFixture is one join input reaching both postings representations
+// at the real flip point: 4 500 sparse right records make the hot tokens'
+// lists bitmaps while the 391 tail tokens stay arrays, and 90–180-token
+// records on both sides meet 1–10-token ones, so the bounded merge verifies
+// long×long, long×short and short×short pairs.
 func bitsetFixture(seed int64) (l, r []Record) {
 	rng := rand.New(rand.NewSource(seed))
 	l = append(skewedRecords("ls", 120, 1, 10, rng), skewedRecords("ld", 30, 90, 180, rng)...)
@@ -74,7 +73,7 @@ var bitsetJoins = []struct {
 // that token), and the positional filter passes there. Nothing in it
 // depends on how postings are stored.
 func specCandidates(l, r []Record, m measure, threshold float64) int {
-	pl, pr, _ := prepare(internRecords(l, r))
+	pl, pr, _ := prepare(l, r)
 	count := 0
 	for _, a := range pl {
 		n := len(a.toks)
@@ -104,13 +103,12 @@ func specCandidates(l, r []Record, m measure, threshold float64) int {
 }
 
 // TestBitsetPathsBitIdentical is the equivalence oracle of the shared
-// representation: on a fixture where array postings, bitmap postings and
-// all three verifier kernels are live at once, every join must be
-// bit-identical — pairs AND similarity floats — to the retained string
-// reference at every worker count, and must verify exactly the candidates
-// the representation-free definition names: array and bitmap postings
-// apply the same positional filter, so neither verifies a pair the other
-// would have pruned.
+// representation: on a fixture where array postings and bitmap postings
+// are live at once, every join must be bit-identical — pairs AND
+// similarity floats — to the retained string reference at every worker
+// count, and must verify exactly the candidates the representation-free
+// definition names: array and bitmap postings apply the same positional
+// filter, so neither verifies a pair the other would have pruned.
 func TestBitsetPathsBitIdentical(t *testing.T) {
 	l, r := bitsetFixture(41)
 	for _, j := range bitsetJoins {
@@ -138,9 +136,9 @@ func TestBitsetPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBitsetKnobsAsymmetric pins the one-sided dense cases: a dense left
-// side probing a sparse right side (and vice versa) exercises the
-// contains-probe verifier in both directions.
+// TestBitsetKnobsAsymmetric pins the one-sided cases: 90–180-token records
+// probing 1–8-token ones (and vice versa) at a threshold low enough that
+// the size filter lets them meet.
 func TestBitsetKnobsAsymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	dense := skewedRecords("d", 50, 90, 180, rng)
@@ -170,11 +168,11 @@ func TestBitsetKnobsAsymmetric(t *testing.T) {
 }
 
 // TestBitmapPostingsBuilt sanity-checks that bitsetFixture really reaches
-// every representation in buildIndex and probeSets — guarding the tests
-// above against silently testing the array-and-merge path alone.
+// both postings representations in buildIndex — guarding the tests above
+// against silently testing array postings alone.
 func TestBitmapPostingsBuilt(t *testing.T) {
 	l, r := bitsetFixture(41)
-	pl, pr, nids := prepare(internRecords(l, r))
+	_, pr, nids := prepare(l, r)
 	for _, j := range bitsetJoins {
 		idx := buildIndex(pr, nids, j.m, j.threshold)
 		arrays, bitmaps := 0, 0
@@ -189,19 +187,5 @@ func TestBitmapPostingsBuilt(t *testing.T) {
 		if arrays == 0 || bitmaps == 0 {
 			t.Errorf("%s: %d array and %d bitmap postings lists, want both", j.name, arrays, bitmaps)
 		}
-		dense, sparse := 0, 0
-		for _, d := range idx.dense {
-			if d != nil {
-				dense++
-			} else {
-				sparse++
-			}
-		}
-		if dense == 0 || sparse == 0 {
-			t.Errorf("%s: %d dense and %d sparse indexed records, want both", j.name, dense, sparse)
-		}
-	}
-	if probeSets(pl) == nil {
-		t.Error("no dense probe records")
 	}
 }

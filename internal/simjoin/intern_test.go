@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/intern"
 )
 
 // TestInternedJoinsMatchReference pins the tentpole equivalence: every
@@ -49,59 +47,6 @@ func TestInternedJoinsMatchReference(t *testing.T) {
 				t.Fatalf("trial %d overlap k=%d: interned join diverged from reference", trial, k)
 			}
 		}
-	}
-}
-
-// TestJoinIDsMatchesStringAPI: pre-interning through a caller-owned
-// dictionary (the blocker path) must be indistinguishable from handing the
-// join raw strings.
-func TestJoinIDsMatchesStringAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	l := randomRecords(80, rng)
-	r := randomRecords(80, rng)
-	d := intern.NewDict()
-	conv := func(rs []Record) []IDRecord {
-		out := make([]IDRecord, len(rs))
-		for i, rec := range rs {
-			out[i] = IDRecord{ID: rec.ID, Tokens: d.InternTokens(rec.Tokens)}
-		}
-		return out
-	}
-	il, ir := conv(l), conv(r)
-
-	gotJ, err := JaccardJoinIDs(il, ir, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJ, err := JaccardJoin(l, r, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotJ, wantJ) {
-		t.Error("JaccardJoinIDs diverged from JaccardJoin")
-	}
-
-	gotO, err := OverlapJoinIDs(il, ir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantO, err := OverlapJoin(l, r, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotO, wantO) {
-		t.Error("OverlapJoinIDs diverged from OverlapJoin")
-	}
-}
-
-// TestJoinIDsValidation: the IDs APIs validate thresholds like the string
-// APIs.
-func TestJoinIDsValidation(t *testing.T) {
-	if _, err := JaccardJoinIDs(nil, nil, 0); err == nil {
-		t.Error("want threshold error for 0")
-	}
-	if _, err := OverlapJoinIDs(nil, nil, 0); err == nil {
-		t.Error("want overlap threshold error")
 	}
 }
 

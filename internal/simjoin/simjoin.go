@@ -15,12 +15,10 @@
 // zero-allocation merge that abandons the pair as soon as the remaining
 // suffix cannot reach the required overlap.
 //
-// The string-token APIs (JaccardJoin etc.) intern their inputs into a
-// per-call dictionary; callers that already hold interned IDs (the blockers
-// in package block) use the *JoinIDs variants and share one dictionary
-// across blocking, joining, and feature extraction. The retained map-based
-// string implementation lives in reference_test.go as the equivalence
-// oracle.
+// Each join interns its inputs into a per-call dictionary; there is one
+// entry point per measure (JaccardJoin, CosineJoin, DiceJoin, OverlapJoin,
+// EditDistanceJoin). The retained map-based string implementation lives in
+// reference_test.go as the equivalence oracle.
 package simjoin
 
 import (
@@ -45,14 +43,6 @@ type Record struct {
 	Tokens []string
 }
 
-// IDRecord is one tokenized input row whose tokens are already interned to
-// IDs by a caller-owned intern.Dict (shared across both sides of the join).
-// Token order does not matter and duplicates are collapsed internally.
-type IDRecord struct {
-	ID     string
-	Tokens []uint32
-}
-
 // Pair is one output row of a join.
 type Pair struct {
 	LID, RID string
@@ -63,10 +53,9 @@ type Pair struct {
 
 // JoinOption tunes join execution; see WithWorkers and WithMetrics.
 // Options apply in order, so later options win. The same option surface
-// serves the string-token APIs (JaccardJoin et al.), the pre-interned
-// *JoinIDs variants, and the edit-distance join. How postings and records
-// are represented is not an option: it follows from list length
-// (bitvec.Postings) and record size (denseMinTokens).
+// serves the set joins and the edit-distance join. How postings are
+// represented is not an option: it follows from list length
+// (bitvec.Postings).
 type JoinOption func(*config)
 
 // config is the resolved option set.
@@ -99,23 +88,10 @@ func applyJoinOptions(opts []JoinOption) config {
 	return c
 }
 
-const (
-	// denseMinTokens is the token-set size at which a record additionally
-	// carries a compressed bitset (bitvec.Set), switching its
-	// verifications from the sorted merge to the word-level AND/popcount
-	// kernels: below ~64 tokens the zero-alloc bounded merge wins; above
-	// it the container kernels start to pay, and the 8 KiB worst-case
-	// bitmap cost amortizes.
-	denseMinTokens = 64
-	// bitsetVerifyRatio gates the asymmetric contains-probe verify: the
-	// small side must be at least this many times smaller than the dense
-	// side before per-ID probing beats the linear merge.
-	bitsetVerifyRatio = 4
-	// probeMinWork is the smallest probe scan worth fanning out: each
-	// chunk allocates an epoch-stamp array over the whole right side, so
-	// tiny scans lose to serial execution.
-	probeMinWork = 128
-)
+// probeMinWork is the smallest probe scan worth fanning out: each chunk
+// allocates an epoch-stamp array over the whole right side, so tiny scans
+// lose to serial execution.
+const probeMinWork = 128
 
 // joinShard is one worker's contiguous share of a join probe scan: the
 // pairs it emitted and the candidates it verified. Shards concatenate in
@@ -143,49 +119,23 @@ func (m measure) String() string {
 
 // JaccardJoin returns all pairs with Jaccard similarity >= threshold.
 func JaccardJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
-	il, ir := internRecords(l, r)
-	return setJoin(il, ir, threshold, measureJaccard, applyJoinOptions(opts))
+	return setJoin(l, r, threshold, measureJaccard, opts)
 }
 
 // CosineJoin returns all pairs with set-cosine similarity >= threshold.
 func CosineJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
-	il, ir := internRecords(l, r)
-	return setJoin(il, ir, threshold, measureCosine, applyJoinOptions(opts))
+	return setJoin(l, r, threshold, measureCosine, opts)
 }
 
 // DiceJoin returns all pairs with Dice similarity >= threshold.
 func DiceJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
-	il, ir := internRecords(l, r)
-	return setJoin(il, ir, threshold, measureDice, applyJoinOptions(opts))
+	return setJoin(l, r, threshold, measureDice, opts)
 }
 
-// JaccardJoinIDs is JaccardJoin over pre-interned records.
-func JaccardJoinIDs(l, r []IDRecord, threshold float64, opts ...JoinOption) ([]Pair, error) {
-	return setJoin(l, r, threshold, measureJaccard, applyJoinOptions(opts))
-}
-
-// CosineJoinIDs is CosineJoin over pre-interned records.
-func CosineJoinIDs(l, r []IDRecord, threshold float64, opts ...JoinOption) ([]Pair, error) {
-	return setJoin(l, r, threshold, measureCosine, applyJoinOptions(opts))
-}
-
-// DiceJoinIDs is DiceJoin over pre-interned records.
-func DiceJoinIDs(l, r []IDRecord, threshold float64, opts ...JoinOption) ([]Pair, error) {
-	return setJoin(l, r, threshold, measureDice, applyJoinOptions(opts))
-}
-
-// internRecords interns both collections through one fresh dictionary —
-// the adapter the string-token APIs run before the integer join.
-func internRecords(l, r []Record) (il, ir []IDRecord) {
-	d := intern.NewDict()
-	conv := func(rs []Record) []IDRecord {
-		out := make([]IDRecord, len(rs))
-		for i, rec := range rs {
-			out[i] = IDRecord{ID: rec.ID, Tokens: d.InternTokens(rec.Tokens)}
-		}
-		return out
-	}
-	return conv(l), conv(r)
+// OverlapJoin returns all pairs sharing at least k tokens. Sim in the
+// output is the raw overlap count.
+func OverlapJoin(l, r []Record, k int, opts ...JoinOption) ([]Pair, error) {
+	return setJoin(l, r, float64(k), measureOverlap, opts)
 }
 
 // intRec is a canonicalized record: duplicate-free token IDs remapped to
@@ -195,27 +145,22 @@ type intRec struct {
 	toks []uint32
 }
 
-// prepare canonicalizes both collections: per-record dedup, a document
-// frequency count over both sides, a frequency-ordered remap of the ID
-// space (intern.FrequencyRemap), and a final per-record sort. nids is the
-// size of the remapped ID space, used to size the dense postings index.
-func prepare(l, r []IDRecord) (pl, pr []intRec, nids int) {
-	maxID := -1
-	canon := func(rs []IDRecord) []intRec {
+// prepare interns both collections through one fresh dictionary and
+// canonicalizes them: per-record dedup, a document frequency count over
+// both sides, a frequency-ordered remap of the ID space
+// (intern.FrequencyRemap), and a final per-record sort. nids is the size
+// of the ID space, used to size the postings index.
+func prepare(l, r []Record) (pl, pr []intRec, nids int) {
+	d := intern.NewDict()
+	canon := func(rs []Record) []intRec {
 		out := make([]intRec, len(rs))
 		for i, rec := range rs {
-			toks := make([]uint32, len(rec.Tokens))
-			copy(toks, rec.Tokens)
-			toks = intern.SortedDedup(toks)
-			if n := len(toks); n > 0 && int(toks[n-1]) > maxID {
-				maxID = int(toks[n-1])
-			}
-			out[i] = intRec{id: rec.ID, toks: toks}
+			out[i] = intRec{id: rec.ID, toks: d.SortedSet(rec.Tokens)}
 		}
 		return out
 	}
 	pl, pr = canon(l), canon(r)
-	freq := make([]int, maxID+1)
+	freq := make([]int, d.Len())
 	for _, rec := range pl {
 		for _, t := range rec.toks {
 			freq[t]++
@@ -347,14 +292,11 @@ func similarity(m measure, inter, n1, n2 int) float64 {
 // posts[t] lists the positions (in pr) of the records holding token t
 // within their prefix. A posting does not store where in the record t
 // sits: records are sorted token slices, so the probe loop recovers it
-// with a binary search when the positional filter needs it. Records of at
-// least denseMinTokens tokens also carry their token set as a bitvec.Set
-// (dense[j]) for the bitset verifier.
+// with a binary search when the positional filter needs it.
 type joinIndex struct {
 	pr    []intRec
 	sizes []int // sizes[j] = len(pr[j].toks), ascending
 	posts []*bitvec.Postings
-	dense []*bitvec.Set // token bitsets of dense records, else nil
 }
 
 // buildIndex size-sorts the right collection and indexes each record's
@@ -364,14 +306,10 @@ func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex 
 	idx := &joinIndex{pr: pr}
 	sort.SliceStable(idx.pr, func(a, b int) bool { return len(idx.pr[a].toks) < len(idx.pr[b].toks) })
 	idx.sizes = make([]int, len(idx.pr))
-	idx.dense = make([]*bitvec.Set, len(idx.pr))
 	lists := make([][]uint32, nids)
 	for j, rec := range idx.pr {
 		n := len(rec.toks)
 		idx.sizes[j] = n
-		if n >= denseMinTokens {
-			idx.dense[j] = bitvec.FromSorted(rec.toks)
-		}
 		for _, t := range rec.toks[:prefixLen(m, threshold, n)] {
 			lists[t] = append(lists[t], uint32(j))
 		}
@@ -391,43 +329,6 @@ func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex 
 //emlint:zeroalloc
 func (idx *joinIndex) sizeWindow(lo, hi int) (jlo, jhi int) {
 	return sort.SearchInts(idx.sizes, lo), sort.SearchInts(idx.sizes, hi+1)
-}
-
-// probeSets builds the probe-side dense bitsets (the left counterpart of
-// joinIndex.dense), nil when no record qualifies.
-func probeSets(pl []intRec) []*bitvec.Set {
-	var sets []*bitvec.Set
-	for i, rec := range pl {
-		if len(rec.toks) >= denseMinTokens {
-			if sets == nil {
-				sets = make([]*bitvec.Set, len(pl))
-			}
-			sets[i] = bitvec.FromSorted(rec.toks)
-		}
-	}
-	return sets
-}
-
-// verifyOverlap returns the exact overlap of probe and cand when it can
-// still reach need (else -1, the shared early-exit convention), choosing
-// the cheapest kernel the representations allow: word-level AND/popcount
-// when both sides carry bitsets, per-ID contains-probing when exactly one
-// side is dense and the other is enough smaller (bitsetVerifyRatio), and
-// the zero-alloc bounded merge otherwise.
-//
-//emlint:zeroalloc
-func verifyOverlap(probe []uint32, probeSet *bitvec.Set, cand []uint32, candSet *bitvec.Set, need int) int {
-	if candSet != nil {
-		if probeSet != nil {
-			return bitvec.AndCountBounded(probeSet, candSet, need)
-		}
-		if len(probe)*bitsetVerifyRatio <= len(cand) {
-			return bitvec.AndCountArrayBounded(candSet, probe, need)
-		}
-	} else if probeSet != nil && len(cand)*bitsetVerifyRatio <= len(probe) {
-		return bitvec.AndCountArrayBounded(probeSet, cand, need)
-	}
-	return sim.IntersectSortedU32Bounded(probe, cand, need)
 }
 
 // epochScratch is the probe-local candidate-dedup structure: stamp[j] ==
@@ -468,9 +369,10 @@ func (e *epochScratch) mark(j uint32) bool {
 	return false
 }
 
-// setJoin is the one prefix-filter join driver over interned records. For
-// measureOverlap the threshold is the integer k.
-func setJoin(l, r []IDRecord, threshold float64, m measure, cfg config) ([]Pair, error) {
+// setJoin is the one prefix-filter join driver. For measureOverlap the
+// threshold is the integer k.
+func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]Pair, error) {
+	cfg := applyJoinOptions(opts)
 	if m == measureOverlap {
 		if threshold < 1 {
 			return nil, fmt.Errorf("simjoin: overlap threshold %v must be >= 1", threshold)
@@ -483,7 +385,6 @@ func setJoin(l, r []IDRecord, threshold float64, m measure, cfg config) ([]Pair,
 	defer obs.StartTimer(rec, obs.SimjoinSeconds, join)()
 	pl, pr, nids := prepare(l, r)
 	idx := buildIndex(pr, nids, m, threshold)
-	plSets := probeSets(pl)
 
 	// Probe the index in contiguous shards through the shared pool (kept
 	// serial below probeMinWork probes — the cost gate). Candidates
@@ -498,7 +399,6 @@ func setJoin(l, r []IDRecord, threshold float64, m measure, cfg config) ([]Pair,
 		seen := newEpochScratch(len(idx.pr))
 		var (
 			probe intRec
-			pset  *bitvec.Set
 			n, p  int
 			t     uint32
 		)
@@ -520,7 +420,7 @@ func setJoin(l, r []IDRecord, threshold float64, m measure, cfg config) ([]Pair,
 				return true
 			}
 			nc++
-			inter := verifyOverlap(probe.toks, pset, cand.toks, idx.dense[j], need)
+			inter := sim.IntersectSortedU32Bounded(probe.toks, cand.toks, need)
 			if inter < 0 {
 				return true // suffix-length early exit: can't reach need
 			}
@@ -537,10 +437,6 @@ func setJoin(l, r []IDRecord, threshold float64, m measure, cfg config) ([]Pair,
 			jlo, jhi := idx.sizeWindow(lo, hi)
 			if prefix == 0 || jlo >= jhi {
 				continue
-			}
-			pset = nil
-			if plSets != nil {
-				pset = plSets[i]
 			}
 			seen.next()
 			// The size window is a contiguous rec range and postings are
@@ -574,18 +470,6 @@ func mergeShards(workers int, shards []joinShard) ([]Pair, int) {
 		total += s.cands
 	}
 	return parallel.Concat(workers, parts), total
-}
-
-// OverlapJoin returns all pairs sharing at least k tokens. Sim in the
-// output is the raw overlap count.
-func OverlapJoin(l, r []Record, k int, opts ...JoinOption) ([]Pair, error) {
-	il, ir := internRecords(l, r)
-	return setJoin(il, ir, float64(k), measureOverlap, applyJoinOptions(opts))
-}
-
-// OverlapJoinIDs is OverlapJoin over pre-interned records.
-func OverlapJoinIDs(l, r []IDRecord, k int, opts ...JoinOption) ([]Pair, error) {
-	return setJoin(l, r, float64(k), measureOverlap, applyJoinOptions(opts))
 }
 
 func sortPairs(ps []Pair) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/bitvec"
 	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
@@ -393,24 +392,19 @@ func TestPooledJoinsBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestJoinHotPathZeroAlloc pins the allocation-free contract of the
-// per-candidate helpers the probe loop runs millions of times: overlap
-// verification across every representation pairing, the pair-level
-// overlap bound, the size-window binary search, and the epoch scratch.
+// per-candidate helpers the probe loop runs millions of times: the one
+// overlap verifier, the pair-level overlap bound, the size-window binary
+// search, and the epoch scratch.
 func TestJoinHotPathZeroAlloc(t *testing.T) {
 	probe := []uint32{1, 3, 5, 7, 9, 11}
 	cand := []uint32{3, 4, 5, 9, 10, 11}
-	probeSet := bitvec.FromSorted(probe)
-	candSet := bitvec.FromSorted(cand)
 	idx := &joinIndex{sizes: []int{1, 2, 2, 3, 5, 8}}
 	scratch := newEpochScratch(16)
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"verifyOverlap/merge", func() { verifyOverlap(probe, nil, cand, nil, 2) }},
-		{"verifyOverlap/bitset", func() { verifyOverlap(probe, probeSet, cand, candSet, 2) }},
-		{"verifyOverlap/probe-array", func() { verifyOverlap(probe[:1], nil, cand, candSet, 1) }},
-		{"verifyOverlap/cand-array", func() { verifyOverlap(probe, probeSet, cand[:1], nil, 1) }},
+		{"verify", func() { sim.IntersectSortedU32Bounded(probe, cand, 2) }},
 		{"pairMinOverlap", func() { pairMinOverlap(measureJaccard, 0.8, len(probe), len(cand)) }},
 		{"sizeWindow", func() { idx.sizeWindow(2, 5) }},
 		{"epochScratch", func() {

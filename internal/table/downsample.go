@@ -5,7 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"unicode"
+
+	"repro/internal/tokenize"
 )
 
 // DownSample implements the "intelligent down sampler" of the PyMatcher
@@ -14,8 +15,8 @@ import (
 // to learn from. Instead we:
 //
 //  1. sample sizeB tuples from B,
-//  2. build an inverted index from word tokens of every tuple of A
-//     (concatenating all string attributes),
+//  2. build an inverted index from the whole-tuple tokens of every tuple
+//     of A (WholeTupleTokens),
 //  3. for each sampled B-tuple, probe the index and keep the A-tuples that
 //     share the most tokens,
 //  4. top up with random A-tuples until sizeA is reached.
@@ -37,8 +38,8 @@ func DownSample(a, b *Table, sizeA, sizeB int, rng *rand.Rand) (*Table, *Table, 
 
 	// Inverted index: token -> list of A row indices.
 	inv := make(map[string][]int)
-	for i := 0; i < a.Len(); i++ {
-		for tok := range rowTokens(a, i) {
+	for i, toks := range WholeTupleTokens(a) {
+		for _, tok := range toks {
 			inv[tok] = append(inv[tok], i)
 		}
 	}
@@ -47,9 +48,9 @@ func DownSample(a, b *Table, sizeA, sizeB int, rng *rand.Rand) (*Table, *Table, 
 	// rank candidates per tuple.
 	const probesPerTuple = 5
 	ranked := make([][]int, bSample.Len())
-	for i := 0; i < bSample.Len(); i++ {
+	for i, toks := range WholeTupleTokens(bSample) {
 		scores := make(map[int]int)
-		for tok := range rowTokens(bSample, i) {
+		for _, tok := range toks {
 			post := inv[tok]
 			// Very frequent tokens are stop-word-like; skip huge postings
 			// to keep probing cheap and discriminative.
@@ -114,34 +115,27 @@ func DownSample(a, b *Table, sizeA, sizeB int, rng *rand.Rand) (*Table, *Table, 
 	return aSample, bSample, nil
 }
 
-// rowTokens returns the set of lower-cased word tokens across all string
-// cells of row i, excluding the key column (ids should not drive overlap).
-func rowTokens(t *Table, i int) map[string]bool {
-	toks := make(map[string]bool)
-	r := t.Row(i)
-	for j := 0; j < t.Schema().Len(); j++ {
-		col := t.Schema().Col(j)
-		if col.Name == t.Key() {
-			continue
-		}
-		if r[j].IsNull() {
-			continue
-		}
-		s := strings.ToLower(r[j].AsString())
-		start := -1
-		for k, c := range s {
-			if unicode.IsLetter(c) || unicode.IsDigit(c) {
-				if start < 0 {
-					start = k
-				}
-			} else if start >= 0 {
-				toks[s[start:k]] = true
-				start = -1
+// WholeTupleTokens returns, for every row of t, "the whole tuple" as a
+// token set: the non-key cells in schema order, nulls skipped, split into
+// lower-cased maximal runs of letters and digits, each token once in order
+// of first appearance (ids should not drive overlap, so the key column is
+// left out). It is the one definition the down-sampler, the blocking
+// debugger, the whole-tuple overlap blocker and Falcon's sampler share.
+func WholeTupleTokens(t *Table) [][]string {
+	tok := tokenize.Alphanumeric{ReturnSet: true}
+	kj := t.schema.Lookup(t.key)
+	out := make([][]string, len(t.rows))
+	var sb strings.Builder
+	for i, r := range t.rows {
+		sb.Reset()
+		for j, v := range r {
+			if j == kj || v.IsNull() {
+				continue
 			}
+			sb.WriteString(v.AsString())
+			sb.WriteByte(' ')
 		}
-		if start >= 0 {
-			toks[s[start:]] = true
-		}
+		out[i] = tok.Tokenize(sb.String())
 	}
-	return toks
+	return out
 }
