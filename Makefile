@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint fuzz loc bench examples
+.PHONY: build test race vet lint fuzz loc bench ab examples
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,16 @@ loc:
 # `$(GO) run ./bench -compare a.json b.json`.
 bench:
 	$(GO) run ./bench -workload all
+
+# The paired protocol a performance claim needs (bench/README.md): BASE and
+# HEAD in two git worktrees, N alternating runs of the whole benchmark,
+# `bench -compare` per pair, then quartiles, medians and wins per metric.
+# About five minutes a pair.
+BASE ?= HEAD~1
+HEAD ?= HEAD
+N ?= 10
+ab:
+	bash scripts/bench_ab.sh $(BASE) $(HEAD) $(N)
 
 # The five example programs, run (CI only compiled them): each must exit
 # 0; their output is discarded. Seconds in total.

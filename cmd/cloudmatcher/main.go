@@ -37,10 +37,16 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro/internal/cloud"
 	"repro/internal/obs"
@@ -48,18 +54,36 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	batch := flag.Int("batch-workers", 4, "batch engine worker count")
-	users := flag.Int("user-workers", 16, "user-interaction engine worker count")
-	crowd := flag.Int("crowd-workers", 16, "crowd engine worker count")
-	timeout := flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
-	maxBody := flag.Int64("max-body", 8<<20, "request body cap in bytes")
-	corpus := flag.String("corpus", "default", "name of the built-in serving corpus (empty disables /v1/corpus and /v1/match)")
-	matchWorkers := flag.Int("match-workers", 0, "match pool worker count (0 = GOMAXPROCS; reads are lock-free, so workers scale with cores)")
-	matchQueue := flag.Int("match-queue", 0, "match queue capacity before 429s (0 = 4x workers)")
-	matchLimit := flag.Int("match-limit", 0, "cap /v1/match results to the n best-scoring pairs (0 = all)")
-	compactAfter := flag.Int("compact-after", 0, "tombstones before the corpus compacts and republishes its snapshot (0 = default 1024, -1 = never)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "cloudmatcher:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until ctx is cancelled, then stops accepting, lets requests in
+// flight finish (up to shutdownGrace) and closes the match pool and the
+// metamanager's engines before returning.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("cloudmatcher", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	batch := fs.Int("batch-workers", 4, "batch engine worker count")
+	users := fs.Int("user-workers", 16, "user-interaction engine worker count")
+	crowd := fs.Int("crowd-workers", 16, "crowd engine worker count")
+	timeout := fs.Duration("job-timeout", 0, "per-job deadline (0 = none)")
+	maxBody := fs.Int64("max-body", 8<<20, "request body cap in bytes")
+	corpus := fs.String("corpus", "default", "name of the built-in serving corpus (empty disables /v1/corpus and /v1/match)")
+	matchWorkers := fs.Int("match-workers", 0, "match pool worker count (0 = GOMAXPROCS; reads are lock-free, so workers scale with cores)")
+	matchQueue := fs.Int("match-queue", 0, "match queue capacity before 429s (0 = 4x workers)")
+	matchLimit := fs.Int("match-limit", 0, "cap /v1/match results to the n best-scoring pairs (0 = all)")
+	compactAfter := fs.Int("compact-after", 0, "tombstones before the corpus compacts and republishes its snapshot (0 = default 1024, -1 = never)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	// One registry shared by the HTTP server, the metamanager, and (via
 	// JobContext.Metrics) the pipeline code the services call — so
@@ -83,18 +107,49 @@ func main() {
 			serve.WithLimit(*matchLimit), serve.WithCompactAfter(*compactAfter))
 		corpora := serve.NewRegistry()
 		if err := corpora.Register(*corpus, c, serve.NewPool(c, *matchWorkers, *matchQueue)); err != nil {
-			fmt.Fprintln(os.Stderr, "cloudmatcher:", err)
-			os.Exit(1)
+			return err
 		}
 		defer corpora.Close()
 		opts = append(opts, cloud.WithCorpora(corpora))
 	}
 
-	srv := cloud.NewServer(mm, opts...)
-	basic, composite := mm.Registry().Counts()
-	fmt.Printf("cloudmatcher: %d basic + %d composite services on %s\n", basic, composite, *addr)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
-		fmt.Fprintln(os.Stderr, "cloudmatcher:", err)
-		os.Exit(1)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
+	// A /v1/jobs reply is written when the job ends, so the write deadline
+	// follows the job deadline; without one it is long enough for the
+	// Table-1-sized jobs and a pprof profile, and still finite.
+	writeTimeout := 10 * time.Minute
+	if *timeout > 0 {
+		writeTimeout = *timeout + time.Minute
+	}
+	srv := &http.Server{
+		Handler:           cloud.NewServer(mm, opts...).Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       2 * time.Minute,
+	}
+	basic, composite := mm.Registry().Counts()
+	fmt.Printf("cloudmatcher: %d basic + %d composite services on %s\n", basic, composite, ln.Addr())
+
+	// On cancellation Shutdown stops the listener, which makes Serve
+	// return at once, and then waits for requests in flight; run must not
+	// return (and close the pool and the engines) before that wait is over.
+	drained := make(chan error, 1)
+	stop := context.AfterFunc(ctx, func() {
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		drained <- srv.Shutdown(grace)
+	})
+	defer stop()
+	if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return <-drained
 }
+
+// shutdownGrace bounds how long requests in flight may take to finish once
+// a signal has arrived.
+const shutdownGrace = 15 * time.Second

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/datagen"
+	"repro/internal/intern"
+	"repro/internal/ml"
+	"repro/internal/sim"
 	"repro/internal/table"
 )
 
@@ -76,6 +80,117 @@ func BenchmarkAutoGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := AutoGenerate(a, bt); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// personRows is a PersonDomain task with its 32 AutoGenerate features and
+// both tables rendered as attribute maps: the shape serve_heavy scores.
+func personRows(b *testing.B, n int) (*Set, []map[string]string, []map[string]string) {
+	b.Helper()
+	task, err := datagen.Generate(datagen.Spec{Name: "bench", Domain: datagen.PersonDomain(), SizeA: n, SizeB: n, Typo: 0.2, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := AutoGenerate(task.A, task.B)
+	if err != nil {
+		b.Fatal(err)
+	}
+	render := func(t *table.Table) []map[string]string {
+		out := make([]map[string]string, t.Len())
+		for i := range out {
+			out[i] = rowAttrs(t, t.Row(i))
+		}
+		return out
+	}
+	return fs, render(task.A), render(task.B)
+}
+
+// BenchmarkPrepare is the per-record half: one corpus-side record through
+// Set.Prepare, interning included.
+func BenchmarkPrepare(b *testing.B) {
+	fs, _, rights := personRows(b, 500)
+	d := intern.NewDict()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs.Prepare(rights[i%len(rights)], true, d.SortedSet)
+	}
+}
+
+// BenchmarkPreparedPairVector is the per-pair half with both records
+// prepared beforehand: all 32 columns of one pair.
+func BenchmarkPreparedPairVector(b *testing.B) {
+	fs, lefts, rights := personRows(b, 500)
+	d := intern.NewDict()
+	ls, rs := make([]*Prepared, len(lefts)), make([]*Prepared, len(rights))
+	for i := range ls {
+		ls[i], rs[i] = fs.Prepare(lefts[i], false, d.SortedSet), fs.Prepare(rights[i], true, d.SortedSet)
+	}
+	var sc sim.Scratch
+	x := make([]float64, fs.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs.VectorInto(ls[i%len(ls)], rs[(i*7)%len(rs)], &sc, x)
+	}
+}
+
+// BenchmarkVectorWithInto is what the harness's replay times as
+// feature.pair_vector_ns: both sides prepared from their strings into
+// pooled scratch for every pair, then all 32 columns.
+func BenchmarkVectorWithInto(b *testing.B) {
+	fs, lefts, rights := personRows(b, 500)
+	d := intern.NewDict()
+	lsets, rsets := make([][][]uint32, len(lefts)), make([][][]uint32, len(rights))
+	for i := range lsets {
+		lsets[i], rsets[i] = fs.RecordSets(lefts[i], false, d.SortedSet), fs.RecordSets(rights[i], true, d.SortedSet)
+	}
+	x := make([]float64, fs.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, r := i%len(lefts), (i*7)%len(rights)
+		fs.VectorWithInto(lefts[l], rights[r], lsets[l], rsets[r], x)
+	}
+}
+
+// BenchmarkForest900 is serve's scoring step outside serve: one query
+// prepared, then 900 prepared candidates scored — the full row of each
+// through the compiled forest.
+func BenchmarkForest900(b *testing.B) {
+	fs, lefts, rights := personRows(b, 900)
+	d := intern.NewDict()
+	rs := make([]*Prepared, len(rights))
+	for i := range rs {
+		rs[i] = fs.Prepare(rights[i], true, d.SortedSet)
+	}
+	var x [][]float64
+	var y []int
+	for i := range lefts {
+		x, y = append(x, fs.VectorWith(lefts[i], rights[i], nil, nil), fs.VectorWith(lefts[i], rights[(i+1)%len(rights)], nil, nil)), append(y, 1, 0)
+	}
+	ds, err := ml.NewDataset(x, y, fs.Names())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rf := &ml.RandomForest{NumTrees: 10, Seed: 1, Workers: 1}
+	if err := rf.Fit(ds); err != nil {
+		b.Fatal(err)
+	}
+	flat, err := ml.NewFlatForest(rf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sc sim.Scratch
+	row := make([]float64, fs.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := fs.Prepare(lefts[i%len(lefts)], false, d.SortedSetEphemeral)
+		for _, r := range rs {
+			fs.VectorInto(l, r, &sc, row)
+			flat.PredictProba(row)
 		}
 	}
 }

@@ -3,12 +3,13 @@ package feature
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/tokenize"
 )
 
 // ExtractOptions tunes feature-vector extraction.
@@ -21,145 +22,78 @@ type ExtractOptions struct {
 	Metrics obs.Recorder
 }
 
-// tokenCache holds each token-set feature's attribute columns tokenized and
-// interned once per row, turning the per-pair-per-feature retokenization of
-// the string path into an O(rows × columns) preprocessing pass. It also
-// hoists the per-pair schema lookups every feature needs. Built once before
-// the (possibly parallel) pair scan, then shared read-only.
+// tokenCache holds every row of both tables in prepared form (Prepared):
+// attribute values decoded, tokenized and interned once per row, and the
+// schema lookups every feature needs resolved once per table, so the pair
+// scan does no per-pair-per-feature rework. Built once before the
+// (possibly parallel) pair scan, then shared read-only.
 type tokenCache struct {
-	// lsets[k]/rsets[k] is the cached column for feature k (nil when the
-	// feature has no token-set path or its attribute is missing); row i
-	// holds the sorted interned set of that row's value, nil marking null.
-	lsets, rsets [][][]uint32
-	// lcol[k]/rcol[k] is feature k's column index in each schema (-1 when
-	// absent), precomputed for the string-path features too.
-	lcol, rcol []int
+	l, r []Prepared
 }
 
-// cacheColKey identifies one tokenized column build: distinct features
-// sharing an attribute and tokenizer reuse the same column.
-type cacheColKey struct {
-	attr string
-	tok  string
-}
-
-// buildTokenCache tokenizes and interns every column some token-set feature
-// needs, through one dictionary shared by both tables. Returns nil when no
-// feature carries a token-set path.
+// buildTokenCache prepares every row of both tables, interning through one
+// dictionary shared by both.
 func buildTokenCache(s *Set, lt, rt *table.Table) *tokenCache {
-	c := &tokenCache{
-		lsets: make([][][]uint32, len(s.Features)),
-		rsets: make([][][]uint32, len(s.Features)),
-		lcol:  make([]int, len(s.Features)),
-		rcol:  make([]int, len(s.Features)),
-	}
-	d := intern.NewDict()
-	lBuilt := make(map[cacheColKey][][]uint32)
-	rBuilt := make(map[cacheColKey][][]uint32)
-	any := false
-	for k, f := range s.Features {
-		c.lcol[k] = lt.Schema().Lookup(f.LAttr)
-		c.rcol[k] = rt.Schema().Lookup(f.RAttr)
-		if f.SetFn == nil || f.Tok == nil || c.lcol[k] < 0 || c.rcol[k] < 0 {
-			continue
-		}
-		any = true
-		lk := cacheColKey{f.LAttr, f.Tok.Name()}
-		if _, ok := lBuilt[lk]; !ok {
-			lBuilt[lk] = internColumn(d, lt, c.lcol[k], f.Tok)
-		}
-		c.lsets[k] = lBuilt[lk]
-		rk := cacheColKey{f.RAttr, f.Tok.Name()}
-		if _, ok := rBuilt[rk]; !ok {
-			rBuilt[rk] = internColumn(d, rt, c.rcol[k], f.Tok)
-		}
-		c.rsets[k] = rBuilt[rk]
-	}
-	if !any {
-		return nil
-	}
-	return c
+	p, d := s.planned(), intern.NewDict()
+	return &tokenCache{l: p.prepareTable(lt, 0, d), r: p.prepareTable(rt, 1, d)}
 }
 
-// internColumn tokenizes one attribute of every row into sorted interned
-// sets, mirroring the string path's tokenized() adapter (lower-case first).
-// Null values stay nil; non-null values always get a non-nil set.
-func internColumn(d *intern.Dict, t *table.Table, col int, tok tokenize.Tokenizer) [][]uint32 {
-	out := make([][]uint32, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		v := t.Row(i)[col]
-		if v.IsNull() {
-			continue
-		}
-		out[i] = d.SortedSet(tok.Tokenize(strings.ToLower(v.AsString())))
+// prepareTable prepares each row of t as one side of the plan. A column the
+// schema lacks reads as null in every row.
+func (p *plan) prepareTable(t *table.Table, side int, d *intern.Dict) []Prepared {
+	sp := &p.sides[side]
+	idx := make([]int, len(sp.attrs))
+	for c, attr := range sp.attrs {
+		idx[c] = t.Schema().Lookup(attr)
+	}
+	out := make([]Prepared, t.Len())
+	for i := range out {
+		row := t.Row(i)
+		p.fill(&out[i], side, func(c int, _ string) (string, bool) {
+			if j := idx[c]; j >= 0 && !row[j].IsNull() {
+				return row[j].AsString(), true
+			}
+			return "", false
+		})
+		out[i].intern(sp, d.SortedSet)
 	}
 	return out
 }
 
-// vector computes one pair's feature vector through the cache, reproducing
-// Set.Vector bit for bit: cached features score interned sets, everything
-// else falls through to the string PairFunc.
-func (c *tokenCache) vector(s *Set, lrow, rrow table.Row, li, ri int) []float64 {
-	x := make([]float64, len(s.Features))
-	for k, f := range s.Features {
-		lj, rj := c.lcol[k], c.rcol[k]
-		if lj < 0 || rj < 0 {
-			x[k] = s.missingScore()
-			continue
-		}
-		if c.lsets[k] != nil {
-			ls, rs := c.lsets[k][li], c.rsets[k][ri]
-			if ls == nil || rs == nil {
-				x[k] = s.missingScore()
-				continue
-			}
-			x[k] = f.SetFn(ls, rs)
-			continue
-		}
-		lv, rv := lrow[lj], rrow[rj]
-		if lv.IsNull() || rv.IsNull() {
-			x[k] = s.missingScore()
-			continue
-		}
-		x[k] = f.Fn(lv.AsString(), rv.AsString())
-	}
-	return x
+// pairScratch is the working memory of one VectorWithInto call: both
+// sides prepared from their strings, and the kernels' scratch.
+type pairScratch struct {
+	l, r Prepared
+	sim  sim.Scratch
 }
 
+var pairPool = sync.Pool{New: func() any { return new(pairScratch) }}
+
 // RecordSets computes, for every feature in s carrying a token-set fast
-// path, the sorted interned set of one record's relevant attribute — the
-// per-record half of serving-side feature extraction (package serve caches
-// these for every resident record and computes them once per query).
+// path, the sorted interned set of one record's relevant attribute: the
+// interned half of Prepare, for callers that keep attribute maps and
+// score through VectorWith.
 // attrs maps attribute name to rendered value; an absent key is a null.
 // right selects the RAttr column (corpus side) instead of LAttr (query
 // side). interner turns a lower-cased token slice into a sorted
 // duplicate-free ID set and must never return nil (intern.Dict.SortedSet
 // and SortedSetEphemeral both qualify); it runs once per distinct
-// (attribute, tokenizer) column, exactly like the bulk cache. The result
+// (attribute, tokenizer) column of the Set's plan. The result
 // is indexed by feature; nil entries mark features without a set path or
 // with a null attribute.
 func (s *Set) RecordSets(attrs map[string]string, right bool, interner func(toks []string) []uint32) [][]uint32 {
-	out := make([][]uint32, len(s.Features))
-	built := make(map[cacheColKey][]uint32)
-	for k, f := range s.Features {
-		if f.SetFn == nil || f.Tok == nil {
-			continue
+	p, side := s.planned(), sideOf(right)
+	sp := &p.sides[side]
+	out := make([][]uint32, len(p.feats))
+	for _, sc := range sp.sets {
+		if v, ok := attrs[sp.attrs[sc.col]]; ok {
+			out[sc.feat] = interner(sc.tok.Tokenize(strings.ToLower(v)))
 		}
-		attr := f.LAttr
-		if right {
-			attr = f.RAttr
+	}
+	for k, fp := range p.feats {
+		if i := fp.set[side]; i >= 0 {
+			out[k] = out[sp.sets[i].feat]
 		}
-		v, ok := attrs[attr]
-		if !ok {
-			continue
-		}
-		ck := cacheColKey{attr, f.Tok.Name()}
-		set, seen := built[ck]
-		if !seen {
-			set = interner(f.Tok.Tokenize(strings.ToLower(v)))
-			built[ck] = set
-		}
-		out[k] = set
 	}
 	return out
 }
@@ -178,23 +112,32 @@ func (s *Set) VectorWith(lattrs, rattrs map[string]string, lsets, rsets [][]uint
 }
 
 // VectorWithInto is VectorWith writing into x, which must have
-// len(s.Features) entries. It exists for callers that featurize many
-// candidate pairs per query through reusable scratch (the serving corpus
-// builds its per-query feature matrix this way); the values written are
-// bit-identical to VectorWith's.
+// len(s.Features) entries, for callers that featurize many pairs through
+// reusable scratch. Both sides are prepared into pooled scratch — one
+// decode per attribute and side, shared by every feature over it — and
+// scored by the kernels Prepare-d records go through (Column), so the
+// values are bit-identical to VectorWith's and to theirs.
 func (s *Set) VectorWithInto(lattrs, rattrs map[string]string, lsets, rsets [][]uint32, x []float64) {
-	for k, f := range s.Features {
-		lv, lok := lattrs[f.LAttr]
-		rv, rok := rattrs[f.RAttr]
-		if !lok || !rok {
-			x[k] = s.missingScore()
-			continue
+	ps := pairPool.Get().(*pairScratch)
+	defer pairPool.Put(ps)
+	ps.vectorWith(s, lattrs, rattrs, lsets, rsets, x)
+}
+
+func (ps *pairScratch) vectorWith(s *Set, lattrs, rattrs map[string]string, lsets, rsets [][]uint32, x []float64) {
+	p := s.planned()
+	p.fromAttrs(&ps.l, 0, lattrs, lsets)
+	p.fromAttrs(&ps.r, 1, rattrs, rsets)
+	s.VectorInto(&ps.l, &ps.r, &ps.sim, x)
+}
+
+// fromAttrs prepares attrs into rec with the caller's RecordSets-shaped
+// sets in place of interning; nil sets leave every column without one.
+func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets [][]uint32) {
+	p.fill(rec, side, attrGetter(attrs))
+	for i, sc := range p.sides[side].sets {
+		if sets != nil {
+			rec.sets[i] = sets[sc.feat]
 		}
-		if lsets != nil && rsets != nil && lsets[k] != nil && rsets[k] != nil {
-			x[k] = f.SetFn(lsets[k], rsets[k])
-			continue
-		}
-		x[k] = f.Fn(lv, rv)
 	}
 }
 
@@ -223,21 +166,17 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 
 	cache := buildTokenCache(s, meta.LTable, meta.RTable)
 
-	n := pairs.Len()
+	n, nf := pairs.Len(), len(s.Features)
+	flat := make([]float64, n*nf)
 	out := make([][]float64, n)
-	// Each pair's vector lands in its own index slot, so extraction at any
-	// Workers setting is bit-identical to serial.
-	if err := parallel.ForEach(opts.Workers, n, func(i int) error {
-		lid := pairs.Get(i, meta.LID).AsString()
-		rid := pairs.Get(i, meta.RID).AsString()
-		li, ri := lidx[lid], ridx[rid]
-		lrow := meta.LTable.Row(li)
-		rrow := meta.RTable.Row(ri)
-		if cache != nil {
-			out[i] = cache.vector(s, lrow, rrow, li, ri)
-		} else {
-			out[i] = s.Vector(meta.LTable, meta.RTable, lrow, rrow)
-		}
+	// Each pair's vector lands in its own row of the one backing array, so
+	// extraction at any Workers setting is bit-identical to serial.
+	scratch := make([]sim.Scratch, parallel.Resolve(opts.Workers))
+	if err := parallel.ForEachShard(opts.Workers, n, func(shard, i int) error {
+		li := lidx[pairs.Get(i, meta.LID).AsString()]
+		ri := ridx[pairs.Get(i, meta.RID).AsString()]
+		out[i] = flat[i*nf : (i+1)*nf : (i+1)*nf]
+		s.VectorInto(&cache.l[li], &cache.r[ri], &scratch[shard], out[i])
 		return nil
 	}); err != nil {
 		return nil, err

@@ -121,21 +121,47 @@ func TestVectorsCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuildTokenCacheNilWhenNoSetFeatures: a set of purely string features
-// must not pay for (or allocate) a cache.
-func TestBuildTokenCacheNilWhenNoSetFeatures(t *testing.T) {
-	a, b, _, _ := cacheTables(t, 5, 7)
+// TestCustomFnThroughPreparedRows: a feature built by hand has no prepared
+// kernel and no set path; the prepared rows carry its strings and Fn scores
+// them, in Vectors and in VectorWith alike, next to registry features over
+// the same attribute.
+func TestCustomFnThroughPreparedRows(t *testing.T) {
+	a, b, pairs, cat := cacheTables(t, 12, 7)
 	s := &Set{}
-	if err := s.Add(Feature{Name: "exact_name", LAttr: "name", RAttr: "name", Fn: func(l, r string) float64 {
-		if l == r {
+	calls := 0
+	if err := s.Add(Feature{Name: "same_length_name", LAttr: "name", RAttr: "name", Fn: func(l, r string) float64 {
+		calls++
+		if len(l) == len(r) {
 			return 1
 		}
-		return 0
+		return 0.25
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if c := buildTokenCache(s, a, b); c != nil {
-		t.Fatal("cache built for a set with no token-set features")
+	lev, err := NewFeature("lev", "name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(lev); err != nil {
+		t.Fatal(err)
+	}
+	want := stringPathVectors(t, s, pairs, cat)
+	calls = 0
+	got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Vectors %v != string path %v", got, want)
+	}
+	if calls == 0 {
+		t.Fatal("the custom Fn never ran: every pair had a null name")
+	}
+	for li := 0; li < a.Len(); li++ {
+		la, ra := rowAttrs(a, a.Row(li)), rowAttrs(b, b.Row(li))
+		if got, want := s.VectorWith(la, ra, nil, nil), s.Vector(a, b, a.Row(li), b.Row(li)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("row %d: VectorWith %v != Vector %v", li, got, want)
+		}
 	}
 }
 

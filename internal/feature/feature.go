@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/sim"
 	"repro/internal/table"
@@ -45,6 +46,12 @@ type Feature struct {
 	Tok tokenize.Tokenizer
 	// SetFn scores two sorted duplicate-free interned token sets.
 	SetFn func(a, b []uint32) float64
+	// need and prep, set by NewFeature for the registry's kinds, are the
+	// feature's prepared path: prep scores two values prepared once per
+	// record in the forms need names, bit for bit what Fn returns on their
+	// strings. A feature built by hand has neither and is scored by Fn.
+	need need
+	prep kernel
 }
 
 // MissingPolicy controls the score of a pair in which either attribute
@@ -62,8 +69,11 @@ const (
 
 // Set is an ordered collection of features over a fixed pair of tables.
 type Set struct {
+	// Features is edited through Add and Remove, which also drop the
+	// resolved plan pair scoring caches (prepared.go).
 	Features []Feature
 	Missing  MissingPolicy
+	plan     atomic.Pointer[plan]
 }
 
 // Names returns the feature names in order.
@@ -92,6 +102,7 @@ func (s *Set) Add(f Feature) error {
 		}
 	}
 	s.Features = append(s.Features, f)
+	s.plan.Store(nil)
 	return nil
 }
 
@@ -123,6 +134,7 @@ func (s *Set) Remove(name string) bool {
 	for i, f := range s.Features {
 		if f.Name == name {
 			s.Features = append(s.Features[:i], s.Features[i+1:]...)
+			s.plan.Store(nil)
 			return true
 		}
 	}
@@ -299,19 +311,23 @@ func tokenized(tok tokenize.Tokenizer, f func(a, b []string) float64) PairFunc {
 	}
 }
 
-func mongeElkanJW(l, r string) float64 {
-	ws := tokenize.Whitespace{}
-	return sim.MongeElkanSym(ws.Tokenize(strings.ToLower(l)), ws.Tokenize(strings.ToLower(r)), sim.JaroWinkler)
+// mongeElkanJW is symmetric Monge-Elkan with Jaro-Winkler inside, over the
+// lower-cased whitespace token bags.
+func mongeElkanJW(l, r string) float64 { return onStrings(l, r, needTokens, mongeElkanJWKernel) }
+
+func mongeElkanJWKernel(l, r *value, sc *sim.Scratch) float64 {
+	return sim.MongeElkanJWRunes(l.toks, r.toks, sc)
 }
 
 // RelDiff scores two numeric strings by 1 - |a-b| / max(|a|,|b|), clamped
 // to [0, 1]; non-numeric inputs fall back to exact match.
-func RelDiff(l, r string) float64 {
-	lv, lok := table.String(l).AsFloat()
-	rv, rok := table.String(r).AsFloat()
-	if !lok || !rok {
-		return sim.ExactMatch(l, r)
+func RelDiff(l, r string) float64 { return onStrings(l, r, needNumber, relDiffKernel) }
+
+func relDiffKernel(l, r *value, _ *sim.Scratch) float64 {
+	if !l.isNum || !r.isNum {
+		return sim.ExactMatch(l.s, r.s)
 	}
+	lv, rv := l.num, r.num
 	if lv == rv {
 		return 1
 	}

@@ -10,12 +10,25 @@ import (
 
 // builder is one registered feature kind: the string path every feature
 // has, plus — for the token-set kinds — the tokenizer and interned-set
-// kernel of the fast path (Feature.Tok, Feature.SetFn).
+// kernel of the fast path (Feature.Tok, Feature.SetFn), and — for the
+// character-level kinds every AutoGenerate battery draws on — the prepared
+// forms and the kernel over them (Feature.need, Feature.prep). exact needs
+// only the string; the four alignment kinds no battery emits are scored
+// through fn.
 type builder struct {
 	fn    PairFunc
 	tok   tokenize.Tokenizer
 	setFn func(a, b []uint32) float64
+	need  need
+	prep  kernel
 }
+
+// runeBuilder registers a kind whose kernel reads both values decoded.
+func runeBuilder(fn PairFunc, k func(a, b []rune, sc *sim.Scratch) float64) builder {
+	return builder{fn: fn, need: needRunes, prep: func(l, r *value, sc *sim.Scratch) float64 { return k(l.runes, r.runes, sc) }}
+}
+
+func soundexKernel(l, r *value, _ *sim.Scratch) float64 { return sim.SoundexCodeSim(l.sdx, r.sdx) }
 
 // setBuilder registers a token-set kind: fn over tok's tokens is the string
 // path, setFn over the interned sets the fast one.
@@ -35,12 +48,12 @@ var builders = func() map[string]builder {
 	g2 := tokenize.QGram{Q: 2, ReturnSet: true}
 	return map[string]builder{
 		"exact":            {fn: sim.ExactMatch},
-		"lev":              {fn: sim.Levenshtein},
-		"jaro":             {fn: sim.Jaro},
-		"jaro_winkler":     {fn: sim.JaroWinkler},
-		"soundex":          {fn: sim.SoundexSim},
-		"rel_diff":         {fn: RelDiff},
-		"monge_elkan_jw":   {fn: mongeElkanJW},
+		"lev":              runeBuilder(sim.Levenshtein, sim.LevenshteinRunes),
+		"jaro":             runeBuilder(sim.Jaro, sim.JaroRunes),
+		"jaro_winkler":     runeBuilder(sim.JaroWinkler, sim.JaroWinklerRunes),
+		"soundex":          {fn: sim.SoundexSim, need: needSoundex, prep: soundexKernel},
+		"rel_diff":         {fn: RelDiff, need: needNumber, prep: relDiffKernel},
+		"monge_elkan_jw":   {fn: mongeElkanJW, need: needTokens, prep: mongeElkanJWKernel},
 		"needleman_wunsch": {fn: sim.NeedlemanWunsch},
 		"smith_waterman":   {fn: sim.SmithWaterman},
 		"affine_gap":       {fn: sim.AffineGap},
@@ -71,7 +84,7 @@ func NewFeature(kind, attr string) (Feature, error) {
 	if !ok {
 		return Feature{}, fmt.Errorf("feature: unknown builder kind %q (have %v)", kind, BuilderKinds())
 	}
-	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: b.fn, Tok: b.tok, SetFn: b.setFn}, nil
+	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: b.fn, Tok: b.tok, SetFn: b.setFn, need: b.need, prep: b.prep}, nil
 }
 
 // Spec is the serializable form of one feature. Only same-attribute,

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,9 +24,9 @@ import (
 type slot struct {
 	rec  Record
 	toks []uint32 // sorted duplicate-free blocking token IDs
-	// fsets caches the record's per-feature interned sets
-	// (feature.Set.RecordSets, corpus side); nil until a matcher is set.
-	fsets [][]uint32
+	// prep is the record prepared for the resident feature set's corpus
+	// side (feature.Set.Prepare); nil until a matcher is set.
+	prep *feature.Prepared
 }
 
 // Corpus is a long-lived, incrementally maintained match target. All
@@ -206,7 +207,7 @@ func (c *Corpus) ingest(rec Record, op string) {
 		toks: c.dict.SortedSet(blockTokens(c.cfg.tok, rec.Attrs)),
 	}
 	if c.fs != nil {
-		s.fsets = c.fs.RecordSets(rec.Attrs, true, c.dict.SortedSet)
+		s.prep = c.fs.Prepare(rec.Attrs, true, c.dict.SortedSet)
 	}
 	c.slots = append(c.slots, s)
 	c.byID[rec.ID] = si
@@ -286,14 +287,13 @@ func (c *Corpus) compactLocked() {
 	c.gauges(rec)
 }
 
-// SetMatcher installs the resident scorer: MatchOne extracts fs's feature
-// vector for each candidate pair and scores it with clf. When clf is a
-// fitted *ml.RandomForest it is additionally compiled into an
-// ml.FlatForest and candidates are scored through the flat batch kernel —
-// bit-identical to clf.PredictProba, just without the pointer chasing.
-// Every resident record's per-feature sets are (re)computed and cached so
-// queries only featurize their own side. Pass (nil, nil) to revert to the
-// blocking-token Jaccard fallback.
+// SetMatcher installs the resident scorer: MatchOne scores each candidate
+// pair's fs feature vector with clf. When clf is a fitted *ml.RandomForest
+// it is additionally compiled into an ml.FlatForest, which scores each
+// candidate's row bit-identically to clf.PredictProba. Every resident
+// record is (re)prepared for fs (feature.Set.Prepare), so a query prepares
+// only its own side. Pass (nil, nil) to revert to the blocking-token
+// Jaccard fallback, which also drops the prepared records.
 func (c *Corpus) SetMatcher(fs *feature.Set, clf ml.Classifier) error {
 	if (fs == nil) != (clf == nil) {
 		return fmt.Errorf("serve: feature set and classifier must be set together")
@@ -307,16 +307,15 @@ func (c *Corpus) SetMatcher(fs *feature.Set, clf ml.Classifier) error {
 			c.flat = ff
 		}
 	}
-	// Published slots are immutable, so the fsets recompute clones the
-	// array instead of patching elements in place.
+	// Published slots are immutable, so re-preparing clones the array
+	// instead of patching elements in place.
 	fresh := make([]slot, len(c.slots))
 	copy(fresh, c.slots)
 	for i := range fresh {
-		if fs == nil {
-			fresh[i].fsets = nil
-			continue
+		fresh[i].prep = nil
+		if fs != nil {
+			fresh[i].prep = fs.Prepare(fresh[i].rec.Attrs, true, c.dict.SortedSet)
 		}
-		fresh[i].fsets = fs.RecordSets(fresh[i].rec.Attrs, true, c.dict.SortedSet)
 	}
 	c.slots = fresh
 	c.publishLocked()
@@ -341,16 +340,15 @@ func (c *Corpus) CandidateIDs(q Record) []string {
 }
 
 // MatchOne runs the serving query path for one record: candidate
-// generation over the resident postings, cached feature extraction, and
-// scoring through the resident matcher (or, with no matcher installed,
+// generation over the resident postings, preparation of the query's side,
+// and scoring through the resident matcher (or, with no matcher installed,
 // Jaccard over the blocking token sets). Results are sorted by descending
 // score, ties broken by ascending record ID, truncated to WithLimit.
 //
 // The whole path is lock-free: it loads the published snapshot once and
 // never coordinates with writers, so a stalled or busy writer cannot delay
 // a query (and vice versa). Per-query working memory comes from a
-// sync.Pool; with a matcher installed, candidates are featurized into one
-// flat matrix and scored through the FlatForest batch kernel.
+// sync.Pool; per candidate nothing is allocated.
 func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -372,93 +370,111 @@ func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 		return []ScoredPair{}, nil
 	}
 
-	// Featurize the query side once; candidates reuse their cached sets.
+	// Prepare the query side once; candidates were prepared at ingest.
 	stopFeat := obs.StartTimer(rec, obs.ServeStageSeconds, obs.L("stage", "features"))
-	var qsets [][]uint32
-	var qset []uint32
+	ps := &pairScorer{sn: sn, sim: &sc.sim}
 	if sn.fs != nil {
-		qsets = sn.fs.RecordSets(q.Attrs, false, sn.view.SortedSetEphemeral)
+		ps.q = sn.fs.Prepare(q.Attrs, false, sn.view.SortedSetEphemeral)
+		sc.row = slices.Grow(sc.row[:0], sn.fs.Len())[:sn.fs.Len()]
+		ps.row = sc.row
 	} else {
-		qset = sn.view.SortedSetEphemeral(btoks)
+		ps.qset = sn.view.SortedSetEphemeral(btoks)
 	}
 	stopFeat()
 
-	stopScore := obs.StartTimer(rec, obs.ServeStageSeconds, obs.L("stage", "score"))
-	defer stopScore()
-	scores, err := sn.scoreCandidates(ctx, q, cands, qsets, qset, sc)
-	if err != nil {
-		return nil, err
+	defer obs.StartTimer(rec, obs.ServeStageSeconds, obs.L("stage", "score"))()
+	// (score desc, ID asc) is a total order over live records, so the best
+	// k, sorted, are the full ranking truncated.
+	k := len(cands)
+	if c.cfg.limit > 0 && c.cfg.limit < k {
+		k = c.cfg.limit
 	}
-	out := make([]ScoredPair, 0, len(cands))
+	out := make([]ScoredPair, 0, k)
 	for i, si := range cands {
-		out = append(out, ScoredPair{QueryID: q.ID, ID: sn.slots[si].rec.ID, Score: scores[i]})
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+		if i%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		return out[a].ID < out[b].ID
-	})
-	if c.cfg.limit > 0 && len(out) > c.cfg.limit {
-		out = out[:c.cfg.limit]
+		cand := &sn.slots[si]
+		out = offer(out, ScoredPair{QueryID: q.ID, ID: cand.rec.ID, Score: ps.score(cand)}, k)
 	}
+	sort.Slice(out, func(a, b int) bool { return ranksBefore(out[a], out[b]) })
 	return out, nil
 }
 
-// scoreCandidates fills sc.scores for cands: matcher-equipped snapshots
-// build the candidate feature matrix in pooled scratch and run the flat
-// batch kernel (falling back to per-candidate Classifier.PredictProba when
-// no flat compilation exists); matcher-less snapshots score Jaccard over
-// the blocking token sets. The returned slice lives in sc.
-func (sn *snapshot) scoreCandidates(ctx context.Context, q Record, cands []uint32, qsets [][]uint32, qset []uint32, sc *matchScratch) ([]float64, error) {
-	if cap(sc.scores) < len(cands) {
-		sc.scores = make([]float64, len(cands))
+// ranksBefore is MatchOne's result order: descending score, ties by
+// ascending record ID.
+func ranksBefore(a, b ScoredPair) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	scores := sc.scores[:len(cands)]
+	return a.ID < b.ID
+}
+
+// offer adds p to h, the best k >= 1 pairs seen so far: a plain list until
+// it holds k, from then on a heap with the worst of them on top, which a
+// later pair enters only by ranking before it.
+func offer(h []ScoredPair, p ScoredPair, k int) []ScoredPair {
+	switch {
+	case len(h) < k:
+		if h = append(h, p); len(h) == k {
+			for i := k/2 - 1; i >= 0; i-- {
+				siftDown(h, i)
+			}
+		}
+	case ranksBefore(p, h[0]):
+		h[0] = p
+		siftDown(h, 0)
+	}
+	return h
+}
+
+// siftDown restores, below node i, the heap order in which every node
+// ranks after its children.
+func siftDown(h []ScoredPair, i int) {
+	for {
+		w := 2*i + 1
+		if w >= len(h) {
+			return
+		}
+		if r := w + 1; r < len(h) && ranksBefore(h[w], h[r]) {
+			w = r
+		}
+		if !ranksBefore(h[i], h[w]) {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
+}
+
+// pairScorer scores one query against one candidate at a time.
+type pairScorer struct {
+	sn   *snapshot
+	q    *feature.Prepared // query side; nil without a matcher
+	qset []uint32          // query blocking tokens; the no-matcher fallback
+	sim  *sim.Scratch      // the query's pooled scratch (matchScratch)
+	row  []float64         // likewise: one feature row
+}
+
+// score is the per-candidate step of MatchOne: the pair's full row over the
+// two prepared records, through the compiled forest or, for any other
+// classifier, its PredictProba; with no matcher, Jaccard over the blocking
+// token sets. Every column is computed whatever the forest reads, so what a
+// query costs does not depend on which forest training happened to grow.
+//
+//emlint:zeroalloc
+func (ps *pairScorer) score(cand *slot) float64 {
+	sn := ps.sn
 	if sn.fs == nil {
-		for i, si := range cands {
-			if i%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			scores[i] = sim.JaccardU32(qset, sn.slots[si].toks)
-		}
-		return scores, nil
+		return sim.JaccardU32(ps.qset, cand.toks)
 	}
-	nf := len(sn.fs.Features)
-	if cap(sc.xbuf) < len(cands)*nf {
-		sc.xbuf = make([]float64, len(cands)*nf)
-	}
-	xbuf := sc.xbuf[:len(cands)*nf]
-	if cap(sc.xrows) < len(cands) {
-		sc.xrows = make([][]float64, 0, len(cands))
-	}
-	xrows := sc.xrows[:0]
-	for i, si := range cands {
-		if i%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		row := xbuf[i*nf : (i+1)*nf : (i+1)*nf]
-		sn.fs.VectorWithInto(q.Attrs, sn.slots[si].rec.Attrs, qsets, sn.slots[si].fsets, row)
-		xrows = append(xrows, row)
-	}
-	sc.xrows = xrows
+	sn.fs.VectorInto(ps.q, cand.prep, ps.sim, ps.row)
 	if sn.flat != nil {
-		sn.flat.PredictProbaBatch(xrows, scores)
-		return scores, nil
+		return sn.flat.PredictProba(ps.row)
 	}
-	for i := range xrows {
-		if i%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		scores[i] = sn.clf.PredictProba(xrows[i])
-	}
-	return scores, nil
+	return sn.clf.PredictProba(ps.row)
 }
 
 // Rebuilt returns a from-scratch batch build of the live records (in

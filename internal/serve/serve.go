@@ -1,8 +1,8 @@
 // Package serve is the incremental serving core: a long-lived Corpus that
 // keeps the interned dictionary, sorted integer postings (bitvec.Postings,
-// the same lists the batch joins index with), and cached per-record
-// feature sets resident and incrementally maintained
-// under Add/Update/Delete — instead of re-interning, re-blocking, and
+// the same lists the batch joins index with), and each record prepared
+// for the resident feature set (feature.Prepared) resident and
+// incrementally maintained under Add/Update/Delete — instead of re-interning, re-blocking, and
 // re-featurizing the whole corpus per request the way the batch pipeline
 // does. All read-path state lives in an immutable snapshot published
 // through an atomic pointer (DESIGN.md §9): MatchOne, CandidateIDs,
@@ -16,9 +16,10 @@
 // bit-identical candidates for every query (pinned by the testing/quick
 // interleaving tests).
 //
-// MatchOne is the low-latency query path (candidate generation → cached
-// feature extraction → resident matcher, batch-scored through the flat
-// forest when one compiled), and Pool wraps it with batched async
+// MatchOne is the low-latency query path (candidate generation → the
+// query's side prepared once → per candidate, the feature row over the two
+// prepared records through the compiled forest → the best WithLimit pairs
+// kept in a bounded heap), and Pool wraps it with batched async
 // submission under admission control: a bounded queue that returns typed
 // ErrOverloaded backpressure instead of buffering without bound. This is
 // the "services + metamanager" serving gap of PAPER.md §1/Table 4, shaped

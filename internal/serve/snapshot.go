@@ -9,6 +9,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/intern"
 	"repro/internal/ml"
+	"repro/internal/sim"
 )
 
 // snapshot is the immutable read-side world of a Corpus, published through
@@ -112,9 +113,8 @@ type matchScratch struct {
 	touched []uint32
 	cands   []uint32
 	qids    []uint32
-	xbuf    []float64
-	xrows   [][]float64
-	scores  []float64
+	sim     sim.Scratch // the pair kernels' working memory
+	row     []float64   // one feature row
 }
 
 var matchPool = sync.Pool{New: func() any { return &matchScratch{} }}

@@ -53,3 +53,63 @@ func BenchmarkSoundex(b *testing.B) {
 		Soundex("Ashcraft")
 	}
 }
+
+// The rune kernels on values decoded once and one reused Scratch — what a
+// pair costs once its records are prepared. The string benchmarks above
+// pay the decoding and a fresh Scratch on every call.
+
+var sink float64
+
+func benchRunes() (a, b []rune, ta, tb [][]rune) {
+	for _, t := range strings.Fields(benchA) {
+		ta = append(ta, []rune(t))
+	}
+	for _, t := range strings.Fields(benchB) {
+		tb = append(tb, []rune(t))
+	}
+	return []rune(benchA), []rune(benchB), ta, tb
+}
+
+func BenchmarkLevenshteinRunes(b *testing.B) {
+	ra, rb, _, _ := benchRunes()
+	sc := new(Scratch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink += LevenshteinRunes(ra, rb, sc)
+	}
+}
+
+func BenchmarkJaroRunes(b *testing.B) {
+	ra, rb, _, _ := benchRunes()
+	sc := new(Scratch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink += JaroRunes(ra, rb, sc)
+	}
+}
+
+func BenchmarkJaroWinklerRunes(b *testing.B) {
+	ra, rb, _, _ := benchRunes()
+	sc := new(Scratch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink += JaroWinklerRunes(ra, rb, sc)
+	}
+}
+
+func BenchmarkMongeElkanJWRunes(b *testing.B) {
+	_, _, ta, tb := benchRunes()
+	sc := new(Scratch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink += MongeElkanJWRunes(ta, tb, sc)
+	}
+}
+
+func BenchmarkSoundexRunes(b *testing.B) {
+	ra, rb, _, _ := benchRunes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink += SoundexCodeSim(SoundexRunes(ra), SoundexRunes(rb))
+	}
+}

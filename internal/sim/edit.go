@@ -1,42 +1,100 @@
 package sim
 
+// Scratch is the caller-owned working memory of the rune kernels
+// (LevenshteinRunes, JaroRunes, JaroWinklerRunes, MongeElkanJWRunes): one
+// per goroutine, reused across calls, so a kernel allocates only while a
+// buffer is still growing towards the longest value it has seen. The zero
+// value is ready to use.
+type Scratch struct {
+	row   []int  // Levenshtein's single DP row
+	marks []bool // Jaro's matched flags, a's then b's
+}
+
+// rowOf returns the DP row resized to n entries (contents unspecified).
+func (sc *Scratch) rowOf(n int) []int {
+	if cap(sc.row) < n {
+		sc.growRow(n)
+	}
+	return sc.row[:n]
+}
+
+// marksOf returns n cleared match flags.
+func (sc *Scratch) marksOf(n int) []bool {
+	if cap(sc.marks) < n {
+		sc.growMarks(n)
+	}
+	m := sc.marks[:n]
+	clear(m)
+	return m
+}
+
+// Growth is kept out of line so that the kernels, which inline rowOf and
+// marksOf, contain no allocation site of their own.
+//
+//go:noinline
+func (sc *Scratch) growRow(n int) { sc.row = make([]int, n) }
+
+//go:noinline
+func (sc *Scratch) growMarks(n int) { sc.marks = make([]bool, n) }
+
 // LevenshteinDistance returns the minimum number of single-rune insertions,
 // deletions, and substitutions needed to transform a into b.
 func LevenshteinDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
+	return levenshteinDistance([]rune(a), []rune(b), new(Scratch))
+}
+
+// levenshteinDistance is the one edit-distance kernel. A common prefix and
+// suffix never take part in an optimal edit script, so they are stripped
+// before the single-row DP over what differs.
+//
+//emlint:zeroalloc
+func levenshteinDistance(a, b []rune, sc *Scratch) int {
+	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
+		a, b = a[1:], b[1:]
 	}
-	if len(rb) == 0 {
-		return len(ra)
+	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
 	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
+	if len(a) == 0 {
+		return len(b)
 	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
+	if len(b) == 0 {
+		return len(a)
+	}
+	row := sc.rowOf(len(b) + 1)
+	for j := range row {
+		row[j] = j
+	}
+	for i, ca := range a {
+		diag := row[0] // the previous row's entry left of the one being written
+		row[0] = i + 1
+		for j, cb := range b {
+			sub := diag
+			if ca != cb {
+				sub++
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			diag = row[j+1]
+			row[j+1] = min(diag+1, row[j]+1, sub)
 		}
-		prev, cur = cur, prev
 	}
-	return prev[len(rb)]
+	return row[len(b)]
 }
 
 // Levenshtein returns a normalized similarity: 1 - dist/max(len). Two empty
 // strings are perfectly similar.
 func Levenshtein(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
+	return LevenshteinRunes([]rune(a), []rune(b), new(Scratch))
+}
+
+// LevenshteinRunes is Levenshtein over decoded values ([]rune(s)
+// semantics) and caller-owned scratch: the kernel Levenshtein wraps.
+//
+//emlint:zeroalloc
+func LevenshteinRunes(a, b []rune, sc *Scratch) float64 {
+	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	return 1 - float64(LevenshteinDistance(a, b))/float64(max2(la, lb))
+	return 1 - float64(levenshteinDistance(a, b, sc))/float64(max(len(a), len(b)))
 }
 
 // HammingDistance returns the number of positions at which equal-length

@@ -3,8 +3,16 @@ package sim
 // MongeElkan returns the Monge-Elkan hybrid similarity: for each token of a
 // it finds the best-matching token of b under the inner measure and averages
 // those maxima. It is asymmetric; callers wanting symmetry can average both
-// directions with MongeElkanSym.
+// directions with MongeElkanSym. a and b are bags: order and duplicates
+// count.
 func MongeElkan(a, b []string, inner func(x, y string) float64) float64 {
+	return mongeElkan(a, b, inner)
+}
+
+// mongeElkan is the one averaging loop, over tokens of any form. inner
+// stays within [0, 1] (the package contract), so a maximum that has
+// reached 1 cannot be beaten and the scan of b stops there.
+func mongeElkan[T any](a, b []T, inner func(x, y T) float64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
@@ -16,7 +24,9 @@ func MongeElkan(a, b []string, inner func(x, y string) float64) float64 {
 		best := 0.0
 		for _, tb := range b {
 			if s := inner(ta, tb); s > best {
-				best = s
+				if best = s; s >= 1 {
+					break
+				}
 			}
 		}
 		sum += best
@@ -27,6 +37,15 @@ func MongeElkan(a, b []string, inner func(x, y string) float64) float64 {
 // MongeElkanSym is the symmetric mean of MongeElkan in both directions.
 func MongeElkanSym(a, b []string, inner func(x, y string) float64) float64 {
 	return (MongeElkan(a, b, inner) + MongeElkan(b, a, inner)) / 2
+}
+
+// MongeElkanJWRunes is MongeElkanSym with JaroWinkler inside, over token
+// bags already decoded to runes and caller-owned scratch.
+//
+//emlint:zeroalloc
+func MongeElkanJWRunes(a, b [][]rune, sc *Scratch) float64 {
+	jw := func(x, y []rune) float64 { return JaroWinklerRunes(x, y, sc) }
+	return (mongeElkan(a, b, jw) + mongeElkan(b, a, jw)) / 2
 }
 
 // GeneralizedJaccard computes Jaccard where tokens "match" when the inner

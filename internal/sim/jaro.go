@@ -1,10 +1,20 @@
 package sim
 
+import "slices"
+
 // Jaro returns the Jaro similarity of two strings in [0, 1]. Characters
 // match when equal and within half the longer length of each other;
 // transpositions are matched characters in different relative order.
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	return JaroRunes([]rune(a), []rune(b), new(Scratch))
+}
+
+// JaroRunes is Jaro over decoded values and caller-owned scratch: the
+// kernel Jaro wraps. It is not symmetric in general (the greedy matching
+// runs from a's side), so callers wanting both directions compute both.
+//
+//emlint:zeroalloc
+func JaroRunes(ra, rb []rune, sc *Scratch) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -12,16 +22,18 @@ func Jaro(a, b string) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	window := max2(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
+	if slices.Equal(ra, rb) {
+		// Every rune matches its own position with no transposition:
+		// (1 + 1 + 1) / 3, which is exactly what the scan below returns.
+		return 1
 	}
-	aMatched := make([]bool, la)
-	bMatched := make([]bool, lb)
+	window := max(max(la, lb)/2-1, 0)
+	marks := sc.marksOf(la + lb)
+	aMatched, bMatched := marks[:la], marks[la:]
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo := max2(0, i-window)
-		hi := min2(lb-1, i+window)
+		lo := max(0, i-window)
+		hi := min(lb-1, i+window)
 		for j := lo; j <= hi; j++ {
 			if !bMatched[j] && ra[i] == rb[j] {
 				aMatched[i] = true
@@ -56,17 +68,18 @@ func Jaro(a, b string) float64 {
 // JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
 // scale 0.1 and a maximum considered prefix of 4 runes.
 func JaroWinkler(a, b string) float64 {
-	return JaroWinklerPrefix(a, b, 0.1, 4)
+	return JaroWinklerRunes([]rune(a), []rune(b), new(Scratch))
 }
 
-// JaroWinklerPrefix is JaroWinkler with explicit prefix scale p and maximum
-// prefix length maxPrefix.
-func JaroWinklerPrefix(a, b string, p float64, maxPrefix int) float64 {
-	j := Jaro(a, b)
-	ra, rb := []rune(a), []rune(b)
+// JaroWinklerRunes is JaroWinkler over decoded values and caller-owned
+// scratch.
+//
+//emlint:zeroalloc
+func JaroWinklerRunes(ra, rb []rune, sc *Scratch) float64 {
+	j := JaroRunes(ra, rb, sc)
 	l := 0
-	for l < len(ra) && l < len(rb) && l < maxPrefix && ra[l] == rb[l] {
+	for l < len(ra) && l < len(rb) && l < 4 && ra[l] == rb[l] {
 		l++
 	}
-	return j + float64(l)*p*(1-j)
+	return j + float64(l)*0.1*(1-j)
 }

@@ -1,6 +1,6 @@
 package sim
 
-import "strings"
+import "unicode"
 
 // soundexCode maps a letter to its Soundex digit, or 0 for vowels and the
 // ignored letters h/w/y.
@@ -23,30 +23,46 @@ func soundexCode(r byte) byte {
 	}
 }
 
+// SoundexCode is a four-character American Soundex encoding; the zero
+// value means "no ASCII letter to encode".
+type SoundexCode [4]byte
+
 // Soundex returns the four-character American Soundex encoding of s, or ""
 // when s contains no ASCII letter. Adjacent letters with the same code
 // collapse, and letters separated only by h or w also collapse, per the
 // standard algorithm.
 func Soundex(s string) string {
-	s = strings.ToLower(s)
-	// Find the first letter.
-	i := 0
-	for i < len(s) && (s[i] < 'a' || s[i] > 'z') {
-		i++
-	}
-	if i == len(s) {
+	code := SoundexRunes([]rune(s))
+	if code == (SoundexCode{}) {
 		return ""
 	}
-	out := []byte{s[i] - 'a' + 'A'}
-	prev := soundexCode(s[i])
-	for i++; i < len(s) && len(out) < 4; i++ {
-		c := s[i]
-		if c < 'a' || c > 'z' {
+	return string(code[:])
+}
+
+// SoundexRunes encodes a decoded value. Each rune is lower-cased on its
+// own (what strings.ToLower does to the whole string) and anything outside
+// a–z separates letters without being one.
+//
+//emlint:zeroalloc
+func SoundexRunes(rs []rune) SoundexCode {
+	var out SoundexCode
+	n := 0
+	var prev byte
+	for _, r := range rs {
+		if n == len(out) {
+			break
+		}
+		r = unicode.ToLower(r)
+		if r < 'a' || r > 'z' {
 			prev = 0
 			continue
 		}
+		c := byte(r)
 		code := soundexCode(c)
 		switch {
+		case n == 0:
+			out[0] = c - 'a' + 'A'
+			n, prev = 1, code
 		case code == 0:
 			// h and w are transparent: keep prev so identical codes on
 			// either side still collapse; vowels reset it.
@@ -54,24 +70,31 @@ func Soundex(s string) string {
 				prev = 0
 			}
 		case code != prev:
-			out = append(out, code)
+			out[n] = code
+			n++
 			prev = code
 		}
 	}
-	for len(out) < 4 {
-		out = append(out, '0')
+	if n == 0 {
+		return SoundexCode{}
 	}
-	return string(out)
+	for ; n < len(out); n++ {
+		out[n] = '0'
+	}
+	return out
 }
 
 // SoundexSim returns 1 when the Soundex encodings of a and b are equal and
 // non-empty, else 0.
 func SoundexSim(a, b string) float64 {
-	sa, sb := Soundex(a), Soundex(b)
-	if sa == "" || sb == "" {
-		return 0
-	}
-	if sa == sb {
+	return SoundexCodeSim(SoundexRunes([]rune(a)), SoundexRunes([]rune(b)))
+}
+
+// SoundexCodeSim is SoundexSim over encodings computed once per value.
+//
+//emlint:zeroalloc
+func SoundexCodeSim(a, b SoundexCode) float64 {
+	if a == b && a != (SoundexCode{}) {
 		return 1
 	}
 	return 0

@@ -55,8 +55,6 @@ func max2(a, b int) int {
 	return b
 }
 
-func min3(a, b, c int) int { return min2(min2(a, b), c) }
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a
