@@ -30,11 +30,13 @@ vet:
 lint:
 	$(GO) run ./cmd/emlint ./internal/... ./cmd/...
 
-# Short fuzz smoke over the text-format parsers. Override FUZZTIME for a
-# longer soak, e.g. `make fuzz FUZZTIME=5m`.
+# Short fuzz smoke over the text-format parsers and the pair-scoring
+# kernels. Override FUZZTIME for a longer soak, e.g. `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME) ./internal/rules
+	$(GO) test -run=^$$ -fuzz=FuzzParseSet -fuzztime=$(FUZZTIME) ./internal/rules
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/table
+	$(GO) test -run=^$$ -fuzz=FuzzColumnMatchesFn -fuzztime=$(FUZZTIME) ./internal/feature
 
 # "Least code" (ROADMAP aim 2) as a number: lines of non-test,
 # non-testdata Go per top-level package, and the total outside bench/.

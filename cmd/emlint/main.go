@@ -11,7 +11,7 @@
 // Patterns default to ./internal/... ./cmd/... — the whole production
 // tree. Each package is analyzed as a cross-package program: its
 // module-local dependencies are loaded with full syntax so the call-graph
-// analyzers (locksafety, lockorder) follow facts across
+// analyzers (locksafety, maporder, errdrop) follow facts across
 // package boundaries. -checks picks a subset by name; -list prints the
 // suite. -update-baseline rewrites lint/escape_baseline.json from the
 // current escapecheck violations and exits. Output modes:

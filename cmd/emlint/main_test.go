@@ -140,7 +140,7 @@ func TestRunList(t *testing.T) {
 	}
 	for _, check := range []string{
 		"errdrop", "hotalloc", "locksafety", "maporder", "nondeterminism",
-		"nogoroutine", "lockorder", "httperrors", "staleallow",
+		"nogoroutine", "httperrors", "staleallow",
 		"allocguard", "escapecheck",
 	} {
 		if !strings.Contains(stdout.String(), check) {

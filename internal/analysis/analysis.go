@@ -86,7 +86,6 @@ func All() []*Analyzer {
 		EscapeCheck,
 		HotAlloc,
 		HTTPErrors,
-		LockOrder,
 		LockSafety,
 		MapOrder,
 		NoGoroutine,

@@ -126,8 +126,8 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 	if MapOrder.Tests || HotAlloc.Tests {
 		t.Fatal("ordering/allocation analyzers must skip test files (tests assert on small fixed inputs)")
 	}
-	if LockOrder.Tests || HTTPErrors.Tests {
-		t.Fatal("serving-path analyzers must skip test files (tests spawn helpers and fake handlers legitimately)")
+	if HTTPErrors.Tests {
+		t.Fatal("httperrors must skip test files (tests fake handlers legitimately)")
 	}
 	if !StaleAllow.Tests {
 		t.Fatal("the allow audit must cover directives in test files too")
@@ -143,7 +143,7 @@ func TestAnalyzerTestFileOptOut(t *testing.T) {
 
 // TestByName resolves subsets and rejects unknown checks.
 func TestByName(t *testing.T) {
-	got, err := ByName("nogoroutine, lockorder")
+	got, err := ByName("nogoroutine, locksafety")
 	if err != nil || len(got) != 2 {
 		t.Fatalf("ByName = %v, %v", got, err)
 	}

@@ -18,9 +18,8 @@ import (
 // a channel, say) to the production call site.
 // Calls through stored function values are still not resolved — the graph
 // remains a cheap under-approximation; analyzers use it to extend an
-// intra-procedural fact ("this body performs a channel operation",
-// "this callee acquires that lock") across call hops rather than to prove
-// absence of behavior.
+// intra-procedural fact ("this body performs a channel operation")
+// across call hops rather than to prove absence of behavior.
 type CallGraph struct {
 	// callees maps a declared function to the declared functions it calls.
 	callees map[*types.Func]map[*types.Func]bool
@@ -30,8 +29,6 @@ type CallGraph struct {
 	// pkgOf maps a declared function to the program package holding it,
 	// so analyzers can resolve positions and info on the callee's side.
 	pkgOf map[*types.Func]*Package
-	// inTest marks the functions declared in _test.go files.
-	inTest map[*types.Func]bool
 }
 
 // buildCallGraph constructs the graph over every package of the program.
@@ -40,8 +37,8 @@ func buildCallGraph(prog *Program) *CallGraph {
 		callees: make(map[*types.Func]map[*types.Func]bool),
 		decls:   make(map[*types.Func]*ast.FuncDecl),
 		pkgOf:   make(map[*types.Func]*Package),
-		inTest:  make(map[*types.Func]bool),
 	}
+	inTest := make(map[*types.Func]bool) // functions declared in _test.go files
 	// Pass 1: register every declared function so interface dispatch can
 	// check "is this concrete method declared in the program".
 	for _, pkg := range prog.Packages {
@@ -57,7 +54,7 @@ func buildCallGraph(prog *Program) *CallGraph {
 				}
 				g.decls[fn] = fd
 				g.pkgOf[fn] = pkg
-				g.inTest[fn] = isTestFile(pkg.Fset, f)
+				inTest[fn] = isTestFile(pkg.Fset, f)
 			}
 		}
 	}
@@ -93,7 +90,7 @@ func buildCallGraph(prog *Program) *CallGraph {
 					// program-declared concrete method that can stand behind
 					// the interface value.
 					for _, impl := range impls.resolve(callee) {
-						if g.inTest[fn] || !g.inTest[impl] {
+						if inTest[fn] || !inTest[impl] {
 							edges[impl] = true
 						}
 					}
@@ -192,24 +189,6 @@ func (g *CallGraph) PackageOf(fn *types.Func) *Package {
 	return g.pkgOf[fn]
 }
 
-// Functions returns every declared function in the graph in deterministic
-// (package path, source position) order — the iteration order program-wide
-// analyzers (lockorder) use to collect facts.
-func (g *CallGraph) Functions() []*types.Func {
-	out := make([]*types.Func, 0, len(g.decls))
-	for fn := range g.decls {
-		out = append(out, fn)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		pi, pj := g.pkgOf[out[i]], g.pkgOf[out[j]]
-		if pi.Path != pj.Path {
-			return pi.Path < pj.Path
-		}
-		return g.decls[out[i]].Pos() < g.decls[out[j]].Pos()
-	})
-	return out
-}
-
 // Callees returns the program functions fn calls directly, sorted by
 // full name so callers iterate deterministically.
 func (g *CallGraph) Callees(fn *types.Func) []*types.Func {
@@ -219,29 +198,6 @@ func (g *CallGraph) Callees(fn *types.Func) []*types.Func {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
 	return out
-}
-
-// Reaches reports whether to is reachable from from over program call
-// edges (including from == to).
-func (g *CallGraph) Reaches(from, to *types.Func) bool {
-	seen := make(map[*types.Func]bool)
-	var walk func(fn *types.Func) bool
-	walk = func(fn *types.Func) bool {
-		if fn == to {
-			return true
-		}
-		if seen[fn] {
-			return false
-		}
-		seen[fn] = true
-		for c := range g.callees[fn] {
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(from)
 }
 
 // AnyReachable reports whether any function reachable from fn (including

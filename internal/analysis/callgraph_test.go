@@ -88,29 +88,6 @@ func TestCallGraphEdges(t *testing.T) {
 	}
 }
 
-func TestCallGraphReaches(t *testing.T) {
-	prog := loadSource(t, graphSrc)
-	pkg, g := prog.Root, prog.CallGraph()
-
-	a, leaf, standalone := fnByName(t, pkg, "a"), fnByName(t, pkg, "leaf"), fnByName(t, pkg, "standalone")
-	if !g.Reaches(a, leaf) {
-		t.Fatal("a must reach leaf through b/c")
-	}
-	if g.Reaches(leaf, a) {
-		t.Fatal("reachability must be directional")
-	}
-	if g.Reaches(standalone, leaf) {
-		t.Fatal("standalone must not reach leaf")
-	}
-	if !g.Reaches(a, a) {
-		t.Fatal("a function reaches itself")
-	}
-	// Methods participate: T.M -> a -> ... -> leaf.
-	if !g.Reaches(fnByName(t, pkg, "T.M"), leaf) {
-		t.Fatal("method M must reach leaf")
-	}
-}
-
 func TestCallGraphAnyReachable(t *testing.T) {
 	prog := loadSource(t, graphSrc)
 	pkg, g := prog.Root, prog.CallGraph()
@@ -130,5 +107,17 @@ func TestCallGraphAnyReachable(t *testing.T) {
 	}
 	if g.AnyReachable(fnByName(t, pkg, "standalone"), hasChan) {
 		t.Fatal("standalone performs no channel op anywhere")
+	}
+	// Methods participate: T.M -> a -> ... -> leaf.
+	if !g.AnyReachable(fnByName(t, pkg, "T.M"), hasChan) {
+		t.Fatal("method M must reach leaf's channel send")
+	}
+	// Reachability is directional and includes the start itself.
+	isA := func(fd *ast.FuncDecl) bool { return fd.Name.Name == "a" }
+	if g.AnyReachable(fnByName(t, pkg, "leaf"), isA) {
+		t.Fatal("leaf must not reach a")
+	}
+	if !g.AnyReachable(fnByName(t, pkg, "a"), isA) {
+		t.Fatal("a function reaches itself")
 	}
 }

@@ -18,8 +18,8 @@ import (
 //   - fmt.Sprintf/fmt.Sprint in a loop nested two deep: per-pair
 //     formatting; hoist it or build keys with strconv/Builder.
 //   - non-constant string concatenation in a loop nested two deep.
-//   - make() inside a closure passed to parallel.ForEach, ForEachMin, or
-//     Map: those closures run once per task, so the scratch allocates per
+//   - make() inside a closure passed to parallel.ForEach or Map: those
+//     closures run once per task, so the scratch allocates per
 //     element. Per-worker scratch belongs outside the closure, indexed by
 //     parallel.ForEachShard's shard argument, or per chunk via
 //     parallel.MapChunks/MapChunksMin (whose closures run once per chunk
@@ -57,9 +57,8 @@ const parallelPkg = "repro/internal/parallel"
 // same reason: its shard argument exists precisely so scratch can live
 // outside the closure.
 var perTaskEntryPoints = map[string]bool{
-	"ForEach":    true,
-	"ForEachMin": true,
-	"Map":        true,
+	"ForEach": true,
+	"Map":     true,
 }
 
 // checkParallelTaskAllocs reports make() calls inside function literals

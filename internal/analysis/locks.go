@@ -1,16 +1,12 @@
-// locks.go is the shared lock-site resolution layer for the mutex
-// analyzers (locksafety, lockorder). It matches
+// locks.go is locksafety's lock-site resolution layer. It matches
 // `expr.Lock()`-shaped calls to the sync package's primitives and
 // canonicalizes the lock expression: a promoted call through an embedded
 // mutex (`c.Lock()`) and its explicit spelling (`c.Mutex.Lock()`) resolve
 // to the same key, so mixed forms pair up instead of producing phantom
-// "missing unlock" reports. Beyond the textual key it resolves a
-// type-level identity ("pkg.Type.field") that is stable across functions
-// and packages — the unit lockorder compares acquisition orders with.
+// "missing unlock" reports.
 //
-// It also holds the one model of "which code runs while this lock is
-// held" (lockRegions): the analyzers differ only in what they look for
-// inside a region, never in where a region starts and ends.
+// It also holds the model of "which code runs while this lock is held"
+// (lockRegions).
 package analysis
 
 import (
@@ -31,12 +27,6 @@ type lockCall struct {
 	key string
 	// method is Lock, Unlock, RLock, or RUnlock.
 	method string
-	// id is the type-level identity of the lock — "pkgpath.Type.field"
-	// for a mutex field, "pkgpath.var" for a package-level mutex — or ""
-	// when the lock lives in a local variable or behind an expression the
-	// resolver cannot canonicalize (index, call result). Only identified
-	// locks participate in cross-function order comparison.
-	id string
 }
 
 // resolveLockCall matches a node against `expr.(R)Lock()` / `expr.(R)Unlock()`
@@ -76,12 +66,11 @@ func resolveLockCall(info *types.Info, n ast.Node) (lockCall, bool) {
 	if !exact || root == nil {
 		// Not an identifier-rooted chain (s.items[i].mu, pool().mu):
 		// fall back to a best-effort textual key so pairing inside one
-		// function still works; no cross-function identity.
+		// function still works.
 		lc.key = joinKey(types.ExprString(ast.Unparen(sel.X)), implicit)
 		return lc, true
 	}
 	lc.key = joinKey(root.Name(), fields)
-	lc.id = lockIdentity(root, fields)
 	return lc, true
 }
 
@@ -155,52 +144,6 @@ func joinKey(root string, fields []*types.Var) string {
 		parts = append(parts, f.Name())
 	}
 	return strings.Join(parts, ".")
-}
-
-// lockIdentity derives the cross-function identity of a lock: the struct
-// field that holds it (qualified by the field's declaring package — the
-// same field reached through different receivers is the same lock class)
-// or a package-level variable. Locals yield "".
-func lockIdentity(root types.Object, fields []*types.Var) string {
-	if len(fields) > 0 {
-		f := fields[len(fields)-1]
-		if f.Pkg() == nil {
-			return ""
-		}
-		var path []string
-		for _, hop := range fields {
-			path = append(path, hop.Name())
-		}
-		// Qualify by the root's type when it has a name, so Pool.mu and
-		// Registry.mu stay distinct even if both fields are spelled "mu".
-		owner := namedTypeName(root.Type())
-		if owner == "" {
-			owner = f.Pkg().Path()
-		}
-		return owner + "." + strings.Join(path, ".")
-	}
-	if root == nil || root.Pkg() == nil {
-		return ""
-	}
-	// A package-level mutex variable is its own identity; locals are not
-	// comparable across functions.
-	if root.Parent() == root.Pkg().Scope() {
-		return root.Pkg().Path() + "." + root.Name()
-	}
-	return ""
-}
-
-// namedTypeName renders the named type behind t (through pointers) as
-// pkgpath.Name, or "".
-func namedTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
 }
 
 // lockRegion is one Lock/RLock statement of a function unit together with
@@ -279,16 +222,6 @@ func lockRegions(info *types.Info, unit *ast.BlockStmt) []lockRegion {
 		return true
 	})
 	return regions
-}
-
-// walk visits, in source order, every node that runs while the region's
-// lock is held: the subtrees of body, then whatever a deferred release
-// leaves covered.
-func (r lockRegion) walk(unit *ast.BlockStmt, visit func(ast.Node) bool) {
-	for _, stmt := range r.body {
-		walkUnit(stmt, visit)
-	}
-	r.walkDeferred(unit, visit)
 }
 
 // walkDeferred visits every node of the unit positioned after the

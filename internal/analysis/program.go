@@ -2,10 +2,9 @@
 // root package loaded together with every module-local package it
 // (transitively) imports, each retained with syntax and type info. The
 // cross-package call graph built over a Program is what lets the serving
-// analyzers follow a fact — "this function performs a channel op",
-// "this callee acquires that lock" — across package boundaries, e.g. from
-// a cloud HTTP handler into serve.Corpus. DESIGN.md §10 records the scope
-// and limits.
+// analyzers follow a fact — "this function performs a channel op" —
+// across package boundaries, e.g. from a cloud HTTP handler into
+// serve.Corpus. DESIGN.md §10 records the scope and limits.
 package analysis
 
 import (
@@ -25,34 +24,20 @@ type Program struct {
 	// by import path so iteration is deterministic.
 	Packages []*Package
 
-	byPath  map[string]*Package
 	byTypes map[*types.Package]*Package
 	graph   *CallGraph
 }
 
-// newProgram assembles a Program from its member packages. root must be
-// one of pkgs.
+// newProgram assembles a Program from its member packages, each listed
+// once. root must be one of pkgs.
 func newProgram(root *Package, pkgs []*Package) *Program {
-	p := &Program{
-		Root:    root,
-		byPath:  make(map[string]*Package, len(pkgs)),
-		byTypes: make(map[*types.Package]*Package, len(pkgs)),
-	}
+	p := &Program{Root: root, byTypes: make(map[*types.Package]*Package, len(pkgs))}
 	for _, pkg := range pkgs {
-		if _, dup := p.byPath[pkg.Path]; dup {
-			continue
-		}
-		p.byPath[pkg.Path] = pkg
 		p.byTypes[pkg.Types] = pkg
 		p.Packages = append(p.Packages, pkg)
 	}
 	sort.Slice(p.Packages, func(i, j int) bool { return p.Packages[i].Path < p.Packages[j].Path })
 	return p
-}
-
-// Package returns the member with the given import path, or nil.
-func (p *Program) Package(path string) *Package {
-	return p.byPath[path]
 }
 
 // Local maps a type-checker package back to the Program member it belongs

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/types"
 	"strings"
 	"testing"
@@ -71,9 +72,9 @@ func TestLoadProgramMembers(t *testing.T) {
 	if strings.Join(paths, " ") != "fixturemod/dep fixturemod/root" {
 		t.Fatalf("members = %v, want sorted [dep root]", paths)
 	}
-	dep := prog.Package("fixturemod/dep")
-	if dep == nil || prog.Local(dep.Types) != dep {
-		t.Fatal("Package/Local do not round-trip the dependency")
+	dep := prog.Packages[0]
+	if prog.Local(dep.Types) != dep {
+		t.Fatal("Local does not map the dependency's types back to its member")
 	}
 	// The build-constrained dep file must be excluded (it would not even
 	// type-check), so the dependency has exactly one file.
@@ -92,45 +93,40 @@ func TestProgramCallGraphCrossPackage(t *testing.T) {
 		t.Fatalf("LoadProgram: %v", err)
 	}
 	g := prog.CallGraph()
-	find := func(name string) *types.Func {
-		for _, fn := range g.Functions() {
-			if fn.Name() == name {
+	// find returns the graph function of that name in the package; names
+	// are unique per package in the fixture.
+	find := func(pkgPath, name string) *types.Func {
+		for fn, pkg := range g.pkgOf {
+			if fn.Name() == name && pkg.Path == pkgPath {
 				return fn
 			}
 		}
-		t.Fatalf("function %s not in graph", name)
+		t.Fatalf("function %s.%s not in graph", pkgPath, name)
 		return nil
 	}
-	use, touch, free := find("Use"), find("Touch"), find("Free")
+	reaches := func(from, to *types.Func) bool {
+		return g.AnyReachable(from, func(fd *ast.FuncDecl) bool { return fd == g.Decl(to) })
+	}
+	const root, dep = "fixturemod/root", "fixturemod/dep"
+	use, touch, free := find(root, "Use"), find(dep, "Touch"), find(dep, "Free")
 	callees := g.Callees(use)
 	if len(callees) != 2 || callees[0] != touch && callees[1] != touch {
 		t.Fatalf("Use callees = %v, want Touch and Free across the package boundary", callees)
 	}
-	if !g.Reaches(use, free) {
+	if !reaches(use, free) {
 		t.Fatal("Use must reach dep.Free")
 	}
-	dispatch, run := find("Dispatch"), find("Run")
-	if !g.Reaches(dispatch, run) {
+	dispatch, run := find(root, "Dispatch"), find(dep, "Run")
+	if !reaches(dispatch, run) {
 		t.Fatal("interface dispatch must resolve Runner.Run to dep.Impl.Run")
 	}
 	// A test double stands only behind calls made from test files.
-	var fakeRun *types.Func
-	for _, fn := range g.Functions() {
-		if fn.Name() == "Run" && g.PackageOf(fn).Path == "fixturemod/root" {
-			fakeRun = fn
-		}
-	}
-	if fakeRun == nil {
-		t.Fatal("fake.Run (root_test.go) not in graph")
-	}
-	if g.Reaches(dispatch, fakeRun) {
+	fakeRun := find(root, "Run") // fake.Run in root_test.go
+	if reaches(dispatch, fakeRun) {
 		t.Fatal("production Dispatch must not resolve Runner.Run to the _test.go double")
 	}
-	if !g.Reaches(find("viaTest"), fakeRun) {
+	if !reaches(find(root, "viaTest"), fakeRun) {
 		t.Fatal("a test-file caller must still reach the _test.go double")
-	}
-	if pkg := g.PackageOf(touch); pkg == nil || pkg.Path != "fixturemod/dep" {
-		t.Fatalf("PackageOf(Touch) = %v", pkg)
 	}
 }
 
@@ -173,8 +169,8 @@ func TestLoadProgramRootTestsIncluded(t *testing.T) {
 	if len(prog.Root.Files) != 2 {
 		t.Fatalf("root has %d files, want 2 (its tests are analyzed)", len(prog.Root.Files))
 	}
-	dep := prog.Package("fixturemod/dep")
-	if dep == nil || len(dep.Files) != 1 {
+	dep := prog.Packages[0] // sorted by path: dep before root
+	if dep.Path != "fixturemod/dep" || len(dep.Files) != 1 {
 		t.Fatalf("dep = %+v, want 1 file (dependency tests are not imported)", dep)
 	}
 }

@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"go/parser"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -44,6 +47,61 @@ func TestRepoInvariantsClean(t *testing.T) {
 	}
 	if len(violations) > 0 {
 		t.Logf("%d invariant violations; see docs/GUIDE.md for the emlint workflow", len(violations))
+	}
+}
+
+// TestEveryInternalPackageHasReader pins DESIGN.md §3's reader rule at
+// package level: every package under internal/ is imported by at least one
+// non-test file outside itself. It also pins the structural fact behind
+// §5's lock order: internal/obs imports no package of this module, so no
+// code holding obs.Registry.mu can reach a lock of serve or cloud.
+func TestEveryInternalPackageHasReader(t *testing.T) {
+	l := loader(t)
+	pkgs, err := l.Expand([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	internal := l.Module + "/internal/"
+	var declared []string            // internal packages with non-test files
+	readers := make(map[string]bool) // internal packages imported from outside themselves
+	for _, pkg := range pkgs {
+		dir, _ := l.local(pkg)
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			if strings.HasPrefix(pkg, internal) && !slices.Contains(declared, pkg) {
+				declared = append(declared, pkg)
+			}
+			f, err := parser.ParseFile(l.Fset, file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				p, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p != pkg && strings.HasPrefix(p, internal) {
+					readers[p] = true
+				}
+				if pkg == internal+"obs" && strings.HasPrefix(p, l.Module+"/") {
+					t.Errorf("internal/obs imports %s: it must stay a leaf of the module (DESIGN.md §5, lock order)", p)
+				}
+			}
+		}
+	}
+	if len(declared) < 10 {
+		t.Fatalf("suspiciously few internal packages found: %v", declared)
+	}
+	for _, pkg := range declared {
+		if !readers[pkg] {
+			t.Errorf("%s has no non-test importer: give it a reader or delete it (DESIGN.md §3)", pkg)
+		}
 	}
 }
 

@@ -68,18 +68,6 @@ func perTaskScratch(rows [][]float64, sums []float64) error {
 	})
 }
 
-// perTaskMap does the same through the gated ForEachMin and a map.
-func perTaskMap(rows [][]int, out []int) error {
-	return parallel.ForEachMin(0, len(rows), 64, func(i int) error {
-		seen := make(map[int]bool, len(rows[i])) // want hotalloc
-		for _, v := range rows[i] {
-			seen[v] = true
-		}
-		out[i] = len(seen)
-		return nil
-	})
-}
-
 // perTaskMapped allocates per task under parallel.Map, one nesting down.
 func perTaskMapped(rows [][]int) ([][]int, error) {
 	return parallel.Map(2, len(rows), func(i int) ([]int, error) {

@@ -51,16 +51,6 @@ type JobResult struct {
 	Err   error // first step error, if any
 }
 
-// Find returns the result of the named step, or nil.
-func (r *JobResult) Find(stepID string) *StepResult {
-	for i := range r.Steps {
-		if r.Steps[i].Step == stepID {
-			return &r.Steps[i]
-		}
-	}
-	return nil
-}
-
 // EngineConfig sizes the three engines' worker pools.
 type EngineConfig struct {
 	// BatchWorkers bounds concurrent batch fragments; 0 means 4.

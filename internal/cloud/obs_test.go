@@ -73,10 +73,10 @@ func TestSubmitCancelledStopsRemainingSteps(t *testing.T) {
 	if n := downstreamRan.Load(); n != 0 {
 		t.Fatalf("downstream service ran %d times after cancellation", n)
 	}
-	s2 := res.Find("s2")
-	if s2 == nil {
-		t.Fatal("no result settled for step s2")
+	if len(res.Steps) != 2 || res.Steps[1].Step != "s2" {
+		t.Fatalf("settled steps = %+v, want s1 then s2", res.Steps)
 	}
+	s2 := res.Steps[1]
 	if !s2.Skipped {
 		t.Errorf("step s2 Skipped = false, want true")
 	}

@@ -219,19 +219,6 @@ func TestTable1Registry(t *testing.T) {
 	}
 }
 
-func TestFindTask(t *testing.T) {
-	task, err := FindTask("members", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if task.A.Len() != 300 {
-		t.Errorf("members size = %d", task.A.Len())
-	}
-	if _, err := FindTask("nope", 1); err == nil {
-		t.Error("want unknown-task error")
-	}
-}
-
 func TestAllTable2TasksGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generation of all tasks is slow in -short mode")

@@ -102,17 +102,3 @@ func Table1Deployments(seed int64) []Deployment {
 			Spec: Spec{Name: "amfam_claims", Domain: PersonDomain(), SizeA: 1500, SizeB: 1200, MatchFraction: 0.4, Typo: 0.3, Seed: seed + 28}},
 	}
 }
-
-// FindTask generates the named Table 2 task, or nil when unknown.
-func FindTask(name string, seed int64) (*Task, error) {
-	for _, ts := range Table2Tasks(seed) {
-		if ts.Spec.Name == name {
-			return Generate(ts.Spec)
-		}
-	}
-	return nil, errUnknownTask(name)
-}
-
-type errUnknownTask string
-
-func (e errUnknownTask) Error() string { return "datagen: unknown task " + string(e) }

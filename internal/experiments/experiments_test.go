@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,5 +228,60 @@ func TestTable3And4Render(t *testing.T) {
 	t4 := FormatTable4()
 	if !strings.Contains(t4, "falcon") || !strings.Contains(t4, "18 basic + 2 composite") {
 		t.Errorf("table 4 rendering incomplete:\n%s", t4)
+	}
+}
+
+// TestTable3NamesExist: every tool Table3 lists is an exported identifier
+// (function, method, type, constant or variable) declared in a non-test
+// file of one of the modules its row names, so the inventory EXPERIMENTS.md
+// calls "rendered live" cannot name what does not exist.
+func TestTable3NamesExist(t *testing.T) {
+	exported := func(module string) map[string]bool {
+		files, err := filepath.Glob(filepath.Join("..", "..", filepath.FromSlash(module), "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files in %s (%v)", module, err)
+		}
+		names := make(map[string]bool)
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					names[d.Name.Name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							names[s.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								names[id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		return names
+	}
+	byModule := make(map[string]map[string]bool)
+	for _, row := range Table3() {
+		modules := strings.Split(row.Modules, ", ")
+		for _, module := range modules {
+			if byModule[module] == nil {
+				byModule[module] = exported(module)
+			}
+		}
+		for _, tool := range row.Tools {
+			if !ast.IsExported(tool) || !slices.ContainsFunc(modules, func(m string) bool { return byModule[m][tool] }) {
+				t.Errorf("Table 3 row %q lists %q, which %s does not export", row.Step, tool, row.Modules)
+			}
+		}
 	}
 }

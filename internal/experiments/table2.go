@@ -1,7 +1,7 @@
 // Package experiments contains the harnesses that regenerate every table
 // and figure of the paper's evaluation (see DESIGN.md's per-experiment
 // index). Each harness returns structured rows; FormatX renders them in
-// the paper's layout. The root bench_test.go and cmd/benchem drive these.
+// the paper's layout. cmd/benchem -exp <name> drives these.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"unicode"
@@ -44,7 +45,10 @@ type value struct {
 func (v *value) fill(s string, n need, buf []rune) []rune {
 	*v = value{s: s, ok: true, toks: v.toks[:0]}
 	if n&needNumber != 0 {
+		// ParseFloat accepts "nan" and "inf"; a non-finite value is not a
+		// number here, or rel_diff would divide by it and leave [0, 1].
 		v.num, v.isNum = table.String(s).AsFloat()
+		v.isNum = v.isNum && !math.IsNaN(v.num) && !math.IsInf(v.num, 0)
 	}
 	if n&^needNumber == 0 {
 		return buf

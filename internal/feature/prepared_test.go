@@ -65,7 +65,8 @@ func TestQuickFillMatchesStringForms(t *testing.T) {
 			return false
 		}
 		num, isNum := table.String(s).AsFloat()
-		return v.isNum == isNum && (v.num == num || math.IsNaN(num) && math.IsNaN(v.num))
+		isNum = isNum && !math.IsNaN(num) && !math.IsInf(num, 0) // a non-finite parse is not a number
+		return v.isNum == isNum && (!isNum || v.num == num)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
@@ -144,6 +145,32 @@ func TestQuickPreparedEqualsStringPath(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzColumnMatchesFn: for any two values and every registered kind, the
+// feature's string function and Column over the two prepared records give
+// the same bits, and they lie in [0, 1] — PairFunc's contract, which the
+// numerals strconv accepts but arithmetic does not ("nan", "inf") broke for
+// rel_diff.
+func FuzzColumnMatchesFn(f *testing.F) {
+	for _, s := range []string{"nan", "Inf", "-inf", "1e400", "0x1p-2", "", "\xff\xfe", "İ", "ß"} {
+		f.Add(s, "5")
+		f.Add(s, s)
+	}
+	f.Add("Inf", "-Inf")
+	s := everyKind(f)
+	f.Fuzz(func(t *testing.T, l, r string) {
+		d := intern.NewDict()
+		lp := s.Prepare(map[string]string{"v": l}, false, d.SortedSet)
+		rp := s.Prepare(map[string]string{"v": r}, true, d.SortedSet)
+		var sc sim.Scratch
+		for k, ft := range s.Features {
+			want, got := ft.Fn(l, r), s.Column(k, lp, rp, &sc)
+			if math.Float64bits(got) != math.Float64bits(want) || !(want >= 0 && want <= 1) {
+				t.Errorf("%s(%q, %q): string function %v, prepared column %v, want equal bits in [0, 1]", ft.Name, l, r, want, got)
+			}
+		}
+	})
 }
 
 // TestRawAndLoweredViews: lev and jaro see the value as written,

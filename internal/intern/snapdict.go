@@ -12,10 +12,9 @@ import "sync/atomic"
 //
 // The zero value is not usable; call NewSnapDict.
 type SnapDict struct {
-	ids  map[string]uint32 // writer-private
-	toks []string          // writer-private
-	tbl  atomic.Pointer[lfTable]
-	n    atomic.Uint32 // tokens fully inserted into tbl
+	ids map[string]uint32 // writer-private
+	tbl atomic.Pointer[lfTable]
+	n   atomic.Uint32 // tokens fully inserted into tbl
 }
 
 // lfTable is an open-addressing hash table with linear probing. Slots
@@ -55,12 +54,8 @@ func NewSnapDict() *SnapDict {
 }
 
 // Len returns the number of distinct tokens interned so far. Writer-side
-// only; readers use View.Len.
-func (d *SnapDict) Len() int { return len(d.toks) }
-
-// Token returns the string for an ID previously returned by Intern.
-// Writer-side only.
-func (d *SnapDict) Token(id uint32) string { return d.toks[id] }
+// only.
+func (d *SnapDict) Len() int { return len(d.ids) }
 
 // Intern returns the ID of tok, assigning the next dense ID on first sight.
 // Must be called from the single owner goroutine only.
@@ -68,15 +63,14 @@ func (d *SnapDict) Intern(tok string) uint32 {
 	if id, ok := d.ids[tok]; ok {
 		return id
 	}
-	id := uint32(len(d.toks))
+	id := uint32(len(d.ids))
 	d.ids[tok] = id
-	d.toks = append(d.toks, tok)
 	t := d.tbl.Load()
-	if uint64(len(d.toks))*2 > uint64(len(t.slots)) {
+	if uint64(len(d.ids))*2 > uint64(len(t.slots)) {
 		t = d.grow(t)
 	}
 	t.insert(&lfEntry{tok: tok, id: id})
-	d.n.Store(uint32(len(d.toks)))
+	d.n.Store(uint32(len(d.ids)))
 	return id
 }
 
@@ -148,9 +142,6 @@ func hashToken(s string) uint32 {
 	}
 	return h
 }
-
-// Len returns the number of tokens the view can resolve.
-func (v View) Len() int { return int(v.n) }
 
 // Lookup returns the ID of tok if it was interned before the view was
 // captured. Tokens interned after the capture point are reported unknown,

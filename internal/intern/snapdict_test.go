@@ -30,7 +30,7 @@ func TestSnapDictMatchesDict(t *testing.T) {
 			return false
 		}
 		v := sd.View()
-		if v.Len() != d.Len() {
+		if int(v.n) != d.Len() {
 			return false
 		}
 		for i := 0; i < 100; i++ {
@@ -96,8 +96,8 @@ func TestSnapDictGrowth(t *testing.T) {
 		}
 	}
 	v := sd.View()
-	if v.Len() != n {
-		t.Fatalf("view Len = %d, want %d", v.Len(), n)
+	if int(v.n) != n {
+		t.Fatalf("view resolves %d tokens, want %d", v.n, n)
 	}
 	for i := 0; i < n; i++ {
 		tok := fmt.Sprintf("tok-%d", i)
@@ -152,7 +152,7 @@ func TestSnapDictConcurrentReaders(t *testing.T) {
 				default:
 				}
 				v := sd.View()
-				n := v.Len()
+				n := int(v.n)
 				// Every token below the capture point must resolve to its
 				// dense ID; a token at or above it must be unknown.
 				for probe := 0; probe < 32; probe++ {

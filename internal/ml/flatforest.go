@@ -82,14 +82,8 @@ func (ff *FlatForest) addNode() int32 {
 	return idx
 }
 
-// Name identifies the compiled form in stats and bench rows.
-func (ff *FlatForest) Name() string { return "flat_forest" }
-
 // NumTrees returns the ensemble size.
 func (ff *FlatForest) NumTrees() int { return len(ff.roots) }
-
-// NumNodes returns the total node count across all trees.
-func (ff *FlatForest) NumNodes() int { return len(ff.feats) }
 
 // vote walks one tree iteratively and reports whether its leaf votes match.
 //

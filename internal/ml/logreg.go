@@ -28,13 +28,6 @@ type LogisticRegression struct {
 // Name implements Classifier.
 func (l *LogisticRegression) Name() string { return "logistic_regression" }
 
-// Weights returns a copy of the learned weights in original feature space
-// order (standardized space), plus the bias. Useful for debugging which
-// similarity features drive the matcher.
-func (l *LogisticRegression) Weights() (w []float64, bias float64) {
-	return append([]float64(nil), l.w...), l.b
-}
-
 // Fit implements Classifier.
 func (l *LogisticRegression) Fit(d *Dataset) error {
 	if d.Len() == 0 {

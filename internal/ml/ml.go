@@ -61,14 +61,6 @@ func (d *Dataset) NumFeatures() int {
 	return len(d.X[0])
 }
 
-// FeatureName returns the name of feature j, or "f<j>" when unnamed.
-func (d *Dataset) FeatureName(j int) string {
-	if d.Names != nil && j < len(d.Names) {
-		return d.Names[j]
-	}
-	return fmt.Sprintf("f%d", j)
-}
-
 // Subset returns a dataset view containing the rows at idxs (storage is
 // shared; do not mutate).
 func (d *Dataset) Subset(idxs []int) *Dataset {

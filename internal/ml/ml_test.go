@@ -77,15 +77,11 @@ func TestNewDatasetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FeatureName(0) != "a" || d.FeatureName(1) != "b" {
+	if len(d.Names) != 2 || d.Names[0] != "a" || d.Names[1] != "b" {
 		t.Error("feature names lost")
 	}
-	un, err := NewDataset([][]float64{{1}}, []int{0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if un.FeatureName(0) != "f0" {
-		t.Errorf("unnamed feature = %q", un.FeatureName(0))
+	if _, err := NewDataset([][]float64{{1}}, []int{0}, nil); err != nil {
+		t.Fatalf("unnamed dataset refused: %v", err)
 	}
 }
 
@@ -122,11 +118,11 @@ func TestDecisionTreeLearnsLinear(t *testing.T) {
 	if acc := accuracyOn(t, tree, test); acc < 0.9 {
 		t.Errorf("tree accuracy = %.3f, want >= 0.9", acc)
 	}
-	if tree.Depth() == 0 {
-		t.Error("tree did not split at all")
-	}
 	if tree.Root() == nil {
-		t.Error("root missing after fit")
+		t.Fatal("root missing after fit")
+	}
+	if tree.Root().Leaf {
+		t.Error("tree did not split at all")
 	}
 }
 
@@ -167,8 +163,8 @@ func TestDecisionTreeMaxDepth(t *testing.T) {
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if d := tree.Depth(); d > 1 {
-		t.Errorf("depth = %d, want <= 1", d)
+	if r := tree.Root(); !r.Leaf && !(r.Left.Leaf && r.Right.Leaf) {
+		t.Error("MaxDepth 1 grew a tree deeper than one split")
 	}
 }
 
@@ -311,7 +307,7 @@ func TestLogisticRegressionLearns(t *testing.T) {
 	if acc := accuracyOn(t, lr, test); acc < 0.9 {
 		t.Errorf("logreg accuracy = %.3f, want >= 0.9", acc)
 	}
-	w, _ := lr.Weights()
+	w := lr.w
 	if len(w) != 2 {
 		t.Errorf("weights = %v", w)
 	}

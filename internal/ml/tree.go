@@ -247,20 +247,6 @@ func (t *DecisionTree) PredictProba(x []float64) float64 {
 	return n.Proba
 }
 
-// Depth returns the depth of the fitted tree (a single leaf has depth 0).
-func (t *DecisionTree) Depth() int { return nodeDepth(t.root) }
-
-func nodeDepth(n *TreeNode) int {
-	if n == nil || n.Leaf {
-		return 0
-	}
-	l, r := nodeDepth(n.Left), nodeDepth(n.Right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // String renders the fitted tree as an indented text diagram using the
 // given feature names (nil falls back to f<i>).
 func (t *DecisionTree) String(names []string) string {

@@ -139,33 +139,11 @@ func (g *Registry) Observe(name string, value float64, labels ...Label) {
 	h.sum += value
 }
 
-// DeclareCounter ensures the counter series exists (at zero) so metric
-// families appear in the exposition before any event fires — the
-// cloudmatcher server declares its pipeline families at startup.
-func (g *Registry) DeclareCounter(name string, labels ...Label) {
-	g.mu.Lock()
-	g.scalar(g.counters, name, labels)
-	g.mu.Unlock()
-}
-
-// DeclareGauge ensures the gauge series exists (at zero).
+// DeclareGauge ensures the gauge series exists (at zero), so the family
+// appears in the exposition before any event sets it.
 func (g *Registry) DeclareGauge(name string, labels ...Label) {
 	g.mu.Lock()
 	g.scalar(g.gauges, name, labels)
-	g.mu.Unlock()
-}
-
-// DeclareTimer ensures the histogram series exists (empty).
-func (g *Registry) DeclareTimer(name string, labels ...Label) {
-	g.mu.Lock()
-	k := seriesKey(name, labels)
-	if _, ok := g.hists[k]; !ok {
-		g.hists[k] = &histSeries{
-			name:   name,
-			labels: append([]Label(nil), labels...),
-			counts: make([]uint64, len(DefaultBuckets)),
-		}
-	}
 	g.mu.Unlock()
 }
 

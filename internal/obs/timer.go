@@ -22,15 +22,3 @@ func StartTimer(r Recorder, name string, labels ...Label) func() {
 
 // nopStop is the shared stop function of disabled timers.
 func nopStop() {}
-
-// Since observes the seconds elapsed since start into the named histogram
-// series — the non-deferred form of StartTimer for code that already holds
-// a start time. Disabled recorders ignore it without reading the clock.
-//
-//emlint:allow nondeterminism -- the obs timer is the sanctioned clock
-func Since(r Recorder, name string, start time.Time, labels ...Label) {
-	if !Enabled(r) {
-		return
-	}
-	r.Observe(name, time.Since(start).Seconds(), labels...)
-}

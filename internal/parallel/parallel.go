@@ -27,39 +27,6 @@ func Resolve(workers int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// serialFallbacks counts fan-outs the cost gate sent down the serial path
-// because the input was below MinWork, so tests can assert the gate fired.
-var serialFallbacks atomic.Int64
-
-// SerialFallbacks returns the number of fan-outs the cost gate kept
-// serial since process start.
-func SerialFallbacks() int64 { return serialFallbacks.Load() }
-
-// Gate applies the fan-out cost model: it returns the effective worker
-// count for n items of which minWork is the smallest batch worth spinning
-// up goroutines for. Inputs below minWork run serially — the spawn,
-// scheduling, and merge overhead of a fan-out is on the order of tens of
-// microseconds, so tiny batches lose outright — and each such decision is
-// counted (SerialFallbacks). A workers knob of 1 is an explicit caller
-// choice, not a gate decision, and is not counted.
-func Gate(workers, n, minWork int) int {
-	w := Resolve(workers)
-	if w <= 1 || n <= 1 {
-		return 1
-	}
-	if n < minWork {
-		serialFallbacks.Add(1)
-		return 1
-	}
-	return w
-}
-
-// ForEachMin is ForEach behind the cost gate: fn fans out only when n
-// clears minWork items.
-func ForEachMin(workers, n, minWork int, fn func(i int) error) error {
-	return ForEach(Gate(workers, n, minWork), n, fn)
-}
-
 // ForEach runs fn(i) for every i in [0, n) across at most workers
 // goroutines (0 means GOMAXPROCS). Items are claimed dynamically, so
 // uneven per-item cost balances across workers. If any call fails, ForEach
@@ -186,11 +153,10 @@ func MapChunks[T any](workers, n int, fn func(lo, hi int) (T, error)) ([]T, erro
 
 // MapChunksMin is MapChunks with per-call-site chunk sizing: no chunk is
 // smaller than minWork items, so tiny inputs produce fewer chunks — down
-// to one, which runs serially with no goroutine setup (counted as a cost-
-// gate fallback). Call sites pick minWork to cover their per-chunk fixed
-// cost: a simjoin shard allocates an epoch-stamp array over the whole
-// right side, so probing 50 records across 8 chunks would pay that setup
-// 8 times for no win.
+// to one, which runs serially with no goroutine setup. Call sites pick
+// minWork to cover their per-chunk fixed cost: a simjoin shard allocates
+// an epoch-stamp array over the whole right side, so probing 50 records
+// across 8 chunks would pay that setup 8 times for no win.
 func MapChunksMin[T any](workers, n, minWork int, fn func(lo, hi int) (T, error)) ([]T, error) {
 	w := Resolve(workers)
 	if minWork > 0 && w > 1 && n > 0 {
@@ -199,9 +165,6 @@ func MapChunksMin[T any](workers, n, minWork int, fn func(lo, hi int) (T, error)
 				maxParts = 1
 			}
 			w = maxParts
-			if w == 1 {
-				serialFallbacks.Add(1)
-			}
 		}
 	}
 	chunks := Chunks(n, w)

@@ -174,42 +174,6 @@ func TestMapChunksConcatenationMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestGateKeepsTinyInputsSerial(t *testing.T) {
-	before := SerialFallbacks()
-	if got := Gate(8, 10, 100); got != 1 {
-		t.Fatalf("Gate(8, 10, 100) = %d, want 1 (below MinWork)", got)
-	}
-	if SerialFallbacks() != before+1 {
-		t.Fatalf("gated fallback not counted: %d -> %d", before, SerialFallbacks())
-	}
-	if got := Gate(8, 1000, 100); got != 8 {
-		t.Fatalf("Gate(8, 1000, 100) = %d, want 8", got)
-	}
-	// An explicit workers=1 knob is a caller choice, not a gate decision.
-	before = SerialFallbacks()
-	if got := Gate(1, 10, 100); got != 1 {
-		t.Fatalf("Gate(1, ...) = %d, want 1", got)
-	}
-	if SerialFallbacks() != before {
-		t.Fatal("explicit workers=1 must not count as a gated fallback")
-	}
-}
-
-func TestForEachMinMatchesForEach(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 300} {
-		var hits atomic.Int64
-		if err := ForEachMin(4, n, 64, func(i int) error {
-			hits.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if int(hits.Load()) != n {
-			t.Fatalf("n=%d: fn ran %d times", n, hits.Load())
-		}
-	}
-}
-
 func TestForEachShardIdentity(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
 		n := 500
@@ -283,12 +247,8 @@ func TestMapChunksMinBoundsChunkCount(t *testing.T) {
 	if got := countChunks(8, 250, 100); got > 2 {
 		t.Fatalf("n=250 minWork=100 made %d chunks, want <= 2", got)
 	}
-	before := SerialFallbacks()
 	if got := countChunks(8, 50, 100); got != 1 {
 		t.Fatalf("tiny input made %d chunks, want 1", got)
-	}
-	if SerialFallbacks() != before+1 {
-		t.Fatal("single-chunk collapse not counted as gated fallback")
 	}
 }
 

@@ -117,7 +117,6 @@ func (rs *RuleSet) Len() int { return len(rs.Rules) }
 // CompiledRule evaluates a Rule against positional feature vectors without
 // per-pair map lookups. Build one with Compile.
 type CompiledRule struct {
-	rule  Rule
 	idx   []int
 	ops   []Op
 	value []float64
@@ -132,7 +131,7 @@ func Compile(r Rule, featureNames []string) (*CompiledRule, error) {
 	for i, n := range featureNames {
 		pos[n] = i
 	}
-	c := &CompiledRule{rule: r}
+	c := &CompiledRule{}
 	for _, p := range r.Predicates {
 		i, ok := pos[p.Feature]
 		if !ok {
@@ -144,9 +143,6 @@ func Compile(r Rule, featureNames []string) (*CompiledRule, error) {
 	}
 	return c, nil
 }
-
-// Rule returns the source rule.
-func (c *CompiledRule) Rule() Rule { return c.rule }
 
 // Fires reports whether every predicate holds on the feature vector x.
 // An empty rule never fires.
@@ -190,9 +186,6 @@ func (c *CompiledRuleSet) AnyFires(x []float64) (fired bool, index int) {
 	}
 	return false, -1
 }
-
-// Len returns the number of compiled rules.
-func (c *CompiledRuleSet) Len() int { return len(c.rules) }
 
 // EvalMap evaluates the (uncompiled) rule against a feature map; features
 // absent from the map fail the rule with an error, preserving the fail-fast

@@ -143,9 +143,6 @@ func TestCompileAndFire(t *testing.T) {
 	if c.Fires([]float64{0.4, 0.0, 0.5}) {
 		t.Error("second predicate violated; rule must not fire")
 	}
-	if c.Rule().Name != "r" {
-		t.Error("source rule lost")
-	}
 }
 
 func TestCompileUnknownFeature(t *testing.T) {
@@ -177,8 +174,8 @@ func TestCompileSetAnyFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if len(c.rules) != 2 {
+		t.Fatalf("len = %d", len(c.rules))
 	}
 	fired, idx := c.AnyFires([]float64{0.5, 0.05})
 	if !fired || idx != 1 {

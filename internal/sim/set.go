@@ -210,10 +210,3 @@ func TverskyU32(a, b []uint32, alpha, beta float64) float64 {
 //emlint:zeroalloc
 //emlint:hotpath
 func IntersectSortedU32(a, b []uint32) int { return intersectSorted(a, b) }
-
-// OverlapSizeU32 is the raw overlap |a ∩ b| over sorted duplicate-free ID
-// sets.
-//
-//emlint:zeroalloc
-//emlint:hotpath
-func OverlapSizeU32(a, b []uint32) int { return intersectSorted(a, b) }

@@ -46,7 +46,7 @@ func TestIntegerKernelsMatchStringKernels(t *testing.T) {
 		{"overlap_coeff", OverlapCoefficient, OverlapCoefficientU32},
 		{"overlap_size",
 			func(a, b []string) float64 { return float64(OverlapSize(a, b)) },
-			func(a, b []uint32) float64 { return float64(OverlapSizeU32(a, b)) }},
+			func(a, b []uint32) float64 { return float64(IntersectSortedU32(a, b)) }},
 		{"tversky",
 			func(a, b []string) float64 { return Tversky(a, b, 0.7, 0.2) },
 			func(a, b []uint32) float64 { return TverskyU32(a, b, 0.7, 0.2) }},
@@ -98,7 +98,6 @@ func TestIntegerKernelsZeroAlloc(t *testing.T) {
 		"DiceU32":                   func() { DiceU32(a, b) },
 		"CosineSetU32":              func() { CosineSetU32(a, b) },
 		"OverlapCoefficientU32":     func() { OverlapCoefficientU32(a, b) },
-		"OverlapSizeU32":            func() { OverlapSizeU32(a, b) },
 		"TverskyU32":                func() { TverskyU32(a, b, 0.5, 0.5) },
 	}
 	for name, fn := range checks {

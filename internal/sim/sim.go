@@ -9,30 +9,6 @@
 // so they can be used interchangeably as EM features.
 package sim
 
-// StringSim scores the similarity of two raw strings in [0, 1].
-type StringSim interface {
-	Sim(a, b string) float64
-	Name() string
-}
-
-// TokenSim scores the similarity of two token lists in [0, 1].
-type TokenSim interface {
-	SimTokens(a, b []string) float64
-	Name() string
-}
-
-// Func adapts an ordinary function to StringSim.
-type Func struct {
-	F func(a, b string) float64
-	N string
-}
-
-// Sim implements StringSim.
-func (f Func) Sim(a, b string) float64 { return f.F(a, b) }
-
-// Name implements StringSim.
-func (f Func) Name() string { return f.N }
-
 // ExactMatch returns 1 if the strings are byte-identical, else 0.
 func ExactMatch(a, b string) float64 {
 	if a == b {

@@ -316,13 +316,6 @@ func TestSoundex(t *testing.T) {
 	}
 }
 
-func TestFuncAdapter(t *testing.T) {
-	f := Func{F: ExactMatch, N: "exact"}
-	if f.Sim("a", "a") != 1 || f.Name() != "exact" {
-		t.Error("Func adapter broken")
-	}
-}
-
 // Properties over random strings: range, symmetry, identity.
 
 func TestSimilarityRangeProperty(t *testing.T) {

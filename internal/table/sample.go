@@ -25,11 +25,6 @@ func (t *Table) SampleWithReplacement(n int, rng *rand.Rand) *Table {
 	return t.Select(idxs)
 }
 
-// Shuffle returns a new table with the rows in random order.
-func (t *Table) Shuffle(rng *rand.Rand) *Table {
-	return t.Select(rng.Perm(t.Len()))
-}
-
 // Split partitions the table's rows into two new tables, the first holding
 // a fraction frac (rounded down) of rows chosen at random. It is the
 // train/test split used in matcher evaluation.

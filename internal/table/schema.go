@@ -91,19 +91,6 @@ func (s *Schema) KindOf(name string) (Kind, error) {
 	return s.cols[i].Kind, nil
 }
 
-// Equal reports whether two schemas have identical columns in order.
-func (s *Schema) Equal(t *Schema) bool {
-	if s.Len() != t.Len() {
-		return false
-	}
-	for i := range s.cols {
-		if s.cols[i] != t.cols[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Project returns a new schema containing only the named columns, in the
 // given order.
 func (s *Schema) Project(names ...string) (*Schema, error) {
@@ -116,13 +103,4 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 		cols = append(cols, s.cols[i])
 	}
 	return NewSchema(cols...)
-}
-
-// String renders the schema as "name:kind, ...".
-func (s *Schema) String() string {
-	parts := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		parts[i] = c.Name + ":" + c.Kind.String()
-	}
-	return strings.Join(parts, ", ")
 }

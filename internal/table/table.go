@@ -250,19 +250,6 @@ func (t *Table) SortBy(cols ...string) error {
 	return nil
 }
 
-// Column returns all values of the named column as a slice.
-func (t *Table) Column(name string) ([]Value, error) {
-	j := t.schema.Lookup(name)
-	if j < 0 {
-		return nil, fmt.Errorf("table %q: no column %q", t.name, name)
-	}
-	out := make([]Value, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r[j]
-	}
-	return out, nil
-}
-
 // Strings returns the named column rendered as strings (nulls become "").
 func (t *Table) Strings(name string) ([]string, error) {
 	j := t.schema.Lookup(name)
@@ -273,40 +260,5 @@ func (t *Table) Strings(name string) ([]string, error) {
 	for i, r := range t.rows {
 		out[i] = r[j].AsString()
 	}
-	return out, nil
-}
-
-// AddColumn appends a new column with the given values (one per row) and
-// returns a new table; the receiver is unchanged.
-func (t *Table) AddColumn(col Column, vals []Value) (*Table, error) {
-	if len(vals) != len(t.rows) {
-		return nil, fmt.Errorf("table %q: add column %q: %d values for %d rows", t.name, col.Name, len(vals), len(t.rows))
-	}
-	if t.schema.Has(col.Name) {
-		return nil, fmt.Errorf("table %q: add column: %q already exists", t.name, col.Name)
-	}
-	sch, err := NewSchema(append(t.schema.Columns(), col)...)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{name: t.name, schema: sch, key: t.key}
-	out.rows = make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		nr := make(Row, 0, len(r)+1)
-		nr = append(nr, r...)
-		nr = append(nr, vals[i])
-		out.rows[i] = nr
-	}
-	return out, nil
-}
-
-// Concat appends all rows of u (which must have an equal schema) to a copy
-// of t.
-func (t *Table) Concat(u *Table) (*Table, error) {
-	if !t.schema.Equal(u.schema) {
-		return nil, fmt.Errorf("concat: schema mismatch: [%s] vs [%s]", t.schema, u.schema)
-	}
-	out := t.Clone()
-	out.rows = append(out.rows, u.rows...)
 	return out, nil
 }

@@ -137,41 +137,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestAddColumn(t *testing.T) {
-	tab := personTable(t)
-	vals := []Value{Int(1), Int(2), Int(3)}
-	out, err := tab.AddColumn(Column{Name: "score", Kind: KindInt}, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := out.Get(1, "score").AsInt(); got != 2 {
-		t.Errorf("score[1] = %d, want 2", got)
-	}
-	if _, err := tab.AddColumn(Column{Name: "name", Kind: KindInt}, vals); err == nil {
-		t.Error("want error adding duplicate column")
-	}
-	if _, err := tab.AddColumn(Column{Name: "x", Kind: KindInt}, vals[:1]); err == nil {
-		t.Error("want error for wrong value count")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := personTable(t)
-	b := New("B", StringSchema("id", "name", "city", "state"))
-	b.MustAppend(String("b1"), String("X"), String("Y"), String("Z"))
-	out, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 4 {
-		t.Errorf("concat len = %d, want 4", out.Len())
-	}
-	c := New("C", StringSchema("other"))
-	if _, err := a.Concat(c); err == nil {
-		t.Error("want schema-mismatch error")
-	}
-}
-
 func TestValueConversions(t *testing.T) {
 	if f, ok := Int(7).AsFloat(); !ok || f != 7 {
 		t.Errorf("Int.AsFloat = %v,%v", f, ok)
@@ -187,15 +152,6 @@ func TestValueConversions(t *testing.T) {
 	}
 	if f, ok := String(" 2.5 ").AsFloat(); !ok || f != 2.5 {
 		t.Errorf("string AsFloat = %v,%v", f, ok)
-	}
-	if !Int(2).Equal(Float(2)) {
-		t.Error("cross-kind numeric equality failed")
-	}
-	if !Null(KindInt).Equal(Null(KindString)) {
-		t.Error("nulls of different kinds should be equal")
-	}
-	if Null(KindInt).Equal(Int(0)) {
-		t.Error("null should not equal zero")
 	}
 }
 

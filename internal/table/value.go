@@ -147,36 +147,6 @@ func (v Value) AsInt() (i int64, ok bool) {
 	}
 }
 
-// Equal reports deep equality of two values. Nulls compare equal only to
-// nulls of any kind (EM treats all missing data alike).
-func (v Value) Equal(w Value) bool {
-	if v.Null || w.Null {
-		return v.Null && w.Null
-	}
-	if v.Kind != w.Kind {
-		// Numeric cross-kind comparison.
-		vf, vok := v.AsFloat()
-		wf, wok := w.AsFloat()
-		if vok && wok && (v.Kind == KindInt || v.Kind == KindFloat) &&
-			(w.Kind == KindInt || w.Kind == KindFloat) {
-			return vf == wf
-		}
-		return false
-	}
-	switch v.Kind {
-	case KindString:
-		return v.Str == w.Str
-	case KindInt:
-		return v.Int == w.Int
-	case KindFloat:
-		return v.Float == w.Float
-	case KindBool:
-		return v.Bool == w.Bool
-	default:
-		return false
-	}
-}
-
 // Less orders values of the same kind; nulls sort first. Values of different
 // kinds are ordered by kind.
 func (v Value) Less(w Value) bool {

@@ -6,7 +6,6 @@
 package tokenize
 
 import (
-	"sort"
 	"strings"
 	"unicode"
 )
@@ -29,8 +28,8 @@ type Tokenizer interface {
 // (out := toks[:0]), so the caller's slice is clobbered up to the number of
 // distinct tokens. That is safe — and allocation-free — precisely because
 // every caller in this package passes a slice it just built and owns
-// (strings.Fields output, a fresh append-loop, or Tokenize's result inside
-// SortedSet) and never reads toks afterwards. Do not call it on a slice a
+// (strings.Fields output or a fresh append-loop) and never reads toks
+// afterwards. Do not call it on a slice a
 // caller handed in or that anything else retains; pass a copy instead.
 // TestDedupAliasesInput pins this contract.
 func dedup(toks []string) []string {
@@ -182,12 +181,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b[i:])
-}
-
-// SortedSet tokenizes with the wrapped tokenizer, dedups, and sorts: the
-// canonical form used to build prefix-filter indexes in package simjoin.
-func SortedSet(t Tokenizer, s string) []string {
-	toks := dedup(t.Tokenize(s))
-	sort.Strings(toks)
-	return toks
 }

@@ -100,14 +100,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestSortedSet(t *testing.T) {
-	got := SortedSet(Whitespace{}, "b a b c")
-	want := []string{"a", "b", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v want %v", got, want)
-	}
-}
-
 // Property: q-gram count equals max(1, runeLen - q + 1) for non-empty
 // unpadded strings.
 func TestQGramCountProperty(t *testing.T) {
