@@ -113,13 +113,7 @@ func run(aPath, bPath, key, goldPath, outPath string, sample int, seed int64, wo
 	for _, r := range cv {
 		fmt.Printf("  cv %-22s P=%.3f R=%.3f F1=%.3f\n", r.Name, r.Precision, r.Recall, r.F1)
 	}
-	var factory func() ml.Classifier
-	for _, f := range ml.DefaultMatcherFactories(seed) {
-		if f().Name() == cv[0].Name {
-			factory = f
-		}
-	}
-	matches, _, err := s.TrainAndPredict(factory)
+	matches, _, err := s.TrainAndPredict(cv[0].Factory)
 	if err != nil {
 		return err
 	}

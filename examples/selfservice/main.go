@@ -14,6 +14,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/falcon"
 	"repro/internal/label"
@@ -48,16 +49,9 @@ func main() {
 	fmt.Printf("\ncandidate set: %d pairs (cross product would be %d)\n",
 		res.Candidates.Len(), task.A.Len()*task.B.Len())
 
-	tp := 0
-	for i := 0; i < res.Matches.Len(); i++ {
-		if task.Gold.IsMatch(res.Matches.Get(i, "ltable_id").AsString(), res.Matches.Get(i, "rtable_id").AsString()) {
-			tp++
-		}
-	}
-	p := float64(tp) / float64(res.Matches.Len())
-	r := float64(tp) / float64(task.Gold.Len())
+	conf := core.Evaluate(res.Matches, task.Gold)
 	st := crowd.Stats()
-	fmt.Printf("\npredicted %d matches  P %.1f%%  R %.1f%%\n", res.Matches.Len(), 100*p, 100*r)
+	fmt.Printf("\npredicted %d matches  P %.1f%%  R %.1f%%\n", res.Matches.Len(), 100*conf.Precision(), 100*conf.Recall())
 	fmt.Printf("crowd effort: %d questions, $%.2f, ~%s of turnaround\n",
 		st.Questions, st.CostUSD, st.Elapsed.Round(time.Hour))
 	fmt.Printf("machine time: %s\n", res.MachineTime.Round(time.Millisecond))

@@ -5,6 +5,11 @@
 // labeler, and the forest is refit. Uncertainty sampling concentrates the
 // lay user's scarce labels on the decision boundary, which is why
 // CloudMatcher needs only 160–1200 questions per task (Table 2).
+//
+// It is the one label-acquisition module: the guide, Falcon, Smurf and
+// CloudMatcher's services take their overlap sample (OverlapSample), their
+// likely-match order (MeanFeatureOrder), their pool (PoolFromPairs) and
+// every budget-aware question (Pool.Ask) from here.
 package active
 
 import (
@@ -14,6 +19,7 @@ import (
 
 	"repro/internal/label"
 	"repro/internal/ml"
+	"repro/internal/table"
 )
 
 // Pool is the unlabeled example pool: one feature vector per candidate
@@ -36,6 +42,32 @@ func (p *Pool) Validate() error {
 // Len returns the pool size.
 func (p *Pool) Len() int { return len(p.X) }
 
+// PoolFromPairs builds the pool over a pair table registered in cat, whose
+// rows x scores one for one.
+func PoolFromPairs(pairs *table.Table, cat *table.Catalog, x [][]float64, names []string) (*Pool, error) {
+	meta, ok := cat.PairMeta(pairs)
+	if !ok {
+		return nil, fmt.Errorf("active: %q is not a registered pair table", pairs.Name())
+	}
+	pool := &Pool{X: x, Names: names, LIDs: make([]string, pairs.Len()), RIDs: make([]string, pairs.Len())}
+	for i := range pool.LIDs {
+		pool.LIDs[i] = pairs.Get(i, meta.LID).AsString()
+		pool.RIDs[i] = pairs.Get(i, meta.RID).AsString()
+	}
+	return pool, pool.Validate()
+}
+
+// Ask puts pool pair i to the labeler. answered is false when lab is a
+// *label.Budgeted that refused the question for lack of budget: the false
+// it returned is nobody's answer, so the caller drops it and stops asking.
+func (p *Pool) Ask(lab label.Labeler, i int) (match, answered bool) {
+	match = lab.Label(p.LIDs[i], p.RIDs[i])
+	if b, ok := lab.(*label.Budgeted); ok && b.Exhausted() != nil {
+		return false, false
+	}
+	return match, true
+}
+
 // Config tunes the active-learning loop.
 type Config struct {
 	// SeedSize is the number of randomly chosen pairs labeled before the
@@ -45,10 +77,6 @@ type Config struct {
 	BatchSize int
 	// MaxRounds bounds the number of query rounds; 0 means 20.
 	MaxRounds int
-	// Trees is the forest size; 0 means 10.
-	Trees int
-	// Alpha is the forest's match-vote fraction; 0 means 0.5.
-	Alpha float64
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -101,12 +129,14 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 	budget, budgeted := lab.(*label.Budgeted)
 
 	ask := func(i int) bool {
-		y := 0
-		if lab.Label(pool.LIDs[i], pool.RIDs[i]) {
-			y = 1
+		match, answered := pool.Ask(lab, i)
+		if answered {
+			labeled[i] = 0
+			if match {
+				labeled[i] = 1
+			}
 		}
-		labeled[i] = y
-		return !(budgeted && budget.Exhausted() != nil)
+		return answered
 	}
 
 	// Seed phase: label a random sample.
@@ -126,7 +156,7 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 	// pairs with the highest mean feature value (most similar-looking)
 	// until a positive turns up, as practical implementations do.
 	if countPos(labeled) == 0 {
-		order := byMeanFeatureDesc(pool)
+		order := MeanFeatureOrder(pool.X)
 		probes := 0
 		for _, i := range order {
 			if _, done := labeled[i]; done {
@@ -142,7 +172,7 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 		}
 	}
 
-	forest := &ml.RandomForest{NumTrees: cfg.Trees, Alpha: cfg.Alpha, Seed: cfg.Seed}
+	forest := &ml.RandomForest{Seed: cfg.Seed}
 	fit := func() error {
 		ds := datasetFrom(pool, labeled)
 		if ds.Len() == 0 {
@@ -221,18 +251,21 @@ func countPos(labeled map[int]int) int {
 	return n
 }
 
-func byMeanFeatureDesc(pool *Pool) []int {
-	means := make([]float64, pool.Len())
-	for i, x := range pool.X {
+// MeanFeatureOrder returns the row indices of x by descending mean feature
+// value — most similar-looking pairs first — with index order as the
+// tiebreak.
+func MeanFeatureOrder(x [][]float64) []int {
+	means := make([]float64, len(x))
+	for i, row := range x {
 		var s float64
-		for _, v := range x {
+		for _, v := range row {
 			s += v
 		}
-		if len(x) > 0 {
-			means[i] = s / float64(len(x))
+		if len(row) > 0 {
+			means[i] = s / float64(len(row))
 		}
 	}
-	order := make([]int, pool.Len())
+	order := make([]int, len(x))
 	for i := range order {
 		order[i] = i
 	}

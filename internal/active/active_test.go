@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/label"
 	"repro/internal/ml"
+	"repro/internal/simjoin"
 )
 
 // simPool builds a pool whose single feature cleanly separates matches
@@ -94,8 +95,63 @@ func TestLearnRespectsBudget(t *testing.T) {
 	if q := budget.Stats().Questions; q > 30 {
 		t.Errorf("budgeted labeler answered %d questions, cap 30", q)
 	}
-	if res.Labeled.Len() > 31 {
+	if res.Labeled.Len() > 30 {
 		t.Errorf("labeled set %d exceeds budget", res.Labeled.Len())
+	}
+}
+
+// TestLearnKeepsOnlyGivenAnswers: a budgeted labeler answers false without
+// asking once the budget is spent; that refusal is no label. Under every
+// budget each row of Labeled must be an answer the oracle gave.
+func TestLearnKeepsOnlyGivenAnswers(t *testing.T) {
+	pool, gold := simPool(500, 0.2, 4)
+	truth := make(map[float64]int, pool.Len()) // the one feature identifies the pair
+	for i, x := range pool.X {
+		if gold.IsMatch(pool.LIDs[i], pool.RIDs[i]) {
+			truth[x[0]] = 1
+		} else {
+			truth[x[0]] = 0
+		}
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, cap := range []int{7, 13, 30, 45} {
+			budget := label.NewBudgeted(label.NewOracle(gold), cap)
+			res, err := Learn(pool, budget, Config{Seed: seed, SeedSize: 10, BatchSize: 10, MaxRounds: 50})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Labeled.Len() > cap {
+				t.Fatalf("seed %d budget %d: %d labels", seed, cap, res.Labeled.Len())
+			}
+			for i, x := range res.Labeled.X {
+				if res.Labeled.Y[i] != truth[x[0]] {
+					t.Fatalf("seed %d budget %d: row %d labeled %d, oracle says %d", seed, cap, i, res.Labeled.Y[i], truth[x[0]])
+				}
+			}
+		}
+	}
+}
+
+// TestOverlapSampleRespectsSize: with no joined pairs at all the sample is
+// topped up to n distinct random cross pairs.
+func TestOverlapSampleRespectsSize(t *testing.T) {
+	recs := func(prefix string) []simjoin.Record {
+		out := make([]simjoin.Record, 100)
+		for i := range out {
+			out[i].ID = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
+	}
+	pairs := OverlapSample(recs("a"), recs("b"), nil, 50, rand.New(rand.NewSource(1)))
+	if len(pairs) != 50 {
+		t.Errorf("sample size = %d, want 50", len(pairs))
+	}
+	seen := map[[2]string]bool{}
+	for _, p := range pairs {
+		if seen[p] {
+			t.Fatalf("duplicate sampled pair %v", p)
+		}
+		seen[p] = true
 	}
 }
 

@@ -72,11 +72,54 @@ func TestArgsHelpers(t *testing.T) {
 	if v, err := a.Int("jn"); err != nil || v != 7 {
 		t.Error("Int via float64 broken")
 	}
-	if a.IntOr("missing", 9) != 9 || a.StrOr("missing", "d") != "d" {
-		t.Error("defaults broken")
+}
+
+// TestArgsOptional: a job's arguments arrive from outside the program, so
+// an optional argument takes its default only when the key is absent; a
+// key present with the wrong type (or a fractional number where an integer
+// is wanted) is the step's error, never silently the default.
+func TestArgsOptional(t *testing.T) {
+	a := Args{"i": 3, "i64": int64(4), "whole": float64(7), "frac": 2.7, "s": "x", "digits": "2", "all": "all", "nil": nil}
+	ints := []struct {
+		key     string
+		want    int
+		wantErr string
+	}{
+		{"missing", 9, ""},
+		{"i", 3, ""},
+		{"i64", 4, ""},
+		{"whole", 7, ""},
+		{"frac", 0, `argument "frac" is 2.7, want an integer`},
+		{"digits", 0, `argument "digits" is string, want int`},
+		{"all", 0, `argument "all" is string, want int`},
+		{"nil", 0, `argument "nil" is <nil>, want int`},
 	}
-	if a.FloatOr("f", 0) != 1.5 || a.FloatOr("n", 0) != 3 || a.FloatOr("missing", 2.5) != 2.5 {
-		t.Error("FloatOr broken")
+	for _, c := range ints {
+		got, err := a.IntOr(c.key, 9)
+		if c.wantErr == "" && (err != nil || got != c.want) {
+			t.Errorf("IntOr(%q) = %d, %v; want %d", c.key, got, err, c.want)
+		}
+		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Errorf("IntOr(%q) error = %v; want %q", c.key, err, c.wantErr)
+		}
+	}
+	strs := []struct {
+		key, want, wantErr string
+	}{
+		{"missing", "d", ""},
+		{"s", "x", ""},
+		{"i", "", `argument "i" is int, want string`},
+		{"whole", "", `argument "whole" is float64, want string`},
+		{"nil", "", `argument "nil" is <nil>, want string`},
+	}
+	for _, c := range strs {
+		got, err := a.StrOr(c.key, "d")
+		if c.wantErr == "" && (err != nil || got != c.want) {
+			t.Errorf("StrOr(%q) = %q, %v; want %q", c.key, got, err, c.want)
+		}
+		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Errorf("StrOr(%q) error = %v; want %q", c.key, err, c.wantErr)
+		}
 	}
 }
 

@@ -148,6 +148,38 @@ func TestHTTPSubmitFailingJob(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitMistypedArgument: an optional argument of the wrong type
+// fails its step (422 with the step's error); it does not run the step on
+// the default.
+func TestHTTPSubmitMistypedArgument(t *testing.T) {
+	srv, _ := newTestServer(t)
+	csv := "id,name\n1,acme corp\n2,globex inc\n"
+	payload := map[string]any{
+		"name": "mistyped",
+		"steps": []map[string]any{
+			{"id": "a", "service": "upload_dataset", "args": map[string]any{"csv": csv, "out": "a"}},
+			{"id": "ka", "service": "set_key", "args": map[string]any{"table": "a", "key": "id"}, "after": []string{"a"}},
+			{"id": "blk", "service": "overlap_block",
+				"args": map[string]any{"a": "a", "b": "a", "k": "2"}, "after": []string{"ka"}},
+		},
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(mustJSON(t, payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeBody(t, resp)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	}
+	var jr jobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	if len(jr.Steps) != 3 || !strings.Contains(jr.Steps[2].Error, `argument "k" is string, want int`) {
+		t.Errorf("steps = %+v, want the blocking step to fail on its mistyped k", jr.Steps)
+	}
+}
+
 func TestHTTPNoisyLabeler(t *testing.T) {
 	srv, _ := newTestServer(t)
 	payload := map[string]any{

@@ -18,6 +18,8 @@ package cloud
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -73,15 +75,18 @@ func (a Args) Str(key string) (string, error) {
 	return s, nil
 }
 
-// StrOr fetches a string argument with a default.
-func (a Args) StrOr(key, def string) string {
-	if s, err := a.Str(key); err == nil {
-		return s
+// StrOr fetches an optional string argument: def when the key is absent.
+// The payload arrives from outside the program, so a key that is present
+// with another type is an error, never silently the default.
+func (a Args) StrOr(key, def string) (string, error) {
+	if _, ok := a[key]; !ok {
+		return def, nil
 	}
-	return def
+	return a.Str(key)
 }
 
-// Int fetches an integer argument (accepting float64 for JSON payloads).
+// Int fetches an integer argument (accepting an integral float64, which is
+// what a JSON payload decodes numbers to).
 func (a Args) Int(key string) (int, error) {
 	v, ok := a[key]
 	if !ok {
@@ -93,34 +98,21 @@ func (a Args) Int(key string) (int, error) {
 	case int64:
 		return int(n), nil
 	case float64:
-		return int(n), nil
+		if n == math.Trunc(n) {
+			return int(n), nil
+		}
+		return 0, fmt.Errorf("cloud: argument %q is %v, want an integer", key, n)
 	default:
 		return 0, fmt.Errorf("cloud: argument %q is %T, want int", key, v)
 	}
 }
 
-// IntOr fetches an integer argument with a default.
-func (a Args) IntOr(key string, def int) int {
-	if n, err := a.Int(key); err == nil {
-		return n
+// IntOr fetches an optional integer argument under StrOr's rules.
+func (a Args) IntOr(key string, def int) (int, error) {
+	if _, ok := a[key]; !ok {
+		return def, nil
 	}
-	return def
-}
-
-// FloatOr fetches a float argument with a default.
-func (a Args) FloatOr(key string, def float64) float64 {
-	v, ok := a[key]
-	if !ok {
-		return def
-	}
-	switch n := v.(type) {
-	case float64:
-		return n
-	case int:
-		return float64(n)
-	default:
-		return def
-	}
+	return a.Int(key)
 }
 
 // JobContext is the per-job state services operate on: a named object
@@ -164,13 +156,17 @@ func (c *JobContext) Get(name string) (any, bool) {
 
 // Table fetches a named object expecting a *table.Table.
 func (c *JobContext) Table(name string) (*table.Table, error) {
+	return object[*table.Table](c, name)
+}
+
+// object fetches a named object from the job store as a T.
+func object[T any](c *JobContext, name string) (t T, err error) {
 	v, ok := c.Get(name)
 	if !ok {
-		return nil, fmt.Errorf("cloud: no object %q in job store", name)
+		return t, fmt.Errorf("cloud: no object %q in job store", name)
 	}
-	t, ok := v.(*table.Table)
-	if !ok {
-		return nil, fmt.Errorf("cloud: object %q is %T, not a table", name, v)
+	if t, ok = v.(T); !ok {
+		return t, fmt.Errorf("cloud: object %q is %T, not %v", name, v, reflect.TypeFor[T]())
 	}
 	return t, nil
 }

@@ -81,7 +81,11 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return t.Profile(a.IntOr("top_k", 5)), nil
+			topK, err := a.IntOr("top_k", 5)
+			if err != nil {
+				return nil, err
+			}
+			return t.Profile(topK), nil
 		},
 	})
 
@@ -114,14 +118,23 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			rng := rand.New(rand.NewSource(ctx.Seed))
-			as, bs, err := table.DownSample(at, bt, a.IntOr("size_a", 1000), a.IntOr("size_b", 1000), rng)
+			sizeA, err := a.IntOr("size_a", 1000)
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out_a", "a_sample"), as)
-			ctx.Put(a.StrOr("out_b", "b_sample"), bs)
-			return fmt.Sprintf("%d/%d rows", as.Len(), bs.Len()), nil
+			sizeB, err := a.IntOr("size_b", 1000)
+			if err != nil {
+				return nil, err
+			}
+			rng := rand.New(rand.NewSource(ctx.Seed))
+			as, bs, err := table.DownSample(at, bt, sizeA, sizeB, rng)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := store(ctx, a, "out_a", "a_sample", as, ""); err != nil {
+				return nil, err
+			}
+			return store(ctx, a, "out_b", "b_sample", bs, fmt.Sprintf("%d/%d rows", as.Len(), bs.Len()))
 		},
 	})
 
@@ -137,18 +150,23 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			var blk block.Blocker
-			if attr := a.StrOr("attr", ""); attr != "" {
-				blk = block.OverlapBlocker{Attr: attr, MinOverlap: a.IntOr("k", 1), Metrics: ctx.Metrics}
-			} else {
-				blk = block.WholeTupleOverlapBlocker{MinOverlap: a.IntOr("k", 1), Metrics: ctx.Metrics}
+			attr, err := a.StrOr("attr", "")
+			if err != nil {
+				return nil, err
+			}
+			k, err := a.IntOr("k", 1)
+			if err != nil {
+				return nil, err
+			}
+			var blk block.Blocker = block.WholeTupleOverlapBlocker{MinOverlap: k, Metrics: ctx.Metrics}
+			if attr != "" {
+				blk = block.OverlapBlocker{Attr: attr, MinOverlap: k, Metrics: ctx.Metrics}
 			}
 			cand, err := blk.Block(at, bt, ctx.Catalog)
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "candidates"), cand)
-			return fmt.Sprintf("%d pairs", cand.Len()), nil
+			return store(ctx, a, "out", "candidates", cand, fmt.Sprintf("%d pairs", cand.Len()))
 		},
 	})
 
@@ -164,13 +182,16 @@ func registerBasic(r *Registry) {
 			if !ok {
 				return nil, fmt.Errorf("cloud: %q is not a registered pair table", p.Name())
 			}
+			n, err := a.IntOr("n", 100)
+			if err != nil {
+				return nil, err
+			}
 			rng := rand.New(rand.NewSource(ctx.Seed + 1))
-			s := p.Sample(a.IntOr("n", 100), rng)
+			s := p.Sample(n, rng)
 			if err := ctx.Catalog.RegisterPair(s, meta); err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "pair_sample"), s)
-			return fmt.Sprintf("%d pairs", s.Len()), nil
+			return store(ctx, a, "out", "pair_sample", s, fmt.Sprintf("%d pairs", s.Len()))
 		},
 	})
 
@@ -190,8 +211,7 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "features"), fs)
-			return fmt.Sprintf("%d features", fs.Len()), nil
+			return store(ctx, a, "out", "features", fs, fmt.Sprintf("%d features", fs.Len()))
 		},
 	})
 
@@ -199,7 +219,7 @@ func registerBasic(r *Registry) {
 		Name: "extract_feature_vectors", Kind: KindBatch,
 		Doc: "compute feature vectors for a candidate set",
 		Run: func(ctx *JobContext, a Args) (any, error) {
-			fs, err := argFeatures(ctx, a, "features")
+			fs, err := stored[*feature.Set](ctx, a, "features", "features")
 			if err != nil {
 				return nil, err
 			}
@@ -211,8 +231,7 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "vectors"), &vectors{X: x, Names: fs.Names(), Pairs: p})
-			return fmt.Sprintf("%d vectors", len(x)), nil
+			return store(ctx, a, "out", "vectors", &vectors{X: x, Names: fs.Names(), Pairs: p}, fmt.Sprintf("%d vectors", len(x)))
 		},
 	})
 
@@ -231,8 +250,7 @@ func registerBasic(r *Registry) {
 				y[i] = 1
 			}
 		}
-		ctx.Put(a.StrOr("out", "labels"), &labels{Y: y, Pairs: p})
-		return fmt.Sprintf("%d labels", len(y)), nil
+		return store(ctx, a, "out", "labels", &labels{Y: y, Pairs: p}, fmt.Sprintf("%d labels", len(y)))
 	}
 	mustRegister(&Service{
 		Name: "label_pairs", Kind: KindUser,
@@ -247,11 +265,11 @@ func registerBasic(r *Registry) {
 		Name: "train_classifier", Kind: KindBatch,
 		Doc: "train a matcher on labeled feature vectors",
 		Run: func(ctx *JobContext, a Args) (any, error) {
-			v, err := argVectors(ctx, a, "vectors")
+			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
 			if err != nil {
 				return nil, err
 			}
-			l, err := argLabels(ctx, a, "labels")
+			l, err := stored[*labels](ctx, a, "labels", "labels")
 			if err != nil {
 				return nil, err
 			}
@@ -262,15 +280,18 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			model, err := newClassifier(a.StrOr("model", "random_forest"), ctx.Seed)
+			name, err := a.StrOr("model", "random_forest")
+			if err != nil {
+				return nil, err
+			}
+			model, err := newClassifier(name, ctx.Seed)
 			if err != nil {
 				return nil, err
 			}
 			if err := model.Fit(ds); err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "classifier"), model)
-			return model.Name(), nil
+			return store(ctx, a, "out", "classifier", model, model.Name())
 		},
 	})
 
@@ -278,35 +299,19 @@ func registerBasic(r *Registry) {
 		Name: "predict_matches", Kind: KindBatch,
 		Doc: "apply a trained matcher to a candidate set",
 		Run: func(ctx *JobContext, a Args) (any, error) {
-			v, err := argVectors(ctx, a, "vectors")
+			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
 			if err != nil {
 				return nil, err
 			}
-			cv, ok := ctx.Get(a.StrOr("classifier", "classifier"))
-			if !ok {
-				return nil, fmt.Errorf("cloud: no classifier in job store")
-			}
-			model, ok := cv.(ml.Classifier)
-			if !ok {
-				return nil, fmt.Errorf("cloud: stored classifier is %T", cv)
-			}
-			meta, ok := ctx.Catalog.PairMeta(v.Pairs)
-			if !ok {
-				return nil, fmt.Errorf("cloud: vector pair table unregistered")
-			}
-			matches, err := table.NewPairTable("matches", meta.LTable, meta.RTable, ctx.Catalog)
+			model, err := stored[ml.Classifier](ctx, a, "classifier", "classifier")
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < v.Pairs.Len(); i++ {
-				if ml.Predict(model, v.X[i]) == 1 {
-					table.AppendPair(matches,
-						v.Pairs.Get(i, meta.LID).AsString(),
-						v.Pairs.Get(i, meta.RID).AsString())
-				}
+			matches, err := table.PredictedPairs("matches", v.Pairs, ctx.Catalog, ml.PredictAll(model, v.X))
+			if err != nil {
+				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "matches"), matches)
-			return fmt.Sprintf("%d matches", matches.Len()), nil
+			return store(ctx, a, "out", "matches", matches, fmt.Sprintf("%d matches", matches.Len()))
 		},
 	})
 
@@ -322,8 +327,12 @@ func registerBasic(r *Registry) {
 			if !ok {
 				return nil, fmt.Errorf("cloud: %q is not a registered pair table", m.Name())
 			}
+			n, err := a.IntOr("n", 50)
+			if err != nil {
+				return nil, err
+			}
 			rng := rand.New(rand.NewSource(ctx.Seed + 2))
-			s := m.Sample(a.IntOr("n", 50), rng)
+			s := m.Sample(n, rng)
 			correct := 0
 			for i := 0; i < s.Len(); i++ {
 				if ctx.Labeler.Label(s.Get(i, meta.LID).AsString(), s.Get(i, meta.RID).AsString()) {
@@ -341,24 +350,19 @@ func registerBasic(r *Registry) {
 		Name: "extract_blocking_rules", Kind: KindBatch,
 		Doc: "mine candidate blocking rules from a random forest",
 		Run: func(ctx *JobContext, a Args) (any, error) {
-			fv, ok := ctx.Get(a.StrOr("forest", "forest"))
-			if !ok {
-				return nil, fmt.Errorf("cloud: no forest in job store")
-			}
-			forest, ok := fv.(*ml.RandomForest)
-			if !ok {
-				return nil, fmt.Errorf("cloud: stored forest is %T", fv)
-			}
-			fs, err := argFeatures(ctx, a, "features")
+			learned, err := stored[*active.Result](ctx, a, "forest", "forest")
 			if err != nil {
 				return nil, err
 			}
-			rs, err := falcon.ExtractBlockingRules(forest, fs.Names())
+			fs, err := stored[*feature.Set](ctx, a, "features", "features")
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "rules"), rs)
-			return fmt.Sprintf("%d rules", rs.Len()), nil
+			rs, err := falcon.ExtractBlockingRules(learned.Forest, fs.Names())
+			if err != nil {
+				return nil, err
+			}
+			return store(ctx, a, "out", "rules", rs, fmt.Sprintf("%d rules", rs.Len()))
 		},
 	})
 
@@ -366,57 +370,24 @@ func registerBasic(r *Registry) {
 		Name: "evaluate_blocking_rules", Kind: KindUser,
 		Doc: "the user reviews rules against labeled pairs; precise rules kept",
 		Run: func(ctx *JobContext, a Args) (any, error) {
-			rsv, ok := ctx.Get(a.StrOr("rules", "rules"))
-			if !ok {
-				return nil, fmt.Errorf("cloud: no rules in job store")
-			}
-			rs, ok := rsv.(rules.RuleSet)
-			if !ok {
-				return nil, fmt.Errorf("cloud: stored rules are %T", rsv)
-			}
-			v, err := argVectors(ctx, a, "vectors")
+			rs, err := stored[rules.RuleSet](ctx, a, "rules", "rules")
 			if err != nil {
 				return nil, err
 			}
-			meta, ok := ctx.Catalog.PairMeta(v.Pairs)
-			if !ok {
-				return nil, fmt.Errorf("cloud: vector pair table unregistered")
+			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
+			if err != nil {
+				return nil, err
 			}
-			threshold := a.FloatOr("precision", 0.95)
-			samples := a.IntOr("samples", 10)
-			rng := rand.New(rand.NewSource(ctx.Seed + 3))
-			var kept rules.RuleSet
-			for _, r := range rs.Rules {
-				c, err := rules.Compile(r, v.Names)
-				if err != nil {
-					continue
-				}
-				fired := make([]int, 0, len(v.X))
-				for i := range v.X {
-					if c.Fires(v.X[i]) {
-						fired = append(fired, i)
-					}
-				}
-				if len(fired) == 0 {
-					continue
-				}
-				rng.Shuffle(len(fired), func(x, y int) { fired[x], fired[y] = fired[y], fired[x] })
-				n := samples
-				if n > len(fired) {
-					n = len(fired)
-				}
-				nonMatch := 0
-				for _, i := range fired[:n] {
-					if !ctx.Labeler.Label(v.Pairs.Get(i, meta.LID).AsString(), v.Pairs.Get(i, meta.RID).AsString()) {
-						nonMatch++
-					}
-				}
-				if float64(nonMatch)/float64(n) >= threshold {
-					kept.Add(r)
-				}
+			learned, err := stored[*active.Result](ctx, a, "forest", "forest")
+			if err != nil {
+				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "precise_rules"), kept)
-			return fmt.Sprintf("%d/%d rules kept", kept.Len(), rs.Len()), nil
+			pool, err := active.PoolFromPairs(v.Pairs, ctx.Catalog, v.X, v.Names)
+			if err != nil {
+				return nil, err
+			}
+			kept := falcon.EvaluateRules(rs, pool, learned, ctx.Labeler, rand.New(rand.NewSource(ctx.Seed+3)))
+			return store(ctx, a, "out", "precise_rules", kept, fmt.Sprintf("%d/%d rules kept", kept.Len(), rs.Len()))
 		},
 	})
 
@@ -432,30 +403,24 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			rsv, ok := ctx.Get(a.StrOr("rules", "precise_rules"))
-			if !ok {
-				return nil, fmt.Errorf("cloud: no rules in job store")
-			}
-			rs, ok := rsv.(rules.RuleSet)
-			if !ok {
-				return nil, fmt.Errorf("cloud: stored rules are %T", rsv)
-			}
-			fs, err := argFeatures(ctx, a, "features")
+			rs, err := stored[rules.RuleSet](ctx, a, "rules", "precise_rules")
 			if err != nil {
 				return nil, err
 			}
-			seed := block.WholeTupleOverlapBlocker{MinOverlap: a.IntOr("k", 1), Metrics: ctx.Metrics}
-			var cand *table.Table
-			if rs.Len() > 0 {
-				cand, err = block.RuleBlocker{Seed: seed, Rules: rs, Features: fs, Metrics: ctx.Metrics}.Block(at, bt, ctx.Catalog)
-			} else {
-				cand, err = seed.Block(at, bt, ctx.Catalog)
-			}
+			fs, err := stored[*feature.Set](ctx, a, "features", "features")
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "candidates"), cand)
-			return fmt.Sprintf("%d pairs", cand.Len()), nil
+			k, err := a.IntOr("k", 1)
+			if err != nil {
+				return nil, err
+			}
+			seed := block.WholeTupleOverlapBlocker{MinOverlap: k, Metrics: ctx.Metrics}
+			cand, err := falcon.ExecuteRules(seed, rs, fs, at, bt, ctx.Catalog)
+			if err != nil {
+				return nil, err
+			}
+			return store(ctx, a, "out", "candidates", cand, fmt.Sprintf("%d pairs", cand.Len()))
 		},
 	})
 
@@ -467,7 +432,11 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			return block.DebugBlocker(p, ctx.Catalog, a.IntOr("top_k", 20))
+			topK, err := a.IntOr("top_k", 20)
+			if err != nil {
+				return nil, err
+			}
+			return block.DebugBlocker(p, ctx.Catalog, topK)
 		},
 	})
 
@@ -485,30 +454,29 @@ func registerComposite(r *Registry) {
 		Name: "active_learning", Kind: KindUser, Composite: true,
 		Doc: "active-learn a random forest over a candidate set",
 		Run: func(ctx *JobContext, a Args) (any, error) {
-			v, err := argVectors(ctx, a, "vectors")
+			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
 			if err != nil {
 				return nil, err
 			}
-			meta, ok := ctx.Catalog.PairMeta(v.Pairs)
-			if !ok {
-				return nil, fmt.Errorf("cloud: vector pair table unregistered")
-			}
-			pool := &active.Pool{X: v.X, Names: v.Names}
-			for i := 0; i < v.Pairs.Len(); i++ {
-				pool.LIDs = append(pool.LIDs, v.Pairs.Get(i, meta.LID).AsString())
-				pool.RIDs = append(pool.RIDs, v.Pairs.Get(i, meta.RID).AsString())
-			}
-			res, err := active.Learn(pool, ctx.Labeler, active.Config{
-				Seed:      ctx.Seed + 5,
-				SeedSize:  a.IntOr("seed_size", 20),
-				BatchSize: a.IntOr("batch_size", 10),
-				MaxRounds: a.IntOr("max_rounds", 20),
-			})
+			pool, err := active.PoolFromPairs(v.Pairs, ctx.Catalog, v.X, v.Names)
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "forest"), res.Forest)
-			return fmt.Sprintf("%d labels", res.Labeled.Len()), nil
+			cfg := active.Config{Seed: ctx.Seed + 5}
+			if cfg.SeedSize, err = a.IntOr("seed_size", 20); err != nil {
+				return nil, err
+			}
+			if cfg.BatchSize, err = a.IntOr("batch_size", 10); err != nil {
+				return nil, err
+			}
+			if cfg.MaxRounds, err = a.IntOr("max_rounds", 20); err != nil {
+				return nil, err
+			}
+			res, err := active.Learn(pool, ctx.Labeler, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return store(ctx, a, "out", "forest", res, fmt.Sprintf("%d labels", res.Labeled.Len()))
 		},
 	})
 
@@ -524,15 +492,20 @@ func registerComposite(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := falcon.Run(at, bt, ctx.Labeler, ctx.Catalog, falcon.Config{
-				SampleSize: a.IntOr("sample_size", 2000),
-				Seed:       ctx.Seed + 6,
-			})
+			n, err := a.IntOr("sample_size", 2000)
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(a.StrOr("out", "matches"), res.Matches)
-			ctx.Put(a.StrOr("out", "matches")+"_result", res)
+			out, err := a.StrOr("out", "matches")
+			if err != nil {
+				return nil, err
+			}
+			res, err := falcon.Run(at, bt, ctx.Labeler, ctx.Catalog, falcon.Config{SampleSize: n, Seed: ctx.Seed + 6})
+			if err != nil {
+				return nil, err
+			}
+			ctx.Put(out, res.Matches)
+			ctx.Put(out+"_result", res)
 			return fmt.Sprintf("%d matches, %d questions", res.Matches.Len(), res.TotalQuestions()), nil
 		},
 	})
@@ -546,61 +519,34 @@ func argTable(ctx *JobContext, a Args, key string) (*table.Table, error) {
 	return ctx.Table(name)
 }
 
-func argFeatures(ctx *JobContext, a Args, key string) (*feature.Set, error) {
-	name := a.StrOr(key, key)
-	v, ok := ctx.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("cloud: no feature set %q in job store", name)
+// stored fetches the job-store object the argument key names (def when the
+// argument is absent) as a T.
+func stored[T any](ctx *JobContext, a Args, key, def string) (t T, err error) {
+	name, err := a.StrOr(key, def)
+	if err != nil {
+		return t, err
 	}
-	fs, ok := v.(*feature.Set)
-	if !ok {
-		return nil, fmt.Errorf("cloud: object %q is %T, not a feature set", name, v)
-	}
-	return fs, nil
+	return object[T](ctx, name)
 }
 
-func argVectors(ctx *JobContext, a Args, key string) (*vectors, error) {
-	name := a.StrOr(key, key)
-	v, ok := ctx.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("cloud: no vectors %q in job store", name)
+// store ends a service: it puts the product v under the name the argument
+// key gives (def when absent) and returns the step's summary.
+func store(ctx *JobContext, a Args, key, def string, v any, summary string) (any, error) {
+	name, err := a.StrOr(key, def)
+	if err != nil {
+		return nil, err
 	}
-	vv, ok := v.(*vectors)
-	if !ok {
-		return nil, fmt.Errorf("cloud: object %q is %T, not vectors", name, v)
-	}
-	return vv, nil
+	ctx.Put(name, v)
+	return summary, nil
 }
 
-func argLabels(ctx *JobContext, a Args, key string) (*labels, error) {
-	name := a.StrOr(key, key)
-	v, ok := ctx.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("cloud: no labels %q in job store", name)
-	}
-	lv, ok := v.(*labels)
-	if !ok {
-		return nil, fmt.Errorf("cloud: object %q is %T, not labels", name, v)
-	}
-	return lv, nil
-}
-
-// newClassifier instantiates a matcher by family name.
+// newClassifier instantiates a matcher of ml.DefaultMatcherFactories by
+// its family name.
 func newClassifier(name string, seed int64) (ml.Classifier, error) {
-	switch name {
-	case "decision_tree":
-		return &ml.DecisionTree{Seed: seed}, nil
-	case "random_forest":
-		return &ml.RandomForest{Seed: seed}, nil
-	case "logistic_regression":
-		return &ml.LogisticRegression{Seed: seed}, nil
-	case "naive_bayes":
-		return &ml.GaussianNB{}, nil
-	case "linear_svm":
-		return &ml.LinearSVM{Seed: seed}, nil
-	case "knn":
-		return &ml.KNN{}, nil
-	default:
-		return nil, fmt.Errorf("cloud: unknown classifier %q", name)
+	for _, f := range ml.DefaultMatcherFactories(seed) {
+		if m := f(); m.Name() == name {
+			return m, nil
+		}
 	}
+	return nil, fmt.Errorf("cloud: unknown classifier %q", name)
 }

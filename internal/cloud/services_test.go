@@ -1,10 +1,14 @@
 package cloud
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/active"
 	"repro/internal/datagen"
+	"repro/internal/falcon"
 	"repro/internal/label"
 	"repro/internal/ml"
 	"repro/internal/rules"
@@ -124,6 +128,24 @@ func TestBlockingRulePipelineServices(t *testing.T) {
 		t.Fatal("no rules extracted")
 	}
 	svc(t, reg, ctx, "evaluate_blocking_rules", Args{"rules": "rules", "vectors": "vectors", "out": "precise"})
+	// The service is Falcon's step 4: on the same inputs its kept rules are
+	// falcon.EvaluateRules', so the two cannot drift apart.
+	v, err := object[*vectors](ctx, "vectors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	learned, err := object[*active.Result](ctx, "forest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := active.PoolFromPairs(v.Pairs, ctx.Catalog, v.X, v.Names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := falcon.EvaluateRules(rsv.(rules.RuleSet), pool, learned, label.NewOracle(task.Gold), rand.New(rand.NewSource(ctx.Seed+3)))
+	if kept, _ := ctx.Get("precise"); !reflect.DeepEqual(kept, want) {
+		t.Errorf("service kept %v, falcon.EvaluateRules keeps %v", kept, want)
+	}
 	svc(t, reg, ctx, "execute_blocking_rules", Args{"a": "a", "b": "b", "rules": "precise", "features": "features", "out": "blocked"})
 	blocked, err := ctx.Table("blocked")
 	if err != nil {
@@ -140,7 +162,6 @@ func TestBlockingRulePipelineServices(t *testing.T) {
 	}); ok {
 		t.Log("unexpected concrete type but fine")
 	}
-	_ = task
 }
 
 func TestCrowdLabelService(t *testing.T) {

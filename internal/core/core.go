@@ -16,8 +16,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
+	"repro/internal/active"
 	"repro/internal/block"
 	"repro/internal/feature"
 	"repro/internal/label"
@@ -226,26 +226,7 @@ func biasedSample(x [][]float64, n int, rng *rand.Rand) []int {
 		}
 		return out
 	}
-	means := make([]float64, len(x))
-	for i, row := range x {
-		var sum float64
-		for _, v := range row {
-			sum += v
-		}
-		if len(row) > 0 {
-			means[i] = sum / float64(len(row))
-		}
-	}
-	order := make([]int, len(x))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if means[order[a]] != means[order[b]] {
-			return means[order[a]] > means[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	order := active.MeanFeatureOrder(x)
 	top := order[:n/2]
 	rest := append([]int(nil), order[n/2:]...)
 	rng.Shuffle(len(rest), func(a, b int) { rest[a], rest[b] = rest[b], rest[a] })
@@ -294,21 +275,10 @@ func (s *Session) TrainAndPredict(factory func() ml.Classifier) (*table.Table, m
 			return nil, nil, err
 		}
 	}
-	meta, _ := s.Catalog.PairMeta(s.Candidates)
-	matches, err := table.NewPairTable("predicted_matches", meta.LTable, meta.RTable, s.Catalog)
+	matches, err := table.PredictedPairs("predicted_matches", s.Candidates, s.Catalog, ml.PredictAll(model, x))
 	if err != nil {
 		return nil, nil, err
 	}
-	var kept []table.PairID
-	for i := 0; i < s.Candidates.Len(); i++ {
-		if ml.Predict(model, x[i]) == 1 {
-			kept = append(kept, table.PairID{
-				L: s.Candidates.Get(i, meta.LID).AsString(),
-				R: s.Candidates.Get(i, meta.RID).AsString(),
-			})
-		}
-	}
-	table.AppendPairs(matches, kept)
 	return matches, model, nil
 }
 

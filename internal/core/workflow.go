@@ -85,20 +85,10 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 			return nil, fmt.Errorf("core: workflow rules: %w", err)
 		}
 	}
-	matches, err := table.NewPairTable("workflow_matches", a, b, cat)
+	matches, err := table.PredictedPairs("workflow_matches", cand, cat, y)
 	if err != nil {
 		return nil, err
 	}
-	var kept []table.PairID
-	for i := 0; i < cand.Len(); i++ {
-		if y[i] == 1 {
-			kept = append(kept, table.PairID{
-				L: cand.Get(i, "ltable_id").AsString(),
-				R: cand.Get(i, "rtable_id").AsString(),
-			})
-		}
-	}
-	table.AppendPairs(matches, kept)
 	res.PredictTime = time.Since(t0)
 	res.Matches = matches
 	return res, nil

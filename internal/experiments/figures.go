@@ -85,13 +85,7 @@ func RunGuide(sizeA, sizeB, downA, downB int, seed int64, workers int, rec obs.R
 	}
 	out.CVWinner = cv[0].Name
 	out.CVF1 = cv[0].F1
-	var factory func() ml.Classifier
-	for _, f := range ml.DefaultMatcherFactories(seed) {
-		if f().Name() == cv[0].Name {
-			factory = f
-		}
-	}
-	matches, _, err := s.TrainAndPredict(factory)
+	matches, _, err := s.TrainAndPredict(cv[0].Factory)
 	if err != nil {
 		return nil, err
 	}

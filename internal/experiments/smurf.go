@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/falcon"
 	"repro/internal/label"
@@ -48,7 +49,7 @@ func RunSmurfComparison(seed int64) ([]SmurfRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("falcon on %s: %w", spec.Name, err)
 		}
-		fp, fr := scorePairTable(fres.Matches, task.Gold)
+		fconf := core.Evaluate(fres.Matches, task.Gold)
 
 		// Smurf over concatenated strings.
 		items := func(t *table.Table) []smurf.Item {
@@ -71,7 +72,15 @@ func RunSmurfComparison(seed int64) ([]SmurfRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("smurf on %s: %w", spec.Name, err)
 		}
-		sp, sr := scoreMatches(sres.Matches, task.Gold)
+		// Scored as a pair table, by the evaluator every experiment uses.
+		smatches, err := table.NewPairTable("smurf_matches", task.A, task.B, cat)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range sres.Matches {
+			table.AppendPair(smatches, m[0], m[1])
+		}
+		sconf := core.Evaluate(smatches, task.Gold)
 
 		fq := fOracle.Stats().Questions
 		sq := sOracle.Stats().Questions
@@ -80,8 +89,8 @@ func RunSmurfComparison(seed int64) ([]SmurfRow, error) {
 			FalconQuestions: fq,
 			SmurfQuestions:  sq,
 			Reduction:       1 - float64(sq)/float64(fq),
-			FalconF1:        f1(fp, fr),
-			SmurfF1:         f1(sp, sr),
+			FalconF1:        fconf.F1(),
+			SmurfF1:         sconf.F1(),
 		})
 	}
 	return rows, nil
@@ -99,31 +108,4 @@ func FormatSmurf(rows []SmurfRow) string {
 			100*r.FalconF1, 100*r.SmurfF1)
 	}
 	return b.String()
-}
-
-func scoreMatches(matches [][2]string, gold *label.Gold) (p, r float64) {
-	tp := 0
-	for _, m := range matches {
-		if gold.IsMatch(m[0], m[1]) {
-			tp++
-		}
-	}
-	if len(matches) > 0 {
-		p = float64(tp) / float64(len(matches))
-	} else {
-		p = 1
-	}
-	if gold.Len() > 0 {
-		r = float64(tp) / float64(gold.Len())
-	} else {
-		r = 1
-	}
-	return
-}
-
-func f1(p, r float64) float64 {
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/falcon"
 	"repro/internal/label"
@@ -70,13 +71,13 @@ func RunTable2Task(ts datagen.TaskSpec, seed int64) (Table2Row, error) {
 	if err != nil {
 		return Table2Row{}, fmt.Errorf("task %s: %w", ts.Spec.Name, err)
 	}
-	p, r := scorePairTable(res.Matches, task.Gold)
+	conf := core.Evaluate(res.Matches, task.Gold)
 	st := lab.Stats()
 	row := Table2Row{
 		Task: ts.Spec.Name, Org: ts.Org,
 		SizeA: ts.Spec.SizeA, SizeB: ts.Spec.SizeB,
 		Questions: st.Questions,
-		Precision: p, Recall: r,
+		Precision: conf.Precision(), Recall: conf.Recall(),
 		LabelTime:   st.Elapsed,
 		MachineTime: res.MachineTime,
 		Crowd:       ts.Crowd,
@@ -122,26 +123,4 @@ func FormatTable2(rows []Table2Row) string {
 			r.LabelTime.Round(time.Minute), r.MachineTime.Round(time.Millisecond))
 	}
 	return b.String()
-}
-
-// scorePairTable computes precision/recall of a predicted match pair table
-// against gold.
-func scorePairTable(matches *table.Table, gold *label.Gold) (p, r float64) {
-	tp := 0
-	for i := 0; i < matches.Len(); i++ {
-		if gold.IsMatch(matches.Get(i, "ltable_id").AsString(), matches.Get(i, "rtable_id").AsString()) {
-			tp++
-		}
-	}
-	if matches.Len() > 0 {
-		p = float64(tp) / float64(matches.Len())
-	} else {
-		p = 1
-	}
-	if gold.Len() > 0 {
-		r = float64(tp) / float64(gold.Len())
-	} else {
-		r = 1
-	}
-	return
 }

@@ -1,9 +1,13 @@
 package falcon
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/active"
+	"repro/internal/label"
+	"repro/internal/rules"
 )
 
 func maxQuestions(cfg active.Config) int {
@@ -53,5 +57,46 @@ func TestFitBudgetTinyBudget(t *testing.T) {
 	got := fitBudget(active.Config{}, 4)
 	if got.SeedSize > 2 {
 		t.Errorf("seed %d exceeds half of a 4-question budget", got.SeedSize)
+	}
+}
+
+// TestEvaluateRulesRefusalIsNoEvidence: a budgeted labeler answers false
+// without asking once its budget is spent. That refusal is not a labeled
+// non-match: a rule whose review the budget cuts short is not kept.
+func TestEvaluateRulesRefusalIsNoEvidence(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	pool := &active.Pool{Names: []string{"sim"}}
+	gold := label.NewGold(nil)
+	for i := 0; i < 300; i++ {
+		lid, rid := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		f := 0.3 * rng.Float64()
+		if i%5 == 0 {
+			f = 0.7 + 0.3*rng.Float64()
+			gold.Add(lid, rid)
+		}
+		pool.X = append(pool.X, []float64{f})
+		pool.LIDs = append(pool.LIDs, lid)
+		pool.RIDs = append(pool.RIDs, rid)
+	}
+	stage1, err := active.Learn(pool, label.NewOracle(gold), active.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := rules.Parse("low_sim", "sim <= 0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cand rules.RuleSet
+	cand.Add(r)
+	if kept := EvaluateRules(cand, pool, stage1, label.NewOracle(gold), rand.New(rand.NewSource(2))); kept.Len() != 1 {
+		t.Fatalf("unbudgeted review kept %d rules, want the precise one", kept.Len())
+	}
+	// 15 answers are not the 20 a review takes.
+	budget := label.NewBudgeted(label.NewOracle(gold), 15)
+	if kept := EvaluateRules(cand, pool, stage1, budget, rand.New(rand.NewSource(2))); kept.Len() != 0 {
+		t.Errorf("kept %d rules on 15 of 20 answers; the 5 refusals are not non-matches", kept.Len())
+	}
+	if q := budget.Stats().Questions; q != 15 {
+		t.Errorf("labeler answered %d questions, budget 15", q)
 	}
 }

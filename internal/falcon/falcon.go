@@ -25,21 +25,6 @@ type Config struct {
 	Blocking active.Config
 	// Matching configures stage-2 active learning.
 	Matching active.Config
-	// RulePrecision is the minimum labeled precision for a blocking rule
-	// to be retained; 0 means 0.95.
-	RulePrecision float64
-	// RuleEvalSamples is the number of firing pairs labeled per rule
-	// during rule evaluation; 0 means 20.
-	RuleEvalSamples int
-	// MinRuleCoverage rejects rules firing on fewer sample pairs than
-	// this (a rule that drops almost nothing is useless); 0 means 10.
-	MinRuleCoverage int
-	// MaxRules caps how many precise rules are kept (highest coverage
-	// first); 0 means 10.
-	MaxRules int
-	// SeedOverlap is the whole-tuple token-overlap count seeding the
-	// candidate set; 0 means 1.
-	SeedOverlap int
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -51,33 +36,14 @@ func (c Config) sampleSize() int {
 	return c.SampleSize
 }
 
-func (c Config) rulePrecision() float64 {
-	if c.RulePrecision <= 0 {
-		return 0.95
-	}
-	return c.RulePrecision
-}
-
-func (c Config) ruleEvalSamples() int {
-	if c.RuleEvalSamples <= 0 {
-		return 20
-	}
-	return c.RuleEvalSamples
-}
-
-func (c Config) minRuleCoverage() int {
-	if c.MinRuleCoverage <= 0 {
-		return 10
-	}
-	return c.MinRuleCoverage
-}
-
-func (c Config) maxRules() int {
-	if c.MaxRules <= 0 {
-		return 10
-	}
-	return c.MaxRules
-}
+// What no caller ever set is a constant (DESIGN.md §3 has the table).
+const (
+	rulePrecision   = 0.95 // labeled precision a blocking rule needs to be kept
+	ruleEvalSamples = 20   // firing pairs labeled per rule
+	minRuleCoverage = 10   // a rule firing on fewer sample pairs drops almost nothing
+	maxRules        = 10   // precise rules kept, highest coverage first
+	seedOverlap     = 1    // whole-tuple tokens a pair shares to enter the candidate set
+)
 
 // Result is the outcome of a Falcon run.
 type Result struct {
@@ -109,7 +75,8 @@ func (r *Result) TotalQuestions() int {
 }
 
 // Run executes the end-to-end Falcon workflow on tables a and b with the
-// given labeler. The catalog receives the intermediate pair tables.
+// given labeler: the six steps of Figure 3, in order. The catalog receives
+// the intermediate pair tables.
 //
 //emlint:allow nondeterminism -- MachineTime is a reported duration, not a decision input
 func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (*Result, error) {
@@ -121,9 +88,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	res := &Result{Features: fs}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Step 1: sample S of tuple pairs. Half random cross pairs (so rules
-	// see easy negatives), half token-overlapping pairs (so the sample
-	// contains plausible matches to anchor the forest).
+	// Step 1: sample S of tuple pairs.
 	sample, err := samplePairs(a, b, cat, cfg.sampleSize(), rng)
 	if err != nil {
 		return nil, err
@@ -132,7 +97,10 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	pool := poolFromPairs(sample, sx, fs.Names())
+	pool, err := active.PoolFromPairs(sample, cat, sx, fs.Names())
+	if err != nil {
+		return nil, err
+	}
 
 	// Step 2: active-learn the blocking forest on S. When the labeler is
 	// budgeted (CloudMatcher caps questions per task, Table 2), allocate
@@ -155,37 +123,18 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	res.BlockingQuestions = lab.Stats().Questions - before
 
 	// Step 3: extract candidate blocking rules from the forest.
-	cand, err := ExtractBlockingRules(stage1.Forest, fs.Names())
+	res.CandidateRules, err = ExtractBlockingRules(stage1.Forest, fs.Names())
 	if err != nil {
 		return nil, err
 	}
-	res.CandidateRules = cand
 
 	// Step 4: evaluate rules with the labeler; retain precise ones.
 	before = lab.Stats().Questions
-	ruleBudget := 1 << 30
-	if budgeted {
-		ruleBudget = budget.Remaining() / 3
-	}
-	res.BlockingRules = evaluateRules(cand, pool, stage1, lab, rng, cfg, ruleBudget)
+	res.BlockingRules = EvaluateRules(res.CandidateRules, pool, stage1, lab, rng)
 	res.RuleQuestions = lab.Stats().Questions - before
 
 	// Step 5: execute the rules to produce the candidate set C.
-	seed := block.WholeTupleOverlapBlocker{MinOverlap: cfg.SeedOverlap}
-	var c *table.Table
-	if res.BlockingRules.Len() > 0 {
-		c, err = block.RuleBlocker{Seed: seed, Rules: res.BlockingRules, Features: fs}.Block(a, b, cat)
-	} else {
-		// No precise rules survived: fall back to a tightened seed
-		// blocker (k+1 shared tokens) so the candidate set stays
-		// tractable without rule pruning.
-		tightened := seed
-		tightened.MinOverlap = seed.MinOverlap + 1
-		if tightened.MinOverlap < 2 {
-			tightened.MinOverlap = 2
-		}
-		c, err = tightened.Block(a, b, cat)
-	}
+	c, err := ExecuteRules(block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, res.BlockingRules, fs, a, b, cat)
 	if err != nil {
 		return nil, fmt.Errorf("falcon: blocking: %w", err)
 	}
@@ -196,7 +145,10 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	cpool := poolFromPairs(c, cx, fs.Names())
+	cpool, err := active.PoolFromPairs(c, cat, cx, fs.Names())
+	if err != nil {
+		return nil, err
+	}
 	before = lab.Stats().Questions
 	mcfg := cfg.Matching
 	if mcfg.Seed == 0 {
@@ -211,28 +163,16 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	}
 	res.MatchingQuestions = lab.Stats().Questions - before
 	res.Matcher = stage2.Forest
-
-	matches, err := table.NewPairTable("falcon_matches", a, b, cat)
+	res.Matches, err = table.PredictedPairs("falcon_matches", c, cat, ml.PredictAll(stage2.Forest, cx))
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < c.Len(); i++ {
-		if ml.Predict(stage2.Forest, cx[i]) == 1 {
-			table.AppendPair(matches, c.Get(i, "ltable_id").AsString(), c.Get(i, "rtable_id").AsString())
-		}
-	}
-	res.Matches = matches
 	res.MachineTime = time.Since(start)
 	return res, nil
 }
 
-// samplePairs builds the stage-1 sample S. A uniform sample of A×B — or
-// even of all token-overlapping pairs — contains essentially no matches,
-// which would leave active learning and rule evaluation blind to what a
-// match looks like. Like Falcon's sampler, we bias: a quarter of S are the
-// pairs sharing the MOST whole-tuple tokens (likely matches), a quarter
-// are random overlapping pairs (hard negatives), and the rest are random
-// cross pairs (easy negatives).
+// samplePairs builds the stage-1 sample S: active.OverlapSample over the
+// whole-tuple token overlap of a and b, as a pair table.
 func samplePairs(a, b *table.Table, cat *table.Catalog, n int, rng *rand.Rand) (*table.Table, error) {
 	if a.Len() == 0 || b.Len() == 0 {
 		return nil, fmt.Errorf("falcon: empty input table")
@@ -241,15 +181,6 @@ func samplePairs(a, b *table.Table, cat *table.Catalog, n int, rng *rand.Rand) (
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[[2]string]bool)
-	add := func(lid, rid string) {
-		k := [2]string{lid, rid}
-		if !seen[k] {
-			seen[k] = true
-			table.AppendPair(sample, lid, rid)
-		}
-	}
-
 	// Every row's whole-tuple token set, keyed by the table key.
 	records := func(t *table.Table) []simjoin.Record {
 		kj := t.Schema().Lookup(t.Key())
@@ -264,37 +195,8 @@ func samplePairs(a, b *table.Table, cat *table.Catalog, n int, rng *rand.Rand) (
 	if err != nil {
 		return nil, err
 	}
-	// Highest shared-token pairs first.
-	sort.Slice(joined, func(x, y int) bool {
-		if joined[x].Sim != joined[y].Sim {
-			return joined[x].Sim > joined[y].Sim
-		}
-		if joined[x].LID != joined[y].LID {
-			return joined[x].LID < joined[y].LID
-		}
-		return joined[x].RID < joined[y].RID
-	})
-	top := n / 4
-	if top > len(joined) {
-		top = len(joined)
-	}
-	for _, p := range joined[:top] {
-		add(p.LID, p.RID)
-	}
-	rest := joined[top:]
-	rng.Shuffle(len(rest), func(x, y int) { rest[x], rest[y] = rest[y], rest[x] })
-	want := n / 4
-	if want > len(rest) {
-		want = len(rest)
-	}
-	for _, p := range rest[:want] {
-		add(p.LID, p.RID)
-	}
-
-	// Random remainder (also tops up if the overlap halves fell short).
-	maxAttempts := 20 * n
-	for attempt := 0; sample.Len() < n && attempt < maxAttempts; attempt++ {
-		add(lrecs[rng.Intn(len(lrecs))].ID, rrecs[rng.Intn(len(rrecs))].ID)
+	for _, p := range active.OverlapSample(lrecs, rrecs, joined, n, rng) {
+		table.AppendPair(sample, p[0], p[1])
 	}
 	return sample, nil
 }
@@ -341,26 +243,23 @@ func fitBudget(cfg active.Config, q int) active.Config {
 	return cfg
 }
 
-func poolFromPairs(pairs *table.Table, x [][]float64, names []string) *active.Pool {
-	pool := &active.Pool{X: x, Names: names}
-	for i := 0; i < pairs.Len(); i++ {
-		pool.LIDs = append(pool.LIDs, pairs.Get(i, "ltable_id").AsString())
-		pool.RIDs = append(pool.RIDs, pairs.Get(i, "rtable_id").AsString())
+// EvaluateRules is step 4, and the evaluate_blocking_rules service: it
+// estimates each candidate rule's precision by labeling a sample of the
+// pool pairs it fires on, keeping rules whose labeled precision (fraction
+// of fired pairs that are true non-matches) reaches rulePrecision.
+// Sampling uniformly from the fired pairs would almost never surface a true
+// match (EM pools are overwhelmingly non-matches), letting overly
+// aggressive rules slip through; half the evaluation sample is therefore
+// taken from the fired pairs the stage-1 forest scores highest — the region
+// where a bad rule does its damage. Surviving rules are ranked by coverage
+// and capped at maxRules. A budgeted labeler is asked at most a third of
+// what it has left; its first refusal ends the evaluation, the rule under
+// review not kept.
+func EvaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result, lab label.Labeler, rng *rand.Rand) rules.RuleSet {
+	questionBudget := 1 << 30
+	if budget, ok := lab.(*label.Budgeted); ok {
+		questionBudget = budget.Remaining() / 3
 	}
-	return pool
-}
-
-// evaluateRules estimates each candidate rule's precision by labeling a
-// sample of the pool pairs it fires on, keeping rules whose labeled
-// precision (fraction of fired pairs that are true non-matches) clears the
-// threshold. Sampling uniformly from the fired pairs would almost never
-// surface a true match (EM pools are overwhelmingly non-matches), letting
-// overly aggressive rules slip through; half the evaluation sample is
-// therefore taken from the fired pairs the stage-1 forest scores highest —
-// the region where a bad rule does its damage. Surviving rules are ranked
-// by coverage and capped at MaxRules.
-func evaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result, lab label.Labeler, rng *rand.Rand, cfg Config, questionBudget int) rules.RuleSet {
-	forest := stage1.Forest
 	// Feature vectors of pairs already labeled as matches in stage 1: a
 	// rule firing on any of them is directly observed to destroy recall
 	// and is rejected without spending more questions.
@@ -375,20 +274,10 @@ func evaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result,
 		coverage int
 	}
 	var kept []scored
-	labelCache := make(map[[2]string]bool)
-	asked := 0
-	ask := func(i int) bool {
-		k := [2]string{pool.LIDs[i], pool.RIDs[i]}
-		if v, ok := labelCache[k]; ok {
-			return v
-		}
-		asked++
-		v := lab.Label(pool.LIDs[i], pool.RIDs[i])
-		labelCache[k] = v
-		return v
-	}
+	answers := make(map[int]bool) // pool index -> label, asked once
+review:
 	for _, r := range cand.Rules {
-		if asked >= questionBudget {
+		if len(answers) >= questionBudget {
 			break // out of labeling budget for rule validation
 		}
 		c, err := rules.Compile(r, pool.Names)
@@ -401,7 +290,7 @@ func evaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result,
 				fired = append(fired, i)
 			}
 		}
-		if len(fired) < cfg.minRuleCoverage() {
+		if len(fired) < minRuleCoverage {
 			continue
 		}
 		firesOnMatch := false
@@ -414,33 +303,33 @@ func evaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result,
 		if firesOnMatch {
 			continue
 		}
-		sampleN := cfg.ruleEvalSamples()
-		if sampleN > len(fired) {
-			sampleN = len(fired)
-		}
+		sampleN := min(ruleEvalSamples, len(fired))
 		// Adversarial half: fired pairs with the highest forest vote.
 		byVote := append([]int(nil), fired...)
-		sortByVoteDesc(byVote, pool, forest)
+		sortByVoteDesc(byVote, pool, stage1.Forest)
 		eval := append([]int(nil), byVote[:sampleN/2]...)
 		// Random half from the remainder.
 		rest := append([]int(nil), byVote[sampleN/2:]...)
 		rng.Shuffle(len(rest), func(a, b int) { rest[a], rest[b] = rest[b], rest[a] })
-		if need := sampleN - len(eval); need > len(rest) {
-			eval = append(eval, rest...)
-		} else {
-			eval = append(eval, rest[:need]...)
-		}
+		eval = append(eval, rest[:min(sampleN-len(eval), len(rest))]...)
 		nonMatches := 0
 		for _, i := range eval {
-			if !ask(i) {
+			match, known := answers[i]
+			if !known {
+				if match, known = pool.Ask(lab, i); !known {
+					break review
+				}
+				answers[i] = match
+			}
+			if !match {
 				nonMatches++
 			}
 		}
-		if prec := float64(nonMatches) / float64(len(eval)); prec >= cfg.rulePrecision() {
+		if prec := float64(nonMatches) / float64(len(eval)); prec >= rulePrecision {
 			kept = append(kept, scored{rule: r, coverage: len(fired)})
 		}
 	}
-	// Highest coverage first; cap at MaxRules.
+	// Highest coverage first; cap at maxRules.
 	for i := 0; i < len(kept); i++ {
 		for j := i + 1; j < len(kept); j++ {
 			if kept[j].coverage > kept[i].coverage {
@@ -448,12 +337,25 @@ func evaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result,
 			}
 		}
 	}
-	if len(kept) > cfg.maxRules() {
-		kept = kept[:cfg.maxRules()]
+	if len(kept) > maxRules {
+		kept = kept[:maxRules]
 	}
 	var out rules.RuleSet
 	for _, s := range kept {
 		out.Add(s.rule)
 	}
 	return out
+}
+
+// ExecuteRules is step 5, and the execute_blocking_rules service: the
+// candidate set C is what the rules leave of the seed blocker's output.
+// When no precise rule survived it falls back to a tightened seed blocker
+// (one more shared token, at least 2) so the candidate set stays tractable
+// without rule pruning.
+func ExecuteRules(seed block.WholeTupleOverlapBlocker, rs rules.RuleSet, fs *feature.Set, a, b *table.Table, cat *table.Catalog) (*table.Table, error) {
+	if rs.Len() > 0 {
+		return block.RuleBlocker{Seed: seed, Rules: rs, Features: fs, Metrics: seed.Metrics}.Block(a, b, cat)
+	}
+	seed.MinOverlap = max(seed.MinOverlap+1, 2)
+	return seed.Block(a, b, cat)
 }

@@ -12,6 +12,7 @@ import (
 // CVResult holds the cross-validation scores of one classifier.
 type CVResult struct {
 	Name      string
+	Factory   func() Classifier // what was cross-validated, so the winner is fitted without a lookup by name
 	Folds     int
 	Precision float64 // mean across folds
 	Recall    float64
@@ -106,7 +107,7 @@ func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand,
 	if err != nil {
 		return CVResult{}, err
 	}
-	res := CVResult{Name: name, Folds: k}
+	res := CVResult{Name: name, Factory: factory, Folds: k}
 	evaluated := 0
 	for _, s := range scores { // fold order, so float accumulation is stable
 		if !s.ok {

@@ -22,7 +22,7 @@ func TestCrossValidateRecordsMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withRec != plain {
+	if !sameCV(withRec, plain) {
 		t.Errorf("metrics changed the result: %+v != %+v", withRec, plain)
 	}
 	name := obs.L("matcher", "decision_tree")

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,13 @@ func TestRandomForestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// sameCV compares two CV results apart from the factory they carry (func
+// values do not compare).
+func sameCV(a, b CVResult) bool {
+	a.Factory, b.Factory = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
 // TestCrossValidateParallelDeterminism: parallel fold evaluation returns a
 // CVResult bit-identical to serial evaluation for the same RNG seed.
 func TestCrossValidateParallelDeterminism(t *testing.T) {
@@ -45,7 +53,7 @@ func TestCrossValidateParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par != serial {
+		if !sameCV(par, serial) {
 			t.Fatalf("workers=%d: CVResult %+v != serial %+v", workers, par, serial)
 		}
 	}
@@ -67,7 +75,7 @@ func TestSelectMatcherParallelDeterminism(t *testing.T) {
 		t.Fatalf("result lengths differ: %d vs %d", len(serial), len(par))
 	}
 	for i := range serial {
-		if serial[i] != par[i] {
+		if !sameCV(serial[i], par[i]) {
 			t.Fatalf("rank %d: %+v != %+v", i, par[i], serial[i])
 		}
 	}
@@ -145,7 +153,7 @@ func TestCVOptionOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !sameCV(a, b) {
 		t.Errorf("layered options %+v != direct options %+v", a, b)
 	}
 }

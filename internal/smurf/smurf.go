@@ -13,7 +13,6 @@ package smurf
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/active"
@@ -94,33 +93,14 @@ func MatchStrings(l, r []Item, lab label.Labeler, cfg Config) (*Result, error) {
 	// Candidate universe: pairs sharing at least one token. As in Falcon,
 	// zero-overlap pairs score ~0 on every feature and cannot be matches
 	// the forest would accept.
-	tok := tokenize.Alphanumeric{ReturnSet: true}
-	lrecs := make([]simjoin.Record, len(l))
-	for i, it := range l {
-		lrecs[i] = simjoin.Record{ID: it.ID, Tokens: tok.Tokenize(it.Str)}
-	}
-	rrecs := make([]simjoin.Record, len(r))
-	for i, it := range r {
-		rrecs[i] = simjoin.Record{ID: it.ID, Tokens: tok.Tokenize(it.Str)}
-	}
+	lrecs, lstr := records(l)
+	rrecs, rstr := records(r)
 	cands, err := simjoin.OverlapJoin(lrecs, rrecs, 1)
 	if err != nil {
 		return nil, err
 	}
 
-	lstr := make(map[string]string, len(l))
-	for _, it := range l {
-		lstr[it.ID] = it.Str
-	}
-	rstr := make(map[string]string, len(r))
-	for _, it := range r {
-		rstr[it.ID] = it.Str
-	}
-
-	// Learning sample: top-overlap quarter (likely matches), random
-	// overlap quarter, random cross pairs for the rest.
-	pool := buildPool(l, r, cands, lstr, rstr, cfg.sampleSize(), rng)
-
+	pool := learningPool(lrecs, rrecs, cands, lstr, rstr, cfg.sampleSize(), rng)
 	lcfg := cfg.Learning
 	if lcfg.Seed == 0 {
 		lcfg.Seed = cfg.Seed + 1
@@ -141,49 +121,26 @@ func MatchStrings(l, r []Item, lab label.Labeler, cfg Config) (*Result, error) {
 	return out, nil
 }
 
-// buildPool assembles the active-learning pool.
-func buildPool(l, r []Item, cands []simjoin.Pair, lstr, rstr map[string]string, n int, rng *rand.Rand) *active.Pool {
-	pool := &active.Pool{Names: FeatureNames()}
-	seen := make(map[[2]string]bool)
-	add := func(lid, rid string) {
-		k := [2]string{lid, rid}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		pool.X = append(pool.X, featureVector(lstr[lid], rstr[rid]))
-		pool.LIDs = append(pool.LIDs, lid)
-		pool.RIDs = append(pool.RIDs, rid)
+// records tokenizes the items for the overlap join and indexes their
+// strings by id.
+func records(items []Item) ([]simjoin.Record, map[string]string) {
+	tok := tokenize.Alphanumeric{ReturnSet: true}
+	recs := make([]simjoin.Record, len(items))
+	str := make(map[string]string, len(items))
+	for i, it := range items {
+		recs[i] = simjoin.Record{ID: it.ID, Tokens: tok.Tokenize(it.Str)}
+		str[it.ID] = it.Str
 	}
+	return recs, str
+}
 
-	byOverlap := append([]simjoin.Pair(nil), cands...)
-	sort.Slice(byOverlap, func(x, y int) bool {
-		if byOverlap[x].Sim != byOverlap[y].Sim {
-			return byOverlap[x].Sim > byOverlap[y].Sim
-		}
-		if byOverlap[x].LID != byOverlap[y].LID {
-			return byOverlap[x].LID < byOverlap[y].LID
-		}
-		return byOverlap[x].RID < byOverlap[y].RID
-	})
-	top := n / 4
-	if top > len(byOverlap) {
-		top = len(byOverlap)
-	}
-	for _, p := range byOverlap[:top] {
-		add(p.LID, p.RID)
-	}
-	rest := byOverlap[top:]
-	rng.Shuffle(len(rest), func(x, y int) { rest[x], rest[y] = rest[y], rest[x] })
-	want := n / 4
-	if want > len(rest) {
-		want = len(rest)
-	}
-	for _, p := range rest[:want] {
-		add(p.LID, p.RID)
-	}
-	for attempt := 0; pool.Len() < n && attempt < 20*n; attempt++ {
-		add(l[rng.Intn(len(l))].ID, r[rng.Intn(len(r))].ID)
+// learningPool scores active.OverlapSample's n pairs on the Smurf battery.
+func learningPool(lrecs, rrecs []simjoin.Record, cands []simjoin.Pair, lstr, rstr map[string]string, n int, rng *rand.Rand) *active.Pool {
+	pool := &active.Pool{Names: FeatureNames()}
+	for _, p := range active.OverlapSample(lrecs, rrecs, cands, n, rng) {
+		pool.X = append(pool.X, featureVector(lstr[p[0]], rstr[p[1]]))
+		pool.LIDs = append(pool.LIDs, p[0])
+		pool.RIDs = append(pool.RIDs, p[1])
 	}
 	return pool
 }

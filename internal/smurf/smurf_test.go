@@ -1,8 +1,6 @@
 package smurf
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/active"
@@ -176,34 +174,5 @@ func TestFeatureVectorShape(t *testing.T) {
 		if v != 1 {
 			t.Errorf("identical strings: feature %s = %v", FeatureNames()[i], v)
 		}
-	}
-}
-
-func TestBuildPoolRespectsSize(t *testing.T) {
-	l, r, _ := stringTask(100, 25)
-	lstr := map[string]string{}
-	for _, it := range l {
-		lstr[it.ID] = it.Str
-	}
-	rstr := map[string]string{}
-	for _, it := range r {
-		rstr[it.ID] = it.Str
-	}
-	rng := rand.New(rand.NewSource(1))
-	pool := buildPool(l, r, nil, lstr, rstr, 50, rng)
-	if pool.Len() != 50 {
-		t.Errorf("pool size = %d, want 50", pool.Len())
-	}
-	if err := pool.Validate(); err != nil {
-		t.Error(err)
-	}
-	// No duplicate pairs.
-	seen := map[string]bool{}
-	for i := range pool.LIDs {
-		k := fmt.Sprintf("%s/%s", pool.LIDs[i], pool.RIDs[i])
-		if seen[k] {
-			t.Fatalf("duplicate pool pair %s", k)
-		}
-		seen[k] = true
 	}
 }

@@ -156,3 +156,25 @@ func AppendPairs(pair *Table, ids []PairID) {
 		pair.rows = append(pair.rows, Row(r))
 	}
 }
+
+// PredictedPairs returns a new pair table holding, in order, the id pairs
+// of the rows i of cand with y[i] == 1, appended in one batch. cand must be
+// registered in cat; the result is registered over the same base tables.
+func PredictedPairs(name string, cand *Table, cat *Catalog, y []int) (*Table, error) {
+	meta, ok := cat.PairMeta(cand)
+	if !ok {
+		return nil, fmt.Errorf("catalog: pair %q: not registered", cand.Name())
+	}
+	out, err := NewPairTable(name, meta.LTable, meta.RTable, cat)
+	if err != nil {
+		return nil, err
+	}
+	var kept []PairID
+	for i, yi := range y {
+		if yi == 1 {
+			kept = append(kept, PairID{L: cand.Get(i, meta.LID).AsString(), R: cand.Get(i, meta.RID).AsString()})
+		}
+	}
+	AppendPairs(out, kept)
+	return out, nil
+}

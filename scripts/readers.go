@@ -7,15 +7,27 @@
 // reads; each must stand on one of §3's exemptions or go. Run from the
 // module root:
 //
-//	go run scripts/readers.go      # the names without a non-test reader
-//	go run scripts/readers.go -v   # also the methods read only through an interface
+//	go run scripts/readers.go          # the names without a non-test reader
+//	go run scripts/readers.go -v       # also the methods read only through an interface
+//	go run scripts/readers.go -fields  # the exported struct fields no non-test file writes
 //
 // Non-test readers are collected in the loader's shared (imported,
 // test-free) universe so type identity holds across packages; a concrete
 // method also counts as read when non-test code calls a method of that name
 // on an interface its receiver implements, or — for the methods fmt and
 // encoding/json call implicitly — when a value holding its receiver type
-// is passed to an `any` parameter. Struct fields are not swept.
+// is passed to an `any` parameter.
+//
+// -fields sweeps what the name sweep cannot see: a knob nobody turns. It
+// lists every exported field of a struct type declared in a non-test file
+// under internal/ that no non-test file writes — as a composite-literal key
+// (or an unkeyed literal of the struct), on the left of an assignment or
+// ++/--, or by taking its address. Three things do not count or are not
+// asked: `if x.F <op> <literal> { x.F = ... }` inside the declaring package
+// is that package's defaulting code, not a caller setting the knob; a field whose own type is a struct declared under
+// internal/ is a container, judged by its leaves; and the fields of a struct
+// whose value non-test code passes to an `any` parameter may be written by
+// reflection (encoding/json), so they are skipped.
 package main
 
 import (
@@ -36,6 +48,122 @@ type readers struct {
 	ownNonTest, otherNonTest, otherTest, ownTest int
 	pos                                          string
 	method                                       *types.Func // concrete method, shared universe
+}
+
+// field is one swept struct field; fields and written are keyed by the
+// position of the field's declaration, which the shared and the root copy of
+// a package agree on.
+type field struct{ name, owner, pos string }
+
+var (
+	fields  = map[string]*field{}
+	written = map[string]bool{}
+)
+
+// fieldOf returns the declaration position of the struct field e selects
+// under internal/, or "".
+func fieldOf(e ast.Expr, info *types.Info, fset *token.FileSet) string {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			break
+		}
+		e = p.X
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	return fieldPos(info.Uses[sel.Sel], fset)
+}
+
+func fieldPos(obj types.Object, fset *token.FileSet) string {
+	v, ok := obj.(*types.Var)
+	if !ok || !v.IsField() || v.Pkg() == nil || !strings.Contains(v.Pkg().Path(), "/internal/") {
+		return ""
+	}
+	return fset.Position(v.Origin().Pos()).String()
+}
+
+// internalStruct reports whether t is (a pointer to) a named struct type
+// declared under internal/.
+func internalStruct(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || !strings.Contains(n.Obj().Pkg().Path(), "/internal/") {
+		return false
+	}
+	_, ok = n.Underlying().(*types.Struct)
+	return ok
+}
+
+// sweepFields records the struct fields a non-test file declares and the
+// ones it writes. defaulting holds the assignments already recognised as
+// the declaring package's own defaulting code.
+func sweepFields(n ast.Node, pkgPath string, info *types.Info, fset *token.FileSet, defaulting map[token.Pos]bool) {
+	switch n := n.(type) {
+	case *ast.TypeSpec:
+		st, ok := n.Type.(*ast.StructType)
+		if !ok || !strings.Contains(pkgPath, "/internal/") {
+			return
+		}
+		owner := strings.TrimPrefix(pkgPath, "repro/internal/") + "." + n.Name.Name
+		for _, f := range st.Fields.List {
+			for _, id := range f.Names {
+				if obj := info.Defs[id]; obj != nil && obj.Exported() && !internalStruct(obj.Type()) {
+					pos := fset.Position(id.Pos()).String()
+					fields[pos] = &field{name: owner + "." + id.Name, owner: pkgPath + "." + n.Name.Name, pos: pos}
+				}
+			}
+		}
+	case *ast.CompositeLit:
+		st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i, el := range n.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					written[fieldPos(info.Uses[id], fset)] = true
+				}
+			} else if i < st.NumFields() {
+				written[fieldPos(st.Field(i), fset)] = true
+			}
+		}
+	case *ast.IfStmt:
+		// `if x.F <op> <literal> { x.F = ... }` inside F's own package.
+		cond, ok := n.Cond.(*ast.BinaryExpr)
+		if !ok {
+			return
+		}
+		if _, lit := cond.Y.(*ast.BasicLit); !lit {
+			return
+		}
+		unset := fieldOf(cond.X, info, fset)
+		for _, st := range n.Body.List {
+			as, ok := st.(*ast.AssignStmt)
+			if !ok || unset == "" || len(as.Lhs) != 1 {
+				continue
+			}
+			if sel, ok := as.Lhs[0].(*ast.SelectorExpr); ok && fieldOf(sel, info, fset) == unset && info.Uses[sel.Sel].Pkg().Path() == pkgPath {
+				defaulting[sel.Pos()] = true
+			}
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			if !defaulting[lhs.Pos()] {
+				written[fieldOf(lhs, info, fset)] = true
+			}
+		}
+	case *ast.IncDecStmt:
+		written[fieldOf(n.X, info, fset)] = true
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			written[fieldOf(n.X, info, fset)] = true
+		}
+	}
 }
 
 var implicit = map[string]bool{"String": true, "Error": true, "Format": true, "GoString": true,
@@ -137,7 +265,11 @@ func main() {
 			if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") != tests {
 				continue
 			}
+			defaulting := map[token.Pos]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
+				if !tests && info.Types != nil {
+					sweepFields(n, base, info, fset, defaulting)
+				}
 				if call, ok := n.(*ast.CallExpr); ok && !tests && info.Types != nil {
 					if sig, ok := info.Types[call.Fun].Type.(*types.Signature); ok {
 						for i, arg := range call.Args {
@@ -271,6 +403,23 @@ func main() {
 		}
 		return ""
 	}
+	if len(os.Args) > 1 && os.Args[1] == "-fields" {
+		reflected := map[string]bool{}
+		for n := range toAny {
+			if n.Obj().Pkg() != nil {
+				reflected[n.Obj().Pkg().Path()+"."+n.Obj().Name()] = true
+			}
+		}
+		var lines []string
+		for pos, f := range fields {
+			if !written[pos] && !reflected[f.owner] {
+				lines = append(lines, fmt.Sprintf("%-16s %s  %s", "NO-WRITER", f.name, strings.TrimPrefix(pos, root+"/")))
+			}
+		}
+		sort.Strings(lines)
+		fmt.Println(strings.Join(lines, "\n"))
+		return
+	}
 	var keys []string
 	for k, r := range table {
 		if r.pos != "" && r.ownNonTest+r.otherNonTest == 0 {
@@ -282,7 +431,7 @@ func main() {
 		r := table[k]
 		if r.method != nil {
 			if how := viaInterface(r.method); how != "" {
-				if len(os.Args) > 1 {
+				if len(os.Args) > 1 && os.Args[1] == "-v" {
 					fmt.Printf("%-16s %s%s\n", "iface", strings.TrimPrefix(k, "repro/internal/"), how)
 				}
 				continue
