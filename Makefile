@@ -30,12 +30,14 @@ vet:
 lint:
 	$(GO) run ./cmd/emlint ./internal/... ./cmd/...
 
-# Short fuzz smoke over the text-format parsers and the pair-scoring
-# kernels. Override FUZZTIME for a longer soak, e.g. `make fuzz FUZZTIME=5m`.
+# Short fuzz smoke over the text-format parsers, the matcher loader and the
+# pair-scoring kernels. Override FUZZTIME for a longer soak, e.g.
+# `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME) ./internal/rules
 	$(GO) test -run=^$$ -fuzz=FuzzParseSet -fuzztime=$(FUZZTIME) ./internal/rules
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/table
+	$(GO) test -run=^$$ -fuzz=FuzzImport -fuzztime=$(FUZZTIME) ./internal/ml
 	$(GO) test -run=^$$ -fuzz=FuzzColumnMatchesFn -fuzztime=$(FUZZTIME) ./internal/feature
 
 # "Least code" (ROADMAP aim 2) as a number: lines of non-test,

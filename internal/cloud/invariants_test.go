@@ -21,9 +21,8 @@ import (
 // and the accessor read again: the re-read must equal what the first read
 // returned. Dropping the copy from an accessor (slices.Clone in
 // ml.RandomForest.Trees, the append in table.Schema.Columns) fails the
-// comparison. serve.Ticket.Wait is deliberately absent: it is an ownership
-// hand-off (pool.go), not an accessor; what the serving read API hands out
-// under concurrent writes is serve.TestCorpusSnapshotsAreCopies.
+// comparison. What the serving read API hands out under concurrent writes
+// is serve.TestCorpusSnapshotsAreCopies.
 func TestAccessorsReturnCopies(t *testing.T) {
 	forest := &ml.RandomForest{NumTrees: 3, Seed: 1}
 	if err := forest.Fit(&ml.Dataset{X: [][]float64{{0}, {1}, {0}, {1}}, Y: []int{0, 1, 0, 1}}); err != nil {

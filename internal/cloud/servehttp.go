@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -170,8 +171,9 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, codeOverloaded, err.Error(),
 			fmt.Sprintf("the match queue is full; back off %ds and retry", retry))
 		return
-	case errors.Is(err, serve.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, codeOverloaded, err.Error(), "the serving pool is shut down")
+	case errors.Is(err, serve.ErrClosed), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusServiceUnavailable, codeOverloaded, err.Error(),
+			"the serving pool is shut down, or the match waited or ran past the request's deadline")
 		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, codeBadRecord, err.Error(), "")

@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/tokenize"
 )
 
 // newServeTestServer wires a Server with a one-corpus serve.Registry.
@@ -222,56 +224,93 @@ func TestHTTPServeErrors(t *testing.T) {
 	}
 }
 
+// parkTok is a blocking tokenizer that stops a query holding the token
+// "park" inside MatchOne until release is closed.
+type parkTok struct {
+	tokenize.Whitespace
+	release chan struct{}
+}
+
+func (p parkTok) Tokenize(s string) []string {
+	if strings.Contains(s, "park") {
+		<-p.release
+	}
+	return p.Whitespace.Tokenize(s)
+}
+
+// admitWatch signals admitted each time the pool lets a request in (it
+// counts the request into the queue-depth gauge holding its place).
+type admitWatch struct {
+	obs.Recorder
+	admitted chan struct{}
+}
+
+func (w admitWatch) Gauge(name string, delta float64, _ ...obs.Label) {
+	if name == obs.ServeQueueDepth && delta > 0 {
+		w.admitted <- struct{}{}
+	}
+}
+
 // TestHTTPMatchOverloaded: when the pool refuses, the route answers 429
 // with Retry-After and the overloaded code — HTTP backpressure end to end.
-// The queue is filled out-of-band with expensive queries (Pool.Submit is
-// non-blocking), so the HTTP request arrives at a provably full queue.
+// Every place in the pool (one running, two waiting) is first taken by a
+// query parked inside its match, so the HTTP request arrives at a provably
+// full pool.
 func TestHTTPMatchOverloaded(t *testing.T) {
-	srv, _, p := newServeTestServer(t)
-	// A query with many distinct tokens keeps the single worker busy long
-	// enough that the tasks queued behind it cannot be dequeued before the
-	// HTTP round trip below completes.
-	// Known tokens first so the query has candidates and cannot take the
-	// zero-candidate early exit; the distinct tail makes ephemeral
-	// interning the dominant cost.
-	var sb strings.Builder
-	sb.WriteString("acme corp inc globex llc ")
-	for i := 0; i < 250000; i++ {
-		fmt.Fprintf(&sb, "t%d ", i)
+	tok := parkTok{Whitespace: tokenize.Whitespace{ReturnSet: true}, release: make(chan struct{})}
+	watch := admitWatch{Recorder: obs.Nop, admitted: make(chan struct{}, 3)}
+	srv, _, p := newServeTestServer(t, serve.WithTokenizer(tok), serve.WithMetrics(watch))
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Match(context.Background(), serve.Record{ID: "q", Attrs: map[string]string{"name": "acme park"}}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	heavy := serve.Record{ID: "heavy", Attrs: map[string]string{"name": sb.String()}}
-	got429 := false
-	for attempt := 0; attempt < 20 && !got429; attempt++ {
-		// Fill the queue: the worker slot plus every queue slot.
-		for {
-			if _, err := p.Submit(context.Background(), heavy); err != nil {
-				if !errors.Is(err, serve.ErrOverloaded) {
-					t.Fatal(err)
-				}
-				break
-			}
-		}
-		resp := postJSON(t, srv.URL+"/v1/match", matchRequest{
-			Corpus: "products",
-			Record: serve.Record{ID: "q", Attrs: map[string]string{"name": "acme"}},
-		})
-		if resp.StatusCode == http.StatusTooManyRequests {
-			got429 = true
-			// The hint is derived from queue depth and measured service
-			// time, so the exact value varies; it must be a whole number
-			// of seconds in the clamp range.
-			if got, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || got < 1 || got > 30 {
-				t.Errorf("Retry-After = %q, want an integer in [1, 30]", resp.Header.Get("Retry-After"))
-			}
-			if eb := decodeError(t, resp.Body); eb.Code != "overloaded" {
-				t.Errorf("overloaded envelope = %+v", eb)
-			}
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatal(err)
-		}
+	defer func() {
+		close(tok.release)
+		wg.Wait()
+	}()
+	for i := 0; i < 3; i++ {
+		<-watch.admitted
 	}
-	if !got429 {
-		t.Fatal("full queue never surfaced a 429")
+	resp := postJSON(t, srv.URL+"/v1/match", matchRequest{
+		Corpus: "products",
+		Record: serve.Record{ID: "q", Attrs: map[string]string{"name": "acme"}},
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("match on a full pool = %d, want 429", resp.StatusCode)
+	}
+	// The hint is derived from queue depth and measured service time, so
+	// the exact value varies; it must be a whole number of seconds in the
+	// clamp range.
+	if got, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || got < 1 || got > 30 {
+		t.Errorf("Retry-After = %q, want an integer in [1, 30]", resp.Header.Get("Retry-After"))
+	}
+	if eb := decodeError(t, resp.Body); eb.Code != "overloaded" {
+		t.Errorf("overloaded envelope = %+v", eb)
+	}
+}
+
+// TestHTTPMatchCancelled: a match that ends on its request's context — the
+// caller hung up, or the deadline passed while it waited or ran — is the
+// server failing to serve in time, 503 overloaded, and not the caller's
+// record being bad.
+func TestHTTPMatchCancelled(t *testing.T) {
+	srv, _, _ := newServeTestServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	body := mustJSON(t, matchRequest{Corpus: "products", Record: serve.Record{ID: "q", Attrs: map[string]string{"name": "acme"}}})
+	rec := httptest.NewRecorder()
+	srv.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(body)).WithContext(ctx))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("match under a cancelled context = %d, want 503", rec.Code)
+	}
+	if eb := decodeError(t, rec.Body); eb.Code != "overloaded" {
+		t.Errorf("cancelled envelope = %+v", eb)
 	}
 }

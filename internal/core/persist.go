@@ -120,7 +120,7 @@ func LoadWorkflow(data []byte) (*Workflow, error) {
 	}
 	w.Features = fs
 
-	matcher, err := ml.Import(dto.Matcher)
+	matcher, err := ml.Import(dto.Matcher, fs.Len())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -150,6 +151,38 @@ func TestLoadWorkflowErrors(t *testing.T) {
 	}
 	if _, err := LoadWorkflowFile("/does/not/exist.json"); err == nil {
 		t.Error("want file error")
+	}
+	// The matcher is checked against the feature set it is saved beside: a
+	// file whose matcher has a node without children, or that lost its
+	// last features to an edit (the linear model then has a weight too
+	// many), is an error at load, not a panic at the first Execute.
+	wf, _ := developWorkflow(t)
+	wf.Matcher = &ml.LogisticRegression{}
+	if err := wf.Matcher.Fit(&ml.Dataset{X: [][]float64{make([]float64, wf.Features.Len())}, Y: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := SaveWorkflow(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, breakIt := range []func(*workflowDTO){
+		func(d *workflowDTO) {
+			d.Matcher = []byte(`{"model":"decision_tree","payload":{"root":{"leaf":false}}}`)
+		},
+		func(d *workflowDTO) { d.Features = d.Features[:len(d.Features)-1] },
+	} {
+		var dto workflowDTO
+		if err := json.Unmarshal(saved, &dto); err != nil {
+			t.Fatal(err)
+		}
+		breakIt(&dto)
+		data, err := json.Marshal(&dto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded, err := LoadWorkflow(data); err == nil {
+			t.Errorf("malformed matcher loaded as a %s over %d features", loaded.Matcher.Name(), loaded.Features.Len())
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func TestMLPBeatsLinearOnXOR(t *testing.T) {
 	train := xorDataset(800, 3)
 	test := xorDataset(400, 4)
 	net := &MLP{Seed: 1, Epochs: 150}
-	lin := &ml.LogisticRegression{Seed: 1, Epochs: 150}
+	lin := &ml.LogisticRegression{Seed: 1}
 	if err := net.Fit(train); err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func BenchmarkLogisticRegressionFit(b *testing.B) {
 	ds := benchDataset(1000, 20, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := &LogisticRegression{Seed: 1, Epochs: 50}
+		l := &LogisticRegression{Seed: 1}
 		if err := l.Fit(ds); err != nil {
 			b.Fatal(err)
 		}

@@ -2,17 +2,16 @@ package ml
 
 import "errors"
 
-// FlatForest is a fitted RandomForest compiled into structure-of-arrays
-// form for cache-friendly inference. The pointer forest stores one heap
-// node per tree node and chases *TreeNode links per pair; FlatForest packs
-// every node of every tree into four parallel arrays, with the two children
-// of each internal node adjacent (right = left+1), so traversal is index
-// arithmetic over contiguous memory. Scores are bit-identical to the
-// pointer path: both count the same leaf votes and apply the same
-// alphaShift, so the serving corpus can swap one for the other without the
-// Rebuilt() oracle noticing.
+// FlatForest is a RandomForest's trees compiled into structure-of-arrays
+// form, the form every forest prediction walks, in batch and in serving. A
+// tree as trained is one heap node per tree node behind *TreeNode links;
+// FlatForest packs every node of every tree into four parallel arrays,
+// with the two children of each internal node adjacent (right = left+1),
+// so traversal is index arithmetic over contiguous memory. Each tree's vote
+// is DecisionTree.PredictProba's on the same tree, bit for bit
+// (TestFlatForestBitIdentical).
 //
-// A FlatForest is immutable after NewFlatForest and safe for concurrent use.
+// A FlatForest is immutable and safe for concurrent use.
 type FlatForest struct {
 	feats  []int32   // per node: feature index, or -1 for a leaf
 	thresh []float64 // per node: split threshold (internal nodes only)
@@ -22,55 +21,50 @@ type FlatForest struct {
 	alpha  float64
 }
 
-// ErrNotFitted is returned when compiling a forest that has no trees.
+// ErrNotFitted is returned when asking for the compiled form of a forest
+// that has no trees.
 var ErrNotFitted = errors.New("ml: forest is not fitted")
 
-// NewFlatForest compiles a fitted RandomForest. The forest must not be
-// re-fit while the FlatForest is in use (Fit replaces the tree slice, so an
-// already-compiled FlatForest stays valid but stale).
+// NewFlatForest returns the compiled form of a fitted (or imported)
+// RandomForest. A later Fit compiles a new one and leaves this one valid
+// but stale.
 func NewFlatForest(f *RandomForest) (*FlatForest, error) {
-	if f == nil || len(f.trees) == 0 {
+	if f == nil || f.flat == nil {
 		return nil, ErrNotFitted
 	}
-	ff := &FlatForest{
-		roots: make([]int32, 0, len(f.trees)),
-		alpha: f.alpha(),
-	}
-	for _, t := range f.trees {
-		if t.root == nil {
-			return nil, ErrNotFitted
-		}
-		ff.roots = append(ff.roots, ff.flatten(t.root))
-	}
-	return ff, nil
+	return f.flat, nil
 }
 
-// flatten emits root's subtree into the SoA arrays and returns its index.
-// Children are reserved in adjacent pairs when their parent is visited,
-// which is what lets the arrays encode only the left index.
-func (ff *FlatForest) flatten(root *TreeNode) int32 {
-	type item struct {
-		n   *TreeNode
-		idx int32
+// compile flattens trees, each with a root and two children under every
+// internal node (Fit grows them so, Import checks it), to vote under
+// RandomForest.Alpha.
+func compile(trees []*DecisionTree, alpha float64) *FlatForest {
+	if alpha <= 0 {
+		alpha = 0.5
 	}
-	rootIdx := ff.addNode()
-	stack := []item{{root, rootIdx}}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if it.n.Leaf {
-			ff.feats[it.idx] = -1
-			ff.proba[it.idx] = it.n.Proba
-			continue
-		}
-		l := ff.addNode()
-		r := ff.addNode() // adjacent to l by construction
-		ff.feats[it.idx] = int32(it.n.Feature)
-		ff.thresh[it.idx] = it.n.Threshold
-		ff.left[it.idx] = l
-		stack = append(stack, item{it.n.Right, r}, item{it.n.Left, l})
+	ff := &FlatForest{roots: make([]int32, 0, len(trees)), alpha: alpha}
+	for _, t := range trees {
+		root := ff.addNode()
+		ff.flatten(t.root, root)
+		ff.roots = append(ff.roots, root)
 	}
-	return rootIdx
+	return ff
+}
+
+// flatten emits n's subtree into the SoA arrays, n itself at idx. The two
+// children of an internal node are reserved as an adjacent pair before
+// either subtree is emitted, which is what lets the arrays encode only the
+// left index.
+func (ff *FlatForest) flatten(n *TreeNode, idx int32) {
+	if n.Leaf {
+		ff.feats[idx], ff.proba[idx] = -1, n.Proba
+		return
+	}
+	l := ff.addNode()
+	ff.addNode() // l+1, the right child
+	ff.feats[idx], ff.thresh[idx], ff.left[idx] = int32(n.Feature), n.Threshold, l
+	ff.flatten(n.Left, l)
+	ff.flatten(n.Right, l+1)
 }
 
 func (ff *FlatForest) addNode() int32 {
@@ -81,9 +75,6 @@ func (ff *FlatForest) addNode() int32 {
 	ff.proba = append(ff.proba, 0)
 	return idx
 }
-
-// NumTrees returns the ensemble size.
-func (ff *FlatForest) NumTrees() int { return len(ff.roots) }
 
 // vote walks one tree iteratively and reports whether its leaf votes match.
 //
@@ -100,8 +91,7 @@ func (ff *FlatForest) vote(root int32, x []float64) bool {
 	return ff.proba[idx] >= 0.5
 }
 
-// VoteFraction returns the fraction of trees predicting match for x,
-// bit-identical to RandomForest.VoteFraction on the source forest.
+// VoteFraction returns the fraction of trees predicting match for x.
 //
 //emlint:zeroalloc
 func (ff *FlatForest) VoteFraction(x []float64) float64 {
@@ -114,8 +104,7 @@ func (ff *FlatForest) VoteFraction(x []float64) float64 {
 	return float64(votes) / float64(len(ff.roots))
 }
 
-// PredictProba scores one vector with zero allocations, bit-identical to
-// RandomForest.PredictProba on the source forest.
+// PredictProba scores one vector with zero allocations.
 //
 //emlint:zeroalloc
 func (ff *FlatForest) PredictProba(x []float64) float64 {
@@ -127,7 +116,7 @@ func (ff *FlatForest) PredictProba(x []float64) float64 {
 // stay hot in cache while it routes the whole batch, instead of every
 // candidate faulting the full forest back in. Votes accumulate in out as
 // exact small integers (counts <= NumTrees < 2^53), so the final fraction
-// and alphaShift are bit-identical to the per-row pointer path.
+// and alphaShift are bit-identical to the per-row PredictProba.
 //
 //emlint:zeroalloc
 func (ff *FlatForest) PredictProbaBatch(xs [][]float64, out []float64) {

@@ -7,31 +7,53 @@ import (
 	"testing/quick"
 )
 
-// TestFlatForestBitIdentical is the equivalence suite of ISSUE 10: over
-// quick-generated forests (random shape, alpha, depth, seed) and random
-// query vectors, FlatForest.PredictProba and PredictProbaBatch must return
-// floats bit-identical to RandomForest.PredictProba.
+// treeVotes is the forest reference: each tree asked on its own through
+// DecisionTree.PredictProba — the pointer walk, which stays the
+// decision_tree matcher — and the votes counted.
+func treeVotes(rf *RandomForest, x []float64) float64 {
+	trees := rf.Trees()
+	votes := 0
+	for _, t := range trees {
+		if t.PredictProba(x) >= 0.5 {
+			votes++
+		}
+	}
+	return float64(votes) / float64(len(trees))
+}
+
+// TestFlatForestBitIdentical: over quick-generated forests (random shape,
+// alpha, depth, seed) and random query vectors, the compiled arrays —
+// RandomForest's own PredictProba and VoteFraction, and FlatForest's
+// PredictProba, VoteFraction and PredictProbaBatch — return floats
+// bit-identical to the per-tree reference vote through alphaShift, after
+// Fit and again after an Export and Import.
 func TestFlatForestBitIdentical(t *testing.T) {
+	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rf := &RandomForest{
+		fitted := &RandomForest{
 			NumTrees: 1 + rng.Intn(16),
 			MaxDepth: 1 + rng.Intn(8),
 			Alpha:    []float64{0, 0.3, 0.5, 0.9}[rng.Intn(4)],
 			Seed:     rng.Int63(),
 		}
+		alpha := fitted.Alpha
+		if alpha == 0 {
+			alpha = 0.5 // the zero value is majority vote
+		}
 		train := synthDataset(50+rng.Intn(200), rng.Intn(4), rng.Int63())
-		if err := rf.Fit(train); err != nil {
+		if err := fitted.Fit(train); err != nil {
 			t.Fatal(err)
 		}
-		ff, err := NewFlatForest(rf)
+		nf := train.NumFeatures()
+		data, err := Export(fitted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ff.NumTrees() != rf.numTrees() {
-			return false
+		imported, err := Import(data, nf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		nf := train.NumFeatures()
 		xs := make([][]float64, 64)
 		for i := range xs {
 			x := make([]float64, nf)
@@ -41,20 +63,26 @@ func TestFlatForestBitIdentical(t *testing.T) {
 			xs[i] = x
 		}
 		out := make([]float64, len(xs))
-		ff.PredictProbaBatch(xs, out)
-		for i, x := range xs {
-			want := rf.PredictProba(x)
-			if got := ff.PredictProba(x); math.Float64bits(got) != math.Float64bits(want) {
-				t.Logf("PredictProba diverged: got %v want %v", got, want)
+		for _, rf := range []*RandomForest{fitted, imported.(*RandomForest)} {
+			ff, err := NewFlatForest(rf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ff.roots) != fitted.numTrees() {
 				return false
 			}
-			if math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Logf("PredictProbaBatch diverged: got %v want %v", out[i], want)
-				return false
-			}
-			if vf := ff.VoteFraction(x); math.Float64bits(vf) != math.Float64bits(rf.VoteFraction(x)) {
-				t.Logf("VoteFraction diverged")
-				return false
+			ff.PredictProbaBatch(xs, out)
+			for i, x := range xs {
+				votes := treeVotes(rf, x)
+				want := alphaShift(votes, alpha)
+				if !same(rf.PredictProba(x), want) || !same(ff.PredictProba(x), want) || !same(out[i], want) {
+					t.Logf("PredictProba diverged: forest %v flat %v batch %v want %v", rf.PredictProba(x), ff.PredictProba(x), out[i], want)
+					return false
+				}
+				if !same(rf.VoteFraction(x), votes) || !same(ff.VoteFraction(x), votes) {
+					t.Logf("VoteFraction diverged: forest %v flat %v want %v", rf.VoteFraction(x), ff.VoteFraction(x), votes)
+					return false
+				}
 			}
 		}
 		return true
@@ -74,7 +102,8 @@ func TestFlatForestNotFitted(t *testing.T) {
 }
 
 // TestFlatForestZeroAlloc pins the //emlint:zeroalloc contracts on the flat
-// traversal kernels and alphaShift.
+// traversal kernels and alphaShift, and RandomForest.PredictProba on top of
+// them.
 func TestFlatForestZeroAlloc(t *testing.T) {
 	rf := &RandomForest{NumTrees: 8, Seed: 3}
 	if err := rf.Fit(synthDataset(200, 2, 7)); err != nil {
@@ -92,7 +121,8 @@ func TestFlatForestZeroAlloc(t *testing.T) {
 	out := make([]float64, len(xs))
 	var sink float64
 	if allocs := testing.AllocsPerRun(50, func() {
-		sink = ff.PredictProba(xs[0])
+		sink = rf.PredictProba(xs[0])
+		sink += ff.PredictProba(xs[0])
 		sink += ff.VoteFraction(xs[1])
 		if ff.vote(ff.roots[0], xs[2]) {
 			sink++

@@ -21,7 +21,7 @@ type RandomForest struct {
 	// MinSamplesLeaf is forwarded to each tree; 0 means 1.
 	MinSamplesLeaf int
 	// Alpha is the vote fraction required to declare a match (the
-	// paper's αn rule); 0 means 0.5.
+	// paper's αn rule); 0 means 0.5. Read when the forest is fitted.
 	Alpha float64
 	// Seed makes training deterministic.
 	Seed int64
@@ -34,7 +34,11 @@ type RandomForest struct {
 	// obs.ForestTreeFitSeconds per tree); nil means off.
 	Metrics obs.Recorder
 
+	// trees is the training product: what rule extraction, String and
+	// persistence read. flat is the same trees compiled at the end of Fit
+	// and of Import, and what every prediction walks.
 	trees []*DecisionTree
+	flat  *FlatForest
 }
 
 // Name implements Classifier.
@@ -50,13 +54,6 @@ func (f *RandomForest) numTrees() int {
 		return 10
 	}
 	return f.NumTrees
-}
-
-func (f *RandomForest) alpha() float64 {
-	if f.Alpha <= 0 {
-		return 0.5
-	}
-	return f.Alpha
 }
 
 // Fit implements Classifier.
@@ -107,38 +104,34 @@ func (f *RandomForest) Fit(d *Dataset) error {
 		return nil
 	})
 	if err != nil {
-		f.trees = nil
+		f.trees, f.flat = nil, nil
 		return err
 	}
+	f.flat = compile(f.trees, f.Alpha)
 	return nil
 }
 
-// VoteFraction returns the fraction of trees predicting match for x.
+// VoteFraction returns the fraction of trees predicting match for x (0
+// before Fit).
 func (f *RandomForest) VoteFraction(x []float64) float64 {
-	if len(f.trees) == 0 {
+	if f.flat == nil {
 		return 0
 	}
-	votes := 0
-	for _, t := range f.trees {
-		if t.PredictProba(x) >= 0.5 {
-			votes++
-		}
-	}
-	return float64(votes) / float64(len(f.trees))
+	return f.flat.VoteFraction(x)
 }
 
 // PredictProba implements Classifier. The probability is the vote fraction
 // shifted so that the αn voting rule of the paper coincides with the usual
 // 0.5 threshold: a pair is a match iff at least α·n trees say so.
 func (f *RandomForest) PredictProba(x []float64) float64 {
-	return alphaShift(f.VoteFraction(x), f.alpha())
+	if f.flat == nil {
+		return 0
+	}
+	return f.flat.PredictProba(x)
 }
 
 // alphaShift is the piecewise-linear map sending [0,a] -> [0,0.5] and
-// [a,1] -> [0.5,1]. It is the single implementation shared by the pointer
-// forest and FlatForest so the two paths stay bit-identical: both compute
-// the same exact integer-valued vote fraction, then apply this same float
-// expression.
+// [a,1] -> [0.5,1], applied to an exact integer-valued vote fraction.
 //
 //emlint:zeroalloc
 //emlint:hotpath

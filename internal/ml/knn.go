@@ -6,22 +6,15 @@ import "sort"
 // memorizes the training set; PredictProba is the positive fraction among
 // the k nearest training examples.
 type KNN struct {
-	// K is the neighborhood size; 0 means 5.
-	K int
-
 	x [][]float64
 	y []int
 }
 
+// knnK is the neighborhood size.
+const knnK = 5
+
 // Name implements Classifier.
 func (k *KNN) Name() string { return "knn" }
-
-func (k *KNN) k() int {
-	if k.K <= 0 {
-		return 5
-	}
-	return k.K
-}
 
 // Fit implements Classifier.
 func (k *KNN) Fit(d *Dataset) error {
@@ -52,10 +45,7 @@ func (k *KNN) PredictProba(x []float64) float64 {
 		ns[i] = neigh{d, k.y[i]}
 	}
 	sort.Slice(ns, func(a, b int) bool { return ns[a].d < ns[b].d })
-	kk := k.k()
-	if kk > len(ns) {
-		kk = len(ns)
-	}
+	kk := min(knnK, len(ns))
 	pos := 0
 	for _, n := range ns[:kk] {
 		pos += n.y

@@ -300,7 +300,7 @@ func TestRandomForestEntropy(t *testing.T) {
 func TestLogisticRegressionLearns(t *testing.T) {
 	train := synthDataset(400, 0, 14)
 	test := synthDataset(200, 0, 15)
-	lr := &LogisticRegression{Seed: 1, Epochs: 100}
+	lr := &LogisticRegression{Seed: 1}
 	if err := lr.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestLogisticRegressionConstantFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr := &LogisticRegression{Seed: 1, Epochs: 200}
+	lr := &LogisticRegression{Seed: 1}
 	if err := lr.Fit(d); err != nil {
 		t.Fatal(err)
 	}
@@ -370,24 +370,36 @@ func TestGaussianNBSingleClass(t *testing.T) {
 func TestKNNLearns(t *testing.T) {
 	train := xorDataset(500, 18)
 	test := xorDataset(200, 19)
-	knn := &KNN{K: 7}
+	knn := &KNN{}
 	if err := knn.Fit(train); err != nil {
 		t.Fatal(err)
 	}
 	if acc := accuracyOn(t, knn, test); acc < 0.85 {
 		t.Errorf("knn accuracy = %.3f, want >= 0.85", acc)
 	}
-	// K larger than the training set must not panic.
+	// A neighborhood larger than the training set must not panic.
 	small, err := NewDataset([][]float64{{0}, {1}}, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := &KNN{K: 50}
+	big := &KNN{}
 	if err := big.Fit(small); err != nil {
 		t.Fatal(err)
 	}
 	if p := big.PredictProba([]float64{0.4}); p != 0.5 {
 		t.Errorf("k>n proba = %v, want 0.5", p)
+	}
+	// The neighborhood is the five nearest: of six points in a row, the
+	// far one has no say.
+	six, err := NewDataset([][]float64{{1}, {2}, {3}, {4}, {5}, {6}}, []int{1, 1, 1, 0, 0, 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := knn.Fit(six); err != nil {
+		t.Fatal(err)
+	}
+	if p := knn.PredictProba([]float64{0}); p != 0.6 {
+		t.Errorf("proba over the five nearest = %v, want 0.6", p)
 	}
 }
 
@@ -547,7 +559,7 @@ func TestProbaRangeProperty(t *testing.T) {
 	d := synthDataset(150, 1, 26)
 	models := []Classifier{
 		&DecisionTree{Seed: 1}, &RandomForest{NumTrees: 5, Seed: 1},
-		&LogisticRegression{Seed: 1, Epochs: 30}, &GaussianNB{}, &KNN{}, &LinearSVM{Seed: 1, Epochs: 30},
+		&LogisticRegression{Seed: 1}, &GaussianNB{}, &KNN{}, &LinearSVM{Seed: 1},
 	}
 	for _, m := range models {
 		if err := m.Fit(d); err != nil {

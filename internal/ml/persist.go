@@ -2,6 +2,7 @@ package ml
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -13,11 +14,11 @@ func Export(c Classifier) ([]byte, error) {
 	var payload any
 	switch m := c.(type) {
 	case *DecisionTree:
-		payload = exportTree(m)
+		payload = treeDTO{Root: m.root}
 	case *RandomForest:
-		trees := make([]*treeDTO, len(m.trees))
+		trees := make([]treeDTO, len(m.trees))
 		for i, t := range m.trees {
-			trees[i] = exportTree(t)
+			trees[i].Root = t.root
 		}
 		payload = &forestDTO{Alpha: m.Alpha, Trees: trees}
 	case *LogisticRegression:
@@ -32,57 +33,96 @@ func Export(c Classifier) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("ml: cannot export a %T", c)
 	}
-	return json.Marshal(&envelope{Model: c.Name(), Payload: mustRaw(payload)})
+	return json.Marshal(struct {
+		Model   string `json:"model"`
+		Payload any    `json:"payload"`
+	}{c.Name(), payload})
 }
 
-// Import deserializes a classifier produced by Export.
-func Import(data []byte) (Classifier, error) {
+// Import deserializes a classifier produced by Export, for rows dim
+// features wide. The payload is outside input: whatever Import returns
+// without an error is a fitted model whose PredictProba indexes inside
+// every such row and inside its own arrays.
+func Import(data []byte, dim int) (Classifier, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("ml: import: %w", err)
 	}
+	c, err := importModel(env, dim)
+	if err != nil {
+		return nil, fmt.Errorf("ml: import %s: %w", env.Model, err)
+	}
+	return c, nil
+}
+
+func importModel(env envelope, dim int) (Classifier, error) {
 	switch env.Model {
 	case "decision_tree":
 		var dto treeDTO
 		if err := json.Unmarshal(env.Payload, &dto); err != nil {
 			return nil, err
 		}
-		return importTree(&dto), nil
+		return &DecisionTree{root: dto.Root}, checkNode(dto.Root, dim)
 	case "random_forest":
 		var dto forestDTO
 		if err := json.Unmarshal(env.Payload, &dto); err != nil {
 			return nil, err
 		}
+		if len(dto.Trees) == 0 {
+			return nil, ErrNotFitted
+		}
 		f := &RandomForest{Alpha: dto.Alpha, NumTrees: len(dto.Trees)}
-		f.trees = make([]*DecisionTree, len(dto.Trees))
 		for i, t := range dto.Trees {
-			f.trees[i] = importTree(t)
+			if err := checkNode(t.Root, dim); err != nil {
+				return nil, fmt.Errorf("tree %d: %w", i, err)
+			}
+			f.trees = append(f.trees, &DecisionTree{root: t.Root})
 		}
+		f.flat = compile(f.trees, f.Alpha)
 		return f, nil
-	case "logistic_regression":
+	case "logistic_regression", "linear_svm":
 		var dto linearDTO
 		if err := json.Unmarshal(env.Payload, &dto); err != nil {
 			return nil, err
 		}
-		return &LogisticRegression{w: dto.W, b: dto.B, mean: dto.Mean, std: dto.Std}, nil
-	case "linear_svm":
-		var dto linearDTO
-		if err := json.Unmarshal(env.Payload, &dto); err != nil {
-			return nil, err
+		if len(dto.W) != dim || len(dto.Mean) != dim || len(dto.Std) != dim {
+			return nil, fmt.Errorf("w, mean, std of %d, %d, %d values for %d features", len(dto.W), len(dto.Mean), len(dto.Std), dim)
 		}
-		return &LinearSVM{w: dto.W, b: dto.B, mean: dto.Mean, std: dto.Std}, nil
+		lin := linear{w: dto.W, b: dto.B, mean: dto.Mean, std: dto.Std}
+		if env.Model == "linear_svm" {
+			return &LinearSVM{linear: lin}, nil
+		}
+		return &LogisticRegression{linear: lin}, nil
 	case "naive_bayes":
 		var dto nbDTO
 		if err := json.Unmarshal(env.Payload, &dto); err != nil {
 			return nil, err
 		}
-		nb := &GaussianNB{prior: dto.Prior, fit: dto.Fit}
-		nb.mean[0], nb.mean[1] = dto.Mean0, dto.Mean1
-		nb.vari[0], nb.vari[1] = dto.Var0, dto.Var1
-		return nb, nil
+		if !dto.Fit || len(dto.Mean0) != dim || len(dto.Mean1) != dim || len(dto.Var0) != dim || len(dto.Var1) != dim {
+			return nil, fmt.Errorf("not fitted over %d features", dim)
+		}
+		mean, vari := [2][]float64{dto.Mean0, dto.Mean1}, [2][]float64{dto.Var0, dto.Var1}
+		return &GaussianNB{prior: dto.Prior, mean: mean, vari: vari, fit: true}, nil
 	default:
-		return nil, fmt.Errorf("ml: import: unknown model %q", env.Model)
+		return nil, errors.New("unknown model")
 	}
+}
+
+// checkNode reports why the subtree under n cannot route a dim-wide row to
+// a leaf: a missing child, or a split on a column the row does not have.
+func checkNode(n *TreeNode, dim int) error {
+	switch {
+	case n == nil:
+		return errors.New("missing node")
+	case n.Leaf:
+		return nil
+	case n.Feature < 0 || n.Feature >= dim:
+		return fmt.Errorf("split on feature %d of %d", n.Feature, dim)
+	}
+	if err := checkNode(n.Left, dim); err != nil {
+		return err
+	}
+	return checkNode(n.Right, dim)
 }
 
 type envelope struct {
@@ -90,23 +130,13 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-type nodeDTO struct {
-	Leaf      bool     `json:"leaf"`
-	Proba     float64  `json:"proba,omitempty"`
-	N         int      `json:"n,omitempty"`
-	Feature   int      `json:"feature,omitempty"`
-	Threshold float64  `json:"threshold,omitempty"`
-	Left      *nodeDTO `json:"left,omitempty"`
-	Right     *nodeDTO `json:"right,omitempty"`
-}
-
 type treeDTO struct {
-	Root *nodeDTO `json:"root"`
+	Root *TreeNode `json:"root"`
 }
 
 type forestDTO struct {
-	Alpha float64    `json:"alpha,omitempty"`
-	Trees []*treeDTO `json:"trees"`
+	Alpha float64   `json:"alpha,omitempty"`
+	Trees []treeDTO `json:"trees"`
 }
 
 type linearDTO struct {
@@ -123,42 +153,4 @@ type nbDTO struct {
 	Var0  []float64  `json:"var0"`
 	Var1  []float64  `json:"var1"`
 	Fit   bool       `json:"fit"`
-}
-
-func exportTree(t *DecisionTree) *treeDTO {
-	return &treeDTO{Root: exportNode(t.root)}
-}
-
-func exportNode(n *TreeNode) *nodeDTO {
-	if n == nil {
-		return nil
-	}
-	return &nodeDTO{
-		Leaf: n.Leaf, Proba: n.Proba, N: n.N,
-		Feature: n.Feature, Threshold: n.Threshold,
-		Left: exportNode(n.Left), Right: exportNode(n.Right),
-	}
-}
-
-func importTree(dto *treeDTO) *DecisionTree {
-	return &DecisionTree{root: importNode(dto.Root)}
-}
-
-func importNode(d *nodeDTO) *TreeNode {
-	if d == nil {
-		return nil
-	}
-	return &TreeNode{
-		Leaf: d.Leaf, Proba: d.Proba, N: d.N,
-		Feature: d.Feature, Threshold: d.Threshold,
-		Left: importNode(d.Left), Right: importNode(d.Right),
-	}
-}
-
-func mustRaw(v any) json.RawMessage {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		panic(err) // DTOs are plain data; marshaling cannot fail
-	}
-	return raw
 }

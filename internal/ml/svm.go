@@ -1,27 +1,19 @@
 package ml
 
-import (
-	"math"
-	"math/rand"
-)
-
 // LinearSVM is a linear support-vector classifier trained by stochastic
 // subgradient descent on the L2-regularized hinge loss (Pegasos-style).
-// PredictProba squashes the margin through a sigmoid, which is adequate
-// for 0.5-thresholded EM matching.
 type LinearSVM struct {
-	// Epochs is the number of passes; 0 means 100.
-	Epochs int
-	// Lambda is the regularization strength; 0 means 1e-3.
-	Lambda float64
 	// Seed drives example shuffling.
 	Seed int64
 
-	w    []float64
-	b    float64
-	mean []float64
-	std  []float64
+	linear
 }
+
+// The training schedule: passes over the data and regularization strength.
+const (
+	svmEpochs = 100
+	svmLambda = 1e-3
+)
 
 // Name implements Classifier.
 func (s *LinearSVM) Name() string { return "linear_svm" }
@@ -31,80 +23,21 @@ func (s *LinearSVM) Fit(d *Dataset) error {
 	if d.Len() == 0 {
 		return errEmpty(s.Name())
 	}
-	nf := d.NumFeatures()
-	s.mean = make([]float64, nf)
-	s.std = make([]float64, nf)
-	for j := 0; j < nf; j++ {
-		var sum, sum2 float64
-		for i := range d.X {
-			sum += d.X[i][j]
-		}
-		m := sum / float64(d.Len())
-		for i := range d.X {
-			dx := d.X[i][j] - m
-			sum2 += dx * dx
-		}
-		sd := math.Sqrt(sum2 / float64(d.Len()))
-		if sd < 1e-12 {
-			sd = 1
-		}
-		s.mean[j], s.std[j] = m, sd
-	}
-
-	epochs := s.Epochs
-	if epochs <= 0 {
-		epochs = 100
-	}
-	lambda := s.Lambda
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
-	s.w = make([]float64, nf)
-	s.b = 0
-	rng := rand.New(rand.NewSource(s.Seed))
-	order := rng.Perm(d.Len())
-	z := make([]float64, nf)
 	t := 1
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
-		for _, i := range order {
-			eta := 1 / (lambda * float64(t))
-			t++
-			for j := 0; j < nf; j++ {
-				z[j] = (d.X[i][j] - s.mean[j]) / s.std[j]
-			}
-			yi := float64(2*d.Y[i] - 1) // {-1, +1}
-			margin := yi * (dot(s.w, z) + s.b)
-			for j := 0; j < nf; j++ {
-				s.w[j] *= 1 - eta*lambda
-			}
-			if margin < 1 {
-				for j := 0; j < nf; j++ {
-					s.w[j] += eta * yi * z[j]
-				}
-				s.b += eta * yi
-			}
+	s.sgd(d, s.Seed, svmEpochs, func(z []float64, y int) {
+		eta := 1 / (svmLambda * float64(t))
+		t++
+		yi := float64(2*y - 1) // {-1, +1}
+		margin := yi * (dot(s.w, z) + s.b)
+		for j := range z {
+			s.w[j] *= 1 - eta*svmLambda
 		}
-	}
+		if margin < 1 {
+			for j := range z {
+				s.w[j] += eta * yi * z[j]
+			}
+			s.b += eta * yi
+		}
+	})
 	return nil
-}
-
-// Margin returns the signed decision value for x (positive means match).
-func (s *LinearSVM) Margin(x []float64) float64 {
-	if s.w == nil {
-		return 0
-	}
-	var z float64
-	for j := range s.w {
-		z += s.w[j] * (x[j] - s.mean[j]) / s.std[j]
-	}
-	return z + s.b
-}
-
-// PredictProba implements Classifier.
-func (s *LinearSVM) PredictProba(x []float64) float64 {
-	if s.w == nil {
-		return 0
-	}
-	return sigmoid(s.Margin(x))
 }

@@ -10,24 +10,22 @@ import (
 // TreeNode is one node of a CART decision tree. Internal nodes route
 // x[Feature] <= Threshold to Left and the rest to Right; leaves carry the
 // positive-class probability. The structure is exported because Falcon
-// extracts blocking rules from tree branches (Figure 4 of the paper).
+// extracts blocking rules from tree branches (Figure 4 of the paper), and
+// it is its own persisted form: Export marshals it as it stands.
 type TreeNode struct {
-	Leaf      bool
-	Proba     float64 // leaf: P(match)
-	N         int     // training examples that reached this node
-	Feature   int     // internal: feature index
-	Threshold float64 // internal: split threshold
-	Left      *TreeNode
-	Right     *TreeNode
+	Leaf      bool      `json:"leaf"`
+	Proba     float64   `json:"proba,omitempty"`     // leaf: P(match)
+	N         int       `json:"n,omitempty"`         // training examples that reached this node
+	Feature   int       `json:"feature,omitempty"`   // internal: feature index
+	Threshold float64   `json:"threshold,omitempty"` // internal: split threshold
+	Left      *TreeNode `json:"left,omitempty"`
+	Right     *TreeNode `json:"right,omitempty"`
 }
 
 // DecisionTree is a CART classifier using Gini impurity.
 type DecisionTree struct {
 	// MaxDepth bounds tree depth; 0 means 10.
 	MaxDepth int
-	// MinSamplesSplit is the minimum node size eligible for splitting;
-	// 0 means 2.
-	MinSamplesSplit int
 	// MinSamplesLeaf is the minimum examples each child must receive;
 	// 0 means 1.
 	MinSamplesLeaf int
@@ -114,19 +112,15 @@ func (t *DecisionTree) maxDepth() int {
 	return t.MaxDepth
 }
 
-func (t *DecisionTree) minSplit() int {
-	if t.MinSamplesSplit < 2 {
-		return 2
-	}
-	return t.MinSamplesSplit
-}
-
 func (t *DecisionTree) minLeaf() int {
 	if t.MinSamplesLeaf < 1 {
 		return 1
 	}
 	return t.MinSamplesLeaf
 }
+
+// minSamplesSplit is the smallest node build will try to split.
+const minSamplesSplit = 2
 
 // build grows the subtree over the rows idxs (a subslice of scr.idxs that
 // build is free to reorder).
@@ -136,7 +130,7 @@ func (t *DecisionTree) build(d *Dataset, scr *treeFitScratch, idxs []int, depth 
 		pos += d.Y[i]
 	}
 	node := &TreeNode{N: len(idxs), Proba: float64(pos) / float64(len(idxs))}
-	if depth >= t.maxDepth() || len(idxs) < t.minSplit() || pos == 0 || pos == len(idxs) {
+	if depth >= t.maxDepth() || len(idxs) < minSamplesSplit || pos == 0 || pos == len(idxs) {
 		node.Leaf = true
 		return node
 	}

@@ -59,12 +59,12 @@ const (
 	// ServeStageSeconds times one MatchOne stage: labels {stage}
 	// (candidates|features|score).
 	ServeStageSeconds = "em_serve_stage_seconds"
-	// ServeQueueDepth gauges match requests waiting in a pool queue.
+	// ServeQueueDepth gauges match requests waiting in a pool for a run slot.
 	ServeQueueDepth = "em_serve_queue_depth"
-	// ServeQueueWaitSeconds times one request's wait between Submit and
-	// a worker picking it up.
+	// ServeQueueWaitSeconds times one request's wait inside Pool.Match for
+	// a run slot.
 	ServeQueueWaitSeconds = "em_serve_queue_wait_seconds"
-	// ServeRequestsTotal counts settled match submissions:
+	// ServeRequestsTotal counts settled match requests:
 	// labels {status} (ok|error|overloaded).
 	ServeRequestsTotal = "em_serve_requests_total"
 
@@ -112,7 +112,7 @@ func DescribeStandard(g *Registry) {
 		{ServeMatchSeconds, "Duration of one MatchOne call."},
 		{ServeStageSeconds, "Duration of one MatchOne stage (candidates|features|score)."},
 		{ServeQueueDepth, "Match requests waiting in a serve pool queue."},
-		{ServeQueueWaitSeconds, "Wait between pool Submit and worker pickup."},
+		{ServeQueueWaitSeconds, "Wait inside a serve pool for a run slot."},
 		{ServeRequestsTotal, "Settled match submissions by status (ok|error|overloaded)."},
 		{CloudQueueDepth, "Fragments waiting for an engine worker."},
 		{CloudStepsInFlight, "Fragments currently executing on an engine."},

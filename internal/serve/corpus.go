@@ -52,9 +52,8 @@ type Corpus struct {
 	epoch uint64 // bumps on every mutation
 	comps uint64 // compaction passes run
 
-	fs   *feature.Set
-	clf  ml.Classifier
-	flat *ml.FlatForest
+	fs  *feature.Set
+	clf ml.Classifier
 }
 
 // NewCorpus returns an empty corpus.
@@ -86,7 +85,6 @@ func (c *Corpus) publishLocked() {
 		comps:   c.comps,
 		fs:      c.fs,
 		clf:     c.clf,
-		flat:    c.flat,
 	})
 }
 
@@ -288,11 +286,9 @@ func (c *Corpus) compactLocked() {
 }
 
 // SetMatcher installs the resident scorer: MatchOne scores each candidate
-// pair's fs feature vector with clf. When clf is a fitted *ml.RandomForest
-// it is additionally compiled into an ml.FlatForest, which scores each
-// candidate's row bit-identically to clf.PredictProba. Every resident
-// record is (re)prepared for fs (feature.Set.Prepare), so a query prepares
-// only its own side. Pass (nil, nil) to revert to the blocking-token
+// pair's fs feature vector with clf.PredictProba. Every resident record is
+// (re)prepared for fs (feature.Set.Prepare), so a query prepares only its
+// own side. Pass (nil, nil) to revert to the blocking-token
 // Jaccard fallback, which also drops the prepared records.
 func (c *Corpus) SetMatcher(fs *feature.Set, clf ml.Classifier) error {
 	if (fs == nil) != (clf == nil) {
@@ -301,12 +297,6 @@ func (c *Corpus) SetMatcher(fs *feature.Set, clf ml.Classifier) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.fs, c.clf = fs, clf
-	c.flat = nil
-	if rf, ok := clf.(*ml.RandomForest); ok {
-		if ff, err := ml.NewFlatForest(rf); err == nil {
-			c.flat = ff
-		}
-	}
 	// Published slots are immutable, so re-preparing clones the array
 	// instead of patching elements in place.
 	fresh := make([]slot, len(c.slots))
@@ -459,10 +449,10 @@ type pairScorer struct {
 }
 
 // score is the per-candidate step of MatchOne: the pair's full row over the
-// two prepared records, through the compiled forest or, for any other
-// classifier, its PredictProba; with no matcher, Jaccard over the blocking
-// token sets. Every column is computed whatever the forest reads, so what a
-// query costs does not depend on which forest training happened to grow.
+// two prepared records, through the classifier's PredictProba; with no
+// matcher, Jaccard over the blocking token sets. Every column is computed
+// whatever the classifier reads, so what a query costs does not depend on
+// which forest training happened to grow.
 //
 //emlint:zeroalloc
 func (ps *pairScorer) score(cand *slot) float64 {
@@ -471,9 +461,6 @@ func (ps *pairScorer) score(cand *slot) float64 {
 		return sim.JaccardU32(ps.qset, cand.toks)
 	}
 	sn.fs.VectorInto(ps.q, cand.prep, ps.sim, ps.row)
-	if sn.flat != nil {
-		return sn.flat.PredictProba(ps.row)
-	}
 	return sn.clf.PredictProba(ps.row)
 }
 

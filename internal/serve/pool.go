@@ -13,109 +13,94 @@ import (
 	"repro/internal/parallel"
 )
 
-// ErrOverloaded is the typed backpressure signal: the pool's bounded
-// queue is full and the submission was refused instead of buffered.
-// Callers (the /v1/match handler, batch clients) retry with backoff or
-// shed load.
+// ErrOverloaded is the typed backpressure signal: as many requests as the
+// pool admits are already running or waiting, and this one was refused
+// instead of buffered. Callers (the /v1/match handler, batch clients) retry
+// with backoff or shed load.
 var ErrOverloaded = errors.New("serve: match queue full")
 
-// ErrClosed reports a submission to a closed pool.
+// ErrClosed reports a match asked of a closed pool.
 var ErrClosed = errors.New("serve: pool closed")
 
-// task is one queued match request.
-type task struct {
-	ctx      context.Context
-	rec      Record
-	tk       *Ticket
-	stopWait func() // queue-wait timer, started at Submit
-}
-
-// Ticket is the handle to one async match submission.
-type Ticket struct {
-	done  chan struct{}
-	pairs []ScoredPair
-	err   error
-}
-
-// Wait blocks until the match completes or ctx is done, returning the
-// result. Wait may be called more than once; the result is stable after
-// the first successful return.
-func (t *Ticket) Wait(ctx context.Context) ([]ScoredPair, error) {
-	select {
-	case <-t.done:
-		// Ownership hand-off, not a copy: the worker wrote pairs before
-		// closing done and never touches them again.
-		return t.pairs, t.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Pool runs MatchOne on a fixed set of workers fed by a bounded queue —
-// the admission-control layer between the HTTP surface and the corpus.
-// Submit never blocks: a full queue returns ErrOverloaded immediately,
-// so overload surfaces as typed backpressure rather than unbounded
-// buffering (pinned by TestPoolOverload).
+// Pool is the admission gate between the HTTP surface and the corpus. A
+// match runs on its caller's goroutine (net/http has given every request
+// one) under two counting semaphores: admit bounds the requests inside
+// Match, running or waiting, and is never waited for — none free is
+// ErrOverloaded at once, so overload surfaces as typed backpressure rather
+// than unbounded buffering (pinned by TestPoolOverload); run bounds the
+// MatchOne calls in progress to the worker count.
 type Pool struct {
 	corpus  *Corpus
-	tasks   chan task
-	workers int
-	wg      sync.WaitGroup
+	admit   chan struct{} // one token per request inside Match: workers + queueCap
+	run     chan struct{} // one token per MatchOne in progress: workers
+	closed  atomic.Bool
 	metrics obs.Recorder
 	// ewmaNs is the exponentially-weighted moving average of per-match
-	// service time in nanoseconds (α = 1/8), updated by the workers and
+	// service time in nanoseconds (α = 1/8), updated after every match and
 	// read by RetryAfterSeconds to turn queue depth into a drain estimate.
 	ewmaNs atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
 }
 
-// NewPool starts workers goroutines serving MatchOne against c with a
-// queue holding at most queueCap waiting requests. workers <= 0 resolves
-// like the rest of the repo (parallel.Resolve: GOMAXPROCS); queueCap <= 0
-// defaults to 4x the worker count. The em_serve_* queue metrics are
-// recorded into c's configured recorder.
+// NewPool returns a gate that lets workers calls of MatchOne against c run
+// at a time and at most queueCap more wait their turn. workers <= 0
+// resolves like the rest of the repo (parallel.Resolve: GOMAXPROCS);
+// queueCap <= 0 defaults to 4x the worker count. The em_serve_* queue
+// metrics are recorded into c's configured recorder.
 func NewPool(c *Corpus, workers, queueCap int) *Pool {
 	workers = parallel.Resolve(workers)
 	if queueCap <= 0 {
 		queueCap = 4 * workers
 	}
-	p := &Pool{
+	return &Pool{
 		corpus:  c,
-		tasks:   make(chan task, queueCap),
-		workers: workers,
+		admit:   make(chan struct{}, workers+queueCap),
+		run:     make(chan struct{}, workers),
 		metrics: obs.Or(c.cfg.metrics),
 	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		//emlint:allow nogoroutine -- long-lived serve pool worker, not fan-out
-		go p.worker()
-	}
-	return p
 }
 
-// worker drains the queue until Close.
+// Match runs MatchOne for rec once a run slot is free. It returns
+// ErrOverloaded without waiting when the pool already holds all the
+// requests it admits, and ErrClosed after Close. The wait for a run slot
+// ends with ctx: a caller that has hung up gives its place back instead of
+// being matched later for nobody.
 //
 //emlint:allow nondeterminism -- service-time sampling feeds the Retry-After EWMA, never the match results
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for t := range p.tasks {
-		p.metrics.Gauge(obs.ServeQueueDepth, -1)
-		t.stopWait()
-		start := time.Now()
-		t.tk.pairs, t.tk.err = p.corpus.MatchOne(t.ctx, t.rec)
-		p.observe(time.Since(start))
-		status := "ok"
-		if t.tk.err != nil {
-			status = "error"
+func (p *Pool) Match(ctx context.Context, rec Record) (pairs []ScoredPair, err error) {
+	select {
+	case p.admit <- struct{}{}:
+		defer func() { <-p.admit }()
+	default:
+		if p.closed.Load() {
+			return nil, ErrClosed
 		}
-		p.metrics.Count(obs.ServeRequestsTotal, 1, obs.L("status", status))
-		close(t.tk.done)
+		p.metrics.Count(obs.ServeRequestsTotal, 1, obs.L("status", "overloaded"))
+		return nil, ErrOverloaded
 	}
+	p.metrics.Gauge(obs.ServeQueueDepth, 1)
+	stopWait := obs.StartTimer(p.metrics, obs.ServeQueueWaitSeconds)
+	select {
+	case p.run <- struct{}{}:
+		defer func() { <-p.run }()
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	p.metrics.Gauge(obs.ServeQueueDepth, -1)
+	stopWait()
+	status := "ok"
+	if err == nil {
+		start := time.Now()
+		pairs, err = p.corpus.MatchOne(ctx, rec)
+		p.observe(time.Since(start))
+	}
+	if err != nil {
+		status = "error"
+	}
+	p.metrics.Count(obs.ServeRequestsTotal, 1, obs.L("status", status))
+	return pairs, err
 }
 
-// observe folds one match's service time into the EWMA. Workers race on
+// observe folds one match's service time into the EWMA. Callers race on
 // the update, so it goes through a CAS loop; a lost round just means one
 // sample lands with slightly different weight.
 func (p *Pool) observe(dur time.Duration) {
@@ -132,12 +117,11 @@ func (p *Pool) observe(dur time.Duration) {
 }
 
 // RetryAfterSeconds estimates how long an overloaded caller should back
-// off before the queue has likely drained: current queue depth times the
-// EWMA per-match service time, divided across the workers, rounded up to
-// whole seconds and clamped to [1, 30]. This replaces the old hardcoded
-// Retry-After: 1 on 429 responses.
+// off before the queue has likely drained: the requests now waiting for a
+// run slot times the EWMA per-match service time, divided across the
+// workers, rounded up to whole seconds and clamped to [1, 30].
 func (p *Pool) RetryAfterSeconds() int {
-	return retryAfterSeconds(len(p.tasks), time.Duration(p.ewmaNs.Load()), p.workers)
+	return retryAfterSeconds(len(p.admit)-len(p.run), time.Duration(p.ewmaNs.Load()), cap(p.run))
 }
 
 // retryAfterSeconds is the pure drain-time estimate behind
@@ -158,54 +142,16 @@ func retryAfterSeconds(depth int, perReq time.Duration, workers int) int {
 	return secs
 }
 
-// Submit enqueues one match request without blocking. It returns
-// ErrOverloaded when the queue is full and ErrClosed after Close; on
-// success the Ticket resolves once a worker finishes the match.
-func (p *Pool) Submit(ctx context.Context, rec Record) (*Ticket, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, ErrClosed
-	}
-	tk := &Ticket{done: make(chan struct{})}
-	t := task{
-		ctx:      ctx,
-		rec:      rec,
-		tk:       tk,
-		stopWait: obs.StartTimer(p.metrics, obs.ServeQueueWaitSeconds),
-	}
-	//emlint:allow locksafety -- non-blocking select send, cannot park; the lock only fences the send against close(p.tasks)
-	select {
-	case p.tasks <- t:
-		p.metrics.Gauge(obs.ServeQueueDepth, 1)
-		return tk, nil
-	default:
-		p.metrics.Count(obs.ServeRequestsTotal, 1, obs.L("status", "overloaded"))
-		return nil, ErrOverloaded
-	}
-}
-
-// Match is the synchronous convenience wrapper: Submit then Wait.
-func (p *Pool) Match(ctx context.Context, rec Record) ([]ScoredPair, error) {
-	tk, err := p.Submit(ctx, rec)
-	if err != nil {
-		return nil, err
-	}
-	return tk.Wait(ctx)
-}
-
-// Close drains the queue, stops the workers, and waits for them. Submit
-// after Close returns ErrClosed. Close is idempotent.
+// Close marks the pool closed and then takes every admission token, which
+// is the wait for the requests inside Match to leave; it keeps the tokens,
+// so Match after Close returns ErrClosed. Close is idempotent.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Swap(true) {
 		return
 	}
-	p.closed = true
-	close(p.tasks)
-	p.mu.Unlock()
-	p.wg.Wait()
+	for i := 0; i < cap(p.admit); i++ {
+		p.admit <- struct{}{}
+	}
 }
 
 // Registry names the corpora a server exposes: each entry pairs a Corpus
@@ -260,12 +206,11 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Close closes every registered pool.
+// Close closes every registered pool, holding no lock while one waits for
+// its requests in flight.
 func (r *Registry) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if e.Pool != nil {
+	for _, name := range r.Names() {
+		if e, _ := r.Get(name); e.Pool != nil {
 			e.Pool.Close()
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,9 +30,9 @@ func poolCorpus(t *testing.T, n int, opts ...CorpusOption) *Corpus {
 
 // gateTok parks any Tokenize call whose input contains the trigger token
 // until release is closed, signalling entered first. Installed as a
-// corpus's blocking tokenizer it lets tests park a pool worker inside
-// MatchOne deterministically — the read path takes no locks, so the old
-// trick of holding the writer mutex no longer stalls queries.
+// corpus's blocking tokenizer it lets tests park a caller inside MatchOne
+// deterministically — the read path takes no locks, so the old trick of
+// holding the writer mutex no longer stalls queries.
 type gateTok struct {
 	inner   tokenize.Tokenizer
 	entered chan struct{}
@@ -56,6 +58,45 @@ func (g *gateTok) Tokenize(s string) []string {
 }
 
 func (g *gateTok) Name() string { return "gate:" + g.inner.Name() }
+
+// admitWatch is a registry that also signals admitted each time the pool
+// counts a request into the queue-depth gauge — which it does holding the
+// request's admission token, before the wait for a run slot — so a test
+// knows a Match running on another goroutine has got that far.
+type admitWatch struct {
+	*obs.Registry
+	admitted chan struct{}
+}
+
+func newAdmitWatch() *admitWatch {
+	// Buffered past any test's request count, so the pool never waits on a
+	// test that has stopped listening.
+	return &admitWatch{Registry: obs.NewRegistry(), admitted: make(chan struct{}, 16)}
+}
+
+func (w *admitWatch) Gauge(name string, delta float64, labels ...obs.Label) {
+	w.Registry.Gauge(name, delta, labels...)
+	if name == obs.ServeQueueDepth && delta > 0 {
+		w.admitted <- struct{}{}
+	}
+}
+
+// settled checks the pool's books after the last call returned: nothing
+// waiting, and every call counted once, under the status it got.
+func settled(t *testing.T, reg *obs.Registry, ok, failed, overloaded int) {
+	t.Helper()
+	if got := reg.GaugeValue(obs.ServeQueueDepth); got != 0 {
+		t.Errorf("queue depth after the last call = %v, want 0", got)
+	}
+	for status, want := range map[string]int{"ok": ok, "error": failed, "overloaded": overloaded} {
+		if got := reg.CounterValue(obs.ServeRequestsTotal, obs.L("status", status)); got != float64(want) {
+			t.Errorf("requests with status %s = %v, want %d", status, got, want)
+		}
+	}
+}
+
+// parked is a query that stops inside MatchOne until the gate opens.
+var parked = Record{ID: "q", Attrs: map[string]string{"name": "acme " + gateTrigger}}
 
 // TestPoolMatchesSync: a pooled match returns exactly what a direct
 // MatchOne returns.
@@ -85,65 +126,50 @@ func TestPoolMatchesSync(t *testing.T) {
 	}
 }
 
-// TestPoolOverload: once the queue is full Submit returns ErrOverloaded
-// immediately instead of buffering — the typed backpressure contract.
-// A gate tokenizer parks the single worker inside a query so the queue
-// genuinely — and deterministically — fills.
+// TestPoolOverload: with every place taken Match returns ErrOverloaded at
+// once instead of waiting — the typed backpressure contract. The gate
+// tokenizer parks the callers that got a run slot inside their query, so
+// the pool provably holds exactly workers running and queueCap waiting.
 func TestPoolOverload(t *testing.T) {
-	reg := obs.NewRegistry()
-	gate := newGateTok()
-	c := poolCorpus(t, 10, WithMetrics(reg), WithTokenizer(gate))
-	const queueCap = 3
-	p := NewPool(c, 1, queueCap)
-	rng := rand.New(rand.NewSource(37))
-	// Park the worker inside a query; entered confirms it is provably busy
-	// before the queue-filling submissions below.
-	blocker, err := p.Submit(context.Background(), Record{ID: "qb", Attrs: map[string]string{"name": gateTrigger}})
-	if err != nil {
-		t.Fatal(err)
+	const workers, queueCap, extra = 2, 3, 4
+	reg, gate := newAdmitWatch(), newGateTok()
+	p := NewPool(poolCorpus(t, 10, WithMetrics(reg), WithTokenizer(gate)), workers, queueCap)
+	var wg sync.WaitGroup
+	for i := 0; i < workers+queueCap; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Match(context.Background(), parked); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	<-gate.entered
-	var tickets []*Ticket
-	overloaded := 0
-	for i := 0; i < queueCap+4; i++ {
-		tk, err := p.Submit(context.Background(), randomRecord("q", rng))
-		switch {
-		case err == nil:
-			tickets = append(tickets, tk)
-		case errors.Is(err, ErrOverloaded):
-			overloaded++
-		default:
-			t.Fatalf("Submit: %v", err)
+	for i := 0; i < workers+queueCap; i++ {
+		<-reg.admitted
+	}
+	for i := 0; i < workers; i++ {
+		<-gate.entered
+	}
+	select {
+	case <-gate.entered:
+		t.Fatalf("more than %d matches running", workers)
+	default:
+	}
+	if got := reg.GaugeValue(obs.ServeQueueDepth); got != queueCap {
+		t.Errorf("queue depth with the pool full = %v, want %d", got, queueCap)
+	}
+	for i := 0; i < extra; i++ {
+		if _, err := p.Match(context.Background(), parked); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("Match on a full pool: %v, want ErrOverloaded", err)
 		}
-	}
-	// With the worker parked the queue holds exactly queueCap tasks, so
-	// exactly the excess submissions are refused.
-	if overloaded != 4 || len(tickets) != queueCap {
-		t.Fatalf("queue of %d: %d accepted, %d refused; want %d accepted, 4 refused",
-			queueCap, len(tickets), overloaded, queueCap)
 	}
 	if got := p.RetryAfterSeconds(); got < 1 || got > 30 {
-		t.Errorf("RetryAfterSeconds under full queue = %d, want within [1, 30]", got)
+		t.Errorf("RetryAfterSeconds under a full pool = %d, want within [1, 30]", got)
 	}
-	close(gate.release) // release the worker; queued tickets drain
-	if _, err := blocker.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for _, tk := range tickets {
-		if _, err := tk.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
+	close(gate.release)
+	wg.Wait()
 	p.Close()
-	if got := reg.CounterValue(obs.ServeRequestsTotal, obs.L("status", "overloaded")); got != float64(overloaded) {
-		t.Errorf("overloaded counter = %v, want %d", got, overloaded)
-	}
-	if got := reg.CounterValue(obs.ServeRequestsTotal, obs.L("status", "ok")); got != float64(len(tickets)+1) {
-		t.Errorf("ok counter = %v, want %d", got, len(tickets)+1)
-	}
-	if got := reg.GaugeValue(obs.ServeQueueDepth); got != 0 {
-		t.Errorf("queue depth after drain = %v, want 0", got)
-	}
+	settled(t, reg.Registry, workers+queueCap, 0, extra)
 }
 
 // TestRetryAfterSeconds pins the drain-time estimate: depth times service
@@ -171,93 +197,119 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
-// TestPoolClose: Close is idempotent, drains queued work, and later
-// Submits return ErrClosed.
+// TestPoolClose: Close returns only after the matches in flight have
+// finished, is idempotent, and later calls get ErrClosed.
 func TestPoolClose(t *testing.T) {
-	c := poolCorpus(t, 10)
-	p := NewPool(c, 2, 4)
-	rng := rand.New(rand.NewSource(41))
-	tk, err := p.Submit(context.Background(), randomRecord("q", rng))
-	if err != nil {
-		t.Fatal(err)
+	reg, gate := newAdmitWatch(), newGateTok()
+	p := NewPool(poolCorpus(t, 10, WithMetrics(reg), WithTokenizer(gate)), 1, 1)
+	matched := make(chan error, 1)
+	go func() {
+		_, err := p.Match(context.Background(), parked)
+		matched <- err
+	}()
+	<-gate.entered
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	for !p.closed.Load() {
+		runtime.Gosched()
 	}
-	p.Close()
-	p.Close() // idempotent
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatalf("queued ticket abandoned at Close: %v", err)
-	}
-	if _, err := p.Submit(context.Background(), randomRecord("q", rng)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close: %v, want ErrClosed", err)
-	}
-}
-
-// TestTicketWaitCancel: Wait respects its own context independently of
-// the match's.
-func TestTicketWaitCancel(t *testing.T) {
-	gate := newGateTok()
-	c := poolCorpus(t, 5, WithTokenizer(gate))
-	p := NewPool(c, 1, 2)
-	tk, err := p.Submit(context.Background(), Record{ID: "q", Attrs: map[string]string{"name": "acme " + gateTrigger}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-gate.entered // the match is provably in flight
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := tk.Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait under cancelled context: %v", err)
+	// Close is now collecting tokens, and the parked match holds one.
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a match in flight")
+	default:
 	}
 	close(gate.release)
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatalf("second Wait after completion: %v", err)
+	<-closed
+	// Close got the match's token back, which Match returns last.
+	settled(t, reg.Registry, 1, 0, 0)
+	if err := <-matched; err != nil {
+		t.Fatalf("match in flight at Close: %v", err)
 	}
-	p.Close()
+	p.Close() // idempotent
+	if _, err := p.Match(context.Background(), parked); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Match after Close: %v, want ErrClosed", err)
+	}
+	settled(t, reg.Registry, 1, 0, 0)
 }
 
-// TestPoolConcurrentSubmitters: many goroutines submitting against a
-// small queue settle every request as either a result or ErrOverloaded —
-// nothing hangs, nothing is dropped silently. Runs under -race in CI.
+// TestPoolCancelledWaiter: a caller whose context ends while it waits for
+// a run slot leaves with the context's error, is counted once, and frees
+// its place for the next caller.
+func TestPoolCancelledWaiter(t *testing.T) {
+	reg, gate := newAdmitWatch(), newGateTok()
+	p := NewPool(poolCorpus(t, 5, WithMetrics(reg), WithTokenizer(gate)), 1, 1)
+	results := make(chan error, 2)
+	match := func(ctx context.Context) {
+		_, err := p.Match(ctx, parked)
+		results <- err
+	}
+	go match(context.Background())
+	<-reg.admitted
+	<-gate.entered // the one run slot is provably taken
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := p.Match(ctx, parked)
+		waiter <- err
+	}()
+	<-reg.admitted // the one waiting place is taken too
+	if _, err := p.Match(context.Background(), parked); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Match on a full pool: %v, want ErrOverloaded", err)
+	}
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: %v, want context.Canceled", err)
+	}
+	go match(context.Background()) // takes the place the waiter gave back
+	<-reg.admitted
+	close(gate.release)
+	for i := 0; i < 2; i++ {
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Close()
+	settled(t, reg.Registry, 2, 1, 1)
+}
+
+// TestPoolConcurrentSubmitters: many goroutines matching against a small
+// pool settle every request as either a result or ErrOverloaded — nothing
+// hangs, nothing is dropped silently. Runs under -race in CI.
 func TestPoolConcurrentSubmitters(t *testing.T) {
-	c := poolCorpus(t, 30)
-	p := NewPool(c, 2, 4)
-	defer p.Close()
+	reg := obs.NewRegistry()
+	p := NewPool(poolCorpus(t, 30, WithMetrics(reg)), 2, 1)
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	done, refused := 0, 0
+	var done, refused atomic.Int64
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 40; i++ {
-				tk, err := p.Submit(context.Background(), randomRecord("q", rng))
-				if errors.Is(err, ErrOverloaded) {
-					mu.Lock()
-					refused++
-					mu.Unlock()
-					continue
-				}
-				if err != nil {
+				switch _, err := p.Match(context.Background(), randomRecord("q", rng)); {
+				case err == nil:
+					done.Add(1)
+				case errors.Is(err, ErrOverloaded):
+					refused.Add(1)
+				default:
 					t.Error(err)
-					return
 				}
-				if _, err := tk.Wait(context.Background()); err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				done++
-				mu.Unlock()
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	if done+refused != 6*40 {
-		t.Fatalf("settled %d+%d requests, want %d", done, refused, 6*40)
+	p.Close()
+	if done.Load()+refused.Load() != 6*40 {
+		t.Fatalf("settled %d+%d requests, want %d", done.Load(), refused.Load(), 6*40)
 	}
-	if done == 0 {
-		t.Fatal("every request refused — queue never drained")
+	if done.Load() == 0 {
+		t.Fatal("every request refused — the pool never let one in")
 	}
+	settled(t, reg, int(done.Load()), 0, int(refused.Load()))
 }
 
 // TestRegistry covers the name→(corpus, pool) mapping.
@@ -290,7 +342,7 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Names = %v, want sorted [products vendors]", names)
 	}
 	r.Close()
-	if _, err := p.Submit(context.Background(), Record{ID: "q"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after registry Close: %v, want ErrClosed", err)
+	if _, err := p.Match(context.Background(), Record{ID: "q"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Match after registry Close: %v, want ErrClosed", err)
 	}
 }

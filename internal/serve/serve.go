@@ -18,10 +18,11 @@
 //
 // MatchOne is the low-latency query path (candidate generation → the
 // query's side prepared once → per candidate, the feature row over the two
-// prepared records through the compiled forest → the best WithLimit pairs
-// kept in a bounded heap), and Pool wraps it with batched async
-// submission under admission control: a bounded queue that returns typed
-// ErrOverloaded backpressure instead of buffering without bound. This is
+// prepared records through the classifier, a snapshot's matcher being
+// (fs, clf) → the best WithLimit pairs kept in a bounded heap). Pool is the
+// admission gate in front of it: a match runs on its caller's goroutine
+// under an admission token and a run slot, and with every token taken the
+// caller gets typed ErrOverloaded backpressure, not an unbounded queue. This is
 // the "services + metamanager" serving gap of PAPER.md §1/Table 4, shaped
 // after the resident incrementally-maintained indexes Large-Scale
 // Collective Entity Matching uses to reach web scale.

@@ -47,16 +47,15 @@ type snapshot struct {
 	epoch   uint64
 	comps   uint64
 
-	fs   *feature.Set
-	clf  ml.Classifier
-	flat *ml.FlatForest
+	fs  *feature.Set
+	clf ml.Classifier
 }
 
 // tombSet is a persistent (copy-on-write) tombstone bitmap over slot IDs.
 // A set bit marks a dead slot; absent blocks mean all-live, so the common
 // append-only workload pays nothing. withDead clones only the spine and the
 // touched 4096-slot block, keeping per-tombstone cost O(1)-ish instead of
-// the O(slots) a flat clone would cost. A nil *tombSet is the empty set.
+// the O(slots) a whole-bitmap clone would cost. A nil *tombSet is the empty set.
 type tombSet struct {
 	blocks [][]uint64
 }

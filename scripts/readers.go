@@ -1,7 +1,9 @@
 //go:build ignore
 
 // readers is the sweep behind DESIGN.md §3's reader rule. For every
-// exported package-level name and method declared in a non-test file under
+// exported package-level name and exported method of an exported type (an
+// unexported type's methods are reached only through the exported types
+// that embed it) declared in a non-test file under
 // internal/ it counts the readers — non-test files, tests of another
 // package, tests of its own package — and lists the names no non-test file
 // reads; each must stand on one of §3's exemptions or go. Run from the
@@ -193,7 +195,7 @@ func key(obj types.Object) string {
 	case *types.Func:
 		if o.Type().(*types.Signature).Recv() != nil {
 			n := recvNamed(o)
-			if n == nil || types.IsInterface(n) {
+			if n == nil || types.IsInterface(n) || !n.Obj().Exported() {
 				return ""
 			}
 			return o.Pkg().Path() + "." + n.Obj().Name() + "." + o.Name()
