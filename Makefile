@@ -30,8 +30,9 @@ vet:
 lint:
 	$(GO) run ./cmd/emlint ./internal/... ./cmd/...
 
-# Short fuzz smoke over the text-format parsers, the matcher loader and the
-# pair-scoring kernels. Override FUZZTIME for a longer soak, e.g.
+# Short fuzz smoke over the text-format parsers, the matcher loader, the
+# pair-scoring kernels and the two /v1 request bodies that reach the most
+# code (a job, a corpus write). Override FUZZTIME for a longer soak, e.g.
 # `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME) ./internal/rules
@@ -39,6 +40,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/table
 	$(GO) test -run=^$$ -fuzz=FuzzImport -fuzztime=$(FUZZTIME) ./internal/ml
 	$(GO) test -run=^$$ -fuzz=FuzzColumnMatchesFn -fuzztime=$(FUZZTIME) ./internal/feature
+	$(GO) test -run=^$$ -fuzz=FuzzJobsBody -fuzztime=$(FUZZTIME) ./internal/cloud
+	$(GO) test -run=^$$ -fuzz=FuzzCorpusAddBody -fuzztime=$(FUZZTIME) ./internal/cloud
 
 # "Least code" (ROADMAP aim 2) as a number: lines of non-test,
 # non-testdata Go per top-level package, and the total outside bench/.

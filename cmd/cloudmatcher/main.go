@@ -34,6 +34,14 @@
 //	curl -s localhost:8080/v1/match -d '{
 //	  "corpus": "default",
 //	  "record": {"id":"q","attrs":{"name":"acme corporation"}}}'
+//
+// The three engines are counting semaphores (-batch-workers, -user-workers
+// and -crowd-workers slots): each ready step of a job is a fragment that
+// waits for a slot of its engine, or for its job to end. SIGINT and SIGTERM
+// stop the listener and give requests in flight 15 s; a job still running
+// then is stopped — the step inside its service finishes, the fragments
+// waiting for a slot leave, the remaining steps settle as skipped — and
+// the process exits 0.
 package main
 
 import (
@@ -64,13 +72,16 @@ func main() {
 
 // run serves until ctx is cancelled, then stops accepting, lets requests in
 // flight finish (up to shutdownGrace) and closes the match pool and the
-// metamanager's engines before returning.
+// metamanager before returning. A job still in flight when the grace runs
+// out is stopped by that Close: the fragment running a service finishes it
+// (Close waits for that), fragments waiting for an engine slot leave, and
+// the job's remaining steps settle as skipped.
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("cloudmatcher", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	batch := fs.Int("batch-workers", 4, "batch engine worker count")
-	users := fs.Int("user-workers", 16, "user-interaction engine worker count")
-	crowd := fs.Int("crowd-workers", 16, "crowd engine worker count")
+	batch := fs.Int("batch-workers", 0, "batch engine slots: fragments it runs at once (0 = cloud.EngineConfig's default)")
+	users := fs.Int("user-workers", 0, "user-interaction engine slots (0 = cloud.EngineConfig's default)")
+	crowd := fs.Int("crowd-workers", 0, "crowd engine slots (0 = cloud.EngineConfig's default)")
 	timeout := fs.Duration("job-timeout", 0, "per-job deadline (0 = none)")
 	maxBody := fs.Int64("max-body", 8<<20, "request body cap in bytes")
 	corpus := fs.String("corpus", "default", "name of the built-in serving corpus (empty disables /v1/corpus and /v1/match)")
@@ -136,7 +147,8 @@ func run(ctx context.Context, args []string) error {
 
 	// On cancellation Shutdown stops the listener, which makes Serve
 	// return at once, and then waits for requests in flight; run must not
-	// return (and close the pool and the engines) before that wait is over.
+	// return (and close the pool and the metamanager) before that wait is
+	// over.
 	drained := make(chan error, 1)
 	stop := context.AfterFunc(ctx, func() {
 		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)

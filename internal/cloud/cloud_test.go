@@ -56,21 +56,33 @@ func TestRegistryCounts(t *testing.T) {
 }
 
 func TestArgsHelpers(t *testing.T) {
-	a := Args{"s": "x", "n": 3, "f": 1.5, "jn": float64(7)}
-	if v, err := a.Str("s"); err != nil || v != "x" {
-		t.Error("Str broken")
+	read := func() *decoder {
+		return &decoder{args: Args{"s": "x", "n": 3, "f": 1.5, "jn": float64(7)}}
 	}
-	if _, err := a.Str("missing"); err == nil {
+	if d := read(); d.str("s") != "x" || d.err != nil {
+		t.Error("str broken")
+	}
+	if d := read(); d.str("missing") != "" || d.err == nil {
 		t.Error("want missing-arg error")
 	}
-	if _, err := a.Str("n"); err == nil {
+	if d := read(); d.str("n") != "" || d.err == nil {
 		t.Error("want type error")
 	}
-	if v, err := a.Int("n"); err != nil || v != 3 {
-		t.Error("Int broken")
+	if d := read(); d.countOr("n", 0) != 3 || d.err != nil {
+		t.Error("countOr broken")
 	}
-	if v, err := a.Int("jn"); err != nil || v != 7 {
-		t.Error("Int via float64 broken")
+	if d := read(); d.countOr("jn", 0) != 7 || d.err != nil {
+		t.Error("countOr via float64 broken")
+	}
+	// The first error stays: a later read neither replaces nor clears it.
+	d := read()
+	d.countOr("f", 0)
+	first := d.err
+	if d.str("missing"); first == nil || d.err != first {
+		t.Errorf("err after a second failing read = %v, want the first error %v", d.err, first)
+	}
+	if d.str("s"); d.err != first {
+		t.Errorf("err after a later good read = %v, want the first error %v", d.err, first)
 	}
 }
 
@@ -95,12 +107,13 @@ func TestArgsOptional(t *testing.T) {
 		{"nil", 0, `argument "nil" is <nil>, want int`},
 	}
 	for _, c := range ints {
-		got, err := a.IntOr(c.key, 9)
+		d := decoder{args: a}
+		got, err := d.countOr(c.key, 9), d.err
 		if c.wantErr == "" && (err != nil || got != c.want) {
-			t.Errorf("IntOr(%q) = %d, %v; want %d", c.key, got, err, c.want)
+			t.Errorf("countOr(%q) = %d, %v; want %d", c.key, got, err, c.want)
 		}
 		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
-			t.Errorf("IntOr(%q) error = %v; want %q", c.key, err, c.wantErr)
+			t.Errorf("countOr(%q) error = %v; want %q", c.key, err, c.wantErr)
 		}
 	}
 	strs := []struct {
@@ -113,12 +126,13 @@ func TestArgsOptional(t *testing.T) {
 		{"nil", "", `argument "nil" is <nil>, want string`},
 	}
 	for _, c := range strs {
-		got, err := a.StrOr(c.key, "d")
+		d := decoder{args: a}
+		got, err := d.strOr(c.key, "d"), d.err
 		if c.wantErr == "" && (err != nil || got != c.want) {
-			t.Errorf("StrOr(%q) = %q, %v; want %q", c.key, got, err, c.want)
+			t.Errorf("strOr(%q) = %q, %v; want %q", c.key, got, err, c.want)
 		}
 		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
-			t.Errorf("StrOr(%q) error = %v; want %q", c.key, err, c.wantErr)
+			t.Errorf("strOr(%q) error = %v; want %q", c.key, err, c.wantErr)
 		}
 	}
 }
@@ -154,7 +168,7 @@ func TestValidateDAG(t *testing.T) {
 		}}},
 	}
 	for _, c := range cases {
-		if err := validateDAG(c.job); err == nil {
+		if _, err := resolve(c.job); err == nil {
 			t.Errorf("%s: want validation error", c.name)
 		}
 	}

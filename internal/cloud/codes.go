@@ -20,8 +20,9 @@ const (
 	// codeUnknownCorpus: the named serving corpus does not exist, or no
 	// corpora are configured at all (404).
 	codeUnknownCorpus = "unknown_corpus"
-	// codeConflict: a version precondition failed on a corpus mutation
-	// (409).
+	// codeConflict: a corpus write names an ID that is already live (add
+	// without upsert) or not live (delete), in the corpus or earlier in the
+	// same batch. The batch is all-or-nothing: nothing was applied (409).
 	codeConflict = "conflict"
 	// codeOverloaded: the serving pool rejected the request — queue full
 	// (429) or shut down (503).

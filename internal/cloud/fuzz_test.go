@@ -1,0 +1,141 @@
+package cloud
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/serve"
+)
+
+// headerExampleJob is the job of cmd/cloudmatcher's header comment.
+const headerExampleJob = `{
+  "name": "demo", "seed": 1,
+  "gold": [["a1","b1"]],
+  "steps": [
+    {"id":"ua","service":"upload_dataset","args":{"csv":"id,name\na1,acme corp\n","out":"a"}},
+    {"id":"ub","service":"upload_dataset","args":{"csv":"id,name\nb1,acme corporation\n","out":"b"}},
+    {"id":"ka","service":"set_key","args":{"table":"a","key":"id"},"after":["ua"]},
+    {"id":"kb","service":"set_key","args":{"table":"b","key":"id"},"after":["ub"]},
+    {"id":"f","service":"falcon","args":{"a":"a","b":"b"},"after":["ka","kb"]}
+  ]}`
+
+// fuzzBodyCap keeps a fuzzed job to tables of a few hundred rows, so one
+// input costs milliseconds, and puts the 413 within the fuzzer's reach.
+const fuzzBodyCap = 16 << 10
+
+// FuzzJobsBody: whatever bytes arrive on POST /v1/jobs, the reply is one of
+// the route's four statuses with a body that parses — the job reply for
+// 200/422, the error envelope for 400/413 — no panic leaves the handler or
+// a fragment, and no job is left in flight.
+func FuzzJobsBody(f *testing.F) {
+	const csvA, csvB = "id,name,city\na1,acme corp,madison\na2,globex inc,dane\na3,initech llc,verona\n",
+		"id,name,city\nb1,acme corporation,madison\nb2,globex,dane\nb3,hooli,monona\n"
+	f.Add([]byte(headerExampleJob))
+	falcon := FalconJob("falcon", csvA, csvB, "id", "id", nil, 50)
+	f.Add(mustJSON(f, jobRequest{Name: falcon.Name, Seed: 7, Gold: [][2]string{{"a1", "b1"}, {"a2", "b2"}}, Steps: falcon.Steps}))
+	for _, c := range countArgs {
+		for _, h := range hostileCounts {
+			f.Add(hostileJob(f, csvA, csvB, c.service, c.arg, h.value, c.args, c.after))
+		}
+	}
+	f.Add([]byte(`{"steps":[{"id":"a","service":"profile_dataset","after":["a"]}]}`))
+	f.Add([]byte("{nope"))
+
+	mm := NewMetamanager(NewRegistry(), EngineConfig{})
+	f.Cleanup(mm.Close)
+	handler := NewServer(mm, WithMaxBodySize(fuzzBodyCap), WithRequestTimeout(5*time.Second)).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusUnprocessableEntity:
+			var jr jobResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil || len(jr.Steps) == 0 && rec.Code == http.StatusOK {
+				t.Fatalf("status %d with job reply %q: %v", rec.Code, rec.Body, err)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if eb := decodeError(t, rec.Body); eb.Code == "" || eb.Message == "" {
+				t.Fatalf("status %d with envelope %+v", rec.Code, eb)
+			}
+		default:
+			t.Fatalf("status %d, want 200, 400, 413 or 422; body %q", rec.Code, rec.Body)
+		}
+		if n := mm.JobsInFlight(); n != 0 {
+			t.Fatalf("%d jobs in flight after the reply", n)
+		}
+	})
+}
+
+// FuzzCorpusAddBody: whatever bytes arrive on POST /v1/corpus/add, the
+// batch is applied whole (200) or not at all (400, 404, 409, 413): after
+// a refusal the corpus's stats are what they were, after a 200 it holds
+// exactly the IDs it held plus the batch's, and either way its candidates
+// are those of a from-scratch rebuild.
+func FuzzCorpusAddBody(f *testing.F) {
+	rec := nameRecord
+	seed := func(upsert bool, recs ...serve.Record) {
+		f.Add(mustJSON(f, corpusAddRequest{Corpus: "products", Records: recs, Upsert: upsert}))
+	}
+	seed(false, rec("n1", "initech corp"), rec("n2", "hooli inc"))
+	seed(false, rec("n1", "initech corp"), rec("r1", "acme intl"), rec("n2", "hooli inc"))
+	seed(false, rec("n1", "initech corp"), rec("n1", "initech llc"))
+	seed(true, rec("n1", "initech corp"), rec("r0", "acme corp intl"), rec("n1", "hooli llc"))
+	seed(true, rec("n1", "initech corp"), rec("", "nameless"))
+	f.Add([]byte(`{"corpus":"ghosts","records":[{"id":"x"}]}`))
+	f.Add([]byte("{nope"))
+
+	mm := NewMetamanager(NewRegistry(), EngineConfig{})
+	f.Cleanup(mm.Close)
+	initial := []serve.Record{rec("r0", "acme corp"), rec("r1", "acme inc"), rec("r2", "globex llc")}
+	probes := []serve.Record{rec("q", "acme corp intl"), rec("q", "initech hooli llc"), rec("q", "globex inc")}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c := serve.NewCorpus()
+		if err := c.AddBatch(initial, false); err != nil {
+			t.Fatal(err)
+		}
+		corpora := serve.NewRegistry()
+		if err := corpora.Register("products", c, nil); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Stats()
+		rr := httptest.NewRecorder()
+		NewServer(mm, WithCorpora(corpora), WithMaxBodySize(fuzzBodyCap)).Handler().
+			ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/corpus/add", bytes.NewReader(body)))
+		switch rr.Code {
+		case http.StatusOK:
+			// The handler decoded the body's first JSON value, so this does.
+			var req corpusAddRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("200 for a body that does not decode: %v", err)
+			}
+			want := map[string]bool{"r0": true, "r1": true, "r2": true}
+			for _, r := range req.Records {
+				want[r.ID] = true
+			}
+			var mut corpusMutationResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &mut); err != nil || mut.Applied != len(req.Records) || mut.Stats.Records != len(want) {
+				t.Fatalf("200 reply %q (%v) for %d records over %d distinct IDs", rr.Body, err, len(req.Records), len(want))
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			if eb := decodeError(t, rr.Body); eb.Code == "" {
+				t.Fatalf("status %d with envelope %+v", rr.Code, eb)
+			}
+			if after := c.Stats(); after != before {
+				t.Fatalf("status %d, yet the corpus changed: %+v -> %+v", rr.Code, before, after)
+			}
+		default:
+			t.Fatalf("status %d, want 200, 400, 404, 409 or 413; body %q", rr.Code, rr.Body)
+		}
+		rebuilt := c.Rebuilt()
+		for _, q := range probes {
+			if got, want := c.CandidateIDs(q), rebuilt.CandidateIDs(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("candidates %v, a rebuild's %v", got, want)
+			}
+		}
+	})
+}

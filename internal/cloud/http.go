@@ -162,27 +162,25 @@ type jobRequest struct {
 	Seed  int64       `json:"seed"`
 	Gold  [][2]string `json:"gold"`
 	Noise float64     `json:"labeler_error"`
-	Steps []struct {
-		ID      string         `json:"id"`
-		Service string         `json:"service"`
-		Args    map[string]any `json:"args"`
-		After   []string       `json:"after"`
-	} `json:"steps"`
+	Steps []Step      `json:"steps"`
+}
+
+// stepResponse is one settled step of a jobResponse.
+type stepResponse struct {
+	Step    string `json:"step"`
+	Service string `json:"service"`
+	Output  string `json:"output,omitempty"`
+	Error   string `json:"error,omitempty"`
+	Skipped bool   `json:"skipped,omitempty"`
 }
 
 // jobResponse is the POST /v1/jobs reply.
 type jobResponse struct {
-	Name  string `json:"name"`
-	Error string `json:"error,omitempty"`
-	Steps []struct {
-		Step    string `json:"step"`
-		Service string `json:"service"`
-		Output  string `json:"output,omitempty"`
-		Error   string `json:"error,omitempty"`
-		Skipped bool   `json:"skipped,omitempty"`
-	} `json:"steps"`
-	Questions int     `json:"questions"`
-	CostUSD   float64 `json:"cost_usd"`
+	Name      string         `json:"name"`
+	Error     string         `json:"error,omitempty"`
+	Steps     []stepResponse `json:"steps"`
+	Questions int            `json:"questions"`
+	CostUSD   float64        `json:"cost_usd"`
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -205,30 +203,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	jctx := NewJobContext(lab, req.Seed)
 	jctx.Metrics = s.registry
-	job := &Job{Name: req.Name, Ctx: jctx}
-	for _, st := range req.Steps {
-		job.Steps = append(job.Steps, Step{ID: st.ID, Service: st.Service, Args: st.Args, After: st.After})
-	}
-	// Validate up front so a malformed DAG is a client error, not a job
-	// failure.
-	if err := validateDAG(job); err != nil {
+	job := &Job{Name: req.Name, Ctx: jctx, Steps: req.Steps}
+	// A malformed DAG is a client error, answered before anything runs, not
+	// a job failure.
+	d, err := resolve(job)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidDAG, err.Error(), "")
 		return
 	}
-	res := s.mm.Submit(ctx, job)
+	res := s.mm.run(ctx, d)
 
 	resp := jobResponse{Name: res.Name}
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
 	}
 	for _, sr := range res.Steps {
-		entry := struct {
-			Step    string `json:"step"`
-			Service string `json:"service"`
-			Output  string `json:"output,omitempty"`
-			Error   string `json:"error,omitempty"`
-			Skipped bool   `json:"skipped,omitempty"`
-		}{Step: sr.Step, Service: sr.Service, Skipped: sr.Skipped}
+		entry := stepResponse{Step: sr.Step, Service: sr.Service, Skipped: sr.Skipped}
 		if sr.Output != nil {
 			entry.Output = fmt.Sprint(sr.Output)
 		}

@@ -2,25 +2,25 @@ package cloud
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // Step is one node of a submitted EM workflow DAG: a service invocation
-// with dependencies on earlier steps.
+// with dependencies on earlier steps. The tags are POST /v1/jobs' wire form.
 type Step struct {
 	// ID names the step within its job.
-	ID string
+	ID string `json:"id"`
 	// Service is the registry name to invoke.
-	Service string
+	Service string `json:"service"`
 	// Args parameterizes the invocation.
-	Args Args
+	Args Args `json:"args"`
 	// After lists step IDs that must complete first.
-	After []string
+	After []string `json:"after"`
 }
 
 // Job is one submitted EM workflow: a DAG of steps sharing a JobContext.
@@ -35,7 +35,6 @@ type Job struct {
 
 // StepResult reports one executed (or skipped) step.
 type StepResult struct {
-	Job     string
 	Step    string
 	Service string
 	Output  any
@@ -51,7 +50,7 @@ type JobResult struct {
 	Err   error // first step error, if any
 }
 
-// EngineConfig sizes the three engines' worker pools.
+// EngineConfig sizes the three engines.
 type EngineConfig struct {
 	// BatchWorkers bounds concurrent batch fragments; 0 means 4.
 	BatchWorkers int
@@ -66,25 +65,17 @@ type EngineConfig struct {
 	Metrics obs.Recorder
 }
 
-func (c EngineConfig) workers(k Kind) int {
-	switch k {
-	case KindBatch:
-		if c.BatchWorkers > 0 {
-			return c.BatchWorkers
-		}
-		return 4
-	case KindUser:
-		if c.UserWorkers > 0 {
-			return c.UserWorkers
-		}
-		return 16
-	default:
-		if c.CrowdWorkers > 0 {
-			return c.CrowdWorkers
-		}
-		return 16
-	}
+// engine is one of the three execution engines of Section 5.1: a counting
+// semaphore with a slot per worker. It owns no goroutine; a fragment brings
+// its own, and is counted queued while it waits for a slot, running while
+// it executes its service under one.
+type engine struct {
+	slots           chan struct{}
+	queued, running atomic.Int64
 }
+
+// errClosed is what stops a job on a closed metamanager.
+var errClosed = errors.New("cloud: metamanager closed")
 
 // Metamanager decomposes submitted jobs into per-step fragments, routes
 // each fragment to the engine matching its service's kind, and interleaves
@@ -92,44 +83,23 @@ func (c EngineConfig) workers(k Kind) int {
 // 1.0 architecture of Section 5.1. It is safe for concurrent Submit calls.
 type Metamanager struct {
 	registry *Registry
-	engines  map[Kind]chan func()
-	workers  map[Kind]int
+	engines  [3]engine // indexed by Kind
 	metrics  obs.Recorder
-	// queued counts fragments handed to an engine but not yet picked up by
-	// a worker; running counts fragments a worker is executing. Indexed by
-	// Kind (the three engine kinds are 0..2).
-	queued  [3]atomic.Int64
-	running [3]atomic.Int64
-	jobs    atomic.Int64
-	wg      sync.WaitGroup
-	once    sync.Once
+	jobs     atomic.Int64
+	closed   atomic.Bool
+	stop     chan struct{} // closed by Close: wakes the fragments waiting for a slot
 }
 
-// NewMetamanager starts the three engines' worker pools.
+// NewMetamanager sizes the three engines (the defaults are written here and
+// nowhere else); nothing runs until a job does.
 func NewMetamanager(reg *Registry, cfg EngineConfig) *Metamanager {
-	m := &Metamanager{
-		registry: reg,
-		engines:  make(map[Kind]chan func()),
-		workers:  make(map[Kind]int),
-		metrics:  obs.Or(cfg.Metrics),
-	}
-	for _, k := range []Kind{KindBatch, KindUser, KindCrowd} {
-		ch := make(chan func())
-		m.engines[k] = ch
-		m.workers[k] = cfg.workers(k)
-		for w := 0; w < cfg.workers(k); w++ {
-			m.wg.Add(1)
-			// Engine workers are the long-lived execution substrate itself
-			// (the CloudMatcher engines), not per-call fan-out; they outlive
-			// any one Submit, so the bounded pool cannot host them.
-			//emlint:allow nogoroutine -- long-lived engine worker, not fan-out
-			go func(ch chan func()) {
-				defer m.wg.Done()
-				for f := range ch {
-					f()
-				}
-			}(ch)
+	m := &Metamanager{registry: reg, metrics: obs.Or(cfg.Metrics), stop: make(chan struct{})}
+	defaults := [3]int{4, 16, 16}
+	for k, n := range [3]int{cfg.BatchWorkers, cfg.UserWorkers, cfg.CrowdWorkers} {
+		if n <= 0 {
+			n = defaults[k]
 		}
+		m.engines[k].slots = make(chan struct{}, n)
 	}
 	return m
 }
@@ -148,14 +118,15 @@ type EngineState struct {
 
 // EngineStates snapshots all three engines in kind order.
 func (m *Metamanager) EngineStates() []EngineState {
-	out := make([]EngineState, 0, 3)
-	for _, k := range []Kind{KindBatch, KindUser, KindCrowd} {
-		out = append(out, EngineState{
-			Engine:  k.String(),
-			Workers: m.workers[k],
-			Queued:  int(m.queued[k].Load()),
-			Running: int(m.running[k].Load()),
-		})
+	out := make([]EngineState, len(m.engines))
+	for k := range m.engines {
+		e := &m.engines[k]
+		out[k] = EngineState{
+			Engine:  Kind(k).String(),
+			Workers: cap(e.slots),
+			Queued:  int(e.queued.Load()),
+			Running: int(e.running.Load()),
+		}
 	}
 	return out
 }
@@ -163,15 +134,91 @@ func (m *Metamanager) EngineStates() []EngineState {
 // JobsInFlight reports how many Submit calls are currently executing.
 func (m *Metamanager) JobsInFlight() int { return int(m.jobs.Load()) }
 
-// Close shuts the engines down after in-flight fragments finish. Submit
-// must not be called after (or concurrently with) Close.
+// Close marks the metamanager closed — waiting fragments leave at once,
+// jobs in flight skip their remaining steps, a later Submit is refused, all
+// with errClosed — and then takes, and keeps, every slot of every engine:
+// the wait for the fragments in flight. Idempotent, and safe beside Submit.
 func (m *Metamanager) Close() {
-	m.once.Do(func() {
-		for _, ch := range m.engines {
-			close(ch)
+	if m.closed.Swap(true) {
+		return
+	}
+	close(m.stop)
+	for k := range m.engines {
+		for i := 0; i < cap(m.engines[k].slots); i++ {
+			m.engines[k].slots <- struct{}{}
 		}
-		m.wg.Wait()
-	})
+	}
+}
+
+// ended is why a job may start nothing more: Close, or its context is over.
+func (m *Metamanager) ended(ctx context.Context) error {
+	if m.closed.Load() {
+		return errClosed
+	}
+	return ctx.Err()
+}
+
+// dag is a job resolved once, for validation and scheduling alike: by step
+// id, how many dependencies the step still waits for and which steps wait
+// for it. Scheduling counts pending down, so a dag runs once.
+type dag struct {
+	job     *Job
+	pending map[string]int
+	waiters map[string][]*Step
+}
+
+// resolve builds the job's dag, checking that ids are unique, dependencies
+// exist, and the graph is acyclic.
+func resolve(job *Job) (*dag, error) {
+	if job.Ctx == nil {
+		return nil, fmt.Errorf("cloud: job %q has no context", job.Name)
+	}
+	if len(job.Steps) == 0 {
+		return nil, fmt.Errorf("cloud: job %q has no steps", job.Name)
+	}
+	d := &dag{
+		job:     job,
+		pending: make(map[string]int, len(job.Steps)),
+		waiters: make(map[string][]*Step, len(job.Steps)),
+	}
+	for _, s := range job.Steps {
+		if s.ID == "" {
+			return nil, fmt.Errorf("cloud: job %q has a step with no id", job.Name)
+		}
+		if _, dup := d.pending[s.ID]; dup {
+			return nil, fmt.Errorf("cloud: job %q: duplicate step id %q", job.Name, s.ID)
+		}
+		d.pending[s.ID] = len(s.After)
+	}
+	for i := range job.Steps {
+		s := &job.Steps[i]
+		for _, dep := range s.After {
+			if _, ok := d.pending[dep]; !ok {
+				return nil, fmt.Errorf("cloud: job %q step %q depends on unknown step %q", job.Name, s.ID, dep)
+			}
+			d.waiters[dep] = append(d.waiters[dep], s)
+		}
+	}
+	// Kahn's algorithm on a copy of the counts: a step no order reaches
+	// sits on a cycle.
+	left := maps.Clone(d.pending)
+	var order []string
+	for _, s := range job.Steps {
+		if left[s.ID] == 0 {
+			order = append(order, s.ID)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, s := range d.waiters[order[i]] {
+			if left[s.ID]--; left[s.ID] == 0 {
+				order = append(order, s.ID)
+			}
+		}
+	}
+	if len(order) != len(job.Steps) {
+		return nil, fmt.Errorf("cloud: job %q has a dependency cycle", job.Name)
+	}
+	return d, nil
 }
 
 // Submit runs a job to completion, blocking until every step has executed
@@ -179,17 +226,23 @@ func (m *Metamanager) Close() {
 // propagated error). Multiple goroutines may Submit concurrently; their
 // fragments interleave on the shared engines.
 //
-// Cancelling ctx stops the job early: fragments already queued on an
-// engine report a cancellation error instead of running their service, no
-// further steps launch, and the remaining DAG settles as skipped. The
-// returned result carries the cancellation as its Err.
+// Cancelling ctx stops the job early, and so does Close: fragments waiting
+// for an engine slot leave at once with a cancellation error instead of
+// running their service, no further steps start, and the remaining DAG
+// settles as skipped. The returned result carries the cancellation as Err.
 func (m *Metamanager) Submit(ctx context.Context, job *Job) *JobResult {
-	res := &JobResult{Name: job.Name}
-	if err := validateDAG(job); err != nil {
-		res.Err = err
-		return res
+	d, err := resolve(job)
+	if err != nil {
+		return &JobResult{Name: job.Name, Err: err}
 	}
-	if err := ctx.Err(); err != nil {
+	return m.run(ctx, d)
+}
+
+// run is Submit past validation, where POST /v1/jobs enters with its dag.
+func (m *Metamanager) run(ctx context.Context, d *dag) *JobResult {
+	job := d.job
+	res := &JobResult{Name: job.Name}
+	if err := m.ended(ctx); err != nil {
 		res.Err = fmt.Errorf("cloud: job %q cancelled: %w", job.Name, err)
 		return res
 	}
@@ -205,204 +258,117 @@ func (m *Metamanager) Submit(ctx context.Context, job *Job) *JobResult {
 		m.metrics.Count(obs.CloudJobsTotal, 1, obs.L("status", status))
 	}()
 
-	pending := make(map[string]int, len(job.Steps))
-	waiters := make(map[string][]string, len(job.Steps))
-	steps := make(map[string]Step, len(job.Steps))
-	for _, s := range job.Steps {
-		steps[s.ID] = s
-		pending[s.ID] = len(s.After)
-	}
-	for _, s := range job.Steps {
-		for _, dep := range s.After {
-			waiters[dep] = append(waiters[dep], s.ID)
-		}
-	}
-
-	// Buffered to the step count so a worker can always report
-	// completion even while this goroutine blocks launching the next
-	// fragment — otherwise a full engine plus a pending report deadlocks.
+	// Sized to the step count: a fragment's one report never blocks.
 	done := make(chan StepResult, len(job.Steps))
 	inFlight := 0
-	failed := make(map[string]bool)
-
-	launch := func(id string) {
-		st := steps[id]
-		svc, lookupErr := m.registry.Lookup(st.Service)
-		kind := KindBatch
-		if lookupErr == nil {
-			kind = svc.Kind
+	blocked := make(map[string]error) // a step that will be skipped: the first of its dependencies to fail
+	var settle func(sr StepResult)
+	// place starts a step whose dependencies have all settled — or, blocked
+	// or with the job ended, settles it as skipped, which blocks its own
+	// dependents in turn.
+	place := func(st *Step) {
+		skip := blocked[st.ID]
+		if err := m.ended(ctx); skip == nil && err != nil {
+			skip = fmt.Errorf("cloud: skipped: job cancelled: %w", err)
+		}
+		if skip != nil {
+			settle(StepResult{Step: st.ID, Service: st.Service, Err: skip, Skipped: true})
+			return
 		}
 		inFlight++
-		engine := obs.L("engine", kind.String())
-		m.queued[kind].Add(1)
-		m.metrics.Gauge(obs.CloudQueueDepth, 1, engine)
-		m.engines[kind] <- func() {
-			m.queued[kind].Add(-1)
-			m.metrics.Gauge(obs.CloudQueueDepth, -1, engine)
-			m.running[kind].Add(1)
-			m.metrics.Gauge(obs.CloudStepsInFlight, 1, engine)
-			service := obs.L("service", st.Service)
-			stop := obs.StartTimer(m.metrics, obs.CloudStepSeconds, service)
-			sr := StepResult{Job: job.Name, Step: id, Service: st.Service}
-			status := "ok"
-			switch {
-			case ctx.Err() != nil:
-				// The job was cancelled while this fragment sat in the
-				// engine queue: do not run the service.
-				sr.Err = fmt.Errorf("cloud: cancelled before run: %w", ctx.Err())
-				status = "cancelled"
-			case lookupErr != nil:
-				sr.Err = lookupErr
-				status = "error"
-			default:
-				sr.Output, sr.Err = svc.Run(job.Ctx, st.Args)
-				if sr.Err != nil {
-					status = "error"
-				}
-			}
-			stop()
-			m.metrics.Count(obs.CloudStepsTotal, 1, service, obs.L("status", status))
-			m.running[kind].Add(-1)
-			m.metrics.Gauge(obs.CloudStepsInFlight, -1, engine)
-			done <- sr
-		}
+		m.start(ctx, job, st, done)
 	}
-
-	// settle processes a completed/skipped step, returning the newly
-	// ready steps and recording skips for descendants of failures.
-	var ready []string
-	var settle func(sr StepResult)
 	settle = func(sr StepResult) {
 		res.Steps = append(res.Steps, sr)
 		if sr.Skipped {
 			m.metrics.Count(obs.CloudStepsTotal, 1,
 				obs.L("service", sr.Service), obs.L("status", "skipped"))
+		} else if sr.Err != nil && res.Err == nil {
+			res.Err = fmt.Errorf("cloud: job %q step %q: %w", job.Name, sr.Step, sr.Err)
 		}
-		if sr.Err != nil {
-			failed[sr.Step] = true
-			if res.Err == nil && !sr.Skipped {
-				res.Err = fmt.Errorf("cloud: job %q step %q: %w", job.Name, sr.Step, sr.Err)
+		for _, st := range d.waiters[sr.Step] {
+			if sr.Err != nil && blocked[st.ID] == nil {
+				blocked[st.ID] = fmt.Errorf("cloud: skipped: dependency %q failed", sr.Step)
 			}
-		}
-		for _, w := range waiters[sr.Step] {
-			pending[w]--
-			if pending[w] != 0 {
-				continue
-			}
-			blocked := ""
-			for _, dep := range steps[w].After {
-				if failed[dep] {
-					blocked = dep
-					break
-				}
-			}
-			if blocked != "" {
-				settle(StepResult{
-					Job: job.Name, Step: w, Service: steps[w].Service,
-					Err:     fmt.Errorf("cloud: skipped: dependency %q failed", blocked),
-					Skipped: true,
-				})
-			} else {
-				ready = append(ready, w)
+			if d.pending[st.ID]--; d.pending[st.ID] == 0 {
+				place(st)
 			}
 		}
 	}
-
-	for _, s := range job.Steps {
-		if len(s.After) == 0 {
-			launch(s.ID)
+	for i := range job.Steps {
+		if len(job.Steps[i].After) == 0 {
+			place(&job.Steps[i])
 		}
 	}
-	for inFlight > 0 {
-		sr := <-done
-		inFlight--
-		ready = ready[:0]
-		settle(sr)
-		// Once the context is cancelled, ready steps settle as skipped
-		// instead of launching; their failure marks cascade the skip to the
-		// rest of the DAG (settling can make further steps ready, hence the
-		// drain loop).
-		for len(ready) > 0 {
-			batch := append([]string(nil), ready...)
-			ready = ready[:0]
-			for _, id := range batch {
-				if err := ctx.Err(); err != nil {
-					settle(StepResult{
-						Job: job.Name, Step: id, Service: steps[id].Service,
-						Err:     fmt.Errorf("cloud: skipped: job cancelled: %w", err),
-						Skipped: true,
-					})
-				} else {
-					launch(id)
-				}
-			}
-		}
+	for ; inFlight > 0; inFlight-- {
+		settle(<-done)
 	}
-	if err := ctx.Err(); err != nil && res.Err == nil {
+	if err := m.ended(ctx); err != nil && res.Err == nil {
 		res.Err = fmt.Errorf("cloud: job %q cancelled: %w", job.Name, err)
 	}
 	return res
 }
 
-// validateDAG checks ids are unique, dependencies exist, and the graph is
-// acyclic.
-func validateDAG(job *Job) error {
-	if job.Ctx == nil {
-		return fmt.Errorf("cloud: job %q has no context", job.Name)
+// start runs one step as a fragment: a goroutine that waits for a slot of
+// its service's engine — or for the job's context or Close, so a job that
+// has ended leaves the queue at once — runs the service and reports on
+// done, holding the slot to its last statement. start never blocks.
+func (m *Metamanager) start(ctx context.Context, job *Job, st *Step, done chan<- StepResult) {
+	svc, lookupErr := m.registry.Lookup(st.Service)
+	kind := KindBatch
+	if lookupErr == nil {
+		kind = svc.Kind
 	}
-	if len(job.Steps) == 0 {
-		return fmt.Errorf("cloud: job %q has no steps", job.Name)
-	}
-	ids := make(map[string]bool, len(job.Steps))
-	for _, s := range job.Steps {
-		if s.ID == "" {
-			return fmt.Errorf("cloud: job %q has a step with no id", job.Name)
+	e := &m.engines[kind]
+	engine, service := obs.L("engine", kind.String()), obs.L("service", st.Service)
+	e.queued.Add(1)
+	m.metrics.Gauge(obs.CloudQueueDepth, 1, engine)
+	//emlint:allow nogoroutine -- a fragment lives as long as its step and waits on channels; internal/parallel hosts fan-out that returns together
+	go func() {
+		select {
+		case e.slots <- struct{}{}:
+			defer func() { <-e.slots }()
+		case <-ctx.Done():
+		case <-m.stop:
 		}
-		if ids[s.ID] {
-			return fmt.Errorf("cloud: job %q: duplicate step id %q", job.Name, s.ID)
-		}
-		ids[s.ID] = true
-	}
-	adj := make(map[string][]string)
-	for _, s := range job.Steps {
-		for _, dep := range s.After {
-			if !ids[dep] {
-				return fmt.Errorf("cloud: job %q step %q depends on unknown step %q", job.Name, s.ID, dep)
+		e.queued.Add(-1)
+		m.metrics.Gauge(obs.CloudQueueDepth, -1, engine)
+		stop := obs.StartTimer(m.metrics, obs.CloudStepSeconds, service)
+		sr := StepResult{Step: st.ID, Service: st.Service}
+		status := "ok"
+		// select takes either of a free slot and an ending, so the ending
+		// is asked for again: a job that has ended runs no service.
+		if err := m.ended(ctx); err != nil {
+			sr.Err = fmt.Errorf("cloud: cancelled before run: %w", err)
+			status = "cancelled"
+		} else {
+			e.running.Add(1)
+			m.metrics.Gauge(obs.CloudStepsInFlight, 1, engine)
+			if sr.Err = lookupErr; lookupErr == nil {
+				sr.Output, sr.Err = runService(svc, job.Ctx, st.Args)
 			}
-			adj[dep] = append(adj[dep], s.ID)
-		}
-	}
-	// Kahn's algorithm to detect cycles.
-	indeg := make(map[string]int, len(job.Steps))
-	for _, s := range job.Steps {
-		indeg[s.ID] = len(s.After)
-	}
-	queue := make([]string, 0, len(indeg))
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
-		}
-	}
-	// Only the visited count matters for cycle detection, but a sorted
-	// seed keeps the traversal (and any future use of its order)
-	// deterministic.
-	sort.Strings(queue)
-	visited := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, next := range adj[id] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				queue = append(queue, next)
+			if sr.Err != nil {
+				status = "error"
 			}
+			e.running.Add(-1)
+			m.metrics.Gauge(obs.CloudStepsInFlight, -1, engine)
 		}
-	}
-	if visited != len(job.Steps) {
-		return fmt.Errorf("cloud: job %q has a dependency cycle", job.Name)
-	}
-	return nil
+		stop()
+		m.metrics.Count(obs.CloudStepsTotal, 1, service, obs.L("status", status))
+		done <- sr
+	}()
+}
+
+// runService is the one place a service runs, and so the one place it
+// fails: a panic becomes the step's error. net/http recovers only its own
+// goroutines; let through here, a panic ends the process for every tenant.
+func runService(svc *Service, ctx *JobContext, args Args) (out any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("cloud: service %q panicked: %v", svc.Name, r)
+		}
+	}()
+	return svc.Run(ctx, args)
 }
 
 // FalconJob builds the standard self-service job: upload two tables, set

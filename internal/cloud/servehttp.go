@@ -72,11 +72,12 @@ func (s *Server) handleCorpusList(w http.ResponseWriter, r *http.Request) {
 type corpusAddRequest struct {
 	Corpus  string         `json:"corpus"`
 	Records []serve.Record `json:"records"`
-	// Upsert turns "already exists" into an Update instead of an error.
+	// Upsert updates a record whose ID is already live instead of refusing
+	// the batch.
 	Upsert bool `json:"upsert"`
 }
 
-// corpusMutationResponse reports one ingest batch.
+// corpusMutationResponse reports one write batch, applied whole.
 type corpusMutationResponse struct {
 	Corpus  string      `json:"corpus"`
 	Applied int         `json:"applied"`
@@ -99,20 +100,12 @@ func (s *Server) handleCorpusAdd(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	applied := 0
-	for _, rec := range req.Records {
-		err := e.Corpus.Add(rec)
-		if err != nil && req.Upsert {
-			err = e.Corpus.Update(rec)
-		}
-		if err != nil {
-			writeError(w, http.StatusConflict, codeConflict, err.Error(),
-				fmt.Sprintf("%d of %d records were applied before the failure", applied, len(req.Records)))
-			return
-		}
-		applied++
+	if err := e.Corpus.AddBatch(req.Records, req.Upsert); err != nil {
+		writeError(w, http.StatusConflict, codeConflict, err.Error(),
+			fmt.Sprintf("nothing was applied: one conflict refuses all %d records", len(req.Records)))
+		return
 	}
-	writeJSON(w, http.StatusOK, corpusMutationResponse{Corpus: req.Corpus, Applied: applied, Stats: e.Corpus.Stats()})
+	writeJSON(w, http.StatusOK, corpusMutationResponse{Corpus: req.Corpus, Applied: len(req.Records), Stats: e.Corpus.Stats()})
 }
 
 // corpusDeleteRequest is the POST /v1/corpus/delete payload.
@@ -130,16 +123,12 @@ func (s *Server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	applied := 0
-	for _, id := range req.IDs {
-		if err := e.Corpus.Delete(id); err != nil {
-			writeError(w, http.StatusConflict, codeConflict, err.Error(),
-				fmt.Sprintf("%d of %d ids were deleted before the failure", applied, len(req.IDs)))
-			return
-		}
-		applied++
+	if err := e.Corpus.DeleteBatch(req.IDs); err != nil {
+		writeError(w, http.StatusConflict, codeConflict, err.Error(),
+			fmt.Sprintf("nothing was applied: one conflict refuses all %d ids", len(req.IDs)))
+		return
 	}
-	writeJSON(w, http.StatusOK, corpusMutationResponse{Corpus: req.Corpus, Applied: applied, Stats: e.Corpus.Stats()})
+	writeJSON(w, http.StatusOK, corpusMutationResponse{Corpus: req.Corpus, Applied: len(req.IDs), Stats: e.Corpus.Stats()})
 }
 
 // matchRequest is the POST /v1/match payload.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,6 +44,11 @@ func newServeTestServer(t *testing.T, opts ...serve.CorpusOption) (*httptest.Ser
 		mm.Close()
 	})
 	return srv, c, p
+}
+
+// nameRecord is a record with the one attribute the serving tests use.
+func nameRecord(id, name string) serve.Record {
+	return serve.Record{ID: id, Attrs: map[string]string{"name": name}}
 }
 
 func postJSON(t *testing.T, url string, v any) *http.Response {
@@ -122,8 +128,8 @@ func TestHTTPCorpusLifecycle(t *testing.T) {
 	}
 }
 
-// TestHTTPCorpusUpsert: a duplicate add fails with 409 conflict and a
-// progress detail, and succeeds as an update when upsert is set.
+// TestHTTPCorpusUpsert: a duplicate add fails with 409 conflict, nothing
+// applied, and succeeds as an update when upsert is set.
 func TestHTTPCorpusUpsert(t *testing.T) {
 	srv, c, _ := newServeTestServer(t)
 
@@ -136,7 +142,7 @@ func TestHTTPCorpusUpsert(t *testing.T) {
 		t.Fatalf("duplicate add = %d, want 409", resp.StatusCode)
 	}
 	eb := decodeError(t, resp.Body)
-	if eb.Code != "conflict" || !strings.Contains(eb.Detail, "0 of 1") {
+	if eb.Code != "conflict" || !strings.Contains(eb.Detail, "nothing was applied") {
 		t.Fatalf("conflict envelope = %+v", eb)
 	}
 
@@ -312,5 +318,66 @@ func TestHTTPMatchCancelled(t *testing.T) {
 	}
 	if eb := decodeError(t, rec.Body); eb.Code != "overloaded" {
 		t.Errorf("cancelled envelope = %+v", eb)
+	}
+}
+
+// TestHTTPCorpusBatchAllOrNothing: a corpus write is one batch. A conflict
+// anywhere in it — against the live set or against the batch's own earlier
+// records — answers 409 with nothing applied: the corpus's epoch and what a
+// from-scratch rebuild of it surfaces are what they were before.
+func TestHTTPCorpusBatchAllOrNothing(t *testing.T) {
+	srv, c, _ := newServeTestServer(t)
+	rec := nameRecord
+	probes := []serve.Record{rec("q", "acme corp"), rec("q", "initech hooli llc"), rec("q", "globex inc")}
+	state := func() (uint64, [][]string) {
+		rebuilt := c.Rebuilt()
+		var cands [][]string
+		for _, q := range probes {
+			cands = append(cands, rebuilt.CandidateIDs(q))
+		}
+		return c.Stats().Epoch, cands
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"duplicate ID mid-batch", "/v1/corpus/add", corpusAddRequest{Corpus: "products",
+			Records: []serve.Record{rec("n1", "initech corp"), rec("r1", "acme intl"), rec("n2", "hooli inc")}}},
+		{"ID twice in one batch", "/v1/corpus/add", corpusAddRequest{Corpus: "products",
+			Records: []serve.Record{rec("n1", "initech corp"), rec("n1", "initech llc")}}},
+		{"unknown ID mid-delete", "/v1/corpus/delete", corpusDeleteRequest{Corpus: "products", IDs: []string{"r0", "ghost", "r1"}}},
+		{"ID twice in one delete", "/v1/corpus/delete", corpusDeleteRequest{Corpus: "products", IDs: []string{"r0", "r0"}}},
+	} {
+		epoch, cands := state()
+		resp := postJSON(t, srv.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("%s: status %d, want 409", tc.name, resp.StatusCode)
+		}
+		if eb := decodeError(t, resp.Body); eb.Code != "conflict" || !strings.Contains(eb.Detail, "nothing was applied") {
+			t.Errorf("%s: envelope = %+v", tc.name, eb)
+		}
+		closeBody(t, resp)
+		if gotEpoch, gotCands := state(); gotEpoch != epoch || !reflect.DeepEqual(gotCands, cands) {
+			t.Errorf("%s: the refused batch changed the corpus: epoch %d -> %d, candidates %v -> %v", tc.name, epoch, gotEpoch, cands, gotCands)
+		}
+	}
+
+	// With upsert the same ID twice is an add and then an update of it: the
+	// batch applies, in order, and is published whole.
+	resp := postJSON(t, srv.URL+"/v1/corpus/add", corpusAddRequest{Corpus: "products", Upsert: true,
+		Records: []serve.Record{rec("n1", "initech corp"), rec("r0", "acme corp intl"), rec("n1", "hooli llc")}})
+	defer closeBody(t, resp)
+	var mut corpusMutationResponse
+	if err := json.NewDecoder(resp.Body).Decode(&mut); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("upsert batch: status %d, decode %v", resp.StatusCode, err)
+	}
+	if mut.Applied != 3 || mut.Stats.Records != 4 {
+		t.Fatalf("upsert batch applied %d, corpus holds %d; want 3 and 4", mut.Applied, mut.Stats.Records)
+	}
+	if got := c.CandidateIDs(rec("q", "initech")); len(got) != 0 {
+		t.Errorf("n1's first version still surfaces: %v", got)
+	}
+	if got := c.CandidateIDs(rec("q", "hooli")); !reflect.DeepEqual(got, []string{"n1"}) {
+		t.Errorf("candidates for n1's second version = %v, want [n1]", got)
 	}
 }

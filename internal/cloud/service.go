@@ -4,10 +4,13 @@
 //   - a Registry of 18 basic + 2 composite services (Table 4 of the
 //     paper), each self-contained and doing one task;
 //   - three execution engines — user-interaction, batch, and crowd — each
-//     a bounded worker pool (Section 5.1);
-//   - a Metamanager that decomposes submitted EM jobs into DAG fragments,
-//     routes each fragment to the engine matching its kind, and
-//     interleaves fragments from concurrent jobs (CloudMatcher 1.0);
+//     a counting semaphore of worker slots (Section 5.1);
+//   - a Metamanager that decomposes submitted EM jobs into DAG fragments
+//     — a goroutine per ready step, which waits for a slot of the engine
+//     matching its service's kind, or for its job to end — and so
+//     interleaves fragments from concurrent jobs (CloudMatcher 1.0); a
+//     service's bad argument, error or panic fails its step, never the
+//     process;
 //   - an HTTP façade (cmd/cloudmatcher) exposing the services the way the
 //     envisioned cloud-native ecosystem of Figure 6 would.
 //
@@ -62,57 +65,119 @@ func (k Kind) String() string {
 // objects in the job's store by name, or carry literals.
 type Args map[string]any
 
-// Str fetches a string argument.
-func (a Args) Str(key string) (string, error) {
-	v, ok := a[key]
+// decoder reads one invocation's arguments for a service: the job context,
+// the arguments, and the first error any read met. A service makes all its
+// reads and then checks err once. The arguments arrive from outside the
+// program, so an optional one takes its default only when its key is
+// absent — present with another type it is the step's error — and a number
+// must be a count: whole, finite, inside int's range and not negative.
+type decoder struct {
+	ctx  *JobContext
+	args Args
+	err  error
+}
+
+// fail records the first error.
+func (d *decoder) fail(format string, a ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, a...)
+	}
+}
+
+// str reads a required string argument.
+func (d *decoder) str(key string) string {
+	v, ok := d.args[key]
 	if !ok {
-		return "", fmt.Errorf("cloud: missing argument %q", key)
+		d.fail("cloud: missing argument %q", key)
+		return ""
 	}
 	s, ok := v.(string)
 	if !ok {
-		return "", fmt.Errorf("cloud: argument %q is %T, want string", key, v)
+		d.fail("cloud: argument %q is %T, want string", key, v)
 	}
-	return s, nil
+	return s
 }
 
-// StrOr fetches an optional string argument: def when the key is absent.
-// The payload arrives from outside the program, so a key that is present
-// with another type is an error, never silently the default.
-func (a Args) StrOr(key, def string) (string, error) {
-	if _, ok := a[key]; !ok {
-		return def, nil
+// strOr reads an optional string argument: def when the key is absent.
+func (d *decoder) strOr(key, def string) string {
+	if _, ok := d.args[key]; !ok {
+		return def
 	}
-	return a.Str(key)
+	return d.str(key)
 }
 
-// Int fetches an integer argument (accepting an integral float64, which is
-// what a JSON payload decodes numbers to).
-func (a Args) Int(key string) (int, error) {
-	v, ok := a[key]
+// countOr reads an optional count — an int, or the float64 a JSON payload
+// decodes a number to: def when the key is absent. (No service has a
+// required one.)
+func (d *decoder) countOr(key string, def int) int {
+	v, ok := d.args[key]
 	if !ok {
-		return 0, fmt.Errorf("cloud: missing argument %q", key)
+		return def
 	}
-	switch n := v.(type) {
+	var n int
+	switch x := v.(type) {
 	case int:
-		return n, nil
+		n = x
 	case int64:
-		return int(n), nil
+		n = int(x)
 	case float64:
-		if n == math.Trunc(n) {
-			return int(n), nil
+		switch {
+		case x != math.Trunc(x): // fractional, or NaN
+			d.fail("cloud: argument %q is %v, want an integer", key, x)
+		case x <= math.MinInt || x >= math.MaxInt: // as float64 both bounds round outward
+			d.fail("cloud: argument %q is %v, outside int's range", key, x)
+		default:
+			n = int(x)
 		}
-		return 0, fmt.Errorf("cloud: argument %q is %v, want an integer", key, n)
 	default:
-		return 0, fmt.Errorf("cloud: argument %q is %T, want int", key, v)
+		d.fail("cloud: argument %q is %T, want int", key, v)
 	}
+	if n < 0 {
+		d.fail("cloud: argument %q is %d, want a count of 0 or more", key, n)
+	}
+	return n
 }
 
-// IntOr fetches an optional integer argument under StrOr's rules.
-func (a Args) IntOr(key string, def int) (int, error) {
-	if _, ok := a[key]; !ok {
-		return def, nil
+// table reads the job-store table a required string argument names.
+func (d *decoder) table(key string) (t *table.Table) {
+	if name := d.str(key); d.err == nil {
+		t, d.err = d.ctx.Table(name)
 	}
-	return a.Int(key)
+	return t
+}
+
+// pairs reads a table that must be a pair table of the job's catalog.
+func (d *decoder) pairs(key string) (*table.Table, table.PairMeta) {
+	t := d.table(key)
+	if d.err != nil {
+		return nil, table.PairMeta{}
+	}
+	meta, ok := d.ctx.Catalog.PairMeta(t)
+	if !ok {
+		d.fail("cloud: %q is not a registered pair table", t.Name())
+	}
+	return t, meta
+}
+
+// stored reads the job-store object an optional string argument names
+// (def when the key is absent) as a T.
+func stored[T any](d *decoder, key, def string) (t T) {
+	if name := d.strOr(key, def); d.err == nil {
+		t, d.err = object[T](d.ctx, name)
+	}
+	return t
+}
+
+// put ends a service: it stores the product v under the name the argument
+// key gives (def when absent) and returns the step's summary — unless a
+// read failed, when nothing is stored.
+func (d *decoder) put(key, def string, v any, summary string) (any, error) {
+	name := d.strOr(key, def)
+	if d.err != nil {
+		return nil, d.err
+	}
+	d.ctx.Put(name, v)
+	return summary, nil
 }
 
 // JobContext is the per-job state services operate on: a named object
@@ -195,8 +260,11 @@ type Registry struct {
 // and 2 composite services.
 func NewRegistry() *Registry {
 	r := &Registry{services: make(map[string]*Service)}
-	registerBasic(r)
-	registerComposite(r)
+	for _, s := range standardServices() {
+		if err := r.Register(s); err != nil {
+			panic(err) // the catalog's names are distinct by construction
+		}
+	}
 	return r
 }
 

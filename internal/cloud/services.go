@@ -28,250 +28,172 @@ type labels struct {
 	Pairs *table.Table
 }
 
-// registerBasic installs the 18 basic services of Table 4.
-func registerBasic(r *Registry) {
-	mustRegister := func(s *Service) {
-		if err := r.Register(s); err != nil {
-			panic(err)
+// decoded is the Run of a service that reads its arguments through a
+// decoder.
+func decoded(body func(d *decoder) (any, error)) func(*JobContext, Args) (any, error) {
+	return func(ctx *JobContext, a Args) (any, error) { return body(&decoder{ctx: ctx, args: a}) }
+}
+
+// labelRun is label_pairs and crowd_label_pairs: the job's labeler answers
+// for every pair of a pair table.
+var labelRun = decoded(func(d *decoder) (any, error) {
+	p, meta := d.pairs("pairs")
+	if d.err != nil {
+		return nil, d.err
+	}
+	y := make([]int, p.Len())
+	for i := 0; i < p.Len(); i++ {
+		if d.ctx.Labeler.Label(p.Get(i, meta.LID).AsString(), p.Get(i, meta.RID).AsString()) {
+			y[i] = 1
 		}
 	}
+	return d.put("out", "labels", &labels{Y: y, Pairs: p}, fmt.Sprintf("%d labels", len(y)))
+})
 
-	mustRegister(&Service{
+// standardServices is the catalog of Table 4: the 18 basic services, then
+// the 2 composite ones.
+func standardServices() []*Service {
+	return []*Service{{
 		Name: "upload_dataset", Kind: KindBatch,
 		Doc: "parse a CSV payload into a named table",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			csv, err := a.Str("csv")
-			if err != nil {
-				return nil, err
-			}
-			out, err := a.Str("out")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			csv, out := d.str("csv"), d.str("out")
+			if d.err != nil {
+				return nil, d.err
 			}
 			t, err := table.ReadCSV(strings.NewReader(csv), out)
 			if err != nil {
 				return nil, err
 			}
-			ctx.Put(out, t)
+			d.ctx.Put(out, t)
 			return fmt.Sprintf("%d rows", t.Len()), nil
-		},
-	})
-
-	mustRegister(&Service{
+		}),
+	}, {
 		Name: "set_key", Kind: KindUser,
 		Doc: "declare (and validate) a table's key column",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			t, err := argTable(ctx, a, "table")
-			if err != nil {
-				return nil, err
-			}
-			key, err := a.Str("key")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			t, key := d.table("table"), d.str("key")
+			if d.err != nil {
+				return nil, d.err
 			}
 			return nil, t.SetKey(key)
-		},
-	})
-
-	mustRegister(&Service{
+		}),
+	}, {
 		Name: "profile_dataset", Kind: KindBatch,
 		Doc: "per-column statistics of a table",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			t, err := argTable(ctx, a, "table")
-			if err != nil {
-				return nil, err
-			}
-			topK, err := a.IntOr("top_k", 5)
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			t, topK := d.table("table"), d.countOr("top_k", 5)
+			if d.err != nil {
+				return nil, d.err
 			}
 			return t.Profile(topK), nil
-		},
-	})
-
-	mustRegister(&Service{
+		}),
+	}, {
 		Name: "edit_metadata", Kind: KindUser,
 		Doc: "rename a table (catalog metadata edit)",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			t, err := argTable(ctx, a, "table")
-			if err != nil {
-				return nil, err
-			}
-			name, err := a.Str("name")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			t, name := d.table("table"), d.str("name")
+			if d.err != nil {
+				return nil, d.err
 			}
 			t.SetName(name)
 			return nil, nil
-		},
-	})
-
-	mustRegister(&Service{
+		}),
+	}, {
 		Name: "down_sample", Kind: KindBatch,
 		Doc: "intelligently down-sample two tables preserving matches",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			at, err := argTable(ctx, a, "a")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			at, bt := d.table("a"), d.table("b")
+			sizeA, sizeB := d.countOr("size_a", 1000), d.countOr("size_b", 1000)
+			if d.err != nil {
+				return nil, d.err
 			}
-			bt, err := argTable(ctx, a, "b")
-			if err != nil {
-				return nil, err
-			}
-			sizeA, err := a.IntOr("size_a", 1000)
-			if err != nil {
-				return nil, err
-			}
-			sizeB, err := a.IntOr("size_b", 1000)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(ctx.Seed))
+			rng := rand.New(rand.NewSource(d.ctx.Seed))
 			as, bs, err := table.DownSample(at, bt, sizeA, sizeB, rng)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := store(ctx, a, "out_a", "a_sample", as, ""); err != nil {
+			if _, err := d.put("out_a", "a_sample", as, ""); err != nil {
 				return nil, err
 			}
-			return store(ctx, a, "out_b", "b_sample", bs, fmt.Sprintf("%d/%d rows", as.Len(), bs.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out_b", "b_sample", bs, fmt.Sprintf("%d/%d rows", as.Len(), bs.Len()))
+		}),
+	}, {
 		Name: "overlap_block", Kind: KindBatch,
 		Doc: "token-overlap blocking into a candidate set",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			at, err := argTable(ctx, a, "a")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			at, bt := d.table("a"), d.table("b")
+			attr, k := d.strOr("attr", ""), d.countOr("k", 1)
+			if d.err != nil {
+				return nil, d.err
 			}
-			bt, err := argTable(ctx, a, "b")
-			if err != nil {
-				return nil, err
-			}
-			attr, err := a.StrOr("attr", "")
-			if err != nil {
-				return nil, err
-			}
-			k, err := a.IntOr("k", 1)
-			if err != nil {
-				return nil, err
-			}
-			var blk block.Blocker = block.WholeTupleOverlapBlocker{MinOverlap: k, Metrics: ctx.Metrics}
+			var blk block.Blocker = block.WholeTupleOverlapBlocker{MinOverlap: k, Metrics: d.ctx.Metrics}
 			if attr != "" {
-				blk = block.OverlapBlocker{Attr: attr, MinOverlap: k, Metrics: ctx.Metrics}
+				blk = block.OverlapBlocker{Attr: attr, MinOverlap: k, Metrics: d.ctx.Metrics}
 			}
-			cand, err := blk.Block(at, bt, ctx.Catalog)
+			cand, err := blk.Block(at, bt, d.ctx.Catalog)
 			if err != nil {
 				return nil, err
 			}
-			return store(ctx, a, "out", "candidates", cand, fmt.Sprintf("%d pairs", cand.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "candidates", cand, fmt.Sprintf("%d pairs", cand.Len()))
+		}),
+	}, {
 		Name: "sample_pairs", Kind: KindBatch,
 		Doc: "random sample of a pair table",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			p, err := argTable(ctx, a, "pairs")
-			if err != nil {
+		Run: decoded(func(d *decoder) (any, error) {
+			p, meta := d.pairs("pairs")
+			n := d.countOr("n", 100)
+			if d.err != nil {
+				return nil, d.err
+			}
+			s := p.Sample(n, rand.New(rand.NewSource(d.ctx.Seed+1)))
+			if err := d.ctx.Catalog.RegisterPair(s, meta); err != nil {
 				return nil, err
 			}
-			meta, ok := ctx.Catalog.PairMeta(p)
-			if !ok {
-				return nil, fmt.Errorf("cloud: %q is not a registered pair table", p.Name())
-			}
-			n, err := a.IntOr("n", 100)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(ctx.Seed + 1))
-			s := p.Sample(n, rng)
-			if err := ctx.Catalog.RegisterPair(s, meta); err != nil {
-				return nil, err
-			}
-			return store(ctx, a, "out", "pair_sample", s, fmt.Sprintf("%d pairs", s.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "pair_sample", s, fmt.Sprintf("%d pairs", s.Len()))
+		}),
+	}, {
 		Name: "generate_features", Kind: KindBatch,
 		Doc: "auto-generate a similarity feature set for two tables",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			at, err := argTable(ctx, a, "a")
-			if err != nil {
-				return nil, err
-			}
-			bt, err := argTable(ctx, a, "b")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			at, bt := d.table("a"), d.table("b")
+			if d.err != nil {
+				return nil, d.err
 			}
 			fs, err := feature.AutoGenerate(at, bt)
 			if err != nil {
 				return nil, err
 			}
-			return store(ctx, a, "out", "features", fs, fmt.Sprintf("%d features", fs.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "features", fs, fmt.Sprintf("%d features", fs.Len()))
+		}),
+	}, {
 		Name: "extract_feature_vectors", Kind: KindBatch,
 		Doc: "compute feature vectors for a candidate set",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			fs, err := stored[*feature.Set](ctx, a, "features", "features")
+		Run: decoded(func(d *decoder) (any, error) {
+			fs, p := stored[*feature.Set](d, "features", "features"), d.table("pairs")
+			if d.err != nil {
+				return nil, d.err
+			}
+			x, err := feature.Vectors(fs, p, d.ctx.Catalog, feature.ExtractOptions{Metrics: d.ctx.Metrics})
 			if err != nil {
 				return nil, err
 			}
-			p, err := argTable(ctx, a, "pairs")
-			if err != nil {
-				return nil, err
-			}
-			x, err := feature.Vectors(fs, p, ctx.Catalog, feature.ExtractOptions{Metrics: ctx.Metrics})
-			if err != nil {
-				return nil, err
-			}
-			return store(ctx, a, "out", "vectors", &vectors{X: x, Names: fs.Names(), Pairs: p}, fmt.Sprintf("%d vectors", len(x)))
-		},
-	})
-
-	labelRun := func(ctx *JobContext, a Args) (any, error) {
-		p, err := argTable(ctx, a, "pairs")
-		if err != nil {
-			return nil, err
-		}
-		meta, ok := ctx.Catalog.PairMeta(p)
-		if !ok {
-			return nil, fmt.Errorf("cloud: %q is not a registered pair table", p.Name())
-		}
-		y := make([]int, p.Len())
-		for i := 0; i < p.Len(); i++ {
-			if ctx.Labeler.Label(p.Get(i, meta.LID).AsString(), p.Get(i, meta.RID).AsString()) {
-				y[i] = 1
-			}
-		}
-		return store(ctx, a, "out", "labels", &labels{Y: y, Pairs: p}, fmt.Sprintf("%d labels", len(y)))
-	}
-	mustRegister(&Service{
+			return d.put("out", "vectors", &vectors{X: x, Names: fs.Names(), Pairs: p}, fmt.Sprintf("%d vectors", len(x)))
+		}),
+	}, {
 		Name: "label_pairs", Kind: KindUser,
 		Doc: "the submitting user labels a pair sample", Run: labelRun,
-	})
-	mustRegister(&Service{
+	}, {
 		Name: "crowd_label_pairs", Kind: KindCrowd,
 		Doc: "crowd workers label a pair sample", Run: labelRun,
-	})
-
-	mustRegister(&Service{
+	}, {
 		Name: "train_classifier", Kind: KindBatch,
 		Doc: "train a matcher on labeled feature vectors",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
-			if err != nil {
-				return nil, err
-			}
-			l, err := stored[*labels](ctx, a, "labels", "labels")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			v, l := stored[*vectors](d, "vectors", "vectors"), stored[*labels](d, "labels", "labels")
+			name := d.strOr("model", "random_forest")
+			if d.err != nil {
+				return nil, d.err
 			}
 			if l.Pairs != v.Pairs {
 				return nil, fmt.Errorf("cloud: labels and vectors come from different pair tables")
@@ -280,62 +202,42 @@ func registerBasic(r *Registry) {
 			if err != nil {
 				return nil, err
 			}
-			name, err := a.StrOr("model", "random_forest")
-			if err != nil {
-				return nil, err
-			}
-			model, err := newClassifier(name, ctx.Seed)
+			model, err := newClassifier(name, d.ctx.Seed)
 			if err != nil {
 				return nil, err
 			}
 			if err := model.Fit(ds); err != nil {
 				return nil, err
 			}
-			return store(ctx, a, "out", "classifier", model, model.Name())
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "classifier", model, model.Name())
+		}),
+	}, {
 		Name: "predict_matches", Kind: KindBatch,
 		Doc: "apply a trained matcher to a candidate set",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
+		Run: decoded(func(d *decoder) (any, error) {
+			v, model := stored[*vectors](d, "vectors", "vectors"), stored[ml.Classifier](d, "classifier", "classifier")
+			if d.err != nil {
+				return nil, d.err
+			}
+			matches, err := table.PredictedPairs("matches", v.Pairs, d.ctx.Catalog, ml.PredictAll(model, v.X))
 			if err != nil {
 				return nil, err
 			}
-			model, err := stored[ml.Classifier](ctx, a, "classifier", "classifier")
-			if err != nil {
-				return nil, err
-			}
-			matches, err := table.PredictedPairs("matches", v.Pairs, ctx.Catalog, ml.PredictAll(model, v.X))
-			if err != nil {
-				return nil, err
-			}
-			return store(ctx, a, "out", "matches", matches, fmt.Sprintf("%d matches", matches.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "matches", matches, fmt.Sprintf("%d matches", matches.Len()))
+		}),
+	}, {
 		Name: "evaluate_matches", Kind: KindUser,
 		Doc: "the user spot-checks predicted matches (sampled accuracy)",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			m, err := argTable(ctx, a, "matches")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			m, meta := d.pairs("matches")
+			n := d.countOr("n", 50)
+			if d.err != nil {
+				return nil, d.err
 			}
-			meta, ok := ctx.Catalog.PairMeta(m)
-			if !ok {
-				return nil, fmt.Errorf("cloud: %q is not a registered pair table", m.Name())
-			}
-			n, err := a.IntOr("n", 50)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(ctx.Seed + 2))
-			s := m.Sample(n, rng)
+			s := m.Sample(n, rand.New(rand.NewSource(d.ctx.Seed+2)))
 			correct := 0
 			for i := 0; i < s.Len(); i++ {
-				if ctx.Labeler.Label(s.Get(i, meta.LID).AsString(), s.Get(i, meta.RID).AsString()) {
+				if d.ctx.Labeler.Label(s.Get(i, meta.LID).AsString(), s.Get(i, meta.RID).AsString()) {
 					correct++
 				}
 			}
@@ -343,201 +245,106 @@ func registerBasic(r *Registry) {
 				return 1.0, nil
 			}
 			return float64(correct) / float64(s.Len()), nil
-		},
-	})
-
-	mustRegister(&Service{
+		}),
+	}, {
 		Name: "extract_blocking_rules", Kind: KindBatch,
 		Doc: "mine candidate blocking rules from a random forest",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			learned, err := stored[*active.Result](ctx, a, "forest", "forest")
-			if err != nil {
-				return nil, err
-			}
-			fs, err := stored[*feature.Set](ctx, a, "features", "features")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			learned, fs := stored[*active.Result](d, "forest", "forest"), stored[*feature.Set](d, "features", "features")
+			if d.err != nil {
+				return nil, d.err
 			}
 			rs, err := falcon.ExtractBlockingRules(learned.Forest, fs.Names())
 			if err != nil {
 				return nil, err
 			}
-			return store(ctx, a, "out", "rules", rs, fmt.Sprintf("%d rules", rs.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "rules", rs, fmt.Sprintf("%d rules", rs.Len()))
+		}),
+	}, {
 		Name: "evaluate_blocking_rules", Kind: KindUser,
 		Doc: "the user reviews rules against labeled pairs; precise rules kept",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			rs, err := stored[rules.RuleSet](ctx, a, "rules", "rules")
+		Run: decoded(func(d *decoder) (any, error) {
+			rs, v := stored[rules.RuleSet](d, "rules", "rules"), stored[*vectors](d, "vectors", "vectors")
+			learned := stored[*active.Result](d, "forest", "forest")
+			if d.err != nil {
+				return nil, d.err
+			}
+			pool, err := active.PoolFromPairs(v.Pairs, d.ctx.Catalog, v.X, v.Names)
 			if err != nil {
 				return nil, err
 			}
-			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
-			if err != nil {
-				return nil, err
-			}
-			learned, err := stored[*active.Result](ctx, a, "forest", "forest")
-			if err != nil {
-				return nil, err
-			}
-			pool, err := active.PoolFromPairs(v.Pairs, ctx.Catalog, v.X, v.Names)
-			if err != nil {
-				return nil, err
-			}
-			kept := falcon.EvaluateRules(rs, pool, learned, ctx.Labeler, rand.New(rand.NewSource(ctx.Seed+3)))
-			return store(ctx, a, "out", "precise_rules", kept, fmt.Sprintf("%d/%d rules kept", kept.Len(), rs.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			kept := falcon.EvaluateRules(rs, pool, learned, d.ctx.Labeler, rand.New(rand.NewSource(d.ctx.Seed+3)))
+			return d.put("out", "precise_rules", kept, fmt.Sprintf("%d/%d rules kept", kept.Len(), rs.Len()))
+		}),
+	}, {
 		Name: "execute_blocking_rules", Kind: KindBatch,
 		Doc: "block two tables with a rule set over a token-overlap seed",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			at, err := argTable(ctx, a, "a")
+		Run: decoded(func(d *decoder) (any, error) {
+			at, bt := d.table("a"), d.table("b")
+			rs, fs := stored[rules.RuleSet](d, "rules", "precise_rules"), stored[*feature.Set](d, "features", "features")
+			k := d.countOr("k", 1)
+			if d.err != nil {
+				return nil, d.err
+			}
+			seed := block.WholeTupleOverlapBlocker{MinOverlap: k, Metrics: d.ctx.Metrics}
+			cand, err := falcon.ExecuteRules(seed, rs, fs, at, bt, d.ctx.Catalog)
 			if err != nil {
 				return nil, err
 			}
-			bt, err := argTable(ctx, a, "b")
-			if err != nil {
-				return nil, err
-			}
-			rs, err := stored[rules.RuleSet](ctx, a, "rules", "precise_rules")
-			if err != nil {
-				return nil, err
-			}
-			fs, err := stored[*feature.Set](ctx, a, "features", "features")
-			if err != nil {
-				return nil, err
-			}
-			k, err := a.IntOr("k", 1)
-			if err != nil {
-				return nil, err
-			}
-			seed := block.WholeTupleOverlapBlocker{MinOverlap: k, Metrics: ctx.Metrics}
-			cand, err := falcon.ExecuteRules(seed, rs, fs, at, bt, ctx.Catalog)
-			if err != nil {
-				return nil, err
-			}
-			return store(ctx, a, "out", "candidates", cand, fmt.Sprintf("%d pairs", cand.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "candidates", cand, fmt.Sprintf("%d pairs", cand.Len()))
+		}),
+	}, {
 		Name: "debug_blocker", Kind: KindBatch,
 		Doc: "surface likely matches a candidate set dropped",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			p, err := argTable(ctx, a, "pairs")
-			if err != nil {
-				return nil, err
+		Run: decoded(func(d *decoder) (any, error) {
+			p, topK := d.table("pairs"), d.countOr("top_k", 20)
+			if d.err != nil {
+				return nil, d.err
 			}
-			topK, err := a.IntOr("top_k", 20)
-			if err != nil {
-				return nil, err
-			}
-			return block.DebugBlocker(p, ctx.Catalog, topK)
-		},
-	})
-
-}
-
-// registerComposite installs the 2 composite services.
-func registerComposite(r *Registry) {
-	mustRegister := func(s *Service) {
-		if err := r.Register(s); err != nil {
-			panic(err)
-		}
-	}
-
-	mustRegister(&Service{
+			return block.DebugBlocker(p, d.ctx.Catalog, topK)
+		}),
+	}, {
 		Name: "active_learning", Kind: KindUser, Composite: true,
 		Doc: "active-learn a random forest over a candidate set",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			v, err := stored[*vectors](ctx, a, "vectors", "vectors")
+		Run: decoded(func(d *decoder) (any, error) {
+			v := stored[*vectors](d, "vectors", "vectors")
+			cfg := active.Config{
+				Seed:      d.ctx.Seed + 5,
+				SeedSize:  d.countOr("seed_size", 20),
+				BatchSize: d.countOr("batch_size", 10),
+				MaxRounds: d.countOr("max_rounds", 20),
+			}
+			if d.err != nil {
+				return nil, d.err
+			}
+			pool, err := active.PoolFromPairs(v.Pairs, d.ctx.Catalog, v.X, v.Names)
 			if err != nil {
 				return nil, err
 			}
-			pool, err := active.PoolFromPairs(v.Pairs, ctx.Catalog, v.X, v.Names)
+			res, err := active.Learn(pool, d.ctx.Labeler, cfg)
 			if err != nil {
 				return nil, err
 			}
-			cfg := active.Config{Seed: ctx.Seed + 5}
-			if cfg.SeedSize, err = a.IntOr("seed_size", 20); err != nil {
-				return nil, err
-			}
-			if cfg.BatchSize, err = a.IntOr("batch_size", 10); err != nil {
-				return nil, err
-			}
-			if cfg.MaxRounds, err = a.IntOr("max_rounds", 20); err != nil {
-				return nil, err
-			}
-			res, err := active.Learn(pool, ctx.Labeler, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return store(ctx, a, "out", "forest", res, fmt.Sprintf("%d labels", res.Labeled.Len()))
-		},
-	})
-
-	mustRegister(&Service{
+			return d.put("out", "forest", res, fmt.Sprintf("%d labels", res.Labeled.Len()))
+		}),
+	}, {
 		Name: "falcon", Kind: KindUser, Composite: true,
 		Doc: "the end-to-end Falcon self-service EM workflow",
-		Run: func(ctx *JobContext, a Args) (any, error) {
-			at, err := argTable(ctx, a, "a")
+		Run: decoded(func(d *decoder) (any, error) {
+			at, bt := d.table("a"), d.table("b")
+			n, out := d.countOr("sample_size", 2000), d.strOr("out", "matches")
+			if d.err != nil {
+				return nil, d.err
+			}
+			res, err := falcon.Run(at, bt, d.ctx.Labeler, d.ctx.Catalog, falcon.Config{SampleSize: n, Seed: d.ctx.Seed + 6})
 			if err != nil {
 				return nil, err
 			}
-			bt, err := argTable(ctx, a, "b")
-			if err != nil {
-				return nil, err
-			}
-			n, err := a.IntOr("sample_size", 2000)
-			if err != nil {
-				return nil, err
-			}
-			out, err := a.StrOr("out", "matches")
-			if err != nil {
-				return nil, err
-			}
-			res, err := falcon.Run(at, bt, ctx.Labeler, ctx.Catalog, falcon.Config{SampleSize: n, Seed: ctx.Seed + 6})
-			if err != nil {
-				return nil, err
-			}
-			ctx.Put(out, res.Matches)
-			ctx.Put(out+"_result", res)
+			d.ctx.Put(out, res.Matches)
+			d.ctx.Put(out+"_result", res)
 			return fmt.Sprintf("%d matches, %d questions", res.Matches.Len(), res.TotalQuestions()), nil
-		},
-	})
-}
-
-func argTable(ctx *JobContext, a Args, key string) (*table.Table, error) {
-	name, err := a.Str(key)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Table(name)
-}
-
-// stored fetches the job-store object the argument key names (def when the
-// argument is absent) as a T.
-func stored[T any](ctx *JobContext, a Args, key, def string) (t T, err error) {
-	name, err := a.StrOr(key, def)
-	if err != nil {
-		return t, err
-	}
-	return object[T](ctx, name)
-}
-
-// store ends a service: it puts the product v under the name the argument
-// key gives (def when absent) and returns the step's summary.
-func store(ctx *JobContext, a Args, key, def string, v any, summary string) (any, error) {
-	name, err := a.StrOr(key, def)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Put(name, v)
-	return summary, nil
+		}),
+	}}
 }
 
 // newClassifier instantiates a matcher of ml.DefaultMatcherFactories by

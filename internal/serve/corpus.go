@@ -100,14 +100,7 @@ func (c *Corpus) ensurePosts(n int) {
 		c.posts = c.posts[:n]
 		return
 	}
-	ncap := 2 * cap(c.posts)
-	if ncap < n {
-		ncap = n
-	}
-	if ncap < 64 {
-		ncap = 64
-	}
-	np := make([]atomic.Pointer[bitvec.Postings], ncap)
+	np := make([]atomic.Pointer[bitvec.Postings], max(2*cap(c.posts), n, 64))
 	for i := range c.posts {
 		np[i].Store(c.posts[i].Load())
 	}
@@ -137,67 +130,87 @@ func (c *Corpus) Stats() Stats {
 func (c *Corpus) Len() int { return c.snap.Load().records }
 
 // Add inserts a new record; it is an error if the ID is already live.
-func (c *Corpus) Add(rec Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byID[rec.ID]; ok {
-		return fmt.Errorf("serve: record %q already in corpus", rec.ID)
-	}
-	c.ingest(rec, "add")
-	c.publishLocked()
-	return nil
-}
+func (c *Corpus) Add(rec Record) error { return c.apply("add", false, []Record{rec}) }
 
 // Update replaces the record with rec.ID: the old slot is tombstoned and
 // a fresh slot appended (so postings stay sorted by construction). It is
 // an error if the ID is not live.
-func (c *Corpus) Update(rec Record) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	si, ok := c.byID[rec.ID]
-	if !ok {
-		return fmt.Errorf("serve: record %q not in corpus", rec.ID)
-	}
-	c.epoch++
-	c.tombs = c.tombs.withDead(si)
-	c.dead++
-	c.ingest(rec, "update")
-	c.maybeCompact()
-	c.publishLocked()
-	return nil
-}
+func (c *Corpus) Update(rec Record) error { return c.apply("update", false, []Record{rec}) }
 
 // Delete tombstones the record with the given ID; it is an error if the
 // ID is not live. The slot is excised from the postings lazily, at the
 // next compaction pass.
-func (c *Corpus) Delete(id string) error {
+func (c *Corpus) Delete(id string) error { return c.apply("delete", false, []Record{{ID: id}}) }
+
+// AddBatch adds recs as one write: if a record is invalid or an ID already
+// live — unless upsert, which updates a live record instead — nothing is
+// applied, and readers see the whole batch or none of it.
+func (c *Corpus) AddBatch(recs []Record, upsert bool) error { return c.apply("add", upsert, recs) }
+
+// DeleteBatch deletes ids as one write, or nothing if one is not live.
+func (c *Corpus) DeleteBatch(ids []string) error {
+	recs := make([]Record, len(ids))
+	for i, id := range ids {
+		recs[i].ID = id
+	}
+	return c.apply("delete", false, recs)
+}
+
+// apply is the one write; op is add, update or delete, as
+// em_serve_ingest_total labels them, and upsert lets an add find its ID
+// live and update it. Every record, and every ID against the live set as
+// the batch's earlier records will have left it, is checked before the
+// first change; then the batch is applied in order, compacted at most once
+// and published once.
+func (c *Corpus) apply(op string, upsert bool, recs []Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	si, ok := c.byID[id]
-	if !ok {
-		return fmt.Errorf("serve: record %q not in corpus", id)
+	staged := make(map[string]bool) // the IDs seen so far: live or not after them
+	for _, rec := range recs {
+		if err := rec.Validate(); err != nil {
+			return err
+		}
+		live, ok := staged[rec.ID]
+		if !ok {
+			_, live = c.byID[rec.ID]
+		}
+		switch {
+		case live && op == "add" && !upsert:
+			return fmt.Errorf("serve: record %q already in corpus", rec.ID)
+		case !live && op != "add":
+			return fmt.Errorf("serve: record %q not in corpus", rec.ID)
+		}
+		staged[rec.ID] = op != "delete"
 	}
-	c.epoch++
-	c.tombs = c.tombs.withDead(si)
-	c.dead++
-	delete(c.byID, id)
-	rec := obs.Or(c.cfg.metrics)
-	rec.Count(obs.ServeIngestTotal, 1, obs.L("op", "delete"))
-	c.gauges(rec)
-	c.maybeCompact()
+	mrec := obs.Or(c.cfg.metrics)
+	for _, rec := range recs {
+		did := op
+		if si, live := c.byID[rec.ID]; live {
+			if op == "add" {
+				did = "update"
+			}
+			c.epoch++
+			c.tombs = c.tombs.withDead(si)
+			c.dead++
+			delete(c.byID, rec.ID)
+		}
+		if op != "delete" {
+			c.ingest(rec)
+		}
+		mrec.Count(obs.ServeIngestTotal, 1, obs.L("op", did))
+	}
+	c.gauges(mrec)
+	if c.cfg.compactAfter > 0 && c.dead >= c.cfg.compactAfter {
+		c.compactLocked()
+	}
 	c.publishLocked()
 	return nil
 }
 
 // ingest appends rec as a fresh slot and swaps updated postings in. Caller
-// holds mu, has adjusted byID/tombstones as needed, and publishes after.
-func (c *Corpus) ingest(rec Record, op string) {
+// holds mu, has tombstoned the ID's live slot if it had one, and publishes
+// after.
+func (c *Corpus) ingest(rec Record) {
 	c.epoch++
 	si := uint32(len(c.slots))
 	s := slot{
@@ -216,23 +229,12 @@ func (c *Corpus) ingest(rec Record, op string) {
 		// already present (slots are append-only), as With requires.
 		c.posts[t].Store(c.posts[t].Load().With(si))
 	}
-	mrec := obs.Or(c.cfg.metrics)
-	mrec.Count(obs.ServeIngestTotal, 1, obs.L("op", op))
-	c.gauges(mrec)
 }
 
 // gauges refreshes the corpus-size gauges. Caller holds mu.
 func (c *Corpus) gauges(rec obs.Recorder) {
 	rec.SetGauge(obs.ServeCorpusRecords, float64(len(c.byID)))
 	rec.SetGauge(obs.ServeCorpusTombstones, float64(c.dead))
-}
-
-// maybeCompact runs a compaction pass when tombstones have crossed the
-// configured bar. Caller holds mu.
-func (c *Corpus) maybeCompact() {
-	if c.cfg.compactAfter > 0 && c.dead >= c.cfg.compactAfter {
-		c.compactLocked()
-	}
 }
 
 // Compact rewrites the slot space without the tombstoned slots and
@@ -470,17 +472,14 @@ func (ps *pairScorer) score(cand *slot) float64 {
 // maintained corpus's for every query.
 func (c *Corpus) Rebuilt() *Corpus {
 	sn := c.snap.Load()
-	fresh := &Corpus{
-		cfg:  c.cfg,
-		dict: intern.NewSnapDict(),
-		byID: make(map[string]uint32),
-	}
+	fresh := NewCorpus()
+	fresh.cfg = c.cfg
 	fresh.cfg.metrics = nil // the oracle build is not traffic
 	for i := range sn.slots {
 		if sn.tombs.dead(uint32(i)) {
 			continue
 		}
-		fresh.ingest(sn.slots[i].rec, "add")
+		fresh.ingest(sn.slots[i].rec)
 	}
 	fresh.publishLocked()
 	return fresh

@@ -34,8 +34,9 @@ func randomRecord(id string, rng *rand.Rand) Record {
 	}}
 }
 
-// mutate applies one random add/update/delete to c, tracking the live ID
-// set in ids.
+// mutate applies one random write to c — an add, update or delete of one
+// record, an upsert batch or a delete batch, or a batch that must be
+// refused whole — tracking the live ID set in ids.
 func mutate(t *testing.T, c *Corpus, ids map[string]bool, next *int, rng *rand.Rand) {
 	t.Helper()
 	liveIDs := make([]string, 0, len(ids))
@@ -44,10 +45,14 @@ func mutate(t *testing.T, c *Corpus, ids map[string]bool, next *int, rng *rand.R
 	}
 	// Map order doesn't matter here: the victim is drawn by rng either
 	// way, and corpus state depends only on which ID is picked.
-	switch op := rng.Intn(3); {
-	case op == 0 || len(liveIDs) == 0: // add
+	fresh := func() string {
 		id := fmt.Sprintf("r%d", *next)
 		*next++
+		return id
+	}
+	switch op := rng.Intn(6); {
+	case op == 0 || len(liveIDs) == 0: // add
+		id := fresh()
 		if err := c.Add(randomRecord(id, rng)); err != nil {
 			t.Fatal(err)
 		}
@@ -57,17 +62,50 @@ func mutate(t *testing.T, c *Corpus, ids map[string]bool, next *int, rng *rand.R
 		if err := c.Update(randomRecord(id, rng)); err != nil {
 			t.Fatal(err)
 		}
-	default: // delete
+	case op == 2: // delete
 		id := liveIDs[rng.Intn(len(liveIDs))]
 		if err := c.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 		delete(ids, id)
+	case op == 3: // upsert batch: new IDs, live ones, and one ID twice
+		var recs []Record
+		for i := rng.Intn(4); i >= 0; i-- {
+			id := fresh()
+			ids[id] = true
+			recs = append(recs, randomRecord(id, rng), randomRecord(liveIDs[rng.Intn(len(liveIDs))], rng))
+		}
+		recs = append(recs, randomRecord(recs[0].ID, rng))
+		if err := c.AddBatch(recs, true); err != nil {
+			t.Fatal(err)
+		}
+	case op == 4: // delete batch
+		rng.Shuffle(len(liveIDs), func(i, j int) { liveIDs[i], liveIDs[j] = liveIDs[j], liveIDs[i] })
+		dels := liveIDs[:1+rng.Intn(min(4, len(liveIDs)))]
+		if err := c.DeleteBatch(dels); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range dels {
+			delete(ids, id)
+		}
+	default: // a batch with a conflict past its first record changes nothing
+		before := c.Stats()
+		victim := liveIDs[rng.Intn(len(liveIDs))]
+		var err error
+		if rng.Intn(2) == 0 {
+			err = c.AddBatch([]Record{randomRecord(fresh(), rng), randomRecord(victim, rng)}, false)
+		} else {
+			err = c.DeleteBatch([]string{victim, fresh()})
+		}
+		if err == nil || c.Stats() != before {
+			t.Fatalf("conflicting batch: err %v, stats %+v -> %+v; want an error and no change", err, before, c.Stats())
+		}
 	}
 }
 
 // TestInterleavingsMatchRebuild is the tentpole equivalence oracle:
-// after an arbitrary interleaving of adds, updates, and deletes — with
+// after an arbitrary interleaving of adds, updates, and deletes, one
+// record at a time and in batches — with
 // compaction both forced tiny (firing constantly) and disabled — the
 // incrementally maintained indexes must surface candidates bit-identical
 // to a from-scratch batch rebuild of the live records, for every probe.
@@ -104,8 +142,8 @@ func TestInterleavingsMatchRebuild(t *testing.T) {
 					mutate(t, c, ids, &next, rng)
 				}
 				oracle := c.Rebuilt()
-				if oracle.Len() != c.Len() {
-					t.Logf("live count: incremental %d, rebuilt %d", c.Len(), oracle.Len())
+				if oracle.Len() != c.Len() || c.Len() != len(ids) {
+					t.Logf("live count: incremental %d, rebuilt %d, applied %d", c.Len(), oracle.Len(), len(ids))
 					return false
 				}
 				for probe := 0; probe < 12; probe++ {

@@ -130,9 +130,9 @@ func blockTokens(tok tokenize.Tokenizer, attrs map[string]string) []string {
 	return out
 }
 
-// Validate rejects records the corpus cannot hold. Add, Update and MatchOne
-// run it themselves; a caller applying a batch runs it over the whole
-// batch first so that a bad record leaves nothing half-applied.
+// Validate rejects records the corpus cannot hold. Every write and
+// MatchOne run it themselves — a batch over all its records before its
+// first change; /v1/corpus/add runs it too, to say which record is bad.
 func (r Record) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("serve: record with empty ID")
