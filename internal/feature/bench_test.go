@@ -194,3 +194,53 @@ func BenchmarkForest900(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVectorIntoScan is serve's scoring loop without the forest: one
+// left record against 1 000 prepared right ones on one scratch, a new left
+// record each iteration. repeating takes the rights as datagen's person
+// domain makes them — a few states, a few dozen cities, names that recur —
+// and all_unique makes every value of every attribute distinct, the
+// memo's worst case: a probe and an insert per group, nothing reused.
+func BenchmarkVectorIntoScan(b *testing.B) {
+	const n = 1000
+	fs, lefts, rights := personRows(b, n)
+	unique := make([]map[string]string, n)
+	for i, r := range rights {
+		unique[i] = map[string]string{}
+		for attr, v := range r {
+			if unique[i][attr] = fmt.Sprintf("%s %d", v, i); attr == "zip" {
+				unique[i][attr] = fmt.Sprintf("%05d", 10000+i)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		rights []map[string]string
+	}{{"repeating", rights}, {"all_unique", unique}} {
+		b.Run(c.name, func(b *testing.B) {
+			d := intern.NewDict()
+			rs := make([]*Prepared, n)
+			for i := range rs {
+				rs[i] = fs.Prepare(c.rights[i], true, d.SortedSet)
+			}
+			ls := make([]*Prepared, 64)
+			for i := range ls {
+				ls[i] = fs.Prepare(lefts[i], false, d.SortedSetEphemeral)
+			}
+			var sc sim.Scratch
+			row := make([]float64, fs.Len())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l := ls[i%len(ls)]
+				for _, r := range rs {
+					fs.VectorInto(l, r, &sc, row)
+				}
+			}
+			b.StopTimer()
+			_, reused := sc.TakeBlockCounts()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/pair")
+			b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
+		})
+	}
+}

@@ -115,8 +115,9 @@ func (s *Set) VectorWith(lattrs, rattrs map[string]string, lsets, rsets [][]uint
 // len(s.Features) entries, for callers that featurize many pairs through
 // reusable scratch. Both sides are prepared into pooled scratch — one
 // decode per attribute and side, shared by every feature over it — and
-// scored by the kernels Prepare-d records go through (Column), so the
-// values are bit-identical to VectorWith's and to theirs.
+// scored by the group kernels Prepare-d records go through (without the
+// scan memo: one pair has nothing to reuse), so the values are
+// bit-identical to VectorWith's and to theirs.
 func (s *Set) VectorWithInto(lattrs, rattrs map[string]string, lsets, rsets [][]uint32, x []float64) {
 	ps := pairPool.Get().(*pairScratch)
 	defer pairPool.Put(ps)
@@ -127,7 +128,7 @@ func (ps *pairScratch) vectorWith(s *Set, lattrs, rattrs map[string]string, lset
 	p := s.planned()
 	p.fromAttrs(&ps.l, 0, lattrs, lsets)
 	p.fromAttrs(&ps.r, 1, rattrs, rsets)
-	s.VectorInto(&ps.l, &ps.r, &ps.sim, x)
+	s.vector(&ps.l, &ps.r, &ps.sim, x, false)
 }
 
 // fromAttrs prepares attrs into rec with the caller's RecordSets-shaped
@@ -164,26 +165,47 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 		return nil, err
 	}
 
+	// Each pair's rows are looked up once, ahead of the scan.
+	lcol, rcol := pairs.Schema().Lookup(meta.LID), pairs.Schema().Lookup(meta.RID)
+	n, nf := pairs.Len(), len(s.Features)
+	rows := make([][2]int32, n)
+	for i := range rows {
+		row := pairs.Row(i)
+		rows[i] = [2]int32{int32(lidx[row[lcol].AsString()]), int32(ridx[row[rcol].AsString()])}
+	}
+
 	cache := buildTokenCache(s, meta.LTable, meta.RTable)
 
-	n, nf := pairs.Len(), len(s.Features)
 	flat := make([]float64, n*nf)
 	out := make([][]float64, n)
 	// Each pair's vector lands in its own row of the one backing array, so
-	// extraction at any Workers setting is bit-identical to serial.
+	// extraction at any Workers setting is bit-identical to serial. Workers
+	// claim chunks of consecutive pairs: a blocker emits a left record's
+	// candidates together, and the scratch's memo reuses scores along a run.
 	scratch := make([]sim.Scratch, parallel.Resolve(opts.Workers))
-	if err := parallel.ForEachShard(opts.Workers, n, func(shard, i int) error {
-		li := lidx[pairs.Get(i, meta.LID).AsString()]
-		ri := ridx[pairs.Get(i, meta.RID).AsString()]
-		out[i] = flat[i*nf : (i+1)*nf : (i+1)*nf]
-		s.VectorInto(&cache.l[li], &cache.r[ri], &scratch[shard], out[i])
+	if err := parallel.ForEachShard(opts.Workers, (n+vectorsChunk-1)/vectorsChunk, func(shard, c int) error {
+		sc := &scratch[shard]
+		for i := c * vectorsChunk; i < min(n, (c+1)*vectorsChunk); i++ {
+			out[i] = flat[i*nf : (i+1)*nf : (i+1)*nf]
+			s.VectorInto(&cache.l[rows[i][0]], &cache.r[rows[i][1]], sc, out[i])
+		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	rec.Count(obs.FeatureVectors, float64(n))
+	for i := range scratch {
+		scored, reused := scratch[i].TakeBlockCounts()
+		rec.Count(obs.FeaturePairGroups, float64(scored), obs.L("result", "scored"))
+		rec.Count(obs.FeaturePairGroups, float64(reused), obs.L("result", "reused"))
+	}
 	return out, nil
 }
+
+// vectorsChunk is how many consecutive pairs a Vectors worker claims at a
+// time: enough that claiming costs nothing and a left record's run is
+// rarely cut, few enough that two workers balance over some thousand pairs.
+const vectorsChunk = 2048
 
 // VectorForIDs computes the feature vector for a single (lid, rid) pair
 // given the base tables. It is the convenience path interactive debuggers

@@ -10,6 +10,13 @@
 // calls out customizability — "we give users ways to delete features from
 // F, and to declaratively define more features then add them to F" — as a
 // core design principle.
+//
+// Pair scoring (prepared.go) resolves a Set once into a plan: what each
+// side prepares, and which features read the same (LAttr, RAttr) pair — an
+// attribute group. A pair is scored group by group, sharing the null check,
+// one intersection per interned column and one Jaro; a scan of one left
+// record against many right ones (Set.VectorInto on one sim.Scratch)
+// scores each distinct (left value, right value) once.
 package feature
 
 import (
@@ -24,7 +31,10 @@ import (
 )
 
 // PairFunc scores the similarity of two attribute values rendered as
-// strings. Implementations must return values in [0, 1].
+// strings. Implementations must return values in [0, 1] and must be pure —
+// the same two strings always score the same bits — because a scan scores
+// each distinct (left value, right value) once and reuses the result
+// (Set.VectorInto).
 type PairFunc func(l, r string) float64
 
 // Feature computes one similarity score for a tuple pair.
@@ -44,7 +54,8 @@ type Feature struct {
 	// through Fn for every pair × feature. SetFn must agree with Fn bit
 	// for bit on every input (pinned by TestVectorsCacheEquivalence).
 	Tok tokenize.Tokenizer
-	// SetFn scores two sorted duplicate-free interned token sets.
+	// SetFn scores two sorted duplicate-free interned token sets; pure in
+	// the two sets, as Fn is in the two strings.
 	SetFn func(a, b []uint32) float64
 	// need and prep, set by NewFeature for the registry's kinds, are the
 	// feature's prepared path: prep scores two values prepared once per
@@ -52,6 +63,13 @@ type Feature struct {
 	// strings. A feature built by hand has neither and is scored by Fn.
 	need need
 	prep kernel
+	// setOf, jaro and winkler, set likewise, name what the feature shares
+	// with the others over its attribute pair: setOf is SetFn as a formula
+	// over (|A∩B|, |A|, |B|), so one intersection serves every set measure
+	// of a column; jaro marks the two kinds that are Jaro — winkler the one
+	// with the prefix bonus — in place of a prep.
+	setOf         func(inter, na, nb int) float64
+	jaro, winkler bool
 }
 
 // MissingPolicy controls the score of a pair in which either attribute

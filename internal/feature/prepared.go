@@ -1,9 +1,12 @@
 package feature
 
 import (
+	"cmp"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"unicode"
 
 	"repro/internal/sim"
@@ -34,6 +37,7 @@ type value struct {
 	ok    bool // false: null or absent; the other fields are then stale
 	isNum bool
 	sdx   sim.SoundexCode
+	hash  uint16 // of s, for the scan memo; sits in what was padding
 	num   float64
 	runes []rune
 	toks  [][]rune // an ordered bag: duplicates count, unlike the ws token set
@@ -43,7 +47,7 @@ type value struct {
 // v.toks keeps its backing array, so refilling a scratch value allocates
 // nothing once the buffers have reached their working size.
 func (v *value) fill(s string, n need, buf []rune) []rune {
-	*v = value{s: s, ok: true, toks: v.toks[:0]}
+	*v = value{s: s, ok: true, hash: uint16(maphash.String(hashSeed, s)), toks: v.toks[:0]}
 	if n&needNumber != 0 {
 		// ParseFloat accepts "nan" and "inf"; a non-finite value is not a
 		// number here, or rel_diff would divide by it and leave [0, 1].
@@ -95,6 +99,11 @@ func (v *value) fill(s string, n need, buf []rune) []rune {
 	return buf
 }
 
+// hashSeed keys value.hash. Sixteen bits are what a value has room for, and
+// enough: the memo verifies a hit against the string, so the hash only
+// spreads values over its slots.
+var hashSeed = maphash.MakeSeed()
+
 // onStrings runs a kernel on two strings prepared on the spot: how a
 // measure defined as a kernel (RelDiff, mongeElkanJW) keeps its string
 // entry point without a second implementation.
@@ -107,15 +116,25 @@ func onStrings(l, r string, n need, k kernel) float64 {
 
 // plan is a Set resolved for pair scoring: which distinct attributes each
 // side of a pair must prepare and in what forms, which distinct
-// (attribute, tokenizer) columns must be interned, and where each feature
-// finds its inputs among them. Built once per Set (Set.planned).
+// (attribute, tokenizer) columns must be interned, where each feature
+// finds its inputs among them, and which features read the same pair of
+// attributes and so are scored together. Built once per Set (Set.planned).
 type plan struct {
-	feats []featPlan  // per feature of the Set the plan was resolved for
-	sides [2]sidePlan // left (LAttr), right (RAttr)
+	feats  []featPlan  // per feature of the Set the plan was resolved for
+	groups []group     // the features again, by (LAttr, RAttr)
+	sides  [2]sidePlan // left (LAttr), right (RAttr)
+}
+
+// group is the unit a pair is scored in: every feature over one (LAttr,
+// RAttr) pair of columns. They share the null check, one intersection per
+// interned column, one Jaro and, across a scan, one memo entry per
+// right-hand value.
+type group struct {
+	col   [2]int // per side: index of the attribute in sidePlan.attrs
+	feats []int  // the features, those over one interned column adjacent
 }
 
 type featPlan struct {
-	col [2]int // per side: index of the feature's attribute in sidePlan.attrs
 	set [2]int // per side: index of its interned column in sidePlan.sets, -1 without a set path
 }
 
@@ -146,6 +165,7 @@ func (s *Set) planned() *plan {
 	}
 	p := &plan{feats: make([]featPlan, len(s.Features))}
 	for k, f := range s.Features {
+		var col [2]int // per side: index of the feature's attribute in sidePlan.attrs
 		for side, attr := range [2]string{f.LAttr, f.RAttr} {
 			sp := &p.sides[side]
 			c := slices.Index(sp.attrs, attr)
@@ -154,7 +174,7 @@ func (s *Set) planned() *plan {
 				sp.attrs, sp.needs = append(sp.attrs, attr), append(sp.needs, 0)
 			}
 			sp.needs[c] |= f.need
-			p.feats[k].col[side], p.feats[k].set[side] = c, -1
+			col[side], p.feats[k].set[side] = c, -1
 			if f.SetFn == nil || f.Tok == nil {
 				continue
 			}
@@ -165,6 +185,16 @@ func (s *Set) planned() *plan {
 			}
 			p.feats[k].set[side] = i
 		}
+		gi := slices.IndexFunc(p.groups, func(g group) bool { return g.col == col })
+		if gi < 0 {
+			gi, p.groups = len(p.groups), append(p.groups, group{col: col})
+		}
+		p.groups[gi].feats = append(p.groups[gi].feats, k)
+	}
+	for _, g := range p.groups {
+		// Within a group one tokenizer names one column on each side, so
+		// the left index alone tells the interned columns apart.
+		slices.SortStableFunc(g.feats, func(a, b int) int { return cmp.Compare(p.feats[a].set[0], p.feats[b].set[0]) })
 	}
 	s.plan.Store(p)
 	return p
@@ -176,16 +206,22 @@ func (s *Set) planned() *plan {
 // goroutines may score pairs against it.
 type Prepared struct {
 	p    *plan
+	gen  uint64 // which filling of which record this is (generation)
 	cols []value
 	sets [][]uint32 // nil entries: null attribute, or sets withheld by the caller
 	buf  []rune     // backing of every runes and toks in cols
 }
 
+// generation numbers every filling of a Prepared, under whatever plan: what
+// a scan's memo is tied to, because an address is not an identity — scratch
+// records are refilled in place, a freed query's memory goes to the next.
+var generation atomic.Uint64
+
 // fill prepares one side's attributes into rec, reusing rec's buffers; get
 // returns the value of the c-th planned attribute, false for a null.
 func (p *plan) fill(rec *Prepared, side int, get func(c int, attr string) (string, bool)) {
 	sp := &p.sides[side]
-	rec.p = p
+	rec.p, rec.gen = p, generation.Add(1)
 	rec.cols = slices.Grow(rec.cols[:0], len(sp.attrs))[:len(sp.attrs)]
 	size := 0
 	for c, attr := range sp.attrs {
@@ -238,36 +274,90 @@ func (s *Set) Prepare(attrs map[string]string, right bool, interner func(toks []
 	return rec
 }
 
-// Column scores feature k of the pair (l, r), both prepared under s: the
-// interned-set kernel when both sides carry the sets, the feature's
-// prepared kernel otherwise, and Fn over the strings for a feature that
-// has neither. A null on either side scores the missing policy.
-//
-//emlint:zeroalloc
-func (s *Set) Column(k int, l, r *Prepared, sc *sim.Scratch) float64 {
-	fp := &l.p.feats[k]
-	lv, rv := &l.cols[fp.col[0]], &r.cols[fp.col[1]]
-	if !lv.ok || !rv.ok {
-		return s.missingScore()
-	}
-	f := &s.Features[k]
-	if fp.set[0] >= 0 {
-		if ls, rs := l.sets[fp.set[0]], r.sets[fp.set[1]]; ls != nil && rs != nil {
-			return f.SetFn(ls, rs)
-		}
-	}
-	if f.prep != nil {
-		return f.prep(lv, rv, sc)
-	}
-	return f.Fn(lv.s, rv.s)
-}
-
 // VectorInto writes the pair's whole feature vector into x, which must
-// have len(s.Features) entries.
+// have len(s.Features) entries. Calls that score one left record against
+// many right ones through one scratch are a scan: a group whose right-hand
+// value the scan has met takes its scores from the scratch's memo, so each
+// distinct (left value, right value) is scored once. The memo follows l's
+// generation: interleaving left records, or editing the Set and preparing
+// again, is safe and merely forgets.
 //
 //emlint:zeroalloc
 func (s *Set) VectorInto(l, r *Prepared, sc *sim.Scratch, x []float64) {
-	for k := range x {
-		x[k] = s.Column(k, l, r, sc)
+	sc.Scan(l.gen)
+	s.vector(l, r, sc, x, true)
+}
+
+// vector scores the pair group by group; scan says whether the scratch's
+// memo is open on l, or this is a pair on its own with nothing to reuse.
+//
+//emlint:zeroalloc
+func (s *Set) vector(l, r *Prepared, sc *sim.Scratch, x []float64, scan bool) {
+	for gi := range l.p.groups {
+		g := &l.p.groups[gi]
+		lv, rv := &l.cols[g.col[0]], &r.cols[g.col[1]]
+		if !lv.ok || !rv.ok {
+			for _, k := range g.feats {
+				x[k] = s.missingScore()
+			}
+			continue
+		}
+		var blk []float64
+		if scan {
+			var hit bool
+			if blk, hit = sc.Block(uint32(gi), rv.hash, rv.s, len(g.feats)); hit {
+				for i, k := range g.feats {
+					x[k] = blk[i]
+				}
+				continue
+			}
+		}
+		s.scoreGroup(g, l, r, sc, x)
+		for i := range blk { // no block: the memo is full, or not in use
+			blk[i] = x[g.feats[i]]
+		}
+	}
+}
+
+// scoreGroup scores g's features for a pair with both values present, each
+// into its own entry of x: the interned-set formula over the column's one
+// intersection when both sides carry the sets, the feature's prepared
+// kernel otherwise — Jaro computed once for jaro and jaro_winkler — and Fn
+// over the strings for a feature that has neither.
+//
+//emlint:zeroalloc
+func (s *Set) scoreGroup(g *group, l, r *Prepared, sc *sim.Scratch, x []float64) {
+	lv, rv := &l.cols[g.col[0]], &r.cols[g.col[1]]
+	interOf, inter := -1, 0 // the set column inter was counted over
+	jaro := -1.0            // not computed yet
+	for _, k := range g.feats {
+		f, fp := &s.Features[k], &l.p.feats[k]
+		if fp.set[0] >= 0 {
+			if ls, rs := l.sets[fp.set[0]], r.sets[fp.set[1]]; ls != nil && rs != nil {
+				if f.setOf == nil {
+					x[k] = f.SetFn(ls, rs)
+					continue
+				}
+				if interOf != fp.set[0] {
+					interOf, inter = fp.set[0], sim.IntersectSortedU32(ls, rs)
+				}
+				x[k] = f.setOf(inter, len(ls), len(rs))
+				continue
+			}
+		}
+		switch {
+		case f.jaro:
+			if jaro < 0 {
+				jaro = sim.JaroRunes(lv.runes, rv.runes, sc)
+			}
+			x[k] = jaro
+			if f.winkler {
+				x[k] = sim.WinklerOf(jaro, lv.runes, rv.runes)
+			}
+		case f.prep != nil:
+			x[k] = f.prep(lv, rv, sc)
+		default:
+			x[k] = f.Fn(lv.s, rv.s)
+		}
 	}
 }

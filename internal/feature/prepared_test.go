@@ -148,10 +148,12 @@ func TestQuickPreparedEqualsStringPath(t *testing.T) {
 }
 
 // FuzzColumnMatchesFn: for any two values and every registered kind, the
-// feature's string function and Column over the two prepared records give
-// the same bits, and they lie in [0, 1] — PairFunc's contract, which the
-// numerals strconv accepts but arithmetic does not ("nan", "inf") broke for
-// rel_diff.
+// feature's string function and its column of VectorInto over the two
+// prepared records give the same bits, and they lie in [0, 1] — PairFunc's
+// contract, which the numerals strconv accepts but arithmetic does not
+// ("nan", "inf") broke for rel_diff. One scratch scores (l, r), the same
+// pair again — now out of the scan's memo — and then (r, l), whose left
+// record is another, so nothing of the first scan may answer it.
 func FuzzColumnMatchesFn(f *testing.F) {
 	for _, s := range []string{"nan", "Inf", "-inf", "1e400", "0x1p-2", "", "\xff\xfe", "İ", "ß"} {
 		f.Add(s, "5")
@@ -161,13 +163,21 @@ func FuzzColumnMatchesFn(f *testing.F) {
 	s := everyKind(f)
 	f.Fuzz(func(t *testing.T, l, r string) {
 		d := intern.NewDict()
-		lp := s.Prepare(map[string]string{"v": l}, false, d.SortedSet)
-		rp := s.Prepare(map[string]string{"v": r}, true, d.SortedSet)
+		prep := func(v string, right bool) *Prepared {
+			return s.Prepare(map[string]string{"v": v}, right, d.SortedSet)
+		}
+		lp, rp, rl, lr := prep(l, false), prep(r, true), prep(r, false), prep(l, true)
 		var sc sim.Scratch
-		for k, ft := range s.Features {
-			want, got := ft.Fn(l, r), s.Column(k, lp, rp, &sc)
-			if math.Float64bits(got) != math.Float64bits(want) || !(want >= 0 && want <= 1) {
-				t.Errorf("%s(%q, %q): string function %v, prepared column %v, want equal bits in [0, 1]", ft.Name, l, r, want, got)
+		x := make([]float64, s.Len())
+		for _, c := range []struct {
+			lp, rp *Prepared
+			l, r   string
+		}{{lp, rp, l, r}, {lp, rp, l, r}, {rl, lr, r, l}} {
+			s.VectorInto(c.lp, c.rp, &sc, x)
+			for k, ft := range s.Features {
+				if want := ft.Fn(c.l, c.r); math.Float64bits(x[k]) != math.Float64bits(want) || !(want >= 0 && want <= 1) {
+					t.Errorf("%s(%q, %q): string function %v, prepared column %v, want equal bits in [0, 1]", ft.Name, c.l, c.r, want, x[k])
+				}
 			}
 		}
 	})
@@ -220,10 +230,11 @@ func TestPlanFollowsAddAndRemove(t *testing.T) {
 	}
 }
 
-// TestPairKernelsZeroAlloc: with records prepared ahead, a pair's columns
-// cost no allocation, one at a time or all at once; preparing both sides
-// from their strings into scratch first, as VectorWithInto does with
-// scratch from its pool, costs none either once the scratch has grown.
+// TestPairKernelsZeroAlloc: with records prepared ahead, a pair's row costs
+// no allocation — scored (vector, scoreGroup) or taken from the scan's memo
+// (VectorInto) — once the scratch holds its memo; preparing both sides from
+// their strings into scratch first, as VectorWithInto does with scratch
+// from its pool, costs none either once the scratch has grown.
 func TestPairKernelsZeroAlloc(t *testing.T) {
 	a, b, _, _ := cacheTables(t, 6, 3)
 	s, err := AutoGenerate(a, b)
@@ -238,8 +249,9 @@ func TestPairKernelsZeroAlloc(t *testing.T) {
 	var ps pairScratch
 	x := make([]float64, s.Len())
 	run := func() {
-		for k := range x {
-			x[k] = s.Column(k, l, r, &sc)
+		s.vector(l, r, &sc, x, false)
+		for gi := range l.p.groups {
+			s.scoreGroup(&l.p.groups[gi], l, r, &sc, x)
 		}
 		s.VectorInto(l, r, &sc, x)
 		ps.vectorWith(s, la, ra, lsets, rsets, x)

@@ -44,6 +44,11 @@ const (
 	FeatureExtractSeconds = "em_feature_extract_seconds"
 	// FeatureVectors counts feature vectors extracted.
 	FeatureVectors = "em_feature_vectors_total"
+	// FeaturePairGroups counts, over feature.Vectors scans, the attribute
+	// groups of pairs that were scored and those whose scores the scan had
+	// already computed for the same two values: labels {result}
+	// (scored|reused). reused / (scored + reused) is the reuse rate.
+	FeaturePairGroups = "em_feature_pair_groups_total"
 
 	// ServeIngestTotal counts corpus mutations: labels {op}
 	// (add|update|delete).
@@ -59,6 +64,9 @@ const (
 	// ServeStageSeconds times one MatchOne stage: labels {stage}
 	// (candidates|features|score).
 	ServeStageSeconds = "em_serve_stage_seconds"
+	// ServePairGroups is FeaturePairGroups over MatchOne's scans, flushed
+	// once per request: labels {result} (scored|reused).
+	ServePairGroups = "em_serve_pair_groups_total"
 	// ServeQueueDepth gauges match requests waiting in a pool for a run slot.
 	ServeQueueDepth = "em_serve_queue_depth"
 	// ServeQueueWaitSeconds times one request's wait inside Pool.Match for
@@ -105,12 +113,14 @@ func DescribeStandard(g *Registry) {
 		{SimjoinPairs, "Pairs emitted by a similarity join."},
 		{FeatureExtractSeconds, "Duration of one feature-vector extraction pass."},
 		{FeatureVectors, "Feature vectors extracted."},
+		{FeaturePairGroups, "Attribute groups of extracted pairs, by result (scored|reused from the scan's memo)."},
 		{ServeIngestTotal, "Corpus mutations by op (add|update|delete)."},
 		{ServeCorpusRecords, "Live records resident in a serving corpus."},
 		{ServeCorpusTombstones, "Tombstoned corpus slots awaiting compaction."},
 		{ServeCompactionsTotal, "Postings compaction passes."},
 		{ServeMatchSeconds, "Duration of one MatchOne call."},
 		{ServeStageSeconds, "Duration of one MatchOne stage (candidates|features|score)."},
+		{ServePairGroups, "Attribute groups of scored candidates, by result (scored|reused from the query's memo)."},
 		{ServeQueueDepth, "Match requests waiting in a serve pool queue."},
 		{ServeQueueWaitSeconds, "Wait inside a serve pool for a run slot."},
 		{ServeRequestsTotal, "Settled match submissions by status (ok|error|overloaded)."},

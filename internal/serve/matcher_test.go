@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/feature"
 	"repro/internal/ml"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tokenize"
 )
@@ -209,5 +210,32 @@ func TestConcurrentMatchDuringIngest(t *testing.T) {
 	q := randomRecord("final", rng)
 	if got, want := c.CandidateIDs(q), c.Rebuilt().CandidateIDs(q); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-ingest candidates %v != rebuilt %v", got, want)
+	}
+}
+
+// TestMatchOneCountsPairGroups: a request leaves behind how many attribute
+// groups its scan scored and how many its memo answered — every candidate's
+// two groups (name, desc) between them, and with names drawn from a few
+// words, some of them reused.
+func TestMatchOneCountsPairGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	reg := obs.NewRegistry()
+	c := NewCorpus(WithMetrics(reg))
+	for i := 0; i < 200; i++ {
+		if err := c.Add(randomRecord(fmt.Sprintf("r%d", i), rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetMatcher(testFeatureSet(), testMatcher(t)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.MatchOne(context.Background(), randomRecord("q", rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scored := reg.CounterValue(obs.ServePairGroups, obs.L("result", "scored"))
+	reused := reg.CounterValue(obs.ServePairGroups, obs.L("result", "reused"))
+	if scored+reused != float64(2*len(got)) || reused == 0 {
+		t.Fatalf("%d candidates: %v groups scored, %v reused, want %d in all and some reused", len(got), scored, reused, 2*len(got))
 	}
 }

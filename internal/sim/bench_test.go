@@ -70,12 +70,27 @@ func benchRunes() (a, b []rune, ta, tb [][]rune) {
 	return []rune(benchA), []rune(benchB), ta, tb
 }
 
+// BenchmarkLevenshteinRunes covers the kernel's three paths: a remainder
+// too short for the bit vector (DP), the names and addresses it was built
+// for, and one past 64 runes (DP again).
 func BenchmarkLevenshteinRunes(b *testing.B) {
 	ra, rb, _, _ := benchRunes()
-	sc := new(Scratch)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink += LevenshteinRunes(ra, rb, sc)
+	long := strings.Repeat("north ", 14)
+	for _, c := range []struct {
+		name string
+		a, b []rune
+	}{
+		{"short", []rune("wi"), []rune("mn")},
+		{"name", ra, rb},
+		{"long", []rune(long + "avenue"), []rune("south " + long)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sc := new(Scratch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink += LevenshteinRunes(c.a, c.b, sc)
+			}
+		})
 	}
 }
 

@@ -1,13 +1,32 @@
 package sim
 
+import "sync"
+
 // Scratch is the caller-owned working memory of the rune kernels
 // (LevenshteinRunes, JaroRunes, JaroWinklerRunes, MongeElkanJWRunes): one
 // per goroutine, reused across calls, so a kernel allocates only while a
-// buffer is still growing towards the longest value it has seen. The zero
-// value is ready to use.
+// buffer is still growing towards the longest value it has seen. It also
+// holds the memo of score blocks a scan reuses (memo.go). The zero value
+// is ready to use.
 type Scratch struct {
-	row   []int  // Levenshtein's single DP row
-	marks []bool // Jaro's matched flags, a's then b's
+	row   []int      // Levenshtein's single DP row
+	marks []bool     // Jaro's matched flags, a's then b's
+	masks *runeMasks // Levenshtein's bit-vector path; nil until it first runs
+	memo  *memo      // nil until the first Scan
+
+	scored, reused int // blocks Block missed and hit since TakeBlockCounts
+}
+
+// runeMasks is the bit-vector recurrence's table: bit i of a rune's mask is
+// set where the pattern holds that rune at i. ASCII is indexed directly,
+// other runes sit in a list no longer than the pattern. Empty between calls.
+type runeMasks struct {
+	ascii [128]uint64
+	wide  [bitVectorMax]struct {
+		r    rune
+		mask uint64
+	}
+	nwide int
 }
 
 // rowOf returns the DP row resized to n entries (contents unspecified).
@@ -37,15 +56,33 @@ func (sc *Scratch) growRow(n int) { sc.row = make([]int, n) }
 //go:noinline
 func (sc *Scratch) growMarks(n int) { sc.marks = make([]bool, n) }
 
+//go:noinline
+func (sc *Scratch) newMasks() *runeMasks {
+	sc.masks = new(runeMasks)
+	return sc.masks
+}
+
+// scratchPool lends the string entry points (Levenshtein, Jaro, …) a
+// scratch that has grown already, mask table included.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
 // LevenshteinDistance returns the minimum number of single-rune insertions,
 // deletions, and substitutions needed to transform a into b.
 func LevenshteinDistance(a, b string) int {
-	return levenshteinDistance([]rune(a), []rune(b), new(Scratch))
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return levenshteinDistance([]rune(a), []rune(b), sc)
 }
 
+// The bit-vector recurrence packs a DP column into one word, so it takes
+// patterns up to bitVectorMax runes; under bitVectorMin the DP's few cells
+// cost less than the mask table.
+const bitVectorMin, bitVectorMax = 4, 64
+
 // levenshteinDistance is the one edit-distance kernel. A common prefix and
-// suffix never take part in an optimal edit script, so they are stripped
-// before the single-row DP over what differs.
+// suffix never take part in an optimal edit script, so they are stripped;
+// what differs goes through the bit-vector recurrence when the shorter side
+// fits a word, and through the single-row DP otherwise.
 //
 //emlint:zeroalloc
 func levenshteinDistance(a, b []rune, sc *Scratch) int {
@@ -55,12 +92,23 @@ func levenshteinDistance(a, b []rune, sc *Scratch) int {
 	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
 		a, b = a[:len(a)-1], b[:len(b)-1]
 	}
+	if len(a) > len(b) {
+		a, b = b, a // the distance is symmetric; a is the pattern
+	}
 	if len(a) == 0 {
 		return len(b)
 	}
-	if len(b) == 0 {
-		return len(a)
+	if len(a) >= bitVectorMin && len(a) <= bitVectorMax {
+		return levenshteinBits(a, b, sc)
 	}
+	return levenshteinDP(a, b, sc)
+}
+
+// levenshteinDP is the textbook recurrence over one row: the path for what
+// the bit vector does not take, and the oracle it is tested against.
+//
+//emlint:zeroalloc
+func levenshteinDP(a, b []rune, sc *Scratch) int {
 	row := sc.rowOf(len(b) + 1)
 	for j := range row {
 		row[j] = j
@@ -80,10 +128,76 @@ func levenshteinDistance(a, b []rune, sc *Scratch) int {
 	return row[len(b)]
 }
 
+// levenshteinBits is Myers' bit-vector edit distance in Hyyrö's form: the
+// DP column over pattern p is kept as its vertical deltas — vp where a cell
+// exceeds the one above by one, vn where it is one less — and one text rune
+// advances the whole column in a dozen word operations; dist follows the
+// column's last cell. p has bitVectorMin..bitVectorMax runes.
+//
+//emlint:zeroalloc
+func levenshteinBits(p, t []rune, sc *Scratch) int {
+	m := sc.masks
+	if m == nil {
+		m = sc.newMasks()
+	}
+	for i, r := range p {
+		if r := uint32(r); r < uint32(len(m.ascii)) {
+			m.ascii[r] |= 1 << i
+			continue
+		}
+		j := m.find(r)
+		if j == m.nwide {
+			m.wide[j].r, m.wide[j].mask = r, 0
+			m.nwide++
+		}
+		m.wide[j].mask |= 1 << i
+	}
+	vp, vn := ^uint64(0), uint64(0)
+	dist, last := len(p), uint64(1)<<(len(p)-1)
+	for _, r := range t {
+		var eq uint64
+		if r := uint32(r); r < uint32(len(m.ascii)) {
+			eq = m.ascii[r]
+		} else if j := m.find(rune(r)); j < m.nwide {
+			eq = m.wide[j].mask
+		}
+		d0 := (((eq & vp) + vp) ^ vp) | eq | vn // where the diagonal delta is zero
+		hp := vn | ^(d0 | vp)                   // horizontal delta +1
+		hn := d0 & vp                           // horizontal delta -1
+		if hp&last != 0 {
+			dist++
+		} else if hn&last != 0 {
+			dist--
+		}
+		hp = hp<<1 | 1 // the DP's first row grows by one per text rune
+		vp = hn<<1 | ^(d0 | hp)
+		vn = hp & d0
+	}
+	for _, r := range p {
+		if r := uint32(r); r < uint32(len(m.ascii)) {
+			m.ascii[r] = 0
+		}
+	}
+	m.nwide = 0
+	return dist
+}
+
+// find returns where r sits among the pattern's non-ASCII runes, m.nwide
+// when it does not.
+func (m *runeMasks) find(r rune) int {
+	j := 0
+	for j < m.nwide && m.wide[j].r != r {
+		j++
+	}
+	return j
+}
+
 // Levenshtein returns a normalized similarity: 1 - dist/max(len). Two empty
 // strings are perfectly similar.
 func Levenshtein(a, b string) float64 {
-	return LevenshteinRunes([]rune(a), []rune(b), new(Scratch))
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return LevenshteinRunes([]rune(a), []rune(b), sc)
 }
 
 // LevenshteinRunes is Levenshtein over decoded values ([]rune(s)

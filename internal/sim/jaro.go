@@ -6,7 +6,9 @@ import "slices"
 // match when equal and within half the longer length of each other;
 // transpositions are matched characters in different relative order.
 func Jaro(a, b string) float64 {
-	return JaroRunes([]rune(a), []rune(b), new(Scratch))
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return JaroRunes([]rune(a), []rune(b), sc)
 }
 
 // JaroRunes is Jaro over decoded values and caller-owned scratch: the
@@ -68,7 +70,9 @@ func JaroRunes(ra, rb []rune, sc *Scratch) float64 {
 // JaroWinkler returns the Jaro-Winkler similarity with the standard prefix
 // scale 0.1 and a maximum considered prefix of 4 runes.
 func JaroWinkler(a, b string) float64 {
-	return JaroWinklerRunes([]rune(a), []rune(b), new(Scratch))
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return JaroWinklerRunes([]rune(a), []rune(b), sc)
 }
 
 // JaroWinklerRunes is JaroWinkler over decoded values and caller-owned
@@ -76,10 +80,18 @@ func JaroWinkler(a, b string) float64 {
 //
 //emlint:zeroalloc
 func JaroWinklerRunes(ra, rb []rune, sc *Scratch) float64 {
-	j := JaroRunes(ra, rb, sc)
+	return WinklerOf(JaroRunes(ra, rb, sc), ra, rb)
+}
+
+// WinklerOf lifts jaro, the Jaro similarity of ra and rb, to their
+// Jaro-Winkler similarity: the prefix bonus on its own, for a caller that
+// has the Jaro score already.
+//
+//emlint:zeroalloc
+func WinklerOf(jaro float64, ra, rb []rune) float64 {
 	l := 0
 	for l < len(ra) && l < len(rb) && l < 4 && ra[l] == rb[l] {
 		l++
 	}
-	return j + float64(l)*0.1*(1-j)
+	return jaro + float64(l)*0.1*(1-jaro)
 }

@@ -260,17 +260,26 @@ func TestMongeElkanTokensAreABag(t *testing.T) {
 }
 
 // TestRuneKernelsZeroAlloc: with scratch that has seen the longest value,
-// no kernel allocates.
+// no kernel allocates — either edit-distance path, on ASCII or not — and
+// once the scratch has its memo, neither does changing scan, a miss with
+// its insert, or a hit.
 func TestRuneKernelsZeroAlloc(t *testing.T) {
 	a, b := []rune("mississippi department of revenue"), []rune("missisippi dept of revenue")
+	wa, wb := []rune("martha würth"), []rune("marhta wurth")
 	ta, tb := runeTokens(strings.Fields(string(a))), runeTokens(strings.Fields(string(b)))
 	sc := new(Scratch)
 	var sink float64
+	scan := uint64(0)
 	run := func() {
 		sink += LevenshteinRunes(a, b, sc) + float64(levenshteinDistance(a, b, sc))
-		sink += JaroRunes(a, b, sc) + JaroWinklerRunes(a, b, sc)
+		sink += float64(levenshteinBits(wa, wb, sc) + levenshteinDP(wa, wb, sc))
+		sink += JaroRunes(a, b, sc) + JaroWinklerRunes(a, b, sc) + WinklerOf(0.5, a, b)
 		sink += MongeElkanJWRunes(ta, tb, sc)
 		sink += SoundexCodeSim(SoundexRunes(a), SoundexRunes(b))
+		scan++
+		sc.Scan(scan)
+		sc.Block(1, 7, "madison", 4)
+		sc.Block(1, 7, "madison", 4)
 	}
 	run()
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {

@@ -7,6 +7,14 @@
 //
 // All similarity functions return values in [0, 1] where 1 means identical,
 // so they can be used interchangeably as EM features.
+//
+// The character-level measures are each written once, as a kernel over
+// decoded values (…Runes) and a caller-owned Scratch; the string functions
+// decode and call them with a pooled one. A Scratch is one goroutine's
+// working memory: Levenshtein's DP row and the rune→mask table of its
+// bit-vector path, Jaro's match flags, and — for callers that score one
+// record against many (package feature) — a fixed-size memo of the score
+// blocks a scan has computed already (memo.go).
 package sim
 
 // ExactMatch returns 1 if the strings are byte-identical, else 0.
