@@ -31,8 +31,8 @@ lint:
 	$(GO) run ./cmd/emlint ./internal/... ./cmd/...
 
 # Short fuzz smoke over the text-format parsers, the matcher loader, the
-# pair-scoring kernels and the two /v1 request bodies that reach the most
-# code (a job, a corpus write). Override FUZZTIME for a longer soak, e.g.
+# pair-scoring kernels, interleaved corpus writes and the two /v1 request
+# bodies that reach the most code (a job, a corpus write). Override FUZZTIME for a longer soak, e.g.
 # `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME) ./internal/rules
@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/table
 	$(GO) test -run=^$$ -fuzz=FuzzImport -fuzztime=$(FUZZTIME) ./internal/ml
 	$(GO) test -run=^$$ -fuzz=FuzzColumnMatchesFn -fuzztime=$(FUZZTIME) ./internal/feature
+	$(GO) test -run=^$$ -fuzz=FuzzCorpusOps -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzJobsBody -fuzztime=$(FUZZTIME) ./internal/cloud
 	$(GO) test -run=^$$ -fuzz=FuzzCorpusAddBody -fuzztime=$(FUZZTIME) ./internal/cloud
 

@@ -1,7 +1,9 @@
 // Package bitvec provides a roaring-style compressed bitset over dense
 // uint32 IDs (Set) and, built on it, the one postings-list representation
-// (Postings, postings.go) that both the set-similarity joins (package
-// simjoin) and the serving core (package serve) index their tokens with.
+// (Postings, postings.go; BuildPostings), and the one per-probe overlap
+// counter (Counter, counter.go) — what the set-similarity joins (package
+// simjoin), the serving core (package serve) and table.WholeTupleIndex
+// index tokens and count overlaps with.
 //
 // A Set partitions the 32-bit ID space into 64Ki-ID blocks keyed by the
 // high 16 bits. Each populated block holds one container, chosen by

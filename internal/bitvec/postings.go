@@ -24,13 +24,32 @@ type Postings struct {
 	tail []uint32
 }
 
-// PostingsFromSorted builds a list from ascending, duplicate-free ids. It
+// postingsFromSorted builds a list from ascending, duplicate-free ids. It
 // takes ownership of ids: the caller must not modify the slice afterwards.
-func PostingsFromSorted(ids []uint32) *Postings {
+func postingsFromSorted(ids []uint32) *Postings {
 	if len(ids) < postingsFlipMin {
 		return &Postings{tail: ids}
 	}
 	return &Postings{bits: FromSorted(ids)}
+}
+
+// BuildPostings is the one postings builder: list t holds, ascending,
+// every index i whose set holds t. Each set must be duplicate-free with
+// members below nids; an ID no set holds gets a nil (empty) list.
+func BuildPostings(sets [][]uint32, nids int) []*Postings {
+	lists := make([][]uint32, nids)
+	for i, set := range sets {
+		for _, t := range set {
+			lists[t] = append(lists[t], uint32(i))
+		}
+	}
+	posts := make([]*Postings, nids)
+	for t, list := range lists {
+		if list != nil {
+			posts[t] = postingsFromSorted(list)
+		}
+	}
+	return posts
 }
 
 // Len returns the number of members.

@@ -65,7 +65,7 @@ func TestQuickWithMatchesFromSorted(t *testing.T) {
 		}
 		forms := map[string]*Postings{
 			"grown":  grown,
-			"built":  PostingsFromSorted(slices.Clone(ids)),
+			"built":  postingsFromSorted(slices.Clone(ids)),
 			"array":  {tail: ids},
 			"bitmap": {bits: FromSorted(ids)},
 		}

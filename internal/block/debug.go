@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitvec"
 	"repro/internal/sim"
 	"repro/internal/table"
 )
@@ -18,10 +19,10 @@ type MissedPair struct {
 
 // DebugBlocker searches for probable matches missing from the candidate
 // set — the "blocking debugger" pain-point tool of Table 3. It takes each
-// tuple's whole-tuple token set (table.WholeTupleTokens), finds the topK
-// most similar cross pairs via an inverted token index, and returns those
-// not already in cand. A blocker whose debugger output contains plausible
-// matches is too aggressive.
+// tuple's whole-tuple token set, finds the topK most similar cross pairs
+// through the inverted index over them (table.WholeTupleIndex), and
+// returns those not already in cand. A blocker whose debugger output
+// contains plausible matches is too aggressive.
 func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair, error) {
 	meta, ok := cat.PairMeta(cand)
 	if !ok {
@@ -37,41 +38,28 @@ func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair
 		inCand[[2]string{cand.Get(i, meta.LID).AsString(), cand.Get(i, meta.RID).AsString()}] = true
 	}
 
-	ltoks := table.WholeTupleTokens(lt)
-	rtoks := table.WholeTupleTokens(rt)
-
-	// Inverted index over the right table, skipping stop-word-like tokens.
-	inv := make(map[string][]int)
-	for j, toks := range rtoks {
-		for _, t := range toks {
-			inv[t] = append(inv[t], j)
-		}
-	}
-	maxPosting := rt.Len()/10 + 50
-
+	// Probe an index over the right table's whole tuples with each left
+	// one; a pair must share two tokens unless the left tuple has at most
+	// two.
+	idx := table.NewWholeTupleIndex(rt)
+	var shared bitvec.Counter
+	var js []uint32
 	lids, rids := keyStrings(lt), keyStrings(rt)
 	//emlint:allow hotalloc -- how many pairs share two tokens outside cand is data-dependent; the only bound to preallocate from is |L|×|R|
 	var missed []MissedPair
-	for i, lid := range lids {
-		counts := make(map[int]int)
-		for _, t := range ltoks[i] {
-			post := inv[t]
-			if len(post) > maxPosting {
-				continue
-			}
-			for _, j := range post {
-				counts[j]++
-			}
+	for i, set := range idx.Sets(lt) {
+		idx.Probe(set, &shared)
+		need := int32(1)
+		if len(set) > 2 {
+			need = 2
 		}
-		for j, c := range counts {
-			if c < 2 && len(ltoks[i]) > 2 {
-				continue // too little overlap to bother verifying
-			}
-			if inCand[[2]string{lid, rids[j]}] {
+		js = shared.AtLeast(need, js[:0])
+		for _, j := range js {
+			if inCand[[2]string{lids[i], rids[j]}] {
 				continue
 			}
-			s := sim.Jaccard(ltoks[i], rtoks[j])
-			missed = append(missed, MissedPair{LID: lid, RID: rids[j], Sim: s})
+			s := sim.JaccardU32(set, idx.Row(int(j)))
+			missed = append(missed, MissedPair{LID: lids[i], RID: rids[j], Sim: s})
 		}
 	}
 	sort.Slice(missed, func(a, b int) bool {

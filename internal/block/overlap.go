@@ -28,21 +28,14 @@ type OverlapBlocker struct {
 
 // Name implements Blocker.
 func (b OverlapBlocker) Name() string {
-	return fmt.Sprintf("overlap(%s,k=%d)", b.Attr, b.minOverlap())
-}
-
-func (b OverlapBlocker) minOverlap() int {
-	if b.MinOverlap < 1 {
-		return 1
-	}
-	return b.MinOverlap
+	return fmt.Sprintf("overlap(%s,k=%d)", b.Attr, max(b.MinOverlap, 1))
 }
 
 // Block implements Blocker.
 func (b OverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
 	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr, b.Tokenizer),
 		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
-			return simjoin.OverlapJoin(l, r, b.minOverlap(), opts...)
+			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
 		})
 }
 

@@ -265,19 +265,15 @@ func (c *Corpus) compactLocked() {
 	}
 	c.slots = live
 	c.byID = make(map[string]uint32, len(live))
-	lists := make([][]uint32, c.dict.Len())
-	for i := range c.slots {
-		si := uint32(i)
-		c.byID[c.slots[i].rec.ID] = si
-		for _, t := range c.slots[i].toks {
-			lists[t] = append(lists[t], si)
-		}
+	sets := make([][]uint32, len(live))
+	for i := range live {
+		c.byID[live[i].rec.ID] = uint32(i)
+		sets[i] = live[i].toks
 	}
-	c.posts = make([]atomic.Pointer[bitvec.Postings], len(lists))
-	for t, list := range lists {
-		if list != nil {
-			c.posts[t].Store(bitvec.PostingsFromSorted(list))
-		}
+	posts := bitvec.BuildPostings(sets, c.dict.Len())
+	c.posts = make([]atomic.Pointer[bitvec.Postings], len(posts))
+	for t, p := range posts {
+		c.posts[t].Store(p)
 	}
 	c.tombs = nil
 	c.dead = 0

@@ -1,0 +1,116 @@
+package serve
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/block"
+	"repro/internal/datagen"
+	"repro/internal/feature"
+	"repro/internal/ml"
+	"repro/internal/table"
+	"repro/internal/tokenize"
+)
+
+// TestBatchServeDifferential is the batch ↔ serve oracle (ROADMAP item
+// 7a). On three datagen tasks and for whole-tuple overlap k = 1, 2, 3, a
+// corpus holding B surfaces, over A's records, exactly the pairs
+// block.WholeTupleOverlapBlocker emits — the two candidate paths, one
+// through simjoin's prefix filter and one through the corpus's postings —
+// and MatchOne scores every pair exactly as the forest scores that pair's
+// feature.Vectors row, bit for bit.
+func TestBatchServeDifferential(t *testing.T) {
+	ctx := context.Background()
+	for _, dom := range []datagen.Domain{datagen.PersonDomain(), datagen.ProductDomain(), datagen.RestaurantDomain()} {
+		task, err := datagen.Generate(datagen.Spec{
+			Name: dom.Name, Domain: dom, SizeA: 120, SizeB: 200, Typo: 0.3, Missing: 0.1, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := feature.AutoGenerate(task.A, task.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := tableRecords(task.A)
+		var rf *ml.RandomForest
+		for k := 1; k <= 3; k++ {
+			cat := table.NewCatalog()
+			cands, err := block.WholeTupleOverlapBlocker{MinOverlap: k}.Block(task.A, task.B, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := feature.Vectors(fs, cands, cat, feature.ExtractOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rf == nil { // fitted once per task, on the widest candidate set
+				rf = fitOnGold(t, fs, cands, rows, task)
+			}
+			want := make(map[[2]string]float64, len(rows))
+			for i, row := range rows {
+				want[[2]string{cands.Get(i, "ltable_id").AsString(), cands.Get(i, "rtable_id").AsString()}] = rf.PredictProba(row)
+			}
+
+			c := NewCorpus(WithTokenizer(tokenize.Alphanumeric{ReturnSet: true}), WithMinOverlap(k))
+			if err := c.AddBatch(tableRecords(task.B), false); err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for _, q := range qs {
+				for _, id := range c.CandidateIDs(q) {
+					if _, ok := want[[2]string{q.ID, id}]; !ok {
+						t.Fatalf("%s k=%d: the corpus surfaces (%s, %s), the blocker does not", dom.Name, k, q.ID, id)
+					}
+					got++
+				}
+			}
+			if got != len(want) {
+				t.Fatalf("%s k=%d: the corpus surfaces %d pairs, the blocker %d", dom.Name, k, got, len(want))
+			}
+
+			if err := c.SetMatcher(fs, rf); err != nil {
+				t.Fatal(err)
+			}
+			scored, levels := 0, make(map[float64]bool)
+			for _, q := range qs {
+				pairs, err := c.MatchOne(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range pairs {
+					if w := want[[2]string{q.ID, p.ID}]; p.Score != w {
+						t.Fatalf("%s k=%d: (%s, %s) scores %v in MatchOne, %v over its Vectors row", dom.Name, k, q.ID, p.ID, p.Score, w)
+					}
+					levels[p.Score] = true
+				}
+				scored += len(pairs)
+			}
+			if scored != len(want) || len(levels) < 3 {
+				t.Fatalf("%s k=%d: MatchOne scored %d pairs at %d levels, the blocker emits %d", dom.Name, k, scored, len(levels), len(want))
+			}
+			t.Logf("%s k=%d: %d pairs agree, %d score levels", dom.Name, k, len(want), len(levels))
+		}
+	}
+}
+
+// fitOnGold fits a 10-tree forest on the candidate rows, labelled by the
+// task's gold matches.
+func fitOnGold(t *testing.T, fs *feature.Set, cands *table.Table, rows [][]float64, task *datagen.Task) *ml.RandomForest {
+	t.Helper()
+	y := make([]int, len(rows))
+	for i := range rows {
+		if task.Gold.IsMatch(cands.Get(i, "ltable_id").AsString(), cands.Get(i, "rtable_id").AsString()) {
+			y[i] = 1
+		}
+	}
+	ds, err := ml.NewDataset(rows, y, fs.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf := &ml.RandomForest{NumTrees: 10, Seed: 1, Workers: 1}
+	if err := rf.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	return rf
+}

@@ -1,20 +1,21 @@
 // Package serve is the incremental serving core: a long-lived Corpus that
 // keeps the interned dictionary, sorted integer postings (bitvec.Postings,
-// the same lists the batch joins index with), and each record prepared
-// for the resident feature set (feature.Prepared) resident and
-// incrementally maintained under Add/Update/Delete — instead of re-interning, re-blocking, and
-// re-featurizing the whole corpus per request the way the batch pipeline
-// does. All read-path state lives in an immutable snapshot published
-// through an atomic pointer (DESIGN.md §9): MatchOne, CandidateIDs,
-// Stats, and Len load the snapshot once and take no locks, while writers
-// serialize on a writer-only mutex, apply copy-on-write deltas, and
-// publish a fresh snapshot as their last act. Deletions tombstone their
-// slot in a copy-on-write bitmap; a periodic compaction pass rewrites the
-// slot space — as a fresh generation, invisible to in-flight readers —
-// once enough tombstones accumulate. Rebuilt() is the equivalence oracle:
-// a from-scratch batch build of the live records, which must yield
-// bit-identical candidates for every query (pinned by the testing/quick
-// interleaving tests).
+// the lists the batch joins index, counted per query by their
+// bitvec.Counter) and each record prepared for the resident feature set
+// (feature.Prepared) resident and maintained under Add/Update/Delete —
+// instead of re-interning, re-blocking, and re-featurizing the whole
+// corpus per request the way the batch pipeline does. All read-path state
+// lives in an immutable snapshot published through an atomic pointer
+// (DESIGN.md §9): MatchOne, CandidateIDs, Stats, and Len load the snapshot
+// once and take no locks, while writers serialize on a writer-only mutex,
+// apply copy-on-write deltas, and publish a fresh snapshot as their last
+// act. Deletions tombstone their slot in a copy-on-write bitmap; a
+// periodic compaction pass rewrites the slot space — as a fresh
+// generation, invisible to in-flight readers — once enough tombstones
+// accumulate. Rebuilt() is the equivalence oracle: a from-scratch batch
+// build of the live records, which must yield bit-identical candidates
+// for every query (pinned by the testing/quick interleaving tests and
+// FuzzCorpusOps).
 //
 // MatchOne is the low-latency query path (candidate generation → the
 // query's side prepared once → per candidate, the feature row over the two

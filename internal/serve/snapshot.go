@@ -104,73 +104,35 @@ func (t *tombSet) withDead(si uint32) *tombSet {
 
 // matchScratch is the per-query working state of the read path, recycled
 // through matchPool so steady-state queries allocate only their result
-// slice. counts is a dense per-slot overlap counter; touched remembers
-// which entries to zero afterwards, so the pool hands back clean counters
-// without an O(slots) wipe per query.
+// slice. count is the per-slot overlap counter; it ends every query
+// clean, so the pool hands it on without an O(slots) wipe.
 type matchScratch struct {
-	counts  []int32
-	touched []uint32
-	cands   []uint32
-	qids    []uint32
-	sim     sim.Scratch // the pair kernels' working memory
-	row     []float64   // one feature row
+	count bitvec.Counter
+	cands []uint32
+	qids  []uint32
+	sim   sim.Scratch // the pair kernels' working memory
+	row   []float64   // one feature row
 }
 
 var matchPool = sync.Pool{New: func() any { return &matchScratch{} }}
 
-// prepare sizes the overlap counters for n slots and resets the per-query
-// append targets. Growth lives here, outside the annotated kernel.
-func (sc *matchScratch) prepare(n int) {
-	if cap(sc.counts) < n {
-		sc.counts = make([]int32, n)
-	}
-	sc.counts = sc.counts[:n]
-	sc.touched = sc.touched[:0]
-	sc.cands = sc.cands[:0]
-}
-
-// bump counts one posting hit, remembering first touches for cleanup.
-//
-//emlint:zeroalloc
-//emlint:hotpath
-func (sc *matchScratch) bump(si uint32) {
-	if sc.counts[si] == 0 {
-		sc.touched = append(sc.touched, si)
-	}
-	sc.counts[si]++
-}
-
 // candidateSlots returns the live slots sharing at least minOverlap
-// distinct blocking tokens with the query token set, ascending — the
-// lock-free rewrite of the old map-and-sort kernel. qtoks must come from
-// sn.view (every ID resolvable and < len(sn.posts)); enumeration is
-// bounded by the snapshot's slot horizon so concurrent writer appends are
-// invisible. Steady state allocates nothing: counts are dense per-slot
-// counters recycled through the pool, wiped via the touched list instead
-// of an O(slots) clear.
+// distinct blocking tokens with the query token set, ascending. qtoks must
+// come from sn.view (every ID resolvable); enumeration is bounded by the
+// snapshot's slot horizon so concurrent writer appends are invisible.
+// Steady state allocates nothing: the counter and the candidate list are
+// recycled through the pool.
 //
 //emlint:zeroalloc
 func (sn *snapshot) candidateSlots(qtoks []uint32, minOverlap int, sc *matchScratch) []uint32 {
 	hi := uint32(len(sn.slots))
-	sc.prepare(len(sn.slots))
+	sc.count.Reset(len(sn.slots))
 	for _, t := range qtoks {
-		if int(t) >= len(sn.posts) {
-			continue // interned for features only; no postings entry
+		if int(t) < len(sn.posts) { // else interned for features only
+			sc.count.AddPostings(sn.posts[t].Load(), 0, hi)
 		}
-		// Bounded by hi: slots appended after this snapshot was published
-		// stay invisible.
-		sn.posts[t].Load().ForEachIn(0, hi, func(si uint32) bool {
-			sc.bump(si)
-			return true
-		})
 	}
-	cands := sc.cands
-	for _, si := range sc.touched {
-		if sc.counts[si] >= int32(minOverlap) && !sn.tombs.dead(si) {
-			cands = append(cands, si)
-		}
-		sc.counts[si] = 0
-	}
+	cands := slices.DeleteFunc(sc.count.AtLeast(int32(minOverlap), sc.cands[:0]), sn.tombs.dead)
 	slices.Sort(cands)
 	sc.cands = cands
 	return cands

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/datagen"
 )
 
 // TestReadsProceedWhileWriterStalled is the acceptance check that the read
@@ -92,9 +95,6 @@ func TestSnapshotKernelsZeroAlloc(t *testing.T) {
 		if sn.tombs.dead(cands[0]) {
 			t.Error("candidate is tombstoned")
 		}
-		sc.prepare(len(sn.slots))
-		sc.bump(cands[0])
-		sc.counts[cands[0]] = 0
 	}); allocs != 0 {
 		t.Fatalf("candidate kernel allocs = %v, want 0", allocs)
 	}
@@ -104,4 +104,33 @@ func TestSnapshotKernelsZeroAlloc(t *testing.T) {
 			t.Fatal("tombstoned record surfaced as candidate")
 		}
 	}
+}
+
+// BenchmarkCandidateSlots is the candidate kernel alone: 12 000 person
+// records under WithMinOverlap(3), as serve_mixed runs it, a different
+// query each iteration.
+func BenchmarkCandidateSlots(b *testing.B) {
+	task, err := datagen.Generate(datagen.Spec{
+		Name: "serve", Domain: datagen.PersonDomain(),
+		SizeA: 12000, SizeB: 400, MatchFraction: 0.85, Typo: 0.2, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewCorpus(WithMinOverlap(3))
+	if err := c.AddBatch(tableRecords(task.A), false); err != nil {
+		b.Fatal(err)
+	}
+	sn, sc := c.snap.Load(), &matchScratch{}
+	var queries [][]uint32
+	for _, q := range tableRecords(task.B) {
+		queries = append(queries, slices.Clone(sn.queryTokens(blockTokens(c.cfg.tok, q.Attrs), sc)))
+	}
+	cands := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands += len(sn.candidateSlots(queries[i%len(queries)], 3, sc))
+	}
+	b.ReportMetric(float64(cands)/float64(b.N), "candidates/op")
 }

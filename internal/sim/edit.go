@@ -216,8 +216,8 @@ func LevenshteinRunes(a, b []rune, sc *Scratch) float64 {
 // the function is total.
 func HammingDistance(a, b string) int {
 	ra, rb := []rune(a), []rune(b)
-	n := min2(len(ra), len(rb))
-	d := max2(len(ra), len(rb)) - n
+	n := min(len(ra), len(rb))
+	d := max(len(ra), len(rb)) - n
 	for i := 0; i < n; i++ {
 		if ra[i] != rb[i] {
 			d++
@@ -232,7 +232,7 @@ func Hamming(a, b string) float64 {
 	if la == 0 && lb == 0 {
 		return 1
 	}
-	return 1 - float64(HammingDistance(a, b))/float64(max2(la, lb))
+	return 1 - float64(HammingDistance(a, b))/float64(max(la, lb))
 }
 
 // NeedlemanWunschScore computes the global-alignment score with match
@@ -274,7 +274,7 @@ func NeedlemanWunsch(a, b string) float64 {
 	if la == 0 && lb == 0 {
 		return 1
 	}
-	maxScore := float64(max2(la, lb))
+	maxScore := float64(max(la, lb))
 	score := NeedlemanWunschScore(a, b, 1, -1, -0.5)
 	if score < 0 {
 		score = 0
@@ -328,7 +328,7 @@ func SmithWaterman(a, b string) float64 {
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	return SmithWatermanScore(a, b, 1, -1, -0.5) / float64(min2(la, lb))
+	return SmithWatermanScore(a, b, 1, -1, -0.5) / float64(min(la, lb))
 }
 
 // AffineGapScore computes a global alignment score with affine gaps:
@@ -389,5 +389,5 @@ func AffineGap(a, b string) float64 {
 	if score < 0 {
 		score = 0
 	}
-	return score / float64(max2(la, lb))
+	return score / float64(max(la, lb))
 }

@@ -76,7 +76,7 @@ func GeneralizedJaccard(a, b []string, inner func(x, y string) float64, threshol
 	usedB := make([]bool, len(b))
 	var total float64
 	matched := 0
-	for matched < min2(len(a), len(b)) {
+	for matched < min(len(a), len(b)) {
 		best := -1
 		for k, p := range pairs {
 			if usedA[p.i] || usedB[p.j] {

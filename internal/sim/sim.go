@@ -25,20 +25,8 @@ func ExactMatch(a, b string) float64 {
 	return 0
 }
 
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
+// maxf is not the builtin max: that one orders -0 below +0, and the
+// affine-gap DP produces -0.
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a

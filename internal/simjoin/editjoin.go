@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitvec"
+	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sim"
@@ -39,34 +41,27 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 	const q = 2
 	tok := tokenize.QGram{Q: q}
 
-	// Index right strings by q-gram; bucket by length for the length filter.
-	type entry struct {
-		id       string
-		s        string
-		distinct int // number of distinct q-grams
-	}
-	entries := make([]entry, len(r))
-	index := make(map[string][]int)
-	var short []int // right records too short for q-grams
-	for j, rec := range r {
-		entries[j] = entry{id: rec.ID, s: rec.Str}
-		if len([]rune(rec.Str)) < q {
-			short = append(short, j)
-			continue
-		}
-		grams := tok.Tokenize(rec.Str)
-		seen := make(map[string]bool, len(grams))
-		for _, g := range grams {
-			if !seen[g] {
-				seen[g] = true
-				index[g] = append(index[g], j)
+	// Intern both sides' distinct q-grams through one dictionary, serially
+	// (the probes only read the sets), and index the right side by q-gram.
+	dict := intern.NewDict()
+	gramSets := func(recs []StringRecord) [][]uint32 {
+		out := make([][]uint32, len(recs))
+		for i, rec := range recs {
+			if len([]rune(rec.Str)) >= q {
+				out[i] = dict.SortedSet(tok.Tokenize(rec.Str))
 			}
 		}
-		entries[j].distinct = len(seen)
-		// A record with at most k*q distinct grams can be within distance
-		// k of a string it shares no grams with; the index would never
-		// surface it, so it must always be checked directly.
-		if entries[j].distinct <= maxDist*q {
+		return out
+	}
+	lsets, rsets := gramSets(l), gramSets(r)
+	posts := bitvec.BuildPostings(rsets, dict.Len())
+	// A record with at most k*q distinct grams — none, when it is shorter
+	// than one gram — can be within distance k of a string it shares no
+	// grams with; the index would never surface it, so it must always be
+	// checked directly.
+	var short []int
+	for j, set := range rsets {
+		if len(set) <= maxDist*q {
 			short = append(short, j)
 		}
 	}
@@ -81,56 +76,41 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 	shards, err := parallel.MapChunks(cfg.workers, len(l), func(clo, chi int) (distShard, error) {
 		var out []DistPair
 		nc := 0
-		counts := make(map[int]int)
+		var shared bitvec.Counter // per right record, the q-grams it shares with the probe
 		for i := clo; i < chi; i++ {
-			rec := l[i]
+			rec, grams := l[i], lsets[i]
 			la := len([]rune(rec.Str))
-			for k := range counts {
-				delete(counts, k)
-			}
-			grams := tok.Tokenize(rec.Str)
-			gramSet := make(map[string]bool, len(grams))
-			for _, g := range grams {
-				if !gramSet[g] {
-					gramSet[g] = true
-					for _, j := range index[g] {
-						counts[j]++
-					}
-				}
-			}
 			check := func(j int) {
-				e := entries[j]
-				lb := len([]rune(e.s))
-				if abs(la-lb) > maxDist {
+				if d := la - len([]rune(r[j].Str)); d > maxDist || -d > maxDist {
 					return
 				}
 				nc++
-				if d := sim.LevenshteinDistance(rec.Str, e.s); d <= maxDist {
-					out = append(out, DistPair{LID: rec.ID, RID: e.id, Dist: d})
+				if d := sim.LevenshteinDistance(rec.Str, r[j].Str); d <= maxDist {
+					out = append(out, DistPair{LID: rec.ID, RID: r[j].ID, Dist: d})
 				}
 			}
-			if la < q || len(gramSet) <= maxDist*q {
+			if len(grams) <= maxDist*q {
 				// Too short to filter by grams, or so few distinct
 				// grams that a within-distance partner may share none:
 				// verify everything in the length window.
-				for j := range entries {
+				for j := range r {
 					check(j)
 				}
 				continue
 			}
-			for j, c := range counts {
-				if entries[j].distinct <= maxDist*q {
-					continue // handled by the bypass scan below
-				}
-				// If ed(a,b) <= k, each edit can remove at most q
-				// distinct gram types from either side, so the sides
-				// share at least max(|D(a)|,|D(b)|) - k*q types.
-				need := max(len(gramSet), entries[j].distinct) - maxDist*q
-				if need < 1 {
-					need = 1
-				}
-				if c >= need {
-					check(j)
+			shared.Reset(len(r))
+			for _, g := range grams {
+				shared.AddPostings(posts[g], 0, uint32(len(r)))
+			}
+			touched, counts := shared.Counts()
+			for _, j := range touched {
+				// If ed(a,b) <= k, each edit can remove at most q distinct
+				// gram types from either side, so the sides share at least
+				// max(|D(a)|,|D(b)|) - k*q types — at least 1 here, as
+				// the bypassed records below are the ones with fewer.
+				n := len(rsets[j])
+				if n > maxDist*q && int(counts[j]) >= max(len(grams), n)-maxDist*q {
+					check(int(j))
 				}
 			}
 			// Right strings the index cannot surface reliably (too
@@ -159,18 +139,4 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 		return all[a].RID < all[b].RID
 	})
 	return all, nil
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -49,24 +49,3 @@ func TestInternedJoinsMatchReference(t *testing.T) {
 		}
 	}
 }
-
-// TestEpochScratchWraparound: the epoch stamp survives uint32 wraparound
-// without reporting stale marks.
-func TestEpochScratchWraparound(t *testing.T) {
-	e := newEpochScratch(3)
-	e.epoch = ^uint32(0) - 1 // two probes away from wrapping
-	e.next()
-	if e.mark(1) {
-		t.Fatal("fresh probe reported stale mark")
-	}
-	e.next() // wraps: stamps reset, epoch restarts at 1
-	if e.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", e.epoch)
-	}
-	if e.mark(1) {
-		t.Fatal("mark from before the wrap leaked through")
-	}
-	if !e.mark(1) {
-		t.Fatal("second mark in same probe not reported")
-	}
-}

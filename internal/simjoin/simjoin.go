@@ -15,10 +15,12 @@
 // zero-allocation merge that abandons the pair as soon as the remaining
 // suffix cannot reach the required overlap.
 //
-// Each join interns its inputs into a per-call dictionary; there is one
-// entry point per measure (JaccardJoin, CosineJoin, DiceJoin, OverlapJoin,
-// EditDistanceJoin). The retained map-based string implementation lives in
-// reference_test.go as the equivalence oracle.
+// Each join interns its inputs into a per-call dictionary, indexes them
+// with bitvec.BuildPostings and counts what a probe reaches with
+// bitvec.Counter — the postings and the counter serve's candidates use;
+// there is one entry point per measure (JaccardJoin, CosineJoin, DiceJoin,
+// OverlapJoin, EditDistanceJoin). The retained map-based string
+// implementation lives in reference_test.go as the equivalence oracle.
 package simjoin
 
 import (
@@ -89,8 +91,8 @@ func applyJoinOptions(opts []JoinOption) config {
 }
 
 // probeMinWork is the smallest probe scan worth fanning out: each chunk
-// allocates an epoch-stamp array over the whole right side, so tiny scans
-// lose to serial execution.
+// allocates a counter over the whole right side, so tiny scans lose to
+// serial execution.
 const probeMinWork = 128
 
 // joinShard is one worker's contiguous share of a join probe scan: the
@@ -306,20 +308,13 @@ func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex 
 	idx := &joinIndex{pr: pr}
 	sort.SliceStable(idx.pr, func(a, b int) bool { return len(idx.pr[a].toks) < len(idx.pr[b].toks) })
 	idx.sizes = make([]int, len(idx.pr))
-	lists := make([][]uint32, nids)
+	prefixes := make([][]uint32, len(idx.pr))
 	for j, rec := range idx.pr {
 		n := len(rec.toks)
 		idx.sizes[j] = n
-		for _, t := range rec.toks[:prefixLen(m, threshold, n)] {
-			lists[t] = append(lists[t], uint32(j))
-		}
+		prefixes[j] = rec.toks[:prefixLen(m, threshold, n)]
 	}
-	idx.posts = make([]*bitvec.Postings, nids)
-	for t, list := range lists {
-		if list != nil {
-			idx.posts[t] = bitvec.PostingsFromSorted(list)
-		}
-	}
+	idx.posts = bitvec.BuildPostings(prefixes, nids)
 	return idx
 }
 
@@ -329,44 +324,6 @@ func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex 
 //emlint:zeroalloc
 func (idx *joinIndex) sizeWindow(lo, hi int) (jlo, jhi int) {
 	return sort.SearchInts(idx.sizes, lo), sort.SearchInts(idx.sizes, hi+1)
-}
-
-// epochScratch is the probe-local candidate-dedup structure: stamp[j] ==
-// epoch marks right record j as already considered for the current probe.
-// Bumping the epoch clears the whole array in O(1), replacing the
-// per-probe map the join used to allocate and clear.
-type epochScratch struct {
-	stamp []uint32
-	epoch uint32
-}
-
-func newEpochScratch(n int) *epochScratch {
-	return &epochScratch{stamp: make([]uint32, n)}
-}
-
-// next starts a new probe, handling uint32 wraparound.
-//
-//emlint:zeroalloc
-func (e *epochScratch) next() {
-	e.epoch++
-	if e.epoch == 0 {
-		for k := range e.stamp {
-			e.stamp[k] = 0
-		}
-		e.epoch = 1
-	}
-}
-
-// mark reports whether j was already seen this probe, marking it if not.
-//
-//emlint:zeroalloc
-//emlint:hotpath
-func (e *epochScratch) mark(j uint32) bool {
-	if e.stamp[j] == e.epoch {
-		return true
-	}
-	e.stamp[j] = e.epoch
-	return false
 }
 
 // setJoin is the one prefix-filter join driver. For measureOverlap the
@@ -396,8 +353,8 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 		// allocated once per shard (per worker), not once per probe.
 		out := make([]Pair, 0, chi-clo)
 		nc := 0
-		seen := newEpochScratch(len(idx.pr))
 		var (
+			seen  bitvec.Counter // right records the probe has reached
 			probe intRec
 			n, p  int
 			t     uint32
@@ -405,8 +362,8 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 		// visit handles right record j reached through the postings of
 		// probe token t (prefix position p).
 		visit := func(j uint32) bool {
-			if seen.mark(j) {
-				return true
+			if seen.Add(j) > 1 {
+				return true // reached through an earlier prefix token
 			}
 			cand := idx.pr[j]
 			cn := len(cand.toks)
@@ -438,7 +395,7 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 			if prefix == 0 || jlo >= jhi {
 				continue
 			}
-			seen.next()
+			seen.Reset(len(idx.pr))
 			// The size window is a contiguous rec range and postings are
 			// rec-sorted, so ForEachIn skips both tails wholesale.
 			for p = 0; p < prefix; p++ {

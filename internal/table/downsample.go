@@ -2,11 +2,10 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
-	"strings"
 
-	"repro/internal/tokenize"
+	"repro/internal/bitvec"
 )
 
 // DownSample implements the "intelligent down sampler" of the PyMatcher
@@ -16,7 +15,7 @@ import (
 //
 //  1. sample sizeB tuples from B,
 //  2. build an inverted index from the whole-tuple tokens of every tuple
-//     of A (WholeTupleTokens),
+//     of A (WholeTupleIndex),
 //  3. for each sampled B-tuple, probe the index and keep the A-tuples that
 //     share the most tokens,
 //  4. top up with random A-tuples until sizeA is reached.
@@ -36,106 +35,65 @@ func DownSample(a, b *Table, sizeA, sizeB int, rng *rand.Rand) (*Table, *Table, 
 
 	bSample := b.Sample(sizeB, rng)
 
-	// Inverted index: token -> list of A row indices.
-	inv := make(map[string][]int)
-	for i, toks := range WholeTupleTokens(a) {
-		for _, tok := range toks {
-			inv[tok] = append(inv[tok], i)
-		}
-	}
-
-	// Probe with each sampled B tuple; count token overlaps per A row and
-	// rank candidates per tuple.
+	// Probe the index over A with each sampled B tuple and rank the A rows
+	// sharing the most tokens, ties to the lower row: each pick is the best
+	// row ranking after the one before.
 	const probesPerTuple = 5
+	idx := NewWholeTupleIndex(a)
+	var shared bitvec.Counter
 	ranked := make([][]int, bSample.Len())
-	for i, toks := range WholeTupleTokens(bSample) {
-		scores := make(map[int]int)
-		for _, tok := range toks {
-			post := inv[tok]
-			// Very frequent tokens are stop-word-like; skip huge postings
-			// to keep probing cheap and discriminative.
-			if len(post) > a.Len()/10+50 {
-				continue
-			}
-			for _, ai := range post {
-				scores[ai]++
-			}
-		}
-		for k := 0; k < probesPerTuple; k++ {
-			best, bestScore := -1, 0
-			for ai, s := range scores {
-				if s > bestScore || (s == bestScore && best >= 0 && ai < best) {
-					best, bestScore = ai, s
+	for i, set := range idx.Sets(bSample) {
+		idx.Probe(set, &shared)
+		touched, counts := shared.Counts()
+		prev, prevRow := int32(math.MaxInt32), -1
+		for len(ranked[i]) < probesPerTuple {
+			best, bestScore := -1, int32(0)
+			for _, ai := range touched {
+				s, row := counts[ai], int(ai)
+				if (s < prev || s == prev && row > prevRow) && (s > bestScore || s == bestScore && row < best) {
+					best, bestScore = row, s
 				}
 			}
 			if best < 0 {
 				break
 			}
 			ranked[i] = append(ranked[i], best)
-			delete(scores, best)
+			prev, prevRow = bestScore, best
 		}
 	}
 
 	// Take candidates round-robin so every B tuple contributes its best
 	// candidate (almost surely the true match) before any tuple gets a
-	// second one.
-	chosen := make(map[int]bool)
-	for k := 0; k < probesPerTuple && len(chosen) < sizeA; k++ {
-		for i := range ranked {
-			if k < len(ranked[i]) && !chosen[ranked[i][k]] {
-				chosen[ranked[i][k]] = true
-				if len(chosen) >= sizeA {
-					break
-				}
+	// second one, then top up with random rows of A.
+	chosen, n := make([]bool, a.Len()), 0
+	choose := func(row int) {
+		if !chosen[row] {
+			chosen[row], n = true, n+1
+		}
+	}
+	for k := 0; k < probesPerTuple && n < sizeA; k++ {
+		for i := 0; i < len(ranked) && n < sizeA; i++ {
+			if k < len(ranked[i]) {
+				choose(ranked[i][k])
 			}
 		}
 	}
-
-	// Top up with random rows of A.
-	if len(chosen) < sizeA {
-		for _, i := range rng.Perm(a.Len()) {
-			if !chosen[i] {
-				chosen[i] = true
-				if len(chosen) >= sizeA {
-					break
-				}
+	if n < sizeA {
+		for _, row := range rng.Perm(a.Len()) {
+			if n >= sizeA {
+				break
 			}
+			choose(row)
 		}
 	}
-	idxs := make([]int, 0, len(chosen))
-	for i := range chosen {
-		idxs = append(idxs, i)
+	idxs := make([]int, 0, n)
+	for row, ok := range chosen {
+		if ok {
+			idxs = append(idxs, row)
+		}
 	}
-	// chosen is a map: without the sort the sampled rows would come out
-	// in a different order every run.
-	sort.Ints(idxs)
 	aSample := a.Select(idxs)
 	aSample.SetName(a.Name() + "_sample")
 	bSample.SetName(b.Name() + "_sample")
 	return aSample, bSample, nil
-}
-
-// WholeTupleTokens returns, for every row of t, "the whole tuple" as a
-// token set: the non-key cells in schema order, nulls skipped, split into
-// lower-cased maximal runs of letters and digits, each token once in order
-// of first appearance (ids should not drive overlap, so the key column is
-// left out). It is the one definition the down-sampler, the blocking
-// debugger, the whole-tuple overlap blocker and Falcon's sampler share.
-func WholeTupleTokens(t *Table) [][]string {
-	tok := tokenize.Alphanumeric{ReturnSet: true}
-	kj := t.schema.Lookup(t.key)
-	out := make([][]string, len(t.rows))
-	var sb strings.Builder
-	for i, r := range t.rows {
-		sb.Reset()
-		for j, v := range r {
-			if j == kj || v.IsNull() {
-				continue
-			}
-			sb.WriteString(v.AsString())
-			sb.WriteByte(' ')
-		}
-		out[i] = tok.Tokenize(sb.String())
-	}
-	return out
 }

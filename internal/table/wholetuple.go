@@ -1,0 +1,80 @@
+package table
+
+import (
+	"strings"
+
+	"repro/internal/bitvec"
+	"repro/internal/intern"
+	"repro/internal/tokenize"
+)
+
+// WholeTupleTokens returns, for every row of t, "the whole tuple" as a
+// token set: the non-key cells in schema order, nulls skipped, split into
+// lower-cased maximal runs of letters and digits, each token once in order
+// of first appearance (ids should not drive overlap, so the key column is
+// left out). It is the one definition the down-sampler, the blocking
+// debugger, the whole-tuple overlap blocker and Falcon's sampler share.
+func WholeTupleTokens(t *Table) [][]string {
+	tok := tokenize.Alphanumeric{ReturnSet: true}
+	kj := t.schema.Lookup(t.key)
+	out := make([][]string, len(t.rows))
+	var sb strings.Builder
+	for i, r := range t.rows {
+		sb.Reset()
+		for j, v := range r {
+			if j == kj || v.IsNull() {
+				continue
+			}
+			sb.WriteString(v.AsString())
+			sb.WriteByte(' ')
+		}
+		out[i] = tok.Tokenize(sb.String())
+	}
+	return out
+}
+
+// WholeTupleIndex is the inverted index over one table's whole-tuple
+// token sets that the down-sampler and the blocking debugger probe: each
+// row's set interned into one dictionary, and the rows holding each token.
+// It is one caller's working state, not safe for concurrent use.
+type WholeTupleIndex struct {
+	dict  *intern.Dict
+	rows  [][]uint32 // rows[i]: row i's ascending token-ID set
+	posts []*bitvec.Postings
+}
+
+// NewWholeTupleIndex indexes the whole-tuple token sets of t's rows.
+func NewWholeTupleIndex(t *Table) *WholeTupleIndex {
+	x := &WholeTupleIndex{dict: intern.NewDict()}
+	x.rows = x.Sets(t)
+	x.posts = bitvec.BuildPostings(x.rows, x.dict.Len())
+	return x
+}
+
+// Sets returns the whole-tuple token sets of u's rows, interned into the
+// index's dictionary: a token the indexed table lacks gets an ID of its
+// own that no posting holds, so set sizes stay exact.
+func (x *WholeTupleIndex) Sets(u *Table) [][]uint32 {
+	toks := WholeTupleTokens(u)
+	out := make([][]uint32, len(toks))
+	for i, tt := range toks {
+		out[i] = x.dict.SortedSet(tt)
+	}
+	return out
+}
+
+// Row returns the token set of the indexed table's row i.
+func (x *WholeTupleIndex) Row(i int) []uint32 { return x.rows[i] }
+
+// Probe resets c and counts, for every indexed row, the tokens of set
+// (from Sets) it holds. It skips stop-word-like tokens — on more than a
+// tenth of the rows, plus 50 — which tell rows apart least and cost most.
+func (x *WholeTupleIndex) Probe(set []uint32, c *bitvec.Counter) {
+	n := len(x.rows)
+	c.Reset(n)
+	for _, t := range set {
+		if int(t) < len(x.posts) && x.posts[t].Len() <= n/10+50 {
+			c.AddPostings(x.posts[t], 0, uint32(n))
+		}
+	}
+}
