@@ -31,9 +31,9 @@ lint:
 	$(GO) run ./cmd/emlint ./internal/... ./cmd/...
 
 # Short fuzz smoke over the text-format parsers, the matcher loader, the
-# pair-scoring kernels, interleaved corpus writes and the two /v1 request
-# bodies that reach the most code (a job, a corpus write). Override FUZZTIME for a longer soak, e.g.
-# `make fuzz FUZZTIME=5m`.
+# pair-scoring kernels, interleaved corpus writes and the /v1 request
+# bodies (a job, a corpus add and delete, a match). Override FUZZTIME for a
+# longer soak, e.g. `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseRule -fuzztime=$(FUZZTIME) ./internal/rules
 	$(GO) test -run=^$$ -fuzz=FuzzParseSet -fuzztime=$(FUZZTIME) ./internal/rules
@@ -43,6 +43,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCorpusOps -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run=^$$ -fuzz=FuzzJobsBody -fuzztime=$(FUZZTIME) ./internal/cloud
 	$(GO) test -run=^$$ -fuzz=FuzzCorpusAddBody -fuzztime=$(FUZZTIME) ./internal/cloud
+	$(GO) test -run=^$$ -fuzz=FuzzCorpusDeleteBody -fuzztime=$(FUZZTIME) ./internal/cloud
+	$(GO) test -run=^$$ -fuzz=FuzzMatchBody -fuzztime=$(FUZZTIME) ./internal/cloud
 
 # "Least code" (ROADMAP aim 2) as a number: lines of non-test,
 # non-testdata Go per top-level package, and the total outside bench/.

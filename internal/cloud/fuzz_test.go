@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -91,17 +92,9 @@ func FuzzCorpusAddBody(f *testing.F) {
 
 	mm := NewMetamanager(NewRegistry(), EngineConfig{})
 	f.Cleanup(mm.Close)
-	initial := []serve.Record{rec("r0", "acme corp"), rec("r1", "acme inc"), rec("r2", "globex llc")}
 	probes := []serve.Record{rec("q", "acme corp intl"), rec("q", "initech hooli llc"), rec("q", "globex inc")}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		c := serve.NewCorpus()
-		if err := c.AddBatch(initial, false); err != nil {
-			t.Fatal(err)
-		}
-		corpora := serve.NewRegistry()
-		if err := corpora.Register("products", c, nil); err != nil {
-			t.Fatal(err)
-		}
+		c, corpora := fuzzCorpus(t)
 		before := c.Stats()
 		rr := httptest.NewRecorder()
 		NewServer(mm, WithCorpora(corpora), WithMaxBodySize(fuzzBodyCap)).Handler().
@@ -126,6 +119,132 @@ func FuzzCorpusAddBody(f *testing.F) {
 				t.Fatalf("status %d with envelope %+v", rr.Code, eb)
 			}
 			if after := c.Stats(); after != before {
+				t.Fatalf("status %d, yet the corpus changed: %+v -> %+v", rr.Code, before, after)
+			}
+		default:
+			t.Fatalf("status %d, want 200, 400, 404, 409 or 413; body %q", rr.Code, rr.Body)
+		}
+		rebuilt := c.Rebuilt()
+		for _, q := range probes {
+			if got, want := c.CandidateIDs(q), rebuilt.CandidateIDs(q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("candidates %v, a rebuild's %v", got, want)
+			}
+		}
+	})
+}
+
+// fuzzCorpus is the three-record corpus the corpus fuzz targets start
+// from, registered as "products" with a pool in front of it.
+func fuzzCorpus(t *testing.T) (*serve.Corpus, *serve.Registry) {
+	c := serve.NewCorpus()
+	if err := c.AddBatch([]serve.Record{nameRecord("r0", "acme corp"), nameRecord("r1", "acme inc"), nameRecord("r2", "globex llc")}, false); err != nil {
+		t.Fatal(err)
+	}
+	corpora := serve.NewRegistry()
+	if err := corpora.Register("products", c, serve.NewPool(c, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	return c, corpora
+}
+
+// FuzzMatchBody: whatever bytes arrive on POST /v1/match, the reply is a
+// 200 carrying exactly what MatchOne answers for the decoded record, or a
+// 400, 404 or 413 error envelope; a match changes nothing in the corpus.
+func FuzzMatchBody(f *testing.F) {
+	seed := func(corpus string, rec serve.Record) {
+		f.Add(mustJSON(f, matchRequest{Corpus: corpus, Record: rec}))
+	}
+	seed("products", nameRecord("q", "acme corp intl"))
+	seed("products", nameRecord("q", "initech"))
+	seed("products", serve.Record{ID: "q"})
+	seed("products", serve.Record{ID: "q", Attrs: map[string]string{"name": "\xff\xfe acme", "city": "madison"}})
+	seed("ghosts", nameRecord("q", "acme"))
+	f.Add([]byte(`{"corpus":"products","record":{"id":7}}`))
+	f.Add([]byte("{nope"))
+
+	mm := NewMetamanager(NewRegistry(), EngineConfig{})
+	f.Cleanup(mm.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, corpora := fuzzCorpus(t)
+		before := c.Stats()
+		rr := httptest.NewRecorder()
+		NewServer(mm, WithCorpora(corpora), WithMaxBodySize(fuzzBodyCap)).Handler().
+			ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(body)))
+		switch rr.Code {
+		case http.StatusOK:
+			var req matchRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("200 for a body that does not decode: %v", err)
+			}
+			want, err := c.MatchOne(context.Background(), req.Record)
+			if err != nil {
+				t.Fatalf("200 for a record MatchOne refuses: %v", err)
+			}
+			var got matchResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil || got.Corpus != req.Corpus || len(got.Pairs) != len(want) {
+				t.Fatalf("200 reply %q (%v), MatchOne answers %v", rr.Body, err, want)
+			}
+			for i := range want {
+				if got.Pairs[i] != want[i] {
+					t.Fatalf("pair %d: reply %+v, MatchOne %+v", i, got.Pairs[i], want[i])
+				}
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge:
+			if eb := decodeError(t, rr.Body); eb.Code == "" {
+				t.Fatalf("status %d with envelope %+v", rr.Code, eb)
+			}
+		default:
+			t.Fatalf("status %d, want 200, 400, 404 or 413; body %q", rr.Code, rr.Body)
+		}
+		if after := c.Stats(); after != before {
+			t.Fatalf("a match changed the corpus: %+v -> %+v", before, after)
+		}
+	})
+}
+
+// FuzzCorpusDeleteBody: whatever bytes arrive on POST /v1/corpus/delete,
+// the batch is applied whole (200: Len drops by the batch's size) or not
+// at all (400, 404, 409, 413: the stats, Len included, are what they
+// were), and either way the candidates are those of a rebuild.
+func FuzzCorpusDeleteBody(f *testing.F) {
+	seed := func(corpus string, ids ...string) {
+		f.Add(mustJSON(f, corpusDeleteRequest{Corpus: corpus, IDs: ids}))
+	}
+	seed("products", "r1")
+	seed("products", "r0", "r2")
+	seed("products", "r0", "r0")
+	seed("products", "r1", "nobody")
+	seed("products", "")
+	seed("products")
+	seed("ghosts", "r0")
+	f.Add([]byte(`{"corpus":"products","ids":"r0"}`))
+	f.Add([]byte("{nope"))
+
+	mm := NewMetamanager(NewRegistry(), EngineConfig{})
+	f.Cleanup(mm.Close)
+	probes := []serve.Record{nameRecord("q", "acme corp intl"), nameRecord("q", "globex inc")}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, corpora := fuzzCorpus(t)
+		before := c.Stats()
+		rr := httptest.NewRecorder()
+		NewServer(mm, WithCorpora(corpora), WithMaxBodySize(fuzzBodyCap)).Handler().
+			ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/corpus/delete", bytes.NewReader(body)))
+		switch rr.Code {
+		case http.StatusOK:
+			var req corpusDeleteRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("200 for a body that does not decode: %v", err)
+			}
+			var mut corpusMutationResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &mut); err != nil || mut.Applied != len(req.IDs) ||
+				c.Len() != before.Records-len(req.IDs) || mut.Stats.Records != c.Len() {
+				t.Fatalf("200 reply %q (%v) deleting %d ids: Len %d -> %d", rr.Body, err, len(req.IDs), before.Records, c.Len())
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			if eb := decodeError(t, rr.Body); eb.Code == "" {
+				t.Fatalf("status %d with envelope %+v", rr.Code, eb)
+			}
+			if after := c.Stats(); after != before || c.Len() != before.Records {
 				t.Fatalf("status %d, yet the corpus changed: %+v -> %+v", rr.Code, before, after)
 			}
 		default:

@@ -32,22 +32,35 @@ type tokenCache struct {
 }
 
 // buildTokenCache prepares every row of both tables, interning through one
-// dictionary shared by both.
-func buildTokenCache(s *Set, lt, rt *table.Table) *tokenCache {
+// dictionary shared by both: the left table's rows in order, then the
+// right's, so the IDs are the same at any worker count.
+func buildTokenCache(s *Set, lt, rt *table.Table, workers int) (*tokenCache, error) {
 	p, d := s.planned(), intern.NewDict()
-	return &tokenCache{l: p.prepareTable(lt, 0, d), r: p.prepareTable(rt, 1, d)}
+	l, err := p.prepareTable(lt, 0, d, workers)
+	if err != nil {
+		return nil, err
+	}
+	r, err := p.prepareTable(rt, 1, d, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &tokenCache{l: l, r: r}, nil
 }
 
 // prepareTable prepares each row of t as one side of the plan. A column the
-// schema lacks reads as null in every row.
-func (p *plan) prepareTable(t *table.Table, side int, d *intern.Dict) []Prepared {
+// schema lacks reads as null in every row. The workers decode, lower-case
+// and tokenize; the interning, the one step that writes to d, follows
+// serially in row order.
+func (p *plan) prepareTable(t *table.Table, side int, d *intern.Dict, workers int) ([]Prepared, error) {
 	sp := &p.sides[side]
 	idx := make([]int, len(sp.attrs))
 	for c, attr := range sp.attrs {
 		idx[c] = t.Schema().Lookup(attr)
 	}
 	out := make([]Prepared, t.Len())
-	for i := range out {
+	ns := len(sp.sets)
+	toks := make([][]string, len(out)*ns) // row i's column k at i*ns+k
+	if err := parallel.ForEach(workers, len(out), func(i int) error {
 		row := t.Row(i)
 		p.fill(&out[i], side, func(c int, _ string) (string, bool) {
 			if j := idx[c]; j >= 0 && !row[j].IsNull() {
@@ -55,9 +68,19 @@ func (p *plan) prepareTable(t *table.Table, side int, d *intern.Dict) []Prepared
 			}
 			return "", false
 		})
-		out[i].intern(sp, d.SortedSet)
+		out[i].tokenize(sp, func(k int, tt []string) { toks[i*ns+k] = tt })
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	return out
+	for i := range out {
+		for k, sc := range sp.sets {
+			if out[i].cols[sc.col].ok {
+				out[i].sets[k] = d.SortedSet(toks[i*ns+k])
+			}
+		}
+	}
+	return out, nil
 }
 
 // pairScratch is the working memory of one VectorWithInto call: both
@@ -145,7 +168,8 @@ func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets 
 // Vectors computes the feature matrix for every pair of a candidate-set
 // table. The pair table must be registered in cat (so its base tables and
 // id columns are known); per the paper's self-containment principle the FK
-// metadata is re-validated before use.
+// metadata is re-validated before use, by the pass that resolves each
+// pair's two rows (Catalog.PairRows).
 func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions) ([][]float64, error) {
 	rec := obs.Or(opts.Metrics)
 	defer obs.StartTimer(rec, obs.FeatureExtractSeconds)()
@@ -153,40 +177,31 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 	if !ok {
 		return nil, fmt.Errorf("feature: pair table %q not registered in catalog", pairs.Name())
 	}
-	if err := cat.ValidatePair(pairs); err != nil {
+	rows, err := cat.PairRows(pairs)
+	if err != nil {
 		return nil, fmt.Errorf("feature: %w", err)
 	}
-	lidx, err := meta.LTable.KeyIndex()
-	if err != nil {
-		return nil, err
-	}
-	ridx, err := meta.RTable.KeyIndex()
+	cache, err := buildTokenCache(s, meta.LTable, meta.RTable, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 
-	// Each pair's rows are looked up once, ahead of the scan.
-	lcol, rcol := pairs.Schema().Lookup(meta.LID), pairs.Schema().Lookup(meta.RID)
-	n, nf := pairs.Len(), len(s.Features)
-	rows := make([][2]int32, n)
-	for i := range rows {
-		row := pairs.Row(i)
-		rows[i] = [2]int32{int32(lidx[row[lcol].AsString()]), int32(ridx[row[rcol].AsString()])}
-	}
-
-	cache := buildTokenCache(s, meta.LTable, meta.RTable)
-
-	flat := make([]float64, n*nf)
+	n, nf := len(rows), len(s.Features)
 	out := make([][]float64, n)
-	// Each pair's vector lands in its own row of the one backing array, so
-	// extraction at any Workers setting is bit-identical to serial. Workers
-	// claim chunks of consecutive pairs: a blocker emits a left record's
-	// candidates together, and the scratch's memo reuses scores along a run.
+	// Each pair's vector lands in its own row, so extraction at any Workers
+	// setting is bit-identical to serial. Workers claim chunks of
+	// consecutive pairs — a blocker emits a left record's candidates
+	// together, and the scratch's memo reuses scores along a run — and each
+	// chunk's rows are cut from one array the worker allocates, so the
+	// zeroing runs on every core.
 	scratch := make([]sim.Scratch, parallel.Resolve(opts.Workers))
 	if err := parallel.ForEachShard(opts.Workers, (n+vectorsChunk-1)/vectorsChunk, func(shard, c int) error {
 		sc := &scratch[shard]
-		for i := c * vectorsChunk; i < min(n, (c+1)*vectorsChunk); i++ {
-			out[i] = flat[i*nf : (i+1)*nf : (i+1)*nf]
+		lo, hi := c*vectorsChunk, min(n, (c+1)*vectorsChunk)
+		flat := make([]float64, (hi-lo)*nf)
+		for i := lo; i < hi; i++ {
+			k := (i - lo) * nf
+			out[i] = flat[k : k+nf : k+nf]
 			s.VectorInto(&cache.l[rows[i][0]], &cache.r[rows[i][1]], sc, out[i])
 		}
 		return nil

@@ -121,6 +121,56 @@ func TestVectorsCacheEquivalence(t *testing.T) {
 	}
 }
 
+// TestVectorsResolvesPairRows covers the edges of resolving pairs and
+// cutting the matrix per chunk: a dangling left or right id fails with the
+// catalog's FK error behind "feature: ", a pair table with no rows yields
+// no vectors, and a pair count that is not a multiple of the chunk size
+// (three chunks, the last one short) reproduces the string path at
+// Workers 0 and 1.
+func TestVectorsResolvesPairRows(t *testing.T) {
+	a, b, pairs, cat := cacheTables(t, 60, 17)
+	s, err := AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ lid, rid, want string }{
+		{"nobody", "b1", `feature: catalog: pair "C" row 0: left id "nobody" not in "A" — FK constraint violated`},
+		{"a1", "ghost", `feature: catalog: pair "C" row 0: right id "ghost" not in "B" — FK constraint violated`},
+	} {
+		bad, err := table.NewPairTable("C", a, b, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.AppendPair(bad, tc.lid, tc.rid)
+		if _, err := Vectors(s, bad, cat, ExtractOptions{}); err == nil || err.Error() != tc.want {
+			t.Errorf("dangling id: %v; want %q", err, tc.want)
+		}
+	}
+
+	empty, err := table.NewPairTable("E", a, b, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for pairs.Len() < 2*vectorsChunk+37 {
+		table.AppendPair(pairs, fmt.Sprintf("a%d", rng.Intn(a.Len())), fmt.Sprintf("b%d", rng.Intn(b.Len())))
+	}
+	want := stringPathVectors(t, s, pairs, cat)
+	for _, workers := range []int{0, 1} {
+		x, err := Vectors(s, empty, cat, ExtractOptions{Workers: workers})
+		if err != nil || len(x) != 0 {
+			t.Fatalf("workers=%d: zero pairs gave %d vectors, %v", workers, len(x), err)
+		}
+		got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: %d pairs differ from the string path", workers, pairs.Len())
+		}
+	}
+}
+
 // TestCustomFnThroughPreparedRows: a feature built by hand has no prepared
 // kernel and no set path; the prepared rows carry its strings and Fn scores
 // them, in Vectors and in VectorWith alike, next to registry features over

@@ -248,9 +248,16 @@ func (p *plan) fill(rec *Prepared, side int, get func(c int, attr string) (strin
 // intern fills rec.sets: the lower-cased token set of every planned
 // column whose attribute is present, through interner.
 func (rec *Prepared) intern(sp *sidePlan, interner func(toks []string) []uint32) {
+	rec.tokenize(sp, func(i int, toks []string) { rec.sets[i] = interner(toks) })
+}
+
+// tokenize hands fn the lower-cased tokens of every planned column i whose
+// attribute is present: the half of intern that reads rec alone, so a
+// batch can run it on its workers and intern serially after.
+func (rec *Prepared) tokenize(sp *sidePlan, fn func(i int, toks []string)) {
 	for i, sc := range sp.sets {
 		if v := &rec.cols[sc.col]; v.ok {
-			rec.sets[i] = interner(sc.tok.Tokenize(strings.ToLower(v.s)))
+			fn(i, sc.tok.Tokenize(strings.ToLower(v.s)))
 		}
 	}
 }

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/block"
 	"repro/internal/datagen"
@@ -91,6 +94,94 @@ func TestBatchServeDifferential(t *testing.T) {
 			}
 			t.Logf("%s k=%d: %d pairs agree, %d score levels", dom.Name, k, len(want), len(levels))
 		}
+	}
+}
+
+// TestQuickBatchServeDifferential is TestBatchServeDifferential on inputs
+// nobody picked: testing/quick draws the domain, both table sizes, typo
+// and null rates, the generator seed and k ∈ {1, 2, 3}. For each draw the
+// union over A of the corpus's CandidateIDs must be exactly the pair set
+// block.WholeTupleOverlapBlocker emits, and every MatchOne score must be
+// the forest's score of that pair's feature.Vectors row, bit for bit. The
+// forest is fitted on the draw's k = 1 candidates.
+func TestQuickBatchServeDifferential(t *testing.T) {
+	ctx := context.Background()
+	domains := []func() datagen.Domain{
+		datagen.PersonDomain, datagen.ProductDomain, datagen.VehicleDomain, datagen.VendorDomain, datagen.BookDomain,
+		datagen.RestaurantDomain, datagen.RanchDomain, datagen.CitationDomain, datagen.MovieDomain,
+	}
+	check := func(seed int64, dom, na, nb, typo, missing, kk uint8) bool {
+		spec := datagen.Spec{
+			Domain: domains[int(dom)%len(domains)](), SizeA: 20 + int(na)%60, SizeB: 30 + int(nb)%90,
+			Typo: float64(typo%5) / 10, Missing: float64(missing%3) / 10, Seed: seed,
+		}
+		k := 1 + int(kk)%3
+		spec.Name = spec.Domain.Name
+		where := fmt.Sprintf("%s %d×%d typo %.1f missing %.1f seed %d k=%d", spec.Name, spec.SizeA, spec.SizeB, spec.Typo, spec.Missing, seed, k)
+		task, err := datagen.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := feature.AutoGenerate(task.A, task.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blockAt := func(k int) (*table.Table, [][]float64) {
+			cat := table.NewCatalog()
+			cands, err := block.WholeTupleOverlapBlocker{MinOverlap: k}.Block(task.A, task.B, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := feature.Vectors(fs, cands, cat, feature.ExtractOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cands, rows
+		}
+		wide, wideRows := blockAt(1)
+		rf := fitOnGold(t, fs, wide, wideRows, task)
+		cands, rows := blockAt(k)
+		want := make(map[[2]string]float64, len(rows))
+		for i, row := range rows {
+			want[[2]string{cands.Get(i, "ltable_id").AsString(), cands.Get(i, "rtable_id").AsString()}] = rf.PredictProba(row)
+		}
+
+		c := NewCorpus(WithTokenizer(tokenize.Alphanumeric{ReturnSet: true}), WithMinOverlap(k))
+		if err := c.AddBatch(tableRecords(task.B), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetMatcher(fs, rf); err != nil {
+			t.Fatal(err)
+		}
+		surfaced, scored := 0, 0
+		for _, q := range tableRecords(task.A) {
+			for _, id := range c.CandidateIDs(q) {
+				if _, ok := want[[2]string{q.ID, id}]; !ok {
+					t.Errorf("%s: the corpus surfaces (%s, %s), the blocker does not", where, q.ID, id)
+					return false
+				}
+				surfaced++
+			}
+			pairs, err := c.MatchOne(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pairs {
+				if w, ok := want[[2]string{q.ID, p.ID}]; !ok || p.Score != w {
+					t.Errorf("%s: (%s, %s) scores %v in MatchOne, %v over its Vectors row", where, q.ID, p.ID, p.Score, w)
+					return false
+				}
+			}
+			scored += len(pairs)
+		}
+		if surfaced != len(want) || scored != len(want) {
+			t.Errorf("%s: the corpus surfaces %d pairs and MatchOne scores %d, the blocker emits %d", where, surfaced, scored, len(want))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(7))}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/table"
 )
 
 // benchRecords builds n records of k tokens from a vocab-sized vocabulary.
@@ -86,6 +89,48 @@ func BenchmarkOverlapJoin1K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// figure2Records is the production blocker's input in batch_figure2: the
+// whole-tuple token sets of two 2 000-row person tables (match fraction
+// 0.4, typo 0.2), keyed by id.
+func figure2Records(tb testing.TB) (l, r []Record) {
+	task, err := datagen.Generate(datagen.Spec{
+		Name: "figure2", Domain: datagen.PersonDomain(),
+		SizeA: 2000, SizeB: 2000, MatchFraction: 0.4, Typo: 0.2, Seed: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	side := func(t *table.Table) []Record {
+		ids, err := t.Strings(t.Key())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out := make([]Record, len(ids))
+		for i, toks := range table.WholeTupleTokens(t) {
+			out[i] = Record{ID: ids[i], Tokens: toks}
+		}
+		return out
+	}
+	return side(task.A), side(task.B)
+}
+
+// BenchmarkOverlapJoinFigure2 is the whole-tuple overlap join (k = 2) that
+// blocks batch_figure2's production tables: about 327k pairs out.
+func BenchmarkOverlapJoinFigure2(b *testing.B) {
+	l, r := figure2Records(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pairs int
+	for i := 0; i < b.N; i++ {
+		ps, err := OverlapJoin(l, r, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs = len(ps)
+	}
+	b.ReportMetric(float64(pairs), "pairs")
 }
 
 func BenchmarkEditDistanceJoin(b *testing.B) {

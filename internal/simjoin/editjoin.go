@@ -2,7 +2,6 @@ package simjoin
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitvec"
 	"repro/internal/intern"
@@ -66,57 +65,69 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 		}
 	}
 
-	// Probe in contiguous shards through the shared pool. Candidates
-	// verified with the exact distance are tallied shard-locally and
-	// recorded once after the join.
+	// Probe in contiguous shards of units (runs of equal left IDs, in ID
+	// order) through the shared pool; each unit emits its pairs in output
+	// order, as setJoin's do. Candidates verified with the exact distance
+	// are tallied shard-locally and recorded once after the join.
+	perm, runs := idOrder(len(l), func(i int) string { return l[i].ID })
+	rrank := ranks(len(r), func(j int) string { return r[j].ID })
 	type distShard struct {
 		pairs []DistPair
 		cands int
 	}
-	shards, err := parallel.MapChunks(cfg.workers, len(l), func(clo, chi int) (distShard, error) {
-		var out []DistPair
+	shards, err := parallel.MapChunks(cfg.workers, len(runs)-1, func(ulo, uhi int) (distShard, error) {
+		out := make([]DistPair, 0, runs[uhi]-runs[ulo])
+		var hits []hit[int] // the unit's pairs, Dist as the value
 		nc := 0
 		var shared bitvec.Counter // per right record, the q-grams it shares with the probe
-		for i := clo; i < chi; i++ {
-			rec, grams := l[i], lsets[i]
-			la := len([]rune(rec.Str))
-			check := func(j int) {
-				if d := la - len([]rune(r[j].Str)); d > maxDist || -d > maxDist {
-					return
+		for u := ulo; u < uhi; u++ {
+			hits = hits[:0]
+			for k := runs[u]; k < runs[u+1]; k++ {
+				i, li := perm[k], uint32(k-runs[u])
+				rec, grams := l[i], lsets[i]
+				la := len([]rune(rec.Str))
+				check := func(j int) {
+					if d := la - len([]rune(r[j].Str)); d > maxDist || -d > maxDist {
+						return
+					}
+					nc++
+					if d := sim.LevenshteinDistance(rec.Str, r[j].Str); d <= maxDist {
+						hits = append(hits, hit[int]{rank: rrank[j], l: li, j: uint32(j), v: d})
+					}
 				}
-				nc++
-				if d := sim.LevenshteinDistance(rec.Str, r[j].Str); d <= maxDist {
-					out = append(out, DistPair{LID: rec.ID, RID: r[j].ID, Dist: d})
+				if len(grams) <= maxDist*q {
+					// Too short to filter by grams, or so few distinct
+					// grams that a within-distance partner may share none:
+					// verify everything in the length window.
+					for j := range r {
+						check(j)
+					}
+					continue
 				}
-			}
-			if len(grams) <= maxDist*q {
-				// Too short to filter by grams, or so few distinct
-				// grams that a within-distance partner may share none:
-				// verify everything in the length window.
-				for j := range r {
+				shared.Reset(len(r))
+				for _, g := range grams {
+					shared.AddPostings(posts[g], 0, uint32(len(r)))
+				}
+				touched, counts := shared.Counts()
+				for _, j := range touched {
+					// If ed(a,b) <= k, each edit can remove at most q distinct
+					// gram types from either side, so the sides share at least
+					// max(|D(a)|,|D(b)|) - k*q types — at least 1 here, as
+					// the bypassed records below are the ones with fewer.
+					n := len(rsets[j])
+					if n > maxDist*q && int(counts[j]) >= max(len(grams), n)-maxDist*q {
+						check(int(j))
+					}
+				}
+				// Right strings the index cannot surface reliably (too
+				// short for grams, or too few distinct grams) bypass it.
+				for _, j := range short {
 					check(j)
 				}
-				continue
 			}
-			shared.Reset(len(r))
-			for _, g := range grams {
-				shared.AddPostings(posts[g], 0, uint32(len(r)))
-			}
-			touched, counts := shared.Counts()
-			for _, j := range touched {
-				// If ed(a,b) <= k, each edit can remove at most q distinct
-				// gram types from either side, so the sides share at least
-				// max(|D(a)|,|D(b)|) - k*q types — at least 1 here, as
-				// the bypassed records below are the ones with fewer.
-				n := len(rsets[j])
-				if n > maxDist*q && int(counts[j]) >= max(len(grams), n)-maxDist*q {
-					check(int(j))
-				}
-			}
-			// Right strings the index cannot surface reliably (too
-			// short for grams, or too few distinct grams) bypass it.
-			for _, j := range short {
-				check(j)
+			sortHits(hits)
+			for _, h := range hits {
+				out = append(out, DistPair{LID: l[perm[runs[u]]].ID, RID: r[h.j].ID, Dist: h.v})
 			}
 		}
 		return distShard{pairs: out, cands: nc}, nil
@@ -132,11 +143,5 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 	}
 	mrec.Count(obs.SimjoinCandidates, float64(total), join)
 	mrec.Count(obs.SimjoinPairs, float64(len(all)), join)
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].LID != all[b].LID {
-			return all[a].LID < all[b].LID
-		}
-		return all[a].RID < all[b].RID
-	})
 	return all, nil
 }

@@ -89,6 +89,19 @@ func refIntersection(a, b []string) (inter, sizeA, sizeB int) {
 	return inter, len(sa), len(sb)
 }
 
+// sortPairs is the comparator the joins sorted their output with before
+// they emitted it in order: by (LID, RID). It sorts stably, so pairs with
+// equal IDs keep the order they were enumerated in — the tie rule the
+// joins' order spells out, given the enumeration it names.
+func sortPairs(ps []Pair) {
+	sort.SliceStable(ps, func(a, b int) bool {
+		if ps[a].LID != ps[b].LID {
+			return ps[a].LID < ps[b].LID
+		}
+		return ps[a].RID < ps[b].RID
+	})
+}
+
 func refVerify(m measure, a, b []string) float64 {
 	inter, sa, sb := refIntersection(a, b)
 	return similarity(m, inter, sa, sb)

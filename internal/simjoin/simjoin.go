@@ -24,10 +24,12 @@
 package simjoin
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/bitvec"
 	"repro/internal/intern"
@@ -145,6 +147,7 @@ func OverlapJoin(l, r []Record, k int, opts ...JoinOption) ([]Pair, error) {
 type intRec struct {
 	id   string
 	toks []uint32
+	rank uint32 // on the indexed side: the record's position in ID order
 }
 
 // prepare interns both collections through one fresh dictionary and
@@ -285,8 +288,9 @@ func similarity(m measure, inter, n1, n2 int) float64 {
 // joinIndex is the probe-side view of the indexed right collection.
 //
 // Records are sorted by ascending token-set size (stable, so equal sizes
-// keep their input order — the output is sorted at the end either way),
-// which buys length-bucketed candidate generation: a probe's size window
+// keep their input order; each record carries its rank in ID order, which
+// is what the output is ordered by, so the index order never shows), which
+// buys length-bucketed candidate generation: a probe's size window
 // [lo, hi] becomes one contiguous record-index range found by two binary
 // searches, postings lists are size-sorted for free (they are built in
 // record order), and the per-candidate size check disappears.
@@ -306,7 +310,7 @@ type joinIndex struct {
 // prepare.
 func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex {
 	idx := &joinIndex{pr: pr}
-	sort.SliceStable(idx.pr, func(a, b int) bool { return len(idx.pr[a].toks) < len(idx.pr[b].toks) })
+	slices.SortStableFunc(idx.pr, func(a, b intRec) int { return cmp.Compare(len(a.toks), len(b.toks)) })
 	idx.sizes = make([]int, len(idx.pr))
 	prefixes := make([][]uint32, len(idx.pr))
 	for j, rec := range idx.pr {
@@ -341,23 +345,32 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 	join := obs.L("join", m.String())
 	defer obs.StartTimer(rec, obs.SimjoinSeconds, join)()
 	pl, pr, nids := prepare(l, r)
+	// Left records are probed in ID order, one unit per run of equal IDs;
+	// every right record learns its rank in ID order before the index
+	// reorders it by size.
+	perm, runs := idOrder(len(pl), func(i int) string { return pl[i].id })
+	for j, rank := range ranks(len(pr), func(j int) string { return pr[j].id }) {
+		pr[j].rank = rank
+	}
 	idx := buildIndex(pr, nids, m, threshold)
 
-	// Probe the index in contiguous shards through the shared pool (kept
-	// serial below probeMinWork probes — the cost gate). Candidates
+	// Probe the index in contiguous shards of units through the shared pool
+	// (kept serial below probeMinWork units — the cost gate). Candidates
 	// surviving the size and positional filters (i.e. actually verified)
 	// are tallied shard-locally and recorded once — the no-op path never
 	// sees a per-pair recorder call.
-	shards, err := parallel.MapChunksMin(cfg.workers, len(pl), probeMinWork, func(clo, chi int) (joinShard, error) {
+	shards, err := parallel.MapChunksMin(cfg.workers, len(runs)-1, probeMinWork, func(ulo, uhi int) (joinShard, error) {
 		// Shard-local probe state, hoisted so the visit closure is
 		// allocated once per shard (per worker), not once per probe.
-		out := make([]Pair, 0, chi-clo)
+		out := make([]Pair, 0, runs[uhi]-runs[ulo])
 		nc := 0
 		var (
 			seen  bitvec.Counter // right records the probe has reached
+			hits  []hit[float64] // the unit's pairs, Sim as the value
 			probe intRec
 			n, p  int
 			t     uint32
+			li    uint32 // the probe's position in its unit
 		)
 		// visit handles right record j reached through the postings of
 		// probe token t (prefix position p).
@@ -382,25 +395,32 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 				return true // suffix-length early exit: can't reach need
 			}
 			if s := similarity(m, inter, n, cn); s >= threshold-1e-12 {
-				out = append(out, Pair{LID: probe.id, RID: cand.id, Sim: s})
+				hits = append(hits, hit[float64]{rank: cand.rank, l: li, j: j, v: s})
 			}
 			return true
 		}
-		for i := clo; i < chi; i++ {
-			probe = pl[i]
-			n = len(probe.toks)
-			prefix := prefixLen(m, threshold, n)
-			lo, hi := sizeBounds(m, threshold, n)
-			jlo, jhi := idx.sizeWindow(lo, hi)
-			if prefix == 0 || jlo >= jhi {
-				continue
+		for u := ulo; u < uhi; u++ {
+			hits = hits[:0]
+			for i := runs[u]; i < runs[u+1]; i++ {
+				probe, li = pl[perm[i]], uint32(i-runs[u])
+				n = len(probe.toks)
+				prefix := prefixLen(m, threshold, n)
+				lo, hi := sizeBounds(m, threshold, n)
+				jlo, jhi := idx.sizeWindow(lo, hi)
+				if prefix == 0 || jlo >= jhi {
+					continue
+				}
+				seen.Reset(len(idx.pr))
+				// The size window is a contiguous rec range and postings are
+				// rec-sorted, so ForEachIn skips both tails wholesale.
+				for p = 0; p < prefix; p++ {
+					t = probe.toks[p]
+					idx.posts[t].ForEachIn(uint32(jlo), uint32(jhi), visit)
+				}
 			}
-			seen.Reset(len(idx.pr))
-			// The size window is a contiguous rec range and postings are
-			// rec-sorted, so ForEachIn skips both tails wholesale.
-			for p = 0; p < prefix; p++ {
-				t = probe.toks[p]
-				idx.posts[t].ForEachIn(uint32(jlo), uint32(jhi), visit)
+			sortHits(hits)
+			for _, h := range hits {
+				out = append(out, Pair{LID: probe.id, RID: idx.pr[h.j].id, Sim: h.v})
 			}
 		}
 		return joinShard{pairs: out, cands: nc}, nil
@@ -411,7 +431,6 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 	all, total := mergeShards(cfg.workers, shards)
 	rec.Count(obs.SimjoinCandidates, float64(total), join)
 	rec.Count(obs.SimjoinPairs, float64(len(all)), join)
-	sortPairs(all)
 	return all, nil
 }
 
@@ -429,11 +448,59 @@ func mergeShards(workers int, shards []joinShard) ([]Pair, int) {
 	return parallel.Concat(workers, parts), total
 }
 
-func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].LID != ps[b].LID {
-			return ps[a].LID < ps[b].LID
+// The output order of every join: pairs by (LID, RID), and pairs with equal
+// IDs in input order — earlier right record first, then earlier left
+// record; a stable sort by (LID, RID) of the enumeration with the right
+// side outer. It is produced by construction, not by sorting the output:
+// the left side is probed in ID order, one unit per run of equal left IDs;
+// a unit sorts its pairs by the right record's rank in ID order, then by
+// which of its left records found them; and a shard holds whole units, so
+// concatenating shards in order is the whole order.
+
+// idOrder stable-sorts n records by ID: perm lists them in ID order, equal
+// IDs in input order, and the k-th run of equal IDs is perm[runs[k]:
+// runs[k+1]]; runs ends with n, so there are len(runs)-1 runs.
+func idOrder(n int, id func(int) string) (perm, runs []int) {
+	perm = make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortStableFunc(perm, func(a, b int) int { return strings.Compare(id(a), id(b)) })
+	runs = []int{0}
+	for k := 1; k < n; k++ {
+		if id(perm[k]) != id(perm[k-1]) {
+			runs = append(runs, k)
 		}
-		return ps[a].RID < ps[b].RID
+	}
+	if n > 0 {
+		runs = append(runs, n)
+	}
+	return perm, runs
+}
+
+// ranks returns each of n records' position in stable ID order.
+func ranks(n int, id func(int) string) []uint32 {
+	perm, _ := idOrder(n, id)
+	out := make([]uint32, n)
+	for k, i := range perm {
+		out[i] = uint32(k)
+	}
+	return out
+}
+
+// hit is one pair a unit found: the right record j and its rank, which
+// record of the unit found it (l), and the pair's value (Sim or Dist).
+type hit[V any] struct {
+	rank, l, j uint32
+	v          V
+}
+
+// sortHits puts a unit's pairs in output order.
+func sortHits[V any](hs []hit[V]) {
+	slices.SortFunc(hs, func(a, b hit[V]) int {
+		if c := cmp.Compare(a.rank, b.rank); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.l, b.l)
 	})
 }

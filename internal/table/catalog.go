@@ -70,29 +70,43 @@ func (c *Catalog) Drop(t *Table) {
 // about to rely on catalog metadata first verifies the metadata still holds
 // (another tool may have deleted base rows without updating the catalog).
 func (c *Catalog) ValidatePair(pair *Table) error {
+	_, err := c.PairRows(pair)
+	return err
+}
+
+// PairRows runs ValidatePair's check and returns what the check looked
+// up: for each row of the pair table, the row indices of its left and
+// right records in their base tables.
+func (c *Catalog) PairRows(pair *Table) ([][2]int32, error) {
 	meta, ok := c.PairMeta(pair)
 	if !ok {
-		return fmt.Errorf("catalog: pair %q: not registered", pair.Name())
+		return nil, fmt.Errorf("catalog: pair %q: not registered", pair.Name())
 	}
 	lidx, err := meta.LTable.KeyIndex()
 	if err != nil {
-		return fmt.Errorf("catalog: pair %q: %w", pair.Name(), err)
+		return nil, fmt.Errorf("catalog: pair %q: %w", pair.Name(), err)
 	}
 	ridx, err := meta.RTable.KeyIndex()
 	if err != nil {
-		return fmt.Errorf("catalog: pair %q: %w", pair.Name(), err)
+		return nil, fmt.Errorf("catalog: pair %q: %w", pair.Name(), err)
 	}
-	for i := 0; i < pair.Len(); i++ {
-		l := pair.Get(i, meta.LID).AsString()
-		if _, ok := lidx[l]; !ok {
-			return fmt.Errorf("catalog: pair %q row %d: left id %q not in %q — FK constraint violated", pair.Name(), i, l, meta.LTable.Name())
+	// RegisterPair saw both columns, and a schema never changes.
+	lj, rj := pair.schema.Lookup(meta.LID), pair.schema.Lookup(meta.RID)
+	out := make([][2]int32, len(pair.rows))
+	for i, row := range pair.rows {
+		l := row[lj].AsString()
+		li, ok := lidx[l]
+		if !ok {
+			return nil, fmt.Errorf("catalog: pair %q row %d: left id %q not in %q — FK constraint violated", pair.Name(), i, l, meta.LTable.Name())
 		}
-		r := pair.Get(i, meta.RID).AsString()
-		if _, ok := ridx[r]; !ok {
-			return fmt.Errorf("catalog: pair %q row %d: right id %q not in %q — FK constraint violated", pair.Name(), i, r, meta.RTable.Name())
+		r := row[rj].AsString()
+		ri, ok := ridx[r]
+		if !ok {
+			return nil, fmt.Errorf("catalog: pair %q row %d: right id %q not in %q — FK constraint violated", pair.Name(), i, r, meta.RTable.Name())
 		}
+		out[i] = [2]int32{int32(li), int32(ri)}
 	}
-	return nil
+	return out, nil
 }
 
 // DefaultPairSchema returns the conventional schema for a candidate set:

@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -412,6 +413,65 @@ func TestCatalogPairLifecycle(t *testing.T) {
 	cat.Drop(pair)
 	if err := cat.ValidatePair(pair); err == nil {
 		t.Fatal("want not-registered error after drop")
+	}
+}
+
+// TestPairRows: PairRows resolves every pair to its two base-table rows,
+// and where the foreign keys do not hold it fails with ValidatePair's
+// error, word for word.
+func TestPairRows(t *testing.T) {
+	a := personTable(t)
+	b := personTable(t)
+	b.SetName("B")
+	cat := NewCatalog()
+	pair, err := NewPairTable("C", a, b, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := cat.PairRows(pair)
+	if err != nil || rows == nil || len(rows) != 0 {
+		t.Fatalf("zero-row pair table: %v, %v; want an empty slice", rows, err)
+	}
+	AppendPair(pair, "a1", "a2")
+	AppendPair(pair, "a3", "a1")
+	AppendPair(pair, "a3", "a3")
+	rows, err = cat.PairRows(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]int32{{0, 1}, {2, 0}, {2, 2}}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows %v, want %v", rows, want)
+	}
+
+	for _, tc := range []struct {
+		lid, rid, want string
+	}{
+		{"missing", "a1", `catalog: pair "C" row 3: left id "missing" not in "A" — FK constraint violated`},
+		{"a1", "ghost", `catalog: pair "C" row 3: right id "ghost" not in "B" — FK constraint violated`},
+	} {
+		bad, err := NewPairTable("C", a, b, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < pair.Len(); i++ {
+			AppendPair(bad, pair.Get(i, "ltable_id").AsString(), pair.Get(i, "rtable_id").AsString())
+		}
+		AppendPair(bad, tc.lid, tc.rid)
+		if rows, err := cat.PairRows(bad); err == nil || err.Error() != tc.want || rows != nil {
+			t.Errorf("PairRows: %v, %v; want error %q", rows, err, tc.want)
+		}
+		if err := cat.ValidatePair(bad); err == nil || err.Error() != tc.want {
+			t.Errorf("ValidatePair: %v; want %q", err, tc.want)
+		}
+	}
+
+	orphan := New("X", DefaultPairSchema())
+	want := `catalog: pair "X": not registered`
+	if _, err := cat.PairRows(orphan); err == nil || err.Error() != want {
+		t.Errorf("unregistered: %v; want %q", err, want)
+	}
+	if err := cat.ValidatePair(orphan); err == nil || err.Error() != want {
+		t.Errorf("unregistered ValidatePair: %v; want %q", err, want)
 	}
 }
 
