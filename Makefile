@@ -17,18 +17,20 @@ race:
 vet:
 	$(GO) vet ./...
 
-# emlint enforces the repo's concurrency, determinism, error-envelope and
-# performance-contract invariants (see DESIGN.md §7). Exit 1 with
-# file:line diagnostics on any violation; suppress deliberate exceptions
-# with //emlint:allow. The suite includes escapecheck, which compiles each
-# //emlint:zeroalloc / //emlint:hotpath package with -gcflags=-m=2 and
-# fails on any escape or inlining regression not grandfathered by
-# lint/escape_baseline.json, and allocguard, which requires every
-# zeroalloc function to carry a testing.AllocsPerRun guard. After a
-# deliberate change (or a Go toolchain bump), refresh the baseline with:
-#   $(GO) run ./cmd/emlint -update-baseline ./internal/... ./cmd/...
+# The invariant analyzers of internal/analysis (DESIGN.md §7) alone: the
+# sweep over ./internal/... and ./cmd/... that `make test` also runs, the
+# analyzers' fixtures, and the DESIGN.md table held to the suite. Fails
+# with file:line diagnostics on any violation; suppress deliberate
+# exceptions with //emlint:allow. The suite includes escapecheck, which
+# compiles each //emlint:zeroalloc / //emlint:hotpath package with
+# -gcflags=-m=2 and fails on any escape or inlining regression not
+# grandfathered by lint/escape_baseline.json, and allocguard, which
+# requires every zeroalloc function to carry a testing.AllocsPerRun guard.
+# After a deliberate change (or a Go toolchain bump), refresh the baseline
+# with:
+#   $(GO) test ./internal/analysis -run TestRepoInvariantsClean -update-baseline
 lint:
-	$(GO) run ./cmd/emlint ./internal/... ./cmd/...
+	$(GO) test -count=1 -run 'TestRepoInvariantsClean|TestFixtures|TestDesignTableNamesSuite' ./internal/analysis
 
 # Short fuzz smoke over the text-format parsers, the matcher loader, the
 # pair-scoring kernels, interleaved corpus writes and the /v1 request

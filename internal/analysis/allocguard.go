@@ -15,7 +15,6 @@ import (
 // or inside the measured closure).
 var AllocGuard = &Analyzer{
 	Name:  "allocguard",
-	Doc:   "//emlint:zeroalloc function without a testing.AllocsPerRun guard in the package tests",
 	Tests: true,
 	Run: func(pass *Pass) {
 		var contracts []contract

@@ -67,7 +67,7 @@ func (s allowSet) stale(executed map[string]bool) []Diagnostic {
 			var msg string
 			switch {
 			case !known[r.check]:
-				msg = "allow directive names " + r.check + ", which is not an emlint check; remove it"
+				msg = "allow directive names " + r.check + ", which is not a check of the suite; remove it"
 			case r.used || r.check == StaleAllow.Name || !executed[r.check]:
 				continue
 			default:

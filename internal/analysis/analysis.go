@@ -1,20 +1,19 @@
-// Package analysis is the repo's own static-analysis driver: a
+// Package analysis is the repo's own static-analysis suite: a
 // dependency-free (go/parser + go/types, no golang.org/x/tools) framework
-// plus the project-invariant analyzers behind cmd/emlint. The analyzers
-// enforce the conventions DESIGN.md §5–§7 and §10 establish — fan-out only
-// through internal/parallel, no wall-clock or global randomness or map
-// order in result-producing paths, canonical HTTP error codes,
-// well-formed lock regions in one global order, no dropped errors,
-// and the compiler-verified zeroalloc/hotpath contracts — so the
-// conventions survive codebase growth instead of living only in
-// documentation. DESIGN.md §7 holds the one table of checks and why each
-// stays.
+// plus the six analyzers TestRepoInvariantsClean runs over every package
+// under ./internal/... and ./cmd/... inside `go test`. They enforce what
+// only a static check can hold — well-formed lock regions, no dropped
+// errors, no per-pair allocation in the hot path, and the
+// compiler-verified zeroalloc/hotpath contracts with their AllocsPerRun
+// guards — so the conventions of DESIGN.md §5–§6 and §10 survive codebase
+// growth instead of living only in documentation. DESIGN.md §7 holds the
+// one table of checks and why each stays.
 //
 // Every diagnostic can be suppressed at a sanctioned call site with a
 // directive comment on the flagged line, the line directly above it, or in
 // the doc comment of the enclosing top-level declaration:
 //
-//	//emlint:allow nondeterminism -- wall-clock timing is the product here
+//	//emlint:allow hotalloc -- the size is data-dependent; nothing bounds it
 //
 // The text after "--" is a required-by-convention human justification.
 package analysis
@@ -34,7 +33,7 @@ type Diagnostic struct {
 	Message string
 }
 
-// String renders the diagnostic in the file:line:col form emlint prints.
+// String renders the diagnostic in the file:line:col form the sweep reports.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
@@ -67,12 +66,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Analyzer struct {
 	// Name is the check name diagnostics carry and allow comments cite.
 	Name string
-	// Doc is the one-line description emlint -list prints.
-	Doc string
-	// Tests opts the analyzer into _test.go files. Checks about
-	// production fan-out, clocks, and metric series skip tests (tests
-	// legitimately orchestrate goroutines and scratch series); API checks
-	// run everywhere.
+	// Tests opts the analyzer into _test.go files. Checks about shipped
+	// hot paths and their contracts skip tests (tests allocate freely on
+	// small fixed inputs); correctness checks run everywhere.
 	Tests bool
 	// Run inspects pass.Files and reports through pass.Reportf.
 	Run func(pass *Pass)
@@ -85,37 +81,9 @@ func All() []*Analyzer {
 		ErrDrop,
 		EscapeCheck,
 		HotAlloc,
-		HTTPErrors,
 		LockSafety,
-		MapOrder,
-		NoGoroutine,
-		NonDeterminism,
 		StaleAllow,
 	}
-}
-
-// ByName resolves a comma-separated check list against the suite.
-func ByName(names string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("analysis: unknown check %q", name)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analysis: empty check list")
-	}
-	return out, nil
 }
 
 // isTestFile reports whether the file at pos is a _test.go file.
@@ -123,13 +91,13 @@ func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
 }
 
-// RunProgram executes the analyzers over a program, anchoring diagnostics
+// runProgram executes the analyzers over a program, anchoring diagnostics
 // in the root package. Allow directives are tracked: when the staleallow
 // analyzer is in the list, directives that suppressed nothing across the
 // whole run are themselves reported, as is a directive citing a name that
 // is no check of the suite (a directive citing a real check outside the
 // executed list is left alone — this run cannot tell if it earns its keep).
-func RunProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
+func runProgram(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	pkg := prog.Root
 	allows := collectAllows(pkg)
 	executed := make(map[string]bool, len(analyzers))

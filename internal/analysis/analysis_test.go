@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,7 +83,7 @@ func TestFixtures(t *testing.T) {
 				suite = All()
 			}
 			got := make(map[string]bool)
-			for _, d := range RunProgram(prog, suite) {
+			for _, d := range runProgram(prog, suite) {
 				if d.Check != a.Name {
 					continue
 				}
@@ -106,52 +106,100 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestFixtureTestFileFiltering: analyzers that opt out of test files must
-// not see them. The nogoroutine fixture is reloaded with a synthetic
-// _test.go violation injected through the parsed file list.
-func TestAnalyzerTestFileOptOut(t *testing.T) {
-	pkg := loadFixture(t, "nogoroutine")
-	// nogoroutine has Tests=false: a pass over the package must filter
-	// *_test.go files out of pass.Files. No fixture _test.go exists, so
-	// assert the wiring directly on the analyzer metadata plus a pass run.
-	if NoGoroutine.Tests {
-		t.Fatal("nogoroutine must skip test files (tests orchestrate goroutines legitimately)")
+// zeroallocViolationSrc breaks its own //emlint:zeroalloc contract: the
+// local moves to the heap.
+const zeroallocViolationSrc = `package fx
+
+// Boxed promises zero allocations but returns the address of a local.
+//
+//emlint:zeroalloc
+func Boxed(n int) *int {
+	x := n + 1
+	return &x
+}
+`
+
+// TestEscapeCheckCatchesIntroducedEscape: in a temp module, an escaping
+// zeroalloc kernel fails escapecheck with the escape attributed to it.
+func TestEscapeCheckCatchesIntroducedEscape(t *testing.T) {
+	l := tempModule(t, map[string]string{"fx/fx.go": zeroallocViolationSrc})
+	diags := sweep(t, l, []string{"./..."}, []*Analyzer{EscapeCheck})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "moved to heap: x") {
+		t.Fatalf("escapecheck = %v, want the escape attributed to Boxed's contract", diags)
 	}
-	if NonDeterminism.Tests {
-		t.Fatal("the clock analyzer must skip test files")
-	}
-	if !ErrDrop.Tests || !LockSafety.Tests {
-		t.Fatal("errdrop and locksafety guard correctness in test files too")
-	}
-	if MapOrder.Tests || HotAlloc.Tests {
-		t.Fatal("ordering/allocation analyzers must skip test files (tests assert on small fixed inputs)")
-	}
-	if HTTPErrors.Tests {
-		t.Fatal("httperrors must skip test files (tests fake handlers legitimately)")
-	}
-	if !StaleAllow.Tests {
-		t.Fatal("the allow audit must cover directives in test files too")
-	}
-	if EscapeCheck.Tests {
-		t.Fatal("escapecheck must skip test files (contracts annotate shipped code)")
-	}
-	if !AllocGuard.Tests {
-		t.Fatal("allocguard must see test files: that is where the AllocsPerRun guards live")
-	}
-	_ = pkg
 }
 
-// TestByName resolves subsets and rejects unknown checks.
-func TestByName(t *testing.T) {
-	got, err := ByName("nogoroutine, locksafety")
-	if err != nil || len(got) != 2 {
-		t.Fatalf("ByName = %v, %v", got, err)
+// TestUpdateBaselineGrandfathers: rewriting the baseline accepts the
+// escaping kernel's fact, and the rerun passes.
+func TestUpdateBaselineGrandfathers(t *testing.T) {
+	l := tempModule(t, map[string]string{"fx/fx.go": zeroallocViolationSrc})
+	all := []string{"./..."}
+	if n := writeEscapeBaseline(t, l, all); n != 1 {
+		t.Fatalf("baseline accepted %d facts, want 1", n)
 	}
-	if _, err := ByName("nosuchcheck"); err == nil {
-		t.Fatal("unknown check accepted")
+	baseline, err := os.ReadFile(filepath.Join(l.Root, EscapeBaselinePath))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ByName(""); err == nil {
-		t.Fatal("empty check list accepted")
+	if !strings.Contains(string(baseline), "Boxed") || !strings.Contains(string(baseline), "moved to heap: x") {
+		t.Fatalf("baseline missing the accepted fact:\n%s", baseline)
+	}
+	if diags := sweep(t, l, all, []*Analyzer{EscapeCheck}); len(diags) != 0 {
+		t.Fatalf("baselined rerun = %v, want clean", diags)
+	}
+}
+
+// TestStaleAllowInFullRun: the audit is part of the full suite and reports
+// the dead directive, not the used one.
+func TestStaleAllowInFullRun(t *testing.T) {
+	l := tempModule(t, map[string]string{"fx/fx.go": `package fx
+
+import "os"
+
+func Touch(name string) {
+	f, _ := os.Create(name) //emlint:allow errdrop -- fixture: scratch file
+	f.Close()               //emlint:allow hotalloc -- stale on purpose
+}
+`})
+	diags := sweep(t, l, []string{"./..."}, All())
+	if len(diags) != 1 || diags[0].Check != StaleAllow.Name || !strings.Contains(diags[0].Message, "hotalloc") {
+		t.Fatalf("full run = %v, want exactly the stale hotalloc directive", diags)
+	}
+}
+
+// TestLockSafetyCrossPackage: a lock held in one package across a channel
+// operation in another is resolved through the program call graph.
+func TestLockSafetyCrossPackage(t *testing.T) {
+	l := tempModule(t, map[string]string{
+		"fx/fx.go": `package fx
+
+import (
+	"sync"
+
+	"fixturemod/dep"
+)
+
+type S struct {
+	mu sync.Mutex
+	p  *dep.P
+}
+
+func (s *S) Bad() {
+	s.mu.Lock()
+	s.p.Emit(1)
+	s.mu.Unlock()
+}
+`,
+		"dep/dep.go": `package dep
+
+type P struct{ Ch chan int }
+
+func (p *P) Emit(v int) { p.Ch <- v }
+`,
+	})
+	diags := sweep(t, l, []string{"./fx"}, []*Analyzer{LockSafety})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "channel operations") {
+		t.Fatalf("locksafety = %v, want the cross-package channel op", diags)
 	}
 }
 
@@ -161,7 +209,7 @@ func TestParseAllow(t *testing.T) {
 		text string
 		want []string
 	}{
-		{"//emlint:allow nogoroutine", []string{"nogoroutine"}},
+		{"//emlint:allow hotalloc", []string{"hotalloc"}},
 		{"//emlint:allow a,b -- reason text", []string{"a", "b"}},
 		{"//emlint:allow a, b", []string{"a", "b"}},
 		{"// emlint:allow a", nil}, // not a directive: space after //
@@ -194,7 +242,7 @@ func TestExpand(t *testing.T) {
 	for _, must := range []string{
 		"repro/internal/analysis",
 		"repro/internal/parallel",
-		"repro/cmd/emlint",
+		"repro/cmd/pymatcher",
 	} {
 		if !seen[must] {
 			t.Errorf("expansion missing %s (got %d paths)", must, len(paths))
@@ -202,16 +250,14 @@ func TestExpand(t *testing.T) {
 	}
 }
 
-// TestDiagnosticString pins the file:line:col output format make lint
-// consumers grep.
+// TestDiagnosticString pins the file:line:col output format the sweep
+// reports in.
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{Check: "nogoroutine", Message: "naked go statement"}
+	d := Diagnostic{Check: "errdrop", Message: "error dropped"}
 	d.Pos.Filename = "x.go"
 	d.Pos.Line = 3
 	d.Pos.Column = 7
-	if got, want := d.String(), "x.go:3:7: [nogoroutine] naked go statement"; got != want {
+	if got, want := d.String(), "x.go:3:7: [errdrop] error dropped"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
-
-var _ = ast.IsExported // keep go/ast imported for future harness growth

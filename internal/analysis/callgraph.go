@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // CallGraph is the static call graph of a Program: for every function or
@@ -26,9 +25,6 @@ type CallGraph struct {
 	// decls maps a declared function to its syntax, so analyzers can
 	// inspect callee bodies.
 	decls map[*types.Func]*ast.FuncDecl
-	// pkgOf maps a declared function to the program package holding it,
-	// so analyzers can resolve positions and info on the callee's side.
-	pkgOf map[*types.Func]*Package
 }
 
 // buildCallGraph constructs the graph over every package of the program.
@@ -36,7 +32,6 @@ func buildCallGraph(prog *Program) *CallGraph {
 	g := &CallGraph{
 		callees: make(map[*types.Func]map[*types.Func]bool),
 		decls:   make(map[*types.Func]*ast.FuncDecl),
-		pkgOf:   make(map[*types.Func]*Package),
 	}
 	inTest := make(map[*types.Func]bool) // functions declared in _test.go files
 	// Pass 1: register every declared function so interface dispatch can
@@ -53,7 +48,6 @@ func buildCallGraph(prog *Program) *CallGraph {
 					continue
 				}
 				g.decls[fn] = fd
-				g.pkgOf[fn] = pkg
 				inTest[fn] = isTestFile(pkg.Fset, f)
 			}
 		}
@@ -182,22 +176,6 @@ func (s *implementerSet) declared(m *types.Func) bool {
 // Decl returns the declaration syntax of a program function, or nil.
 func (g *CallGraph) Decl(fn *types.Func) *ast.FuncDecl {
 	return g.decls[fn]
-}
-
-// PackageOf returns the program package declaring fn, or nil.
-func (g *CallGraph) PackageOf(fn *types.Func) *Package {
-	return g.pkgOf[fn]
-}
-
-// Callees returns the program functions fn calls directly, sorted by
-// full name so callers iterate deterministically.
-func (g *CallGraph) Callees(fn *types.Func) []*types.Func {
-	out := make([]*types.Func, 0, len(g.callees[fn]))
-	for c := range g.callees[fn] {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
-	return out
 }
 
 // AnyReachable reports whether any function reachable from fn (including

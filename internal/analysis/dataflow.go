@@ -1,13 +1,12 @@
 // dataflow.go is the lightweight intra-procedural layer the typed
-// analyzers (errdrop, maporder, hotalloc, locksafety) share. It is
-// deliberately not a full CFG/SSA framework: analysis units are single
-// function bodies, function literals are independent units (a closure runs
-// under its own dynamic context), and facts are propagated by a single
-// forward walk in source order. DESIGN.md §7 records the resulting scope
-// and limits: facts never cross a call boundary except through the
-// package-level call graph (callgraph.go), and flow-insensitive
-// suppressions (e.g. "this slice is sorted somewhere in the function")
-// favor silence over false positives.
+// analyzers (errdrop, hotalloc, locksafety) share. It is deliberately not
+// a full CFG/SSA framework: analysis units are single function bodies,
+// function literals are independent units (a closure runs under its own
+// dynamic context), and facts are propagated by a single forward walk in
+// source order. DESIGN.md §7 records the resulting scope and limits: facts
+// never cross a call boundary except through the program call graph
+// (callgraph.go), and what the layer cannot see favors silence over false
+// positives.
 package analysis
 
 import (
@@ -70,6 +69,22 @@ func findNode(root ast.Node, pred func(ast.Node) bool) ast.Node {
 	return hit
 }
 
+// calleeFunc resolves the function or method a call expression invokes, or
+// nil for calls through function-typed values, built-ins, and conversions.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
 // objOf resolves the object an identifier expression denotes, unwrapping
 // parentheses; nil for anything that is not a plain identifier.
 func objOf(info *types.Info, e ast.Expr) types.Object {
@@ -81,114 +96,6 @@ func objOf(info *types.Info, e ast.Expr) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// sortCalls maps the sort/slices entry points that establish a
-// deterministic order to the index of the slice argument they reorder.
-var sortCalls = map[string]map[string]int{
-	"sort": {
-		"Strings": 0, "Ints": 0, "Float64s": 0,
-		"Slice": 0, "SliceStable": 0, "Sort": 0, "Stable": 0,
-	},
-	"slices": {
-		"Sort": 0, "SortFunc": 0, "SortStableFunc": 0,
-	},
-}
-
-// sortedExprs collects the textual form (types.ExprString) of every slice
-// expression the unit passes to a sorting call anywhere in its body, so
-// selector and index targets (res.Files, m.rows) suppress like plain
-// locals. The set is flow-insensitive on purpose: a slice sorted anywhere
-// in the function is treated as order-established, trading a little
-// soundness (append after sort) for near-zero false positives on the
-// standard collect-sort-iterate pattern.
-//
-// In program mode a second class of sorter counts: a program-local
-// function that transitively reaches a sort.*/slices.Sort* call through
-// the cross-package graph. Passing a collected slice to such a helper
-// (`orderPairs(out)`) establishes order the same as sorting inline; all
-// slice-typed arguments of the helper call are marked.
-func sortedExprs(pass *Pass, body *ast.BlockStmt) map[string]bool {
-	info := pass.Info
-	sorted := make(map[string]bool)
-	walkUnit(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		if byName, ok := sortCalls[fn.Pkg().Path()]; ok {
-			if idx, ok := byName[fn.Name()]; ok && idx < len(call.Args) {
-				sorted[types.ExprString(ast.Unparen(call.Args[idx]))] = true
-			}
-			return true
-		}
-		if localSortHelper(pass, fn) {
-			for _, arg := range call.Args {
-				if t := info.TypeOf(arg); t != nil {
-					if _, isSlice := t.Underlying().(*types.Slice); isSlice {
-						sorted[types.ExprString(ast.Unparen(arg))] = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return sorted
-}
-
-// localSortHelper reports whether fn is a program-local function whose
-// body — or any program-local function it transitively calls — invokes a
-// sorting entry point. The fact only ever suppresses, so reaching any
-// sort call is enough; proving it sorts the specific argument would need
-// interprocedural alias tracking DESIGN.md §7 rules out.
-func localSortHelper(pass *Pass, fn *types.Func) bool {
-	if pass.Prog == nil || fn.Pkg() == nil || pass.Prog.Local(fn.Pkg()) == nil {
-		return false
-	}
-	return declSorts(pass.Prog.CallGraph(), fn, make(map[*types.Func]bool))
-}
-
-// declSorts is the recursive body of localSortHelper; seen guards cycles.
-func declSorts(g *CallGraph, fn *types.Func, seen map[*types.Func]bool) bool {
-	if seen[fn] {
-		return false
-	}
-	seen[fn] = true
-	decl, pkg := g.Decl(fn), g.PackageOf(fn)
-	if decl == nil || decl.Body == nil || pkg == nil {
-		return false
-	}
-	found := false
-	walkUnit(decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callee := calleeFunc(pkg.Info, call); callee != nil && callee.Pkg() != nil {
-			if byName, ok := sortCalls[callee.Pkg().Path()]; ok {
-				if _, ok := byName[callee.Name()]; ok {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	if found {
-		return true
-	}
-	for _, callee := range g.Callees(fn) {
-		if declSorts(g, callee, seen) {
-			return true
-		}
-	}
-	return false
 }
 
 // errorResults returns the result indices of sig whose type is the

@@ -81,7 +81,6 @@ func neverFailingWriter(info *types.Info, e ast.Expr) bool {
 // errors checked just because it lives outside the stdlib.
 var ErrDrop = &Analyzer{
 	Name:  "errdrop",
-	Doc:   "error results discarded via bare calls or _ assignment; check, propagate, or allow-list with a reason",
 	Tests: true,
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {

@@ -10,8 +10,9 @@
 // Verdicts are gated by a checked-in golden baseline
 // (lint/escape_baseline.json at the module root): a violation recorded
 // there is grandfathered and only *regressions* — new facts the baseline
-// does not list — fail the build. `emlint -update-baseline` rewrites the
-// file from current state; DESIGN.md §10 records the workflow and the
+// does not list — fail the build. `go test ./internal/analysis -run
+// TestRepoInvariantsClean -update-baseline` rewrites the file from current
+// state; DESIGN.md §10 records the workflow and the
 // compiler-version caveats (facts are a property of the toolchain, so the
 // baseline is honest only on the pinned CI Go version).
 package analysis
@@ -39,7 +40,6 @@ const EscapeBaselinePath = "lint/escape_baseline.json"
 // check is free for most of the tree.
 var EscapeCheck = &Analyzer{
 	Name: "escapecheck",
-	Doc:  "Compiler-verified //emlint:zeroalloc / //emlint:hotpath contract violation (escape analysis, inlining budget)",
 	Run: func(pass *Pass) {
 		rep, err := CollectEscapeReport(pass.Package, pass.Files)
 		if err != nil {
@@ -65,7 +65,7 @@ var EscapeCheck = &Analyzer{
 				if strings.HasPrefix(v, "cannot inline") {
 					contract = "hotpath"
 				}
-				pass.Reportf(fn.pos, "%s contract of %s violated: %s (fix the function, or accept with emlint -update-baseline)", contract, fn.Name, v)
+				pass.Reportf(fn.pos, "%s contract of %s violated: %s (fix the function, or accept it with TestRepoInvariantsClean -update-baseline)", contract, fn.Name, v)
 			}
 		}
 	},
@@ -258,9 +258,9 @@ func LoadEscapeBaseline(path string) (EscapeBaseline, error) {
 	return b, nil
 }
 
-// SaveEscapeBaseline writes the baseline with stable formatting, creating
+// saveEscapeBaseline writes the baseline with stable formatting, creating
 // the directory as needed.
-func SaveEscapeBaseline(path string, b EscapeBaseline) error {
+func saveEscapeBaseline(path string, b EscapeBaseline) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -281,9 +281,9 @@ func (b EscapeBaseline) Allows(pkg, fn, msg string) bool {
 	return false
 }
 
-// Record adds a violation to the baseline, keeping lists sorted and
+// record adds a violation to the baseline, keeping lists sorted and
 // duplicate-free.
-func (b EscapeBaseline) Record(pkg, fn, msg string) {
+func (b EscapeBaseline) record(pkg, fn, msg string) {
 	if b[pkg] == nil {
 		b[pkg] = make(map[string][]string)
 	}

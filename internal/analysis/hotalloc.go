@@ -29,7 +29,6 @@ import (
 // with //emlint:allow hotalloc -- reason.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "per-pair inner-loop allocations: un-preallocated append, fmt.Sprintf, string concatenation, make() in per-task parallel closures",
 	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			for _, unit := range funcUnits(f) {
@@ -313,4 +312,14 @@ func deepestAppendDepth(pass *Pass, loop ast.Stmt, obj types.Object) int {
 	}
 	walk(loop, 0)
 	return maxDepth
+}
+
+// isBuiltinAppend reports whether the call invokes the append built-in.
+func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
 }

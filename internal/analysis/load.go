@@ -225,7 +225,7 @@ func primaryPackageFiles(files []*ast.File) []*ast.File {
 }
 
 // Expand resolves go-style package patterns ("./internal/...",
-// "./cmd/emlint") relative to the module root into sorted import paths.
+// "./cmd/pymatcher") relative to the module root into sorted import paths.
 // Directories named testdata, and hidden or underscore-prefixed
 // directories, are skipped, as are directories without Go files.
 func (l *Loader) Expand(patterns []string) ([]string, error) {

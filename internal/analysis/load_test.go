@@ -112,7 +112,7 @@ func TestLoadTestOnlyPackage(t *testing.T) {
 }
 
 // TestLoadTypeErrorIsError: a package that does not type-check must come
-// back as an error (driver exit 2), never a panic or a partial package.
+// back as an error, never a panic or a partial package.
 func TestLoadTypeErrorIsError(t *testing.T) {
 	l := tempModule(t, map[string]string{
 		"pkg/bad.go": "package pkg\n\nfunc Bad() int { return undefinedSymbol }\n",

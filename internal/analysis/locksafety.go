@@ -10,8 +10,8 @@ import (
 // between Lock and Unlock (the lock leaks on that path), and a lock held
 // across a channel operation — including one performed by a module-local
 // function the locked region calls, resolved through the program call
-// graph (cross-package under emlint's program mode). Holding a lock across
-// a blocking channel op is the classic pool/metamanager deadlock: the
+// graph across package boundaries. Holding a lock across a blocking
+// channel op is the classic pool/metamanager deadlock: the
 // goroutine that would drain the channel may need the same lock.
 //
 // Lock expressions are canonicalized through locks.go, so a promoted
@@ -26,7 +26,6 @@ import (
 // with //emlint:allow locksafety -- reason.
 var LockSafety = &Analyzer{
 	Name:  "locksafety",
-	Doc:   "Lock without Unlock on some path, or a lock held across a channel operation (call-graph aware)",
 	Tests: true,
 	Run: func(pass *Pass) {
 		graph := pass.Prog.CallGraph()

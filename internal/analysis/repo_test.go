@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"flag"
+	"go/ast"
 	"go/parser"
 	"os"
 	"path/filepath"
@@ -12,58 +14,121 @@ import (
 	"testing"
 )
 
+var updateBaseline = flag.Bool("update-baseline", false,
+	"rewrite "+EscapeBaselinePath+" from the current escapecheck facts instead of failing on new ones")
+
 // TestRepoInvariantsClean runs the full analyzer suite in cross-package
-// program mode over every package under ./internal/... and ./cmd/... —
-// the same sweep as `make lint` — and requires zero diagnostics. A
-// failure here means a concurrency, determinism, or observability
-// invariant regressed; fix the violation or add a justified
-// //emlint:allow directive.
+// program mode over every package under ./internal/... and ./cmd/... and
+// requires zero diagnostics. A failure here means a lock, error, allocation
+// or performance-contract invariant regressed; fix the violation or add a
+// justified //emlint:allow directive. After a deliberate change to a
+// contract kernel (or a Go toolchain bump),
+//
+//	go test ./internal/analysis -run TestRepoInvariantsClean -update-baseline
+//
+// rewrites lint/escape_baseline.json from the compiler's current facts
+// before the sweep runs.
 func TestRepoInvariantsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo type check is slow; skipped in -short mode")
 	}
 	l := loader(t)
-	paths, err := l.Expand([]string{"./internal/...", "./cmd/..."})
+	patterns := []string{"./internal/...", "./cmd/..."}
+	if *updateBaseline {
+		n := writeEscapeBaseline(t, l, patterns)
+		t.Logf("wrote %s: %d accepted fact(s)", EscapeBaselinePath, n)
+	}
+	diags := sweep(t, l, patterns, All())
+	for _, d := range diags {
+		t.Error(d)
+	}
+	if len(diags) > 0 {
+		t.Logf("%d invariant violations; see docs/GUIDE.md, \"Keeping the invariants\"", len(diags))
+	}
+}
+
+// eachProgram loads every package the patterns expand to as the root of
+// its Program, as the sweep does, and hands it to visit.
+func eachProgram(t *testing.T, l *Loader, patterns []string, visit func(*Program)) {
+	t.Helper()
+	paths, err := l.Expand(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) < 10 {
-		t.Fatalf("suspiciously few packages expanded: %v", paths)
-	}
-	analyzers := All()
-	var violations []string
 	for _, path := range paths {
 		prog, err := l.LoadProgram(path)
 		if err != nil {
 			t.Fatalf("loading %s: %v", path, err)
 		}
-		for _, d := range RunProgram(prog, analyzers) {
-			rel := strings.TrimPrefix(d.Pos.Filename, l.Root+"/")
-			violations = append(violations, rel+": ["+d.Check+"] "+d.Message)
-		}
-	}
-	for _, v := range violations {
-		t.Error(v)
-	}
-	if len(violations) > 0 {
-		t.Logf("%d invariant violations; see docs/GUIDE.md for the emlint workflow", len(violations))
+		visit(prog)
 	}
 }
 
-// TestEveryInternalPackageHasReader pins DESIGN.md §3's reader rule at
-// package level: every package under internal/ is imported by at least one
-// non-test file outside itself. It also pins the structural fact behind
-// §5's lock order: internal/obs imports no package of this module, so no
-// code holding obs.Registry.mu can reach a lock of serve or cloud.
-func TestEveryInternalPackageHasReader(t *testing.T) {
-	l := loader(t)
+// sweep runs the analyzers over every package the patterns expand to and
+// returns the diagnostics with module-relative file names.
+func sweep(t *testing.T, l *Loader, patterns []string, analyzers []*Analyzer) []Diagnostic {
+	t.Helper()
+	var out []Diagnostic
+	eachProgram(t, l, patterns, func(prog *Program) {
+		for _, d := range runProgram(prog, analyzers) {
+			d.Pos.Filename = strings.TrimPrefix(d.Pos.Filename, l.Root+"/")
+			out = append(out, d)
+		}
+	})
+	return out
+}
+
+// writeEscapeBaseline records every current escapecheck fact of the
+// contract-annotated packages the patterns expand to as accepted, and
+// returns how many it wrote.
+func writeEscapeBaseline(t *testing.T, l *Loader, patterns []string) int {
+	t.Helper()
+	baseline, accepted := EscapeBaseline{}, 0
+	eachProgram(t, l, patterns, func(prog *Program) {
+		// Contracts annotate shipped code, as in the escapecheck pass.
+		var files []*ast.File
+		for _, f := range prog.Root.Files {
+			if !isTestFile(l.Fset, f) {
+				files = append(files, f)
+			}
+		}
+		rep, err := CollectEscapeReport(prog.Root, files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep == nil {
+			return
+		}
+		for _, fn := range rep.Funcs {
+			for _, v := range fn.Violations {
+				baseline.record(rep.Package, fn.Name, v)
+				accepted++
+			}
+		}
+	})
+	if err := saveEscapeBaseline(filepath.Join(l.Root, EscapeBaselinePath), baseline); err != nil {
+		t.Fatal(err)
+	}
+	return accepted
+}
+
+// sourceFile is one parsed non-test Go file of the module.
+type sourceFile struct {
+	pkg string // import path
+	rel string // module-relative file name
+	f   *ast.File
+}
+
+// moduleSources parses every non-test Go file of every package directory
+// of the module in the given mode — build-ignored scripts included, since
+// they read packages too.
+func moduleSources(t *testing.T, l *Loader, mode parser.Mode) []sourceFile {
+	t.Helper()
 	pkgs, err := l.Expand([]string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	internal := l.Module + "/internal/"
-	var declared []string            // internal packages with non-test files
-	readers := make(map[string]bool) // internal packages imported from outside themselves
+	var out []sourceFile
 	for _, pkg := range pkgs {
 		dir, _ := l.local(pkg)
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -74,24 +139,41 @@ func TestEveryInternalPackageHasReader(t *testing.T) {
 			if strings.HasSuffix(file, "_test.go") {
 				continue
 			}
-			if strings.HasPrefix(pkg, internal) && !slices.Contains(declared, pkg) {
-				declared = append(declared, pkg)
-			}
-			f, err := parser.ParseFile(l.Fset, file, nil, parser.ImportsOnly)
+			f, err := parser.ParseFile(l.Fset, file, nil, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, imp := range f.Imports {
-				p, err := strconv.Unquote(imp.Path.Value)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p != pkg && strings.HasPrefix(p, internal) {
-					readers[p] = true
-				}
-				if pkg == internal+"obs" && strings.HasPrefix(p, l.Module+"/") {
-					t.Errorf("internal/obs imports %s: it must stay a leaf of the module (DESIGN.md §5, lock order)", p)
-				}
+			out = append(out, sourceFile{pkg, strings.TrimPrefix(file, l.Root+"/"), f})
+		}
+	}
+	return out
+}
+
+// TestEveryInternalPackageHasReader pins DESIGN.md §3's reader rule at
+// package level: every package under internal/ is imported by at least one
+// non-test file outside itself. It also pins the structural fact behind
+// §5's lock order: internal/obs imports no package of this module, so no
+// code holding obs.Registry.mu can reach a lock of serve or cloud.
+func TestEveryInternalPackageHasReader(t *testing.T) {
+	l := loader(t)
+	internal := l.Module + "/internal/"
+	var declared []string            // internal packages with non-test files
+	readers := make(map[string]bool) // internal packages imported from outside themselves
+	for _, src := range moduleSources(t, l, parser.ImportsOnly) {
+		pkg := src.pkg
+		if strings.HasPrefix(pkg, internal) && !slices.Contains(declared, pkg) {
+			declared = append(declared, pkg)
+		}
+		for _, imp := range src.f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p != pkg && strings.HasPrefix(p, internal) {
+				readers[p] = true
+			}
+			if pkg == internal+"obs" && strings.HasPrefix(p, l.Module+"/") {
+				t.Errorf("internal/obs imports %s: it must stay a leaf of the module (DESIGN.md §5, lock order)", p)
 			}
 		}
 	}
@@ -101,6 +183,68 @@ func TestEveryInternalPackageHasReader(t *testing.T) {
 	for _, pkg := range declared {
 		if !readers[pkg] {
 			t.Errorf("%s has no non-test importer: give it a reader or delete it (DESIGN.md §3)", pkg)
+		}
+	}
+}
+
+// TestGoAndRandCensus states two determinism rules of DESIGN.md §5 over
+// every non-test file under internal/ and cmd/. Fan-out runs through
+// internal/parallel, so the Workers knob governs it and its merge keeps
+// output bit-identical to serial: a go statement appears only there and
+// in the metamanager's fragment start (one goroutine per ready step, gated
+// by its engine's slots, living as long as the step). Randomness comes
+// from a *rand.Rand seeded by the caller: no package-level math/rand
+// function other than New and NewSource is called.
+func TestGoAndRandCensus(t *testing.T) {
+	l := loader(t)
+	goSites := map[string]int{"internal/cloud/metamanager.go start": 1}
+	seeded := map[string]bool{"New": true, "NewSource": true}
+	got := make(map[string]int)
+	for _, src := range moduleSources(t, l, 0) {
+		if !strings.HasPrefix(src.rel, "internal/") && !strings.HasPrefix(src.rel, "cmd/") ||
+			strings.HasPrefix(src.rel, "internal/parallel/") {
+			continue
+		}
+		randName := ""
+		for _, imp := range src.f.Imports {
+			if p := imp.Path.Value; p == `"math/rand"` || p == `"math/rand/v2"` {
+				randName = "rand"
+				if imp.Name != nil {
+					randName = imp.Name.Name
+				}
+			}
+		}
+		for _, decl := range src.f.Decls {
+			fn := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					got[src.rel+" "+fn]++
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						break
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && randName != "" && x.Name == randName && !seeded[sel.Sel.Name] {
+						t.Errorf("%s: %s.%s draws from the process-global source; use an explicitly seeded *rand.Rand",
+							l.Fset.Position(n.Pos()), randName, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for site, n := range got {
+		if goSites[site] != n {
+			t.Errorf("%s: %d go statement(s), want %d: route fan-out through internal/parallel", site, n, goSites[site])
+		}
+	}
+	for site, n := range goSites {
+		if got[site] != n {
+			t.Errorf("%s: %d go statement(s), want %d: update the census if the fragment start moved", site, got[site], n)
 		}
 	}
 }

@@ -9,15 +9,14 @@ package analysis
 // directive marks a real, currently-firing diagnostic someone chose to
 // accept.
 //
-// The analyzer body is empty on purpose: usage tracking lives in the run
-// driver (RunProgram), which knows which directives matched after every
+// The analyzer body is empty on purpose: usage tracking lives in
+// runProgram, which knows which directives matched after every
 // other analyzer has reported. Listing StaleAllow in the suite is what
 // switches the audit on; directives citing checks outside the executed
-// list are never reported (a partial -checks run cannot tell if they still
+// list are never reported (a run of a subset cannot tell if they still
 // earn their keep).
 var StaleAllow = &Analyzer{
 	Name:  "staleallow",
-	Doc:   "//emlint:allow directive that no longer suppresses any diagnostic, or names no check",
 	Tests: true,
 	Run:   func(pass *Pass) {},
 }

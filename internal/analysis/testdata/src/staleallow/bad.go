@@ -7,7 +7,7 @@ package fixture
 
 import "sync"
 
-//emlint:allow nogoroutine -- stale: nothing below spawns a goroutine // want staleallow
+//emlint:allow hotalloc -- stale: nothing below allocates // want staleallow
 func quiet() int {
 	return 1
 }

@@ -1,9 +1,15 @@
 package fixture
 
-// spawns carries a directive that suppresses a real nogoroutine
-// diagnostic every run — it earns its keep and is never reported stale.
+// pairs carries a directive that suppresses a real hotalloc diagnostic
+// every run — it earns its keep and is never reported stale.
 //
-//emlint:allow nogoroutine -- fixture demo: daemon loop outside the parallel package
-func spawns() {
-	go quiet()
+//emlint:allow hotalloc -- fixture demo: the pair count is data-dependent
+func pairs(ls, rs []int) []int {
+	var out []int
+	for _, l := range ls {
+		for _, r := range rs {
+			out = append(out, l+r)
+		}
+	}
+	return out
 }

@@ -2,11 +2,11 @@ package cloud
 
 // Canonical request-level error codes of the HTTP API. Every error
 // response writes exactly one of these into the envelope's "code" field;
-// clients branch on the code, never on message text. The emlint
-// httperrors check enforces that handlers pass one of these named
-// constants to writeError — an inline string would mint an unregistered
-// code that drifts out of the docs (docs/GUIDE.md, "The serving API") and
-// out of client switch statements.
+// clients branch on the code, never on message text. Handlers pass one of
+// these named constants to writeError (TestErrorEnvelope holds them to it)
+// — an inline string would mint an unregistered code that drifts out of
+// the docs (docs/GUIDE.md, "The serving API") and out of client switch
+// statements.
 const (
 	// codeBadJSON: the request body is not valid JSON for the route's
 	// schema (400).

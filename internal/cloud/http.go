@@ -255,7 +255,6 @@ func writeError(w http.ResponseWriter, status int, code, message, detail string)
 // Content-Type ahead of WriteHeader (headers are frozen after it).
 //
 //emlint:allow errdrop -- body writes after WriteHeader can only fail when the client hung up; nothing can be reported to it anymore
-//emlint:allow httperrors -- this is the envelope's own terminal 500: marshal failed, so the error body is hand-rolled
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf, err := json.Marshal(v)
 	if err != nil {

@@ -1,7 +1,12 @@
 package cloud
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,8 +18,10 @@ import (
 )
 
 // Two ownership invariants of the long-lived shared structures, stated at
-// run time (DESIGN.md §7, "what was cut"). They live here because package
-// cloud is the one place that already reaches every type involved.
+// run time, and the error envelope of the HTTP API, stated over the
+// package's source (DESIGN.md §7, "what was cut"). The first two live here
+// because package cloud is the one place that already reaches every type
+// involved.
 
 // TestAccessorsReturnCopies: an exported accessor never hands out
 // receiver-owned mutable state. Each accessor's result is scribbled over
@@ -119,4 +126,93 @@ func TestReadLockedPathsOverlap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestErrorEnvelope: every error a handler answers goes through the
+// structured envelope with a registered code. Over the package's non-test
+// files: no http.Error or http.NotFound (text/plain bodies no client of the
+// JSON API can parse); WriteHeader is called only inside writeJSON, so no
+// status leaves without the envelope's body; and every writeError call
+// passes as its code an identifier declared in codes.go.
+func TestErrorEnvelope(t *testing.T) {
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	files := make(map[string]*ast.File)
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if files[name], err = parser.ParseFile(fset, name, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	registered := make(map[string]bool)
+	for _, decl := range files["codes.go"].Decls {
+		if gd, ok := decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, id := range vs.Names {
+						registered[id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	codeArg, calls := -1, 0
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "writeError" {
+				i := 0
+				for _, field := range fd.Type.Params.List {
+					for _, id := range field.Names {
+						if id.Name == "code" {
+							codeArg = i
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+	if len(registered) == 0 || codeArg < 0 {
+		t.Fatalf("found %d codes in codes.go and code parameter %d of writeError; the test proves nothing", len(registered), codeArg)
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				pos := fset.Position(call.Pos())
+				switch fun := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := fun.X.(*ast.Ident); ok && x.Name == "http" && (fun.Sel.Name == "Error" || fun.Sel.Name == "NotFound") {
+						t.Errorf("%s: http.%s bypasses the error envelope; answer through writeError", pos, fun.Sel.Name)
+					}
+					if fun.Sel.Name == "WriteHeader" && fn != "writeJSON" {
+						t.Errorf("%s: WriteHeader in %s; a status leaves only through writeJSON", pos, fn)
+					}
+				case *ast.Ident:
+					if fun.Name == "writeError" {
+						calls++
+						if id, ok := call.Args[codeArg].(*ast.Ident); !ok || !registered[id.Name] {
+							t.Errorf("%s: writeError's code is not a name declared in codes.go", pos)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no writeError call found; the test proves nothing")
+	}
 }

@@ -323,7 +323,6 @@ func (m *Metamanager) start(ctx context.Context, job *Job, st *Step, done chan<-
 	engine, service := obs.L("engine", kind.String()), obs.L("service", st.Service)
 	e.queued.Add(1)
 	m.metrics.Gauge(obs.CloudQueueDepth, 1, engine)
-	//emlint:allow nogoroutine -- a fragment lives as long as its step and waits on channels; internal/parallel hosts fan-out that returns together
 	go func() {
 		select {
 		case e.slots <- struct{}{}:

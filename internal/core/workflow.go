@@ -54,8 +54,6 @@ func (w *Workflow) Validate() error {
 
 // Execute runs the workflow end to end on the full tables: block, extract
 // feature vectors in parallel, predict, apply rules.
-//
-//emlint:allow nondeterminism -- stage durations are reported fields, not decision inputs
 func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResult, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -131,8 +131,6 @@ type ConcurrencyResult struct {
 // concurrently and compares wall-clock time. The jobs' simulated labeling
 // latency (PerQuestion) is what concurrency hides, exactly as interleaving
 // user-interaction fragments hides users' think time in the real system.
-//
-//emlint:allow nondeterminism -- wall-clock speedup is this experiment's product
 func RunConcurrency(n int, seed int64) (*ConcurrencyResult, error) {
 	makeJob := func(j int) (*cloud.Job, error) {
 		task, err := datagen.Generate(datagen.Spec{

@@ -77,8 +77,6 @@ func (r *Result) TotalQuestions() int {
 // Run executes the end-to-end Falcon workflow on tables a and b with the
 // given labeler: the six steps of Figure 3, in order. The catalog receives
 // the intermediate pair tables.
-//
-//emlint:allow nondeterminism -- MachineTime is a reported duration, not a decision input
 func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (*Result, error) {
 	start := time.Now()
 	fs, err := feature.AutoGenerate(a, b)

@@ -181,7 +181,6 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	writeFamily := func(kind string, series map[string]*scalarSeries) error {
 		byName := make(map[string][]*scalarSeries)
 		for _, s := range series {
-			//emlint:allow maporder -- every byName bucket is sorted by label string (as ss) before emission
 			byName[s.name] = append(byName[s.name], s)
 		}
 		names := make([]string, 0, len(byName))
@@ -219,7 +218,6 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 
 	byName := make(map[string][]*histSeries)
 	for _, h := range g.hists {
-		//emlint:allow maporder -- every byName bucket is sorted by label string (as hs) before emission
 		byName[h.name] = append(byName[h.name], h)
 	}
 	names := make([]string, 0, len(byName))

@@ -10,8 +10,6 @@ import "time"
 // When the recorder is disabled (nil or Nop) no clock is read and a shared
 // no-capture closure is returned, so the call is free on production paths
 // that run without metrics.
-//
-//emlint:allow nondeterminism -- the obs timer is the sanctioned clock
 func StartTimer(r Recorder, name string, labels ...Label) func() {
 	if !Enabled(r) {
 		return nopStop

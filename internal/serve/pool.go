@@ -64,8 +64,6 @@ func NewPool(c *Corpus, workers, queueCap int) *Pool {
 // requests it admits, and ErrClosed after Close. The wait for a run slot
 // ends with ctx: a caller that has hung up gives its place back instead of
 // being matched later for nobody.
-//
-//emlint:allow nondeterminism -- service-time sampling feeds the Retry-After EWMA, never the match results
 func (p *Pool) Match(ctx context.Context, rec Record) (pairs []ScoredPair, err error) {
 	select {
 	case p.admit <- struct{}{}:
