@@ -310,8 +310,15 @@ type MatchRules struct {
 	Veto rules.RuleSet
 }
 
-// Apply filters/extends the prediction y over feature matrix x.
-func (mr MatchRules) Apply(x [][]float64, y []int, featureNames []string) ([]int, error) {
+// compiledRules is MatchRules compiled against a feature set: the row form
+// of the rule layer Workflow.Execute applies to each pair it scores.
+type compiledRules struct {
+	promote, veto *rules.CompiledRuleSet
+}
+
+// compile compiles both rule sets against the feature names; a rule naming
+// an unknown feature fails here, before any pair is scored.
+func (mr *MatchRules) compile(featureNames []string) (*compiledRules, error) {
 	promote, err := rules.CompileSet(mr.Promote, featureNames)
 	if err != nil {
 		return nil, err
@@ -320,15 +327,18 @@ func (mr MatchRules) Apply(x [][]float64, y []int, featureNames []string) ([]int
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(y))
-	copy(out, y)
-	for i := range x {
-		if fired, _ := promote.AnyFires(x[i]); fired {
-			out[i] = 1
-		}
-		if fired, _ := veto.AnyFires(x[i]); fired {
-			out[i] = 0
-		}
+	return &compiledRules{promote: promote, veto: veto}, nil
+}
+
+// match is the rule layer's verdict on one feature vector x given the
+// matcher's: a firing Promote rule makes it a match, a firing Veto rule a
+// non-match, and Veto wins.
+func (cr *compiledRules) match(x []float64, predicted bool) bool {
+	if fired, _ := cr.veto.AnyFires(x); fired {
+		return false
 	}
-	return out, nil
+	if fired, _ := cr.promote.AnyFires(x); fired {
+		return true
+	}
+	return predicted
 }

@@ -221,26 +221,27 @@ func TestMatchRulesApply(t *testing.T) {
 	mr := MatchRules{}
 	mr.Promote.Add(rules.MustParse("promote", "sim_a >= 0.99"))
 	mr.Veto.Add(rules.MustParse("veto", "sim_b <= 0.01"))
-	x := [][]float64{
-		{1.0, 0.5}, // promoted
-		{0.5, 0.0}, // vetoed
-		{1.0, 0.0}, // promoted then vetoed -> veto wins
-		{0.5, 0.5}, // untouched
-	}
-	y := []int{0, 1, 1, 1}
-	out, err := mr.Apply(x, y, names)
+	rl, err := mr.compile(names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 0, 0, 1}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("rule layer: out[%d] = %d, want %d", i, out[i], want[i])
+	for i, c := range []struct {
+		x               []float64
+		predicted, want bool
+	}{
+		{[]float64{1.0, 0.5}, false, true}, // promoted
+		{[]float64{0.5, 0.0}, true, false}, // vetoed
+		{[]float64{1.0, 0.0}, true, false}, // promoted then vetoed -> veto wins
+		{[]float64{0.5, 0.5}, true, true},  // untouched
+		{[]float64{0.5, 0.5}, false, false},
+	} {
+		if got := rl.match(c.x, c.predicted); got != c.want {
+			t.Errorf("rule layer: case %d = %v, want %v", i, got, c.want)
 		}
 	}
 	// Unknown feature in a rule fails fast.
 	mr.Promote.Add(rules.MustParse("bad", "missing > 0"))
-	if _, err := mr.Apply(x, y, names); err == nil {
+	if _, err := mr.compile(names); err == nil {
 		t.Error("want unknown-feature error")
 	}
 }

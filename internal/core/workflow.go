@@ -34,28 +34,52 @@ type WorkflowResult struct {
 	Matches *table.Table
 	// Candidates is the candidate-set size blocking produced.
 	Candidates int
-	// BlockTime, ExtractTime, and PredictTime break down the run.
-	BlockTime, ExtractTime, PredictTime time.Duration
+	// BlockTime is the blocker's run, candidate table included.
+	BlockTime time.Duration
+	// ExtractTime is the fused pass over the candidates: each pair's
+	// feature vector, the matcher's prediction and the rule layer.
+	ExtractTime time.Duration
+	// PredictTime is building the match table from the kept pairs.
+	PredictTime time.Duration
 }
 
-// Validate checks the workflow is executable.
+// Validate checks the workflow is executable, its rule layer included: a
+// rule naming a feature the set lacks is an error here, before blocking.
 func (w *Workflow) Validate() error {
+	_, err := w.compile()
+	return err
+}
+
+// compile validates the workflow and compiles its rule layer; a workflow
+// without one gets an empty layer, which leaves every prediction alone.
+func (w *Workflow) compile() (*compiledRules, error) {
 	if w.Blocker == nil {
-		return fmt.Errorf("core: workflow has no blocker")
+		return nil, fmt.Errorf("core: workflow has no blocker")
 	}
 	if w.Features == nil || w.Features.Len() == 0 {
-		return fmt.Errorf("core: workflow has no features")
+		return nil, fmt.Errorf("core: workflow has no features")
 	}
 	if w.Matcher == nil {
-		return fmt.Errorf("core: workflow has no matcher")
+		return nil, fmt.Errorf("core: workflow has no matcher")
 	}
-	return nil
+	mr := w.Rules
+	if mr == nil {
+		mr = &MatchRules{}
+	}
+	rl, err := mr.compile(w.Features.Names())
+	if err != nil {
+		return nil, fmt.Errorf("core: workflow rules: %w", err)
+	}
+	return rl, nil
 }
 
-// Execute runs the workflow end to end on the full tables: block, extract
-// feature vectors in parallel, predict, apply rules.
+// Execute runs the workflow end to end on the full tables: block, then one
+// parallel pass that scores each candidate pair's feature vector, predicts
+// it and applies the rules, keeping only the indices of the pairs that
+// match. No feature matrix is built.
 func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResult, error) {
-	if err := w.Validate(); err != nil {
+	rl, err := w.compile()
+	if err != nil {
 		return nil, err
 	}
 	res := &WorkflowResult{}
@@ -69,21 +93,16 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 	res.Candidates = cand.Len()
 
 	t0 = time.Now()
-	x, err := feature.Vectors(w.Features, cand, cat, feature.ExtractOptions{Workers: w.Workers})
+	kept, err := feature.Select(w.Features, cand, cat, feature.ExtractOptions{Workers: w.Workers}, func(x []float64) bool {
+		return rl.match(x, ml.Predict(w.Matcher, x) == 1)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: workflow feature extraction: %w", err)
 	}
 	res.ExtractTime = time.Since(t0)
 
 	t0 = time.Now()
-	y := ml.PredictAll(w.Matcher, x)
-	if w.Rules != nil {
-		y, err = w.Rules.Apply(x, y, w.Features.Names())
-		if err != nil {
-			return nil, fmt.Errorf("core: workflow rules: %w", err)
-		}
-	}
-	matches, err := table.PredictedPairs("workflow_matches", cand, cat, y)
+	matches, err := table.SelectedPairs("workflow_matches", cand, cat, kept)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -171,42 +172,80 @@ func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets 
 // metadata is re-validated before use, by the pass that resolves each
 // pair's two rows (Catalog.PairRows).
 func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions) ([][]float64, error) {
+	out := make([][]float64, pairs.Len())
+	if err := eachRow(s, pairs, cat, opts, true, func(_, i int, x []float64) { out[i] = x }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Select is Vectors for a caller that keeps a verdict, not the matrix: it
+// returns, ascending, the index of every pair of the candidate-set table
+// whose feature vector keep accepts. Each worker fills a pair's vector into
+// a scratch row it reuses for the next pair and hands it to keep, so keep
+// runs on every worker at once and must not retain the row. The indices
+// are the same at any Workers setting, and the metrics counted are
+// Vectors'.
+func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keep func(row []float64) bool) ([]int, error) {
+	kept := make([][]int, (pairs.Len()+vectorsChunk-1)/vectorsChunk)
+	if err := eachRow(s, pairs, cat, opts, false, func(c, i int, x []float64) {
+		if keep(x) {
+			kept[c] = append(kept[c], i)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return slices.Concat(kept...), nil
+}
+
+// eachRow is the one chunk loop under Vectors and Select: it computes the
+// feature vector of every pair of a registered candidate-set table and
+// hands it to row(c, i, x), c being the chunk pair i belongs to. With
+// keepRows, each chunk's rows are cut from one array the worker allocates,
+// so row may retain x and the zeroing runs on every core; without it, a
+// chunk's pairs are filled one after another into one scratch row that row
+// must not retain.
+//
+// Each pair's vector is a function of its two rows alone, so extraction at
+// any Workers setting is bit-identical to serial. Workers claim chunks of
+// consecutive pairs — a blocker emits a left record's candidates together,
+// and the scratch's memo reuses scores along a run — and a chunk's pairs
+// are visited in order by one worker.
+func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keepRows bool, row func(c, i int, x []float64)) error {
 	rec := obs.Or(opts.Metrics)
 	defer obs.StartTimer(rec, obs.FeatureExtractSeconds)()
 	meta, ok := cat.PairMeta(pairs)
 	if !ok {
-		return nil, fmt.Errorf("feature: pair table %q not registered in catalog", pairs.Name())
+		return fmt.Errorf("feature: pair table %q not registered in catalog", pairs.Name())
 	}
 	rows, err := cat.PairRows(pairs)
 	if err != nil {
-		return nil, fmt.Errorf("feature: %w", err)
+		return fmt.Errorf("feature: %w", err)
 	}
 	cache, err := buildTokenCache(s, meta.LTable, meta.RTable, opts.Workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	n, nf := len(rows), len(s.Features)
-	out := make([][]float64, n)
-	// Each pair's vector lands in its own row, so extraction at any Workers
-	// setting is bit-identical to serial. Workers claim chunks of
-	// consecutive pairs — a blocker emits a left record's candidates
-	// together, and the scratch's memo reuses scores along a run — and each
-	// chunk's rows are cut from one array the worker allocates, so the
-	// zeroing runs on every core.
 	scratch := make([]sim.Scratch, parallel.Resolve(opts.Workers))
 	if err := parallel.ForEachShard(opts.Workers, (n+vectorsChunk-1)/vectorsChunk, func(shard, c int) error {
 		sc := &scratch[shard]
 		lo, hi := c*vectorsChunk, min(n, (c+1)*vectorsChunk)
-		flat := make([]float64, (hi-lo)*nf)
+		size, stride := nf, 0
+		if keepRows {
+			size, stride = (hi-lo)*nf, nf
+		}
+		buf := make([]float64, size)
 		for i := lo; i < hi; i++ {
-			k := (i - lo) * nf
-			out[i] = flat[k : k+nf : k+nf]
-			s.VectorInto(&cache.l[rows[i][0]], &cache.r[rows[i][1]], sc, out[i])
+			k := (i - lo) * stride
+			x := buf[k : k+nf : k+nf]
+			s.VectorInto(&cache.l[rows[i][0]], &cache.r[rows[i][1]], sc, x)
+			row(c, i, x)
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	rec.Count(obs.FeatureVectors, float64(n))
 	for i := range scratch {
@@ -214,10 +253,10 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 		rec.Count(obs.FeaturePairGroups, float64(scored), obs.L("result", "scored"))
 		rec.Count(obs.FeaturePairGroups, float64(reused), obs.L("result", "reused"))
 	}
-	return out, nil
+	return nil
 }
 
-// vectorsChunk is how many consecutive pairs a Vectors worker claims at a
+// vectorsChunk is how many consecutive pairs an eachRow worker claims at a
 // time: enough that claiming costs nothing and a left record's run is
 // rarely cut, few enough that two workers balance over some thousand pairs.
 const vectorsChunk = 2048

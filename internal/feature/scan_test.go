@@ -319,3 +319,60 @@ func TestVectorsChunkedScan(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectChunkedScan: Select over the same several-chunk candidate set
+// keeps, ascending, exactly the pairs whose string-path row its predicate
+// accepts, at any worker count, and counts what Vectors counts at that
+// count: the same vectors and pair groups, and at one worker the same
+// groups reused.
+func TestSelectChunkedScan(t *testing.T) {
+	a, b, _, cat := cacheTables(t, 80, 11)
+	s, err := AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := table.NewPairTable("runs", a, b, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li := 0; li < a.Len(); li++ {
+		for ri := 0; ri < b.Len(); ri++ {
+			table.AppendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
+		}
+	}
+	keep := func(x []float64) bool { return x[0]+x[len(x)-1] > 0.9 }
+	var want []int
+	for i, x := range stringPathVectors(t, s, pairs, cat) {
+		if keep(x) {
+			want = append(want, i)
+		}
+	}
+	if len(want) == 0 || len(want) == pairs.Len() {
+		t.Fatalf("the predicate keeps %d of %d pairs; want a proper subset", len(want), pairs.Len())
+	}
+	counts := func(reg *obs.Registry) [3]float64 {
+		scored := reg.CounterValue(obs.FeaturePairGroups, obs.L("result", "scored"))
+		reused := reg.CounterValue(obs.FeaturePairGroups, obs.L("result", "reused"))
+		return [3]float64{reg.CounterValue(obs.FeatureVectors), scored + reused, reused}
+	}
+	for _, workers := range []int{1, 3, 0} {
+		reg, vreg := obs.NewRegistry(), obs.NewRegistry()
+		got, err := Select(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: reg}, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: Select keeps %d pairs, the string path %d (or in another order)", workers, len(got), len(want))
+		}
+		if _, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: vreg}); err != nil {
+			t.Fatal(err)
+		}
+		g, v := counts(reg), counts(vreg)
+		if workers != 1 { // which worker continues a left run is scheduling
+			g[2], v[2] = 0, 0
+		}
+		if g != v {
+			t.Fatalf("workers=%d: Select counts (vectors, groups, reused) %v, Vectors %v", workers, g, v)
+		}
+	}
+}

@@ -96,7 +96,10 @@ func (d *Dataset) Positives() int {
 type Classifier interface {
 	// Fit trains on the dataset, replacing any previous state.
 	Fit(d *Dataset) error
-	// PredictProba returns P(label=1 | x) in [0, 1].
+	// PredictProba returns P(label=1 | x) in [0, 1]. Once Fit has
+	// returned it is safe for concurrent use, and it must not retain x:
+	// production scores every candidate pair from several workers at once,
+	// each reusing one row buffer.
 	PredictProba(x []float64) float64
 	// Name identifies the model family (e.g. "random_forest").
 	Name() string

@@ -8,9 +8,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/block"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/feature"
+	"repro/internal/label"
 	"repro/internal/ml"
+	"repro/internal/parallel"
 	"repro/internal/table"
 	"repro/internal/tokenize"
 )
@@ -204,4 +207,73 @@ func fitOnGold(t *testing.T, fs *feature.Set, cands *table.Table, rows [][]float
 		t.Fatal(err)
 	}
 	return rf
+}
+
+// BenchmarkCorpusProduction is core.BenchmarkWorkflowExecute's production
+// pass taken the serving way: the same 2 000 × 2 000 person task, feature
+// set and logistic-regression matcher (developed by the guide on a
+// 1 000 × 1 000 down-sample with 400 labels), but table B is indexed in a
+// Corpus under whole-tuple min-overlap 2 and every record of A is streamed
+// through MatchOne on GOMAXPROCS workers, keeping the pairs scored at 0.5
+// or above. An op builds the corpus, installs the matcher and streams all
+// of A; turning the tables into records is setup. The candidate pairs are
+// the blocker's (TestBatchServeDifferential), so the two benchmarks score
+// the same ~327k pairs.
+func BenchmarkCorpusProduction(b *testing.B) {
+	task, err := datagen.Generate(datagen.Spec{
+		Name: "figure2", Domain: datagen.PersonDomain(),
+		SizeA: 2000, SizeB: 2000, MatchFraction: 0.4, Typo: 0.2, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := core.NewSession(task.A, task.B, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.DownSample(1000, 1000); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Block(block.WholeTupleOverlapBlocker{MinOverlap: 2}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.SampleAndLabel(400, label.NewOracle(task.Gold)); err != nil {
+		b.Fatal(err)
+	}
+	_, model, err := s.TrainAndPredict(func() ml.Classifier { return &ml.LogisticRegression{Seed: 1} })
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs, rs := tableRecords(task.A), tableRecords(task.B)
+	ctx := context.Background()
+	kept := make([]int, len(qs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := NewCorpus(WithTokenizer(tokenize.Alphanumeric{ReturnSet: true}), WithMinOverlap(2))
+		if err := c.AddBatch(rs, false); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.SetMatcher(s.Features, model); err != nil {
+			b.Fatal(err)
+		}
+		if err := parallel.ForEach(0, len(qs), func(q int) error {
+			pairs, err := c.MatchOne(ctx, qs[q])
+			kept[q] = 0
+			for _, p := range pairs {
+				if p.Score >= 0.5 {
+					kept[q]++
+				}
+			}
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	matches := 0
+	for _, k := range kept {
+		matches += k
+	}
+	b.ReportMetric(float64(matches), "matches")
 }

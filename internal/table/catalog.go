@@ -172,9 +172,22 @@ func AppendPairs(pair *Table, ids []PairID) {
 }
 
 // PredictedPairs returns a new pair table holding, in order, the id pairs
-// of the rows i of cand with y[i] == 1, appended in one batch. cand must be
-// registered in cat; the result is registered over the same base tables.
+// of the rows i of cand with y[i] == 1 (SelectedPairs over those rows).
 func PredictedPairs(name string, cand *Table, cat *Catalog, y []int) (*Table, error) {
+	var rows []int
+	for i, yi := range y {
+		if yi == 1 {
+			rows = append(rows, i)
+		}
+	}
+	return SelectedPairs(name, cand, cat, rows)
+}
+
+// SelectedPairs returns a new pair table holding the id pairs of cand's
+// rows at the given indices, in that order, appended in one batch. cand
+// must be registered in cat; the result is registered over the same base
+// tables.
+func SelectedPairs(name string, cand *Table, cat *Catalog, rows []int) (*Table, error) {
 	meta, ok := cat.PairMeta(cand)
 	if !ok {
 		return nil, fmt.Errorf("catalog: pair %q: not registered", cand.Name())
@@ -183,11 +196,9 @@ func PredictedPairs(name string, cand *Table, cat *Catalog, y []int) (*Table, er
 	if err != nil {
 		return nil, err
 	}
-	var kept []PairID
-	for i, yi := range y {
-		if yi == 1 {
-			kept = append(kept, PairID{L: cand.Get(i, meta.LID).AsString(), R: cand.Get(i, meta.RID).AsString()})
-		}
+	kept := make([]PairID, len(rows))
+	for k, i := range rows {
+		kept[k] = PairID{L: cand.Get(i, meta.LID).AsString(), R: cand.Get(i, meta.RID).AsString()}
 	}
 	AppendPairs(out, kept)
 	return out, nil
