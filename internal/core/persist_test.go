@@ -104,6 +104,61 @@ func TestWorkflowSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || want[0] != 0.5 {
 		t.Fatalf("null-side vector changed across save/load: %v vs %v", got, want)
 	}
+
+	// A linear workflow without rules settles most pairs from their cheap
+	// columns, keeping the matrix path's matches; loaded back it executes
+	// to the same match table and settles the same number of pairs, so the
+	// decider survives Import.
+	lin := &Workflow{Blocker: wf.Blocker, Features: wf.Features, Matcher: linearMatcher(t, wf, task)}
+	if before, err = lin.Execute(task.A, task.B, table.NewCatalog()); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = SaveWorkflow(lin); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = LoadWorkflow(data); err != nil {
+		t.Fatal(err)
+	}
+	if after, err = loaded.Execute(task.A, task.B, table.NewCatalog()); err != nil {
+		t.Fatal(err)
+	}
+	if !sameTable(before.Matches, matrixPath(t, lin, task.A, task.B)) {
+		t.Fatalf("linear workflow: Execute keeps %d pairs, not the matrix path's", before.Matches.Len())
+	}
+	if !sameTable(before.Matches, after.Matches) || before.Settled != after.Settled || before.Settled == 0 {
+		t.Fatalf("linear round trip: %d matches, %d settled before; %d, %d after",
+			before.Matches.Len(), before.Settled, after.Matches.Len(), after.Settled)
+	}
+}
+
+// linearMatcher fits a logistic regression to wf's candidates over task,
+// labelled by its gold pairs.
+func linearMatcher(t *testing.T, wf *Workflow, task *datagen.Task) ml.Classifier {
+	t.Helper()
+	cat := table.NewCatalog()
+	cand, err := wf.Blocker.Block(task.A, task.B, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := feature.Vectors(wf.Features, cand, cat, feature.ExtractOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := make([]int, len(x))
+	for i := range y {
+		if task.Gold.IsMatch(cand.Get(i, "ltable_id").AsString(), cand.Get(i, "rtable_id").AsString()) {
+			y[i] = 1
+		}
+	}
+	ds, err := ml.NewDataset(x, y, wf.Features.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf := &ml.LogisticRegression{Seed: 1}
+	if err := clf.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	return clf
 }
 
 func TestWorkflowFileRoundTrip(t *testing.T) {

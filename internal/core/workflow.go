@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -39,6 +40,11 @@ type WorkflowResult struct {
 	// ExtractTime is the fused pass over the candidates: each pair's
 	// feature vector, the matcher's prediction and the rule layer.
 	ExtractTime time.Duration
+	// Settled is how many candidates the matcher decided from their cheap
+	// columns alone (feature.Select), without the deferred character-level
+	// ones: every candidate it could when the matcher is an ml.Decider and
+	// the workflow has no rules, 0 otherwise.
+	Settled int
 	// PredictTime is building the match table from the kept pairs.
 	PredictTime time.Duration
 }
@@ -76,7 +82,10 @@ func (w *Workflow) compile() (*compiledRules, error) {
 // Execute runs the workflow end to end on the full tables: block, then one
 // parallel pass that scores each candidate pair's feature vector, predicts
 // it and applies the rules, keeping only the indices of the pairs that
-// match. No feature matrix is built.
+// match. No feature matrix is built. When the matcher is an ml.Decider and
+// there are no rules, a pair it settles from the cheap columns keeps that
+// verdict, which is Predict's on the whole row; only the rest pay for the
+// deferred columns.
 func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResult, error) {
 	rl, err := w.compile()
 	if err != nil {
@@ -93,13 +102,29 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 	res.Candidates = cand.Len()
 
 	t0 = time.Now()
-	kept, err := feature.Select(w.Features, cand, cat, feature.ExtractOptions{Workers: w.Workers}, func(x []float64) bool {
+	dec, early := w.Matcher.(ml.Decider)
+	var deferred []bool
+	if early = early && (w.Rules == nil || w.Rules.Promote.Len()+w.Rules.Veto.Len() == 0); early {
+		deferred = w.Features.Deferred()
+	}
+	var filled atomic.Int64
+	kept, err := feature.Select(w.Features, cand, cat, feature.ExtractOptions{Workers: w.Workers}, func(x []float64, fill func()) bool {
+		if early {
+			if match, ok := dec.Decide(x, deferred); ok {
+				return match
+			}
+			filled.Add(1)
+		}
+		fill()
 		return rl.match(x, ml.Predict(w.Matcher, x) == 1)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: workflow feature extraction: %w", err)
 	}
 	res.ExtractTime = time.Since(t0)
+	if early {
+		res.Settled = res.Candidates - int(filled.Load())
+	}
 
 	t0 = time.Now()
 	matches, err := table.SelectedPairs("workflow_matches", cand, cat, kept)

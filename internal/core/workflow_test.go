@@ -95,14 +95,17 @@ func sameTable(x, y *table.Table) bool {
 }
 
 // TestExecuteEqualsMatrixPath is the oracle for the fused production pass:
-// for three matchers, with and without a rule layer, at Workers 1, 2 and
+// for four matchers, with and without a rule layer, at Workers 1, 2 and
 // 0, Execute's match table is the matrix path's, bit for bit and in order.
+// Only the linear matchers without rules may settle pairs from their cheap
+// columns, and some do.
 func TestExecuteEqualsMatrixPath(t *testing.T) {
 	a, b, fs, ds := developedWorkflow(t)
 	var mr MatchRules
 	mr.Promote.Add(rules.MustParse("promote", "jaccard_3gram_name >= 0.6"))
 	mr.Veto.Add(rules.MustParse("veto", "jaccard_3gram_address <= 0.3"))
-	for _, clf := range []ml.Classifier{&ml.LogisticRegression{Seed: 1}, &ml.RandomForest{Seed: 1}, &ml.DecisionTree{Seed: 1}} {
+	settled := 0
+	for _, clf := range []ml.Classifier{&ml.LogisticRegression{Seed: 1}, &ml.RandomForest{Seed: 1}, &ml.DecisionTree{Seed: 1}, &ml.LinearSVM{Seed: 1}} {
 		if err := clf.Fit(ds); err != nil {
 			t.Fatal(err)
 		}
@@ -122,6 +125,10 @@ func TestExecuteEqualsMatrixPath(t *testing.T) {
 				if res.Candidates <= 2*2048 || res.ExtractTime <= 0 {
 					t.Fatalf("%d candidates in %v: want several chunks and a timed pass", res.Candidates, res.ExtractTime)
 				}
+				if _, linear := clf.(ml.Decider); res.Settled > 0 && (!linear || rl != nil) || res.Settled >= res.Candidates {
+					t.Fatalf("%s rules=%v: %d of %d candidates settled early", clf.Name(), rl != nil, res.Settled, res.Candidates)
+				}
+				settled += res.Settled
 				if rl == nil {
 					plain = want.Len()
 				} else if want.Len() == plain {
@@ -129,6 +136,9 @@ func TestExecuteEqualsMatrixPath(t *testing.T) {
 				}
 			}
 		}
+	}
+	if settled == 0 {
+		t.Fatal("no run settled a pair early: the oracle does not reach the cheap pass")
 	}
 }
 

@@ -152,7 +152,7 @@ func (ps *pairScratch) vectorWith(s *Set, lattrs, rattrs map[string]string, lset
 	p := s.planned()
 	p.fromAttrs(&ps.l, 0, lattrs, lsets)
 	p.fromAttrs(&ps.r, 1, rattrs, rsets)
-	s.vector(&ps.l, &ps.r, &ps.sim, x, false)
+	s.vector(&ps.l, &ps.r, &ps.sim, x, false, false)
 }
 
 // fromAttrs prepares attrs into rec with the caller's RecordSets-shaped
@@ -173,7 +173,7 @@ func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets 
 // pair's two rows (Catalog.PairRows).
 func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions) ([][]float64, error) {
 	out := make([][]float64, pairs.Len())
-	if err := eachRow(s, pairs, cat, opts, true, func(_, i int, x []float64) { out[i] = x }); err != nil {
+	if err := eachRow(s, pairs, cat, opts, true, func(_, i int, x []float64, _ func()) { out[i] = x }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -181,15 +181,17 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 
 // Select is Vectors for a caller that keeps a verdict, not the matrix: it
 // returns, ascending, the index of every pair of the candidate-set table
-// whose feature vector keep accepts. Each worker fills a pair's vector into
-// a scratch row it reuses for the next pair and hands it to keep, so keep
-// runs on every worker at once and must not retain the row. The indices
-// are the same at any Workers setting, and the metrics counted are
-// Vectors'.
-func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keep func(row []float64) bool) ([]int, error) {
+// that keep accepts. Each worker fills a pair's cheap columns — every one
+// Deferred does not mark — into a scratch row it reuses for the next pair
+// and hands keep the row and fill, which completes the row in place with
+// the deferred columns; until fill is called they hold stale values. keep
+// runs on every worker at once and must not retain the row or fill. The
+// indices are the same at any Workers setting; the metrics are Vectors',
+// the cheap pass's memo blocks counted among the pair groups.
+func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keep func(row []float64, fill func()) bool) ([]int, error) {
 	kept := make([][]int, (pairs.Len()+vectorsChunk-1)/vectorsChunk)
-	if err := eachRow(s, pairs, cat, opts, false, func(c, i int, x []float64) {
-		if keep(x) {
+	if err := eachRow(s, pairs, cat, opts, false, func(c, i int, x []float64, fill func()) {
+		if keep(x, fill) {
 			kept[c] = append(kept[c], i)
 		}
 	}); err != nil {
@@ -200,18 +202,19 @@ func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions,
 
 // eachRow is the one chunk loop under Vectors and Select: it computes the
 // feature vector of every pair of a registered candidate-set table and
-// hands it to row(c, i, x), c being the chunk pair i belongs to. With
+// hands it to row(c, i, x, fill), c being the chunk pair i belongs to. With
 // keepRows, each chunk's rows are cut from one array the worker allocates,
-// so row may retain x and the zeroing runs on every core; without it, a
-// chunk's pairs are filled one after another into one scratch row that row
-// must not retain.
+// so row may retain x and the zeroing runs on every core, and x is whole;
+// without it, a chunk's pairs are filled one after another into one scratch
+// row that row must not retain, x holds the cheap columns alone (cheapInto)
+// and fill completes it.
 //
 // Each pair's vector is a function of its two rows alone, so extraction at
 // any Workers setting is bit-identical to serial. Workers claim chunks of
 // consecutive pairs — a blocker emits a left record's candidates together,
 // and the scratch's memo reuses scores along a run — and a chunk's pairs
 // are visited in order by one worker.
-func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keepRows bool, row func(c, i int, x []float64)) error {
+func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keepRows bool, row func(c, i int, x []float64, fill func())) error {
 	rec := obs.Or(opts.Metrics)
 	defer obs.StartTimer(rec, obs.FeatureExtractSeconds)()
 	meta, ok := cat.PairMeta(pairs)
@@ -237,11 +240,19 @@ func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 			size, stride = (hi-lo)*nf, nf
 		}
 		buf := make([]float64, size)
+		var l, r *Prepared
+		fill := func() { s.VectorInto(l, r, sc, buf) } // buf is the one scratch row
 		for i := lo; i < hi; i++ {
 			k := (i - lo) * stride
 			x := buf[k : k+nf : k+nf]
-			s.VectorInto(&cache.l[rows[i][0]], &cache.r[rows[i][1]], sc, x)
-			row(c, i, x)
+			l, r = &cache.l[rows[i][0]], &cache.r[rows[i][1]]
+			if keepRows {
+				s.VectorInto(l, r, sc, x)
+				row(c, i, x, nil)
+				continue
+			}
+			s.cheapInto(l, r, sc, x)
+			row(c, i, x, fill)
 		}
 		return nil
 	}); err != nil {

@@ -131,7 +131,8 @@ type plan struct {
 // right-hand value.
 type group struct {
 	col   [2]int // per side: index of the attribute in sidePlan.attrs
-	feats []int  // the features, those over one interned column adjacent
+	feats []int  // the features, the cheap ones first, those over one interned column adjacent
+	cheap int    // how many of feats are not deferred: the prefix the cheap pass scores
 }
 
 type featPlan struct {
@@ -191,10 +192,27 @@ func (s *Set) planned() *plan {
 		}
 		p.groups[gi].feats = append(p.groups[gi].feats, k)
 	}
-	for _, g := range p.groups {
+	for gi := range p.groups {
 		// Within a group one tokenizer names one column on each side, so
-		// the left index alone tells the interned columns apart.
-		slices.SortStableFunc(g.feats, func(a, b int) int { return cmp.Compare(p.feats[a].set[0], p.feats[b].set[0]) })
+		// the left index alone tells the interned columns apart. Each
+		// column's features come together, then those without a set, the
+		// deferred ones last; a set feature is never deferred, so the cheap
+		// ones are a prefix.
+		g := &p.groups[gi]
+		rank := func(k int) int {
+			switch {
+			case p.feats[k].set[0] >= 0:
+				return p.feats[k].set[0]
+			case s.Features[k].deferred():
+				return math.MaxInt
+			}
+			return math.MaxInt - 1
+		}
+		slices.SortStableFunc(g.feats, func(a, b int) int { return cmp.Compare(rank(a), rank(b)) })
+		g.cheap = slices.IndexFunc(g.feats, func(k int) bool { return s.Features[k].deferred() })
+		if g.cheap < 0 {
+			g.cheap = len(g.feats)
+		}
 	}
 	s.plan.Store(p)
 	return p
@@ -281,6 +299,24 @@ func (s *Set) Prepare(attrs map[string]string, right bool, interner func(toks []
 	return rec
 }
 
+// deferred reports whether f is character-level: a kernel that reads runes
+// or a token bag (lev, jaro, jaro_winkler, monge_elkan_jw), the kinds that
+// cost most per pair. Only registry kinds are, so a deferred column's score
+// always lies in [0, 1], as does the missing score.
+func (f *Feature) deferred() bool { return f.need&(needRunes|needTokens) != 0 }
+
+// Deferred reports, per feature, whether the cheap pass under Select
+// leaves its column unfilled: the character-level kinds (lev, jaro,
+// jaro_winkler, monge_elkan_jw), whose scores, like the missing score,
+// lie in [0, 1].
+func (s *Set) Deferred() []bool {
+	out := make([]bool, len(s.Features))
+	for k := range s.Features {
+		out[k] = s.Features[k].deferred()
+	}
+	return out
+}
+
 // VectorInto writes the pair's whole feature vector into x, which must
 // have len(s.Features) entries. Calls that score one left record against
 // many right ones through one scratch are a scan: a group whose right-hand
@@ -292,19 +328,42 @@ func (s *Set) Prepare(attrs map[string]string, right bool, interner func(toks []
 //emlint:zeroalloc
 func (s *Set) VectorInto(l, r *Prepared, sc *sim.Scratch, x []float64) {
 	sc.Scan(l.gen)
-	s.vector(l, r, sc, x, true)
+	s.vector(l, r, sc, x, true, false)
+}
+
+// cheapInto is VectorInto for the cheap columns alone: it fills the prefix
+// of every group that is not deferred, through the same scratch and memo
+// under a key of its own, and leaves the deferred entries of x as they
+// were. Bit for bit those entries are VectorInto's, and VectorInto on the
+// same pair completes the row.
+//
+//emlint:zeroalloc
+func (s *Set) cheapInto(l, r *Prepared, sc *sim.Scratch, x []float64) {
+	sc.Scan(l.gen)
+	s.vector(l, r, sc, x, true, true)
 }
 
 // vector scores the pair group by group; scan says whether the scratch's
-// memo is open on l, or this is a pair on its own with nothing to reuse.
+// memo is open on l, or this is a pair on its own with nothing to reuse,
+// and cheap whether to score only each group's cheap prefix. A cheap block
+// is memoized under the group's index plus the number of groups, so it
+// never answers for the whole group, nor the whole group for it.
 //
 //emlint:zeroalloc
-func (s *Set) vector(l, r *Prepared, sc *sim.Scratch, x []float64, scan bool) {
-	for gi := range l.p.groups {
-		g := &l.p.groups[gi]
+func (s *Set) vector(l, r *Prepared, sc *sim.Scratch, x []float64, scan, cheap bool) {
+	groups := l.p.groups
+	for gi := range groups {
+		g := &groups[gi]
+		feats, key := g.feats, uint32(gi)
+		if cheap {
+			feats, key = g.feats[:g.cheap], uint32(len(groups)+gi)
+			if len(feats) == 0 {
+				continue
+			}
+		}
 		lv, rv := &l.cols[g.col[0]], &r.cols[g.col[1]]
 		if !lv.ok || !rv.ok {
-			for _, k := range g.feats {
+			for _, k := range feats {
 				x[k] = s.missingScore()
 			}
 			continue
@@ -312,32 +371,32 @@ func (s *Set) vector(l, r *Prepared, sc *sim.Scratch, x []float64, scan bool) {
 		var blk []float64
 		if scan {
 			var hit bool
-			if blk, hit = sc.Block(uint32(gi), rv.hash, rv.s, len(g.feats)); hit {
-				for i, k := range g.feats {
+			if blk, hit = sc.Block(key, rv.hash, rv.s, len(feats)); hit {
+				for i, k := range feats {
 					x[k] = blk[i]
 				}
 				continue
 			}
 		}
-		s.scoreGroup(g, l, r, sc, x)
+		s.scoreGroup(g, feats, l, r, sc, x)
 		for i := range blk { // no block: the memo is full, or not in use
-			blk[i] = x[g.feats[i]]
+			blk[i] = x[feats[i]]
 		}
 	}
 }
 
-// scoreGroup scores g's features for a pair with both values present, each
-// into its own entry of x: the interned-set formula over the column's one
-// intersection when both sides carry the sets, the feature's prepared
-// kernel otherwise — Jaro computed once for jaro and jaro_winkler — and Fn
-// over the strings for a feature that has neither.
+// scoreGroup scores feats, some of g's features, for a pair with both
+// values present, each into its own entry of x: the interned-set formula
+// over the column's one intersection when both sides carry the sets, the
+// feature's prepared kernel otherwise — Jaro computed once for jaro and
+// jaro_winkler — and Fn over the strings for a feature that has neither.
 //
 //emlint:zeroalloc
-func (s *Set) scoreGroup(g *group, l, r *Prepared, sc *sim.Scratch, x []float64) {
+func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch, x []float64) {
 	lv, rv := &l.cols[g.col[0]], &r.cols[g.col[1]]
 	interOf, inter := -1, 0 // the set column inter was counted over
 	jaro := -1.0            // not computed yet
-	for _, k := range g.feats {
+	for _, k := range feats {
 		f, fp := &s.Features[k], &l.p.feats[k]
 		if fp.set[0] >= 0 {
 			if ls, rs := l.sets[fp.set[0]], r.sets[fp.set[1]]; ls != nil && rs != nil {

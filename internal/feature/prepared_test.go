@@ -232,9 +232,10 @@ func TestPlanFollowsAddAndRemove(t *testing.T) {
 
 // TestPairKernelsZeroAlloc: with records prepared ahead, a pair's row costs
 // no allocation — scored (vector, scoreGroup) or taken from the scan's memo
-// (VectorInto) — once the scratch holds its memo; preparing both sides from
-// their strings into scratch first, as VectorWithInto does with scratch
-// from its pool, costs none either once the scratch has grown.
+// (VectorInto, and the cheap pass cheapInto) — once the scratch holds its
+// memo; preparing both sides from their strings into scratch first, as
+// VectorWithInto does with scratch from its pool, costs none either once
+// the scratch has grown.
 func TestPairKernelsZeroAlloc(t *testing.T) {
 	a, b, _, _ := cacheTables(t, 6, 3)
 	s, err := AutoGenerate(a, b)
@@ -249,10 +250,12 @@ func TestPairKernelsZeroAlloc(t *testing.T) {
 	var ps pairScratch
 	x := make([]float64, s.Len())
 	run := func() {
-		s.vector(l, r, &sc, x, false)
+		s.vector(l, r, &sc, x, false, false)
 		for gi := range l.p.groups {
-			s.scoreGroup(&l.p.groups[gi], l, r, &sc, x)
+			g := &l.p.groups[gi]
+			s.scoreGroup(g, g.feats, l, r, &sc, x)
 		}
+		s.cheapInto(l, r, &sc, x)
 		s.VectorInto(l, r, &sc, x)
 		ps.vectorWith(s, la, ra, lsets, rsets, x)
 	}

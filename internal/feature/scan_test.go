@@ -233,6 +233,65 @@ func TestScanFollowsPlanChange(t *testing.T) {
 	scan("after Remove")
 }
 
+// TestScanCheapPass: on one scratch, one left record's run of right
+// records whose values repeat, nulls among them. Pair by pair the run takes
+// the cheap pass alone, the cheap pass and then the whole row, or the whole
+// row alone, so each memo key answers sometimes. The cheap pass fills
+// exactly the columns Deferred does not mark, with the bits a memo-free
+// VectorInto gives, and leaves the deferred ones as they were; every whole
+// row is that VectorInto's.
+func TestScanCheapPass(t *testing.T) {
+	s := everyKind(t)
+	deferred := s.Deferred()
+	var names []string
+	for k, f := range s.Features {
+		if deferred[k] {
+			names = append(names, f.Name)
+		}
+	}
+	if want := []string{"jaro_v", "jaro_winkler_v", "lev_v", "monge_elkan_jw_v"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("deferred features %v, want %v", names, want)
+	}
+	vals := scanValues()
+	rng := rand.New(rand.NewSource(9))
+	d := intern.NewDict()
+	lp := s.Prepare(map[string]string{"v": "anne smith"}, false, d.SortedSet)
+	var sc, ref sim.Scratch
+	x, want := make([]float64, s.Len()), make([]float64, s.Len())
+	stale := math.Float64frombits(0x7ff8dead) // a NaN no feature returns
+	for step := 0; step < 3000; step++ {
+		right := map[string]string{}
+		if rng.Intn(8) > 0 {
+			right["v"] = vals[rng.Intn(len(vals))]
+		}
+		rp := s.Prepare(right, true, d.SortedSet)
+		s.vector(lp, rp, &ref, want, false, false)
+		mode := rng.Intn(3) // 0: cheap alone, 1: cheap then whole, 2: whole alone
+		if mode < 2 {
+			for k := range x {
+				x[k] = stale
+			}
+			s.cheapInto(lp, rp, &sc, x)
+			for k := range x {
+				if got := math.Float64bits(x[k]); deferred[k] && got != math.Float64bits(stale) || !deferred[k] && got != math.Float64bits(want[k]) {
+					t.Fatalf("step %d, right %q: cheap pass has %s = %v, want %v (deferred %v)", step, right["v"], s.Features[k].Name, x[k], want[k], deferred[k])
+				}
+			}
+		}
+		if mode > 0 {
+			s.VectorInto(lp, rp, &sc, x)
+			for k := range x {
+				if math.Float64bits(x[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("step %d, right %q, mode %d: %s = %v, want %v", step, right["v"], mode, s.Features[k].Name, x[k], want[k])
+				}
+			}
+		}
+	}
+	if scored, reused := sc.TakeBlockCounts(); reused < 10*scored {
+		t.Fatalf("%d blocks scored, %d reused: the run was meant to repeat", scored, reused)
+	}
+}
+
 // TestValueKeepsItsSize: the memo's hash rides in what was padding, so a
 // resident record costs no more memory for it.
 func TestValueKeepsItsSize(t *testing.T) {
@@ -320,11 +379,12 @@ func TestVectorsChunkedScan(t *testing.T) {
 	}
 }
 
-// TestSelectChunkedScan: Select over the same several-chunk candidate set
-// keeps, ascending, exactly the pairs whose string-path row its predicate
-// accepts, at any worker count, and counts what Vectors counts at that
-// count: the same vectors and pair groups, and at one worker the same
-// groups reused.
+// TestSelectChunkedScan: Select over the same several-chunk candidate set,
+// with a keep that completes every row, keeps, ascending, exactly the pairs
+// whose string-path row its predicate accepts, at any worker count, and
+// counts what Vectors counts at that count: the same vectors and, since
+// every group has a cheap prefix, each pair's groups twice (cheap and
+// whole), and at one worker twice the groups reused.
 func TestSelectChunkedScan(t *testing.T) {
 	a, b, _, cat := cacheTables(t, 80, 11)
 	s, err := AutoGenerate(a, b)
@@ -340,10 +400,14 @@ func TestSelectChunkedScan(t *testing.T) {
 			table.AppendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
 		}
 	}
-	keep := func(x []float64) bool { return x[0]+x[len(x)-1] > 0.9 }
+	pred := func(x []float64) bool { return x[0]+x[len(x)-1] > 0.9 }
+	keep := func(x []float64, fill func()) bool {
+		fill()
+		return pred(x)
+	}
 	var want []int
 	for i, x := range stringPathVectors(t, s, pairs, cat) {
-		if keep(x) {
+		if pred(x) {
 			want = append(want, i)
 		}
 	}
@@ -371,8 +435,8 @@ func TestSelectChunkedScan(t *testing.T) {
 		if workers != 1 { // which worker continues a left run is scheduling
 			g[2], v[2] = 0, 0
 		}
-		if g != v {
-			t.Fatalf("workers=%d: Select counts (vectors, groups, reused) %v, Vectors %v", workers, g, v)
+		if v[1], v[2] = 2*v[1], 2*v[2]; g != v {
+			t.Fatalf("workers=%d: Select counts (vectors, groups, reused) %v, Vectors %v doubled", workers, g, v)
 		}
 	}
 }

@@ -78,6 +78,41 @@ func (l *linear) PredictProba(x []float64) float64 {
 	return sigmoid(z + l.b)
 }
 
+// Decide implements Decider for both models. The margin is b plus the
+// known columns' terms w_j(x_j−mean_j)/std_j; an unknown column's term is
+// linear in x_j, so over x_j ∈ [0, 1] it spans the interval between its
+// values at 0 and 1. The verdict is settled when the margin's interval
+// clears 0 by more than slack: the rounding PredictProba's sum and this one
+// can make between them — each term ~3 roundings, each sum n+1, 2⁻⁵³ a
+// rounding, so under (n+4)·2⁻⁵² of the terms' magnitudes — plus
+// 1e-9, because sigmoid rounds to exactly 0.5 for a tiny negative margin
+// and Predict calls 0.5 a match. A NaN leaves every comparison false, so
+// the row is unsettled. An unfitted model settles every row on 0, as
+// PredictProba scores it.
+func (l *linear) Decide(x []float64, unknown []bool) (match, ok bool) {
+	if l.w == nil {
+		return false, true
+	}
+	z, lo, hi, mag := l.b, 0.0, 0.0, math.Abs(l.b)
+	for j, w := range l.w {
+		if !unknown[j] {
+			t := w * (x[j] - l.mean[j]) / l.std[j]
+			z, mag = z+t, mag+math.Abs(t)
+			continue
+		}
+		t0, t1 := w*(0-l.mean[j])/l.std[j], w*(1-l.mean[j])/l.std[j]
+		lo, hi, mag = lo+min(t0, t1), hi+max(t0, t1), mag+max(math.Abs(t0), math.Abs(t1))
+	}
+	slack := float64(len(l.w)+4)*0x1p-52*mag + 1e-9
+	switch {
+	case z+lo > slack:
+		return true, true
+	case z+hi < -slack:
+		return false, true
+	}
+	return false, false
+}
+
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		return 1 / (1 + math.Exp(-z))

@@ -105,6 +105,18 @@ type Classifier interface {
 	Name() string
 }
 
+// Decider is a Classifier that can settle a row before all of it is known.
+type Decider interface {
+	Classifier
+	// Decide returns Predict's verdict on x and true when that verdict is
+	// the same for every value the unknown columns could take — each
+	// column j with unknown[j] anywhere in [0, 1], whatever x holds there
+	// — and false, false when it is not, or is not certain. unknown is as
+	// long as x. Safe for concurrent use once Fit has returned, like
+	// PredictProba, and it does not retain x.
+	Decide(x []float64, unknown []bool) (match, ok bool)
+}
+
 // Predict thresholds PredictProba at 0.5.
 func Predict(c Classifier, x []float64) int {
 	if c.PredictProba(x) >= 0.5 {

@@ -88,6 +88,11 @@ func importModel(env envelope, dim int) (Classifier, error) {
 		if len(dto.W) != dim || len(dto.Mean) != dim || len(dto.Std) != dim {
 			return nil, fmt.Errorf("w, mean, std of %d, %d, %d values for %d features", len(dto.W), len(dto.Mean), len(dto.Std), dim)
 		}
+		for j, sd := range dto.Std {
+			if !(sd > 0) { // a fit never writes one below 1e-12
+				return nil, fmt.Errorf("std %v of feature %d is not positive", sd, j)
+			}
+		}
 		lin := linear{w: dto.W, b: dto.B, mean: dto.Mean, std: dto.Std}
 		if env.Model == "linear_svm" {
 			return &LinearSVM{linear: lin}, nil

@@ -82,7 +82,8 @@ func (m malformedModel) data() []byte {
 // malformedModels are payloads that parse as JSON and name a known model,
 // yet cannot score a two-feature row: before Import validated them each one
 // loaded, and then panicked in PredictProba (nil dereference or index out
-// of range) or, the rootless and treeless ones, scored every row 0.
+// of range), the rootless and treeless ones scored every row 0, and the
+// linear ones with a std not above 0 scored NaN or flipped a column's sign.
 var malformedModels = []malformedModel{
 	{"tree without a root", "decision_tree", `{}`},
 	{"internal node without children", "decision_tree", `{"root":{"leaf":false}}`},
@@ -98,6 +99,8 @@ var malformedModels = []malformedModel{
 	{"logreg weights longer than the moments", "logistic_regression", `{"w":[1,1],"b":0,"mean":[0],"std":[1]}`},
 	{"logreg weights longer than the row", "logistic_regression", `{"w":[1,1,1],"b":0,"mean":[0,0,0],"std":[1,1,1]}`},
 	{"svm weights without moments", "linear_svm", `{"w":[1,1],"b":0}`},
+	{"logreg with a zero std", "logistic_regression", `{"w":[1,1],"b":0,"mean":[0,0],"std":[1,0]}`},
+	{"svm with a negative std", "linear_svm", `{"w":[1,1],"b":0,"mean":[0,0],"std":[-1,1]}`},
 	{"naive Bayes arrays shorter than the row", "naive_bayes", `{"prior":[0,0],"mean0":[0],"mean1":[0],"var0":[1],"var1":[1],"fit":true}`},
 	{"naive Bayes arrays of different lengths", "naive_bayes", `{"prior":[0,0],"mean0":[0,0],"mean1":[0,0],"var0":[1,1],"var1":[1],"fit":true}`},
 }
@@ -116,7 +119,7 @@ func TestImportRejectsMalformedModels(t *testing.T) {
 }
 
 // FuzzImport: whatever Import accepts for dim-wide rows scores such a row,
-// and exports again, without panicking.
+// decides it if it is a Decider, and exports again, without panicking.
 func FuzzImport(f *testing.F) {
 	ds := synthDataset(60, 0, 63)
 	for _, m := range []Classifier{&DecisionTree{Seed: 1}, &RandomForest{NumTrees: 2, Seed: 1}, &LogisticRegression{Seed: 1}, &LinearSVM{Seed: 1}, &GaussianNB{}} {
@@ -141,6 +144,9 @@ func FuzzImport(f *testing.F) {
 			return
 		}
 		c.PredictProba(make([]float64, dim))
+		if d, ok := c.(Decider); ok {
+			d.Decide(make([]float64, dim), make([]bool, dim))
+		}
 		if _, err := Export(c); err != nil {
 			t.Fatalf("imported %s does not export: %v", c.Name(), err)
 		}

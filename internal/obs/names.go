@@ -47,7 +47,8 @@ const (
 	// FeaturePairGroups counts, over feature.Vectors scans, the attribute
 	// groups of pairs that were scored and those whose scores the scan had
 	// already computed for the same two values: labels {result}
-	// (scored|reused). reused / (scored + reused) is the reuse rate.
+	// (scored|reused). reused / (scored + reused) is the reuse rate. Under
+	// feature.Select a group's cheap prefix counts as a group of its own.
 	FeaturePairGroups = "em_feature_pair_groups_total"
 
 	// ServeIngestTotal counts corpus mutations: labels {op}
