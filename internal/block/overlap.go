@@ -9,14 +9,12 @@ import (
 	"repro/internal/tokenize"
 )
 
-// OverlapBlocker keeps pairs whose tokenized attribute values share at
-// least MinOverlap tokens. It runs as a prefix-filtered set-overlap join
-// (package simjoin), so it scales far beyond the cross product.
+// OverlapBlocker keeps pairs whose attribute values share at least
+// MinOverlap lower-cased alphanumeric word tokens. It runs as a
+// prefix-filtered set-overlap join (package simjoin), so it scales far
+// beyond the cross product.
 type OverlapBlocker struct {
 	Attr string
-	// Tokenizer splits the attribute value; nil means lower-cased
-	// alphanumeric word tokens.
-	Tokenizer tokenize.Tokenizer
 	// MinOverlap is the required shared-token count; 0 means 1.
 	MinOverlap int
 	// Workers parallelizes the join; 0 means GOMAXPROCS.
@@ -33,18 +31,18 @@ func (b OverlapBlocker) Name() string {
 
 // Block implements Blocker.
 func (b OverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr, b.Tokenizer),
+	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr),
 		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
 			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
 		})
 }
 
-// JaccardBlocker keeps pairs whose tokenized attribute Jaccard similarity
-// is at least Threshold, executed as a filtered similarity join. It is the
-// blocker equivalent of py_stringsimjoin's jaccard_join.
+// JaccardBlocker keeps pairs whose attribute values' lower-cased
+// alphanumeric word tokens have Jaccard similarity at least Threshold,
+// executed as a filtered similarity join. It is the blocker equivalent of
+// py_stringsimjoin's jaccard_join.
 type JaccardBlocker struct {
 	Attr      string
-	Tokenizer tokenize.Tokenizer
 	Threshold float64
 	Workers   int
 	// Metrics receives blocking timings and pair counters, and is passed
@@ -59,7 +57,7 @@ func (b JaccardBlocker) Name() string {
 
 // Block implements Blocker.
 func (b JaccardBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr, b.Tokenizer),
+	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr),
 		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
 			return simjoin.JaccardJoin(l, r, b.Threshold, opts...)
 		})
@@ -94,12 +92,10 @@ func (f frame) joinBlock(lt, rt *table.Table, cat *table.Catalog,
 }
 
 // attrRecords returns the join input of an attribute blocker: one record
-// per row whose attr is non-null, keyed by the table key and tokenized by
-// tok (nil means lower-cased alphanumeric word tokens).
-func attrRecords(attr string, tok tokenize.Tokenizer) func(*table.Table) ([]simjoin.Record, error) {
-	if tok == nil {
-		tok = tokenize.Alphanumeric{ReturnSet: true}
-	}
+// per row whose attr is non-null, keyed by the table key and tokenized into
+// the set of its lower-cased alphanumeric words.
+func attrRecords(attr string) func(*table.Table) ([]simjoin.Record, error) {
+	tok := tokenize.Alphanumeric{ReturnSet: true}
 	return func(t *table.Table) ([]simjoin.Record, error) {
 		j := t.Schema().Lookup(attr)
 		if j < 0 {

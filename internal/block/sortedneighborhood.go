@@ -9,17 +9,14 @@ import (
 	"repro/internal/table"
 )
 
-// SortedNeighborhoodBlocker merges both tables, sorts by a key derived
-// from an attribute, slides a fixed-size window over the sorted sequence,
-// and emits every cross-table pair that co-occurs in some window. It is
-// the classic sorted-neighborhood method of record linkage.
+// SortedNeighborhoodBlocker merges both tables, sorts by an attribute's
+// lower-cased, trimmed value, slides a fixed-size window over the sorted
+// sequence, and emits every cross-table pair that co-occurs in some window.
+// It is the classic sorted-neighborhood method of record linkage.
 type SortedNeighborhoodBlocker struct {
 	Attr string
-	// Window is the sliding-window size; 0 means 5.
+	// Window is the sliding-window size; any value below 2 means 5.
 	Window int
-	// KeyFunc derives the sort key from the attribute value; nil means
-	// lower-cased trimmed identity. It must be safe for concurrent calls.
-	KeyFunc func(string) string
 	// Workers shards the window scan across goroutines; 0 means
 	// GOMAXPROCS. The candidate set is identical for every setting.
 	Workers int
@@ -56,10 +53,6 @@ func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.P
 	if lj < 0 || rj < 0 {
 		return nil, fmt.Errorf("block: %s: attribute %q missing", b.Name(), b.Attr)
 	}
-	keyFn := b.KeyFunc
-	if keyFn == nil {
-		keyFn = LowerTransform
-	}
 
 	// Row IDs are interned to dense uint32s so the window-scan dedup runs
 	// on packed uint64 keys instead of [2]string map keys. The dictionary
@@ -74,12 +67,12 @@ func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.P
 	var entries []entry
 	for i, id := range keyStrings(lt) {
 		if v := lt.Row(i)[lj]; !v.IsNull() {
-			entries = append(entries, entry{keyFn(v.AsString()), d.Intern(id), true})
+			entries = append(entries, entry{LowerTransform(v.AsString()), d.Intern(id), true})
 		}
 	}
 	for i, id := range keyStrings(rt) {
 		if v := rt.Row(i)[rj]; !v.IsNull() {
-			entries = append(entries, entry{keyFn(v.AsString()), d.Intern(id), false})
+			entries = append(entries, entry{LowerTransform(v.AsString()), d.Intern(id), false})
 		}
 	}
 	sort.SliceStable(entries, func(a, c int) bool { return entries[a].key < entries[c].key })

@@ -48,21 +48,12 @@ func SaveWorkflow(w *Workflow) ([]byte, error) {
 	case block.AttrEquivalenceBlocker:
 		dto.Blocker = blockerDTO{Type: "attr_equiv", Attr: b.Attr}
 	case block.OverlapBlocker:
-		if b.Tokenizer != nil {
-			return nil, fmt.Errorf("core: save: custom tokenizers do not serialize")
-		}
 		dto.Blocker = blockerDTO{Type: "overlap", Attr: b.Attr, MinOverlap: b.MinOverlap}
 	case block.JaccardBlocker:
-		if b.Tokenizer != nil {
-			return nil, fmt.Errorf("core: save: custom tokenizers do not serialize")
-		}
 		dto.Blocker = blockerDTO{Type: "jaccard", Attr: b.Attr, Threshold: b.Threshold}
 	case block.WholeTupleOverlapBlocker:
 		dto.Blocker = blockerDTO{Type: "whole_tuple_overlap", MinOverlap: b.MinOverlap}
 	case block.SortedNeighborhoodBlocker:
-		if b.KeyFunc != nil {
-			return nil, fmt.Errorf("core: save: custom key functions do not serialize")
-		}
 		dto.Blocker = blockerDTO{Type: "sorted_neighborhood", Attr: b.Attr, Window: b.Window}
 	default:
 		return nil, fmt.Errorf("core: save: blocker %T does not serialize", w.Blocker)

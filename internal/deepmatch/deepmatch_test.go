@@ -30,7 +30,7 @@ func xorDataset(n int, seed int64) *ml.Dataset {
 func TestMLPLearnsXOR(t *testing.T) {
 	train := xorDataset(800, 1)
 	test := xorDataset(400, 2)
-	net := &MLP{Seed: 1, Epochs: 150}
+	net := &MLP{Seed: 1}
 	if err := net.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 func TestMLPBeatsLinearOnXOR(t *testing.T) {
 	train := xorDataset(800, 3)
 	test := xorDataset(400, 4)
-	net := &MLP{Seed: 1, Epochs: 150}
+	net := &MLP{Seed: 1}
 	lin := &ml.LogisticRegression{Seed: 1}
 	if err := net.Fit(train); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestMLPEmptyFitAndUnfitted(t *testing.T) {
 
 func TestMLPProbaRange(t *testing.T) {
 	train := xorDataset(300, 5)
-	net := &MLP{Seed: 2, Epochs: 50}
+	net := &MLP{Seed: 2}
 	if err := net.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestMLPProbaRange(t *testing.T) {
 
 func TestMLPDeterministic(t *testing.T) {
 	train := xorDataset(200, 7)
-	a := &MLP{Seed: 9, Epochs: 30}
-	b := &MLP{Seed: 9, Epochs: 30}
+	a := &MLP{Seed: 9}
+	b := &MLP{Seed: 9}
 	if err := a.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -109,25 +109,10 @@ func TestMLPDeterministic(t *testing.T) {
 	}
 }
 
-func TestMLPCustomArchitecture(t *testing.T) {
-	train := xorDataset(400, 8)
-	net := &MLP{Hidden: []int{32}, Seed: 1, Epochs: 120}
-	if err := net.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	conf, err := ml.Evaluate(net, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conf.Accuracy() < 0.85 {
-		t.Errorf("single-hidden-layer accuracy = %.3f", conf.Accuracy())
-	}
-}
-
 func TestEncoderProperties(t *testing.T) {
 	e := Encoder{}
 	v := e.Encode("acme corporation")
-	if len(v) != 64 {
+	if len(v) != encoderDim {
 		t.Fatalf("dim = %d", len(v))
 	}
 	var norm float64
@@ -167,14 +152,14 @@ func TestEncoderProperties(t *testing.T) {
 }
 
 func TestPairVectorShape(t *testing.T) {
-	e := Encoder{Dim: 32}
+	e := Encoder{}
 	v := e.PairVector("a", "b")
-	if len(v) != 2*32+1 {
+	if len(v) != 2*encoderDim+1 {
 		t.Fatalf("pair vector len = %d", len(v))
 	}
 	// Identical strings: abs-diff half is zero, cosine is 1.
 	v = e.PairVector("same", "same")
-	for i := 0; i < 32; i++ {
+	for i := 0; i < encoderDim; i++ {
 		if v[i] != 0 {
 			t.Fatal("abs diff of identical strings nonzero")
 		}

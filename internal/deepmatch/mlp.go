@@ -18,18 +18,21 @@ import (
 	"repro/internal/ml"
 )
 
+// The network's shape and training schedule: two ReLU hidden layers of
+// mlpWidth1 and mlpWidth2 units, then mlpEpochs passes of SGD with step
+// mlpLearningRate and weight decay mlpL2.
+const (
+	mlpWidth1       = 16
+	mlpWidth2       = 8
+	mlpEpochs       = 120
+	mlpLearningRate = 0.05
+	mlpL2           = 1e-4
+)
+
 // MLP is a feed-forward network with ReLU hidden layers and a sigmoid
 // output, trained with mini-batch SGD on cross-entropy loss. It implements
 // ml.Classifier.
 type MLP struct {
-	// Hidden lists the hidden-layer widths; nil means [16, 8].
-	Hidden []int
-	// Epochs is the number of training passes; 0 means 200.
-	Epochs int
-	// LearningRate is the SGD step; 0 means 0.05.
-	LearningRate float64
-	// L2 is the weight decay; 0 means 1e-4.
-	L2 float64
 	// Seed drives initialization and shuffling.
 	Seed int64
 
@@ -42,34 +45,6 @@ type MLP struct {
 // Name implements ml.Classifier.
 func (m *MLP) Name() string { return "mlp" }
 
-func (m *MLP) hidden() []int {
-	if len(m.Hidden) == 0 {
-		return []int{16, 8}
-	}
-	return m.Hidden
-}
-
-func (m *MLP) epochs() int {
-	if m.Epochs <= 0 {
-		return 200
-	}
-	return m.Epochs
-}
-
-func (m *MLP) lr() float64 {
-	if m.LearningRate <= 0 {
-		return 0.05
-	}
-	return m.LearningRate
-}
-
-func (m *MLP) l2() float64 {
-	if m.L2 <= 0 {
-		return 1e-4
-	}
-	return m.L2
-}
-
 // Fit implements ml.Classifier.
 func (m *MLP) Fit(d *ml.Dataset) error {
 	if d.Len() == 0 {
@@ -79,8 +54,7 @@ func (m *MLP) Fit(d *ml.Dataset) error {
 	m.standardizeFit(d)
 
 	// Layer sizes: input -> hidden... -> 1.
-	sizes := append([]int{nf}, m.hidden()...)
-	sizes = append(sizes, 1)
+	sizes := []int{nf, mlpWidth1, mlpWidth2, 1}
 	rng := rand.New(rand.NewSource(m.Seed))
 	m.weights = make([][][]float64, len(sizes)-1)
 	m.biases = make([][]float64, len(sizes)-1)
@@ -98,9 +72,7 @@ func (m *MLP) Fit(d *ml.Dataset) error {
 	}
 
 	order := rng.Perm(d.Len())
-	lr := m.lr()
-	l2 := m.l2()
-	for e := 0; e < m.epochs(); e++ {
+	for e := 0; e < mlpEpochs; e++ {
 		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for _, idx := range order {
 			x := m.standardize(d.X[idx])
@@ -115,9 +87,9 @@ func (m *MLP) Fit(d *ml.Dataset) error {
 					g := delta[o]
 					for i := range w {
 						nextDelta[i] += w[i] * g
-						w[i] -= lr * (g*input[i] + l2*w[i])
+						w[i] -= mlpLearningRate * (g*input[i] + mlpL2*w[i])
 					}
-					m.biases[l][o] -= lr * g
+					m.biases[l][o] -= mlpLearningRate * g
 				}
 				if l > 0 {
 					// Backprop through the ReLU of layer l-1.

@@ -9,27 +9,20 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Encoder embeds a string as an L2-normalized hashed bag of character
-// q-grams: the stdlib stand-in for the learned embeddings DeepMatcher
-// feeds its networks.
-type Encoder struct {
-	// Dim is the embedding dimensionality; 0 means 64.
-	Dim int
-	// Q is the gram size; 0 means 3.
-	Q int
-}
+// Encoder embeds a string as an L2-normalized hashed bag of its padded
+// character encoderQ-grams in encoderDim dimensions: the stdlib stand-in
+// for the learned embeddings DeepMatcher feeds its networks.
+type Encoder struct{}
 
-func (e Encoder) dim() int {
-	if e.Dim <= 0 {
-		return 64
-	}
-	return e.Dim
-}
+const (
+	encoderDim = 64
+	encoderQ   = 3
+)
 
 // Encode embeds s.
 func (e Encoder) Encode(s string) []float64 {
-	v := make([]float64, e.dim())
-	tok := tokenize.QGram{Q: e.Q, Pad: true}
+	v := make([]float64, encoderDim)
+	tok := tokenize.QGram{Q: encoderQ, Pad: true}
 	for _, g := range tok.Tokenize(strings.ToLower(s)) {
 		h := fnv.New32a()
 		h.Write([]byte(g))
@@ -77,11 +70,9 @@ func (e Encoder) PairVector(a, b string) []float64 {
 	return out
 }
 
-// TextMatcher matches raw string pairs with an MLP over encoder pair
+// TextMatcher matches raw string pairs with an MLP over Encoder pair
 // vectors.
 type TextMatcher struct {
-	// Encoder embeds strings; the zero value is usable.
-	Encoder Encoder
 	// Net is the underlying network; nil gets a default at Fit time.
 	Net *MLP
 	// Seed drives training when Net is nil.
@@ -92,14 +83,14 @@ type TextMatcher struct {
 func (t *TextMatcher) Fit(pairs [][2]string, y []int) error {
 	x := make([][]float64, len(pairs))
 	for i, p := range pairs {
-		x[i] = t.Encoder.PairVector(p[0], p[1])
+		x[i] = Encoder{}.PairVector(p[0], p[1])
 	}
 	ds, err := ml.NewDataset(x, y, nil)
 	if err != nil {
 		return err
 	}
 	if t.Net == nil {
-		t.Net = &MLP{Seed: t.Seed, Epochs: 120}
+		t.Net = &MLP{Seed: t.Seed}
 	}
 	return t.Net.Fit(ds)
 }
@@ -109,7 +100,7 @@ func (t *TextMatcher) PredictProba(a, b string) float64 {
 	if t.Net == nil {
 		return 0
 	}
-	return t.Net.PredictProba(t.Encoder.PairVector(a, b))
+	return t.Net.PredictProba(Encoder{}.PairVector(a, b))
 }
 
 // Predict thresholds PredictProba at 0.5.

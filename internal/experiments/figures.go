@@ -35,11 +35,13 @@ type GuideResult struct {
 
 // RunGuide executes the full Figure 2 guide on a generated person task:
 // down-sample → try blockers → block → sample+label → CV-select matcher →
-// predict → evaluate. workers is the goroutine count of every parallelized
-// stage (blocking, feature extraction, forest training, CV); 0 means
-// GOMAXPROCS, and the result is identical for every setting. rec is
-// threaded through the session and every blocker, so one run yields the
-// full per-stage timing breakdown (benchem -metrics); nil means off.
+// predict → evaluate. workers is the goroutine count of blocking, feature
+// extraction and CV; 0 means GOMAXPROCS, and the result is identical for
+// every setting. A random forest among the candidate matchers fits at
+// GOMAXPROCS whatever workers is: DefaultMatcherFactories leaves its
+// Workers unset. rec is threaded through the session and every blocker, so
+// one run yields the full per-stage timing breakdown (benchem -metrics);
+// nil means off.
 func RunGuide(sizeA, sizeB, downA, downB int, seed int64, workers int, rec obs.Recorder) (*GuideResult, error) {
 	task, err := datagen.Generate(datagen.Spec{
 		Name: "guide", Domain: datagen.PersonDomain(),

@@ -88,13 +88,16 @@ type Labeler interface {
 	Stats() Stats
 }
 
+// perQuestion is a single user's simulated time per answer, the rate
+// implied by Table 2's user-time column.
+const perQuestion = 5 * time.Second
+
 // Oracle is a perfect labeler with configurable per-question time: the
 // idealized single user of Table 2 whose labeling sessions took 9 minutes
 // to 2 hours.
 type Oracle struct {
 	gold *Gold
-	// PerQuestion is the simulated time per answer; 0 means 5 seconds,
-	// the rate implied by Table 2's user-time column.
+	// PerQuestion is the simulated time per answer; 0 means perQuestion.
 	PerQuestion time.Duration
 
 	mu    sync.Mutex
@@ -115,7 +118,7 @@ func (o *Oracle) Label(lid, rid string) bool {
 
 func (o *Oracle) perQuestion() time.Duration {
 	if o.PerQuestion <= 0 {
-		return 5 * time.Second
+		return perQuestion
 	}
 	return o.PerQuestion
 }
@@ -128,14 +131,13 @@ func (o *Oracle) Stats() Stats {
 }
 
 // NoisyUser answers from gold truth but flips each answer independently
-// with probability ErrorRate. It models the Table 2 "Vehicles" expert whose
-// data was so incomplete that "even he was uncertain in many cases".
+// with probability ErrorRate, taking perQuestion per answer. It models the
+// Table 2 "Vehicles" expert whose data was so incomplete that "even he was
+// uncertain in many cases".
 type NoisyUser struct {
 	gold *Gold
 	// ErrorRate is the per-answer flip probability in [0, 1).
 	ErrorRate float64
-	// PerQuestion is the simulated time per answer; 0 means 5 seconds.
-	PerQuestion time.Duration
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -153,11 +155,7 @@ func (u *NoisyUser) Label(lid, rid string) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.stats.Questions++
-	if u.PerQuestion > 0 {
-		u.stats.Elapsed += u.PerQuestion
-	} else {
-		u.stats.Elapsed += 5 * time.Second
-	}
+	u.stats.Elapsed += perQuestion
 	if u.rng.Float64() < u.ErrorRate {
 		return !truth
 	}
@@ -172,52 +170,32 @@ func (u *NoisyUser) Stats() Stats {
 }
 
 // Crowd simulates a Mechanical Turk crowd: each question is answered by
-// Workers independent labelers, each flipping the truth with WorkerError
-// probability, combined by majority vote. Each answer costs CostPerAnswer
-// dollars, and each question adds Latency of simulated wall-clock time
-// (crowd rounds are serialized, matching the 22–36 hour turnarounds of
-// Table 2).
+// crowdWorkers independent labelers, each flipping the truth with
+// crowdWorkerError probability, combined by majority vote. Each answer
+// costs crowdCostPerAnswer dollars, and each question adds crowdLatency of
+// simulated wall-clock time (crowd rounds are serialized, matching the
+// 22–36 hour turnarounds of Table 2).
 type Crowd struct {
 	gold *Gold
-	// Workers answers per question; 0 means 3.
-	Workers int
-	// WorkerError is each worker's flip probability; default 0.1.
-	WorkerError float64
-	// CostPerAnswer in dollars; 0 means $0.02 (2¢ per HIT assignment).
-	CostPerAnswer float64
-	// Latency is simulated time per question; 0 means 90 seconds.
-	Latency time.Duration
 
 	mu    sync.Mutex
 	rng   *rand.Rand
 	stats Stats
 }
 
-// NewCrowd builds a Crowd with a deterministic seed and default error rate
-// 0.1.
+// The crowd of Table 2: three workers per question (an odd count, so the
+// majority vote never ties), each wrong one time in ten, paid 2¢ per HIT
+// assignment, 90 s of turnaround per question.
+const (
+	crowdWorkers       = 3
+	crowdWorkerError   = 0.1
+	crowdCostPerAnswer = 0.02
+	crowdLatency       = 90 * time.Second
+)
+
+// NewCrowd builds a Crowd with a deterministic seed.
 func NewCrowd(gold *Gold, seed int64) *Crowd {
-	return &Crowd{gold: gold, WorkerError: 0.1, rng: rand.New(rand.NewSource(seed))}
-}
-
-func (c *Crowd) workers() int {
-	if c.Workers <= 0 {
-		return 3
-	}
-	return c.Workers
-}
-
-func (c *Crowd) costPerAnswer() float64 {
-	if c.CostPerAnswer <= 0 {
-		return 0.02
-	}
-	return c.CostPerAnswer
-}
-
-func (c *Crowd) latency() time.Duration {
-	if c.Latency <= 0 {
-		return 90 * time.Second
-	}
-	return c.Latency
+	return &Crowd{gold: gold, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Label implements Labeler.
@@ -226,10 +204,9 @@ func (c *Crowd) Label(lid, rid string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	votes := 0
-	n := c.workers()
-	for w := 0; w < n; w++ {
+	for w := 0; w < crowdWorkers; w++ {
 		ans := truth
-		if c.rng.Float64() < c.WorkerError {
+		if c.rng.Float64() < crowdWorkerError {
 			ans = !ans
 		}
 		if ans {
@@ -237,9 +214,9 @@ func (c *Crowd) Label(lid, rid string) bool {
 		}
 	}
 	c.stats.Questions++
-	c.stats.CostUSD += float64(n) * c.costPerAnswer()
-	c.stats.Elapsed += c.latency()
-	return votes*2 > n
+	c.stats.CostUSD += crowdWorkers * crowdCostPerAnswer
+	c.stats.Elapsed += crowdLatency
+	return votes*2 > crowdWorkers
 }
 
 // Stats implements Labeler.

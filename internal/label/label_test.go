@@ -123,34 +123,6 @@ func TestCrowdCostModel(t *testing.T) {
 	}
 }
 
-func TestCrowdCustomParameters(t *testing.T) {
-	c := NewCrowd(gold(), 3)
-	c.Workers = 5
-	c.CostPerAnswer = 0.1
-	c.Latency = time.Second
-	c.Label("a1", "b1")
-	st := c.Stats()
-	if st.CostUSD != 0.5 {
-		t.Errorf("cost = %v, want 0.5", st.CostUSD)
-	}
-	if st.Elapsed != time.Second {
-		t.Errorf("elapsed = %v", st.Elapsed)
-	}
-}
-
-func TestCrowdEvenWorkersTieIsNoMatch(t *testing.T) {
-	c := NewCrowd(gold(), 4)
-	c.Workers = 2
-	c.WorkerError = 0 // both answer truthfully
-	if !c.Label("a1", "b1") {
-		t.Error("unanimous yes should be a match")
-	}
-	// For a non-match, unanimous no.
-	if c.Label("a2", "b9") {
-		t.Error("unanimous no should not be a match")
-	}
-}
-
 func TestBudgeted(t *testing.T) {
 	o := NewOracle(gold())
 	b := NewBudgeted(o, 3)

@@ -34,7 +34,7 @@ func TestPredictProbaConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clfs := []ml.Classifier{&deepmatch.MLP{Seed: 1, Epochs: 20}}
+	clfs := []ml.Classifier{&deepmatch.MLP{Seed: 1}}
 	for _, f := range ml.DefaultMatcherFactories(1) {
 		clfs = append(clfs, f())
 	}

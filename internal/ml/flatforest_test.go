@@ -21,19 +21,18 @@ func treeVotes(rf *RandomForest, x []float64) float64 {
 	return float64(votes) / float64(len(trees))
 }
 
-// TestFlatForestBitIdentical: over quick-generated forests (random shape,
-// alpha, depth, seed) and random query vectors, the compiled arrays —
-// RandomForest's own PredictProba and VoteFraction, and FlatForest's
-// PredictProba, VoteFraction and PredictProbaBatch — return floats
-// bit-identical to the per-tree reference vote through alphaShift, after
-// Fit and again after an Export and Import.
+// TestFlatForestBitIdentical: over quick-generated forests (random tree
+// count, alpha, training-set size and seed) and random query vectors, the
+// compiled arrays — RandomForest's own PredictProba and VoteFraction, and
+// FlatForest's PredictProba, VoteFraction and PredictProbaBatch — return
+// floats bit-identical to the per-tree reference vote through alphaShift,
+// after Fit and again after an Export and Import.
 func TestFlatForestBitIdentical(t *testing.T) {
 	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		fitted := &RandomForest{
 			NumTrees: 1 + rng.Intn(16),
-			MaxDepth: 1 + rng.Intn(8),
 			Alpha:    []float64{0, 0.3, 0.5, 0.9}[rng.Intn(4)],
 			Seed:     rng.Int63(),
 		}
@@ -41,7 +40,9 @@ func TestFlatForestBitIdentical(t *testing.T) {
 		if alpha == 0 {
 			alpha = 0.5 // the zero value is majority vote
 		}
-		train := synthDataset(50+rng.Intn(200), rng.Intn(4), rng.Int63())
+		// Training sets of 1 to 256 rows: the small ones grow single
+		// leaves and stumps, the large ones trees up to maxDepth.
+		train := synthDataset(1<<rng.Intn(9), rng.Intn(4), rng.Int63())
 		if err := fitted.Fit(train); err != nil {
 			t.Fatal(err)
 		}

@@ -16,10 +16,6 @@ import (
 type RandomForest struct {
 	// NumTrees is the ensemble size; 0 means 10 (Falcon's default).
 	NumTrees int
-	// MaxDepth bounds each tree; 0 means 10.
-	MaxDepth int
-	// MinSamplesLeaf is forwarded to each tree; 0 means 1.
-	MinSamplesLeaf int
 	// Alpha is the vote fraction required to declare a match (the
 	// paper's αn rule); 0 means 0.5. Read when the forest is fitted.
 	Alpha float64
@@ -91,12 +87,7 @@ func (f *RandomForest) Fit(d *Dataset) error {
 	err := parallel.ForEachShard(f.Workers, n, func(shard, i int) error {
 		stop := obs.StartTimer(rec, obs.ForestTreeFitSeconds)
 		defer stop()
-		t := &DecisionTree{
-			MaxDepth:       f.MaxDepth,
-			MinSamplesLeaf: f.MinSamplesLeaf,
-			MaxFeatures:    maxFeat,
-			Seed:           seeds[i],
-		}
+		t := &DecisionTree{MaxFeatures: maxFeat, Seed: seeds[i]}
 		if err := t.fit(boots[i], &scratch[shard]); err != nil {
 			return err
 		}

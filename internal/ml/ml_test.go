@@ -158,34 +158,61 @@ func TestDecisionTreePureNodeStops(t *testing.T) {
 }
 
 func TestDecisionTreeMaxDepth(t *testing.T) {
-	train := xorDataset(500, 5)
-	tree := &DecisionTree{MaxDepth: 1, Seed: 1}
+	// Labels alternate along the one feature, so every row wants a split
+	// of its own and only the depth bound stops the tree.
+	n := 4096
+	x := make([][]float64, n)
+	y := make([]int, n)
+	for i := range x {
+		x[i], y[i] = []float64{float64(i)}, i%2
+	}
+	train, err := NewDataset(x, y, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := &DecisionTree{Seed: 1}
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if r := tree.Root(); !r.Leaf && !(r.Left.Leaf && r.Right.Leaf) {
-		t.Error("MaxDepth 1 grew a tree deeper than one split")
+	deepest, cut := 0, false
+	var walk func(n *TreeNode, depth int)
+	walk = func(n *TreeNode, depth int) {
+		if !n.Leaf {
+			walk(n.Left, depth+1)
+			walk(n.Right, depth+1)
+			return
+		}
+		deepest = max(deepest, depth)
+		if depth == maxDepth && n.Proba > 0 && n.Proba < 1 {
+			cut = true
+		}
+	}
+	walk(tree.Root(), 0)
+	if deepest > maxDepth {
+		t.Errorf("tree depth %d exceeds maxDepth %d", deepest, maxDepth)
+	}
+	if !cut {
+		t.Error("no impure leaf at maxDepth: the data never reached the bound")
 	}
 }
 
 func TestDecisionTreeMinSamplesLeaf(t *testing.T) {
 	train := synthDataset(100, 0, 6)
-	tree := &DecisionTree{MinSamplesLeaf: 30, Seed: 1}
+	tree := &DecisionTree{Seed: 1}
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}
+	// Every split hands each child at least minSamplesLeaf of its
+	// parent's rows, and the two children share them out exactly.
 	var walk func(n *TreeNode) bool
 	walk = func(n *TreeNode) bool {
-		if n == nil {
-			return true
-		}
 		if n.Leaf {
-			return n.N >= 30 || n == tree.Root()
+			return n.N >= minSamplesLeaf
 		}
-		return walk(n.Left) && walk(n.Right)
+		return n.Left.N+n.Right.N == n.N && walk(n.Left) && walk(n.Right)
 	}
-	if !walk(tree.Root()) {
-		t.Error("a leaf has fewer than MinSamplesLeaf examples")
+	if tree.Root().Leaf || !walk(tree.Root()) {
+		t.Error("a split left a child fewer than minSamplesLeaf rows, or lost rows")
 	}
 }
 
@@ -200,8 +227,8 @@ func TestDecisionTreeEmptyFit(t *testing.T) {
 }
 
 func TestDecisionTreeString(t *testing.T) {
-	train := synthDataset(200, 0, 7)
-	tree := &DecisionTree{MaxDepth: 2, Seed: 1}
+	train := synthDataset(12, 0, 7)
+	tree := &DecisionTree{Seed: 1}
 	if err := tree.Fit(train); err != nil {
 		t.Fatal(err)
 	}

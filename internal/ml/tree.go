@@ -24,11 +24,6 @@ type TreeNode struct {
 
 // DecisionTree is a CART classifier using Gini impurity.
 type DecisionTree struct {
-	// MaxDepth bounds tree depth; 0 means 10.
-	MaxDepth int
-	// MinSamplesLeaf is the minimum examples each child must receive;
-	// 0 means 1.
-	MinSamplesLeaf int
 	// MaxFeatures bounds the number of features considered per split;
 	// 0 means all. The random forest sets this to sqrt(d).
 	MaxFeatures int
@@ -105,22 +100,14 @@ func (t *DecisionTree) fit(d *Dataset, scr *treeFitScratch) error {
 	return nil
 }
 
-func (t *DecisionTree) maxDepth() int {
-	if t.MaxDepth <= 0 {
-		return 10
-	}
-	return t.MaxDepth
-}
-
-func (t *DecisionTree) minLeaf() int {
-	if t.MinSamplesLeaf < 1 {
-		return 1
-	}
-	return t.MinSamplesLeaf
-}
-
-// minSamplesSplit is the smallest node build will try to split.
-const minSamplesSplit = 2
+// The CART stopping rules: build stops at depth maxDepth, tries no split
+// of a node with fewer than minSamplesSplit rows, and keeps a node a leaf
+// when a split would leave either child fewer than minSamplesLeaf rows.
+const (
+	maxDepth        = 10
+	minSamplesSplit = 2
+	minSamplesLeaf  = 1
+)
 
 // build grows the subtree over the rows idxs (a subslice of scr.idxs that
 // build is free to reorder).
@@ -130,7 +117,7 @@ func (t *DecisionTree) build(d *Dataset, scr *treeFitScratch, idxs []int, depth 
 		pos += d.Y[i]
 	}
 	node := &TreeNode{N: len(idxs), Proba: float64(pos) / float64(len(idxs))}
-	if depth >= t.maxDepth() || len(idxs) < minSamplesSplit || pos == 0 || pos == len(idxs) {
+	if depth >= maxDepth || len(idxs) < minSamplesSplit || pos == 0 || pos == len(idxs) {
 		node.Leaf = true
 		return node
 	}
@@ -155,7 +142,7 @@ func (t *DecisionTree) build(d *Dataset, scr *treeFitScratch, idxs []int, depth 
 		}
 	}
 	copy(idxs[nl:], scr.part[:nr])
-	if nl < t.minLeaf() || nr < t.minLeaf() {
+	if nl < minSamplesLeaf || nr < minSamplesLeaf {
 		node.Leaf = true
 		return node
 	}

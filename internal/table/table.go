@@ -192,18 +192,6 @@ func (t *Table) Project(names ...string) (*Table, error) {
 	return out, nil
 }
 
-// Filter returns a new table containing the rows for which keep returns
-// true. Metadata (name, key) is preserved.
-func (t *Table) Filter(keep func(Row) bool) *Table {
-	out := &Table{name: t.name, schema: t.schema, key: t.key}
-	for _, r := range t.rows {
-		if keep(r) {
-			out.rows = append(out.rows, r)
-		}
-	}
-	return out
-}
-
 // Select returns a new table containing the rows at the given indices, in
 // order. Indices may repeat.
 func (t *Table) Select(idxs []int) *Table {

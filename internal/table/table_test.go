@@ -101,14 +101,22 @@ func TestProjectMissingColumn(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
+// TestSelectKeepsRows is docs/GUIDE.md Step 0's way of setting rows
+// aside: the kept indices, in order, under the same name and key.
+func TestSelectKeepsRows(t *testing.T) {
 	tab := personTable(t)
-	wi := tab.Filter(func(r Row) bool { return r[3].AsString() == "WI" })
-	if wi.Len() != 2 {
-		t.Fatalf("filter WI = %d rows, want 2", wi.Len())
+	var idxs []int
+	for i := 0; i < tab.Len(); i++ {
+		if tab.Row(i)[3].AsString() == "WI" {
+			idxs = append(idxs, i)
+		}
 	}
-	if wi.Key() != "id" {
-		t.Error("filter should preserve key metadata")
+	wi := tab.Select(idxs)
+	if wi.Len() != 2 || wi.Get(0, "id").AsString() != "a1" || wi.Get(1, "id").AsString() != "a3" {
+		t.Fatalf("select WI = %d rows, want a1, a3", wi.Len())
+	}
+	if wi.Key() != "id" || wi.Name() != tab.Name() {
+		t.Error("select should preserve name and key metadata")
 	}
 }
 

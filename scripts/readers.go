@@ -24,12 +24,12 @@
 // lists every exported field of a struct type declared in a non-test file
 // under internal/ that no non-test file writes — as a composite-literal key
 // (or an unkeyed literal of the struct), on the left of an assignment or
-// ++/--, or by taking its address. Three things do not count or are not
-// asked: `if x.F <op> <literal> { x.F = ... }` inside the declaring package
-// is that package's defaulting code, not a caller setting the knob; a field whose own type is a struct declared under
-// internal/ is a container, judged by its leaves; and the fields of a struct
-// whose value non-test code passes to an `any` parameter may be written by
-// reflection (encoding/json), so they are skipped.
+// ++/--, or by taking its address; a field with a `json:` struct tag is
+// written by encoding/json. Two things do not count or are not asked:
+// `if x.F <op> <literal> { x.F = ... }` inside the declaring package is that
+// package's defaulting code, not a caller setting the knob; and a field
+// whose own type is a struct declared under internal/ is a container,
+// judged by its leaves.
 package main
 
 import (
@@ -52,13 +52,11 @@ type readers struct {
 	method                                       *types.Func // concrete method, shared universe
 }
 
-// field is one swept struct field; fields and written are keyed by the
+// fields (each swept struct field's name) and written are keyed by the
 // position of the field's declaration, which the shared and the root copy of
 // a package agree on.
-type field struct{ name, owner, pos string }
-
 var (
-	fields  = map[string]*field{}
+	fields  = map[string]string{}
 	written = map[string]bool{}
 )
 
@@ -113,15 +111,22 @@ func sweepFields(n ast.Node, pkgPath string, info *types.Info, fset *token.FileS
 		}
 		owner := strings.TrimPrefix(pkgPath, "repro/internal/") + "." + n.Name.Name
 		for _, f := range st.Fields.List {
+			jsonTag := f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`)
 			for _, id := range f.Names {
 				if obj := info.Defs[id]; obj != nil && obj.Exported() && !internalStruct(obj.Type()) {
 					pos := fset.Position(id.Pos()).String()
-					fields[pos] = &field{name: owner + "." + id.Name, owner: pkgPath + "." + n.Name.Name, pos: pos}
+					fields[pos] = owner + "." + id.Name
+					written[pos] = written[pos] || jsonTag
 				}
 			}
 		}
 	case *ast.CompositeLit:
-		st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+		// An element literal of []*T{{...}} has type *T.
+		t := info.Types[n].Type
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
 		if !ok {
 			return
 		}
@@ -406,16 +411,10 @@ func main() {
 		return ""
 	}
 	if len(os.Args) > 1 && os.Args[1] == "-fields" {
-		reflected := map[string]bool{}
-		for n := range toAny {
-			if n.Obj().Pkg() != nil {
-				reflected[n.Obj().Pkg().Path()+"."+n.Obj().Name()] = true
-			}
-		}
 		var lines []string
-		for pos, f := range fields {
-			if !written[pos] && !reflected[f.owner] {
-				lines = append(lines, fmt.Sprintf("%-16s %s  %s", "NO-WRITER", f.name, strings.TrimPrefix(pos, root+"/")))
+		for pos, name := range fields {
+			if !written[pos] {
+				lines = append(lines, fmt.Sprintf("%-16s %s  %s", "NO-WRITER", name, strings.TrimPrefix(pos, root+"/")))
 			}
 		}
 		sort.Strings(lines)
