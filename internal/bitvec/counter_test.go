@@ -8,7 +8,7 @@ import (
 )
 
 // randomList returns ascending, duplicate-free IDs below n at a random
-// density, long enough now and then to take the bitmap form.
+// density.
 func randomList(rng *rand.Rand, n int) []uint32 {
 	var ids []uint32
 	p := rng.Float64()
@@ -21,10 +21,10 @@ func randomList(rng *rand.Rand, n int) []uint32 {
 }
 
 // TestQuickCounterMatchesMap runs one Counter through random probe
-// sequences — spaces that shrink and grow, lists in both postings forms
-// walked through random windows, single Adds — and holds it to a
-// map[uint32]int32 after every step: each count, the first-touch order,
-// AtLeast's filter, and every entry zero after each Reset and AtLeast.
+// sequences — spaces that shrink and grow, lists walked through random
+// windows, single Adds — and holds it to a map[uint32]int32 after every
+// step: each count, the first-touch order, AtLeast's filter, and every
+// entry zero after each Reset and AtLeast.
 // A probe ends through AtLeast, after a partial read of its counts, or
 // unread.
 func TestQuickCounterMatchesMap(t *testing.T) {
@@ -39,7 +39,7 @@ func TestQuickCounterMatchesMap(t *testing.T) {
 			return true
 		}
 		for probe := 0; probe < 24; probe++ {
-			n := 1 + rng.Intn(2*postingsFlipMin+300)
+			n := 1 + rng.Intn(1324)
 			c.Reset(n)
 			if len(c.counts) != n || !clean("by Reset") {
 				return false
@@ -56,7 +56,7 @@ func TestQuickCounterMatchesMap(t *testing.T) {
 				ids := randomList(rng, n+rng.Intn(50)) // members past n outside the window
 				lo := uint32(rng.Intn(n + 1))
 				hi := lo + uint32(rng.Intn(n+1-int(lo)))
-				c.AddPostings(postingsFromSorted(slices.Clone(ids)), lo, hi)
+				c.AddPostings(&Postings{ids: ids}, lo, hi)
 				for _, id := range ids {
 					if id >= lo && id < hi {
 						count(id)
@@ -115,12 +115,11 @@ func TestQuickCounterMatchesMap(t *testing.T) {
 }
 
 // TestBuildPostingsMatchesSets: list t holds exactly the indices of the
-// sets holding t, ascending, in either postings form; an ID no set holds
-// has the nil list.
+// sets holding t, ascending; an ID no set holds has the nil list.
 func TestBuildPostingsMatchesSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const nids = 40
-	sets := make([][]uint32, 3*postingsFlipMin)
+	sets := make([][]uint32, 1536)
 	for i := range sets {
 		sets[i] = randomList(rng, nids-1) // ID nids-1 is on no list
 	}
@@ -142,22 +141,22 @@ func TestBuildPostingsMatchesSets(t *testing.T) {
 // once the counter and the destination have grown.
 func TestCounterZeroAlloc(t *testing.T) {
 	var c Counter
-	arr := postingsFromSorted([]uint32{1, 3, 5, 7})
-	bitmap := postingsFromSorted(randomList(rand.New(rand.NewSource(1)), 4*postingsFlipMin))
-	dst := make([]uint32, 0, 4*postingsFlipMin)
+	short := &Postings{ids: []uint32{1, 3, 5, 7}}
+	long := &Postings{ids: randomList(rand.New(rand.NewSource(1)), 2048)}
+	dst := make([]uint32, 0, 2048)
 	for _, tc := range []struct {
 		name string
 		fn   func()
 	}{
-		{"AddPostings", func() { c.AddPostings(arr, 0, 8); c.AddPostings(bitmap, 2, 1500) }},
+		{"AddPostings", func() { c.AddPostings(short, 0, 8); c.AddPostings(long, 2, 1500) }},
 		{"Add", func() { c.Add(3); c.Add(2) }},
 		{"Counts", func() { c.Counts() }},
-		{"AtLeast", func() { c.AddPostings(bitmap, 0, 900); c.AddPostings(arr, 0, 8); dst = c.AtLeast(2, dst[:0]) }},
+		{"AtLeast", func() { c.AddPostings(long, 0, 900); c.AddPostings(short, 0, 8); dst = c.AtLeast(2, dst[:0]) }},
 	} {
-		c.Reset(4 * postingsFlipMin)
+		c.Reset(2048)
 		tc.fn() // grow touched once
-		c.Reset(4 * postingsFlipMin)
-		if allocs := testing.AllocsPerRun(100, func() { tc.fn(); c.Reset(4 * postingsFlipMin) }); allocs != 0 {
+		c.Reset(2048)
+		if allocs := testing.AllocsPerRun(100, func() { tc.fn(); c.Reset(2048) }); allocs != 0 {
 			t.Errorf("%s allocates %.1f per run, want 0", tc.name, allocs)
 		}
 	}

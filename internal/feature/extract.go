@@ -125,10 +125,10 @@ func (s *Set) RecordSets(attrs map[string]string, right bool, interner func(toks
 // VectorWith computes one pair's feature vector from attribute maps plus
 // per-record sets previously computed by RecordSets, reproducing Vector
 // bit for bit on equivalent rows (pinned by TestVectorWithMatchesVector):
-// features with both cached sets score SetFn over them, everything else
-// falls back to the string PairFunc, and a null on either side scores the
-// missing policy. Either sets argument may be nil to force the string
-// path for every feature.
+// features with both cached sets score their formula over them,
+// everything else falls back to the string PairFunc, and a null on either
+// side scores the missing policy. Either sets argument may be nil to force
+// the string path for every feature.
 func (s *Set) VectorWith(lattrs, rattrs map[string]string, lsets, rsets [][]uint32) []float64 {
 	x := make([]float64, len(s.Features))
 	s.VectorWithInto(lattrs, rattrs, lsets, rsets, x)

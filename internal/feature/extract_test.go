@@ -12,7 +12,7 @@ import (
 
 // cacheTables builds a pair of tables exercising every cache code path:
 // token-set features over medium/long text columns, a numeric column (no
-// SetFn, string fallback), and scattered nulls on both sides.
+// token set, string fallback), and scattered nulls on both sides.
 func cacheTables(t *testing.T, rows int, seed int64) (*table.Table, *table.Table, *table.Table, *table.Catalog) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -97,13 +97,13 @@ func TestVectorsCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasSetFn := false
+	hasSet := false
 	for _, f := range s.Features {
-		if f.SetFn != nil && f.Tok != nil {
-			hasSetFn = true
+		if f.setOf != nil && f.tok != nil {
+			hasSet = true
 		}
 	}
-	if !hasSetFn {
+	if !hasSet {
 		t.Fatal("generated set has no token-set features; test exercises nothing")
 	}
 	for _, missing := range []MissingPolicy{MissingZero, MissingNeutral} {

@@ -45,29 +45,24 @@ type Feature struct {
 	// LAttr and RAttr are the attribute names in the left and right
 	// tables.
 	LAttr, RAttr string
-	// Fn scores the pair of rendered attribute values.
+	// Fn scores the pair of rendered attribute values. A feature built by
+	// hand is scored by Fn alone.
 	Fn PairFunc
-	// Tok and SetFn, when both non-nil, expose the feature's token-set
-	// fast path: bulk extraction (Vectors) lower-cases, tokenizes, and
-	// interns each attribute value once per row and scores pairs with
-	// SetFn over the cached sets, instead of re-tokenizing both strings
-	// through Fn for every pair × feature. SetFn must agree with Fn bit
-	// for bit on every input (pinned by TestVectorsCacheEquivalence).
-	Tok tokenize.Tokenizer
-	// SetFn scores two sorted duplicate-free interned token sets; pure in
-	// the two sets, as Fn is in the two strings.
-	SetFn func(a, b []uint32) float64
 	// need and prep, set by NewFeature for the registry's kinds, are the
 	// feature's prepared path: prep scores two values prepared once per
 	// record in the forms need names, bit for bit what Fn returns on their
-	// strings. A feature built by hand has neither and is scored by Fn.
+	// strings.
 	need need
 	prep kernel
-	// setOf, jaro and winkler, set likewise, name what the feature shares
-	// with the others over its attribute pair: setOf is SetFn as a formula
-	// over (|A∩B|, |A|, |B|), so one intersection serves every set measure
-	// of a column; jaro marks the two kinds that are Jaro — winkler the one
-	// with the prefix bonus — in place of a prep.
+	// tok, setOf, jaro and winkler, set likewise, name what the feature
+	// shares with the others over its attribute pair. A token-set kind
+	// has tok and setOf: each record's value is lower-cased, tokenized by
+	// tok and interned once, and the pair is scored by setOf, its
+	// measure's formula over (|A∩B|, |A|, |B|), so one intersection serves
+	// every set measure of a column (pinned to Fn by
+	// TestVectorsCacheEquivalence). jaro marks the two kinds that are Jaro
+	// — winkler the one with the prefix bonus — in place of a prep.
+	tok           tokenize.Tokenizer
 	setOf         func(inter, na, nb int) float64
 	jaro, winkler bool
 }

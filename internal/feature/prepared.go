@@ -176,13 +176,13 @@ func (s *Set) planned() *plan {
 			}
 			sp.needs[c] |= f.need
 			col[side], p.feats[k].set[side] = c, -1
-			if f.SetFn == nil || f.Tok == nil {
+			if f.setOf == nil {
 				continue
 			}
-			i := slices.IndexFunc(sp.sets, func(sc setCol) bool { return sc.col == c && sc.tok.Name() == f.Tok.Name() })
+			i := slices.IndexFunc(sp.sets, func(sc setCol) bool { return sc.col == c && sc.tok.Name() == f.tok.Name() })
 			if i < 0 {
 				i = len(sp.sets)
-				sp.sets = append(sp.sets, setCol{col: c, tok: f.Tok, feat: k})
+				sp.sets = append(sp.sets, setCol{col: c, tok: f.tok, feat: k})
 			}
 			p.feats[k].set[side] = i
 		}
@@ -400,10 +400,6 @@ func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch,
 		f, fp := &s.Features[k], &l.p.feats[k]
 		if fp.set[0] >= 0 {
 			if ls, rs := l.sets[fp.set[0]], r.sets[fp.set[1]]; ls != nil && rs != nil {
-				if f.setOf == nil {
-					x[k] = f.SetFn(ls, rs)
-					continue
-				}
 				if interOf != fp.set[0] {
 					interOf, inter = fp.set[0], sim.IntersectSortedU32(ls, rs)
 				}

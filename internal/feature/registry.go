@@ -9,17 +9,15 @@ import (
 )
 
 // builder is one registered feature kind: the string path every feature
-// has, plus — for the token-set kinds — the tokenizer, the interned-set
-// kernel of the fast path and the formula it applies (Feature.Tok,
-// Feature.SetFn, Feature.setOf), and — for the character-level kinds every
-// AutoGenerate battery draws on — the prepared forms and the kernel over
-// them (Feature.need, Feature.prep; Feature.jaro for the two Jaro kinds).
-// exact needs only the string; the four alignment kinds no battery emits
-// are scored through fn.
+// has, plus — for the token-set kinds — the tokenizer and the formula over
+// the interned sets' counts (Feature.tok, Feature.setOf), and — for the
+// character-level kinds every AutoGenerate battery draws on — the prepared
+// forms and the kernel over them (Feature.need, Feature.prep; Feature.jaro
+// for the two Jaro kinds). exact needs only the string; the four alignment
+// kinds no battery emits are scored through fn.
 type builder struct {
 	fn    PairFunc
 	tok   tokenize.Tokenizer
-	setFn func(a, b []uint32) float64
 	setOf func(inter, na, nb int) float64
 	need  need
 	prep  kernel
@@ -34,10 +32,10 @@ func levKernel(l, r *value, sc *sim.Scratch) float64 {
 func soundexKernel(l, r *value, _ *sim.Scratch) float64 { return sim.SoundexCodeSim(l.sdx, r.sdx) }
 
 // setBuilder registers a token-set kind: fn over tok's tokens is the string
-// path, setFn over the interned sets the fast one, and setOf the formula
-// both apply to their counts (package sim's set.go).
-func setBuilder(tok tokenize.Tokenizer, setOf func(inter, na, nb int) float64, setFn func(a, b []uint32) float64, fn func(a, b []string) float64) builder {
-	return builder{fn: tokenized(tok, fn), tok: tok, setFn: setFn, setOf: setOf}
+// path, and setOf the formula fn applies to its counts, which pair scoring
+// applies to the interned sets' one intersection (package sim's set.go).
+func setBuilder(tok tokenize.Tokenizer, setOf func(inter, na, nb int) float64, fn func(a, b []string) float64) builder {
+	return builder{fn: tokenized(tok, fn), tok: tok, setOf: setOf}
 }
 
 // builders maps a builder kind — the prefix of generated feature names,
@@ -62,12 +60,12 @@ var builders = func() map[string]builder {
 		"smith_waterman":   {fn: sim.SmithWaterman},
 		"affine_gap":       {fn: sim.AffineGap},
 		"hamming":          {fn: sim.Hamming},
-		"jaccard_ws":       setBuilder(ws, sim.JaccardOf, sim.JaccardU32, sim.Jaccard),
-		"jaccard_3gram":    setBuilder(g3, sim.JaccardOf, sim.JaccardU32, sim.Jaccard),
-		"jaccard_2gram":    setBuilder(g2, sim.JaccardOf, sim.JaccardU32, sim.Jaccard),
-		"cosine_ws":        setBuilder(ws, sim.CosineOf, sim.CosineSetU32, sim.CosineSet),
-		"dice_ws":          setBuilder(ws, sim.DiceOf, sim.DiceU32, sim.Dice),
-		"overlap_coeff_ws": setBuilder(ws, sim.OverlapCoefficientOf, sim.OverlapCoefficientU32, sim.OverlapCoefficient),
+		"jaccard_ws":       setBuilder(ws, sim.JaccardOf, sim.Jaccard),
+		"jaccard_3gram":    setBuilder(g3, sim.JaccardOf, sim.Jaccard),
+		"jaccard_2gram":    setBuilder(g2, sim.JaccardOf, sim.Jaccard),
+		"cosine_ws":        setBuilder(ws, sim.CosineOf, sim.CosineSet),
+		"dice_ws":          setBuilder(ws, sim.DiceOf, sim.Dice),
+		"overlap_coeff_ws": setBuilder(ws, sim.OverlapCoefficientOf, sim.OverlapCoefficient),
 	}
 }()
 
@@ -88,7 +86,7 @@ func NewFeature(kind, attr string) (Feature, error) {
 	if !ok {
 		return Feature{}, fmt.Errorf("feature: unknown builder kind %q (have %v)", kind, BuilderKinds())
 	}
-	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: b.fn, Tok: b.tok, SetFn: b.setFn, need: b.need, prep: b.prep, setOf: b.setOf, jaro: b.jaro, winkler: b.winkler}, nil
+	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: b.fn, need: b.need, prep: b.prep, tok: b.tok, setOf: b.setOf, jaro: b.jaro, winkler: b.winkler}, nil
 }
 
 // Spec is the serializable form of one feature. Only same-attribute,

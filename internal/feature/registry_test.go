@@ -95,13 +95,13 @@ func TestSpecsRoundTripKeepsSetPath(t *testing.T) {
 	fast := 0
 	for i, f := range s.Features {
 		g := back.Features[i]
-		if (f.SetFn != nil) != (g.SetFn != nil) || (f.Tok != nil) != (g.Tok != nil) {
-			t.Errorf("%s: set path original=%v round-tripped=%v", f.Name, f.SetFn != nil, g.SetFn != nil)
+		if (f.setOf != nil) != (g.setOf != nil) || (f.tok != nil) != (g.tok != nil) {
+			t.Errorf("%s: set path original=%v round-tripped=%v", f.Name, f.setOf != nil, g.setOf != nil)
 		}
-		if f.Tok != nil && g.Tok != nil && f.Tok.Name() != g.Tok.Name() {
-			t.Errorf("%s: tokenizer %s became %s", f.Name, f.Tok.Name(), g.Tok.Name())
+		if f.tok != nil && g.tok != nil && f.tok.Name() != g.tok.Name() {
+			t.Errorf("%s: tokenizer %s became %s", f.Name, f.tok.Name(), g.tok.Name())
 		}
-		if f.SetFn != nil {
+		if f.setOf != nil {
 			fast++
 		}
 	}

@@ -18,8 +18,8 @@ import (
 
 // scanSet is every registered kind over attribute v, a second group over w,
 // a third that reads v on the left and w on the right, and two features
-// built by hand: one with a SetFn the registry knows no formula for, one
-// with nothing but its Fn.
+// built by hand, which have nothing but their Fn: a token-set measure the
+// registry has no kind for, and a character-level one.
 func scanSet(t testing.TB) *Set {
 	t.Helper()
 	s := everyKind(t)
@@ -38,9 +38,8 @@ func scanSet(t testing.TB) *Set {
 	}
 	ws := tokenize.Whitespace{ReturnSet: true}
 	for _, f := range []Feature{
-		{Name: "hand_tversky_v", LAttr: "v", RAttr: "v", Tok: ws,
-			Fn:    tokenized(ws, func(a, b []string) float64 { return sim.Tversky(a, b, 0.3, 0.7) }),
-			SetFn: func(a, b []uint32) float64 { return sim.TverskyU32(a, b, 0.3, 0.7) }},
+		{Name: "hand_tversky_v", LAttr: "v", RAttr: "v",
+			Fn: tokenized(ws, func(a, b []string) float64 { return sim.Tversky(a, b, 0.3, 0.7) })},
 		{Name: "hand_same_length_v", LAttr: "v", RAttr: "v", Fn: func(l, r string) float64 {
 			if len(l) == len(r) {
 				return 1

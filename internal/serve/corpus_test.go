@@ -109,11 +109,10 @@ func mutate(t *testing.T, c *Corpus, ids map[string]bool, next *int, rng *rand.R
 // compaction both forced tiny (firing constantly) and disabled — the
 // incrementally maintained indexes must surface candidates bit-identical
 // to a from-scratch batch rebuild of the live records, for every probe.
-// The flip from array to bitmap postings is not a knob, so tiny_knobs
-// reaches it with size: each of the 20 words lands in ~2 of 5 records, so
-// 2 600 preloaded records put every list past the 512-member flip and the
-// merge at 1 024, and the interleaving then runs over bitmap-plus-tail
-// lists that compaction keeps rebuilding.
+// tiny_knobs also runs long lists: each of the 20 words lands in ~2 of 5
+// records, so 2 600 preloaded records grow every list past 1 000 members,
+// and the interleaving then runs over long lists that compaction keeps
+// rebuilding.
 func TestInterleavingsMatchRebuild(t *testing.T) {
 	for _, cfg := range []struct {
 		name    string

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -13,22 +12,22 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/tokenize"
 )
 
-// testFeatureSet builds a small hand-rolled battery over the name/desc
-// attributes: one token-set fast path and one pure string feature, so the
-// cached and fallback extraction paths both run.
+// testFeatureSet builds a small battery over the name/desc attributes: the
+// registry's jaccard_ws on each and one hand-built string feature, so the
+// cached-set and Fn scoring paths both run.
 func testFeatureSet() *feature.Set {
-	ws := tokenize.Whitespace{ReturnSet: true}
-	jacc := func(l, r string) float64 {
-		return sim.Jaccard(ws.Tokenize(strings.ToLower(l)), ws.Tokenize(strings.ToLower(r)))
+	s := &feature.Set{}
+	for _, attr := range []string{"name", "desc"} {
+		f, err := feature.NewFeature("jaccard_ws", attr)
+		if err != nil {
+			panic(err)
+		}
+		s.Features = append(s.Features, f)
 	}
-	return &feature.Set{Features: []feature.Feature{
-		{Name: "jaccard_ws_name", LAttr: "name", RAttr: "name", Fn: jacc, Tok: ws, SetFn: sim.JaccardU32},
-		{Name: "jaccard_ws_desc", LAttr: "desc", RAttr: "desc", Fn: jacc, Tok: ws, SetFn: sim.JaccardU32},
-		{Name: "lev_name", LAttr: "name", RAttr: "name", Fn: sim.Levenshtein},
-	}}
+	s.Features = append(s.Features, feature.Feature{Name: "lev_name", LAttr: "name", RAttr: "name", Fn: sim.Levenshtein})
+	return s
 }
 
 // testMatcher fits a tiny forest labeling pairs with high name overlap as

@@ -58,9 +58,9 @@ func TestReadsProceedWhileWriterStalled(t *testing.T) {
 
 // TestSnapshotKernelsZeroAlloc pins the //emlint:zeroalloc contracts on the
 // lock-free candidate kernels: with warmed scratch, candidate generation
-// over array and bitmap postings allocates nothing. 1 100 records put the
-// four shared tokens past the flip and one merge (a frozen bitmap of
-// 1 024 plus a tail) and leave each item token a 137-member array.
+// over long and short postings allocates nothing. 1 100 records give the
+// four shared tokens 1 100-member lists, grown one append at a time, and
+// leave each item token a 137-member list.
 func TestSnapshotKernelsZeroAlloc(t *testing.T) {
 	c := NewCorpus()
 	for i := 0; i < 1100; i++ {

@@ -11,11 +11,11 @@ import (
 // over (|A∩B|, |A|, |B|) — the …Of functions — and everything else is an
 // entry point that obtains those three numbers and calls the formula: the
 // string APIs canonicalize their token lists to sorted duplicate-free
-// form, the …U32 APIs take interned token IDs (package intern) already in
-// that form and run a zero-allocation merge, and the similarity joins
-// (package simjoin) call the formulas directly with the overlap their
-// verifier counted. One formula per measure is what makes all of those
-// agree bit for bit.
+// form, while feature scoring (package feature) and the similarity joins
+// (package simjoin) count the overlap of interned token IDs (package
+// intern) with the zero-allocation …U32 merges and call the formulas
+// directly. One formula per measure is what makes all of those agree bit
+// for bit.
 //
 // Contract of the …U32 kernels: inputs must be sorted ascending with no
 // duplicates (what intern.SortedDedup / Dict.SortedSet produce). The
@@ -147,11 +147,6 @@ func counts(a, b []string) (inter, na, nb int) {
 	return intersectSorted(sa, sb), len(sa), len(sb)
 }
 
-// countsU32 is counts over sorted duplicate-free ID sets.
-func countsU32(a, b []uint32) (inter, na, nb int) {
-	return intersectSorted(a, b), len(a), len(b)
-}
-
 // Jaccard returns |A∩B| / |A∪B| of the token sets.
 func Jaccard(a, b []string) float64 { return JaccardOf(counts(a, b)) }
 
@@ -180,30 +175,7 @@ func OverlapSize(a, b []string) int {
 // JaccardU32 is Jaccard over sorted duplicate-free ID sets.
 //
 //emlint:zeroalloc
-func JaccardU32(a, b []uint32) float64 { return JaccardOf(countsU32(a, b)) }
-
-// DiceU32 is Dice over sorted duplicate-free ID sets.
-//
-//emlint:zeroalloc
-func DiceU32(a, b []uint32) float64 { return DiceOf(countsU32(a, b)) }
-
-// OverlapCoefficientU32 is the overlap coefficient over sorted
-// duplicate-free ID sets.
-//
-//emlint:zeroalloc
-func OverlapCoefficientU32(a, b []uint32) float64 { return OverlapCoefficientOf(countsU32(a, b)) }
-
-// CosineSetU32 is set cosine over sorted duplicate-free ID sets.
-//
-//emlint:zeroalloc
-func CosineSetU32(a, b []uint32) float64 { return CosineOf(countsU32(a, b)) }
-
-// TverskyU32 is the Tversky index over sorted duplicate-free ID sets.
-//
-//emlint:zeroalloc
-func TverskyU32(a, b []uint32, alpha, beta float64) float64 {
-	return TverskyOf(intersectSorted(a, b), len(a), len(b), alpha, beta)
-}
+func JaccardU32(a, b []uint32) float64 { return JaccardOf(intersectSorted(a, b), len(a), len(b)) }
 
 // IntersectSortedU32 returns |a ∩ b| for two sorted duplicate-free ID sets.
 //

@@ -9,11 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// flipLen mirrors bitvec's unexported flip point (postingsFlipMin): a
-// postings list at least this long is a bitmap. The tests below only use
-// it to prove their fixtures reach both representations.
-const flipLen = 512
-
 // skewedRecords builds records of minToks..maxToks draws over a 400-token
 // vocabulary, half of the draws from a 9-token hot head with a skew of its
 // own — so the head tokens get long postings lists of different lengths.
@@ -34,11 +29,11 @@ func skewedRecords(prefix string, n, minToks, maxToks int, rng *rand.Rand) []Rec
 	return out
 }
 
-// bitsetFixture is one join input reaching both postings representations
-// at the real flip point: 4 500 sparse right records make the hot tokens'
-// lists bitmaps while the 391 tail tokens stay arrays, and 90–180-token
-// records on both sides meet 1–10-token ones, so the bounded merge verifies
-// long×long, long×short and short×short pairs.
+// bitsetFixture is one join input with postings lists both long and
+// short: 4 500 sparse right records give the hot tokens long lists while
+// the 391 tail tokens keep short ones, and 90–180-token records on both
+// sides meet 1–10-token ones, so the bounded merge verifies long×long,
+// long×short and short×short pairs.
 func bitsetFixture(seed int64) (l, r []Record) {
 	rng := rand.New(rand.NewSource(seed))
 	l = append(skewedRecords("ls", 120, 1, 10, rng), skewedRecords("ld", 30, 90, 180, rng)...)
@@ -103,12 +98,10 @@ func specCandidates(l, r []Record, m measure, threshold float64) int {
 }
 
 // TestBitsetPathsBitIdentical is the equivalence oracle of the shared
-// representation: on a fixture where array postings and bitmap postings
-// are live at once, every join must be bit-identical — pairs AND
-// similarity floats — to the retained string reference at every worker
-// count, and must verify exactly the candidates the representation-free
-// definition names: array and bitmap postings apply the same positional
-// filter, so neither verifies a pair the other would have pruned.
+// postings: on a fixture where long and short lists are live at once,
+// every join must be bit-identical — pairs AND similarity floats — to the
+// retained string reference at every worker count, and must verify
+// exactly the candidates the representation-free definition names.
 func TestBitsetPathsBitIdentical(t *testing.T) {
 	l, r := bitsetFixture(41)
 	for _, j := range bitsetJoins {
@@ -163,29 +156,6 @@ func TestBitsetKnobsAsymmetric(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d pairs != reference %d", tc.name, len(got), len(want))
-		}
-	}
-}
-
-// TestBitmapPostingsBuilt sanity-checks that bitsetFixture really reaches
-// both postings representations in buildIndex — guarding the tests above
-// against silently testing array postings alone.
-func TestBitmapPostingsBuilt(t *testing.T) {
-	l, r := bitsetFixture(41)
-	_, pr, nids := prepare(l, r)
-	for _, j := range bitsetJoins {
-		idx := buildIndex(pr, nids, j.m, j.threshold)
-		arrays, bitmaps := 0, 0
-		for _, p := range idx.posts {
-			switch {
-			case p.Len() >= flipLen:
-				bitmaps++
-			case p.Len() > 0:
-				arrays++
-			}
-		}
-		if arrays == 0 || bitmaps == 0 {
-			t.Errorf("%s: %d array and %d bitmap postings lists, want both", j.name, arrays, bitmaps)
 		}
 	}
 }

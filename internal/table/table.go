@@ -203,11 +203,9 @@ func (t *Table) Select(idxs []int) *Table {
 	return out
 }
 
-// Head returns a new table with at most n leading rows.
+// Head returns a new table with at most n leading rows; n < 0 gives none.
 func (t *Table) Head(n int) *Table {
-	if n > len(t.rows) {
-		n = len(t.rows)
-	}
+	n = max(0, min(n, len(t.rows)))
 	out := &Table{name: t.name, schema: t.schema, key: t.key}
 	out.rows = append(out.rows, t.rows[:n]...)
 	return out

@@ -3,6 +3,7 @@ package table
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,34 @@ func TestSelectKeepsRows(t *testing.T) {
 	}
 	if wi.Key() != "id" || wi.Name() != tab.Name() {
 		t.Error("select should preserve name and key metadata")
+	}
+}
+
+func TestHead(t *testing.T) {
+	tab := personTable(t)
+	ids := func(h *Table) []string {
+		var out []string
+		for i := 0; i < h.Len(); i++ {
+			out = append(out, h.Get(i, "id").AsString())
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		n    int
+		want []string
+	}{
+		{2, []string{"a1", "a2"}},
+		{tab.Len() + 5, []string{"a1", "a2", "a3"}},
+		{0, nil},
+		{-1, nil},
+	} {
+		h := tab.Head(tc.n)
+		if got := ids(h); !slices.Equal(got, tc.want) {
+			t.Errorf("Head(%d) = %v, want %v", tc.n, got, tc.want)
+		}
+		if h.Key() != "id" || h.Name() != tab.Name() {
+			t.Errorf("Head(%d) should preserve name and key metadata", tc.n)
+		}
 	}
 }
 
