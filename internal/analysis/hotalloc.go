@@ -18,12 +18,11 @@ import (
 //   - fmt.Sprintf/fmt.Sprint in a loop nested two deep: per-pair
 //     formatting; hoist it or build keys with strconv/Builder.
 //   - non-constant string concatenation in a loop nested two deep.
-//   - make() inside a closure passed to parallel.ForEach or Map: those
-//     closures run once per task, so the scratch allocates per
-//     element. Per-worker scratch belongs outside the closure, indexed by
-//     parallel.ForEachShard's shard argument, or per chunk via
-//     parallel.MapChunks/MapChunksMin (whose closures run once per chunk
-//     and are therefore exempt).
+//   - make() inside a closure passed to parallel.ForEach: it runs once
+//     per task, so the scratch allocates per element. Per-worker scratch
+//     belongs outside the closure, indexed by the shard argument of
+//     parallel.ForEachShard or parallel.Chunks (whose closure runs once
+//     per chunk and is therefore exempt).
 //
 // Cold paths (error formatting) and intentionally lazy slices opt out
 // with //emlint:allow hotalloc -- reason.
@@ -49,21 +48,15 @@ func checkHotAllocUnit(pass *Pass, unit funcUnit) {
 const parallelPkg = "repro/internal/parallel"
 
 // perTaskEntryPoints are the parallel entry points whose closure argument
-// executes once per task (per input element). MapChunks/MapChunksMin are
-// deliberately absent — their closures run once per chunk, which the cost
-// gate sizes to at most one per worker, so allocating there IS the
-// sanctioned per-worker-scratch pattern. ForEachShard is absent for the
-// same reason: its shard argument exists precisely so scratch can live
-// outside the closure.
-var perTaskEntryPoints = map[string]bool{
-	"ForEach": true,
-	"Map":     true,
-}
+// executes once per task (per input element). ForEachShard and Chunks are
+// absent: their shard argument exists so scratch can live outside the
+// closure, and a Chunks closure runs once per chunk, where a chunk's own
+// buffer belongs.
+var perTaskEntryPoints = map[string]bool{"ForEach": true}
 
 // checkParallelTaskAllocs reports make() calls inside function literals
 // passed to the per-task parallel entry points. Anything made there is
-// remade n times; hoist it per worker (ForEachShard) or per chunk
-// (MapChunksMin).
+// remade n times; hoist it per worker (ForEachShard) or per chunk (Chunks).
 func checkParallelTaskAllocs(pass *Pass, unit funcUnit) {
 	var walk func(n ast.Node)
 	walk = func(n ast.Node) {
@@ -108,7 +101,7 @@ func reportTaskClosureMakes(pass *Pass, entry string, lit *ast.FuncLit) {
 		if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
 			return true
 		}
-		pass.Reportf(call.Pos(), "make inside a parallel.%s closure allocates once per task; keep scratch per worker via parallel.ForEachShard or per chunk via parallel.MapChunksMin (//emlint:allow hotalloc -- reason to keep)", entry)
+		pass.Reportf(call.Pos(), "make inside a parallel.%s closure allocates once per task; keep scratch per worker via parallel.ForEachShard or per chunk via parallel.Chunks (//emlint:allow hotalloc -- reason to keep)", entry)
 		return true
 	})
 }

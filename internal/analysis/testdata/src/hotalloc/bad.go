@@ -68,15 +68,17 @@ func perTaskScratch(rows [][]float64, sums []float64) error {
 	})
 }
 
-// perTaskMapped allocates per task under parallel.Map, one nesting down.
-func perTaskMapped(rows [][]int) ([][]int, error) {
-	return parallel.Map(2, len(rows), func(i int) ([]int, error) {
+// perTaskNested allocates per task under parallel.ForEach, one nesting
+// down.
+func perTaskNested(rows, out [][]int) error {
+	return parallel.ForEach(2, len(rows), func(i int) error {
 		dup := func() []int {
 			c := make([]int, len(rows[i])) // want hotalloc
 			copy(c, rows[i])
 			return c
 		}
-		return dup(), nil
+		out[i] = dup()
+		return nil
 	})
 }
 

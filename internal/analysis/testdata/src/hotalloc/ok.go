@@ -56,10 +56,10 @@ func shardScratch(rows [][]float64, sums []float64) error {
 	})
 }
 
-// chunkScratch allocates per chunk, not per task: MapChunksMin closures
-// run at most once per worker under the cost gate, so this is exempt.
+// chunkScratch allocates per chunk, not per task: a Chunks closure runs
+// once per chunk of 64 rows, so this is exempt.
 func chunkScratch(rows [][]int) ([]int, error) {
-	return parallel.MapChunksMin(0, len(rows), 64, func(lo, hi int) (int, error) {
+	return parallel.Chunks(0, len(rows), 64, func(_, lo, hi int) (int, error) {
 		seen := make(map[int]bool)
 		for _, row := range rows[lo:hi] {
 			for _, v := range row {

@@ -51,7 +51,7 @@ type frame struct {
 }
 
 // run is the one Block body. Both tables must declare keys; the call is
-// timed under BlockSeconds; the candidates gen produces — shard by shard,
+// timed under BlockSeconds; the candidates gen produces — chunk by chunk,
 // in output order — are appended to a pair table registered in cat; and
 // BlockPairsEmitted is recorded, with BlockPairsConsidered beside it when
 // gen reports how many pairs it examined (negative: it kept no count —
@@ -81,14 +81,18 @@ func (f frame) run(lt, rt *table.Table, cat *table.Catalog, gen func() (shards [
 	return pairs, nil
 }
 
-// probeShards runs probe over contiguous shards of [0, n), one per worker,
-// each timed under BlockShardSeconds. Every worker batches into a local
-// buffer; concatenating the buffers in shard order reproduces the serial
-// probe order exactly.
+// probeChunk is how many left rows (or sort entries) a blocker worker
+// claims at a time, and so the smallest probe scan worth fanning out.
+const probeChunk = 128
+
+// probeShards runs probe over chunks of probeChunk items of [0, n), each
+// timed under BlockShardSeconds. Every chunk batches into its own buffer;
+// concatenating the buffers in chunk order reproduces the serial probe
+// order exactly.
 func probeShards[T any](f frame, n int, probe func(lo, hi int) T) ([]T, error) {
 	rec := obs.Or(f.metrics)
 	bl := obs.L("blocker", f.name)
-	return parallel.MapChunks(f.workers, n, func(lo, hi int) (T, error) {
+	return parallel.Chunks(f.workers, n, probeChunk, func(_, lo, hi int) (T, error) {
 		defer obs.StartTimer(rec, obs.BlockShardSeconds, bl)()
 		return probe(lo, hi), nil
 	})

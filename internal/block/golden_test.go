@@ -41,7 +41,7 @@ func TestBlockersGolden(t *testing.T) {
 		"jaccard(name,t=0.30)":          {"1fc1ac6fd87131f1", 0, 4697},
 		"whole_tuple_overlap(k=2)":      {"1d079d0d9cbeefbb", 0, 4691},
 	}
-	a, b := parallelTables(t)
+	a, b := parallelTables(t, 240)
 	for _, blk := range everyBlocker(a) {
 		for _, workers := range []int{1, 4} {
 			reg := obs.NewRegistry()

@@ -11,13 +11,12 @@ import (
 	"repro/internal/table"
 )
 
-// parallelTables generates a person matching task large enough that every
-// worker shard is non-trivial.
-func parallelTables(t *testing.T) (*table.Table, *table.Table) {
+// parallelTables generates a person matching task of rows records a side.
+func parallelTables(t *testing.T, rows int) (*table.Table, *table.Table) {
 	t.Helper()
 	task, err := datagen.Generate(datagen.Spec{
 		Name: "partest", Domain: datagen.PersonDomain(),
-		SizeA: 240, SizeB: 240, MatchFraction: 0.4, Typo: 0.2, Seed: 77,
+		SizeA: rows, SizeB: rows, MatchFraction: 0.4, Typo: 0.2, Seed: 77,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +48,10 @@ func requireSameTable(t *testing.T, serial, par *table.Table, label string) {
 // tables. Run under `go test -race` this also exercises the worker-local
 // buffer discipline.
 func TestBlockersParallelDeterminism(t *testing.T) {
-	a, b := parallelTables(t)
+	a, b := parallelTables(t, 400)
+	if a.Len() < 3*probeChunk {
+		t.Fatalf("%d left rows are fewer than three chunks of %d", a.Len(), probeChunk)
+	}
 	for _, blk := range everyBlocker(a) {
 		serial, err := withKnobs(blk, 1, nil).Block(a, b, table.NewCatalog())
 		if err != nil {
@@ -127,7 +129,7 @@ func withKnobs(blk Blocker, workers int, rec obs.Recorder) Blocker {
 // TestRuleFilterParallelDeterminism checks the rule-based candidate filter:
 // kept pairs and per-rule drop counts must not depend on Workers.
 func TestRuleFilterParallelDeterminism(t *testing.T) {
-	a, b := parallelTables(t)
+	a, b := parallelTables(t, 240)
 	fs, err := feature.AutoGenerate(a, b)
 	if err != nil {
 		t.Fatal(err)

@@ -64,9 +64,9 @@ func (rf RuleFilter) Filter(cand *table.Table, cat *table.Catalog) (*table.Table
 	if err != nil {
 		return nil, nil, err
 	}
-	// Evaluate the compiled rules over candidate shards; each worker
+	// Evaluate the compiled rules over candidate chunks; each chunk
 	// keeps local drop counters and a local survivor buffer, merged in
-	// shard order so the output matches the serial scan.
+	// chunk order so the output matches the serial scan.
 	type shardResult struct {
 		kept    []table.PairID
 		dropped []int

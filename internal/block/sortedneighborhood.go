@@ -78,9 +78,9 @@ func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.P
 	sort.SliceStable(entries, func(a, c int) bool { return entries[a].key < entries[c].key })
 
 	w := b.window()
-	// Each shard scans its own range of window starts, deduplicating
-	// locally; windows starting near a shard boundary reach into the next
-	// shard's entries, so the same pair can surface in two shards and a
+	// Each chunk scans its own range of window starts, deduplicating
+	// locally; windows starting near a chunk boundary reach into the next
+	// chunk's entries, so the same pair can surface in two chunks and a
 	// final pass dedups globally. Both dedups keep the first occurrence
 	// in window-start order, so the output matches the serial scan.
 	// Pairs travel as packed (left id << 32 | right id) keys until the

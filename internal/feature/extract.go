@@ -173,7 +173,10 @@ func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets 
 // pair's two rows (Catalog.PairRows).
 func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions) ([][]float64, error) {
 	out := make([][]float64, pairs.Len())
-	if err := eachRow(s, pairs, cat, opts, true, func(_, i int, x []float64, _ func()) { out[i] = x }); err != nil {
+	if _, err := eachRow(s, pairs, cat, opts, true, func(i int, x []float64, _ func()) bool {
+		out[i] = x
+		return false
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -189,58 +192,56 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 // indices are the same at any Workers setting; the metrics are Vectors',
 // the cheap pass's memo blocks counted among the pair groups.
 func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keep func(row []float64, fill func()) bool) ([]int, error) {
-	kept := make([][]int, (pairs.Len()+vectorsChunk-1)/vectorsChunk)
-	if err := eachRow(s, pairs, cat, opts, false, func(c, i int, x []float64, fill func()) {
-		if keep(x, fill) {
-			kept[c] = append(kept[c], i)
-		}
-	}); err != nil {
+	kept, err := eachRow(s, pairs, cat, opts, false, func(_ int, x []float64, fill func()) bool { return keep(x, fill) })
+	if err != nil {
 		return nil, err
 	}
 	return slices.Concat(kept...), nil
 }
 
 // eachRow is the one chunk loop under Vectors and Select: it computes the
-// feature vector of every pair of a registered candidate-set table and
-// hands it to row(c, i, x, fill), c being the chunk pair i belongs to. With
-// keepRows, each chunk's rows are cut from one array the worker allocates,
-// so row may retain x and the zeroing runs on every core, and x is whole;
-// without it, a chunk's pairs are filled one after another into one scratch
-// row that row must not retain, x holds the cheap columns alone (cheapInto)
-// and fill completes it.
+// feature vector of every pair of a registered candidate-set table, hands
+// it to row(i, x, fill) and returns, chunk by chunk, the indices i for
+// which row answered true. With keepRows, each chunk's rows are cut from
+// one array the worker allocates, so row may retain x and the zeroing runs
+// on every core, and x is whole; without it, a chunk's pairs are filled one
+// after another into one scratch row that row must not retain, x holds the
+// cheap columns alone (cheapInto) and fill completes it.
 //
 // Each pair's vector is a function of its two rows alone, so extraction at
 // any Workers setting is bit-identical to serial. Workers claim chunks of
 // consecutive pairs — a blocker emits a left record's candidates together,
 // and the scratch's memo reuses scores along a run — and a chunk's pairs
 // are visited in order by one worker.
-func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keepRows bool, row func(c, i int, x []float64, fill func())) error {
+func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keepRows bool, row func(i int, x []float64, fill func()) bool) ([][]int, error) {
 	rec := obs.Or(opts.Metrics)
 	defer obs.StartTimer(rec, obs.FeatureExtractSeconds)()
 	meta, ok := cat.PairMeta(pairs)
 	if !ok {
-		return fmt.Errorf("feature: pair table %q not registered in catalog", pairs.Name())
+		return nil, fmt.Errorf("feature: pair table %q not registered in catalog", pairs.Name())
 	}
 	rows, err := cat.PairRows(pairs)
 	if err != nil {
-		return fmt.Errorf("feature: %w", err)
+		return nil, fmt.Errorf("feature: %w", err)
 	}
 	cache, err := buildTokenCache(s, meta.LTable, meta.RTable, opts.Workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	n, nf := len(rows), len(s.Features)
 	scratch := make([]sim.Scratch, parallel.Resolve(opts.Workers))
-	if err := parallel.ForEachShard(opts.Workers, (n+vectorsChunk-1)/vectorsChunk, func(shard, c int) error {
+	kept, err := parallel.Chunks(opts.Workers, n, vectorsChunk, func(shard, lo, hi int) ([]int, error) {
 		sc := &scratch[shard]
-		lo, hi := c*vectorsChunk, min(n, (c+1)*vectorsChunk)
 		size, stride := nf, 0
 		if keepRows {
 			size, stride = (hi-lo)*nf, nf
 		}
 		buf := make([]float64, size)
-		var l, r *Prepared
+		var (
+			l, r *Prepared
+			kept []int
+		)
 		fill := func() { s.VectorInto(l, r, sc, buf) } // buf is the one scratch row
 		for i := lo; i < hi; i++ {
 			k := (i - lo) * stride
@@ -248,15 +249,18 @@ func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 			l, r = &cache.l[rows[i][0]], &cache.r[rows[i][1]]
 			if keepRows {
 				s.VectorInto(l, r, sc, x)
-				row(c, i, x, nil)
+				row(i, x, nil)
 				continue
 			}
 			s.cheapInto(l, r, sc, x)
-			row(c, i, x, fill)
+			if row(i, x, fill) {
+				kept = append(kept, i)
+			}
 		}
-		return nil
-	}); err != nil {
-		return err
+		return kept, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	rec.Count(obs.FeatureVectors, float64(n))
 	for i := range scratch {
@@ -264,7 +268,7 @@ func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 		rec.Count(obs.FeaturePairGroups, float64(scored), obs.L("result", "scored"))
 		rec.Count(obs.FeaturePairGroups, float64(reused), obs.L("result", "reused"))
 	}
-	return nil
+	return kept, nil
 }
 
 // vectorsChunk is how many consecutive pairs an eachRow worker claims at a

@@ -13,8 +13,7 @@ import (
 // the interned sets' counts (Feature.tok, Feature.setOf), and — for the
 // character-level kinds every AutoGenerate battery draws on — the prepared
 // forms and the kernel over them (Feature.need, Feature.prep; Feature.jaro
-// for the two Jaro kinds). exact needs only the string; the four alignment
-// kinds no battery emits are scored through fn.
+// for the two Jaro kinds). exact needs only the string.
 type builder struct {
 	fn    PairFunc
 	tok   tokenize.Tokenizer
@@ -56,10 +55,6 @@ var builders = func() map[string]builder {
 		"soundex":          {fn: sim.SoundexSim, need: needSoundex, prep: soundexKernel},
 		"rel_diff":         {fn: RelDiff, need: needNumber, prep: relDiffKernel},
 		"monge_elkan_jw":   {fn: mongeElkanJW, need: needTokens, prep: mongeElkanJWKernel},
-		"needleman_wunsch": {fn: sim.NeedlemanWunsch},
-		"smith_waterman":   {fn: sim.SmithWaterman},
-		"affine_gap":       {fn: sim.AffineGap},
-		"hamming":          {fn: sim.Hamming},
 		"jaccard_ws":       setBuilder(ws, sim.JaccardOf, sim.Jaccard),
 		"jaccard_3gram":    setBuilder(g3, sim.JaccardOf, sim.Jaccard),
 		"jaccard_2gram":    setBuilder(g2, sim.JaccardOf, sim.Jaccard),

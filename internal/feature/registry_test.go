@@ -23,7 +23,7 @@ func TestNewFeature(t *testing.T) {
 
 func TestBuilderKinds(t *testing.T) {
 	kinds := BuilderKinds()
-	if len(kinds) < 15 {
+	if len(kinds) < 13 {
 		t.Errorf("only %d builder kinds registered", len(kinds))
 	}
 	for i := 1; i < len(kinds); i++ {

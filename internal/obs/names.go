@@ -13,7 +13,7 @@ const (
 
 	// BlockSeconds times one whole Block call: labels {blocker}.
 	BlockSeconds = "em_block_seconds"
-	// BlockShardSeconds times one worker shard of a sharded blocker:
+	// BlockShardSeconds times one chunk of a sharded blocker's probe scan:
 	// labels {blocker}.
 	BlockShardSeconds = "em_block_shard_seconds"
 	// BlockPairsEmitted counts candidate pairs a blocker emitted:
@@ -102,7 +102,7 @@ func DescribeStandard(g *Registry) {
 	for _, d := range []struct{ name, help string }{
 		{StageSeconds, "Duration of one EM pipeline stage (Figure-2 guide step)."},
 		{BlockSeconds, "Duration of one blocker Block call."},
-		{BlockShardSeconds, "Duration of one worker shard inside a sharded blocker."},
+		{BlockShardSeconds, "Duration of one probe chunk inside a sharded blocker."},
 		{BlockPairsEmitted, "Candidate pairs emitted by a blocker."},
 		{BlockPairsConsidered, "Pairs a blocker examined before filtering."},
 		{CVFoldSeconds, "Duration of one cross-validation fold."},

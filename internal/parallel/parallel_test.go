@@ -3,8 +3,8 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -75,81 +75,95 @@ func TestForEachErrorPropagation(t *testing.T) {
 }
 
 func TestForEachLowestIndexErrorWins(t *testing.T) {
-	// Every call fails; the reported error must be from the lowest index
-	// among those executed, and index 0 always executes before any worker
-	// can observe a failure flag set by a later index... not guaranteed —
-	// what is guaranteed is that the returned error is one of the injected
-	// ones and carries the smallest failing index the pool observed.
-	err := ForEach(8, 64, func(i int) error { return fmt.Errorf("fail-%d", i) })
-	if err == nil {
-		t.Fatal("expected error")
+	// Every call fails; only items past a failure may be skipped, so index
+	// 0 always runs and its error is the one returned, as serially.
+	for _, workers := range []int{1, 8} {
+		err := ForEach(workers, 64, func(i int) error { return fmt.Errorf("fail-%d", i) })
+		if err == nil || err.Error() != "fail-0" {
+			t.Fatalf("workers=%d: got %v, want fail-0", workers, err)
+		}
 	}
 }
 
-func TestMapOrdering(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		out, err := Map(workers, 1000, func(i int) (int, error) { return i * i, nil })
+// TestChunks: chunks cover [0, n) in order, every chunk but the last is
+// size long, shard stays below the worker count, and n <= 0 and size <= 0
+// are handled.
+func TestChunks(t *testing.T) {
+	for _, c := range []struct{ workers, n, size int }{
+		{1, 237, 10}, {2, 237, 10}, {5, 237, 1}, {32, 237, 64}, {4, 7, 100}, {3, 9, 0}, {3, 9, -2},
+	} {
+		var badShard atomic.Bool
+		chunks, err := Chunks(c.workers, c.n, c.size, func(shard, lo, hi int) ([2]int, error) {
+			if shard < 0 || shard >= c.workers {
+				badShard.Store(true)
+			}
+			return [2]int{lo, hi}, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out) != 1000 {
-			t.Fatalf("len = %d", len(out))
+		if badShard.Load() {
+			t.Fatalf("%+v: shard index out of [0,%d)", c, c.workers)
 		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+		size, prev := max(c.size, 1), 0
+		for k, ch := range chunks {
+			if ch[0] != prev || ch[1] <= ch[0] || (k < len(chunks)-1 && ch[1]-ch[0] != size) {
+				t.Fatalf("%+v: chunk %d is %v after %d", c, k, ch, prev)
 			}
-		}
-	}
-}
-
-func TestMapError(t *testing.T) {
-	out, err := Map(4, 10, func(i int) (int, error) {
-		if i == 3 {
-			return 0, errors.New("nope")
-		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if out != nil {
-		t.Fatal("partial results must be discarded on error")
-	}
-}
-
-func TestChunks(t *testing.T) {
-	cases := []struct{ n, parts int }{
-		{10, 3}, {1, 8}, {0, 4}, {100, 1}, {7, 7}, {5, 100}, {9, -1},
-	}
-	for _, c := range cases {
-		chunks := Chunks(c.n, c.parts)
-		covered := 0
-		prev := 0
-		for _, ch := range chunks {
-			if ch[0] != prev {
-				t.Fatalf("Chunks(%d,%d): gap at %v", c.n, c.parts, ch)
-			}
-			if ch[1] <= ch[0] {
-				t.Fatalf("Chunks(%d,%d): empty chunk %v", c.n, c.parts, ch)
-			}
-			covered += ch[1] - ch[0]
 			prev = ch[1]
 		}
-		want := c.n
-		if want < 0 {
-			want = 0
+		if prev != c.n {
+			t.Fatalf("%+v: chunks cover [0, %d)", c, prev)
 		}
-		if covered != want {
-			t.Fatalf("Chunks(%d,%d) covers %d", c.n, c.parts, covered)
+	}
+	for _, n := range []int{0, -5} {
+		out, err := Chunks(4, n, 8, func(_, _, _ int) (int, error) {
+			t.Fatal("fn called for an empty range")
+			return 0, nil
+		})
+		if out != nil || err != nil {
+			t.Fatalf("n=%d: %v, %v", n, out, err)
 		}
 	}
 }
 
-func TestMapChunksConcatenationMatchesSerial(t *testing.T) {
+func TestChunksResultOrder(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 16} {
+		out, err := Chunks(workers, 1000, 7, func(_, lo, _ int) (int, error) { return lo * lo, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != (1000+6)/7 {
+			t.Fatalf("len = %d", len(out))
+		}
+		for c, v := range out {
+			if v != (c*7)*(c*7) {
+				t.Fatalf("workers=%d: out[%d] = %d", workers, c, v)
+			}
+		}
+	}
+}
+
+// TestChunksError: the lowest failing chunk's error wins, as serially, and
+// the results are discarded.
+func TestChunksError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		out, err := Chunks(workers, 100, 10, func(_, lo, _ int) (int, error) {
+			if lo >= 30 {
+				return 0, fmt.Errorf("chunk at %d", lo)
+			}
+			return lo, nil
+		})
+		if out != nil || err == nil || err.Error() != "chunk at 30" {
+			t.Fatalf("workers=%d: %v, %v; want nil, chunk at 30", workers, out, err)
+		}
+	}
+}
+
+func TestChunksConcatenationMatchesSerial(t *testing.T) {
 	n := 237
 	for _, workers := range []int{1, 2, 5, 32} {
-		parts, err := MapChunks(workers, n, func(lo, hi int) ([]int, error) {
+		parts, err := Chunks(workers, n, 16, func(_, lo, hi int) ([]int, error) {
 			var out []int
 			for i := lo; i < hi; i++ {
 				out = append(out, i)
@@ -159,10 +173,7 @@ func TestMapChunksConcatenationMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all []int
-		for _, p := range parts {
-			all = append(all, p...)
-		}
+		all := slices.Concat(parts...)
 		if len(all) != n {
 			t.Fatalf("workers=%d: got %d items", workers, len(all))
 		}
@@ -170,6 +181,32 @@ func TestMapChunksConcatenationMatchesSerial(t *testing.T) {
 			if v != i {
 				t.Fatalf("workers=%d: position %d holds %d", workers, i, v)
 			}
+		}
+	}
+}
+
+// TestChunksSizeBoundsChunkCount: size alone fixes the chunk count, and an
+// input of at most one chunk is one call on shard 0.
+func TestChunksSizeBoundsChunkCount(t *testing.T) {
+	for _, c := range []struct{ workers, n, size, want int }{
+		{8, 1000, 100, 10}, {8, 250, 100, 3}, {8, 50, 100, 1}, {8, 100, 100, 1}, {1, 1000, 128, 8},
+	} {
+		var calls, nonZeroShard atomic.Int64
+		parts, err := Chunks(c.workers, c.n, c.size, func(shard, lo, hi int) (int, error) {
+			calls.Add(1)
+			if shard != 0 {
+				nonZeroShard.Add(1)
+			}
+			return hi - lo, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != c.want || int(calls.Load()) != c.want {
+			t.Fatalf("%+v: %d chunks from %d calls", c, len(parts), calls.Load())
+		}
+		if c.want == 1 && nonZeroShard.Load() != 0 {
+			t.Fatalf("%+v: a one-chunk input ran off shard 0", c)
 		}
 	}
 }
@@ -218,65 +255,5 @@ func TestForEachShardScratchIsolation(t *testing.T) {
 	}
 	if total.Load() != 1000*999/2 {
 		t.Fatalf("scratch-mediated sum = %d, want %d", total.Load(), 1000*999/2)
-	}
-}
-
-func TestMapChunksMinBoundsChunkCount(t *testing.T) {
-	countChunks := func(workers, n, minWork int) int {
-		parts, err := MapChunksMin(workers, n, minWork, func(lo, hi int) (int, error) {
-			if hi-lo <= 0 {
-				t.Fatalf("empty chunk [%d,%d)", lo, hi)
-			}
-			return hi - lo, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		covered := 0
-		for _, c := range parts {
-			covered += c
-		}
-		if covered != n {
-			t.Fatalf("chunks cover %d of %d", covered, n)
-		}
-		return len(parts)
-	}
-	if got := countChunks(8, 1000, 100); got > 8 {
-		t.Fatalf("big input made %d chunks, want <= 8", got)
-	}
-	if got := countChunks(8, 250, 100); got > 2 {
-		t.Fatalf("n=250 minWork=100 made %d chunks, want <= 2", got)
-	}
-	if got := countChunks(8, 50, 100); got != 1 {
-		t.Fatalf("tiny input made %d chunks, want 1", got)
-	}
-}
-
-func TestConcatMatchesAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, tc := range []struct{ parts, maxLen int }{
-		{0, 0}, {1, 5}, {3, 7}, {17, 4000}, {64, 1200},
-	} {
-		parts := make([][]int, tc.parts)
-		var want []int
-		for p := range parts {
-			m := rng.Intn(tc.maxLen + 1)
-			parts[p] = make([]int, m)
-			for k := range parts[p] {
-				parts[p][k] = rng.Int()
-			}
-			want = append(want, parts[p]...)
-		}
-		for _, workers := range []int{1, 4} {
-			got := Concat(workers, parts)
-			if len(got) != len(want) {
-				t.Fatalf("parts=%d workers=%d: len %d want %d", tc.parts, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("parts=%d workers=%d: position %d differs", tc.parts, workers, i)
-				}
-			}
-		}
 	}
 }

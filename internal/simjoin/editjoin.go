@@ -2,6 +2,7 @@ package simjoin
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/intern"
@@ -65,21 +66,19 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 		}
 	}
 
-	// Probe in contiguous shards of units (runs of equal left IDs, in ID
-	// order) through the shared pool; each unit emits its pairs in output
-	// order, as setJoin's do. Candidates verified with the exact distance
-	// are tallied shard-locally and recorded once after the join.
+	// Probe in chunks of probeChunk units (runs of equal left IDs, in ID
+	// order) through the shared pool, as setJoin does; each unit emits its
+	// pairs in output order. The counter and the tally of candidates
+	// verified with the exact distance are per worker.
 	perm, runs := idOrder(len(l), func(i int) string { return l[i].ID })
 	rrank := ranks(len(r), func(j int) string { return r[j].ID })
-	type distShard struct {
-		pairs []DistPair
-		cands int
-	}
-	shards, err := parallel.MapChunks(cfg.workers, len(runs)-1, func(ulo, uhi int) (distShard, error) {
+	nw := parallel.Resolve(cfg.workers)
+	counters, cands := make([]bitvec.Counter, nw), make([]int, nw)
+	chunks, err := parallel.Chunks(cfg.workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]DistPair, error) {
 		out := make([]DistPair, 0, runs[uhi]-runs[ulo])
 		var hits []hit[int] // the unit's pairs, Dist as the value
 		nc := 0
-		var shared bitvec.Counter // per right record, the q-grams it shares with the probe
+		shared := &counters[shard] // per right record, the q-grams it shares with the probe
 		for u := ulo; u < uhi; u++ {
 			hits = hits[:0]
 			for k := runs[u]; k < runs[u+1]; k++ {
@@ -130,18 +129,14 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 				out = append(out, DistPair{LID: l[perm[runs[u]]].ID, RID: r[h.j].ID, Dist: h.v})
 			}
 		}
-		return distShard{pairs: out, cands: nc}, nil
+		cands[shard] += nc
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var all []DistPair
-	total := 0
-	for _, s := range shards {
-		all = append(all, s.pairs...)
-		total += s.cands
-	}
-	mrec.Count(obs.SimjoinCandidates, float64(total), join)
+	all := slices.Concat(chunks...)
+	mrec.Count(obs.SimjoinCandidates, float64(sum(cands)), join)
 	mrec.Count(obs.SimjoinPairs, float64(len(all)), join)
 	return all, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // orderFixture builds join inputs whose IDs repeat: 1 000 distinct left IDs
-// (enough units for seven probe shards of probeMinWork), 200 more left
+// (enough units for seven probe chunks of probeChunk), 200 more left
 // records reusing random ones, a 30-record run of one ID in the middle of
 // the ID order, and 300 right records over 200 IDs — all in shuffled input
 // order, so the joins' stable ID order is not the input order.
@@ -86,8 +86,8 @@ func measureScore(m measure, threshold float64) func(a, b []string) (float64, bo
 func TestJoinOutputOrderExact(t *testing.T) {
 	l, r := orderFixture(rand.New(rand.NewSource(31)))
 	perm, runs := idOrder(len(l), func(i int) string { return l[i].ID })
-	if units := len(runs) - 1; units < 7*probeMinWork {
-		t.Fatalf("%d left units: too few for seven probe shards", units)
+	if units := len(runs) - 1; units < 7*probeChunk {
+		t.Fatalf("%d left units: too few for seven probe chunks", units)
 	}
 	if mid := len(l) / 2; l[perm[mid-1]].ID != l[perm[mid]].ID {
 		t.Fatalf("no run of equal left IDs spans record %d of the ID order", mid)

@@ -2,6 +2,7 @@ package simjoin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -145,7 +146,7 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair
 		}
 	}
 
-	shards, err := parallel.MapChunks(cfg.workers, len(pl), func(clo, chi int) (joinShard, error) {
+	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]Pair, error) {
 		out := make([]Pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
@@ -178,12 +179,12 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair
 				}
 			}
 		}
-		return joinShard{pairs: out}, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	all, _ := mergeShards(cfg.workers, shards)
+	all := slices.Concat(shards...)
 	sortPairs(all)
 	return all, nil
 }
@@ -209,7 +210,7 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 			index[rec.toks[p]] = append(index[rec.toks[p]], j)
 		}
 	}
-	shards, err := parallel.MapChunks(cfg.workers, len(pl), func(clo, chi int) (joinShard, error) {
+	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]Pair, error) {
 		out := make([]Pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
@@ -234,12 +235,12 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 				}
 			}
 		}
-		return joinShard{pairs: out}, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	all, _ := mergeShards(cfg.workers, shards)
+	all := slices.Concat(shards...)
 	sortPairs(all)
 	return all, nil
 }

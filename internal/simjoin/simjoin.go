@@ -71,7 +71,7 @@ type config struct {
 // WithWorkers sets the number of goroutines probing the index; 0 (the
 // default) means GOMAXPROCS (parallel.Resolve). The paper scales PyMatcher
 // commands with Dask on multicore machines; this is the equivalent knob.
-// Probe scans below probeMinWork records stay serial regardless (the
+// A probe scan of at most probeChunk units stays serial regardless (the
 // parallel cost gate).
 func WithWorkers(n int) JoinOption {
 	return func(c *config) { c.workers = n }
@@ -92,18 +92,9 @@ func applyJoinOptions(opts []JoinOption) config {
 	return c
 }
 
-// probeMinWork is the smallest probe scan worth fanning out: each chunk
-// allocates a counter over the whole right side, so tiny scans lose to
-// serial execution.
-const probeMinWork = 128
-
-// joinShard is one worker's contiguous share of a join probe scan: the
-// pairs it emitted and the candidates it verified. Shards concatenate in
-// chunk order, reproducing the serial probe order exactly.
-type joinShard struct {
-	pairs []Pair
-	cands int
-}
+// probeChunk is how many units (runs of equal left IDs) a probe worker
+// claims at a time, and so the smallest probe scan worth fanning out.
+const probeChunk = 128
 
 // measure enumerates the supported set-similarity measures.
 type measure int
@@ -354,18 +345,20 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 	}
 	idx := buildIndex(pr, nids, m, threshold)
 
-	// Probe the index in contiguous shards of units through the shared pool
-	// (kept serial below probeMinWork units — the cost gate). Candidates
+	// Probe the index in chunks of probeChunk units through the shared
+	// pool. The counter over the right side and the tally of candidates
 	// surviving the size and positional filters (i.e. actually verified)
-	// are tallied shard-locally and recorded once — the no-op path never
+	// are per worker; the tally is recorded once — the no-op path never
 	// sees a per-pair recorder call.
-	shards, err := parallel.MapChunksMin(cfg.workers, len(runs)-1, probeMinWork, func(ulo, uhi int) (joinShard, error) {
-		// Shard-local probe state, hoisted so the visit closure is
-		// allocated once per shard (per worker), not once per probe.
+	nw := parallel.Resolve(cfg.workers)
+	counters, cands := make([]bitvec.Counter, nw), make([]int, nw)
+	chunks, err := parallel.Chunks(cfg.workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]Pair, error) {
+		// Chunk-local probe state, hoisted so the visit closure is
+		// allocated once per chunk, not once per probe.
 		out := make([]Pair, 0, runs[uhi]-runs[ulo])
 		nc := 0
+		seen := &counters[shard] // right records the probe has reached
 		var (
-			seen  bitvec.Counter // right records the probe has reached
 			hits  []hit[float64] // the unit's pairs, Sim as the value
 			probe intRec
 			n, p  int
@@ -423,29 +416,25 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 				out = append(out, Pair{LID: probe.id, RID: idx.pr[h.j].id, Sim: h.v})
 			}
 		}
-		return joinShard{pairs: out, cands: nc}, nil
+		cands[shard] += nc
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	all, total := mergeShards(cfg.workers, shards)
-	rec.Count(obs.SimjoinCandidates, float64(total), join)
+	all := slices.Concat(chunks...)
+	rec.Count(obs.SimjoinCandidates, float64(sum(cands)), join)
 	rec.Count(obs.SimjoinPairs, float64(len(all)), join)
 	return all, nil
 }
 
-// mergeShards concatenates shard outputs in chunk order into one slice
-// preallocated from the summed shard sizes (parallel.Concat — the copy
-// itself fans out on large outputs), and totals the verified candidate
-// counts.
-func mergeShards(workers int, shards []joinShard) ([]Pair, int) {
-	total := 0
-	parts := make([][]Pair, len(shards))
-	for i, s := range shards {
-		parts[i] = s.pairs
-		total += s.cands
+// sum totals a join's per-worker candidate tallies.
+func sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
 	}
-	return parallel.Concat(workers, parts), total
+	return t
 }
 
 // The output order of every join: pairs by (LID, RID), and pairs with equal
@@ -454,8 +443,8 @@ func mergeShards(workers int, shards []joinShard) ([]Pair, int) {
 // side outer. It is produced by construction, not by sorting the output:
 // the left side is probed in ID order, one unit per run of equal left IDs;
 // a unit sorts its pairs by the right record's rank in ID order, then by
-// which of its left records found them; and a shard holds whole units, so
-// concatenating shards in order is the whole order.
+// which of its left records found them; and a chunk holds whole units, so
+// concatenating chunks in order is the whole order.
 
 // idOrder stable-sorts n records by ID: perm lists them in ID order, equal
 // IDs in input order, and the k-th run of equal IDs is perm[runs[k]:

@@ -224,8 +224,11 @@ func TestJoinTinyThreshold(t *testing.T) {
 
 func TestJoinWorkersConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	l := randomRecords(80, rng)
+	l := randomRecords(400, rng)
 	r := randomRecords(80, rng)
+	if len(l) < 3*probeChunk {
+		t.Fatalf("%d left records are fewer than three chunks of %d", len(l), probeChunk)
+	}
 	a, err := JaccardJoin(l, r, 0.5, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -342,8 +345,11 @@ func TestTokenizeIntegration(t *testing.T) {
 // row order included.
 func TestPooledJoinsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	l := randomRecords(90, rng)
+	l := randomRecords(400, rng)
 	r := randomRecords(90, rng)
+	if len(l) < 3*probeChunk {
+		t.Fatalf("%d left records are fewer than three chunks of %d", len(l), probeChunk)
+	}
 	ls := make([]StringRecord, len(l))
 	rs := make([]StringRecord, len(r))
 	for i := range l {

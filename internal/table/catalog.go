@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -145,11 +146,11 @@ type PairID struct {
 }
 
 // AppendPairs appends every id pair to a pair table with the conventional
-// schema in one call, assigning sequential _ids. It grows row storage once
-// and carves all cells from a single backing allocation, so blocker inner
-// loops pay two allocations per batch instead of two per pair. Worker-local
-// buffers concatenated in shard order through this call reproduce the
-// serial AppendPair output exactly.
+// schema in one call, assigning sequential _ids. It grows row storage as
+// append does, amortized over batches, and carves all cells from a single
+// backing allocation, so blocker inner loops pay about one allocation per
+// batch instead of two per pair. Chunk buffers appended in chunk order
+// through this call reproduce the serial AppendPair output exactly.
 func AppendPairs(pair *Table, ids []PairID) {
 	if len(ids) == 0 {
 		return
@@ -158,11 +159,7 @@ func AppendPairs(pair *Table, ids []PairID) {
 		panic(fmt.Sprintf("table %q: AppendPairs needs the conventional 3-column pair schema, have %d columns", pair.name, pair.schema.Len()))
 	}
 	base := len(pair.rows)
-	if cap(pair.rows)-base < len(ids) {
-		grown := make([]Row, base, base+len(ids))
-		copy(grown, pair.rows)
-		pair.rows = grown
-	}
+	pair.rows = slices.Grow(pair.rows, len(ids))
 	cells := make([]Value, 3*len(ids))
 	for k, id := range ids {
 		r := cells[3*k : 3*k+3 : 3*k+3]
