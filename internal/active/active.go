@@ -6,8 +6,8 @@
 // lay user's scarce labels on the decision boundary, which is why
 // CloudMatcher needs only 160–1200 questions per task (Table 2).
 //
-// It is the one label-acquisition module: the guide, Falcon, Smurf and
-// CloudMatcher's services take their overlap sample (OverlapSample), their
+// It is the one label-acquisition module: the guide, Falcon (falcon.Run
+// and falcon.Smurf) and CloudMatcher's services take their overlap sample (OverlapSample), their
 // likely-match order (MeanFeatureOrder), their pool (PoolFromPairs) and
 // every budget-aware question (Pool.Ask) from here.
 package active

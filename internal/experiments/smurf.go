@@ -8,7 +8,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/falcon"
 	"repro/internal/label"
-	"repro/internal/smurf"
 	"repro/internal/table"
 )
 
@@ -51,36 +50,13 @@ func RunSmurfComparison(seed int64) ([]SmurfRow, error) {
 		}
 		fconf := core.Evaluate(fres.Matches, task.Gold)
 
-		// Smurf over concatenated strings.
-		items := func(t *table.Table) []smurf.Item {
-			out := make([]smurf.Item, t.Len())
-			for i := 0; i < t.Len(); i++ {
-				var sb strings.Builder
-				for _, c := range t.Schema().Names() {
-					if c == "id" {
-						continue
-					}
-					sb.WriteString(t.Get(i, c).AsString())
-					sb.WriteByte(' ')
-				}
-				out[i] = smurf.Item{ID: t.Get(i, "id").AsString(), Str: sb.String()}
-			}
-			return out
-		}
+		// Smurf over each tuple as one string.
 		sOracle := label.NewOracle(task.Gold)
-		sres, err := smurf.MatchStrings(items(task.A), items(task.B), sOracle, smurf.Config{SampleSize: 1000, Seed: seed})
+		sres, err := falcon.Smurf(task.A, task.B, sOracle, cat, falcon.Config{SampleSize: 1000, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("smurf on %s: %w", spec.Name, err)
 		}
-		// Scored as a pair table, by the evaluator every experiment uses.
-		smatches, err := table.NewPairTable("smurf_matches", task.A, task.B, cat)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range sres.Matches {
-			table.AppendPair(smatches, m[0], m[1])
-		}
-		sconf := core.Evaluate(smatches, task.Gold)
+		sconf := core.Evaluate(sres.Matches, task.Gold)
 
 		fq := fOracle.Stats().Questions
 		sq := sOracle.Stats().Questions

@@ -86,37 +86,19 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	res := &Result{Features: fs}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Step 1: sample S of tuple pairs.
-	sample, err := samplePairs(a, b, cat, cfg.sampleSize(), rng)
-	if err != nil {
-		return nil, err
-	}
-	sx, err := feature.Vectors(fs, sample, cat, feature.ExtractOptions{})
-	if err != nil {
-		return nil, err
-	}
-	pool, err := active.PoolFromPairs(sample, cat, sx, fs.Names())
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 2: active-learn the blocking forest on S. When the labeler is
-	// budgeted (CloudMatcher caps questions per task, Table 2), allocate
-	// roughly 40% of the remaining budget to this stage, 20% to rule
-	// evaluation, and the rest to the matching stage, so a tight cap
-	// still leaves the matcher labeled examples to learn from.
+	// Steps 1 and 2. When the labeler is budgeted (CloudMatcher caps
+	// questions per task, Table 2), allocate roughly 40% of the remaining
+	// budget to the blocking stage, 20% to rule evaluation, and the rest to
+	// the matching stage, so a tight cap still leaves the matcher labeled
+	// examples to learn from.
 	budget, budgeted := lab.(*label.Budgeted)
-	before := lab.Stats().Questions
-	bcfg := cfg.Blocking
-	if bcfg.Seed == 0 {
-		bcfg.Seed = cfg.Seed + 1
-	}
 	if budgeted {
-		bcfg = fitBudget(bcfg, budget.Remaining()*2/5)
+		cfg.Blocking = fitBudget(cfg.Blocking, budget.Remaining()*2/5)
 	}
-	stage1, err := active.Learn(pool, lab, bcfg)
+	before := lab.Stats().Questions
+	pool, stage1, err := learnOnSample(a, b, fs, lab, cat, cfg, rng)
 	if err != nil {
-		return nil, fmt.Errorf("falcon: blocking stage: %w", err)
+		return nil, err
 	}
 	res.BlockingQuestions = lab.Stats().Questions - before
 
@@ -167,6 +149,32 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	}
 	res.MachineTime = time.Since(start)
 	return res, nil
+}
+
+// learnOnSample is steps 1 and 2, which Run and Smurf share: sample S of
+// tuple pairs, score it on fs, and active-learn a forest on it with
+// cfg.Blocking (seeded cfg.Seed+1 unless set).
+func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cat *table.Catalog, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, error) {
+	sample, err := samplePairs(a, b, cat, cfg.sampleSize(), rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	sx, err := feature.Vectors(fs, sample, cat, feature.ExtractOptions{})
+	if err != nil {
+		return nil, nil, err
+	}
+	pool, err := active.PoolFromPairs(sample, cat, sx, fs.Names())
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.Blocking.Seed == 0 {
+		cfg.Blocking.Seed = cfg.Seed + 1
+	}
+	learned, err := active.Learn(pool, lab, cfg.Blocking)
+	if err != nil {
+		return nil, nil, fmt.Errorf("falcon: blocking stage: %w", err)
+	}
+	return pool, learned, nil
 }
 
 // samplePairs builds the stage-1 sample S: active.OverlapSample over the

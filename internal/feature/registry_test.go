@@ -13,8 +13,17 @@ func TestNewFeature(t *testing.T) {
 	if f.Name != "jaccard_3gram_name" || f.LAttr != "name" || f.RAttr != "name" {
 		t.Errorf("feature = %+v", f)
 	}
-	if got := f.Fn("acme corp", "acme corp"); got != 1 {
-		t.Errorf("identical strings = %v", got)
+	// Identical strings score 1 on every kind.
+	for _, kind := range BuilderKinds() {
+		f, err := NewFeature(kind, "name")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{"acme corp", "same"} {
+			if got := f.Fn(s, s); got != 1 {
+				t.Errorf("%s: identical strings %q = %v", kind, s, got)
+			}
+		}
 	}
 	if _, err := NewFeature("ghost", "name"); err == nil {
 		t.Error("want unknown-kind error")

@@ -6,19 +6,24 @@ import (
 )
 
 // Sample returns a new table with n rows drawn uniformly without
-// replacement using rng. If n >= Len the whole table is returned (copied).
+// replacement using rng. If n >= Len the whole table is returned (copied);
+// if n <= 0, an empty table.
 func (t *Table) Sample(n int, rng *rand.Rand) *Table {
 	if n >= t.Len() {
 		return t.Clone()
 	}
-	perm := rng.Perm(t.Len())[:n]
+	perm := rng.Perm(t.Len())[:max(n, 0)]
 	return t.Select(perm)
 }
 
 // SampleWithReplacement returns a new table with n rows drawn uniformly
 // with replacement — used for bootstrap resampling by the random forest.
+// It is empty when n <= 0 or the table is.
 func (t *Table) SampleWithReplacement(n int, rng *rand.Rand) *Table {
-	idxs := make([]int, n)
+	if t.Len() == 0 {
+		return t.Select(nil)
+	}
+	idxs := make([]int, max(n, 0))
 	for i := range idxs {
 		idxs[i] = rng.Intn(t.Len())
 	}
@@ -29,7 +34,7 @@ func (t *Table) SampleWithReplacement(n int, rng *rand.Rand) *Table {
 // a fraction frac (rounded down) of rows chosen at random. It is the
 // train/test split used in matcher evaluation.
 func (t *Table) Split(frac float64, rng *rand.Rand) (*Table, *Table, error) {
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) {
 		return nil, nil, fmt.Errorf("split: fraction %v out of [0,1]", frac)
 	}
 	perm := rng.Perm(t.Len())
@@ -41,7 +46,7 @@ func (t *Table) Split(frac float64, rng *rand.Rand) (*Table, *Table, error) {
 // both output tables preserve the positive/negative ratio. It is used when
 // labeled match data is heavily skewed toward non-matches.
 func (t *Table) StratifiedSplit(labelCol string, frac float64, rng *rand.Rand) (*Table, *Table, error) {
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) {
 		return nil, nil, fmt.Errorf("stratified split: fraction %v out of [0,1]", frac)
 	}
 	j := t.schema.Lookup(labelCol)

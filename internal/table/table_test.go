@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -600,4 +601,29 @@ func itoa(n int) string {
 		b[i] = '-'
 	}
 	return string(b[i:])
+}
+
+// TestSampleEdges: the samplers return an empty table or an error, never a
+// panic, on a negative count, a NaN fraction or an empty table.
+func TestSampleEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tab := New("A", MustSchema(Column{Name: "id", Kind: KindString}, Column{Name: "label", Kind: KindBool}))
+	for i := 0; i < 10; i++ {
+		tab.MustAppend(String(string(rune('a'+i))), Bool(i%2 == 0))
+	}
+	if _, _, err := tab.Split(math.NaN(), rng); err == nil {
+		t.Error("Split(NaN): want out-of-range error")
+	}
+	if _, _, err := tab.StratifiedSplit("label", math.NaN(), rng); err == nil {
+		t.Error("StratifiedSplit(NaN): want out-of-range error")
+	}
+	if n := tab.Sample(-1, rng).Len(); n != 0 {
+		t.Errorf("Sample(-1) has %d rows, want 0", n)
+	}
+	if n := tab.SampleWithReplacement(-1, rng).Len(); n != 0 {
+		t.Errorf("SampleWithReplacement(-1) has %d rows, want 0", n)
+	}
+	if n := tab.Head(0).SampleWithReplacement(5, rng).Len(); n != 0 {
+		t.Errorf("SampleWithReplacement on an empty table has %d rows, want 0", n)
+	}
 }

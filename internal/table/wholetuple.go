@@ -8,16 +8,12 @@ import (
 	"repro/internal/tokenize"
 )
 
-// WholeTupleTokens returns, for every row of t, "the whole tuple" as a
-// token set: the non-key cells in schema order, nulls skipped, split into
-// lower-cased maximal runs of letters and digits, each token once in order
-// of first appearance (ids should not drive overlap, so the key column is
-// left out). It is the one definition the down-sampler, the blocking
-// debugger, the whole-tuple overlap blocker and Falcon's sampler share.
-func WholeTupleTokens(t *Table) [][]string {
-	tok := tokenize.Alphanumeric{ReturnSet: true}
+// WholeTupleStrings returns, for every row of t, "the whole tuple" as one
+// string: the non-key cells in schema order, nulls skipped, each followed
+// by a space (ids should not drive overlap, so the key column is left out).
+func WholeTupleStrings(t *Table) []string {
 	kj := t.schema.Lookup(t.key)
-	out := make([][]string, len(t.rows))
+	out := make([]string, len(t.rows))
 	var sb strings.Builder
 	for i, r := range t.rows {
 		sb.Reset()
@@ -28,7 +24,21 @@ func WholeTupleTokens(t *Table) [][]string {
 			sb.WriteString(v.AsString())
 			sb.WriteByte(' ')
 		}
-		out[i] = tok.Tokenize(sb.String())
+		out[i] = sb.String()
+	}
+	return out
+}
+
+// WholeTupleTokens returns, for every row of t, its WholeTupleStrings
+// string as a token set: lower-cased maximal runs of letters and digits,
+// each token once in order of first appearance. It is the one definition
+// the down-sampler, the blocking debugger, the whole-tuple overlap blocker,
+// Falcon's sampler and Smurf share.
+func WholeTupleTokens(t *Table) [][]string {
+	tok := tokenize.Alphanumeric{ReturnSet: true}
+	out := make([][]string, t.Len())
+	for i, s := range WholeTupleStrings(t) {
+		out[i] = tok.Tokenize(s)
 	}
 	return out
 }

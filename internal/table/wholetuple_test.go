@@ -84,4 +84,9 @@ func TestWholeTupleTokensMatchesRowTokens(t *testing.T) {
 			t.Errorf("key %q: row 0 tokens %q; the key cell counts only while no key is declared", key, got[0])
 		}
 	}
+	// The strings under the tokens: cells as written, nulls skipped, each
+	// followed by one space.
+	if got := WholeTupleStrings(tab); got[1] != "São Paulo—Zürich -0.25 " || got[4] != "" {
+		t.Errorf("whole-tuple strings %q", got)
+	}
 }
