@@ -295,7 +295,7 @@ func standardServices() []*Service {
 		}),
 	}, {
 		Name: "debug_blocker", Kind: KindBatch,
-		Doc: "surface likely matches a candidate set dropped",
+		Doc: "surface likely matches a candidate set dropped; a pair naming an id its base table lacks comes back as the job's error (the catalog's FK check)",
 		Run: decoded(func(d *decoder) (any, error) {
 			p, topK := d.table("pairs"), d.countOr("top_k", 20)
 			if d.err != nil {

@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"repro/internal/active"
 	"repro/internal/block"
@@ -53,7 +54,15 @@ type Session struct {
 	// candX caches the candidate set's feature vectors between
 	// SampleAndLabel and TrainAndPredict.
 	candX [][]float64
-	rng   *rand.Rand
+	// dbg is the blocking debugger over A and B, built by the first
+	// TryBlockers that needs it. kept is the candidate set TryBlockers'
+	// winner produced and keptBy that blocker; Block hands kept over
+	// instead of running keptBy again. DownSample drops all three; an A
+	// or B reassigned or resized since makes them stale (Describes).
+	dbg    *block.Debugger
+	kept   *table.Table
+	keptBy block.Blocker
+	rng    *rand.Rand
 }
 
 // LabeledSet is a labeled pair sample: the set G of the guide.
@@ -100,6 +109,8 @@ func (s *Session) DownSample(sizeA, sizeB int) error {
 	s.Candidates = nil
 	s.Labeled = nil
 	s.candX = nil
+	s.dbg = nil
+	s.dropKept()
 	return nil
 }
 
@@ -120,58 +131,90 @@ type BlockerReport struct {
 // blocker the blocking debugger proposes its topK most-similar dropped
 // pairs and the labeler says which are true matches. The best blocker is
 // the one confirmed to miss fewest matches, with candidate-set size as the
-// tiebreak; its index is returned alongside the per-blocker reports.
+// tiebreak; its index is returned alongside the per-blocker reports. The
+// debugger's neighbour list is built once per A, B; the best blocker's
+// candidate set stays in the catalog, and only there, for Block to reuse.
 func (s *Session) TryBlockers(blockers []block.Blocker, lab label.Labeler, topK int) (best int, reports []BlockerReport, err error) {
 	if len(blockers) == 0 {
 		return 0, nil, fmt.Errorf("core: no blockers to try")
 	}
 	defer obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "try_blockers"))()
+	s.dropKept()
 	reports = make([]BlockerReport, len(blockers))
 	for i, blk := range blockers {
-		reports[i].Name = blk.Name()
-		cand, berr := blk.Block(s.A, s.B, s.Catalog)
-		if berr != nil {
-			reports[i].Err = berr
-			reports[i].LikelyMissed = 1 << 30
+		cand := s.tryBlocker(blk, lab, topK, &reports[i])
+		if cand == nil {
 			continue
 		}
-		reports[i].Candidates = cand.Len()
-		missed, derr := block.DebugBlocker(cand, s.Catalog, topK)
-		if derr != nil {
-			reports[i].Err = derr
-			continue
-		}
-		for _, m := range missed {
-			if lab.Label(m.LID, m.RID) {
-				reports[i].LikelyMissed++
-			}
-		}
-		s.Catalog.Drop(cand)
-	}
-	best = 0
-	for i := 1; i < len(reports); i++ {
-		if reports[i].Err != nil {
-			continue
-		}
-		if reports[best].Err != nil ||
+		if s.kept == nil ||
 			reports[i].LikelyMissed < reports[best].LikelyMissed ||
 			(reports[i].LikelyMissed == reports[best].LikelyMissed && reports[i].Candidates < reports[best].Candidates) {
-			best = i
+			s.dropKept()
+			best, s.kept, s.keptBy = i, cand, blk
+		} else {
+			s.Catalog.Drop(cand)
 		}
 	}
-	if reports[best].Err != nil {
-		return 0, reports, fmt.Errorf("core: every blocker failed; first error: %w", reports[best].Err)
+	if s.kept == nil {
+		return 0, reports, fmt.Errorf("core: every blocker failed; first error: %w", reports[0].Err)
 	}
 	return best, reports, nil
 }
 
-// Block runs the chosen blocker and stores the candidate set C.
-func (s *Session) Block(blk block.Blocker) (*table.Table, error) {
-	defer obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "block"))()
+// tryBlocker runs one blocker, fills its report and returns its candidate
+// set, or nil when the blocker or the debugger failed; a set the debugger
+// refused leaves the catalog.
+func (s *Session) tryBlocker(blk block.Blocker, lab label.Labeler, topK int, rep *BlockerReport) *table.Table {
+	rep.Name = blk.Name()
 	cand, err := blk.Block(s.A, s.B, s.Catalog)
 	if err != nil {
-		return nil, err
+		rep.Err, rep.LikelyMissed = err, 1<<30
+		return nil
 	}
+	rep.Candidates = cand.Len()
+	if s.dbg == nil || !s.dbg.Describes(s.A, s.B) {
+		s.dbg = block.NewDebugger(s.A, s.B)
+	}
+	missed, err := s.dbg.Missed(cand, s.Catalog, topK)
+	if err != nil {
+		rep.Err = err
+		s.Catalog.Drop(cand)
+		return nil
+	}
+	for _, m := range missed {
+		if lab.Label(m.LID, m.RID) {
+			rep.LikelyMissed++
+		}
+	}
+	return cand
+}
+
+// dropKept forgets TryBlockers' kept candidate set and unregisters it.
+func (s *Session) dropKept() {
+	if s.kept != nil {
+		s.Catalog.Drop(s.kept)
+	}
+	s.kept, s.keptBy = nil, nil
+}
+
+// Block runs the chosen blocker and stores the candidate set C. When blk
+// is the blocker TryBlockers chose (==, on a comparable value) and A, B
+// are the tables it ran on, with the same row counts, the set TryBlockers
+// kept is C: blockers are deterministic, so running it again would
+// rebuild the same table.
+func (s *Session) Block(blk block.Blocker) (*table.Table, error) {
+	defer obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "block"))()
+	cand := s.kept
+	// The kept set passed the debugger, which was built over its tables.
+	if _, ok := s.Catalog.PairMeta(cand); !ok || !s.dbg.Describes(s.A, s.B) ||
+		!reflect.ValueOf(blk).Comparable() || blk != s.keptBy {
+		s.dropKept()
+		var err error
+		if cand, err = blk.Block(s.A, s.B, s.Catalog); err != nil {
+			return nil, err
+		}
+	}
+	s.kept, s.keptBy = nil, nil
 	s.Candidates = cand
 	s.Labeled = nil
 	s.candX = nil
