@@ -30,22 +30,27 @@ func (b BlackBoxBlocker) Name() string {
 	return "black_box"
 }
 
-// Block implements Blocker.
-func (b BlackBoxBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+// Pairs implements Blocker.
+func (b BlackBoxBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	f := frame{b.Name(), b.Workers, b.Metrics}
-	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
-		lids, rids := keyStrings(lt), keyStrings(rt)
-		shards, err := probeShards(f, len(lids), func(lo, hi int) []table.PairID {
-			out := make([]table.PairID, 0, hi-lo)
+	return f.run(lt, rt, func() ([]rows, int, error) {
+		nl, nr := lt.Len(), rt.Len()
+		shards, err := probeShards(f, nl, func(lo, hi int) rows {
+			var out rows
 			for i := lo; i < hi; i++ {
-				for j, rid := range rids {
+				for j := 0; j < nr; j++ {
 					if b.Keep(lt.Row(i), rt.Row(j)) {
-						out = append(out, table.PairID{L: lids[i], R: rid})
+						out.add(i, j)
 					}
 				}
 			}
 			return out
 		})
-		return shards, len(lids) * len(rids), err
+		return shards, nl * nr, err
 	})
+}
+
+// Block implements Blocker.
+func (b BlackBoxBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
 }

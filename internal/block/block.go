@@ -6,10 +6,11 @@
 // set combinators and the blocking debugger that estimates how many true
 // matches a blocker discarded.
 //
-// Every blocker produces a candidate-set table with the conventional
-// (_id, ltable_id, rtable_id) schema, registered in a table.Catalog so
-// downstream tools can re-validate its FK metadata (the paper's
-// self-containment principle).
+// Every blocker produces its candidate set as row indices (table.Pairs),
+// which the guide and a production run read directly; Block builds from
+// it the conventional (_id, ltable_id, rtable_id) table, registered in a
+// table.Catalog so downstream tools can re-validate its FK metadata (the
+// paper's self-containment principle).
 package block
 
 import (
@@ -23,7 +24,10 @@ import (
 
 // Blocker generates a candidate set from two base tables.
 type Blocker interface {
-	// Block returns a new pair table over lt and rt registered in cat.
+	// Pairs returns the candidate set over lt and rt as row indices.
+	Pairs(lt, rt *table.Table) (*table.Pairs, error)
+	// Block returns the candidate set as a new pair table over lt and rt
+	// registered in cat.
 	Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error)
 	// Name identifies the blocker, e.g. "overlap(name,k=2)".
 	Name() string
@@ -41,7 +45,7 @@ func requireKeys(lt, rt *table.Table) error {
 	return nil
 }
 
-// frame is what every Block method shares: the blocker's name (the
+// frame is what every Pairs method shares: the blocker's name (the
 // candidate table's name and the {blocker} label of every em_block_*
 // series) and its Workers and Metrics knobs.
 type frame struct {
@@ -50,13 +54,20 @@ type frame struct {
 	metrics obs.Recorder
 }
 
-// run is the one Block body. Both tables must declare keys; the call is
+// rows is a run of candidates as (left row, right row) indices.
+type rows struct{ l, r []int32 }
+
+func (rs *rows) add(i, j int) {
+	rs.l, rs.r = append(rs.l, int32(i)), append(rs.r, int32(j))
+}
+
+// run is the one Pairs body. Both tables must declare keys; the call is
 // timed under BlockSeconds; the candidates gen produces — chunk by chunk,
-// in output order — are appended to a pair table registered in cat; and
-// BlockPairsEmitted is recorded, with BlockPairsConsidered beside it when
-// gen reports how many pairs it examined (negative: it kept no count —
-// the join-backed blockers leave that to em_simjoin_candidates_total).
-func (f frame) run(lt, rt *table.Table, cat *table.Catalog, gen func() (shards [][]table.PairID, considered int, err error)) (*table.Table, error) {
+// in output order — are the set; and BlockPairsEmitted is recorded, with
+// BlockPairsConsidered beside it when gen reports how many pairs it
+// examined (negative: it kept no count — the join-backed blockers leave
+// that to em_simjoin_candidates_total).
+func (f frame) run(lt, rt *table.Table, gen func() (shards []rows, considered int, err error)) (*table.Pairs, error) {
 	if err := requireKeys(lt, rt); err != nil {
 		return nil, err
 	}
@@ -67,18 +78,26 @@ func (f frame) run(lt, rt *table.Table, cat *table.Catalog, gen func() (shards [
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := table.NewPairTable(f.name, lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	for _, shard := range shards {
-		table.AppendPairs(pairs, shard)
+	var all rows
+	for _, s := range shards {
+		all.l, all.r = append(all.l, s.l...), append(all.r, s.r...)
 	}
 	if considered >= 0 {
 		rec.Count(obs.BlockPairsConsidered, float64(considered), bl)
 	}
-	rec.Count(obs.BlockPairsEmitted, float64(pairs.Len()), bl)
-	return pairs, nil
+	rec.Count(obs.BlockPairsEmitted, float64(len(all.l)), bl)
+	return table.NewPairs(lt, rt, all.l, all.r), nil
+}
+
+// tableNamed turns a Pairs call's result into the pair table named name,
+// registered in cat: every Block method is Pairs through it.
+func tableNamed(name string, cat *table.Catalog) func(*table.Pairs, error) (*table.Table, error) {
+	return func(p *table.Pairs, err error) (*table.Table, error) {
+		if err != nil {
+			return nil, err
+		}
+		return p.Table(name, cat)
+	}
 }
 
 // probeChunk is how many left rows (or sort entries) a blocker worker
@@ -121,26 +140,27 @@ type CrossBlocker struct {
 // Name implements Blocker.
 func (CrossBlocker) Name() string { return "cross" }
 
-// Block implements Blocker.
-func (b CrossBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+// Pairs implements Blocker.
+func (b CrossBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	f := frame{b.Name(), b.Workers, b.Metrics}
-	pairs, err := f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
-		lids, rids := keyStrings(lt), keyStrings(rt)
-		shards, err := probeShards(f, len(lids), func(lo, hi int) []table.PairID {
-			out := make([]table.PairID, 0, (hi-lo)*len(rids))
-			for _, lid := range lids[lo:hi] {
-				for _, rid := range rids {
-					out = append(out, table.PairID{L: lid, R: rid})
+	return f.run(lt, rt, func() ([]rows, int, error) {
+		nl, nr := lt.Len(), rt.Len()
+		shards, err := probeShards(f, nl, func(lo, hi int) rows {
+			out := rows{make([]int32, 0, (hi-lo)*nr), make([]int32, 0, (hi-lo)*nr)}
+			for i := lo; i < hi; i++ {
+				for j := 0; j < nr; j++ {
+					out.add(i, j)
 				}
 			}
 			return out
 		})
-		return shards, len(lids) * len(rids), err
+		return shards, nl * nr, err
 	})
-	if err == nil {
-		pairs.SetName("cross(" + lt.Name() + "," + rt.Name() + ")")
-	}
-	return pairs, err
+}
+
+// Block implements Blocker; the table is named cross(<left>,<right>).
+func (b CrossBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	return tableNamed("cross("+lt.Name()+","+rt.Name()+")", cat)(b.Pairs(lt, rt))
 }
 
 // AttrEquivalenceBlocker keeps pairs whose named attribute values are
@@ -158,9 +178,14 @@ type AttrEquivalenceBlocker struct {
 // Name implements Blocker.
 func (b AttrEquivalenceBlocker) Name() string { return "attr_equiv(" + b.Attr + ")" }
 
+// Pairs implements Blocker.
+func (b AttrEquivalenceBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	return HashBlocker{Attr: b.Attr, Workers: b.Workers, Metrics: b.Metrics}.pairs(lt, rt, b.Name())
+}
+
 // Block implements Blocker.
 func (b AttrEquivalenceBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	return HashBlocker{Attr: b.Attr, Workers: b.Workers, Metrics: b.Metrics}.block(lt, rt, cat, b.Name())
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
 }
 
 // HashBlocker buckets tuples by a transform of an attribute value and
@@ -184,14 +209,19 @@ type HashBlocker struct {
 // Name implements Blocker.
 func (b HashBlocker) Name() string { return "hash(" + b.Attr + ")" }
 
-// Block implements Blocker.
-func (b HashBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	return b.block(lt, rt, cat, b.Name())
+// Pairs implements Blocker.
+func (b HashBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	return b.pairs(lt, rt, b.Name())
 }
 
-func (b HashBlocker) block(lt, rt *table.Table, cat *table.Catalog, name string) (*table.Table, error) {
+// Block implements Blocker.
+func (b HashBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
+}
+
+func (b HashBlocker) pairs(lt, rt *table.Table, name string) (*table.Pairs, error) {
 	f := frame{name, b.Workers, b.Metrics}
-	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
+	return f.run(lt, rt, func() ([]rows, int, error) {
 		lj := lt.Schema().Lookup(b.Attr)
 		rj := rt.Schema().Lookup(b.Attr)
 		if lj < 0 || rj < 0 {
@@ -208,18 +238,17 @@ func (b HashBlocker) block(lt, rt *table.Table, cat *table.Catalog, name string)
 			return s
 		}
 		// Bucket the right table, then probe with the left.
-		buckets := make(map[string][]string)
-		for j, rid := range keyStrings(rt) {
+		buckets := make(map[string][]int32)
+		for j := 0; j < rt.Len(); j++ {
 			if k := key(rt.Row(j)[rj]); k != "" {
-				buckets[k] = append(buckets[k], rid)
+				buckets[k] = append(buckets[k], int32(j))
 			}
 		}
-		lids := keyStrings(lt)
-		shards, err := probeShards(f, len(lids), func(lo, hi int) []table.PairID {
-			out := make([]table.PairID, 0, hi-lo)
+		shards, err := probeShards(f, lt.Len(), func(lo, hi int) rows {
+			var out rows
 			for i := lo; i < hi; i++ {
-				for _, rid := range buckets[key(lt.Row(i)[lj])] {
-					out = append(out, table.PairID{L: lids[i], R: rid})
+				for _, j := range buckets[key(lt.Row(i)[lj])] {
+					out.add(i, int(j))
 				}
 			}
 			return out
@@ -227,7 +256,7 @@ func (b HashBlocker) block(lt, rt *table.Table, cat *table.Catalog, name string)
 		// Hash blocking examines exactly the bucket-sharing pairs it emits.
 		emitted := 0
 		for _, shard := range shards {
-			emitted += len(shard)
+			emitted += len(shard.l)
 		}
 		return shards, emitted, err
 	})

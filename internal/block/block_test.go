@@ -223,7 +223,7 @@ func TestBlackBoxBlocker(t *testing.T) {
 
 func TestRuleFilter(t *testing.T) {
 	a, b, cat := figure1Tables(t)
-	cand, err := CrossBlocker{}.Block(a, b, cat)
+	cand, err := CrossBlocker{}.Pairs(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,11 @@ func TestRuleFilter(t *testing.T) {
 	// Drop pairs with low whole-name q-gram similarity.
 	var rs rules.RuleSet
 	rs.Add(rules.MustParse("drop_dissimilar_names", "jaccard_3gram_name <= 0.2"))
-	out, dropped, err := RuleFilter{Rules: rs, Features: fs}.Filter(cand, cat)
+	filtered, dropped, err := RuleFilter{Rules: rs, Features: fs}.Filter(cand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := filtered.Table("filtered", cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +255,8 @@ func TestRuleFilter(t *testing.T) {
 }
 
 func TestRuleFilterUnknownFeature(t *testing.T) {
-	a, b, cat := figure1Tables(t)
-	cand, err := CrossBlocker{}.Block(a, b, cat)
+	a, b, _ := figure1Tables(t)
+	cand, err := CrossBlocker{}.Pairs(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +266,7 @@ func TestRuleFilterUnknownFeature(t *testing.T) {
 	}
 	var rs rules.RuleSet
 	rs.Add(rules.MustParse("bad", "no_such_feature <= 0.2"))
-	if _, _, err := (RuleFilter{Rules: rs, Features: fs}).Filter(cand, cat); err == nil {
+	if _, _, err := (RuleFilter{Rules: rs, Features: fs}).Filter(cand); err == nil {
 		t.Fatal("want unknown-feature error")
 	}
 }
@@ -333,6 +337,48 @@ func TestUnionIntersectMinus(t *testing.T) {
 	}
 	if _, err := Intersect(cat); err == nil {
 		t.Error("want empty-intersect error")
+	}
+}
+
+// TestUnionIdsWithNUL: pairs are keyed by their rows, so two distinct
+// pairs whose ids joined with a NUL byte read the same — ("a\x00", "b")
+// and ("a", "\x00b") — both survive Union, are told apart by Intersect,
+// and are not subtracted for each other by Minus.
+func TestUnionIdsWithNUL(t *testing.T) {
+	sch := table.StringSchema("id")
+	a, b := table.New("A", sch), table.New("B", sch)
+	a.MustAppend(table.String("a\x00"))
+	a.MustAppend(table.String("a"))
+	b.MustAppend(table.String("b"))
+	b.MustAppend(table.String("\x00b"))
+	a.MustSetKey("id")
+	b.MustSetKey("id")
+	cat := table.NewCatalog()
+	p1, err := table.NewPairs(a, b, []int32{0}, []int32{0}).Table("p1", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := table.NewPairs(a, b, []int32{1}, []int32{1}).Table("p2", cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := Union(cat, p1, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pairSet(t, u); u.Len() != 2 || !got["a\x00/b"] || !got["a/\x00b"] {
+		t.Fatalf("union kept %d pairs %v; want both", u.Len(), got)
+	}
+	in, err := Intersect(cat, p1, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Minus(cat, p1, p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Len() != 0 || m.Len() != 1 {
+		t.Fatalf("intersect %d pairs, minus %d; want 0 and 1", in.Len(), m.Len())
 	}
 }
 

@@ -6,9 +6,23 @@ import (
 	"repro/internal/table"
 )
 
-// pairKey canonicalizes one row of a pair table for set operations.
-func pairKey(t *table.Table, meta table.PairMeta, i int) string {
-	return t.Get(i, meta.LID).AsString() + "\x00" + t.Get(i, meta.RID).AsString()
+// resolve turns pair tables registered over the same base tables into
+// row-index sets (Catalog.Pairs, so every id is checked against its base
+// table); op names the set operation in errors. Pairs are compared by
+// their rows, never by joining id strings.
+func resolve(op string, cat *table.Catalog, cands ...*table.Table) ([]*table.Pairs, error) {
+	out := make([]*table.Pairs, len(cands))
+	for i, c := range cands {
+		p, err := cat.Pairs(c)
+		if err != nil {
+			return nil, fmt.Errorf("block: %s: %w", op, err)
+		}
+		if i > 0 && (p.LTable != out[0].LTable || p.RTable != out[0].RTable) {
+			return nil, fmt.Errorf("block: %s: %q is over different base tables", op, c.Name())
+		}
+		out[i] = p
+	}
+	return out, nil
 }
 
 // Union merges candidate sets produced over the same base tables,
@@ -18,32 +32,21 @@ func Union(cat *table.Catalog, cands ...*table.Table) (*table.Table, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("block: union of zero candidate sets")
 	}
-	meta0, ok := cat.PairMeta(cands[0])
-	if !ok {
-		return nil, fmt.Errorf("block: union: %q not registered", cands[0].Name())
-	}
-	out, err := table.NewPairTable("union", meta0.LTable, meta0.RTable, cat)
+	ps, err := resolve("union", cat, cands...)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
-	for _, c := range cands {
-		meta, ok := cat.PairMeta(c)
-		if !ok {
-			return nil, fmt.Errorf("block: union: %q not registered", c.Name())
-		}
-		if meta.LTable != meta0.LTable || meta.RTable != meta0.RTable {
-			return nil, fmt.Errorf("block: union: %q is over different base tables", c.Name())
-		}
-		for i := 0; i < c.Len(); i++ {
-			k := pairKey(c, meta, i)
-			if !seen[k] {
+	var out rows
+	seen := make(map[[2]int32]bool)
+	for _, p := range ps {
+		for i := range p.L {
+			if k := [2]int32{p.L[i], p.R[i]}; !seen[k] {
 				seen[k] = true
-				table.AppendPair(out, c.Get(i, meta.LID).AsString(), c.Get(i, meta.RID).AsString())
+				out.add(int(k[0]), int(k[1]))
 			}
 		}
 	}
-	return out, nil
+	return table.NewPairs(ps[0].LTable, ps[0].RTable, out.l, out.r).Table("union", cat)
 }
 
 // Intersect keeps only pairs present in every candidate set. Users
@@ -53,73 +56,47 @@ func Intersect(cat *table.Catalog, cands ...*table.Table) (*table.Table, error) 
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("block: intersection of zero candidate sets")
 	}
-	meta0, ok := cat.PairMeta(cands[0])
-	if !ok {
-		return nil, fmt.Errorf("block: intersect: %q not registered", cands[0].Name())
-	}
-	counts := make(map[string]int)
-	for ci, c := range cands {
-		meta, ok := cat.PairMeta(c)
-		if !ok {
-			return nil, fmt.Errorf("block: intersect: %q not registered", c.Name())
-		}
-		if meta.LTable != meta0.LTable || meta.RTable != meta0.RTable {
-			return nil, fmt.Errorf("block: intersect: %q is over different base tables", c.Name())
-		}
-		seenHere := make(map[string]bool)
-		for i := 0; i < c.Len(); i++ {
-			k := pairKey(c, meta, i)
-			if !seenHere[k] {
-				seenHere[k] = true
-				if counts[k] == ci { // present in all previous sets
-					counts[k]++
-				}
-			}
-		}
-	}
-	out, err := table.NewPairTable("intersect", meta0.LTable, meta0.RTable, cat)
+	ps, err := resolve("intersect", cat, cands...)
 	if err != nil {
 		return nil, err
 	}
-	// Preserve the order of the first candidate set.
-	emitted := make(map[string]bool)
-	for i := 0; i < cands[0].Len(); i++ {
-		k := pairKey(cands[0], meta0, i)
-		if counts[k] == len(cands) && !emitted[k] {
-			emitted[k] = true
-			table.AppendPair(out, cands[0].Get(i, meta0.LID).AsString(), cands[0].Get(i, meta0.RID).AsString())
+	counts := make(map[[2]int32]int)
+	for pi, p := range ps {
+		for i := range p.L {
+			if k := [2]int32{p.L[i], p.R[i]}; counts[k] == pi { // in every earlier set, first time in this one
+				counts[k]++
+			}
 		}
 	}
-	return out, nil
+	// Preserve the order of the first candidate set.
+	var out rows
+	first := ps[0]
+	for i := range first.L {
+		if k := [2]int32{first.L[i], first.R[i]}; counts[k] == len(ps) {
+			counts[k] = -1 // emitted
+			out.add(int(k[0]), int(k[1]))
+		}
+	}
+	return table.NewPairs(first.LTable, first.RTable, out.l, out.r).Table("intersect", cat)
 }
 
 // Minus returns the pairs of a that are absent from b (both over the same
 // base tables): the pairs a blocker change would add or drop, which the
 // debugger reports.
 func Minus(cat *table.Catalog, a, b *table.Table) (*table.Table, error) {
-	metaA, ok := cat.PairMeta(a)
-	if !ok {
-		return nil, fmt.Errorf("block: minus: %q not registered", a.Name())
-	}
-	metaB, ok := cat.PairMeta(b)
-	if !ok {
-		return nil, fmt.Errorf("block: minus: %q not registered", b.Name())
-	}
-	if metaA.LTable != metaB.LTable || metaA.RTable != metaB.RTable {
-		return nil, fmt.Errorf("block: minus: candidate sets are over different base tables")
-	}
-	inB := make(map[string]bool)
-	for i := 0; i < b.Len(); i++ {
-		inB[pairKey(b, metaB, i)] = true
-	}
-	out, err := table.NewPairTable(a.Name()+"-"+b.Name(), metaA.LTable, metaA.RTable, cat)
+	ps, err := resolve("minus", cat, a, b)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < a.Len(); i++ {
-		if !inB[pairKey(a, metaA, i)] {
-			table.AppendPair(out, a.Get(i, metaA.LID).AsString(), a.Get(i, metaA.RID).AsString())
+	inB := make(map[[2]int32]bool, ps[1].Len())
+	for i := range ps[1].L {
+		inB[[2]int32{ps[1].L[i], ps[1].R[i]}] = true
+	}
+	var out rows
+	for i := range ps[0].L {
+		if !inB[[2]int32{ps[0].L[i], ps[0].R[i]}] {
+			out.add(int(ps[0].L[i]), int(ps[0].R[i]))
 		}
 	}
-	return out, nil
+	return table.NewPairs(ps[0].LTable, ps[0].RTable, out.l, out.r).Table(a.Name()+"-"+b.Name(), cat)
 }

@@ -104,28 +104,22 @@ func (d *Debugger) Describes(lt, rt *table.Table) bool {
 }
 
 // Missed returns the topK (20 when topK <= 0) highest-ranked neighbour
-// pairs that cand does not hold. cand must be registered in cat over the
-// debugger's tables, and every id it names must be in them (PairRows'
-// foreign-key check).
-func (d *Debugger) Missed(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair, error) {
-	meta, ok := cat.PairMeta(cand)
-	if !ok {
-		return nil, fmt.Errorf("block: debug: pair table %q not registered", cand.Name())
+// pairs that cand does not hold. cand must be over the debugger's tables,
+// with every row it names still in them (table.Pairs.Validate).
+func (d *Debugger) Missed(cand *table.Pairs, topK int) ([]MissedPair, error) {
+	if !d.Describes(cand.LTable, cand.RTable) {
+		return nil, fmt.Errorf("block: debug: candidate set is over %q × %q, not the debugger's tables as it found them", cand.LTable.Name(), cand.RTable.Name())
 	}
-	if !d.Describes(meta.LTable, meta.RTable) {
-		return nil, fmt.Errorf("block: debug: pair table %q is over %q × %q, not the debugger's tables as it found them", cand.Name(), meta.LTable.Name(), meta.RTable.Name())
-	}
-	rows, err := cat.PairRows(cand)
-	if err != nil {
+	if err := cand.Validate(); err != nil {
 		return nil, fmt.Errorf("block: debug: %w", err)
 	}
 	if topK <= 0 {
 		topK = 20
 	}
 	covered := make([]bool, len(d.nb))
-	for _, lr := range rows {
-		lo, hi := d.start[lr[0]], d.start[lr[0]+1]
-		if k, ok := slices.BinarySearchFunc(d.nb[lo:hi], lr[1], func(n neighbour, r int32) int { return cmp.Compare(n.r, r) }); ok {
+	for i, l := range cand.L {
+		lo, hi := d.start[l], d.start[l+1]
+		if k, ok := slices.BinarySearchFunc(d.nb[lo:hi], cand.R[i], func(n neighbour, r int32) int { return cmp.Compare(n.r, r) }); ok {
 			covered[int(lo)+k] = true
 		}
 	}
@@ -146,15 +140,16 @@ func (d *Debugger) Missed(cand *table.Table, cat *table.Catalog, topK int) ([]Mi
 // set — the "blocking debugger" pain-point tool of Table 3: the topK
 // most similar whole-tuple cross pairs not already in cand, as a
 // Debugger over cand's base tables reports them. A blocker whose debugger
-// output contains plausible matches is too aggressive. To try several
-// candidate sets over the same tables, build one Debugger and call
-// Missed for each.
+// output contains plausible matches is too aggressive. cand must be
+// registered in cat, and every id it names must be in its base tables
+// (Catalog.Pairs' foreign-key check). To try several candidate sets over
+// the same tables, build one Debugger and call Missed for each.
 func DebugBlocker(cand *table.Table, cat *table.Catalog, topK int) ([]MissedPair, error) {
-	meta, ok := cat.PairMeta(cand)
-	if !ok {
-		return nil, fmt.Errorf("block: debug: pair table %q not registered", cand.Name())
+	p, err := cat.Pairs(cand)
+	if err != nil {
+		return nil, fmt.Errorf("block: debug: %w", err)
 	}
-	return NewDebugger(meta.LTable, meta.RTable).Missed(cand, cat, topK)
+	return NewDebugger(p.LTable, p.RTable).Missed(p, topK)
 }
 
 // Stats summarizes a candidate set against known gold matches.

@@ -69,8 +69,12 @@ func debugBlockerOracle(cand *table.Table, cat *table.Catalog, topK int) []Misse
 func requireOracle(t *testing.T, d *Debugger, cand *table.Table, cat *table.Catalog, label string) {
 	t.Helper()
 	all := debugBlockerOracle(cand, cat, 1<<30)
+	p, err := cat.Pairs(cand)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	for _, topK := range []int{0, 1, 10, 50, 1 << 30} {
-		got, err := d.Missed(cand, cat, topK)
+		got, err := d.Missed(p, topK)
 		if err != nil {
 			t.Fatalf("%s topK=%d: %v", label, topK, err)
 		}
@@ -172,13 +176,17 @@ func TestMissedTinyTables(t *testing.T) {
 	for _, cand := range cands {
 		requireOracle(t, d, cand, cat, cand.Name())
 	}
-	if got, err := d.Missed(empty, cat, 1<<30); err != nil || len(got) < 10 {
+	none, err := cat.Pairs(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Missed(none, 1<<30); err != nil || len(got) < 10 {
 		t.Fatalf("empty candidate set: %d neighbours missed (%v), want every neighbour", len(got), err)
 	}
 }
 
 // TestMissedForeignKey: a pair table naming an id its base table lacks is
-// PairRows' foreign-key error, not a pair silently treated as absent.
+// Catalog.Pairs' foreign-key error, not a pair silently treated as absent.
 func TestMissedForeignKey(t *testing.T) {
 	a, b, cat := figure1Tables(t)
 	p, err := table.NewPairTable("dangling", a, b, cat)
@@ -195,13 +203,13 @@ func TestMissedForeignKey(t *testing.T) {
 // TestMissedOtherTables: a Debugger refuses a candidate set over tables it
 // was not built from.
 func TestMissedOtherTables(t *testing.T) {
-	a, b, cat := figure1Tables(t)
+	a, b, _ := figure1Tables(t)
 	a2, b2, _ := figure1Tables(t)
-	cand, err := CrossBlocker{}.Block(a2, b2, cat)
+	cand, err := CrossBlocker{}.Pairs(a2, b2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDebugger(a, b).Missed(cand, cat, 5); err == nil {
+	if _, err := NewDebugger(a, b).Missed(cand, 5); err == nil {
 		t.Fatal("want other-tables error")
 	}
 }

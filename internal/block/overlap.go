@@ -29,12 +29,17 @@ func (b OverlapBlocker) Name() string {
 	return fmt.Sprintf("overlap(%s,k=%d)", b.Attr, max(b.MinOverlap, 1))
 }
 
-// Block implements Blocker.
-func (b OverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr),
+// Pairs implements Blocker.
+func (b OverlapBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, attrRecords(b.Attr),
 		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
 			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
 		})
+}
+
+// Block implements Blocker.
+func (b OverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
 }
 
 // JaccardBlocker keeps pairs whose attribute values' lower-cased
@@ -55,22 +60,27 @@ func (b JaccardBlocker) Name() string {
 	return fmt.Sprintf("jaccard(%s,t=%.2f)", b.Attr, b.Threshold)
 }
 
-// Block implements Blocker.
-func (b JaccardBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, attrRecords(b.Attr),
+// Pairs implements Blocker.
+func (b JaccardBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, attrRecords(b.Attr),
 		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
 			return simjoin.JaccardJoin(l, r, b.Threshold, opts...)
 		})
 }
 
-// joinBlock is the one body of the join-backed blockers: both tables'
-// records go through one filtered similarity join (package simjoin, given
-// the blocker's Workers and Metrics), and the joined pairs are the
-// candidate set.
-func (f frame) joinBlock(lt, rt *table.Table, cat *table.Catalog,
+// Block implements Blocker.
+func (b JaccardBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
+}
+
+// joinPairs is the one body of the join-backed blockers: both tables'
+// records — record i is row i — go through one filtered similarity join
+// (package simjoin, given the blocker's Workers and Metrics), and the
+// joined pairs are the candidate set.
+func (f frame) joinPairs(lt, rt *table.Table,
 	records func(*table.Table) ([]simjoin.Record, error),
-	join func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error)) (*table.Table, error) {
-	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
+	join func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error)) (*table.Pairs, error) {
+	return f.run(lt, rt, func() ([]rows, int, error) {
 		lrecs, err := records(lt)
 		if err != nil {
 			return nil, 0, err
@@ -83,17 +93,18 @@ func (f frame) joinBlock(lt, rt *table.Table, cat *table.Catalog,
 		if err != nil {
 			return nil, 0, err
 		}
-		out := make([]table.PairID, len(joined))
+		out := rows{make([]int32, len(joined)), make([]int32, len(joined))}
 		for i, p := range joined {
-			out[i] = table.PairID{L: p.LID, R: p.RID}
+			out.l[i], out.r[i] = p.L, p.R
 		}
-		return [][]table.PairID{out}, -1, nil
+		return []rows{out}, -1, nil
 	})
 }
 
 // attrRecords returns the join input of an attribute blocker: one record
-// per row whose attr is non-null, keyed by the table key and tokenized into
-// the set of its lower-cased alphanumeric words.
+// per row, keyed by the table key and tokenized into the set of its attr's
+// lower-cased alphanumeric words; a null attr has no tokens, so its row
+// pairs with nothing.
 func attrRecords(attr string) func(*table.Table) ([]simjoin.Record, error) {
 	tok := tokenize.Alphanumeric{ReturnSet: true}
 	return func(t *table.Table) ([]simjoin.Record, error) {
@@ -101,10 +112,11 @@ func attrRecords(attr string) func(*table.Table) ([]simjoin.Record, error) {
 		if j < 0 {
 			return nil, fmt.Errorf("block: attribute %q missing from %q", attr, t.Name())
 		}
-		out := make([]simjoin.Record, 0, t.Len())
+		out := make([]simjoin.Record, t.Len())
 		for i, id := range keyStrings(t) {
+			out[i].ID = id
 			if v := t.Row(i)[j]; !v.IsNull() {
-				out = append(out, simjoin.Record{ID: id, Tokens: tok.Tokenize(v.AsString())})
+				out[i].Tokens = tok.Tokenize(v.AsString())
 			}
 		}
 		return out, nil

@@ -1,6 +1,7 @@
 package block
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -136,15 +137,16 @@ func TestRuleFilterParallelDeterminism(t *testing.T) {
 	}
 	var rs rules.RuleSet
 	rs.Add(rules.MustParse("drop_dissimilar_names", "jaccard_3gram_name <= 0.2"))
-	// The filter resolves the candidate table's pair metadata through the
-	// catalog, so each pass blocks and filters in its own catalog.
 	runFilter := func(workers int) (*table.Table, []int) {
-		cat := table.NewCatalog()
-		cand, err := OverlapBlocker{Attr: "name"}.Block(a, b, cat)
+		cand, err := OverlapBlocker{Attr: "name"}.Pairs(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, dropped, err := RuleFilter{Rules: rs, Features: fs, Workers: workers}.Filter(cand, cat)
+		kept, dropped, err := RuleFilter{Rules: rs, Features: fs, Workers: workers}.Filter(cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := kept.Table("rule_filter", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,6 +161,36 @@ func TestRuleFilterParallelDeterminism(t *testing.T) {
 		requireSameTable(t, serial, par, "rule_filter")
 		if len(dropped) != len(droppedSerial) || dropped[0] != droppedSerial[0] {
 			t.Fatalf("workers=%d: dropped %v vs serial %v", workers, dropped, droppedSerial)
+		}
+	}
+}
+
+// TestBlockIsPairsTable: every blocker's Block is its Pairs made a table —
+// the same rows, _ids included, at Workers 1 and 4 — and the set it
+// registers resolves back to those very Pairs through the catalog.
+func TestBlockIsPairsTable(t *testing.T) {
+	a, b := parallelTables(t, 240)
+	for _, blk := range everyBlocker(a) {
+		for _, workers := range []int{1, 4} {
+			blk := withKnobs(blk, workers, nil)
+			cat := table.NewCatalog()
+			got, err := blk.Block(a, b, cat)
+			if err != nil {
+				t.Fatalf("%s: %v", blk.Name(), err)
+			}
+			p, err := blk.Pairs(a, b)
+			if err != nil {
+				t.Fatalf("%s: %v", blk.Name(), err)
+			}
+			want, err := p.Table(blk.Name(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameTable(t, want, got, blk.Name())
+			back, err := cat.Pairs(got)
+			if err != nil || !slices.Equal(back.L, p.L) || !slices.Equal(back.R, p.R) {
+				t.Fatalf("%s workers=%d: the registered table does not resolve to Pairs' rows (%v)", blk.Name(), workers, err)
+			}
 		}
 	}
 }

@@ -31,18 +31,14 @@ type RuleFilter struct {
 	Metrics obs.Recorder
 }
 
-// Filter returns a new pair table holding the pairs of cand on which no
-// rule fires, registered in cat. It also reports how many pairs each rule
-// dropped (aligned with Rules.Rules).
-func (rf RuleFilter) Filter(cand *table.Table, cat *table.Catalog) (*table.Table, []int, error) {
+// Filter returns the pairs of cand on which no rule fires, in cand's
+// order. It also reports how many pairs each rule dropped (aligned with
+// Rules.Rules).
+func (rf RuleFilter) Filter(cand *table.Pairs) (*table.Pairs, []int, error) {
 	f := frame{"rule_filter", rf.Workers, rf.Metrics}
 	rec := obs.Or(f.metrics)
 	bl := obs.L("blocker", f.name)
 	defer obs.StartTimer(rec, obs.BlockSeconds, bl)()
-	meta, ok := cat.PairMeta(cand)
-	if !ok {
-		return nil, nil, fmt.Errorf("block: rule filter: pair table %q not registered", cand.Name())
-	}
 	// Score candidates on only the features the rules reference: the
 	// seed candidate set can be enormous, and computing the full feature
 	// battery for pairs the rules are about to drop wastes most of the
@@ -56,33 +52,25 @@ func (rf RuleFilter) Filter(cand *table.Table, cat *table.Catalog) (*table.Table
 	if err != nil {
 		return nil, nil, fmt.Errorf("block: rule filter: %w", err)
 	}
-	x, err := feature.Vectors(sub, cand, cat, feature.ExtractOptions{Workers: rf.Workers, Metrics: rf.Metrics})
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := table.NewPairTable(cand.Name()+"+rules", meta.LTable, meta.RTable, cat)
+	x, err := feature.Vectors(sub, cand, feature.ExtractOptions{Workers: rf.Workers, Metrics: rf.Metrics})
 	if err != nil {
 		return nil, nil, err
 	}
 	// Evaluate the compiled rules over candidate chunks; each chunk
-	// keeps local drop counters and a local survivor buffer, merged in
+	// keeps local drop counters and a local survivor list, merged in
 	// chunk order so the output matches the serial scan.
 	type shardResult struct {
-		kept    []table.PairID
+		kept    []int
 		dropped []int
 	}
 	shards, err := probeShards(f, cand.Len(), func(lo, hi int) shardResult {
 		res := shardResult{dropped: make([]int, rf.Rules.Len())}
 		for i := lo; i < hi; i++ {
-			fired, idx := compiled.AnyFires(x[i])
-			if fired {
+			if fired, idx := compiled.AnyFires(x[i]); fired {
 				res.dropped[idx]++
-				continue
+			} else {
+				res.kept = append(res.kept, i)
 			}
-			res.kept = append(res.kept, table.PairID{
-				L: cand.Get(i, meta.LID).AsString(),
-				R: cand.Get(i, meta.RID).AsString(),
-			})
 		}
 		return res
 	})
@@ -90,15 +78,16 @@ func (rf RuleFilter) Filter(cand *table.Table, cat *table.Catalog) (*table.Table
 		return nil, nil, err
 	}
 	dropped := make([]int, rf.Rules.Len())
+	var kept []int
 	for _, s := range shards {
 		for ri, n := range s.dropped {
 			dropped[ri] += n
 		}
-		table.AppendPairs(out, s.kept)
+		kept = append(kept, s.kept...)
 	}
 	rec.Count(obs.BlockPairsConsidered, float64(cand.Len()), bl)
-	rec.Count(obs.BlockPairsEmitted, float64(out.Len()), bl)
-	return out, dropped, nil
+	rec.Count(obs.BlockPairsEmitted, float64(len(kept)), bl)
+	return cand.Select(kept), dropped, nil
 }
 
 // referencedFeatures returns the distinct feature names the rule set's
@@ -134,16 +123,17 @@ func (b RuleBlocker) Name() string {
 	return fmt.Sprintf("rule_blocker(%s,%d rules)", b.Seed.Name(), b.Rules.Len())
 }
 
+// Pairs implements Blocker.
+func (b RuleBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	cand, err := b.Seed.Pairs(lt, rt)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := RuleFilter{Rules: b.Rules, Features: b.Features, Workers: b.Workers, Metrics: b.Metrics}.Filter(cand)
+	return out, err
+}
+
 // Block implements Blocker.
 func (b RuleBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	cand, err := b.Seed.Block(lt, rt, cat)
-	if err != nil {
-		return nil, err
-	}
-	out, _, err := RuleFilter{Rules: b.Rules, Features: b.Features, Workers: b.Workers, Metrics: b.Metrics}.Filter(cand, cat)
-	if err != nil {
-		return nil, err
-	}
-	out.SetName(b.Name())
-	return out, nil
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/table"
 )
@@ -36,43 +35,43 @@ func (b SortedNeighborhoodBlocker) window() int {
 	return b.Window
 }
 
+// Pairs implements Blocker.
+func (b SortedNeighborhoodBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	f := frame{b.Name(), b.Workers, b.Metrics}
+	return f.run(lt, rt, func() ([]rows, int, error) {
+		merged, err := b.scan(f, lt, rt)
+		return []rows{merged}, -1, err
+	})
+}
+
 // Block implements Blocker.
 func (b SortedNeighborhoodBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	f := frame{b.Name(), b.Workers, b.Metrics}
-	return f.run(lt, rt, cat, func() ([][]table.PairID, int, error) {
-		merged, err := b.scan(f, lt, rt)
-		return [][]table.PairID{merged}, -1, err
-	})
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
 }
 
 // scan is the sorted-neighborhood method proper: the cross-table pairs
 // that co-occur in some window, in first-occurrence order.
-func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.PairID, error) {
+func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) (rows, error) {
 	lj := lt.Schema().Lookup(b.Attr)
 	rj := rt.Schema().Lookup(b.Attr)
 	if lj < 0 || rj < 0 {
-		return nil, fmt.Errorf("block: %s: attribute %q missing", b.Name(), b.Attr)
+		return rows{}, fmt.Errorf("block: %s: attribute %q missing", b.Name(), b.Attr)
 	}
 
-	// Row IDs are interned to dense uint32s so the window-scan dedup runs
-	// on packed uint64 keys instead of [2]string map keys. The dictionary
-	// is built serially here and only read (never grown) once the parallel
-	// scan starts; d.Token turns the winners back into strings at emit.
-	d := intern.NewDict()
 	type entry struct {
 		key  string
-		id   uint32
+		row  uint32
 		left bool
 	}
 	var entries []entry
-	for i, id := range keyStrings(lt) {
+	for i := 0; i < lt.Len(); i++ {
 		if v := lt.Row(i)[lj]; !v.IsNull() {
-			entries = append(entries, entry{LowerTransform(v.AsString()), d.Intern(id), true})
+			entries = append(entries, entry{LowerTransform(v.AsString()), uint32(i), true})
 		}
 	}
-	for i, id := range keyStrings(rt) {
-		if v := rt.Row(i)[rj]; !v.IsNull() {
-			entries = append(entries, entry{LowerTransform(v.AsString()), d.Intern(id), false})
+	for j := 0; j < rt.Len(); j++ {
+		if v := rt.Row(j)[rj]; !v.IsNull() {
+			entries = append(entries, entry{LowerTransform(v.AsString()), uint32(j), false})
 		}
 	}
 	sort.SliceStable(entries, func(a, c int) bool { return entries[a].key < entries[c].key })
@@ -83,9 +82,7 @@ func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.P
 	// chunk's entries, so the same pair can surface in two chunks and a
 	// final pass dedups globally. Both dedups keep the first occurrence
 	// in window-start order, so the output matches the serial scan.
-	// Pairs travel as packed (left id << 32 | right id) keys until the
-	// final emit; interning is injective, so the packed key identifies the
-	// (L, R) string pair exactly as a [2]string key would.
+	// Pairs travel as packed (left row << 32 | right row) keys.
 	shards, err := probeShards(f, len(entries), func(lo, hi int) []uint64 {
 		out := make([]uint64, 0, hi-lo)
 		local := make(map[uint64]bool)
@@ -102,7 +99,7 @@ func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.P
 				if !a.left {
 					a, c = c, a
 				}
-				k := uint64(a.id)<<32 | uint64(c.id)
+				k := uint64(a.row)<<32 | uint64(c.row)
 				if !local[k] {
 					local[k] = true
 					out = append(out, k)
@@ -112,19 +109,19 @@ func (b SortedNeighborhoodBlocker) scan(f frame, lt, rt *table.Table) ([]table.P
 		return out
 	})
 	if err != nil {
-		return nil, err
+		return rows{}, err
 	}
 	npairs := 0
 	for _, shard := range shards {
 		npairs += len(shard)
 	}
 	seen := make(map[uint64]bool, npairs)
-	merged := make([]table.PairID, 0, npairs)
+	merged := rows{make([]int32, 0, npairs), make([]int32, 0, npairs)}
 	for _, shard := range shards {
 		for _, k := range shard {
 			if !seen[k] {
 				seen[k] = true
-				merged = append(merged, table.PairID{L: d.Token(uint32(k >> 32)), R: d.Token(uint32(k))})
+				merged.add(int(k>>32), int(uint32(k)))
 			}
 		}
 	}

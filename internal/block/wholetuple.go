@@ -29,12 +29,17 @@ func (b WholeTupleOverlapBlocker) Name() string {
 	return fmt.Sprintf("whole_tuple_overlap(k=%d)", max(b.MinOverlap, 1))
 }
 
-// Block implements Blocker.
-func (b WholeTupleOverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	return frame{b.Name(), b.Workers, b.Metrics}.joinBlock(lt, rt, cat, wholeTupleRecords,
+// Pairs implements Blocker.
+func (b WholeTupleOverlapBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, wholeTupleRecords,
 		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
 			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
 		})
+}
+
+// Block implements Blocker.
+func (b WholeTupleOverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
 }
 
 // wholeTupleRecords keys every row's whole-tuple token set

@@ -174,7 +174,11 @@ func standardServices() []*Service {
 			if d.err != nil {
 				return nil, d.err
 			}
-			x, err := feature.Vectors(fs, p, d.ctx.Catalog, feature.ExtractOptions{Metrics: d.ctx.Metrics})
+			pairs, err := d.ctx.Catalog.Pairs(p)
+			if err != nil {
+				return nil, err
+			}
+			x, err := feature.Vectors(fs, pairs, feature.ExtractOptions{Metrics: d.ctx.Metrics})
 			if err != nil {
 				return nil, err
 			}
@@ -219,7 +223,11 @@ func standardServices() []*Service {
 			if d.err != nil {
 				return nil, d.err
 			}
-			matches, err := table.PredictedPairs("matches", v.Pairs, d.ctx.Catalog, ml.PredictAll(model, v.X))
+			pairs, err := d.ctx.Catalog.Pairs(v.Pairs)
+			if err != nil {
+				return nil, err
+			}
+			matches, err := table.PredictedPairs("matches", pairs, d.ctx.Catalog, ml.PredictAll(model, v.X))
 			if err != nil {
 				return nil, err
 			}

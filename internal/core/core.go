@@ -46,8 +46,9 @@ type Session struct {
 	// see DESIGN.md).
 	Metrics obs.Recorder
 
-	// Candidates is the current candidate set (after Block).
-	Candidates *table.Table
+	// Candidates is the current candidate set (after Block), as row
+	// indices into A and B; Candidates.Table builds its pair table.
+	Candidates *table.Pairs
 	// Labeled is the current labeled sample (after LabelSample).
 	Labeled *LabeledSet
 
@@ -60,14 +61,14 @@ type Session struct {
 	// instead of running keptBy again. DownSample drops all three; an A
 	// or B reassigned or resized since makes them stale (Describes).
 	dbg    *block.Debugger
-	kept   *table.Table
+	kept   *table.Pairs
 	keptBy block.Blocker
 	rng    *rand.Rand
 }
 
 // LabeledSet is a labeled pair sample: the set G of the guide.
 type LabeledSet struct {
-	Pairs *table.Table // pair table (subset of the candidate set)
+	Pairs *table.Table // pair table (subset of the candidate set C; _id is the position in C)
 	X     [][]float64  // feature vectors, aligned with Pairs rows
 	Y     []int        // labels, aligned with Pairs rows
 	Names []string     // feature names
@@ -110,7 +111,7 @@ func (s *Session) DownSample(sizeA, sizeB int) error {
 	s.Labeled = nil
 	s.candX = nil
 	s.dbg = nil
-	s.dropKept()
+	s.kept, s.keptBy = nil, nil
 	return nil
 }
 
@@ -133,13 +134,13 @@ type BlockerReport struct {
 // the one confirmed to miss fewest matches, with candidate-set size as the
 // tiebreak; its index is returned alongside the per-blocker reports. The
 // debugger's neighbour list is built once per A, B; the best blocker's
-// candidate set stays in the catalog, and only there, for Block to reuse.
+// candidate set is kept for Block to reuse.
 func (s *Session) TryBlockers(blockers []block.Blocker, lab label.Labeler, topK int) (best int, reports []BlockerReport, err error) {
 	if len(blockers) == 0 {
 		return 0, nil, fmt.Errorf("core: no blockers to try")
 	}
 	defer obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "try_blockers"))()
-	s.dropKept()
+	s.kept, s.keptBy = nil, nil
 	reports = make([]BlockerReport, len(blockers))
 	for i, blk := range blockers {
 		cand := s.tryBlocker(blk, lab, topK, &reports[i])
@@ -149,10 +150,7 @@ func (s *Session) TryBlockers(blockers []block.Blocker, lab label.Labeler, topK 
 		if s.kept == nil ||
 			reports[i].LikelyMissed < reports[best].LikelyMissed ||
 			(reports[i].LikelyMissed == reports[best].LikelyMissed && reports[i].Candidates < reports[best].Candidates) {
-			s.dropKept()
 			best, s.kept, s.keptBy = i, cand, blk
-		} else {
-			s.Catalog.Drop(cand)
 		}
 	}
 	if s.kept == nil {
@@ -162,11 +160,10 @@ func (s *Session) TryBlockers(blockers []block.Blocker, lab label.Labeler, topK 
 }
 
 // tryBlocker runs one blocker, fills its report and returns its candidate
-// set, or nil when the blocker or the debugger failed; a set the debugger
-// refused leaves the catalog.
-func (s *Session) tryBlocker(blk block.Blocker, lab label.Labeler, topK int, rep *BlockerReport) *table.Table {
+// set, or nil when the blocker or the debugger failed.
+func (s *Session) tryBlocker(blk block.Blocker, lab label.Labeler, topK int, rep *BlockerReport) *table.Pairs {
 	rep.Name = blk.Name()
-	cand, err := blk.Block(s.A, s.B, s.Catalog)
+	cand, err := blk.Pairs(s.A, s.B)
 	if err != nil {
 		rep.Err, rep.LikelyMissed = err, 1<<30
 		return nil
@@ -175,10 +172,9 @@ func (s *Session) tryBlocker(blk block.Blocker, lab label.Labeler, topK int, rep
 	if s.dbg == nil || !s.dbg.Describes(s.A, s.B) {
 		s.dbg = block.NewDebugger(s.A, s.B)
 	}
-	missed, err := s.dbg.Missed(cand, s.Catalog, topK)
+	missed, err := s.dbg.Missed(cand, topK)
 	if err != nil {
 		rep.Err = err
-		s.Catalog.Drop(cand)
 		return nil
 	}
 	for _, m := range missed {
@@ -189,28 +185,20 @@ func (s *Session) tryBlocker(blk block.Blocker, lab label.Labeler, topK int, rep
 	return cand
 }
 
-// dropKept forgets TryBlockers' kept candidate set and unregisters it.
-func (s *Session) dropKept() {
-	if s.kept != nil {
-		s.Catalog.Drop(s.kept)
-	}
-	s.kept, s.keptBy = nil, nil
-}
-
-// Block runs the chosen blocker and stores the candidate set C. When blk
+// Block runs the chosen blocker and stores the candidate set C, as row
+// indices; C.Table builds its pair table where one is wanted. When blk
 // is the blocker TryBlockers chose (==, on a comparable value) and A, B
 // are the tables it ran on, with the same row counts, the set TryBlockers
 // kept is C: blockers are deterministic, so running it again would
-// rebuild the same table.
-func (s *Session) Block(blk block.Blocker) (*table.Table, error) {
+// rebuild the same set.
+func (s *Session) Block(blk block.Blocker) (*table.Pairs, error) {
 	defer obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "block"))()
 	cand := s.kept
 	// The kept set passed the debugger, which was built over its tables.
-	if _, ok := s.Catalog.PairMeta(cand); !ok || !s.dbg.Describes(s.A, s.B) ||
+	if cand == nil || !s.dbg.Describes(s.A, s.B) ||
 		!reflect.ValueOf(blk).Comparable() || blk != s.keptBy {
-		s.dropKept()
 		var err error
-		if cand, err = blk.Block(s.A, s.B, s.Catalog); err != nil {
+		if cand, err = blk.Pairs(s.A, s.B); err != nil {
 			return nil, err
 		}
 	}
@@ -232,9 +220,8 @@ func (s *Session) SampleAndLabel(n int, lab label.Labeler) (*LabeledSet, error) 
 		return nil, fmt.Errorf("core: block before sampling (guide order)")
 	}
 	defer obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "sample_label"))()
-	meta, _ := s.Catalog.PairMeta(s.Candidates)
 	stop := obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "feature"))
-	allX, err := feature.Vectors(s.Features, s.Candidates, s.Catalog, feature.ExtractOptions{Workers: s.Workers, Metrics: s.Metrics})
+	allX, err := feature.Vectors(s.Features, s.Candidates, feature.ExtractOptions{Workers: s.Workers, Metrics: s.Metrics})
 	stop()
 	if err != nil {
 		return nil, err
@@ -242,16 +229,16 @@ func (s *Session) SampleAndLabel(n int, lab label.Labeler) (*LabeledSet, error) 
 	s.candX = allX
 
 	idxs := biasedSample(allX, n, s.rng)
-	sample := s.Candidates.Select(idxs)
-	sample.SetName("labeled_sample")
-	if err := s.Catalog.RegisterPair(sample, meta); err != nil {
+	sample, err := s.Candidates.Select(idxs).Table("labeled_sample", s.Catalog)
+	if err != nil {
 		return nil, err
 	}
 	x := make([][]float64, len(idxs))
 	y := make([]int, len(idxs))
 	for k, i := range idxs {
+		sample.Set(k, "_id", table.Int(int64(i))) // the pair's position in C
 		x[k] = allX[i]
-		if lab.Label(sample.Get(k, meta.LID).AsString(), sample.Get(k, meta.RID).AsString()) {
+		if lab.Label(s.Candidates.IDs(i)) {
 			y[k] = 1
 		}
 	}
@@ -313,7 +300,7 @@ func (s *Session) TrainAndPredict(factory func() ml.Classifier) (*table.Table, m
 	defer obs.StartTimer(rec, obs.StageSeconds, obs.L("stage", "predict"))()
 	x := s.candX
 	if x == nil {
-		x, err = feature.Vectors(s.Features, s.Candidates, s.Catalog, feature.ExtractOptions{Workers: s.Workers, Metrics: s.Metrics})
+		x, err = feature.Vectors(s.Features, s.Candidates, feature.ExtractOptions{Workers: s.Workers, Metrics: s.Metrics})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -325,20 +312,24 @@ func (s *Session) TrainAndPredict(factory func() ml.Classifier) (*table.Table, m
 	return matches, model, nil
 }
 
-// Evaluate scores a predicted match table against gold pairs.
+// Evaluate scores a predicted match table against gold pairs, counting
+// each distinct predicted pair once however often the table names it.
 func Evaluate(matches *table.Table, gold *label.Gold) ml.Confusion {
 	var c ml.Confusion
+	seen := make(map[[2]string]bool, matches.Len())
 	for i := 0; i < matches.Len(); i++ {
-		if gold.IsMatch(matches.Get(i, "ltable_id").AsString(), matches.Get(i, "rtable_id").AsString()) {
+		k := [2]string{matches.Get(i, "ltable_id").AsString(), matches.Get(i, "rtable_id").AsString()}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if gold.IsMatch(k[0], k[1]) {
 			c.TP++
 		} else {
 			c.FP++
 		}
 	}
 	c.FN = gold.Len() - c.TP
-	if c.FN < 0 {
-		c.FN = 0
-	}
 	return c
 }
 

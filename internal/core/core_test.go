@@ -216,6 +216,20 @@ func TestWorkflowValidate(t *testing.T) {
 	}
 }
 
+// TestEvaluateCountsDistinctPairs: a matches table naming a gold pair and
+// a non-match twice each scores each once: one true positive, one false
+// positive, and the other gold pair a false negative.
+func TestEvaluateCountsDistinctPairs(t *testing.T) {
+	matches := table.New("m", table.DefaultPairSchema())
+	for i, p := range [][2]string{{"a1", "b1"}, {"a2", "b9"}, {"a1", "b1"}, {"a2", "b9"}} {
+		matches.MustAppend(table.Int(int64(i)), table.String(p[0]), table.String(p[1]))
+	}
+	got := Evaluate(matches, label.NewGold([][2]string{{"a1", "b1"}, {"a3", "b3"}}))
+	if want := (ml.Confusion{TP: 1, FP: 1, FN: 1}); got != want {
+		t.Fatalf("Evaluate = %+v, want %+v", got, want)
+	}
+}
+
 func TestMatchRulesApply(t *testing.T) {
 	names := []string{"sim_a", "sim_b"}
 	mr := MatchRules{}

@@ -135,18 +135,17 @@ func TestWorkflowSaveLoadRoundTrip(t *testing.T) {
 // labelled by its gold pairs.
 func linearMatcher(t *testing.T, wf *Workflow, task *datagen.Task) ml.Classifier {
 	t.Helper()
-	cat := table.NewCatalog()
-	cand, err := wf.Blocker.Block(task.A, task.B, cat)
+	cand, err := wf.Blocker.Pairs(task.A, task.B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := feature.Vectors(wf.Features, cand, cat, feature.ExtractOptions{})
+	x, err := feature.Vectors(wf.Features, cand, feature.ExtractOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	y := make([]int, len(x))
 	for i := range y {
-		if task.Gold.IsMatch(cand.Get(i, "ltable_id").AsString(), cand.Get(i, "rtable_id").AsString()) {
+		if task.Gold.IsMatch(cand.IDs(i)) {
 			y[i] = 1
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,49 +11,46 @@ import (
 	"repro/internal/table"
 )
 
-// recording runs its blocker and remembers every table it returned.
+// recording runs its blocker and remembers every candidate set its Pairs
+// returned.
 type recording struct {
 	block.Blocker
-	out *[]*table.Table
+	out *[]*table.Pairs
 }
 
-func (r recording) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	p, err := r.Blocker.Block(lt, rt, cat)
+func (r recording) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	p, err := r.Blocker.Pairs(lt, rt)
 	if err == nil {
 		*r.out = append(*r.out, p)
 	}
 	return p, err
 }
 
-// dangling registers a pair table naming a left id its base table lacks,
-// which the blocking debugger refuses with the catalog's FK error.
-type dangling struct{ out **table.Table }
+// dangling's candidate set names a left row past the end of its table,
+// which the blocking debugger refuses with an FK error.
+type dangling struct{ out **table.Pairs }
 
 func (dangling) Name() string { return "dangling" }
 
+func (d dangling) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
+	*d.out = table.NewPairs(lt, rt, []int32{int32(lt.Len())}, []int32{0})
+	return *d.out, nil
+}
+
 func (d dangling) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
-	p, err := table.NewPairTable("dangling", lt, rt, cat)
+	p, err := d.Pairs(lt, rt)
 	if err != nil {
 		return nil, err
 	}
-	table.AppendPair(p, "no-such-id", rt.Row(0)[rt.Schema().Lookup(rt.Key())].AsString())
-	*d.out = p
-	return p, nil
+	return p.Table(d.Name(), cat)
 }
 
-// sameRows fails unless the two pair tables have the same name and rows.
-func sameRows(t *testing.T, got, want *table.Table) {
+// sameRows fails unless the two candidate sets pair the same rows of the
+// same tables.
+func sameRows(t *testing.T, got, want *table.Pairs) {
 	t.Helper()
-	if got.Name() != want.Name() || got.Len() != want.Len() {
-		t.Fatalf("got %q with %d rows, want %q with %d", got.Name(), got.Len(), want.Name(), want.Len())
-	}
-	for i := 0; i < got.Len(); i++ {
-		g, w := got.Row(i), want.Row(i)
-		for j := range w {
-			if g[j].AsString() != w[j].AsString() {
-				t.Fatalf("row %d col %d: %q, want %q", i, j, g[j].AsString(), w[j].AsString())
-			}
-		}
+	if got.LTable != want.LTable || got.RTable != want.RTable || !slices.Equal(got.L, want.L) || !slices.Equal(got.R, want.R) {
+		t.Fatalf("got %d pairs, want %d, or other rows or tables", got.Len(), want.Len())
 	}
 }
 
@@ -61,7 +59,7 @@ func blockSeconds(reg *obs.Registry, blk block.Blocker) uint64 {
 }
 
 // TestTryBlockersThenBlockReuses: TryBlockers' reports are what one
-// DebugBlocker call per blocker gives; afterwards the catalog holds only
+// DebugBlocker call per blocker gives; afterwards the session keeps only
 // the winner's set, and Block on the winner returns exactly the pairs a
 // fresh run gives without running the blocker again.
 func TestTryBlockersThenBlockReuses(t *testing.T) {
@@ -74,7 +72,7 @@ func TestTryBlockersThenBlockReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	var made []*table.Table
+	var made []*table.Pairs
 	blockers := []block.Blocker{
 		recording{block.AttrEquivalenceBlocker{Attr: "state", Metrics: reg}, &made},
 		recording{block.WholeTupleOverlapBlocker{MinOverlap: 2, Metrics: reg}, &made},
@@ -105,11 +103,8 @@ func TestTryBlockersThenBlockReuses(t *testing.T) {
 			t.Errorf("report %d = %+v, want %+v", i, reports[i], want)
 		}
 	}
-	made = made[:len(blockers)]
-	for i, p := range made {
-		if _, ok := s.Catalog.PairMeta(p); ok != (i == best) {
-			t.Errorf("after TryBlockers, %s's set registered = %v (best %d)", blockers[i].Name(), ok, best)
-		}
+	if len(made) != len(blockers) || s.kept != made[best] {
+		t.Errorf("after TryBlockers, %d sets made and the winner's (best %d) kept = %v", len(made), best, s.kept == made[best])
 	}
 
 	before := blockSeconds(reg, blockers[best])
@@ -120,7 +115,7 @@ func TestTryBlockersThenBlockReuses(t *testing.T) {
 	if n := blockSeconds(reg, blockers[best]); n != before {
 		t.Errorf("Block ran the chosen blocker again (%d em_block_seconds observations, had %d)", n, before)
 	}
-	fresh, err := blockers[best].Block(s.A, s.B, table.NewCatalog())
+	fresh, err := blockers[best].Pairs(s.A, s.B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +127,8 @@ func TestTryBlockersThenBlockReuses(t *testing.T) {
 
 // TestBlockRerunsAfterTablesChange: once DownSample, a reassigned A or a
 // row appended to B has changed the tables the kept set is over, Block
-// runs the blocker again and the stale set leaves the catalog.
+// runs the blocker again over the session's tables instead of handing the
+// stale set over.
 func TestBlockRerunsAfterTablesChange(t *testing.T) {
 	task := personTask(t, 300, 37)
 	oracle := label.NewOracle(task.Gold)
@@ -168,11 +164,11 @@ func TestBlockRerunsAfterTablesChange(t *testing.T) {
 		if n := blockSeconds(reg, blk); n != 2 {
 			t.Errorf("%s: %d em_block_seconds observations, want 2", change.name, n)
 		}
-		if meta, _ := s.Catalog.PairMeta(cand); meta.LTable != s.A || meta.RTable != s.B {
+		if cand.LTable != s.A || cand.RTable != s.B {
 			t.Errorf("%s: Block's set is not over the session's tables", change.name)
 		}
-		if _, ok := s.Catalog.PairMeta(kept); ok {
-			t.Errorf("%s: the stale kept set is still registered", change.name)
+		if cand == kept || s.kept != nil {
+			t.Errorf("%s: the stale kept set was handed over or is still kept", change.name)
 		}
 	}
 }
@@ -186,7 +182,7 @@ func TestBlockNonComparableBlocker(t *testing.T) {
 	reg := obs.NewRegistry()
 	state := task.A.Schema().Lookup("state")
 	keep := block.BlackBoxBlocker{Label: "same_state", Metrics: reg, Keep: func(l, r table.Row) bool { return l[state].AsString() == r[state].AsString() }}
-	var made []*table.Table
+	var made []*table.Pairs
 	for _, blk := range []block.Blocker{keep, recording{keep, &made}} {
 		s, err := NewSession(task.A, task.B, 1)
 		if err != nil {
@@ -205,16 +201,16 @@ func TestBlockNonComparableBlocker(t *testing.T) {
 	}
 }
 
-// TestTryBlockersDropsRefusedSet: a set the debugger refuses (here for an
-// id its base table lacks) leaves the catalog, and the error is that
-// blocker's report.
+// TestTryBlockersDropsRefusedSet: a set the debugger refuses (here for a
+// row its base table lacks) is not kept, and the error is that blocker's
+// report.
 func TestTryBlockersDropsRefusedSet(t *testing.T) {
 	task := personTask(t, 200, 39)
 	s, err := NewSession(task.A, task.B, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bad *table.Table
+	var bad *table.Pairs
 	blockers := []block.Blocker{dangling{&bad}, block.OverlapBlocker{Attr: "name"}}
 	best, reports, err := s.TryBlockers(blockers, label.NewOracle(task.Gold), 10)
 	if err != nil {
@@ -223,7 +219,7 @@ func TestTryBlockersDropsRefusedSet(t *testing.T) {
 	if best != 1 || reports[0].Err == nil || !strings.Contains(reports[0].Err.Error(), "FK constraint violated") {
 		t.Fatalf("best %d, reports %+v: want the dangling set refused with the FK error", best, reports)
 	}
-	if _, ok := s.Catalog.PairMeta(bad); ok {
-		t.Error("the refused set is still registered")
+	if bad == nil || s.kept == bad {
+		t.Error("the refused set was kept")
 	}
 }

@@ -35,7 +35,7 @@ type WorkflowResult struct {
 	Matches *table.Table
 	// Candidates is the candidate-set size blocking produced.
 	Candidates int
-	// BlockTime is the blocker's run, candidate table included.
+	// BlockTime is the blocker's run.
 	BlockTime time.Duration
 	// ExtractTime is the fused pass over the candidates: each pair's
 	// feature vector, the matcher's prediction and the rule layer.
@@ -79,13 +79,14 @@ func (w *Workflow) compile() (*compiledRules, error) {
 	return rl, nil
 }
 
-// Execute runs the workflow end to end on the full tables: block, then one
-// parallel pass that scores each candidate pair's feature vector, predicts
-// it and applies the rules, keeping only the indices of the pairs that
-// match. No feature matrix is built. When the matcher is an ml.Decider and
-// there are no rules, a pair it settles from the cheap columns keeps that
-// verdict, which is Predict's on the whole row; only the rest pay for the
-// deferred columns.
+// Execute runs the workflow end to end on the full tables: block into row
+// indices, then one parallel pass that scores each candidate pair's
+// feature vector, predicts it and applies the rules, keeping only the
+// indices of the pairs that match. No feature matrix is built, and the
+// only pair table is the match table, registered in cat. When the matcher
+// is an ml.Decider and there are no rules, a pair it settles from the
+// cheap columns keeps that verdict, which is Predict's on the whole row;
+// only the rest pay for the deferred columns.
 func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResult, error) {
 	rl, err := w.compile()
 	if err != nil {
@@ -94,7 +95,7 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 	res := &WorkflowResult{}
 
 	t0 := time.Now()
-	cand, err := w.Blocker.Block(a, b, cat)
+	cand, err := w.Blocker.Pairs(a, b)
 	if err != nil {
 		return nil, fmt.Errorf("core: workflow blocking: %w", err)
 	}
@@ -108,7 +109,7 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 		deferred = w.Features.Deferred()
 	}
 	var filled atomic.Int64
-	kept, err := feature.Select(w.Features, cand, cat, feature.ExtractOptions{Workers: w.Workers}, func(x []float64, fill func()) bool {
+	kept, err := feature.Select(w.Features, cand, feature.ExtractOptions{Workers: w.Workers}, func(x []float64, fill func()) bool {
 		if early {
 			if match, ok := dec.Decide(x, deferred); ok {
 				return match
@@ -127,7 +128,7 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 	}
 
 	t0 = time.Now()
-	matches, err := table.SelectedPairs("workflow_matches", cand, cat, kept)
+	matches, err := cand.Select(kept).Table("workflow_matches", cat)
 	if err != nil {
 		return nil, err
 	}

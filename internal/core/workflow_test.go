@@ -46,11 +46,11 @@ func developedWorkflow(t *testing.T) (a, b *table.Table, fs *feature.Set, ds *ml
 func matrixPath(t *testing.T, w *Workflow, a, b *table.Table) *table.Table {
 	t.Helper()
 	cat := table.NewCatalog()
-	cand, err := w.Blocker.Block(a, b, cat)
+	cand, err := w.Blocker.Pairs(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := feature.Vectors(w.Features, cand, cat, feature.ExtractOptions{Workers: w.Workers})
+	x, err := feature.Vectors(w.Features, cand, feature.ExtractOptions{Workers: w.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +177,19 @@ func TestQuickExecuteRuleThresholds(t *testing.T) {
 	}
 }
 
-// countingBlocker counts its Block calls and blocks nothing.
+// countingBlocker counts its Pairs and Block calls and blocks nothing.
 type countingBlocker struct{ calls *int }
 
 func (c countingBlocker) Name() string { return "counting" }
 
-func (c countingBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+func (c countingBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	*c.calls++
 	return nil, errors.New("counting blocker: no candidates")
+}
+
+func (c countingBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	_, err := c.Pairs(lt, rt)
+	return nil, err
 }
 
 // TestExecuteRejectsBadRuleBeforeBlocking: a rule naming a feature the set
@@ -204,6 +209,6 @@ func TestExecuteRejectsBadRuleBeforeBlocking(t *testing.T) {
 	}
 	_, err = w.Execute(task.A, task.B, table.NewCatalog())
 	if err == nil || !strings.Contains(err.Error(), `unknown feature "no_such_feature"`) || calls != 0 {
-		t.Fatalf("Execute: err %v after %d Block calls; want the unknown-feature error and none", err, calls)
+		t.Fatalf("Execute: err %v after %d blocker calls; want the unknown-feature error and none", err, calls)
 	}
 }

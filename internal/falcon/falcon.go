@@ -121,7 +121,11 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	res.Candidates = c
 
 	// Step 6: active-learn the matcher on C and predict.
-	cx, err := feature.Vectors(fs, c, cat, feature.ExtractOptions{})
+	cp, err := cat.Pairs(c)
+	if err != nil {
+		return nil, err
+	}
+	cx, err := feature.Vectors(fs, cp, feature.ExtractOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +147,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	}
 	res.MatchingQuestions = lab.Stats().Questions - before
 	res.Matcher = stage2.Forest
-	res.Matches, err = table.PredictedPairs("falcon_matches", c, cat, ml.PredictAll(stage2.Forest, cx))
+	res.Matches, err = table.PredictedPairs("falcon_matches", cp, cat, ml.PredictAll(stage2.Forest, cx))
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +163,11 @@ func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cat *t
 	if err != nil {
 		return nil, nil, err
 	}
-	sx, err := feature.Vectors(fs, sample, cat, feature.ExtractOptions{})
+	sp, err := cat.Pairs(sample)
+	if err != nil {
+		return nil, nil, err
+	}
+	sx, err := feature.Vectors(fs, sp, feature.ExtractOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -48,9 +48,13 @@ func benchSetup(b *testing.B, pairs int) (*Set, *table.Table, *table.Catalog) {
 
 func BenchmarkVectors1K(b *testing.B) {
 	fs, p, cat := benchSetup(b, 1000)
+	pairs, err := cat.Pairs(p)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Vectors(fs, p, cat, ExtractOptions{}); err != nil {
+		if _, err := Vectors(fs, pairs, ExtractOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,9 +62,13 @@ func BenchmarkVectors1K(b *testing.B) {
 
 func BenchmarkVectors1KSerial(b *testing.B) {
 	fs, p, cat := benchSetup(b, 1000)
+	pairs, err := cat.Pairs(p)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Vectors(fs, p, cat, ExtractOptions{Workers: 1}); err != nil {
+		if _, err := Vectors(fs, pairs, ExtractOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -166,14 +166,14 @@ func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets 
 	}
 }
 
-// Vectors computes the feature matrix for every pair of a candidate-set
-// table. The pair table must be registered in cat (so its base tables and
-// id columns are known); per the paper's self-containment principle the FK
-// metadata is re-validated before use, by the pass that resolves each
-// pair's two rows (Catalog.PairRows).
-func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions) ([][]float64, error) {
+// Vectors computes the feature matrix for every pair of a candidate set.
+// Per the paper's self-containment principle the set is re-validated
+// against its base tables before use (table.Pairs.Validate); a user's pair
+// table becomes a Pairs through Catalog.Pairs, which checks its foreign
+// keys.
+func Vectors(s *Set, pairs *table.Pairs, opts ExtractOptions) ([][]float64, error) {
 	out := make([][]float64, pairs.Len())
-	if _, err := eachRow(s, pairs, cat, opts, true, func(i int, x []float64, _ func()) bool {
+	if _, err := eachRow(s, pairs, opts, true, func(i int, x []float64, _ func()) bool {
 		out[i] = x
 		return false
 	}); err != nil {
@@ -183,16 +183,16 @@ func Vectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 }
 
 // Select is Vectors for a caller that keeps a verdict, not the matrix: it
-// returns, ascending, the index of every pair of the candidate-set table
-// that keep accepts. Each worker fills a pair's cheap columns — every one
+// returns, ascending, the index of every pair of the candidate set that
+// keep accepts. Each worker fills a pair's cheap columns — every one
 // Deferred does not mark — into a scratch row it reuses for the next pair
 // and hands keep the row and fill, which completes the row in place with
 // the deferred columns; until fill is called they hold stale values. keep
 // runs on every worker at once and must not retain the row or fill. The
 // indices are the same at any Workers setting; the metrics are Vectors',
 // the cheap pass's memo blocks counted among the pair groups.
-func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keep func(row []float64, fill func()) bool) ([]int, error) {
-	kept, err := eachRow(s, pairs, cat, opts, false, func(_ int, x []float64, fill func()) bool { return keep(x, fill) })
+func Select(s *Set, pairs *table.Pairs, opts ExtractOptions, keep func(row []float64, fill func()) bool) ([]int, error) {
+	kept, err := eachRow(s, pairs, opts, false, func(_ int, x []float64, fill func()) bool { return keep(x, fill) })
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +200,7 @@ func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions,
 }
 
 // eachRow is the one chunk loop under Vectors and Select: it computes the
-// feature vector of every pair of a registered candidate-set table, hands
+// feature vector of every pair of a candidate set, hands
 // it to row(i, x, fill) and returns, chunk by chunk, the indices i for
 // which row answered true. With keepRows, each chunk's rows are cut from
 // one array the worker allocates, so row may retain x and the zeroing runs
@@ -213,23 +213,18 @@ func Select(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions,
 // consecutive pairs — a blocker emits a left record's candidates together,
 // and the scratch's memo reuses scores along a run — and a chunk's pairs
 // are visited in order by one worker.
-func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions, keepRows bool, row func(i int, x []float64, fill func()) bool) ([][]int, error) {
+func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row func(i int, x []float64, fill func()) bool) ([][]int, error) {
 	rec := obs.Or(opts.Metrics)
 	defer obs.StartTimer(rec, obs.FeatureExtractSeconds)()
-	meta, ok := cat.PairMeta(pairs)
-	if !ok {
-		return nil, fmt.Errorf("feature: pair table %q not registered in catalog", pairs.Name())
-	}
-	rows, err := cat.PairRows(pairs)
-	if err != nil {
+	if err := pairs.Validate(); err != nil {
 		return nil, fmt.Errorf("feature: %w", err)
 	}
-	cache, err := buildTokenCache(s, meta.LTable, meta.RTable, opts.Workers)
+	cache, err := buildTokenCache(s, pairs.LTable, pairs.RTable, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 
-	n, nf := len(rows), len(s.Features)
+	n, nf := pairs.Len(), len(s.Features)
 	scratch := make([]sim.Scratch, parallel.Resolve(opts.Workers))
 	kept, err := parallel.Chunks(opts.Workers, n, vectorsChunk, func(shard, lo, hi int) ([]int, error) {
 		sc := &scratch[shard]
@@ -246,7 +241,7 @@ func eachRow(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions
 		for i := lo; i < hi; i++ {
 			k := (i - lo) * stride
 			x := buf[k : k+nf : k+nf]
-			l, r = &cache.l[rows[i][0]], &cache.r[rows[i][1]]
+			l, r = &cache.l[pairs.L[i]], &cache.r[pairs.R[i]]
 			if keepRows {
 				s.VectorInto(l, r, sc, x)
 				row(i, x, nil)

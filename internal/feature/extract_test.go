@@ -66,6 +66,16 @@ func cacheTables(t *testing.T, rows int, seed int64) (*table.Table, *table.Table
 	return a, b, pairs, cat
 }
 
+// tableVectors is Vectors over a registered pair table, resolved to row
+// indices through Catalog.Pairs.
+func tableVectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions) ([][]float64, error) {
+	p, err := cat.Pairs(pairs)
+	if err != nil {
+		return nil, err
+	}
+	return Vectors(s, p, opts)
+}
+
 // stringPathVectors is the reference extraction: every pair through
 // Set.Vector (by way of VectorForIDs), which never touches the token cache.
 func stringPathVectors(t *testing.T, s *Set, pairs *table.Table, cat *table.Catalog) [][]float64 {
@@ -110,7 +120,7 @@ func TestVectorsCacheEquivalence(t *testing.T) {
 		s.Missing = missing
 		want := stringPathVectors(t, s, pairs, cat)
 		for _, workers := range []int{1, 4, 0} {
-			got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers})
+			got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,10 +133,11 @@ func TestVectorsCacheEquivalence(t *testing.T) {
 
 // TestVectorsResolvesPairRows covers the edges of resolving pairs and
 // cutting the matrix per chunk: a dangling left or right id fails with the
-// catalog's FK error behind "feature: ", a pair table with no rows yields
-// no vectors, and a pair count that is not a multiple of the chunk size
-// (three chunks, the last one short) reproduces the string path at
-// Workers 0 and 1.
+// catalog's FK error, a set naming a row outside its tables or over a
+// table that has since grown fails behind "feature: ", a pair table with
+// no rows yields no vectors, and a pair count that is not a multiple of
+// the chunk size (three chunks, the last one short) reproduces the string
+// path at Workers 0 and 1.
 func TestVectorsResolvesPairRows(t *testing.T) {
 	a, b, pairs, cat := cacheTables(t, 60, 17)
 	s, err := AutoGenerate(a, b)
@@ -134,17 +145,27 @@ func TestVectorsResolvesPairRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct{ lid, rid, want string }{
-		{"nobody", "b1", `feature: catalog: pair "C" row 0: left id "nobody" not in "A" — FK constraint violated`},
-		{"a1", "ghost", `feature: catalog: pair "C" row 0: right id "ghost" not in "B" — FK constraint violated`},
+		{"nobody", "b1", `catalog: pair "C" row 0: left id "nobody" not in "A" — FK constraint violated`},
+		{"a1", "ghost", `catalog: pair "C" row 0: right id "ghost" not in "B" — FK constraint violated`},
 	} {
 		bad, err := table.NewPairTable("C", a, b, cat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		table.AppendPair(bad, tc.lid, tc.rid)
-		if _, err := Vectors(s, bad, cat, ExtractOptions{}); err == nil || err.Error() != tc.want {
+		if _, err := tableVectors(s, bad, cat, ExtractOptions{}); err == nil || err.Error() != tc.want {
 			t.Errorf("dangling id: %v; want %q", err, tc.want)
 		}
+	}
+	outside := table.NewPairs(a, b, []int32{int32(a.Len())}, []int32{0})
+	if _, err := Vectors(s, outside, ExtractOptions{}); err == nil || !strings.HasPrefix(err.Error(), "feature: ") || !strings.Contains(err.Error(), "FK constraint violated") {
+		t.Errorf("row outside the table: %v", err)
+	}
+	grownA := a.Clone()
+	grown := table.NewPairs(grownA, b, []int32{0}, []int32{0})
+	grownA.MustAppend(a.Row(0)...)
+	if _, err := Vectors(s, grown, ExtractOptions{}); err == nil || !strings.HasPrefix(err.Error(), "feature: ") {
+		t.Errorf("grown base table: %v", err)
 	}
 
 	empty, err := table.NewPairTable("E", a, b, cat)
@@ -157,11 +178,11 @@ func TestVectorsResolvesPairRows(t *testing.T) {
 	}
 	want := stringPathVectors(t, s, pairs, cat)
 	for _, workers := range []int{0, 1} {
-		x, err := Vectors(s, empty, cat, ExtractOptions{Workers: workers})
+		x, err := tableVectors(s, empty, cat, ExtractOptions{Workers: workers})
 		if err != nil || len(x) != 0 {
 			t.Fatalf("workers=%d: zero pairs gave %d vectors, %v", workers, len(x), err)
 		}
-		got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers})
+		got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +218,7 @@ func TestCustomFnThroughPreparedRows(t *testing.T) {
 	}
 	want := stringPathVectors(t, s, pairs, cat)
 	calls = 0
-	got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +253,7 @@ func TestCacheFallsBackOnMissingAttr(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := stringPathVectors(t, s, pairs, cat)
-	got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func TestVectorsFromPairTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := Vectors(s, pairs, cat, ExtractOptions{})
+	x, err := tableVectors(s, pairs, cat, ExtractOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestVectorsFromPairTable(t *testing.T) {
 		}
 	}
 	// Parallel extraction agrees with serial.
-	x1, err := Vectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	x1, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestVectorsUnregisteredPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Vectors(s, orphan, cat, ExtractOptions{}); err == nil {
+	if _, err := tableVectors(s, orphan, cat, ExtractOptions{}); err == nil {
 		t.Fatal("want unregistered-pair error")
 	}
 }
@@ -273,7 +273,7 @@ func TestVectorsValidatesFK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Vectors(s, pairs, cat, ExtractOptions{}); err == nil {
+	if _, err := tableVectors(s, pairs, cat, ExtractOptions{}); err == nil {
 		t.Fatal("want FK-violation error (self-containment check)")
 	}
 }
@@ -339,12 +339,12 @@ func TestVectorsBitIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Vectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	serial, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 16} {
-		par, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers})
+		par, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

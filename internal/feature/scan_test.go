@@ -363,7 +363,7 @@ func TestVectorsChunkedScan(t *testing.T) {
 	want := stringPathVectors(t, s, pairs, cat)
 	for _, workers := range []int{1, 3, 0} {
 		reg := obs.NewRegistry()
-		got, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: reg})
+		got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,6 +399,10 @@ func TestSelectChunkedScan(t *testing.T) {
 			table.AppendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
 		}
 	}
+	cand, err := cat.Pairs(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pred := func(x []float64) bool { return x[0]+x[len(x)-1] > 0.9 }
 	keep := func(x []float64, fill func()) bool {
 		fill()
@@ -420,14 +424,14 @@ func TestSelectChunkedScan(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 0} {
 		reg, vreg := obs.NewRegistry(), obs.NewRegistry()
-		got, err := Select(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: reg}, keep)
+		got, err := Select(s, cand, ExtractOptions{Workers: workers, Metrics: reg}, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: Select keeps %d pairs, the string path %d (or in another order)", workers, len(got), len(want))
 		}
-		if _, err := Vectors(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: vreg}); err != nil {
+		if _, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: vreg}); err != nil {
 			t.Fatal(err)
 		}
 		g, v := counts(reg), counts(vreg)

@@ -46,7 +46,11 @@ func TestBatchServeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := feature.Vectors(fs, cands, cat, feature.ExtractOptions{})
+			p, err := cat.Pairs(cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := feature.Vectors(fs, p, feature.ExtractOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +139,11 @@ func TestQuickBatchServeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := feature.Vectors(fs, cands, cat, feature.ExtractOptions{})
+			p, err := cat.Pairs(cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := feature.Vectors(fs, p, feature.ExtractOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,11 +52,11 @@ func nestedJoin(l, r []Record, score func(a, b []string) (float64, bool)) []Pair
 		ls[i] = set(a.Tokens)
 	}
 	var out []Pair
-	for _, b := range r {
+	for j, b := range r {
 		bs := set(b.Tokens)
 		for i, a := range l {
 			if v, ok := score(ls[i], bs); ok {
-				out = append(out, Pair{LID: a.ID, RID: b.ID, Sim: v})
+				out = append(out, Pair{LID: a.ID, RID: b.ID, L: int32(i), R: int32(j), Sim: v})
 			}
 		}
 	}

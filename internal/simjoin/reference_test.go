@@ -20,6 +20,7 @@ import (
 type refPrepared struct {
 	id   string
 	toks []string // ordered by ascending global frequency
+	pos  int32    // the record's position in its input
 }
 
 // refPrepare dedups all records' tokens and orders them rarest-first by the
@@ -58,12 +59,12 @@ func refPrepare(l, r []Record) (pl, pr []refPrepared) {
 	pl = make([]refPrepared, len(l))
 	for i := range l {
 		order(lt[i])
-		pl[i] = refPrepared{id: l[i].ID, toks: lt[i]}
+		pl[i] = refPrepared{id: l[i].ID, toks: lt[i], pos: int32(i)}
 	}
 	pr = make([]refPrepared, len(r))
 	for i := range r {
 		order(rt[i])
-		pr[i] = refPrepared{id: r[i].ID, toks: rt[i]}
+		pr[i] = refPrepared{id: r[i].ID, toks: rt[i], pos: int32(i)}
 	}
 	return pl, pr
 }
@@ -174,7 +175,7 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair
 						continue
 					}
 					if s := refVerify(m, rec.toks, cand.toks); s >= threshold-1e-12 {
-						out = append(out, Pair{LID: rec.id, RID: cand.id, Sim: s})
+						out = append(out, Pair{LID: rec.id, RID: cand.id, L: rec.pos, R: cand.pos, Sim: s})
 					}
 				}
 			}
@@ -230,7 +231,7 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 					}
 					seen[j] = true
 					if ov, _, _ := refIntersection(rec.toks, pr[j].toks); ov >= k {
-						out = append(out, Pair{LID: rec.id, RID: pr[j].id, Sim: float64(ov)})
+						out = append(out, Pair{LID: rec.id, RID: pr[j].id, L: rec.pos, R: pr[j].pos, Sim: float64(ov)})
 					}
 				}
 			}

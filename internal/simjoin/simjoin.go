@@ -50,6 +50,9 @@ type Record struct {
 // Pair is one output row of a join.
 type Pair struct {
 	LID, RID string
+	// L and R are the two records' positions in the join's left and right
+	// inputs.
+	L, R int32
 	// Sim is the verified similarity (for edit-distance joins, the
 	// negated distance is not used; see EditDistanceJoin).
 	Sim float64
@@ -139,6 +142,7 @@ type intRec struct {
 	id   string
 	toks []uint32
 	rank uint32 // on the indexed side: the record's position in ID order
+	pos  int32  // the record's position in its input
 }
 
 // prepare interns both collections through one fresh dictionary and
@@ -151,7 +155,7 @@ func prepare(l, r []Record) (pl, pr []intRec, nids int) {
 	canon := func(rs []Record) []intRec {
 		out := make([]intRec, len(rs))
 		for i, rec := range rs {
-			out[i] = intRec{id: rec.ID, toks: d.SortedSet(rec.Tokens)}
+			out[i] = intRec{id: rec.ID, toks: d.SortedSet(rec.Tokens), pos: int32(i)}
 		}
 		return out
 	}
@@ -412,8 +416,14 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 				}
 			}
 			sortHits(hits)
+			// Double the chunk's buffer when it fills: append's 1.25×
+			// growth on large slices allocates five times the output.
+			if len(out)+len(hits) > cap(out) {
+				out = slices.Grow(out, max(len(hits), cap(out)))
+			}
 			for _, h := range hits {
-				out = append(out, Pair{LID: probe.id, RID: idx.pr[h.j].id, Sim: h.v})
+				rp := idx.pr[h.j]
+				out = append(out, Pair{LID: probe.id, RID: rp.id, L: int32(perm[runs[u]+int(h.l)]), R: rp.pos, Sim: h.v})
 			}
 		}
 		cands[shard] += nc

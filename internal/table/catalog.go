@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 )
 
@@ -58,27 +57,21 @@ func (c *Catalog) PairMeta(pair *Table) (PairMeta, bool) {
 	return m, ok
 }
 
-// Drop removes any metadata for the table.
-func (c *Catalog) Drop(t *Table) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.pairs, t)
-}
-
 // ValidatePair re-checks the FK constraints of a pair table against its base
 // tables: every left id must exist in LTable and every right id in RTable.
 // This is the "self-contained tool" behaviour from the paper: a command
 // about to rely on catalog metadata first verifies the metadata still holds
 // (another tool may have deleted base rows without updating the catalog).
 func (c *Catalog) ValidatePair(pair *Table) error {
-	_, err := c.PairRows(pair)
+	_, err := c.Pairs(pair)
 	return err
 }
 
-// PairRows runs ValidatePair's check and returns what the check looked
-// up: for each row of the pair table, the row indices of its left and
-// right records in their base tables.
-func (c *Catalog) PairRows(pair *Table) ([][2]int32, error) {
+// Pairs runs ValidatePair's check and returns what the check looked up:
+// the pair table as row indices, each pair's left and right records'
+// rows in their base tables. It is the one way from a user's pair table
+// to the Pairs that feature extraction and the debugger read.
+func (c *Catalog) Pairs(pair *Table) (*Pairs, error) {
 	meta, ok := c.PairMeta(pair)
 	if !ok {
 		return nil, fmt.Errorf("catalog: pair %q: not registered", pair.Name())
@@ -93,21 +86,21 @@ func (c *Catalog) PairRows(pair *Table) ([][2]int32, error) {
 	}
 	// RegisterPair saw both columns, and a schema never changes.
 	lj, rj := pair.schema.Lookup(meta.LID), pair.schema.Lookup(meta.RID)
-	out := make([][2]int32, len(pair.rows))
+	l, r := make([]int32, len(pair.rows)), make([]int32, len(pair.rows))
 	for i, row := range pair.rows {
-		l := row[lj].AsString()
-		li, ok := lidx[l]
+		lid := row[lj].AsString()
+		li, ok := lidx[lid]
 		if !ok {
-			return nil, fmt.Errorf("catalog: pair %q row %d: left id %q not in %q — FK constraint violated", pair.Name(), i, l, meta.LTable.Name())
+			return nil, fmt.Errorf("catalog: pair %q row %d: left id %q not in %q — FK constraint violated", pair.Name(), i, lid, meta.LTable.Name())
 		}
-		r := row[rj].AsString()
-		ri, ok := ridx[r]
+		rid := row[rj].AsString()
+		ri, ok := ridx[rid]
 		if !ok {
-			return nil, fmt.Errorf("catalog: pair %q row %d: right id %q not in %q — FK constraint violated", pair.Name(), i, r, meta.RTable.Name())
+			return nil, fmt.Errorf("catalog: pair %q row %d: right id %q not in %q — FK constraint violated", pair.Name(), i, rid, meta.RTable.Name())
 		}
-		out[i] = [2]int32{int32(li), int32(ri)}
+		l[i], r[i] = int32(li), int32(ri)
 	}
-	return out, nil
+	return NewPairs(meta.LTable, meta.RTable, l, r), nil
 }
 
 // DefaultPairSchema returns the conventional schema for a candidate set:
@@ -140,63 +133,22 @@ func AppendPair(pair *Table, lid, rid string) {
 	pair.MustAppend(Int(int64(pair.Len())), String(lid), String(rid))
 }
 
-// PairID is one (left id, right id) candidate row for batch appends.
+// PairID is one (left id, right id) candidate pair.
 type PairID struct {
 	L, R string
 }
 
-// AppendPairs appends every id pair to a pair table with the conventional
-// schema in one call, assigning sequential _ids. It grows row storage as
-// append does, amortized over batches, and carves all cells from a single
-// backing allocation, so blocker inner loops pay about one allocation per
-// batch instead of two per pair. Chunk buffers appended in chunk order
-// through this call reproduce the serial AppendPair output exactly.
-func AppendPairs(pair *Table, ids []PairID) {
-	if len(ids) == 0 {
-		return
+// PredictedPairs returns a new pair table, registered in cat, holding in
+// order the pairs i of cand with y[i] == 1. y holds one label per pair.
+func PredictedPairs(name string, cand *Pairs, cat *Catalog, y []int) (*Table, error) {
+	if len(y) != cand.Len() {
+		return nil, fmt.Errorf("table: %d predictions for %d candidate pairs", len(y), cand.Len())
 	}
-	if pair.schema.Len() != 3 {
-		panic(fmt.Sprintf("table %q: AppendPairs needs the conventional 3-column pair schema, have %d columns", pair.name, pair.schema.Len()))
-	}
-	base := len(pair.rows)
-	pair.rows = slices.Grow(pair.rows, len(ids))
-	cells := make([]Value, 3*len(ids))
-	for k, id := range ids {
-		r := cells[3*k : 3*k+3 : 3*k+3]
-		r[0], r[1], r[2] = Int(int64(base+k)), String(id.L), String(id.R)
-		pair.rows = append(pair.rows, Row(r))
-	}
-}
-
-// PredictedPairs returns a new pair table holding, in order, the id pairs
-// of the rows i of cand with y[i] == 1 (SelectedPairs over those rows).
-func PredictedPairs(name string, cand *Table, cat *Catalog, y []int) (*Table, error) {
-	var rows []int
+	var idxs []int
 	for i, yi := range y {
 		if yi == 1 {
-			rows = append(rows, i)
+			idxs = append(idxs, i)
 		}
 	}
-	return SelectedPairs(name, cand, cat, rows)
-}
-
-// SelectedPairs returns a new pair table holding the id pairs of cand's
-// rows at the given indices, in that order, appended in one batch. cand
-// must be registered in cat; the result is registered over the same base
-// tables.
-func SelectedPairs(name string, cand *Table, cat *Catalog, rows []int) (*Table, error) {
-	meta, ok := cat.PairMeta(cand)
-	if !ok {
-		return nil, fmt.Errorf("catalog: pair %q: not registered", cand.Name())
-	}
-	out, err := NewPairTable(name, meta.LTable, meta.RTable, cat)
-	if err != nil {
-		return nil, err
-	}
-	kept := make([]PairID, len(rows))
-	for k, i := range rows {
-		kept[k] = PairID{L: cand.Get(i, meta.LID).AsString(), R: cand.Get(i, meta.RID).AsString()}
-	}
-	AppendPairs(out, kept)
-	return out, nil
+	return cand.Select(idxs).Table(name, cat)
 }

@@ -2,102 +2,157 @@ package table
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 )
 
-// TestAppendPairsMatchesAppendPair: the batch API must leave the pair
-// table in exactly the state repeated AppendPair calls would, including
-// the sequential _id column, across multiple batches and empty batches.
-func TestAppendPairsMatchesAppendPair(t *testing.T) {
-	lt := New("L", StringSchema("id"))
-	rt := New("R", StringSchema("id"))
+// keyedTable is a one-column table keyed by id, holding the given ids.
+func keyedTable(t *testing.T, name string, ids ...string) *Table {
+	t.Helper()
+	tab := New(name, StringSchema("id"))
+	for _, id := range ids {
+		tab.MustAppend(String(id))
+	}
+	tab.MustSetKey("id")
+	return tab
+}
+
+// TestPairsTableMatchesAppendPair: Pairs.Table leaves the pair table in
+// exactly the state repeated AppendPair calls would, the sequential _id
+// column included, and registers it over the set's base tables.
+func TestPairsTableMatchesAppendPair(t *testing.T) {
+	var lids, rids []string
+	for i := 0; i < 57; i++ {
+		lids = append(lids, fmt.Sprintf("a%d", i))
+	}
+	for i := 0; i < 7; i++ {
+		rids = append(rids, fmt.Sprintf("b%d", i))
+	}
+	lt, rt := keyedTable(t, "L", lids...), keyedTable(t, "R", rids...)
 	one, err := NewPairTable("one", lt, rt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := NewPairTable("batch", lt, rt, nil)
+	var l, r []int32
+	for i := 0; i < 57; i++ {
+		AppendPair(one, lids[i], rids[i%7])
+		l, r = append(l, int32(i)), append(r, int32(i%7))
+	}
+	cat := NewCatalog()
+	built, err := NewPairs(lt, rt, l, r).Table("built", cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var ids []PairID
-	for i := 0; i < 57; i++ {
-		ids = append(ids, PairID{L: fmt.Sprintf("a%d", i), R: fmt.Sprintf("b%d", i%7)})
-	}
-	for _, id := range ids {
-		AppendPair(one, id.L, id.R)
-	}
-	// Split the same stream over several batches, with an empty batch in
-	// the middle — the shapes blocker shard merges produce.
-	AppendPairs(batch, ids[:20])
-	AppendPairs(batch, nil)
-	AppendPairs(batch, ids[20:21])
-	AppendPairs(batch, ids[21:])
-
-	requireSamePairs(t, one, batch)
-}
-
-// requireSamePairs fails unless batch holds one's rows and its _ids are
-// sequential ints.
-func requireSamePairs(t *testing.T, one, batch *Table) {
-	t.Helper()
-	if one.Len() != batch.Len() {
-		t.Fatalf("lengths differ: %d vs %d", one.Len(), batch.Len())
+	if one.Len() != built.Len() {
+		t.Fatalf("lengths differ: %d vs %d", one.Len(), built.Len())
 	}
 	for i := 0; i < one.Len(); i++ {
-		ra, rb := one.Row(i), batch.Row(i)
-		for j := range ra {
-			if ra[j].AsString() != rb[j].AsString() {
-				t.Fatalf("row %d col %d: %q vs %q", i, j, rb[j].AsString(), ra[j].AsString())
-			}
+		if got, want := built.Row(i), one.Row(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("row %d: %v, want %v", i, got, want)
 		}
 	}
-	for i := 0; i < batch.Len(); i++ {
-		if got := batch.Get(i, "_id").AsString(); got != fmt.Sprint(i) {
-			t.Fatalf("_id[%d] = %q", i, got)
-		}
+	if meta, ok := cat.PairMeta(built); !ok || meta.LTable != lt || meta.RTable != rt {
+		t.Fatalf("built table registered = %v over %v", ok, meta)
 	}
 }
 
-// TestAppendPairsAmortizesGrowth: many small batches, as the blockers'
-// chunks append them, grow row storage amortized — not once per batch to
-// the exact size — so a batch costs under two allocations.
-func TestAppendPairsAmortizesGrowth(t *testing.T) {
-	const batches, size = 64, 16
-	lt, rt := New("L", StringSchema("id")), New("R", StringSchema("id"))
-	ids := make([]PairID, batches*size)
-	for i := range ids {
-		ids[i] = PairID{L: fmt.Sprintf("a%d", i), R: fmt.Sprintf("b%d", i%7)}
+// TestQuickPairsRoundTrip: any Pairs over two keyed tables survives
+// Table then Catalog.Pairs unchanged; a row naming an id its base table
+// lacks is the catalog's FK error; and once a base table gains a row, the
+// set is refused by Validate and Table alike.
+func TestQuickPairsRoundTrip(t *testing.T) {
+	f := func(nl, nr uint8, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ids := func(prefix string, n int) []string {
+			out := make([]string, n)
+			for i := range out {
+				out[i] = fmt.Sprintf("%s%d", prefix, rng.Int63())
+			}
+			return out
+		}
+		lt, rt := keyedTable(t, "L", ids("l", int(nl%20)+1)...), keyedTable(t, "R", ids("r", int(nr%20)+1)...)
+		n := rng.Intn(60)
+		l, r := make([]int32, n), make([]int32, n)
+		for i := range l {
+			l[i], r[i] = int32(rng.Intn(lt.Len())), int32(rng.Intn(rt.Len()))
+		}
+		p := NewPairs(lt, rt, slices.Clone(l), slices.Clone(r))
+		cat := NewCatalog()
+		tab, err := p.Table("C", cat)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		back, err := cat.Pairs(tab)
+		if err != nil || back.LTable != lt || back.RTable != rt || !slices.Equal(back.L, l) || !slices.Equal(back.R, r) || back.Validate() != nil {
+			t.Logf("round trip: %v", err)
+			return false
+		}
+
+		AppendPair(tab, "ghost", rt.Get(0, "id").AsString())
+		want := fmt.Sprintf(`catalog: pair "C" row %d: left id "ghost" not in "L" — FK constraint violated`, n)
+		if _, err := cat.Pairs(tab); err == nil || err.Error() != want {
+			t.Logf("dangling id: %v; want %q", err, want)
+			return false
+		}
+
+		rt.MustAppend(String("late"))
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "the tables now have") {
+			t.Logf("resized base: Validate %v", err)
+			return false
+		}
+		if _, err := p.Table("stale", nil); err == nil {
+			t.Log("resized base: Table built a table")
+			return false
+		}
+		return true
 	}
-	one, err := NewPairTable("one", lt, rt, nil)
-	if err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		AppendPair(one, id.L, id.R)
+}
+
+// TestPairsValidateRange: a set naming a row outside its base tables is
+// refused with an FK error, and Select keeps the rows it picks, in order,
+// with the base tables' row counts the set was made over.
+func TestPairsValidateRange(t *testing.T) {
+	lt, rt := keyedTable(t, "L", "a", "b"), keyedTable(t, "R", "x")
+	for _, bad := range []*Pairs{NewPairs(lt, rt, []int32{0, 2}, []int32{0, 0}), NewPairs(lt, rt, []int32{1}, []int32{-1})} {
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "FK constraint violated") {
+			t.Errorf("%v × %v: Validate %v, want the FK error", bad.L, bad.R, err)
+		}
 	}
-	var batch *Table
-	allocs := testing.AllocsPerRun(10, func() {
-		if batch, err = NewPairTable("batch", lt, rt, nil); err != nil {
-			t.Fatal(err)
-		}
-		for b := 0; b < batches; b++ {
-			AppendPairs(batch, ids[b*size:(b+1)*size])
-		}
-	})
-	requireSamePairs(t, one, batch)
-	if allocs >= 2*batches {
-		t.Fatalf("%v allocations for %d batches, want under 2 a batch", allocs, batches)
+	p := NewPairs(lt, rt, []int32{0, 1, 1}, []int32{0, 0, 0})
+	sel := p.Select([]int{2, 0})
+	if !slices.Equal(sel.L, []int32{1, 0}) || !slices.Equal(sel.R, []int32{0, 0}) || sel.Validate() != nil {
+		t.Fatalf("Select: %v × %v", sel.L, sel.R)
+	}
+	if lid, rid := sel.IDs(0); lid != "b" || rid != "x" {
+		t.Fatalf("IDs(0) = %q, %q", lid, rid)
+	}
+	lt.MustAppend(String("c"))
+	if sel.Validate() == nil {
+		t.Fatal("a selection outlived its base table's resize")
 	}
 }
 
-// TestAppendPairsRejectsWrongSchema: the batch writer refuses tables that
-// do not use the conventional 3-column pair schema.
-func TestAppendPairsRejectsWrongSchema(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on non-pair schema")
+// TestPredictedPairsLength: one label per candidate pair or an error — a
+// longer y is not an index panic and a shorter one does not drop the tail.
+func TestPredictedPairsLength(t *testing.T) {
+	lt, rt := keyedTable(t, "L", "a", "b"), keyedTable(t, "R", "x")
+	cand := NewPairs(lt, rt, []int32{0, 1}, []int32{0, 0})
+	cat := NewCatalog()
+	for _, y := range [][]int{{1}, {1, 0, 1}} {
+		if _, err := PredictedPairs("m", cand, cat, y); err == nil || err.Error() != fmt.Sprintf("table: %d predictions for 2 candidate pairs", len(y)) {
+			t.Errorf("%d labels: %v", len(y), err)
 		}
-	}()
-	AppendPairs(New("bad", StringSchema("x", "y")), []PairID{{L: "a", R: "b"}})
+	}
+	m, err := PredictedPairs("m", cand, cat, []int{0, 1})
+	if err != nil || m.Len() != 1 || m.Get(0, "ltable_id").AsString() != "b" || m.Get(0, "_id").AsString() != "0" {
+		t.Fatalf("PredictedPairs: %v, %v", m, err)
+	}
 }

@@ -448,15 +448,11 @@ func TestCatalogPairLifecycle(t *testing.T) {
 	if err := cat.ValidatePair(pair); err == nil {
 		t.Fatal("want FK violation after dangling id")
 	}
-	cat.Drop(pair)
-	if err := cat.ValidatePair(pair); err == nil {
-		t.Fatal("want not-registered error after drop")
-	}
 }
 
-// TestPairRows: PairRows resolves every pair to its two base-table rows,
-// and where the foreign keys do not hold it fails with ValidatePair's
-// error, word for word.
+// TestPairRows: Catalog.Pairs resolves every pair to its two base-table
+// rows, and where the foreign keys do not hold it fails with
+// ValidatePair's error, word for word.
 func TestPairRows(t *testing.T) {
 	a := personTable(t)
 	b := personTable(t)
@@ -466,19 +462,19 @@ func TestPairRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := cat.PairRows(pair)
-	if err != nil || rows == nil || len(rows) != 0 {
-		t.Fatalf("zero-row pair table: %v, %v; want an empty slice", rows, err)
+	rows, err := cat.Pairs(pair)
+	if err != nil || rows.Len() != 0 || rows.LTable != a || rows.RTable != b {
+		t.Fatalf("zero-row pair table: %v, %v; want an empty set over A, B", rows, err)
 	}
 	AppendPair(pair, "a1", "a2")
 	AppendPair(pair, "a3", "a1")
 	AppendPair(pair, "a3", "a3")
-	rows, err = cat.PairRows(pair)
+	rows, err = cat.Pairs(pair)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := [][2]int32{{0, 1}, {2, 0}, {2, 2}}; !reflect.DeepEqual(rows, want) {
-		t.Fatalf("rows %v, want %v", rows, want)
+	if wantL, wantR := []int32{0, 2, 2}, []int32{1, 0, 2}; !reflect.DeepEqual(rows.L, wantL) || !reflect.DeepEqual(rows.R, wantR) {
+		t.Fatalf("rows %v × %v, want %v × %v", rows.L, rows.R, wantL, wantR)
 	}
 
 	for _, tc := range []struct {
@@ -495,8 +491,8 @@ func TestPairRows(t *testing.T) {
 			AppendPair(bad, pair.Get(i, "ltable_id").AsString(), pair.Get(i, "rtable_id").AsString())
 		}
 		AppendPair(bad, tc.lid, tc.rid)
-		if rows, err := cat.PairRows(bad); err == nil || err.Error() != tc.want || rows != nil {
-			t.Errorf("PairRows: %v, %v; want error %q", rows, err, tc.want)
+		if rows, err := cat.Pairs(bad); err == nil || err.Error() != tc.want || rows != nil {
+			t.Errorf("Pairs: %v, %v; want error %q", rows, err, tc.want)
 		}
 		if err := cat.ValidatePair(bad); err == nil || err.Error() != tc.want {
 			t.Errorf("ValidatePair: %v; want %q", err, tc.want)
@@ -505,7 +501,7 @@ func TestPairRows(t *testing.T) {
 
 	orphan := New("X", DefaultPairSchema())
 	want := `catalog: pair "X": not registered`
-	if _, err := cat.PairRows(orphan); err == nil || err.Error() != want {
+	if _, err := cat.Pairs(orphan); err == nil || err.Error() != want {
 		t.Errorf("unregistered: %v; want %q", err, want)
 	}
 	if err := cat.ValidatePair(orphan); err == nil || err.Error() != want {
