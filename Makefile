@@ -21,14 +21,10 @@ vet:
 # sweep over ./internal/... and ./cmd/... that `make test` also runs, the
 # analyzers' fixtures, and the DESIGN.md table held to the suite. Fails
 # with file:line diagnostics on any violation; suppress deliberate
-# exceptions with //emlint:allow. The suite includes escapecheck, which
-# compiles each //emlint:zeroalloc / //emlint:hotpath package with
-# -gcflags=-m=2 and fails on any escape or inlining regression not
-# grandfathered by lint/escape_baseline.json, and allocguard, which
-# requires every zeroalloc function to carry a testing.AllocsPerRun guard.
-# After a deliberate change (or a Go toolchain bump), refresh the baseline
-# with:
-#   $(GO) test ./internal/analysis -run TestRepoInvariantsClean -update-baseline
+# exceptions with //emlint:allow. allocguard requires every
+# //emlint:zeroalloc function to be measured by a testing.AllocsPerRun
+# guard; inlinecheck asks the compiler (-gcflags=-m=2) whether every
+# //emlint:hotpath function still inlines.
 lint:
 	$(GO) test -count=1 -run 'TestRepoInvariantsClean|TestFixtures|TestDesignTableNamesSuite' ./internal/analysis
 

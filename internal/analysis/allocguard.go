@@ -5,42 +5,33 @@ import (
 	"go/types"
 )
 
-// AllocGuard enforces the dynamic half of the zeroalloc contract: every
-// //emlint:zeroalloc function must be pinned by a testing.AllocsPerRun
-// guard somewhere in the package's tests. escapecheck proves the compiler
-// currently sees no escapes; the AllocsPerRun guard keeps the property
-// true at runtime across toolchain upgrades that escapecheck's baseline
-// might grandfather. A function counts as guarded when any test-file
-// function whose body calls testing.AllocsPerRun also calls it (directly
-// or inside the measured closure).
+// AllocGuard enforces the zeroalloc contract's one enforcer: every
+// //emlint:zeroalloc function must be measured by a testing.AllocsPerRun
+// guard in its package's tests. A function counts as measured when a test
+// function that calls testing.AllocsPerRun calls it inside a function
+// literal — the measured closure, or the table of closures it runs; a
+// warm-up or sanity call in the test body itself does not count.
 var AllocGuard = &Analyzer{
 	Name:  "allocguard",
 	Tests: true,
 	Run: func(pass *Pass) {
-		var contracts []contract
-		for _, c := range collectContracts(pass.Package, pass.Files) {
-			if c.zeroalloc {
-				contracts = append(contracts, c)
-			}
-		}
-		if len(contracts) == 0 {
-			return
-		}
-		guarded := guardedFuncs(pass)
-		for _, c := range contracts {
-			fn, _ := pass.Info.Defs[c.decl.Name].(*types.Func)
-			if fn == nil || guarded[fn] {
+		var guarded map[*types.Func]bool
+		for _, c := range collectContracts(pass.Files) {
+			if !c.zeroalloc {
 				continue
 			}
-			pass.Reportf(c.decl.Pos(), "zeroalloc function %s has no testing.AllocsPerRun guard in the package tests; add one (or drop the contract)", c.name())
+			if guarded == nil {
+				guarded = guardedFuncs(pass)
+			}
+			if fn, _ := pass.Info.Defs[c.decl.Name].(*types.Func); fn != nil && !guarded[fn] {
+				pass.Reportf(c.decl.Pos(), "zeroalloc function %s is not called inside a testing.AllocsPerRun guard's closures in the package tests; add it to one (or drop the contract)", c.name())
+			}
 		}
 	},
 }
 
-// guardedFuncs collects every function called from a test-file function
-// that also calls testing.AllocsPerRun. The whole body counts, not just
-// the measured closure: guards conventionally call the kernel once more
-// outside AllocsPerRun to sanity-check the result.
+// guardedFuncs collects every function called inside a function literal
+// of a test-file function that also calls testing.AllocsPerRun.
 func guardedFuncs(pass *Pass) map[*types.Func]bool {
 	guarded := make(map[*types.Func]bool)
 	for _, f := range pass.Files {
@@ -52,29 +43,37 @@ func guardedFuncs(pass *Pass) map[*types.Func]bool {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			var calls []*types.Func
+			var measured []*types.Func
 			hasGuard := false
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					ast.Inspect(n.Body, func(m ast.Node) bool {
+						if call, ok := m.(*ast.CallExpr); ok {
+							if fn := calleeFunc(pass.Info, call); fn != nil {
+								measured = append(measured, fn)
+								hasGuard = hasGuard || isAllocsPerRun(fn)
+							}
+						}
+						return true
+					})
+					return false
+				case *ast.CallExpr:
+					hasGuard = hasGuard || isAllocsPerRun(calleeFunc(pass.Info, n))
 				}
-				callee := calleeFunc(pass.Info, call)
-				if callee == nil {
-					return true
-				}
-				if callee.Name() == "AllocsPerRun" && callee.Pkg() != nil && callee.Pkg().Path() == "testing" {
-					hasGuard = true
-				}
-				calls = append(calls, callee)
 				return true
 			})
 			if hasGuard {
-				for _, c := range calls {
+				for _, c := range measured {
 					guarded[c] = true
 				}
 			}
 		}
 	}
 	return guarded
+}
+
+// isAllocsPerRun reports whether fn is testing.AllocsPerRun.
+func isAllocsPerRun(fn *types.Func) bool {
+	return fn != nil && fn.Name() == "AllocsPerRun" && fn.Pkg() != nil && fn.Pkg().Path() == "testing"
 }

@@ -54,8 +54,6 @@ func (s allowSet) allows(d Diagnostic) bool {
 // otherwise accepted silently forever. Directives for staleallow itself are
 // exempt: they exist to pin a deliberately-dormant directive and are used
 // precisely when nothing fires.
-//
-//emlint:allow hotalloc -- runs once per package at the end of a lint pass; not a hot path
 func (s allowSet) stale(executed map[string]bool) []Diagnostic {
 	known := make(map[string]bool)
 	for _, a := range All() {
@@ -82,10 +80,10 @@ func (s allowSet) stale(executed map[string]bool) []Diagnostic {
 // parseAllow extracts the check names from one directive comment, or nil
 // if the comment is not a directive.
 func parseAllow(text string) []string {
-	rest, ok := strings.CutPrefix(text, allowDirective)
-	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+	if !isDirective(text, allowDirective) {
 		return nil
 	}
+	rest := text[len(allowDirective):]
 	// Strip the justification ("-- why") and split the check list.
 	if i := strings.Index(rest, "--"); i >= 0 {
 		rest = rest[:i]

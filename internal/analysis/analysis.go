@@ -1,19 +1,16 @@
 // Package analysis is the repo's own static-analysis suite: a
 // dependency-free (go/parser + go/types, no golang.org/x/tools) framework
-// plus the six analyzers TestRepoInvariantsClean runs over every package
-// under ./internal/... and ./cmd/... inside `go test`. They enforce what
-// only a static check can hold — well-formed lock regions, no dropped
-// errors, no per-pair allocation in the hot path, and the
-// compiler-verified zeroalloc/hotpath contracts with their AllocsPerRun
-// guards — so the conventions of DESIGN.md §5–§6 and §10 survive codebase
-// growth instead of living only in documentation. DESIGN.md §7 holds the
-// one table of checks and why each stays.
+// plus the five analyzers TestRepoInvariantsClean runs over every package
+// under ./internal/... and ./cmd/... inside `go test`: well-formed lock
+// regions, no dropped errors, an AllocsPerRun guard for every zeroalloc
+// contract and the compiler's inlining verdict for every hotpath one.
+// DESIGN.md §7 holds the one table of checks and why each stays.
 //
 // Every diagnostic can be suppressed at a sanctioned call site with a
 // directive comment on the flagged line, the line directly above it, or in
 // the doc comment of the enclosing top-level declaration:
 //
-//	//emlint:allow hotalloc -- the size is data-dependent; nothing bounds it
+//	//emlint:allow errdrop -- the client hung up; nothing is left to report to
 //
 // The text after "--" is a required-by-convention human justification.
 package analysis
@@ -66,9 +63,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Analyzer struct {
 	// Name is the check name diagnostics carry and allow comments cite.
 	Name string
-	// Tests opts the analyzer into _test.go files. Checks about shipped
-	// hot paths and their contracts skip tests (tests allocate freely on
-	// small fixed inputs); correctness checks run everywhere.
+	// Tests opts the analyzer into _test.go files. The inlining check
+	// reads contracts on shipped code and skips tests; correctness checks
+	// and allocguard (whose guards live in tests) run everywhere.
 	Tests bool
 	// Run inspects pass.Files and reports through pass.Reportf.
 	Run func(pass *Pass)
@@ -79,8 +76,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AllocGuard,
 		ErrDrop,
-		EscapeCheck,
-		HotAlloc,
+		InlineCheck,
 		LockSafety,
 		StaleAllow,
 	}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -106,46 +105,37 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// zeroallocViolationSrc breaks its own //emlint:zeroalloc contract: the
-// local moves to the heap.
-const zeroallocViolationSrc = `package fx
-
-// Boxed promises zero allocations but returns the address of a local.
-//
-//emlint:zeroalloc
-func Boxed(n int) *int {
-	x := n + 1
-	return &x
-}
-`
-
-// TestEscapeCheckCatchesIntroducedEscape: in a temp module, an escaping
-// zeroalloc kernel fails escapecheck with the escape attributed to it.
+// TestEscapeCheckCatchesIntroducedEscape: in a temp module, an
+// //emlint:hotpath kernel pushed over the inlining budget — it escapes the
+// budget the contract promises — fails inlinecheck with the compiler's
+// refusal attributed to it, and its twin within the budget passes.
 func TestEscapeCheckCatchesIntroducedEscape(t *testing.T) {
-	l := tempModule(t, map[string]string{"fx/fx.go": zeroallocViolationSrc})
-	diags := sweep(t, l, []string{"./..."}, []*Analyzer{EscapeCheck})
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "moved to heap: x") {
-		t.Fatalf("escapecheck = %v, want the escape attributed to Boxed's contract", diags)
-	}
-}
+	l := tempModule(t, map[string]string{"fx/fx.go": `package fx
 
-// TestUpdateBaselineGrandfathers: rewriting the baseline accepts the
-// escaping kernel's fact, and the rerun passes.
-func TestUpdateBaselineGrandfathers(t *testing.T) {
-	l := tempModule(t, map[string]string{"fx/fx.go": zeroallocViolationSrc})
-	all := []string{"./..."}
-	if n := writeEscapeBaseline(t, l, all); n != 1 {
-		t.Fatalf("baseline accepted %d facts, want 1", n)
+// Small stays inlinable.
+//
+//emlint:hotpath
+func Small(a, b int) int { return a*b + 1 }
+
+// slow is a helper the compiler may not inline.
+//
+//go:noinline
+func slow(n int) int { return n * 3 }
+
+// Grown was Small until it gained a loop of calls to slow.
+//
+//emlint:hotpath
+func Grown(a, b int) int {
+	s := a*b + 1
+	for i := 0; i < b; i++ {
+		s += slow(i)*a + slow(s)
 	}
-	baseline, err := os.ReadFile(filepath.Join(l.Root, EscapeBaselinePath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(baseline), "Boxed") || !strings.Contains(string(baseline), "moved to heap: x") {
-		t.Fatalf("baseline missing the accepted fact:\n%s", baseline)
-	}
-	if diags := sweep(t, l, all, []*Analyzer{EscapeCheck}); len(diags) != 0 {
-		t.Fatalf("baselined rerun = %v, want clean", diags)
+	return s
+}
+`})
+	diags := sweep(t, l, []string{"./..."}, []*Analyzer{InlineCheck})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "hotpath contract of Grown violated: cannot inline Grown") {
+		t.Fatalf("inlinecheck = %v, want the refusal attributed to Grown's contract", diags)
 	}
 }
 
@@ -158,12 +148,12 @@ import "os"
 
 func Touch(name string) {
 	f, _ := os.Create(name) //emlint:allow errdrop -- fixture: scratch file
-	f.Close()               //emlint:allow hotalloc -- stale on purpose
+	f.Close()               //emlint:allow locksafety -- stale on purpose
 }
 `})
 	diags := sweep(t, l, []string{"./..."}, All())
-	if len(diags) != 1 || diags[0].Check != StaleAllow.Name || !strings.Contains(diags[0].Message, "hotalloc") {
-		t.Fatalf("full run = %v, want exactly the stale hotalloc directive", diags)
+	if len(diags) != 1 || diags[0].Check != StaleAllow.Name || !strings.Contains(diags[0].Message, "locksafety") {
+		t.Fatalf("full run = %v, want exactly the stale locksafety directive", diags)
 	}
 }
 
@@ -209,7 +199,7 @@ func TestParseAllow(t *testing.T) {
 		text string
 		want []string
 	}{
-		{"//emlint:allow hotalloc", []string{"hotalloc"}},
+		{"//emlint:allow errdrop", []string{"errdrop"}},
 		{"//emlint:allow a,b -- reason text", []string{"a", "b"}},
 		{"//emlint:allow a, b", []string{"a", "b"}},
 		{"// emlint:allow a", nil}, // not a directive: space after //

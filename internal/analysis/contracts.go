@@ -1,13 +1,9 @@
 // contracts.go is the performance-contract annotation layer: the
-// //emlint:zeroalloc and //emlint:hotpath directives functions opt into,
-// modeled on the //emlint:allow grammar (allow.go). A contract is a
-// machine-checkable promise about generated code rather than source
-// shape — zeroalloc promises the function body performs no heap
-// allocation, hotpath promises the function stays within the compiler's
-// inlining budget — and the escapecheck analyzer verifies both against
-// the compiler's own escape/inlining diagnostics (escape.go), while the
-// allocguard analyzer requires every zeroalloc function to also carry a
-// dynamic testing.AllocsPerRun guard somewhere in its package's tests.
+// //emlint:zeroalloc and //emlint:hotpath doc-comment directives, modeled
+// on the //emlint:allow grammar (allow.go). zeroalloc promises the function
+// allocates nothing per call, and allocguard requires a testing.AllocsPerRun
+// guard that measures it; hotpath promises the function stays within the
+// compiler's inlining budget, and inlinecheck asks the compiler.
 package analysis
 
 import (
@@ -22,15 +18,12 @@ const (
 	hotpathDirective   = "//emlint:hotpath"
 )
 
-// contract is one annotated function: the declaration, which promises it
-// makes, and its file/line extent (the range compiler diagnostics are
-// attributed against).
+// contract is one annotated function: the declaration and which promises
+// it makes.
 type contract struct {
 	decl      *ast.FuncDecl
 	zeroalloc bool
 	hotpath   bool
-	file      string
-	from, to  int // inclusive line range of the whole declaration
 }
 
 // name renders the function's diagnostic name: Func for package-level
@@ -61,29 +54,18 @@ func baseTypeName(e ast.Expr) string {
 	return ""
 }
 
-// parseContractDirective matches one comment line against the contract
-// directives; note text after a space (or a "-- reason") is ignored.
-func parseContractDirective(text string) (zeroalloc, hotpath bool) {
-	for _, d := range []struct {
-		prefix string
-		flag   *bool
-	}{
-		{zeroallocDirective, &zeroalloc},
-		{hotpathDirective, &hotpath},
-	} {
-		rest, ok := strings.CutPrefix(text, d.prefix)
-		if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
-			*d.flag = true
-		}
-	}
-	return zeroalloc, hotpath
+// isDirective reports whether a comment line is the directive, optionally
+// followed by a note after a space or tab.
+func isDirective(text, directive string) bool {
+	rest, ok := strings.CutPrefix(text, directive)
+	return ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t')
 }
 
 // collectContracts gathers the contract-annotated function declarations of
 // the given files. Only doc-comment directives count: a contract scopes a
 // whole function, never a line.
-func collectContracts(pkg *Package, files []*ast.File) []contract {
-	out := make([]contract, 0, len(files))
+func collectContracts(files []*ast.File) []contract {
+	var out []contract
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -92,18 +74,12 @@ func collectContracts(pkg *Package, files []*ast.File) []contract {
 			}
 			c := contract{decl: fd}
 			for _, line := range fd.Doc.List {
-				za, hp := parseContractDirective(line.Text)
-				c.zeroalloc = c.zeroalloc || za
-				c.hotpath = c.hotpath || hp
+				c.zeroalloc = c.zeroalloc || isDirective(line.Text, zeroallocDirective)
+				c.hotpath = c.hotpath || isDirective(line.Text, hotpathDirective)
 			}
-			if !c.zeroalloc && !c.hotpath {
-				continue
+			if c.zeroalloc || c.hotpath {
+				out = append(out, c)
 			}
-			start := pkg.Fset.Position(fd.Pos())
-			c.file = start.Filename
-			c.from = start.Line
-			c.to = pkg.Fset.Position(fd.End()).Line
-			out = append(out, c)
 		}
 	}
 	return out

@@ -1,5 +1,5 @@
 // dataflow.go is the lightweight intra-procedural layer the typed
-// analyzers (errdrop, hotalloc, locksafety) share. It is deliberately not
+// analyzers (errdrop, locksafety) share. It is deliberately not
 // a full CFG/SSA framework: analysis units are single function bodies,
 // function literals are independent units (a closure runs under its own
 // dynamic context), and facts are propagated by a single forward walk in

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"flag"
 	"go/ast"
 	"go/parser"
 	"os"
@@ -14,31 +13,16 @@ import (
 	"testing"
 )
 
-var updateBaseline = flag.Bool("update-baseline", false,
-	"rewrite "+EscapeBaselinePath+" from the current escapecheck facts instead of failing on new ones")
-
 // TestRepoInvariantsClean runs the full analyzer suite in cross-package
 // program mode over every package under ./internal/... and ./cmd/... and
-// requires zero diagnostics. A failure here means a lock, error, allocation
-// or performance-contract invariant regressed; fix the violation or add a
-// justified //emlint:allow directive. After a deliberate change to a
-// contract kernel (or a Go toolchain bump),
-//
-//	go test ./internal/analysis -run TestRepoInvariantsClean -update-baseline
-//
-// rewrites lint/escape_baseline.json from the compiler's current facts
-// before the sweep runs.
+// requires zero diagnostics. A failure here means a lock, error or
+// performance-contract invariant regressed; fix the violation or add a
+// justified //emlint:allow directive.
 func TestRepoInvariantsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo type check is slow; skipped in -short mode")
 	}
-	l := loader(t)
-	patterns := []string{"./internal/...", "./cmd/..."}
-	if *updateBaseline {
-		n := writeEscapeBaseline(t, l, patterns)
-		t.Logf("wrote %s: %d accepted fact(s)", EscapeBaselinePath, n)
-	}
-	diags := sweep(t, l, patterns, All())
+	diags := sweep(t, loader(t), []string{"./internal/...", "./cmd/..."}, All())
 	for _, d := range diags {
 		t.Error(d)
 	}
@@ -47,69 +31,27 @@ func TestRepoInvariantsClean(t *testing.T) {
 	}
 }
 
-// eachProgram loads every package the patterns expand to as the root of
-// its Program, as the sweep does, and hands it to visit.
-func eachProgram(t *testing.T, l *Loader, patterns []string, visit func(*Program)) {
+// sweep loads every package the patterns expand to as the root of its
+// Program, runs the analyzers over it and returns the diagnostics with
+// module-relative file names.
+func sweep(t *testing.T, l *Loader, patterns []string, analyzers []*Analyzer) []Diagnostic {
 	t.Helper()
 	paths, err := l.Expand(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out []Diagnostic
 	for _, path := range paths {
 		prog, err := l.LoadProgram(path)
 		if err != nil {
 			t.Fatalf("loading %s: %v", path, err)
 		}
-		visit(prog)
-	}
-}
-
-// sweep runs the analyzers over every package the patterns expand to and
-// returns the diagnostics with module-relative file names.
-func sweep(t *testing.T, l *Loader, patterns []string, analyzers []*Analyzer) []Diagnostic {
-	t.Helper()
-	var out []Diagnostic
-	eachProgram(t, l, patterns, func(prog *Program) {
 		for _, d := range runProgram(prog, analyzers) {
 			d.Pos.Filename = strings.TrimPrefix(d.Pos.Filename, l.Root+"/")
 			out = append(out, d)
 		}
-	})
-	return out
-}
-
-// writeEscapeBaseline records every current escapecheck fact of the
-// contract-annotated packages the patterns expand to as accepted, and
-// returns how many it wrote.
-func writeEscapeBaseline(t *testing.T, l *Loader, patterns []string) int {
-	t.Helper()
-	baseline, accepted := EscapeBaseline{}, 0
-	eachProgram(t, l, patterns, func(prog *Program) {
-		// Contracts annotate shipped code, as in the escapecheck pass.
-		var files []*ast.File
-		for _, f := range prog.Root.Files {
-			if !isTestFile(l.Fset, f) {
-				files = append(files, f)
-			}
-		}
-		rep, err := CollectEscapeReport(prog.Root, files)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep == nil {
-			return
-		}
-		for _, fn := range rep.Funcs {
-			for _, v := range fn.Violations {
-				baseline.record(rep.Package, fn.Name, v)
-				accepted++
-			}
-		}
-	})
-	if err := saveEscapeBaseline(filepath.Join(l.Root, EscapeBaselinePath), baseline); err != nil {
-		t.Fatal(err)
 	}
-	return accepted
+	return out
 }
 
 // sourceFile is one parsed non-test Go file of the module.

@@ -1,5 +1,5 @@
 // Package fixture exercises the allocguard analyzer: zeroalloc contracts
-// with and without a testing.AllocsPerRun guard in the package tests.
+// with and without a testing.AllocsPerRun guard that measures them.
 package fixture
 
 // Unguarded carries the contract but no test pins it.
@@ -11,4 +11,12 @@ func Unguarded(xs []int) int { // want allocguard
 		s += x
 	}
 	return s
+}
+
+// WarmedOnly is called by the guard test, but outside its measured
+// closure: nothing measures it.
+//
+//emlint:zeroalloc
+func WarmedOnly(xs []int) int { // want allocguard
+	return len(xs)
 }

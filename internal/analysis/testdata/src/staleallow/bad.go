@@ -7,7 +7,7 @@ package fixture
 
 import "sync"
 
-//emlint:allow hotalloc -- stale: nothing below allocates // want staleallow
+//emlint:allow errdrop -- stale: nothing below drops an error // want staleallow
 func quiet() int {
 	return 1
 }

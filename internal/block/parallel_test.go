@@ -165,6 +165,32 @@ func TestRuleFilterParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestRuleFilterAllocationsPerChunk: the rule filter allocates per record
+// and per chunk, never per candidate. Over a 57 600-pair cross product it
+// makes fewer than one allocation per four candidates (about 11 800), so
+// one allocation in its per-pair loop fails the test.
+func TestRuleFilterAllocationsPerChunk(t *testing.T) {
+	a, b := parallelTables(t, 240)
+	fs, err := feature.AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs rules.RuleSet
+	rs.Add(rules.MustParse("drop_dissimilar_names", "jaccard_3gram_name <= 0.2"))
+	cand, err := CrossBlocker{}.Pairs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, _, err := (RuleFilter{Rules: rs, Features: fs}).Filter(cand); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(cand.Len()/4) {
+		t.Fatalf("RuleFilter over %d candidates: %.0f allocations, budget %d", cand.Len(), allocs, cand.Len()/4)
+	}
+}
+
 // TestBlockIsPairsTable: every blocker's Block is its Pairs made a table —
 // the same rows, _ids included, at Workers 1 and 4 — and the set it
 // registers resolves back to those very Pairs through the catalog.

@@ -8,21 +8,25 @@ import (
 	"repro/internal/table"
 )
 
-// allocated returns the bytes fn allocates on the heap.
-func allocated(fn func()) uint64 {
+// allocated returns the bytes and the number of heap objects fn allocates.
+func allocated(fn func()) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
 // TestFigure2AllocationBudget gates what BenchmarkWorkflowExecute and
-// BenchmarkTryBlockers print: one Execute at the production shape
-// allocates at most 115 MB, and the guide's blocker trial plus Block at
-// most 80 MB. A candidate set is row indices until a user reads a pair
-// table (table.Pairs); a pass that went back to building pair tables for
-// its own use would allocate some 170 MB and 120 MB.
+// BenchmarkTryBlockers print, in bytes and in allocations: one Execute at
+// the production shape allocates at most 115 MB in 365 000 objects, and
+// the guide's blocker trial plus Block at most 80 MB in 68 000. A
+// candidate set is row indices until a user reads a pair table
+// (table.Pairs); a pass that went back to building pair tables for its
+// own use would allocate some 170 MB and 120 MB. The count catches what
+// the bytes cannot: one small allocation per candidate pair (a
+// fmt.Sprint in feature extraction's pair loop) adds 5 MB but 650 000
+// objects.
 func TestFigure2AllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the race runtime's")
@@ -32,21 +36,24 @@ func TestFigure2AllocationBudget(t *testing.T) {
 	down, blockers := figure2Blockers(t, task)
 	oracle := label.NewOracle(task.Gold)
 	for _, c := range []struct {
-		name   string
-		budget uint64
-		fn     func()
+		name           string
+		bytes, objects uint64
+		fn             func()
 	}{
-		{"Workflow.Execute", 115e6, func() {
+		{"Workflow.Execute", 115e6, 365e3, func() {
 			if _, err := wf.Execute(task.A, task.B, table.NewCatalog()); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"TryBlockers + Block", 80e6, func() { tryAndBlock(t, down, blockers, oracle) }},
+		{"TryBlockers + Block", 80e6, 68e3, func() { tryAndBlock(t, down, blockers, oracle) }},
 	} {
-		got := allocated(c.fn)
-		t.Logf("%s: %.1f MB allocated, budget %.0f MB", c.name, float64(got)/1e6, float64(c.budget)/1e6)
-		if got > c.budget {
-			t.Errorf("%s allocated %.1f MB, over its %.0f MB budget", c.name, float64(got)/1e6, float64(c.budget)/1e6)
+		bytes, objects := allocated(c.fn)
+		t.Logf("%s: %.1f MB in %d allocations, budget %.0f MB in %d", c.name, float64(bytes)/1e6, objects, float64(c.bytes)/1e6, c.objects)
+		if bytes > c.bytes {
+			t.Errorf("%s allocated %.1f MB, over its %.0f MB budget", c.name, float64(bytes)/1e6, float64(c.bytes)/1e6)
+		}
+		if objects > c.objects {
+			t.Errorf("%s made %d allocations, over its budget of %d", c.name, objects, c.objects)
 		}
 	}
 }

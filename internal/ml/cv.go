@@ -81,7 +81,7 @@ func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand,
 	err := parallel.ForEach(cfg.workers, k, func(fi int) error {
 		stop := obs.StartTimer(rec, obs.CVFoldSeconds, obs.L("matcher", name))
 		defer stop()
-		testIdx := make([]int, 0, len(folds[fi])) //emlint:allow hotalloc -- two exact-size slices per CV fold; the fold's model fit dominates
+		testIdx := make([]int, 0, len(folds[fi]))
 		trainIdx := make([]int, 0, d.Len()-len(folds[fi]))
 		for fj, fold := range folds {
 			if fj == fi {
