@@ -7,9 +7,9 @@
 // CloudMatcher needs only 160–1200 questions per task (Table 2).
 //
 // It is the one label-acquisition module: the guide, Falcon (falcon.Run
-// and falcon.Smurf) and CloudMatcher's services take their overlap sample (OverlapSample), their
-// likely-match order (MeanFeatureOrder), their pool (PoolFromPairs) and
-// every budget-aware question (Pool.Ask) from here.
+// and falcon.Smurf) and CloudMatcher's services take their overlap sample
+// (OverlapSample), their likely-match order (MeanFeatureOrder) and every
+// budget-aware question (Pool.Ask) from here.
 package active
 
 import (
@@ -23,18 +23,20 @@ import (
 )
 
 // Pool is the unlabeled example pool: one feature vector per candidate
-// pair together with the pair ids used to phrase labeling questions.
+// pair, whose ids phrase the labeling questions.
 type Pool struct {
 	X     [][]float64
-	LIDs  []string
-	RIDs  []string
+	Pairs *table.Pairs
 	Names []string // feature names (optional)
 }
 
-// Validate checks the pool's parallel slices agree.
+// Validate checks the pool has one pair per vector.
 func (p *Pool) Validate() error {
-	if len(p.X) != len(p.LIDs) || len(p.X) != len(p.RIDs) {
-		return fmt.Errorf("active: pool shape mismatch: %d vectors, %d/%d ids", len(p.X), len(p.LIDs), len(p.RIDs))
+	if p.Pairs == nil {
+		return fmt.Errorf("active: pool has no pairs")
+	}
+	if len(p.X) != p.Pairs.Len() {
+		return fmt.Errorf("active: pool shape mismatch: %d vectors, %d pairs", len(p.X), p.Pairs.Len())
 	}
 	return nil
 }
@@ -42,26 +44,11 @@ func (p *Pool) Validate() error {
 // Len returns the pool size.
 func (p *Pool) Len() int { return len(p.X) }
 
-// PoolFromPairs builds the pool over a pair table registered in cat, whose
-// rows x scores one for one.
-func PoolFromPairs(pairs *table.Table, cat *table.Catalog, x [][]float64, names []string) (*Pool, error) {
-	meta, ok := cat.PairMeta(pairs)
-	if !ok {
-		return nil, fmt.Errorf("active: %q is not a registered pair table", pairs.Name())
-	}
-	pool := &Pool{X: x, Names: names, LIDs: make([]string, pairs.Len()), RIDs: make([]string, pairs.Len())}
-	for i := range pool.LIDs {
-		pool.LIDs[i] = pairs.Get(i, meta.LID).AsString()
-		pool.RIDs[i] = pairs.Get(i, meta.RID).AsString()
-	}
-	return pool, pool.Validate()
-}
-
 // Ask puts pool pair i to the labeler. answered is false when lab is a
 // *label.Budgeted that refused the question for lack of budget: the false
 // it returned is nobody's answer, so the caller drops it and stops asking.
 func (p *Pool) Ask(lab label.Labeler, i int) (match, answered bool) {
-	match = lab.Label(p.LIDs[i], p.RIDs[i])
+	match = lab.Label(p.Pairs.IDs(i))
 	if b, ok := lab.(*label.Budgeted); ok && b.Exhausted() != nil {
 		return false, false
 	}

@@ -3,19 +3,39 @@ package active
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/label"
 	"repro/internal/ml"
 	"repro/internal/simjoin"
+	"repro/internal/table"
 )
+
+// diagonalPairs pairs row i of a table of ids a0…a(n-1) with row i of a
+// table of ids b0…b(n-1).
+func diagonalPairs(n int) *table.Pairs {
+	keyed := func(prefix string) *table.Table {
+		t := table.New(prefix, table.StringSchema("id"))
+		for i := 0; i < n; i++ {
+			t.MustAppend(table.String(fmt.Sprintf("%s%d", prefix, i)))
+		}
+		t.MustSetKey("id")
+		return t
+	}
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return table.NewPairs(keyed("a"), keyed("b"), rows, slices.Clone(rows))
+}
 
 // simPool builds a pool whose single feature cleanly separates matches
 // (feature near 1) from non-matches (near 0), with gold truth to drive the
 // oracle. ratio controls the match fraction.
 func simPool(n int, ratio float64, seed int64) (*Pool, *label.Gold) {
 	rng := rand.New(rand.NewSource(seed))
-	pool := &Pool{Names: []string{"sim"}}
+	pool := &Pool{Names: []string{"sim"}, Pairs: diagonalPairs(n)}
 	gold := label.NewGold(nil)
 	for i := 0; i < n; i++ {
 		lid := fmt.Sprintf("a%d", i)
@@ -29,8 +49,6 @@ func simPool(n int, ratio float64, seed int64) (*Pool, *label.Gold) {
 			f = 0.3 * rng.Float64()
 		}
 		pool.X = append(pool.X, []float64{f})
-		pool.LIDs = append(pool.LIDs, lid)
-		pool.RIDs = append(pool.RIDs, rid)
 	}
 	return pool, gold
 }
@@ -46,7 +64,7 @@ func TestLearnSeparableProblem(t *testing.T) {
 	wrong := 0
 	for i := range pool.X {
 		pred := ml.Predict(res.Forest, pool.X[i]) == 1
-		if pred != gold.IsMatch(pool.LIDs[i], pool.RIDs[i]) {
+		if pred != gold.IsMatch(pool.Pairs.IDs(i)) {
 			wrong++
 		}
 	}
@@ -76,7 +94,7 @@ func TestLearnSkewedPoolFindsPositives(t *testing.T) {
 	}
 	found := 0
 	for i := range pool.X {
-		if gold.IsMatch(pool.LIDs[i], pool.RIDs[i]) && ml.Predict(res.Forest, pool.X[i]) == 1 {
+		if gold.IsMatch(pool.Pairs.IDs(i)) && ml.Predict(res.Forest, pool.X[i]) == 1 {
 			found++
 		}
 	}
@@ -107,7 +125,7 @@ func TestLearnKeepsOnlyGivenAnswers(t *testing.T) {
 	pool, gold := simPool(500, 0.2, 4)
 	truth := make(map[float64]int, pool.Len()) // the one feature identifies the pair
 	for i, x := range pool.X {
-		if gold.IsMatch(pool.LIDs[i], pool.RIDs[i]) {
+		if gold.IsMatch(pool.Pairs.IDs(i)) {
 			truth[x[0]] = 1
 		} else {
 			truth[x[0]] = 0
@@ -142,12 +160,13 @@ func TestOverlapSampleRespectsSize(t *testing.T) {
 		}
 		return out
 	}
-	pairs := OverlapSample(recs("a"), recs("b"), nil, 50, rand.New(rand.NewSource(1)))
-	if len(pairs) != 50 {
-		t.Errorf("sample size = %d, want 50", len(pairs))
+	ls, rs := OverlapSample(recs("a"), recs("b"), nil, 50, rand.New(rand.NewSource(1)))
+	if len(ls) != 50 || len(rs) != 50 {
+		t.Errorf("sample size = %d × %d, want 50", len(ls), len(rs))
 	}
-	seen := map[[2]string]bool{}
-	for _, p := range pairs {
+	seen := map[[2]int32]bool{}
+	for k := range ls {
+		p := [2]int32{ls[k], rs[k]}
 		if seen[p] {
 			t.Fatalf("duplicate sampled pair %v", p)
 		}
@@ -162,7 +181,7 @@ func TestLearnEmptyPool(t *testing.T) {
 }
 
 func TestPoolValidate(t *testing.T) {
-	p := &Pool{X: [][]float64{{1}}, LIDs: []string{"a"}} // missing RIDs
+	p := &Pool{X: [][]float64{{1}, {2}}, Pairs: diagonalPairs(1)} // one pair short
 	if err := p.Validate(); err == nil {
 		t.Fatal("want shape-mismatch error")
 	}
@@ -186,12 +205,10 @@ func TestLearnTinyPool(t *testing.T) {
 func TestLearnStopsWhenUnanimous(t *testing.T) {
 	// All features identical: after the seed, entropy is zero everywhere
 	// and the loop must stop before MaxRounds.
-	pool := &Pool{Names: []string{"f"}}
+	pool := &Pool{Names: []string{"f"}, Pairs: diagonalPairs(200)}
 	gold := label.NewGold(nil)
 	for i := 0; i < 200; i++ {
 		pool.X = append(pool.X, []float64{0.5})
-		pool.LIDs = append(pool.LIDs, fmt.Sprintf("a%d", i))
-		pool.RIDs = append(pool.RIDs, fmt.Sprintf("b%d", i))
 	}
 	oracle := label.NewOracle(gold)
 	res, err := Learn(pool, oracle, Config{Seed: 1, MaxRounds: 50})
@@ -236,7 +253,7 @@ func TestLearnWithNoisyLabeler(t *testing.T) {
 	// Still learns something despite 10% label noise.
 	correct := 0
 	for i := range pool.X {
-		if (ml.Predict(res.Forest, pool.X[i]) == 1) == gold.IsMatch(pool.LIDs[i], pool.RIDs[i]) {
+		if (ml.Predict(res.Forest, pool.X[i]) == 1) == gold.IsMatch(pool.Pairs.IDs(i)) {
 			correct++
 		}
 	}

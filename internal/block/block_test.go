@@ -223,10 +223,6 @@ func TestBlackBoxBlocker(t *testing.T) {
 
 func TestRuleFilter(t *testing.T) {
 	a, b, cat := figure1Tables(t)
-	cand, err := CrossBlocker{}.Pairs(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fs, err := feature.AutoGenerate(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -234,11 +230,7 @@ func TestRuleFilter(t *testing.T) {
 	// Drop pairs with low whole-name q-gram similarity.
 	var rs rules.RuleSet
 	rs.Add(rules.MustParse("drop_dissimilar_names", "jaccard_3gram_name <= 0.2"))
-	filtered, dropped, err := RuleFilter{Rules: rs, Features: fs}.Filter(cand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := filtered.Table("filtered", cat)
+	out, err := RuleBlocker{Seed: CrossBlocker{}, Rules: rs, Features: fs}.Block(a, b, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,24 +241,17 @@ func TestRuleFilter(t *testing.T) {
 	if len(got) >= 6 {
 		t.Error("rule filter dropped nothing")
 	}
-	if dropped[0] != 6-out.Len() {
-		t.Errorf("dropped count = %v, candidates %d -> %d", dropped, 6, out.Len())
-	}
 }
 
 func TestRuleFilterUnknownFeature(t *testing.T) {
 	a, b, _ := figure1Tables(t)
-	cand, err := CrossBlocker{}.Pairs(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fs, err := feature.AutoGenerate(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rs rules.RuleSet
 	rs.Add(rules.MustParse("bad", "no_such_feature <= 0.2"))
-	if _, _, err := (RuleFilter{Rules: rs, Features: fs}).Filter(cand); err == nil {
+	if _, err := (RuleBlocker{Seed: CrossBlocker{}, Rules: rs, Features: fs}).Pairs(a, b); err == nil {
 		t.Fatal("want unknown-feature error")
 	}
 }

@@ -13,6 +13,12 @@ import (
 	"repro/internal/table"
 )
 
+// appendPair appends one (lid, rid) candidate to a pair table with the
+// conventional schema and the next sequential _id.
+func appendPair(pair *table.Table, lid, rid string) {
+	pair.MustAppend(table.Int(int64(pair.Len())), table.String(lid), table.String(rid))
+}
+
 // debugBlockerOracle is the blocking debugger as one loop, kept as the
 // reference Debugger.Missed is held to: probe every left tuple, skip the
 // pairs cand holds through a string-keyed map, score the rest and sort
@@ -163,7 +169,7 @@ func TestMissedTinyTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range [][2]string{{"a9", "b2"}, {"a2", "b3"}, {"a10", "b1"}, {"a9", "b2"}} {
-		table.AppendPair(some, p[0], p[1])
+		appendPair(some, p[0], p[1])
 	}
 	cands := []*table.Table{empty, some}
 	for _, blk := range []Blocker{CrossBlocker{}, OverlapBlocker{Attr: "name"}, AttrEquivalenceBlocker{Attr: "name"}} {
@@ -193,8 +199,8 @@ func TestMissedForeignKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table.AppendPair(p, "a1", "b1")
-	table.AppendPair(p, "a404", "b2")
+	appendPair(p, "a1", "b1")
+	appendPair(p, "a404", "b2")
 	if _, err := DebugBlocker(p, cat, 10); err == nil || !strings.Contains(err.Error(), "FK constraint violated") {
 		t.Fatalf("DebugBlocker over a dangling id: err = %v, want the FK error", err)
 	}
@@ -224,7 +230,7 @@ func TestEvalAgainstGoldDuplicatesAndStrays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range [][2]string{{"a1", "b1"}, {"a1", "b1"}, {"a2", "b2"}, {"a3", "b2"}} {
-		table.AppendPair(p, q[0], q[1])
+		appendPair(p, q[0], q[1])
 	}
 	gold := [][2]string{{"a1", "b1"}, {"a3", "b2"}, {"a1", "b1"}, {"zz", "b1"}, {"a2", "nope"}}
 	st, err := EvalAgainstGold(p, cat, gold)

@@ -1,6 +1,8 @@
 package block
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -127,8 +129,8 @@ func withKnobs(blk Blocker, workers int, rec obs.Recorder) Blocker {
 	return blk
 }
 
-// TestRuleFilterParallelDeterminism checks the rule-based candidate filter:
-// kept pairs and per-rule drop counts must not depend on Workers.
+// TestRuleFilterParallelDeterminism checks the rule blocker's filter stage:
+// the kept pairs must not depend on Workers.
 func TestRuleFilterParallelDeterminism(t *testing.T) {
 	a, b := parallelTables(t, 240)
 	fs, err := feature.AutoGenerate(a, b)
@@ -137,38 +139,31 @@ func TestRuleFilterParallelDeterminism(t *testing.T) {
 	}
 	var rs rules.RuleSet
 	rs.Add(rules.MustParse("drop_dissimilar_names", "jaccard_3gram_name <= 0.2"))
-	runFilter := func(workers int) (*table.Table, []int) {
-		cand, err := OverlapBlocker{Attr: "name"}.Pairs(a, b)
+	seed := OverlapBlocker{Attr: "name"}
+	runFilter := func(workers int) *table.Table {
+		out, err := RuleBlocker{Seed: seed, Rules: rs, Features: fs, Workers: workers}.Block(a, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept, dropped, err := RuleFilter{Rules: rs, Features: fs, Workers: workers}.Filter(cand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := kept.Table("rule_filter", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, dropped
+		return out
 	}
-	serial, droppedSerial := runFilter(1)
-	if serial.Len() == 0 || droppedSerial[0] == 0 {
-		t.Fatalf("degenerate filter run: %d kept, dropped %v", serial.Len(), droppedSerial)
+	cand, err := seed.Pairs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := runFilter(1)
+	if serial.Len() == 0 || serial.Len() == cand.Len() {
+		t.Fatalf("degenerate filter run: %d of %d kept", serial.Len(), cand.Len())
 	}
 	for _, workers := range []int{0, 3} {
-		par, dropped := runFilter(workers)
-		requireSameTable(t, serial, par, "rule_filter")
-		if len(dropped) != len(droppedSerial) || dropped[0] != droppedSerial[0] {
-			t.Fatalf("workers=%d: dropped %v vs serial %v", workers, dropped, droppedSerial)
-		}
+		requireSameTable(t, serial, runFilter(workers), "rule_filter")
 	}
 }
 
-// TestRuleFilterAllocationsPerChunk: the rule filter allocates per record
-// and per chunk, never per candidate. Over a 57 600-pair cross product it
-// makes fewer than one allocation per four candidates (about 11 800), so
-// one allocation in its per-pair loop fails the test.
+// TestRuleFilterAllocationsPerChunk: the rule blocker allocates per record
+// and per chunk, never per candidate. Over a 57 600-pair cross-product seed
+// it makes fewer than one allocation per four candidates, so one
+// allocation in its per-pair loop fails the test.
 func TestRuleFilterAllocationsPerChunk(t *testing.T) {
 	a, b := parallelTables(t, 240)
 	fs, err := feature.AutoGenerate(a, b)
@@ -182,12 +177,97 @@ func TestRuleFilterAllocationsPerChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1, func() {
-		if _, _, err := (RuleFilter{Rules: rs, Features: fs}).Filter(cand); err != nil {
+		if _, err := (RuleBlocker{Seed: CrossBlocker{}, Rules: rs, Features: fs}).Pairs(a, b); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > float64(cand.Len()/4) {
-		t.Fatalf("RuleFilter over %d candidates: %.0f allocations, budget %d", cand.Len(), allocs, cand.Len()/4)
+		t.Fatalf("RuleBlocker over %d candidates: %.0f allocations, budget %d", cand.Len(), allocs, cand.Len()/4)
+	}
+}
+
+// TestRuleBlockerEqualsMatrixOracle: RuleBlocker.Pairs keeps exactly the
+// seed pairs on which no rule fires over the feature matrix of the
+// referenced features, the same indices in the same order, at Workers 1
+// and 4. The rule sets are random — 1–4 rules of 1–3 <=/> conjuncts, some
+// thresholds on the scores a null side gets — over tables with nulls,
+// under both missing policies.
+func TestRuleBlockerEqualsMatrixOracle(t *testing.T) {
+	task, err := datagen.Generate(datagen.Spec{
+		Name: "nulls", Domain: datagen.PersonDomain(),
+		SizeA: 100, SizeB: 100, MatchFraction: 0.4, Typo: 0.2, Missing: 0.3, Seed: 78,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := task.A, task.B
+	fs, err := feature.AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := WholeTupleOverlapBlocker{MinOverlap: 1}
+	cand, err := seed.Pairs(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	names := fs.Names()
+	mixed, byPolicy := 0, 0
+	for trial := 0; trial < 16; trial++ {
+		var rs rules.RuleSet
+		for r := rng.Intn(4); r >= 0; r-- {
+			rule := rules.Rule{Name: fmt.Sprintf("r%d", r)}
+			for c := rng.Intn(3); c >= 0; c-- {
+				p := rules.Predicate{Feature: names[rng.Intn(len(names))], Op: rules.LE, Value: []float64{0, 0.5, rng.Float64()}[rng.Intn(3)]}
+				if rng.Intn(2) == 0 {
+					p.Op = rules.GT
+				}
+				rule.Predicates = append(rule.Predicates, p)
+			}
+			rs.Add(rule)
+		}
+		var kept [2][]int32
+		for _, policy := range []feature.MissingPolicy{feature.MissingZero, feature.MissingNeutral} {
+			fs.Missing = policy
+			sub, err := fs.Subset(referencedFeatures(rs)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := feature.Vectors(sub, cand, feature.ExtractOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compiled, err := rules.CompileSet(rs, sub.Names())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keep []int
+			for i, row := range x {
+				if fired, _ := compiled.AnyFires(row); !fired {
+					keep = append(keep, i)
+				}
+			}
+			want := cand.Select(keep)
+			kept[policy] = want.L
+			if len(keep) > 0 && len(keep) < cand.Len() {
+				mixed++
+			}
+			for _, workers := range []int{1, 4} {
+				got, err := RuleBlocker{Seed: seed, Rules: rs, Features: fs, Workers: workers}.Pairs(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.L, want.L) || !slices.Equal(got.R, want.R) {
+					t.Fatalf("trial %d, policy %d, workers %d: %d pairs kept, the matrix keeps %d (rules %v)", trial, policy, workers, got.Len(), want.Len(), rs.Rules)
+				}
+			}
+		}
+		if !slices.Equal(kept[0], kept[1]) {
+			byPolicy++
+		}
+	}
+	if mixed < 8 || byPolicy < 4 {
+		t.Fatalf("only %d of 32 runs kept some pairs and dropped others, and %d of 16 rule sets kept different pairs under the two missing policies", mixed, byPolicy)
 	}
 }
 

@@ -14,11 +14,19 @@ import (
 	"repro/internal/table"
 )
 
-// vectors is the stored form of extracted feature matrices.
+// vectors is the stored form of extracted feature matrices: X scores the
+// pair table's rows one for one, and rows is that table as Catalog.Pairs
+// resolved it once, for every later service to read.
 type vectors struct {
 	X     [][]float64
 	Names []string
 	Pairs *table.Table
+	rows  *table.Pairs
+}
+
+// pool is the active-learning pool over the vectors' pairs.
+func (v *vectors) pool() *active.Pool {
+	return &active.Pool{X: v.X, Pairs: v.rows, Names: v.Names}
 }
 
 // labels is the stored form of a labeling round, aligned with a pair
@@ -174,15 +182,15 @@ func standardServices() []*Service {
 			if d.err != nil {
 				return nil, d.err
 			}
-			pairs, err := d.ctx.Catalog.Pairs(p)
+			rows, err := d.ctx.Catalog.Pairs(p)
 			if err != nil {
 				return nil, err
 			}
-			x, err := feature.Vectors(fs, pairs, feature.ExtractOptions{Metrics: d.ctx.Metrics})
+			x, err := feature.Vectors(fs, rows, feature.ExtractOptions{Metrics: d.ctx.Metrics})
 			if err != nil {
 				return nil, err
 			}
-			return d.put("out", "vectors", &vectors{X: x, Names: fs.Names(), Pairs: p}, fmt.Sprintf("%d vectors", len(x)))
+			return d.put("out", "vectors", &vectors{X: x, Names: fs.Names(), Pairs: p, rows: rows}, fmt.Sprintf("%d vectors", len(x)))
 		}),
 	}, {
 		Name: "label_pairs", Kind: KindUser,
@@ -223,11 +231,7 @@ func standardServices() []*Service {
 			if d.err != nil {
 				return nil, d.err
 			}
-			pairs, err := d.ctx.Catalog.Pairs(v.Pairs)
-			if err != nil {
-				return nil, err
-			}
-			matches, err := table.PredictedPairs("matches", pairs, d.ctx.Catalog, ml.PredictAll(model, v.X))
+			matches, err := table.PredictedPairs("matches", v.rows, d.ctx.Catalog, ml.PredictAll(model, v.X))
 			if err != nil {
 				return nil, err
 			}
@@ -277,11 +281,7 @@ func standardServices() []*Service {
 			if d.err != nil {
 				return nil, d.err
 			}
-			pool, err := active.PoolFromPairs(v.Pairs, d.ctx.Catalog, v.X, v.Names)
-			if err != nil {
-				return nil, err
-			}
-			kept := falcon.EvaluateRules(rs, pool, learned, d.ctx.Labeler, rand.New(rand.NewSource(d.ctx.Seed+3)))
+			kept := falcon.EvaluateRules(rs, v.pool(), learned, d.ctx.Labeler, rand.New(rand.NewSource(d.ctx.Seed+3)))
 			return d.put("out", "precise_rules", kept, fmt.Sprintf("%d/%d rules kept", kept.Len(), rs.Len()))
 		}),
 	}, {
@@ -295,7 +295,11 @@ func standardServices() []*Service {
 				return nil, d.err
 			}
 			seed := block.WholeTupleOverlapBlocker{MinOverlap: k, Metrics: d.ctx.Metrics}
-			cand, err := falcon.ExecuteRules(seed, rs, fs, at, bt, d.ctx.Catalog)
+			rows, err := falcon.ExecuteRules(seed, rs, fs, at, bt)
+			if err != nil {
+				return nil, err
+			}
+			cand, err := rows.Table("candidates", d.ctx.Catalog)
 			if err != nil {
 				return nil, err
 			}
@@ -325,11 +329,7 @@ func standardServices() []*Service {
 			if d.err != nil {
 				return nil, d.err
 			}
-			pool, err := active.PoolFromPairs(v.Pairs, d.ctx.Catalog, v.X, v.Names)
-			if err != nil {
-				return nil, err
-			}
-			res, err := active.Learn(pool, d.ctx.Labeler, cfg)
+			res, err := active.Learn(v.pool(), d.ctx.Labeler, cfg)
 			if err != nil {
 				return nil, err
 			}

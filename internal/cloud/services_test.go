@@ -138,11 +138,7 @@ func TestBlockingRulePipelineServices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := active.PoolFromPairs(v.Pairs, ctx.Catalog, v.X, v.Names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := falcon.EvaluateRules(rsv.(rules.RuleSet), pool, learned, label.NewOracle(task.Gold), rand.New(rand.NewSource(ctx.Seed+3)))
+	want := falcon.EvaluateRules(rsv.(rules.RuleSet), v.pool(), learned, label.NewOracle(task.Gold), rand.New(rand.NewSource(ctx.Seed+3)))
 	if kept, _ := ctx.Get("precise"); !reflect.DeepEqual(kept, want) {
 		t.Errorf("service kept %v, falcon.EvaluateRules keeps %v", kept, want)
 	}

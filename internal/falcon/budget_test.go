@@ -3,12 +3,32 @@ package falcon
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/active"
 	"repro/internal/label"
 	"repro/internal/rules"
+	"repro/internal/table"
 )
+
+// diagonalPairs pairs row i of a table of ids a0…a(n-1) with row i of a
+// table of ids b0…b(n-1).
+func diagonalPairs(n int) *table.Pairs {
+	keyed := func(prefix string) *table.Table {
+		t := table.New(prefix, table.StringSchema("id"))
+		for i := 0; i < n; i++ {
+			t.MustAppend(table.String(fmt.Sprintf("%s%d", prefix, i)))
+		}
+		t.MustSetKey("id")
+		return t
+	}
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return table.NewPairs(keyed("a"), keyed("b"), rows, slices.Clone(rows))
+}
 
 func maxQuestions(cfg active.Config) int {
 	seed := cfg.SeedSize
@@ -65,7 +85,7 @@ func TestFitBudgetTinyBudget(t *testing.T) {
 // non-match: a rule whose review the budget cuts short is not kept.
 func TestEvaluateRulesRefusalIsNoEvidence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pool := &active.Pool{Names: []string{"sim"}}
+	pool := &active.Pool{Names: []string{"sim"}, Pairs: diagonalPairs(300)}
 	gold := label.NewGold(nil)
 	for i := 0; i < 300; i++ {
 		lid, rid := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
@@ -75,8 +95,6 @@ func TestEvaluateRulesRefusalIsNoEvidence(t *testing.T) {
 			gold.Add(lid, rid)
 		}
 		pool.X = append(pool.X, []float64{f})
-		pool.LIDs = append(pool.LIDs, lid)
-		pool.RIDs = append(pool.RIDs, rid)
 	}
 	stage1, err := active.Learn(pool, label.NewOracle(gold), active.Config{Seed: 1})
 	if err != nil {

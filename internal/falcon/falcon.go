@@ -53,8 +53,9 @@ type Result struct {
 	CandidateRules rules.RuleSet
 	// BlockingRules is the subset confirmed precise and used to block.
 	BlockingRules rules.RuleSet
-	// Candidates is the blocked candidate set C.
-	Candidates *table.Table
+	// Candidates is the blocked candidate set C, as row indices into the
+	// input tables.
+	Candidates *table.Pairs
 	// Matches is the pair table of predicted matches.
 	Matches *table.Table
 	// Matcher is the stage-2 forest applied to C.
@@ -76,7 +77,7 @@ func (r *Result) TotalQuestions() int {
 
 // Run executes the end-to-end Falcon workflow on tables a and b with the
 // given labeler: the six steps of Figure 3, in order. The catalog receives
-// the intermediate pair tables.
+// the match table.
 func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (*Result, error) {
 	start := time.Now()
 	fs, err := feature.AutoGenerate(a, b)
@@ -96,7 +97,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 		cfg.Blocking = fitBudget(cfg.Blocking, budget.Remaining()*2/5)
 	}
 	before := lab.Stats().Questions
-	pool, stage1, err := learnOnSample(a, b, fs, lab, cat, cfg, rng)
+	pool, stage1, err := learnOnSample(a, b, fs, lab, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -114,22 +115,14 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	res.RuleQuestions = lab.Stats().Questions - before
 
 	// Step 5: execute the rules to produce the candidate set C.
-	c, err := ExecuteRules(block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, res.BlockingRules, fs, a, b, cat)
+	c, err := ExecuteRules(block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, res.BlockingRules, fs, a, b)
 	if err != nil {
 		return nil, fmt.Errorf("falcon: blocking: %w", err)
 	}
 	res.Candidates = c
 
 	// Step 6: active-learn the matcher on C and predict.
-	cp, err := cat.Pairs(c)
-	if err != nil {
-		return nil, err
-	}
-	cx, err := feature.Vectors(fs, cp, feature.ExtractOptions{})
-	if err != nil {
-		return nil, err
-	}
-	cpool, err := active.PoolFromPairs(c, cat, cx, fs.Names())
+	cx, err := feature.Vectors(fs, c, feature.ExtractOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -141,13 +134,13 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	if budgeted {
 		mcfg = fitBudget(mcfg, budget.Remaining())
 	}
-	stage2, err := active.Learn(cpool, lab, mcfg)
+	stage2, err := active.Learn(&active.Pool{X: cx, Pairs: c, Names: fs.Names()}, lab, mcfg)
 	if err != nil {
 		return nil, fmt.Errorf("falcon: matching stage: %w", err)
 	}
 	res.MatchingQuestions = lab.Stats().Questions - before
 	res.Matcher = stage2.Forest
-	res.Matches, err = table.PredictedPairs("falcon_matches", cp, cat, ml.PredictAll(stage2.Forest, cx))
+	res.Matches, err = table.PredictedPairs("falcon_matches", c, cat, ml.PredictAll(stage2.Forest, cx))
 	if err != nil {
 		return nil, err
 	}
@@ -158,23 +151,16 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 // learnOnSample is steps 1 and 2, which Run and Smurf share: sample S of
 // tuple pairs, score it on fs, and active-learn a forest on it with
 // cfg.Blocking (seeded cfg.Seed+1 unless set).
-func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cat *table.Catalog, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, error) {
-	sample, err := samplePairs(a, b, cat, cfg.sampleSize(), rng)
+func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, error) {
+	sample, err := samplePairs(a, b, cfg.sampleSize(), rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	sp, err := cat.Pairs(sample)
+	sx, err := feature.Vectors(fs, sample, feature.ExtractOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	sx, err := feature.Vectors(fs, sp, feature.ExtractOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	pool, err := active.PoolFromPairs(sample, cat, sx, fs.Names())
-	if err != nil {
-		return nil, nil, err
-	}
+	pool := &active.Pool{X: sx, Pairs: sample, Names: fs.Names()}
 	if cfg.Blocking.Seed == 0 {
 		cfg.Blocking.Seed = cfg.Seed + 1
 	}
@@ -186,14 +172,10 @@ func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cat *t
 }
 
 // samplePairs builds the stage-1 sample S: active.OverlapSample over the
-// whole-tuple token overlap of a and b, as a pair table.
-func samplePairs(a, b *table.Table, cat *table.Catalog, n int, rng *rand.Rand) (*table.Table, error) {
+// whole-tuple token overlap of a and b.
+func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (*table.Pairs, error) {
 	if a.Len() == 0 || b.Len() == 0 {
 		return nil, fmt.Errorf("falcon: empty input table")
-	}
-	sample, err := table.NewPairTable("falcon_sample", a, b, cat)
-	if err != nil {
-		return nil, err
 	}
 	// Every row's whole-tuple token set, keyed by the table key.
 	records := func(t *table.Table) []simjoin.Record {
@@ -209,10 +191,8 @@ func samplePairs(a, b *table.Table, cat *table.Catalog, n int, rng *rand.Rand) (
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range active.OverlapSample(lrecs, rrecs, joined, n, rng) {
-		table.AppendPair(sample, p[0], p[1])
-	}
-	return sample, nil
+	ls, rs := active.OverlapSample(lrecs, rrecs, joined, n, rng)
+	return table.NewPairs(a, b, ls, rs), nil
 }
 
 // sortByVoteDesc orders pool indices by the forest's match-vote fraction,
@@ -266,9 +246,11 @@ func fitBudget(cfg active.Config, q int) active.Config {
 // aggressive rules slip through; half the evaluation sample is therefore
 // taken from the fired pairs the stage-1 forest scores highest — the region
 // where a bad rule does its damage. Surviving rules are ranked by coverage
-// and capped at maxRules. A budgeted labeler is asked at most a third of
-// what it has left; its first refusal ends the evaluation, the rule under
-// review not kept.
+// and capped at maxRules. A budgeted labeler gets a third of what it has
+// left: no rule's review starts once that third is spent, but a review
+// under way finishes, so the stage can overshoot its third by fewer than
+// ruleEvalSamples questions. The labeler's first refusal ends the
+// evaluation, the rule under review not kept.
 func EvaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result, lab label.Labeler, rng *rand.Rand) rules.RuleSet {
 	questionBudget := 1 << 30
 	if budget, ok := lab.(*label.Budgeted); ok {
@@ -366,10 +348,10 @@ review:
 // When no precise rule survived it falls back to a tightened seed blocker
 // (one more shared token, at least 2) so the candidate set stays tractable
 // without rule pruning.
-func ExecuteRules(seed block.WholeTupleOverlapBlocker, rs rules.RuleSet, fs *feature.Set, a, b *table.Table, cat *table.Catalog) (*table.Table, error) {
+func ExecuteRules(seed block.WholeTupleOverlapBlocker, rs rules.RuleSet, fs *feature.Set, a, b *table.Table) (*table.Pairs, error) {
 	if rs.Len() > 0 {
-		return block.RuleBlocker{Seed: seed, Rules: rs, Features: fs, Metrics: seed.Metrics}.Block(a, b, cat)
+		return block.RuleBlocker{Seed: seed, Rules: rs, Features: fs, Metrics: seed.Metrics}.Pairs(a, b)
 	}
 	seed.MinOverlap = max(seed.MinOverlap+1, 2)
-	return seed.Block(a, b, cat)
+	return seed.Pairs(a, b)
 }

@@ -226,6 +226,32 @@ func TestRuleQuestionsAreCounted(t *testing.T) {
 	}
 }
 
+// TestRuleQuestionsBudgetBound: step 4 gets a third of what a budgeted
+// labeler has left, and a rule review under way finishes, so the stage
+// asks fewer than ruleEvalSamples questions past its third. On this cut of
+// Table 2's citations task (cap 500) the last review does overshoot.
+func TestRuleQuestionsBudgetBound(t *testing.T) {
+	task, err := datagen.Generate(datagen.Spec{
+		Name: "citations", Domain: datagen.CitationDomain(),
+		SizeA: 600, SizeB: 600, MatchFraction: 0.4, Typo: 0.2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cap = 500
+	res, err := Run(task.A, task.B, label.NewBudgeted(label.NewOracle(task.Gold), cap), table.NewCatalog(), Config{SampleSize: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	third := (cap - res.BlockingQuestions) / 3
+	if res.RuleQuestions >= third+ruleEvalSamples {
+		t.Errorf("rule review asked %d questions, a third of the budget is %d", res.RuleQuestions, third)
+	}
+	if res.RuleQuestions <= third {
+		t.Errorf("rule review asked %d of its %d: the run no longer exercises the overshoot", res.RuleQuestions, third)
+	}
+}
+
 // scoreMatches computes precision/recall of a predicted match pair table
 // against gold.
 func scoreMatches(matches *table.Table, gold *label.Gold) (p, r float64) {

@@ -38,7 +38,7 @@ func Smurf(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config)
 		return nil, err
 	}
 	before := lab.Stats().Questions
-	_, learned, err := learnOnSample(sa, sb, fs, lab, cat, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	_, learned, err := learnOnSample(sa, sb, fs, lab, cfg, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestSmurfPoolGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, _, err := learnOnSample(sa, sb, fs, label.NewOracle(task.Gold), table.NewCatalog(), Config{SampleSize: 1000, Seed: 1}, rand.New(rand.NewSource(1)))
+		pool, _, err := learnOnSample(sa, sb, fs, label.NewOracle(task.Gold), Config{SampleSize: 1000, Seed: 1}, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,8 @@ func TestSmurfPoolGolden(t *testing.T) {
 		digest := func(skip int) string {
 			var sb strings.Builder
 			for i, x := range pool.X {
-				fmt.Fprintf(&sb, "%s,%s", pool.LIDs[i], pool.RIDs[i])
+				lid, rid := pool.Pairs.IDs(i)
+				fmt.Fprintf(&sb, "%s,%s", lid, rid)
 				for j, v := range x {
 					if j != skip {
 						fmt.Fprintf(&sb, ",%016x", math.Float64bits(v))

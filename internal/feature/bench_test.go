@@ -37,7 +37,7 @@ func benchSetup(b *testing.B, pairs int) (*Set, *table.Table, *table.Catalog) {
 		b.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		table.AppendPair(p, fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+		appendPair(p, fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
 	}
 	fs, err := AutoGenerate(a, bt)
 	if err != nil {

@@ -61,7 +61,7 @@ func cacheTables(t *testing.T, rows int, seed int64) (*table.Table, *table.Table
 	for i := 0; i < rows; i++ {
 		// Random pairing (not just the diagonal) so cached rows are hit in
 		// mixed order and repeatedly.
-		table.AppendPair(pairs, fmt.Sprintf("a%d", rng.Intn(rows)), fmt.Sprintf("b%d", rng.Intn(rows)))
+		appendPair(pairs, fmt.Sprintf("a%d", rng.Intn(rows)), fmt.Sprintf("b%d", rng.Intn(rows)))
 	}
 	return a, b, pairs, cat
 }
@@ -152,7 +152,7 @@ func TestVectorsResolvesPairRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		table.AppendPair(bad, tc.lid, tc.rid)
+		appendPair(bad, tc.lid, tc.rid)
 		if _, err := tableVectors(s, bad, cat, ExtractOptions{}); err == nil || err.Error() != tc.want {
 			t.Errorf("dangling id: %v; want %q", err, tc.want)
 		}
@@ -174,7 +174,7 @@ func TestVectorsResolvesPairRows(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for pairs.Len() < 2*vectorsChunk+37 {
-		table.AppendPair(pairs, fmt.Sprintf("a%d", rng.Intn(a.Len())), fmt.Sprintf("b%d", rng.Intn(b.Len())))
+		appendPair(pairs, fmt.Sprintf("a%d", rng.Intn(a.Len())), fmt.Sprintf("b%d", rng.Intn(b.Len())))
 	}
 	want := stringPathVectors(t, s, pairs, cat)
 	for _, workers := range []int{0, 1} {

@@ -10,6 +10,12 @@ import (
 	"repro/internal/table"
 )
 
+// appendPair appends one (lid, rid) candidate to a pair table with the
+// conventional schema and the next sequential _id.
+func appendPair(pair *table.Table, lid, rid string) {
+	pair.MustAppend(table.Int(int64(pair.Len())), table.String(lid), table.String(rid))
+}
+
 func twoTables(t *testing.T) (*table.Table, *table.Table) {
 	t.Helper()
 	sch := table.MustSchema(
@@ -215,9 +221,9 @@ func TestVectorsFromPairTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table.AppendPair(pairs, "a1", "b1")
-	table.AppendPair(pairs, "a1", "b2")
-	table.AppendPair(pairs, "a2", "b2")
+	appendPair(pairs, "a1", "b1")
+	appendPair(pairs, "a1", "b2")
+	appendPair(pairs, "a2", "b2")
 	s, err := AutoGenerate(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +274,7 @@ func TestVectorsValidatesFK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table.AppendPair(pairs, "a1", "ghost") // dangling FK
+	appendPair(pairs, "a1", "ghost") // dangling FK
 	s, err := AutoGenerate(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -331,10 +337,10 @@ func TestVectorsBitIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table.AppendPair(pairs, "a1", "b1")
-	table.AppendPair(pairs, "a1", "b2")
-	table.AppendPair(pairs, "a2", "b1")
-	table.AppendPair(pairs, "a2", "b2")
+	appendPair(pairs, "a1", "b1")
+	appendPair(pairs, "a1", "b2")
+	appendPair(pairs, "a2", "b1")
+	appendPair(pairs, "a2", "b2")
 	s, err := AutoGenerate(a, b)
 	if err != nil {
 		t.Fatal(err)

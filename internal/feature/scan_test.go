@@ -349,7 +349,7 @@ func TestVectorsChunkedScan(t *testing.T) {
 	groups := 0
 	for li := 0; li < a.Len(); li++ {
 		for ri := 0; ri < b.Len(); ri++ {
-			table.AppendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
+			appendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
 			for _, attr := range []string{"name", "desc", "age"} {
 				if !a.Get(li, attr).IsNull() && !b.Get(ri, attr).IsNull() {
 					groups++
@@ -396,7 +396,7 @@ func TestSelectChunkedScan(t *testing.T) {
 	}
 	for li := 0; li < a.Len(); li++ {
 		for ri := 0; ri < b.Len(); ri++ {
-			table.AppendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
+			appendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
 		}
 	}
 	cand, err := cat.Pairs(pairs)

@@ -127,12 +127,6 @@ func NewPairTable(name string, lt, rt *Table, cat *Catalog) (*Table, error) {
 	return p, nil
 }
 
-// AppendPair appends one (lid, rid) candidate to a pair table with the
-// conventional schema, assigning a sequential _id.
-func AppendPair(pair *Table, lid, rid string) {
-	pair.MustAppend(Int(int64(pair.Len())), String(lid), String(rid))
-}
-
 // PairID is one (left id, right id) candidate pair.
 type PairID struct {
 	L, R string

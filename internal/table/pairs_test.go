@@ -21,8 +21,15 @@ func keyedTable(t *testing.T, name string, ids ...string) *Table {
 	return tab
 }
 
+// appendPair appends one (lid, rid) candidate to a pair table with the
+// conventional schema and the next sequential _id, as a tool writing the
+// table row by row would.
+func appendPair(pair *Table, lid, rid string) {
+	pair.MustAppend(Int(int64(pair.Len())), String(lid), String(rid))
+}
+
 // TestPairsTableMatchesAppendPair: Pairs.Table leaves the pair table in
-// exactly the state repeated AppendPair calls would, the sequential _id
+// exactly the state appending its rows one by one would, the sequential _id
 // column included, and registers it over the set's base tables.
 func TestPairsTableMatchesAppendPair(t *testing.T) {
 	var lids, rids []string
@@ -39,7 +46,7 @@ func TestPairsTableMatchesAppendPair(t *testing.T) {
 	}
 	var l, r []int32
 	for i := 0; i < 57; i++ {
-		AppendPair(one, lids[i], rids[i%7])
+		appendPair(one, lids[i], rids[i%7])
 		l, r = append(l, int32(i)), append(r, int32(i%7))
 	}
 	cat := NewCatalog()
@@ -93,7 +100,7 @@ func TestQuickPairsRoundTrip(t *testing.T) {
 			return false
 		}
 
-		AppendPair(tab, "ghost", rt.Get(0, "id").AsString())
+		appendPair(tab, "ghost", rt.Get(0, "id").AsString())
 		want := fmt.Sprintf(`catalog: pair "C" row %d: left id "ghost" not in "L" — FK constraint violated`, n)
 		if _, err := cat.Pairs(tab); err == nil || err.Error() != want {
 			t.Logf("dangling id: %v; want %q", err, want)

@@ -434,8 +434,8 @@ func TestCatalogPairLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	AppendPair(pair, "a1", "a2")
-	AppendPair(pair, "a3", "a1")
+	appendPair(pair, "a1", "a2")
+	appendPair(pair, "a3", "a1")
 	if err := cat.ValidatePair(pair); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -444,7 +444,7 @@ func TestCatalogPairLifecycle(t *testing.T) {
 		t.Fatal("pair meta missing")
 	}
 	// Simulate an outside tool deleting a base row: validation must fail.
-	AppendPair(pair, "missing", "a1")
+	appendPair(pair, "missing", "a1")
 	if err := cat.ValidatePair(pair); err == nil {
 		t.Fatal("want FK violation after dangling id")
 	}
@@ -466,9 +466,9 @@ func TestPairRows(t *testing.T) {
 	if err != nil || rows.Len() != 0 || rows.LTable != a || rows.RTable != b {
 		t.Fatalf("zero-row pair table: %v, %v; want an empty set over A, B", rows, err)
 	}
-	AppendPair(pair, "a1", "a2")
-	AppendPair(pair, "a3", "a1")
-	AppendPair(pair, "a3", "a3")
+	appendPair(pair, "a1", "a2")
+	appendPair(pair, "a3", "a1")
+	appendPair(pair, "a3", "a3")
 	rows, err = cat.Pairs(pair)
 	if err != nil {
 		t.Fatal(err)
@@ -488,9 +488,9 @@ func TestPairRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < pair.Len(); i++ {
-			AppendPair(bad, pair.Get(i, "ltable_id").AsString(), pair.Get(i, "rtable_id").AsString())
+			appendPair(bad, pair.Get(i, "ltable_id").AsString(), pair.Get(i, "rtable_id").AsString())
 		}
-		AppendPair(bad, tc.lid, tc.rid)
+		appendPair(bad, tc.lid, tc.rid)
 		if rows, err := cat.Pairs(bad); err == nil || err.Error() != tc.want || rows != nil {
 			t.Errorf("Pairs: %v, %v; want error %q", rows, err, tc.want)
 		}
