@@ -153,14 +153,7 @@ func TestLearnKeepsOnlyGivenAnswers(t *testing.T) {
 // TestOverlapSampleRespectsSize: with no joined pairs at all the sample is
 // topped up to n distinct random cross pairs.
 func TestOverlapSampleRespectsSize(t *testing.T) {
-	recs := func(prefix string) []simjoin.Record {
-		out := make([]simjoin.Record, 100)
-		for i := range out {
-			out[i].ID = fmt.Sprintf("%s%d", prefix, i)
-		}
-		return out
-	}
-	ls, rs := OverlapSample(recs("a"), recs("b"), nil, 50, rand.New(rand.NewSource(1)))
+	ls, rs := OverlapSample(100, 100, simjoin.Rows{}, 50, rand.New(rand.NewSource(1)))
 	if len(ls) != 50 || len(rs) != 50 {
 		t.Errorf("sample size = %d × %d, want 50", len(ls), len(rs))
 	}

@@ -15,6 +15,7 @@ package block
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
@@ -62,11 +63,11 @@ func (rs *rows) add(i, j int) {
 }
 
 // run is the one Pairs body. Both tables must declare keys; the call is
-// timed under BlockSeconds; the candidates gen produces — chunk by chunk,
-// in output order — are the set; and BlockPairsEmitted is recorded, with
-// BlockPairsConsidered beside it when gen reports how many pairs it
-// examined (negative: it kept no count — the join-backed blockers leave
-// that to em_simjoin_candidates_total).
+// timed under BlockSeconds; the shards gen produces, in output order, are
+// the set (a lone shard as it is, several copied once); and
+// BlockPairsEmitted is recorded, with BlockPairsConsidered beside it when
+// gen reports how many pairs it examined (negative: it kept no count — the
+// join-backed blockers leave that to em_simjoin_candidates_total).
 func (f frame) run(lt, rt *table.Table, gen func() (shards []rows, considered int, err error)) (*table.Pairs, error) {
 	if err := requireKeys(lt, rt); err != nil {
 		return nil, err
@@ -79,8 +80,14 @@ func (f frame) run(lt, rt *table.Table, gen func() (shards []rows, considered in
 		return nil, err
 	}
 	var all rows
-	for _, s := range shards {
-		all.l, all.r = append(all.l, s.l...), append(all.r, s.r...)
+	if len(shards) == 1 {
+		all = shards[0]
+	} else {
+		ls, rs := make([][]int32, len(shards)), make([][]int32, len(shards))
+		for k, s := range shards {
+			ls[k], rs[k] = s.l, s.r
+		}
+		all = rows{slices.Concat(ls...), slices.Concat(rs...)}
 	}
 	if considered >= 0 {
 		rec.Count(obs.BlockPairsConsidered, float64(considered), bl)

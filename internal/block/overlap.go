@@ -32,7 +32,7 @@ func (b OverlapBlocker) Name() string {
 // Pairs implements Blocker.
 func (b OverlapBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, attrRecords(b.Attr),
-		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
+		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error) {
 			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
 		})
 }
@@ -63,7 +63,7 @@ func (b JaccardBlocker) Name() string {
 // Pairs implements Blocker.
 func (b JaccardBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, attrRecords(b.Attr),
-		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
+		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error) {
 			return simjoin.JaccardJoin(l, r, b.Threshold, opts...)
 		})
 }
@@ -79,7 +79,7 @@ func (b JaccardBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.T
 // joined pairs are the candidate set.
 func (f frame) joinPairs(lt, rt *table.Table,
 	records func(*table.Table) ([]simjoin.Record, error),
-	join func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error)) (*table.Pairs, error) {
+	join func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error)) (*table.Pairs, error) {
 	return f.run(lt, rt, func() ([]rows, int, error) {
 		lrecs, err := records(lt)
 		if err != nil {
@@ -90,14 +90,7 @@ func (f frame) joinPairs(lt, rt *table.Table,
 			return nil, 0, err
 		}
 		joined, err := join(lrecs, rrecs, simjoin.WithWorkers(f.workers), simjoin.WithMetrics(f.metrics))
-		if err != nil {
-			return nil, 0, err
-		}
-		out := rows{make([]int32, len(joined)), make([]int32, len(joined))}
-		for i, p := range joined {
-			out.l[i], out.r[i] = p.L, p.R
-		}
-		return []rows{out}, -1, nil
+		return []rows{{joined.L, joined.R}}, -1, err
 	})
 }
 

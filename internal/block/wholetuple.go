@@ -32,7 +32,7 @@ func (b WholeTupleOverlapBlocker) Name() string {
 // Pairs implements Blocker.
 func (b WholeTupleOverlapBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, wholeTupleRecords,
-		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) ([]simjoin.Pair, error) {
+		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error) {
 			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
 		})
 }

@@ -19,11 +19,11 @@ func allocated(fn func()) (bytes, objects uint64) {
 
 // TestFigure2AllocationBudget gates what BenchmarkWorkflowExecute and
 // BenchmarkTryBlockers print, in bytes and in allocations: one Execute at
-// the production shape allocates at most 115 MB in 365 000 objects, and
-// the guide's blocker trial plus Block at most 80 MB in 68 000. A
-// candidate set is row indices until a user reads a pair table
-// (table.Pairs); a pass that went back to building pair tables for its
-// own use would allocate some 170 MB and 120 MB. The count catches what
+// the production shape allocates at most 41 MB in 365 000 objects, and
+// the guide's blocker trial plus Block at most 24 MB in 68 000. A join
+// emits row positions (simjoin.Rows) and a candidate set is row indices
+// until a user reads a pair table (table.Pairs); with the join's rows
+// carrying both IDs, Execute allocated 92 MB. The count catches what
 // the bytes cannot: one small allocation per candidate pair (a
 // fmt.Sprint in feature extraction's pair loop) adds 5 MB but 650 000
 // objects.
@@ -40,12 +40,12 @@ func TestFigure2AllocationBudget(t *testing.T) {
 		bytes, objects uint64
 		fn             func()
 	}{
-		{"Workflow.Execute", 115e6, 365e3, func() {
+		{"Workflow.Execute", 41e6, 365e3, func() {
 			if _, err := wf.Execute(task.A, task.B, table.NewCatalog()); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"TryBlockers + Block", 80e6, 68e3, func() { tryAndBlock(t, down, blockers, oracle) }},
+		{"TryBlockers + Block", 24e6, 68e3, func() { tryAndBlock(t, down, blockers, oracle) }},
 	} {
 		bytes, objects := allocated(c.fn)
 		t.Logf("%s: %.1f MB in %d allocations, budget %.0f MB in %d", c.name, float64(bytes)/1e6, objects, float64(c.bytes)/1e6, c.objects)

@@ -97,7 +97,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 		cfg.Blocking = fitBudget(cfg.Blocking, budget.Remaining()*2/5)
 	}
 	before := lab.Stats().Questions
-	pool, stage1, err := learnOnSample(a, b, fs, lab, cfg, rng)
+	pool, stage1, joined, err := learnOnSample(a, b, fs, lab, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +114,9 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	res.BlockingRules = EvaluateRules(res.CandidateRules, pool, stage1, lab, rng)
 	res.RuleQuestions = lab.Stats().Questions - before
 
-	// Step 5: execute the rules to produce the candidate set C.
-	c, err := ExecuteRules(block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, res.BlockingRules, fs, a, b)
+	// Step 5: execute the rules to produce the candidate set C, over the
+	// seed join step 1 already computed.
+	c, err := executeRules(block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, seedJoin{joined}, res.BlockingRules, fs, a, b)
 	if err != nil {
 		return nil, fmt.Errorf("falcon: blocking: %w", err)
 	}
@@ -150,15 +151,16 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 
 // learnOnSample is steps 1 and 2, which Run and Smurf share: sample S of
 // tuple pairs, score it on fs, and active-learn a forest on it with
-// cfg.Blocking (seeded cfg.Seed+1 unless set).
-func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, error) {
-	sample, err := samplePairs(a, b, cfg.sampleSize(), rng)
+// cfg.Blocking (seeded cfg.Seed+1 unless set). It also returns the
+// whole-tuple overlap join S was drawn from.
+func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, *table.Pairs, error) {
+	sample, joined, err := samplePairs(a, b, cfg.sampleSize(), rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sx, err := feature.Vectors(fs, sample, feature.ExtractOptions{})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	pool := &active.Pool{X: sx, Pairs: sample, Names: fs.Names()}
 	if cfg.Blocking.Seed == 0 {
@@ -166,16 +168,18 @@ func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Co
 	}
 	learned, err := active.Learn(pool, lab, cfg.Blocking)
 	if err != nil {
-		return nil, nil, fmt.Errorf("falcon: blocking stage: %w", err)
+		return nil, nil, nil, fmt.Errorf("falcon: blocking stage: %w", err)
 	}
-	return pool, learned, nil
+	return pool, learned, joined, nil
 }
 
 // samplePairs builds the stage-1 sample S: active.OverlapSample over the
-// whole-tuple token overlap of a and b.
-func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (*table.Pairs, error) {
+// whole-tuple token overlap of a and b, which it returns as well — the
+// pairs, in the order, that WholeTupleOverlapBlocker{MinOverlap:
+// seedOverlap} emits.
+func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (sample, joined *table.Pairs, err error) {
 	if a.Len() == 0 || b.Len() == 0 {
-		return nil, fmt.Errorf("falcon: empty input table")
+		return nil, nil, fmt.Errorf("falcon: empty input table")
 	}
 	// Every row's whole-tuple token set, keyed by the table key.
 	records := func(t *table.Table) []simjoin.Record {
@@ -186,13 +190,12 @@ func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (*table.Pairs, error)
 		}
 		return out
 	}
-	lrecs, rrecs := records(a), records(b)
-	joined, err := simjoin.OverlapJoin(lrecs, rrecs, 1)
+	rows, err := simjoin.OverlapJoin(records(a), records(b), seedOverlap)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ls, rs := active.OverlapSample(lrecs, rrecs, joined, n, rng)
-	return table.NewPairs(a, b, ls, rs), nil
+	ls, rs := active.OverlapSample(a.Len(), b.Len(), rows, n, rng)
+	return table.NewPairs(a, b, ls, rs), table.NewPairs(a, b, rows.L, rows.R), nil
 }
 
 // sortByVoteDesc orders pool indices by the forest's match-vote fraction,
@@ -349,9 +352,28 @@ review:
 // (one more shared token, at least 2) so the candidate set stays tractable
 // without rule pruning.
 func ExecuteRules(seed block.WholeTupleOverlapBlocker, rs rules.RuleSet, fs *feature.Set, a, b *table.Table) (*table.Pairs, error) {
+	return executeRules(seed, seed, rs, fs, a, b)
+}
+
+// executeRules is ExecuteRules with the rules run over ruleSeed's pairs,
+// which must be seed's: Run passes the join samplePairs computed.
+func executeRules(seed block.WholeTupleOverlapBlocker, ruleSeed block.Blocker, rs rules.RuleSet, fs *feature.Set, a, b *table.Table) (*table.Pairs, error) {
 	if rs.Len() > 0 {
-		return block.RuleBlocker{Seed: seed, Rules: rs, Features: fs, Metrics: seed.Metrics}.Pairs(a, b)
+		return block.RuleBlocker{Seed: ruleSeed, Rules: rs, Features: fs, Metrics: seed.Metrics}.Pairs(a, b)
 	}
 	seed.MinOverlap = max(seed.MinOverlap+1, 2)
 	return seed.Pairs(a, b)
 }
+
+// seedJoin stands in for WholeTupleOverlapBlocker{MinOverlap: seedOverlap}
+// over the tables learnOnSample drew S from: it is the join learnOnSample
+// returned, so a run computes its seed once.
+type seedJoin struct{ pairs *table.Pairs }
+
+func (s seedJoin) Pairs(lt, rt *table.Table) (*table.Pairs, error) { return s.pairs, nil }
+
+func (s seedJoin) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+	return s.pairs.Table(s.Name(), cat)
+}
+
+func (seedJoin) Name() string { return block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}.Name() }

@@ -37,7 +37,7 @@ func TestSamplePairsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sample, err := samplePairs(as, bs, 2000, rng)
+		sample, _, err := samplePairs(as, bs, 2000, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

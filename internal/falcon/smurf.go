@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/feature"
 	"repro/internal/label"
@@ -38,11 +37,11 @@ func Smurf(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config)
 		return nil, err
 	}
 	before := lab.Stats().Questions
-	_, learned, err := learnOnSample(sa, sb, fs, lab, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	_, learned, joined, err := learnOnSample(sa, sb, fs, lab, cfg, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}
-	w := core.Workflow{Blocker: block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, Features: fs, Matcher: learned.Forest}
+	w := core.Workflow{Blocker: seedJoin{joined}, Features: fs, Matcher: learned.Forest}
 	out, err := w.Execute(sa, sb, cat)
 	if err != nil {
 		return nil, fmt.Errorf("falcon: smurf: %w", err)

@@ -41,7 +41,7 @@ func TestSmurfPoolGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, _, err := learnOnSample(sa, sb, fs, label.NewOracle(task.Gold), Config{SampleSize: 1000, Seed: 1}, rand.New(rand.NewSource(1)))
+		pool, _, _, err := learnOnSample(sa, sb, fs, label.NewOracle(task.Gold), Config{SampleSize: 1000, Seed: 1}, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}

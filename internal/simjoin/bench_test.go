@@ -128,7 +128,7 @@ func BenchmarkOverlapJoinFigure2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pairs = len(ps)
+		pairs = len(ps.L)
 	}
 	b.ReportMetric(float64(pairs), "pairs")
 }

@@ -45,21 +45,21 @@ var bitsetJoins = []struct {
 	name      string
 	m         measure
 	threshold float64
-	run       func(l, r []Record, opts ...JoinOption) ([]Pair, error)
-	ref       func(l, r []Record) ([]Pair, error)
+	run       func(l, r []Record, opts ...JoinOption) ([]pair, error)
+	ref       func(l, r []Record) ([]pair, error)
 }{
 	{"jaccard", measureJaccard, 0.3,
-		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return JaccardJoin(l, r, 0.3, o...) },
-		func(l, r []Record) ([]Pair, error) { return ReferenceJaccardJoin(l, r, 0.3) }},
+		func(l, r []Record, o ...JoinOption) ([]pair, error) { return jaccardPairs(l, r, 0.3, o...) },
+		func(l, r []Record) ([]pair, error) { return ReferenceJaccardJoin(l, r, 0.3) }},
 	{"cosine", measureCosine, 0.5,
-		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return CosineJoin(l, r, 0.5, o...) },
-		func(l, r []Record) ([]Pair, error) { return ReferenceCosineJoin(l, r, 0.5) }},
+		func(l, r []Record, o ...JoinOption) ([]pair, error) { return cosinePairs(l, r, 0.5, o...) },
+		func(l, r []Record) ([]pair, error) { return ReferenceCosineJoin(l, r, 0.5) }},
 	{"dice", measureDice, 0.45,
-		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return DiceJoin(l, r, 0.45, o...) },
-		func(l, r []Record) ([]Pair, error) { return ReferenceDiceJoin(l, r, 0.45) }},
+		func(l, r []Record, o ...JoinOption) ([]pair, error) { return dicePairs(l, r, 0.45, o...) },
+		func(l, r []Record) ([]pair, error) { return ReferenceDiceJoin(l, r, 0.45) }},
 	{"overlap", measureOverlap, 3,
-		func(l, r []Record, o ...JoinOption) ([]Pair, error) { return OverlapJoin(l, r, 3, o...) },
-		func(l, r []Record) ([]Pair, error) { return ReferenceOverlapJoin(l, r, 3) }},
+		func(l, r []Record, o ...JoinOption) ([]pair, error) { return overlapPairs(l, r, 3, o...) },
+		func(l, r []Record) ([]pair, error) { return ReferenceOverlapJoin(l, r, 3) }},
 }
 
 // specCandidates counts, from the definition alone, the pairs a join must
@@ -150,7 +150,7 @@ func TestBitsetKnobsAsymmetric(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: oracle produced no pairs", tc.name)
 		}
-		got, err := JaccardJoin(tc.l, tc.r, 0.02)
+		got, err := jaccardPairs(tc.l, tc.r, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}

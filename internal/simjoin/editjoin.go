@@ -82,7 +82,7 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 		for u := ulo; u < uhi; u++ {
 			hits = hits[:0]
 			for k := runs[u]; k < runs[u+1]; k++ {
-				i, li := perm[k], uint32(k-runs[u])
+				i := perm[k]
 				rec, grams := l[i], lsets[i]
 				la := len([]rune(rec.Str))
 				check := func(j int) {
@@ -91,7 +91,7 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 					}
 					nc++
 					if d := sim.LevenshteinDistance(rec.Str, r[j].Str); d <= maxDist {
-						hits = append(hits, hit[int]{rank: rrank[j], l: li, j: uint32(j), v: d})
+						hits = append(hits, hit[int]{rank: rrank[j], l: uint32(i), j: uint32(j), v: d})
 					}
 				}
 				if len(grams) <= maxDist*q {

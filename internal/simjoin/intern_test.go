@@ -15,10 +15,10 @@ func TestInternedJoinsMatchReference(t *testing.T) {
 		l := randomRecords(70, rng)
 		r := randomRecords(70, rng)
 		for _, th := range []float64{0.3, 0.5, 0.75, 1.0} {
-			for name, pair := range map[string][2]func([]Record, []Record, float64, ...JoinOption) ([]Pair, error){
-				"jaccard": {JaccardJoin, ReferenceJaccardJoin},
-				"cosine":  {CosineJoin, ReferenceCosineJoin},
-				"dice":    {DiceJoin, ReferenceDiceJoin},
+			for name, pair := range map[string][2]func([]Record, []Record, float64, ...JoinOption) ([]pair, error){
+				"jaccard": {jaccardPairs, ReferenceJaccardJoin},
+				"cosine":  {cosinePairs, ReferenceCosineJoin},
+				"dice":    {dicePairs, ReferenceDiceJoin},
 			} {
 				got, err := pair[0](l, r, th)
 				if err != nil {
@@ -35,7 +35,7 @@ func TestInternedJoinsMatchReference(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 2, 3} {
-			got, err := OverlapJoin(l, r, k)
+			got, err := overlapPairs(l, r, k)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,7 +41,7 @@ func orderFixture(rng *rand.Rand) (l, r []Record) {
 // comparator the joins used to sort their output with. score sees the
 // duplicate-free token sets and returns the pair's value and whether it is
 // kept.
-func nestedJoin(l, r []Record, score func(a, b []string) (float64, bool)) []Pair {
+func nestedJoin(l, r []Record, score func(a, b []string) (float64, bool)) []pair {
 	set := func(toks []string) []string {
 		s := slices.Clone(toks)
 		slices.Sort(s)
@@ -51,12 +51,12 @@ func nestedJoin(l, r []Record, score func(a, b []string) (float64, bool)) []Pair
 	for i, a := range l {
 		ls[i] = set(a.Tokens)
 	}
-	var out []Pair
+	var out []pair
 	for j, b := range r {
 		bs := set(b.Tokens)
 		for i, a := range l {
 			if v, ok := score(ls[i], bs); ok {
-				out = append(out, Pair{LID: a.ID, RID: b.ID, L: int32(i), R: int32(j), Sim: v})
+				out = append(out, pair{LID: a.ID, RID: b.ID, L: int32(i), R: int32(j), Sim: v})
 			}
 		}
 	}
@@ -97,12 +97,12 @@ func TestJoinOutputOrderExact(t *testing.T) {
 		name string
 		m    measure
 		th   float64
-		run  func(l, r []Record, opts ...JoinOption) ([]Pair, error)
+		run  func(l, r []Record, opts ...JoinOption) ([]pair, error)
 	}{
-		{"jaccard", measureJaccard, 0.5, func(l, r []Record, o ...JoinOption) ([]Pair, error) { return JaccardJoin(l, r, 0.5, o...) }},
-		{"cosine", measureCosine, 0.6, func(l, r []Record, o ...JoinOption) ([]Pair, error) { return CosineJoin(l, r, 0.6, o...) }},
-		{"dice", measureDice, 0.5, func(l, r []Record, o ...JoinOption) ([]Pair, error) { return DiceJoin(l, r, 0.5, o...) }},
-		{"overlap", measureOverlap, 2, func(l, r []Record, o ...JoinOption) ([]Pair, error) { return OverlapJoin(l, r, 2, o...) }},
+		{"jaccard", measureJaccard, 0.5, func(l, r []Record, o ...JoinOption) ([]pair, error) { return jaccardPairs(l, r, 0.5, o...) }},
+		{"cosine", measureCosine, 0.6, func(l, r []Record, o ...JoinOption) ([]pair, error) { return cosinePairs(l, r, 0.6, o...) }},
+		{"dice", measureDice, 0.5, func(l, r []Record, o ...JoinOption) ([]pair, error) { return dicePairs(l, r, 0.5, o...) }},
+		{"overlap", measureOverlap, 2, func(l, r []Record, o ...JoinOption) ([]pair, error) { return overlapPairs(l, r, 2, o...) }},
 	} {
 		want := nestedJoin(l, r, measureScore(tc.m, tc.th))
 		if len(want) == 0 {
@@ -155,7 +155,7 @@ func stringRecords(rs []Record) []StringRecord {
 	return out
 }
 
-func firstDiff(a, b []Pair) int {
+func firstDiff(a, b []pair) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {
 			return i

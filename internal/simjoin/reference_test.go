@@ -95,7 +95,7 @@ func refIntersection(a, b []string) (inter, sizeA, sizeB int) {
 // they emitted it in order: by (LID, RID). It sorts stably, so pairs with
 // equal IDs keep the order they were enumerated in — the tie rule the
 // joins' order spells out, given the enumeration it names.
-func sortPairs(ps []Pair) {
+func sortPairs(ps []pair) {
 	sort.SliceStable(ps, func(a, b int) bool {
 		if ps[a].LID != ps[b].LID {
 			return ps[a].LID < ps[b].LID
@@ -110,22 +110,22 @@ func refVerify(m measure, a, b []string) float64 {
 }
 
 // ReferenceJaccardJoin is the retained string-kernel JaccardJoin.
-func ReferenceJaccardJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
+func ReferenceJaccardJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
 	return refSetJoin(l, r, threshold, measureJaccard, applyJoinOptions(opts))
 }
 
 // ReferenceCosineJoin is the retained string-kernel CosineJoin.
-func ReferenceCosineJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
+func ReferenceCosineJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
 	return refSetJoin(l, r, threshold, measureCosine, applyJoinOptions(opts))
 }
 
 // ReferenceDiceJoin is the retained string-kernel DiceJoin.
-func ReferenceDiceJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
+func ReferenceDiceJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
 	return refSetJoin(l, r, threshold, measureDice, applyJoinOptions(opts))
 }
 
 // refSetJoin is the retained string-kernel prefix-filter driver.
-func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair, error) {
+func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]pair, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}
@@ -147,8 +147,8 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair
 		}
 	}
 
-	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]Pair, error) {
-		out := make([]Pair, 0, chi-clo)
+	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]pair, error) {
+		out := make([]pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
 			rec := pl[i]
@@ -175,7 +175,7 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair
 						continue
 					}
 					if s := refVerify(m, rec.toks, cand.toks); s >= threshold-1e-12 {
-						out = append(out, Pair{LID: rec.id, RID: cand.id, L: rec.pos, R: cand.pos, Sim: s})
+						out = append(out, pair{LID: rec.id, RID: cand.id, L: rec.pos, R: cand.pos, Sim: s})
 					}
 				}
 			}
@@ -191,7 +191,7 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]Pair
 }
 
 // ReferenceOverlapJoin is the retained string-kernel OverlapJoin.
-func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, error) {
+func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]pair, error) {
 	cfg := applyJoinOptions(jopts)
 	if k < 1 {
 		return nil, fmt.Errorf("simjoin: overlap threshold %d must be >= 1", k)
@@ -211,8 +211,8 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 			index[rec.toks[p]] = append(index[rec.toks[p]], j)
 		}
 	}
-	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]Pair, error) {
-		out := make([]Pair, 0, chi-clo)
+	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]pair, error) {
+		out := make([]pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
 			rec := pl[i]
@@ -231,7 +231,7 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 					}
 					seen[j] = true
 					if ov, _, _ := refIntersection(rec.toks, pr[j].toks); ov >= k {
-						out = append(out, Pair{LID: rec.id, RID: pr[j].id, L: rec.pos, R: pr[j].pos, Sim: float64(ov)})
+						out = append(out, pair{LID: rec.id, RID: pr[j].id, L: rec.pos, R: pr[j].pos, Sim: float64(ov)})
 					}
 				}
 			}
@@ -244,4 +244,42 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]Pair, er
 	all := slices.Concat(shards...)
 	sortPairs(all)
 	return all, nil
+}
+
+// pair is one join output row with its records' IDs: what the reference
+// joins emit, and what a live join's Rows read as through its inputs.
+type pair struct {
+	LID, RID string
+	L, R     int32
+	Sim      float64
+}
+
+// pairsOf reads a join's Rows over l and r as pairs.
+func pairsOf(l, r []Record) func(Rows, error) ([]pair, error) {
+	return func(rows Rows, err error) ([]pair, error) {
+		if err != nil {
+			return nil, err
+		}
+		out := make([]pair, len(rows.L))
+		for i, li := range rows.L {
+			out[i] = pair{LID: l[li].ID, RID: r[rows.R[i]].ID, L: li, R: rows.R[i], Sim: rows.Sim[i]}
+		}
+		return out, nil
+	}
+}
+
+func jaccardPairs(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
+	return pairsOf(l, r)(JaccardJoin(l, r, threshold, opts...))
+}
+
+func cosinePairs(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
+	return pairsOf(l, r)(CosineJoin(l, r, threshold, opts...))
+}
+
+func dicePairs(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
+	return pairsOf(l, r)(DiceJoin(l, r, threshold, opts...))
+}
+
+func overlapPairs(l, r []Record, k int, opts ...JoinOption) ([]pair, error) {
+	return pairsOf(l, r)(OverlapJoin(l, r, k, opts...))
 }

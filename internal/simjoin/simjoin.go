@@ -17,10 +17,10 @@
 //
 // Each join interns its inputs into a per-call dictionary, indexes them
 // with bitvec.BuildPostings and counts what a probe reaches with
-// bitvec.Counter — the postings and the counter serve's candidates use;
-// there is one entry point per measure (JaccardJoin, CosineJoin, DiceJoin,
-// OverlapJoin, EditDistanceJoin). The retained map-based string
-// implementation lives in reference_test.go as the equivalence oracle.
+// bitvec.Counter, as serve's candidates do. JaccardJoin, CosineJoin,
+// DiceJoin and OverlapJoin return Rows: record positions and similarity in
+// (LID, RID) order, no IDs; EditDistanceJoin returns DistPairs. The
+// map-based string join in reference_test.go is the equivalence oracle.
 package simjoin
 
 import (
@@ -47,15 +47,11 @@ type Record struct {
 	Tokens []string
 }
 
-// Pair is one output row of a join.
-type Pair struct {
-	LID, RID string
-	// L and R are the two records' positions in the join's left and right
-	// inputs.
-	L, R int32
-	// Sim is the verified similarity (for edit-distance joins, the
-	// negated distance is not used; see EditDistanceJoin).
-	Sim float64
+// Rows is a set join's output: pair i joins left record L[i] with right
+// record R[i], positions in the join's inputs, at similarity Sim[i].
+type Rows struct {
+	L, R []int32
+	Sim  []float64
 }
 
 // JoinOption tunes join execution; see WithWorkers and WithMetrics.
@@ -116,30 +112,29 @@ func (m measure) String() string {
 }
 
 // JaccardJoin returns all pairs with Jaccard similarity >= threshold.
-func JaccardJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
+func JaccardJoin(l, r []Record, threshold float64, opts ...JoinOption) (Rows, error) {
 	return setJoin(l, r, threshold, measureJaccard, opts)
 }
 
 // CosineJoin returns all pairs with set-cosine similarity >= threshold.
-func CosineJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
+func CosineJoin(l, r []Record, threshold float64, opts ...JoinOption) (Rows, error) {
 	return setJoin(l, r, threshold, measureCosine, opts)
 }
 
 // DiceJoin returns all pairs with Dice similarity >= threshold.
-func DiceJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]Pair, error) {
+func DiceJoin(l, r []Record, threshold float64, opts ...JoinOption) (Rows, error) {
 	return setJoin(l, r, threshold, measureDice, opts)
 }
 
 // OverlapJoin returns all pairs sharing at least k tokens. Sim in the
 // output is the raw overlap count.
-func OverlapJoin(l, r []Record, k int, opts ...JoinOption) ([]Pair, error) {
+func OverlapJoin(l, r []Record, k int, opts ...JoinOption) (Rows, error) {
 	return setJoin(l, r, float64(k), measureOverlap, opts)
 }
 
 // intRec is a canonicalized record: duplicate-free token IDs remapped to
 // frequency order and sorted ascending, so the rarest tokens come first.
 type intRec struct {
-	id   string
 	toks []uint32
 	rank uint32 // on the indexed side: the record's position in ID order
 	pos  int32  // the record's position in its input
@@ -155,7 +150,7 @@ func prepare(l, r []Record) (pl, pr []intRec, nids int) {
 	canon := func(rs []Record) []intRec {
 		out := make([]intRec, len(rs))
 		for i, rec := range rs {
-			out[i] = intRec{id: rec.ID, toks: d.SortedSet(rec.Tokens), pos: int32(i)}
+			out[i] = intRec{toks: d.SortedSet(rec.Tokens), pos: int32(i)}
 		}
 		return out
 	}
@@ -327,14 +322,14 @@ func (idx *joinIndex) sizeWindow(lo, hi int) (jlo, jhi int) {
 
 // setJoin is the one prefix-filter join driver. For measureOverlap the
 // threshold is the integer k.
-func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]Pair, error) {
+func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Rows, error) {
 	cfg := applyJoinOptions(opts)
 	if m == measureOverlap {
 		if threshold < 1 {
-			return nil, fmt.Errorf("simjoin: overlap threshold %v must be >= 1", threshold)
+			return Rows{}, fmt.Errorf("simjoin: overlap threshold %v must be >= 1", threshold)
 		}
 	} else if threshold <= 0 || threshold > 1 {
-		return nil, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
+		return Rows{}, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}
 	rec := obs.Or(cfg.metrics)
 	join := obs.L("join", m.String())
@@ -343,8 +338,8 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 	// Left records are probed in ID order, one unit per run of equal IDs;
 	// every right record learns its rank in ID order before the index
 	// reorders it by size.
-	perm, runs := idOrder(len(pl), func(i int) string { return pl[i].id })
-	for j, rank := range ranks(len(pr), func(j int) string { return pr[j].id }) {
+	perm, runs := idOrder(len(l), func(i int) string { return l[i].ID })
+	for j, rank := range ranks(len(r), func(j int) string { return r[j].ID }) {
 		pr[j].rank = rank
 	}
 	idx := buildIndex(pr, nids, m, threshold)
@@ -356,10 +351,10 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 	// sees a per-pair recorder call.
 	nw := parallel.Resolve(cfg.workers)
 	counters, cands := make([]bitvec.Counter, nw), make([]int, nw)
-	chunks, err := parallel.Chunks(cfg.workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]Pair, error) {
+	chunks, err := parallel.Chunks(cfg.workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]Rows, error) {
 		// Chunk-local probe state, hoisted so the visit closure is
 		// allocated once per chunk, not once per probe.
-		out := make([]Pair, 0, runs[uhi]-runs[ulo])
+		var out []Rows // the chunk's pairs, in blocks of 256 to 4 096 never copied
 		nc := 0
 		seen := &counters[shard] // right records the probe has reached
 		var (
@@ -367,7 +362,6 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 			probe intRec
 			n, p  int
 			t     uint32
-			li    uint32 // the probe's position in its unit
 		)
 		// visit handles right record j reached through the postings of
 		// probe token t (prefix position p).
@@ -392,14 +386,14 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 				return true // suffix-length early exit: can't reach need
 			}
 			if s := similarity(m, inter, n, cn); s >= threshold-1e-12 {
-				hits = append(hits, hit[float64]{rank: cand.rank, l: li, j: j, v: s})
+				hits = append(hits, hit[float64]{rank: cand.rank, l: uint32(probe.pos), j: uint32(cand.pos), v: s})
 			}
 			return true
 		}
 		for u := ulo; u < uhi; u++ {
 			hits = hits[:0]
 			for i := runs[u]; i < runs[u+1]; i++ {
-				probe, li = pl[perm[i]], uint32(i-runs[u])
+				probe = pl[perm[i]]
 				n = len(probe.toks)
 				prefix := prefixLen(m, threshold, n)
 				lo, hi := sizeBounds(m, threshold, n)
@@ -416,25 +410,30 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) ([]
 				}
 			}
 			sortHits(hits)
-			// Double the chunk's buffer when it fills: append's 1.25×
-			// growth on large slices allocates five times the output.
-			if len(out)+len(hits) > cap(out) {
-				out = slices.Grow(out, max(len(hits), cap(out)))
-			}
 			for _, h := range hits {
-				rp := idx.pr[h.j]
-				out = append(out, Pair{LID: probe.id, RID: rp.id, L: int32(perm[runs[u]+int(h.l)]), R: rp.pos, Sim: h.v})
+				if len(out) == 0 || len(out[len(out)-1].L) == cap(out[len(out)-1].L) {
+					n := 256 << min(len(out), 4)
+					out = append(out, Rows{make([]int32, 0, n), make([]int32, 0, n), make([]float64, 0, n)})
+				}
+				b := &out[len(out)-1]
+				b.L, b.R, b.Sim = append(b.L, int32(h.l)), append(b.R, int32(h.j)), append(b.Sim, h.v)
 			}
 		}
 		cands[shard] += nc
 		return out, nil
 	})
 	if err != nil {
-		return nil, err
+		return Rows{}, err
 	}
-	all := slices.Concat(chunks...)
+	// One exactly-sized copy of the blocks, in chunk order.
+	var ls, rs [][]int32
+	var sims [][]float64
+	for _, b := range slices.Concat(chunks...) {
+		ls, rs, sims = append(ls, b.L), append(rs, b.R), append(sims, b.Sim)
+	}
+	all := Rows{slices.Concat(ls...), slices.Concat(rs...), slices.Concat(sims...)}
 	rec.Count(obs.SimjoinCandidates, float64(sum(cands)), join)
-	rec.Count(obs.SimjoinPairs, float64(len(all)), join)
+	rec.Count(obs.SimjoinPairs, float64(len(all.L)), join)
 	return all, nil
 }
 
@@ -447,10 +446,10 @@ func sum(xs []int) int {
 	return t
 }
 
-// The output order of every join: pairs by (LID, RID), and pairs with equal
-// IDs in input order — earlier right record first, then earlier left
-// record; a stable sort by (LID, RID) of the enumeration with the right
-// side outer. It is produced by construction, not by sorting the output:
+// The output order of every join, whether it emits positions or IDs: by the
+// records' (LID, RID), equal IDs in input order — earlier right record
+// first, then earlier left record; a stable sort by (LID, RID) of the
+// enumeration with the right side outer. It is produced by construction:
 // the left side is probed in ID order, one unit per run of equal left IDs;
 // a unit sorts its pairs by the right record's rank in ID order, then by
 // which of its left records found them; and a chunk holds whole units, so
@@ -487,8 +486,9 @@ func ranks(n int, id func(int) string) []uint32 {
 	return out
 }
 
-// hit is one pair a unit found: the right record j and its rank, which
-// record of the unit found it (l), and the pair's value (Sim or Dist).
+// hit is one pair a unit found: its records' input positions l and j, the
+// right record's rank in ID order, and its value (Sim or Dist); a unit's
+// records are in input order, so (rank, l) sorts it into output order.
 type hit[V any] struct {
 	rank, l, j uint32
 	v          V

@@ -22,15 +22,15 @@ func recs(ss ...string) []Record {
 
 // naiveSetJoin is the brute-force oracle the filtered joins are checked
 // against.
-func naiveSetJoin(l, r []Record, threshold float64, f func(a, b []string) float64) []Pair {
-	var out []Pair
+func naiveSetJoin(l, r []Record, threshold float64, f func(a, b []string) float64) []pair {
+	var out []pair
 	for _, a := range l {
 		for _, b := range r {
 			if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
 				continue
 			}
 			if s := f(a.Tokens, b.Tokens); s >= threshold-1e-12 {
-				out = append(out, Pair{LID: a.ID, RID: b.ID, Sim: s})
+				out = append(out, pair{LID: a.ID, RID: b.ID, Sim: s})
 			}
 		}
 	}
@@ -38,7 +38,7 @@ func naiveSetJoin(l, r []Record, threshold float64, f func(a, b []string) float6
 	return out
 }
 
-func pairsEqual(a, b []Pair) bool {
+func pairsEqual(a, b []pair) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -78,7 +78,7 @@ func TestJaccardJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(60, rng)
 		r := randomRecords(60, rng)
 		for _, th := range []float64{0.3, 0.5, 0.8, 1.0} {
-			got, err := JaccardJoin(l, r, th)
+			got, err := jaccardPairs(l, r, th)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestCosineJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(50, rng)
 		r := randomRecords(50, rng)
 		for _, th := range []float64{0.4, 0.7, 0.95} {
-			got, err := CosineJoin(l, r, th)
+			got, err := cosinePairs(l, r, th)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestDiceJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(50, rng)
 		r := randomRecords(50, rng)
 		for _, th := range []float64{0.4, 0.6, 0.9} {
-			got, err := DiceJoin(l, r, th)
+			got, err := dicePairs(l, r, th)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,15 +132,15 @@ func TestOverlapJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(50, rng)
 		r := randomRecords(50, rng)
 		for _, k := range []int{1, 2, 3} {
-			got, err := OverlapJoin(l, r, k)
+			got, err := overlapPairs(l, r, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []Pair
+			var want []pair
 			for _, a := range l {
 				for _, b := range r {
 					if ov := sim.OverlapSize(a.Tokens, b.Tokens); ov >= k {
-						want = append(want, Pair{LID: a.ID, RID: b.ID, Sim: float64(ov)})
+						want = append(want, pair{LID: a.ID, RID: b.ID, Sim: float64(ov)})
 					}
 				}
 			}
@@ -154,24 +154,24 @@ func TestOverlapJoinMatchesNaive(t *testing.T) {
 
 func TestJoinThresholdValidation(t *testing.T) {
 	l := recs("a b")
-	if _, err := JaccardJoin(l, l, 0); err == nil {
+	if _, err := jaccardPairs(l, l, 0); err == nil {
 		t.Error("want threshold error for 0")
 	}
-	if _, err := JaccardJoin(l, l, 1.5); err == nil {
+	if _, err := jaccardPairs(l, l, 1.5); err == nil {
 		t.Error("want threshold error for > 1")
 	}
-	if _, err := OverlapJoin(l, l, 0); err == nil {
+	if _, err := overlapPairs(l, l, 0); err == nil {
 		t.Error("want overlap threshold error")
 	}
 }
 
 func TestJoinEmptyInputs(t *testing.T) {
-	got, err := JaccardJoin(nil, recs("a"), 0.5)
+	got, err := jaccardPairs(nil, recs("a"), 0.5)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty left: %v %v", got, err)
 	}
 	// Records with empty token sets never match.
-	got, err = JaccardJoin([]Record{{ID: "x"}}, recs("a"), 0.5)
+	got, err = jaccardPairs([]Record{{ID: "x"}}, recs("a"), 0.5)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty-token record: %v %v", got, err)
 	}
@@ -180,7 +180,7 @@ func TestJoinEmptyInputs(t *testing.T) {
 func TestJoinDuplicateTokensCollapse(t *testing.T) {
 	l := []Record{{ID: "l", Tokens: []string{"a", "a", "b"}}}
 	r := []Record{{ID: "r", Tokens: []string{"a", "b", "b"}}}
-	got, err := JaccardJoin(l, r, 0.99)
+	got, err := jaccardPairs(l, r, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestJoinExactThreshold(t *testing.T) {
 	// Jaccard exactly at the threshold must be kept.
 	l := recs("a b c d")       // {a b c d}
 	r := recs("a b c d e f g") // overlap 4, union 7 -> 4/7
-	got, err := JaccardJoin(l, r, 4.0/7.0)
+	got, err := jaccardPairs(l, r, 4.0/7.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +207,8 @@ func TestJoinExactThreshold(t *testing.T) {
 // silently return nothing.
 func TestJoinTinyThreshold(t *testing.T) {
 	l, r := recs("a b c"), recs("a b d")
-	for name, join := range map[string]func([]Record, []Record, float64, ...JoinOption) ([]Pair, error){
-		"jaccard": JaccardJoin, "cosine": CosineJoin, "dice": DiceJoin,
+	for name, join := range map[string]func([]Record, []Record, float64, ...JoinOption) ([]pair, error){
+		"jaccard": jaccardPairs, "cosine": cosinePairs, "dice": dicePairs,
 	} {
 		for _, th := range []float64{0.1, 1e-18, 1e-19, 1e-200} {
 			got, err := join(l, r, th)
@@ -229,11 +229,11 @@ func TestJoinWorkersConsistent(t *testing.T) {
 	if len(l) < 3*probeChunk {
 		t.Fatalf("%d left records are fewer than three chunks of %d", len(l), probeChunk)
 	}
-	a, err := JaccardJoin(l, r, 0.5, WithWorkers(1))
+	a, err := jaccardPairs(l, r, 0.5, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := JaccardJoin(l, r, 0.5, WithWorkers(8))
+	b, err := jaccardPairs(l, r, 0.5, WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestJaccardJoinCompletenessProperty(t *testing.T) {
 		l := randomRecords(20, lr)
 		r := randomRecords(20, lr)
 		_ = rng
-		got, err := JaccardJoin(l, r, 0.6, WithWorkers(2))
+		got, err := jaccardPairs(l, r, 0.6, WithWorkers(2))
 		if err != nil {
 			return false
 		}
@@ -330,7 +330,7 @@ func TestTokenizeIntegration(t *testing.T) {
 	tok := tokenize.QGram{Q: 3, ReturnSet: true}
 	l := []Record{{ID: "a", Tokens: tok.Tokenize("saving the amazon")}}
 	r := []Record{{ID: "b", Tokens: tok.Tokenize("saving the amazonn")}}
-	got, err := JaccardJoin(l, r, 0.7)
+	got, err := jaccardPairs(l, r, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
