@@ -262,6 +262,9 @@ func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row
 		scored, reused := scratch[i].TakeBlockCounts()
 		rec.Count(obs.FeaturePairGroups, float64(scored), obs.L("result", "scored"))
 		rec.Count(obs.FeaturePairGroups, float64(reused), obs.L("result", "reused"))
+		scored, reused = scratch[i].TakeTokenBlockCounts()
+		rec.Count(obs.FeatureTokenBlocks, float64(scored), obs.L("result", "scored"))
+		rec.Count(obs.FeatureTokenBlocks, float64(reused), obs.L("result", "reused"))
 	}
 	return kept, nil
 }

@@ -61,10 +61,12 @@ type Feature struct {
 	// measure's formula over (|A∩B|, |A|, |B|), so one intersection serves
 	// every set measure of a column (pinned to Fn by
 	// TestVectorsCacheEquivalence). jaro marks the two kinds that are Jaro
-	// — winkler the one with the prefix bonus — in place of a prep.
-	tok           tokenize.Tokenizer
-	setOf         func(inter, na, nb int) float64
-	jaro, winkler bool
+	// — winkler the one with the prefix bonus — in place of a prep;
+	// mongeElkan marks monge_elkan_jw, which a scan scores through
+	// sim.MongeElkanJWScan instead of its prep.
+	tok                       tokenize.Tokenizer
+	setOf                     func(inter, na, nb int) float64
+	jaro, winkler, mongeElkan bool
 }
 
 // MissingPolicy controls the score of a pair in which either attribute

@@ -321,7 +321,9 @@ func (s *Set) Deferred() []bool {
 // have len(s.Features) entries. Calls that score one left record against
 // many right ones through one scratch are a scan: a group whose right-hand
 // value the scan has met takes its scores from the scratch's memo, so each
-// distinct (left value, right value) is scored once. The memo follows l's
+// distinct (left value, right value) is scored once, and monge_elkan_jw
+// scores each distinct (left value, right-hand token) once, through the
+// scratch's token memo (sim.MongeElkanJWScan). The memos follow l's
 // generation: interleaving left records, or editing the Set and preparing
 // again, is safe and merely forgets.
 //
@@ -378,7 +380,7 @@ func (s *Set) vector(l, r *Prepared, sc *sim.Scratch, x []float64, scan, cheap b
 				continue
 			}
 		}
-		s.scoreGroup(g, feats, l, r, sc, x)
+		s.scoreGroup(g, feats, l, r, sc, x, scan, key)
 		for i := range blk { // no block: the memo is full, or not in use
 			blk[i] = x[feats[i]]
 		}
@@ -389,10 +391,12 @@ func (s *Set) vector(l, r *Prepared, sc *sim.Scratch, x []float64, scan, cheap b
 // values present, each into its own entry of x: the interned-set formula
 // over the column's one intersection when both sides carry the sets, the
 // feature's prepared kernel otherwise — Jaro computed once for jaro and
-// jaro_winkler — and Fn over the strings for a feature that has neither.
+// jaro_winkler, and monge_elkan_jw, inside a scan, through the scratch's
+// token memo under key — and Fn over the strings for a feature that has
+// neither.
 //
 //emlint:zeroalloc
-func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch, x []float64) {
+func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch, x []float64, scan bool, key uint32) {
 	lv, rv := &l.cols[g.col[0]], &r.cols[g.col[1]]
 	interOf, inter := -1, 0 // the set column inter was counted over
 	jaro := -1.0            // not computed yet
@@ -416,6 +420,8 @@ func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch,
 			if f.winkler {
 				x[k] = sim.WinklerOf(jaro, lv.runes, rv.runes)
 			}
+		case f.mongeElkan && scan:
+			x[k] = sim.MongeElkanJWScan(key, lv.toks, rv.toks, sc)
 		case f.prep != nil:
 			x[k] = f.prep(lv, rv, sc)
 		default:

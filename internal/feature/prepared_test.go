@@ -253,7 +253,7 @@ func TestPairKernelsZeroAlloc(t *testing.T) {
 		s.vector(l, r, &sc, x, false, false)
 		for gi := range l.p.groups {
 			g := &l.p.groups[gi]
-			s.scoreGroup(g, g.feats, l, r, &sc, x)
+			s.scoreGroup(g, g.feats, l, r, &sc, x, false, 0)
 		}
 		s.cheapInto(l, r, &sc, x)
 		s.VectorInto(l, r, &sc, x)

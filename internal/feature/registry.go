@@ -13,7 +13,8 @@ import (
 // the interned sets' counts (Feature.tok, Feature.setOf), and — for the
 // character-level kinds every AutoGenerate battery draws on — the prepared
 // forms and the kernel over them (Feature.need, Feature.prep; Feature.jaro
-// for the two Jaro kinds). exact needs only the string.
+// for the two Jaro kinds, Feature.mongeElkan for the one a scan scores
+// through its token memo). exact needs only the string.
 type builder struct {
 	fn    PairFunc
 	tok   tokenize.Tokenizer
@@ -21,7 +22,7 @@ type builder struct {
 	need  need
 	prep  kernel
 
-	jaro, winkler bool
+	jaro, winkler, mongeElkan bool
 }
 
 func levKernel(l, r *value, sc *sim.Scratch) float64 {
@@ -54,7 +55,7 @@ var builders = func() map[string]builder {
 		"jaro_winkler":     {fn: sim.JaroWinkler, need: needRunes, jaro: true, winkler: true},
 		"soundex":          {fn: sim.SoundexSim, need: needSoundex, prep: soundexKernel},
 		"rel_diff":         {fn: RelDiff, need: needNumber, prep: relDiffKernel},
-		"monge_elkan_jw":   {fn: mongeElkanJW, need: needTokens, prep: mongeElkanJWKernel},
+		"monge_elkan_jw":   {fn: mongeElkanJW, need: needTokens, prep: mongeElkanJWKernel, mongeElkan: true},
 		"jaccard_ws":       setBuilder(ws, sim.JaccardOf, sim.Jaccard),
 		"jaccard_3gram":    setBuilder(g3, sim.JaccardOf, sim.Jaccard),
 		"jaccard_2gram":    setBuilder(g2, sim.JaccardOf, sim.Jaccard),
@@ -81,7 +82,7 @@ func NewFeature(kind, attr string) (Feature, error) {
 	if !ok {
 		return Feature{}, fmt.Errorf("feature: unknown builder kind %q (have %v)", kind, BuilderKinds())
 	}
-	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: b.fn, need: b.need, prep: b.prep, tok: b.tok, setOf: b.setOf, jaro: b.jaro, winkler: b.winkler}, nil
+	return Feature{Name: kind + "_" + attr, LAttr: attr, RAttr: attr, Fn: b.fn, need: b.need, prep: b.prep, tok: b.tok, setOf: b.setOf, jaro: b.jaro, winkler: b.winkler, mongeElkan: b.mongeElkan}, nil
 }
 
 // Spec is the serializable form of one feature. Only same-attribute,

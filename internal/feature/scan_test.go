@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -441,5 +442,46 @@ func TestSelectChunkedScan(t *testing.T) {
 		if v[1], v[2] = 2*v[1], 2*v[2]; g != v {
 			t.Fatalf("workers=%d: Select counts (vectors, groups, reused) %v, Vectors %v doubled", workers, g, v)
 		}
+	}
+}
+
+// TestVectorsCountsTokenBlocks: Vectors flushes its scratches' token-memo
+// counts — at one worker, exactly what the same scan run by hand through
+// VectorInto on one scratch counts — and the repeating words of the
+// fixture are reused.
+func TestVectorsCountsTokenBlocks(t *testing.T) {
+	a, b, _, cat := cacheTables(t, 30, 11)
+	s, err := AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(s.Features, func(f Feature) bool { return f.mongeElkan }) {
+		t.Fatal("the generated set has no monge_elkan_jw feature")
+	}
+	pairs, err := table.NewPairTable("runs", a, b, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := intern.NewDict()
+	var sc sim.Scratch
+	x := make([]float64, s.Len())
+	for li := 0; li < a.Len(); li++ {
+		l := s.Prepare(rowAttrs(a, a.Row(li)), false, d.SortedSet)
+		for ri := 0; ri < b.Len(); ri++ {
+			appendPair(pairs, fmt.Sprintf("a%d", li), fmt.Sprintf("b%d", ri))
+			s.VectorInto(l, s.Prepare(rowAttrs(b, b.Row(ri)), true, d.SortedSet), &sc, x)
+		}
+	}
+	scored, reused := sc.TakeTokenBlockCounts()
+	reg := obs.NewRegistry()
+	if _, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	got := [2]float64{
+		reg.CounterValue(obs.FeatureTokenBlocks, obs.L("result", "scored")),
+		reg.CounterValue(obs.FeatureTokenBlocks, obs.L("result", "reused")),
+	}
+	if want := [2]float64{float64(scored), float64(reused)}; got != want || reused == 0 {
+		t.Fatalf("Vectors counts token blocks (scored, reused) %v, the scan by hand %v; want them equal and some reused", got, want)
 	}
 }

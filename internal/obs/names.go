@@ -50,6 +50,11 @@ const (
 	// (scored|reused). reused / (scored + reused) is the reuse rate. Under
 	// feature.Select a group's cheap prefix counts as a group of its own.
 	FeaturePairGroups = "em_feature_pair_groups_total"
+	// FeatureTokenBlocks counts, over feature.Vectors scans, the
+	// right-hand tokens monge_elkan_jw scored against the scan's left bag
+	// and those whose scores the scan's token memo already held: labels
+	// {result} (scored|reused).
+	FeatureTokenBlocks = "em_feature_token_blocks_total"
 
 	// ServeIngestTotal counts corpus mutations: labels {op}
 	// (add|update|delete).
@@ -68,6 +73,9 @@ const (
 	// ServePairGroups is FeaturePairGroups over MatchOne's scans, flushed
 	// once per request: labels {result} (scored|reused).
 	ServePairGroups = "em_serve_pair_groups_total"
+	// ServeTokenBlocks is FeatureTokenBlocks over MatchOne's scans,
+	// flushed once per request: labels {result} (scored|reused).
+	ServeTokenBlocks = "em_serve_token_blocks_total"
 	// ServeQueueDepth gauges match requests waiting in a pool for a run slot.
 	ServeQueueDepth = "em_serve_queue_depth"
 	// ServeQueueWaitSeconds times one request's wait inside Pool.Match for
@@ -115,6 +123,7 @@ func DescribeStandard(g *Registry) {
 		{FeatureExtractSeconds, "Duration of one feature-vector extraction pass."},
 		{FeatureVectors, "Feature vectors extracted."},
 		{FeaturePairGroups, "Attribute groups of extracted pairs, by result (scored|reused from the scan's memo)."},
+		{FeatureTokenBlocks, "Right-hand tokens Monge-Elkan met in extraction scans, by result (scored|reused from the scan's token memo)."},
 		{ServeIngestTotal, "Corpus mutations by op (add|update|delete)."},
 		{ServeCorpusRecords, "Live records resident in a serving corpus."},
 		{ServeCorpusTombstones, "Tombstoned corpus slots awaiting compaction."},
@@ -122,6 +131,7 @@ func DescribeStandard(g *Registry) {
 		{ServeMatchSeconds, "Duration of one MatchOne call."},
 		{ServeStageSeconds, "Duration of one MatchOne stage (candidates|features|score)."},
 		{ServePairGroups, "Attribute groups of scored candidates, by result (scored|reused from the query's memo)."},
+		{ServeTokenBlocks, "Candidate tokens Monge-Elkan met in a query's scan, by result (scored|reused from the query's token memo)."},
 		{ServeQueueDepth, "Match requests waiting in a serve pool queue."},
 		{ServeQueueWaitSeconds, "Wait inside a serve pool for a run slot."},
 		{ServeRequestsTotal, "Settled match submissions by status (ok|error|overloaded)."},

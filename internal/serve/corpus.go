@@ -388,13 +388,16 @@ func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 		out = offer(out, ScoredPair{QueryID: q.ID, ID: cand.rec.ID, Score: ps.score(cand)}, k)
 	}
 	sort.Slice(out, func(a, b int) bool { return ranksBefore(out[a], out[b]) })
-	// What the query's scan scored and what its memo answered, once per
+	// What the query's scan scored and what its memos answered, once per
 	// request; taken even when nobody listens, so that a pooled scratch
 	// does not carry them into a request somebody does.
 	scored, reused := sc.sim.TakeBlockCounts()
+	tscored, treused := sc.sim.TakeTokenBlockCounts()
 	if obs.Enabled(rec) {
 		rec.Count(obs.ServePairGroups, float64(scored), obs.L("result", "scored"))
 		rec.Count(obs.ServePairGroups, float64(reused), obs.L("result", "reused"))
+		rec.Count(obs.ServeTokenBlocks, float64(tscored), obs.L("result", "scored"))
+		rec.Count(obs.ServeTokenBlocks, float64(treused), obs.L("result", "reused"))
 	}
 	return out, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/feature"
 	"repro/internal/ml"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/table"
 )
@@ -153,7 +154,13 @@ func TestMatchOneAllocationBudget(t *testing.T) {
 
 // TestPairScoreZeroAlloc guards the per-candidate step on each of its
 // branches: the row through the compiled forest, through a non-forest
-// classifier, and the Jaccard fallback.
+// classifier, and the Jaccard fallback. Scoring one candidate over and over
+// takes it from the scan's memo after the first time, so with a matcher it
+// also scores every candidate under two queries in turn, each pass a fresh
+// scan: groups and Monge-Elkan's token blocks scored, token pairs sharing
+// no rune settled by their signatures, and tokens met again taken from the
+// token memo, all without allocating once a first scan has grown the
+// scratch.
 func TestPairScoreZeroAlloc(t *testing.T) {
 	c, fs, rf, qs := personFixture(t, 600, 10)
 	for _, tc := range []struct {
@@ -177,6 +184,48 @@ func TestPairScoreZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { ps.score(cand) }); allocs != 0 {
 			t.Errorf("%s: %.0f allocations per candidate", tc.name, allocs)
 		}
+		if fs == nil {
+			continue
+		}
+		queries := [2]*feature.Prepared{ps.q, fs.Prepare(qs[1].Attrs, false, sn.view.SortedSetEphemeral)}
+		pass := 0
+		scan := func() {
+			pass++
+			ps.q = queries[pass%2]
+			for i := range sn.slots {
+				ps.score(&sn.slots[i])
+			}
+		}
+		scan()
+		if allocs := testing.AllocsPerRun(4, scan); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per scan of %d candidates", tc.name, allocs, len(sn.slots))
+		}
+		if scored, reused := ps.sim.TakeTokenBlockCounts(); scored == 0 || reused == 0 {
+			t.Errorf("%s: %d token blocks scored, %d reused; the scans were meant to do both", tc.name, scored, reused)
+		}
+	}
+}
+
+// TestMatchOneCountsTokenBlocks: a request leaves behind how many candidate
+// tokens Monge-Elkan scored against the query and how many the token memo
+// answered, its own counts alone: the same request twice counts twice as
+// much.
+func TestMatchOneCountsTokenBlocks(t *testing.T) {
+	c, _, _, qs := personFixture(t, 600, 10)
+	reg := obs.NewRegistry()
+	c.cfg.metrics = reg
+	var counts [2][2]float64 // after each request: scored, reused
+	for i := range counts {
+		if _, err := c.MatchOne(context.Background(), qs[0]); err != nil {
+			t.Fatal(err)
+		}
+		counts[i] = [2]float64{
+			reg.CounterValue(obs.ServeTokenBlocks, obs.L("result", "scored")),
+			reg.CounterValue(obs.ServeTokenBlocks, obs.L("result", "reused")),
+		}
+	}
+	if first := counts[0]; first[0] == 0 || first[1] == 0 || counts[1] != [2]float64{2 * first[0], 2 * first[1]} {
+		t.Fatalf("token blocks (scored, reused) after one request %v, after two %v; want both counted, then doubled", first, counts[1])
 	}
 }
 
@@ -282,8 +331,18 @@ func BenchmarkMatchOneMatcher(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	// Untimed, the same queries again with a registry: how many candidate
+	// tokens Monge-Elkan took from the token memo rather than scored.
+	reg := obs.NewRegistry()
+	c.cfg.metrics = reg
 	for i := 0; i < min(b.N, len(qs)); i++ {
 		cands += len(c.CandidateIDs(qs[i]))
+		if _, err := c.MatchOne(ctx, qs[i]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(cands)/float64(min(b.N, len(qs))), "candidates/op")
+	scored := reg.CounterValue(obs.ServeTokenBlocks, obs.L("result", "scored"))
+	reused := reg.CounterValue(obs.ServeTokenBlocks, obs.L("result", "reused"))
+	b.ReportMetric(reused/(scored+reused), "token_reuse")
 }

@@ -3,18 +3,23 @@ package sim
 import "sync"
 
 // Scratch is the caller-owned working memory of the rune kernels
-// (LevenshteinRunes, JaroRunes, JaroWinklerRunes, MongeElkanJWRunes): one
-// per goroutine, reused across calls, so a kernel allocates only while a
-// buffer is still growing towards the longest value it has seen. It also
-// holds the memo of score blocks a scan reuses (memo.go). The zero value
-// is ready to use.
+// (LevenshteinRunes, JaroRunes, JaroWinklerRunes, MongeElkanJWRunes,
+// MongeElkanJWScan): one per goroutine, reused across calls, so a kernel
+// allocates only while a buffer is still growing towards the longest value
+// it has seen. It also holds the two memos a scan reuses scores from: score
+// blocks by right-hand value (memo.go) and Monge-Elkan's blocks by
+// right-hand token (tokmemo.go), with counts of what each scored and
+// reused. The zero value is ready to use.
 type Scratch struct {
 	row   []int      // Levenshtein's single DP row
 	marks []bool     // Jaro's matched flags, a's then b's
 	masks *runeMasks // Levenshtein's bit-vector path; nil until it first runs
 	memo  *memo      // nil until the first Scan
+	toks  *tokenMemo // MongeElkanJWScan's blocks; allocated with memo
+	meRow []float64  // MongeElkanJWScan's per-token maxima, then a block's room
 
-	scored, reused int // blocks Block missed and hit since TakeBlockCounts
+	scored, reused       int // blocks Block missed and hit since TakeBlockCounts
+	tokScored, tokReused int // token blocks scored and remembered, since TakeTokenBlockCounts
 }
 
 // runeMasks is the bit-vector recurrence's table: bit i of a rune's mask is
@@ -55,6 +60,18 @@ func (sc *Scratch) growRow(n int) { sc.row = make([]int, n) }
 
 //go:noinline
 func (sc *Scratch) growMarks(n int) { sc.marks = make([]bool, n) }
+
+// meRowOf returns MongeElkanJWScan's row resized to n entries (contents
+// unspecified).
+func (sc *Scratch) meRowOf(n int) []float64 {
+	if cap(sc.meRow) < n {
+		sc.growMeRow(n)
+	}
+	return sc.meRow[:n]
+}
+
+//go:noinline
+func (sc *Scratch) growMeRow(n int) { sc.meRow = make([]float64, n) }
 
 //go:noinline
 func (sc *Scratch) newMasks() *runeMasks {

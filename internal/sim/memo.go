@@ -35,12 +35,12 @@ type memo struct {
 
 //go:noinline
 func (sc *Scratch) newMemo() *memo {
-	sc.memo = new(memo)
+	sc.memo, sc.toks = new(memo), new(tokenMemo)
 	return sc.memo
 }
 
-// Scan says that the Block calls that follow score against left-hand
-// record id, a non-zero number no two records share; a change of id drops
+// Scan says that the Block and MongeElkanJWScan calls that follow score
+// against left-hand record id, a non-zero number no two records share; a change of id drops
 // everything remembered. The caller issues the number: an address would
 // not do, since a record refilled in place, or freed and its memory reused,
 // is another record at the same address.
@@ -55,6 +55,7 @@ func (sc *Scratch) Scan(id uint64) {
 		return
 	}
 	m.scan, m.blocks, m.used = id, 0, 0
+	sc.toks.next()
 	if m.stamp++; m.stamp == 0 { // wrapped: stamps of 2³² scans ago would read as live
 		clear(m.slots[:])
 		m.stamp = 1

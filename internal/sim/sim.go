@@ -13,8 +13,10 @@
 // decode and call them with a pooled one. A Scratch is one goroutine's
 // working memory: Levenshtein's DP row and the rune→mask table of its
 // bit-vector path, Jaro's match flags, and — for callers that score one
-// record against many (package feature) — a fixed-size memo of the score
-// blocks a scan has computed already (memo.go).
+// record against many (package feature) — two fixed-size memos of what a
+// scan has computed already: score blocks by right-hand value (memo.go)
+// and, under it, Monge-Elkan's Jaro-Winkler scores by right-hand token,
+// which MongeElkanJWScan reads (tokmemo.go).
 package sim
 
 // ExactMatch returns 1 if the strings are byte-identical, else 0.

@@ -1,0 +1,238 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+	"testing/quick"
+	"unsafe"
+)
+
+// tokenAlphabet draws tokens whose pairs take every branch of a token
+// block: shared and disjoint runes, runes equal mod 64 (so their signatures
+// collide: 'a', '¡' and 'á' are 97, 161 and 225), other non-ASCII runes,
+// and bytes that are not UTF-8, which decode to U+FFFD.
+var tokenAlphabet = []string{
+	"a", "a", "b", "e", "n", "s", "t", "¡", "á", "!", "é", "世", "\xff", "\xc3", "�",
+}
+
+// tokenPool draws a few short tokens, one longer than the 64 runes of a
+// signature word's worth of distinct bits, and sometimes the empty token.
+func tokenPool(rng *rand.Rand) []string {
+	word := func(n int) string {
+		var sb strings.Builder
+		for ; n > 0; n-- {
+			sb.WriteString(tokenAlphabet[rng.Intn(len(tokenAlphabet))])
+		}
+		return sb.String()
+	}
+	pool := make([]string, 0, 12)
+	for i := 0; i < 10; i++ {
+		pool = append(pool, word(1+rng.Intn(6)))
+	}
+	pool = append(pool, pool[0]+word(65+rng.Intn(20)))
+	if rng.Intn(3) == 0 {
+		pool = append(pool, "")
+	}
+	return pool
+}
+
+// checkScanRow fails unless MongeElkanJWScan over a and b returns
+// MongeElkanSym's bits.
+func checkScanRow(t *testing.T, key uint32, a, b []string, sc *Scratch) bool {
+	t.Helper()
+	got := MongeElkanJWScan(key, runeTokens(a), runeTokens(b), sc)
+	if want := MongeElkanSym(a, b, JaroWinkler); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("key %d: MongeElkanJWScan(%q, %q) = %v, MongeElkanSym says %v", key, a, b, got, want)
+		return false
+	}
+	return true
+}
+
+// scanKeys are two keys whose probes start at the same slot for every
+// token, so that only the key check keeps their blocks apart.
+var scanKeys = [2]uint32{7, 7 + tokSlots}
+
+// TestQuickTokenScanMatchesMongeElkan: over random left bags and a stream
+// of right bags — shared, duplicate and disjoint tokens, two keys under
+// each left record, the left record changing mid-stream and back, a stamp
+// wrap-around now and then — the scan kernel returns MongeElkanSym with
+// Jaro-Winkler inside, bit for bit, with one scratch across every call.
+func TestQuickTokenScanMatchesMongeElkan(t *testing.T) {
+	sc := new(Scratch)
+	id := uint64(0)
+	reused := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pool := tokenPool(rng)
+		bag := func() []string {
+			b := make([]string, rng.Intn(5))
+			for i := range b {
+				b[i] = pool[rng.Intn(len(pool))]
+			}
+			return b
+		}
+		type left struct {
+			id   uint64
+			bags [2][]string // per key
+		}
+		lefts := make([]left, 3)
+		for i := range lefts {
+			id++
+			lefts[i] = left{id: id, bags: [2][]string{bag(), bag()}}
+		}
+		cur := 0
+		for row := 0; row < 60; row++ {
+			if rng.Intn(8) == 0 {
+				cur = rng.Intn(len(lefts))
+			}
+			if rng.Intn(40) == 0 && sc.toks != nil {
+				sc.toks.stamp = ^uint32(0) // the next scan wraps
+			}
+			sc.Scan(lefts[cur].id)
+			key := rng.Intn(2)
+			if !checkScanRow(t, scanKeys[key], lefts[cur].bags[key], bag(), sc) {
+				return false
+			}
+		}
+		_, r := sc.TakeTokenBlockCounts()
+		reused += r
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if reused == 0 {
+		t.Fatal("no token block was reused: the stream no longer repeats tokens")
+	}
+}
+
+// TestTokenMemoKeepsCollisionsApart: a token whose hash another token
+// shares, and a token met under two keys whose probes start at one slot,
+// each get their own block.
+func TestTokenMemoKeepsCollisionsApart(t *testing.T) {
+	t1, t2 := "st1332789", "st1529192"
+	if runeHash([]rune(t1)) != runeHash([]rune(t2)) {
+		t.Fatalf("%q and %q no longer share a hash: the fixture tests nothing", t1, t2)
+	}
+	lefts := [2][]string{{t1, "main"}, {"st15", "north"}}
+	sc := new(Scratch)
+	sc.Scan(1)
+	for pass := 0; pass < 2; pass++ {
+		for _, row := range []struct {
+			key int
+			b   string
+		}{{0, t1}, {0, t2}, {1, t1}, {1, t2}} {
+			if !checkScanRow(t, scanKeys[row.key], lefts[row.key], []string{row.b}, sc) {
+				t.Fatalf("pass %d", pass)
+			}
+		}
+	}
+	if scored, reused := sc.TakeTokenBlockCounts(); scored != 4 || reused != 4 {
+		t.Fatalf("%d token blocks scored, %d reused, want 4 and 4", scored, reused)
+	}
+}
+
+// TestTokenScanPastMemoCapacity: a scan that brings more than the memo
+// holds — in slots, in scores (a wide left bag), or in runes (long tokens)
+// — scores the rest without remembering them, still bit for bit, and keeps
+// answering for what it holds.
+func TestTokenScanPastMemoCapacity(t *testing.T) {
+	wide := make([]string, 40)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("w%c%d", 'a'+i%26, i)
+	}
+	for _, c := range []struct {
+		name   string
+		left   []string
+		tokens int
+		width  int // extra runes per token
+	}{
+		{"slots", []string{"main", "st"}, tokFill + 500, 0},
+		{"scores", wide, tokScores/41 + 200, 0},
+		{"runes", []string{"north", "shore"}, tokRunes/90 + 50, 90},
+	} {
+		toks := make([]string, c.tokens)
+		for i := range toks {
+			toks[i] = fmt.Sprintf("t%d%s", i, strings.Repeat("é", c.width))
+		}
+		sc := new(Scratch)
+		sc.Scan(1)
+		for pass := 0; pass < 2; pass++ {
+			for i := 0; i+1 < len(toks); i += 2 {
+				if !checkScanRow(t, 5, c.left, toks[i:i+2], sc) {
+					t.Fatalf("%s: pass %d, row %d", c.name, pass, i/2)
+				}
+			}
+		}
+		m := sc.toks
+		if m.blocks > tokFill || m.used > tokScores || m.nrunes > tokRunes {
+			t.Fatalf("%s: the memo holds %d blocks, %d scores, %d runes, past its limits", c.name, m.blocks, m.used, m.nrunes)
+		}
+		scored, reused := sc.TakeTokenBlockCounts()
+		if met := len(toks) - len(toks)%2; reused != m.blocks || scored != 2*met-reused || reused >= met {
+			t.Fatalf("%s: %d tokens met twice: %d scored, %d reused, %d held; want the held ones reused and the rest scored twice", c.name, met, scored, reused, m.blocks)
+		}
+	}
+}
+
+// TestTokenMemoFootprintIsFixed: the token memo is 288 KiB, whole, made at
+// a scratch's first scan and never replaced, whatever the scans ask of it.
+func TestTokenMemoFootprintIsFixed(t *testing.T) {
+	if size := unsafe.Sizeof(tokenMemo{}); size > 288<<10 {
+		t.Fatalf("a token memo takes %d bytes, want at most %d", size, 288<<10)
+	}
+	sc := new(Scratch)
+	if sc.toks != nil {
+		t.Fatal("a new scratch carries a token memo")
+	}
+	sc.Scan(1)
+	m := sc.toks
+	if m == nil {
+		t.Fatal("the first scan made no token memo")
+	}
+	a := runeTokens([]string{"main", "st"})
+	for i := 0; i < 2*tokFill; i++ {
+		if i%1000 == 0 {
+			sc.Scan(uint64(2 + i))
+		}
+		MongeElkanJWScan(0, a, [][]rune{[]rune(fmt.Sprint(i))}, sc)
+	}
+	if sc.toks != m {
+		t.Fatal("the token memo was replaced")
+	}
+}
+
+// TestTokenScanZeroAlloc: once a scratch has its memos and its row, a fresh
+// scan over many distinct right-hand bags allocates nothing — creating
+// blocks, past the memo's capacity, on the signature path (tokens sharing no
+// rune with the left bag), on equal tokens, and on hits.
+func TestTokenScanZeroAlloc(t *testing.T) {
+	a := runeTokens([]string{"mississippi", "dept", "of", "revenue", "12"})
+	rights := make([][][]rune, 0, tokFill+600)
+	for i := 0; i < cap(rights); i++ {
+		rights = append(rights, runeTokens([]string{fmt.Sprintf("x%dz", i), "dept", "qz", fmt.Sprint(i)}))
+	}
+	sc := new(Scratch)
+	var sink float64
+	scan := uint64(0)
+	run := func() {
+		scan++
+		sc.Scan(scan)
+		for _, b := range rights {
+			sink += MongeElkanJWScan(3, a, b, sc)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("a scan of %d right-hand bags allocates %.0f times", len(rights), allocs)
+	}
+	if scored, reused := sc.TakeTokenBlockCounts(); scored <= tokFill || reused == 0 {
+		t.Fatalf("%d token blocks scored, %d reused: the scans were meant to overflow the memo and to hit it", scored, reused)
+	}
+	if sink < 0 {
+		t.Fatal("unreachable: similarities are non-negative")
+	}
+}
