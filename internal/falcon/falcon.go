@@ -116,7 +116,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 
 	// Step 5: execute the rules to produce the candidate set C, over the
 	// seed join step 1 already computed.
-	c, err := executeRules(block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, seedJoin{joined}, res.BlockingRules, fs, a, b)
+	c, err := executeRules(block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}, joined, res.BlockingRules, fs, a, b)
 	if err != nil {
 		return nil, fmt.Errorf("falcon: blocking: %w", err)
 	}
@@ -153,7 +153,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 // tuple pairs, score it on fs, and active-learn a forest on it with
 // cfg.Blocking (seeded cfg.Seed+1 unless set). It also returns the
 // whole-tuple overlap join S was drawn from.
-func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, *table.Pairs, error) {
+func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, *seedJoin, error) {
 	sample, joined, err := samplePairs(a, b, cfg.sampleSize(), rng)
 	if err != nil {
 		return nil, nil, nil, err
@@ -176,8 +176,8 @@ func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Co
 // samplePairs builds the stage-1 sample S: active.OverlapSample over the
 // whole-tuple token overlap of a and b, which it returns as well — the
 // pairs, in the order, that WholeTupleOverlapBlocker{MinOverlap:
-// seedOverlap} emits.
-func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (sample, joined *table.Pairs, err error) {
+// seedOverlap} emits, with each pair's overlap.
+func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (sample *table.Pairs, joined *seedJoin, err error) {
 	if a.Len() == 0 || b.Len() == 0 {
 		return nil, nil, fmt.Errorf("falcon: empty input table")
 	}
@@ -195,7 +195,7 @@ func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (sample, joined *tabl
 		return nil, nil, err
 	}
 	ls, rs := active.OverlapSample(a.Len(), b.Len(), rows, n, rng)
-	return table.NewPairs(a, b, ls, rs), table.NewPairs(a, b, rows.L, rows.R), nil
+	return table.NewPairs(a, b, ls, rs), &seedJoin{table.NewPairs(a, b, rows.L, rows.R), rows.Sim}, nil
 }
 
 // sortByVoteDesc orders pool indices by the forest's match-vote fraction,
@@ -352,28 +352,51 @@ review:
 // (one more shared token, at least 2) so the candidate set stays tractable
 // without rule pruning.
 func ExecuteRules(seed block.WholeTupleOverlapBlocker, rs rules.RuleSet, fs *feature.Set, a, b *table.Table) (*table.Pairs, error) {
-	return executeRules(seed, seed, rs, fs, a, b)
+	return executeRules(seed, nil, rs, fs, a, b)
 }
 
-// executeRules is ExecuteRules with the rules run over ruleSeed's pairs,
-// which must be seed's: Run passes the join samplePairs computed.
-func executeRules(seed block.WholeTupleOverlapBlocker, ruleSeed block.Blocker, rs rules.RuleSet, fs *feature.Set, a, b *table.Table) (*table.Pairs, error) {
+// executeRules is ExecuteRules over joined, seed's join already computed
+// (Run passes the one samplePairs made), or, when joined is nil, over a
+// fresh one. The fallback's tighter join is joined's pairs of enough
+// overlap, in joined's order: what the tighter blocker emits.
+func executeRules(seed block.WholeTupleOverlapBlocker, joined *seedJoin, rs rules.RuleSet, fs *feature.Set, a, b *table.Table) (*table.Pairs, error) {
 	if rs.Len() > 0 {
+		var ruleSeed block.Blocker = seed
+		if joined != nil {
+			ruleSeed = joined
+		}
 		return block.RuleBlocker{Seed: ruleSeed, Rules: rs, Features: fs, Metrics: seed.Metrics}.Pairs(a, b)
 	}
 	seed.MinOverlap = max(seed.MinOverlap+1, 2)
+	if joined != nil {
+		return joined.atLeast(seed.MinOverlap), nil
+	}
 	return seed.Pairs(a, b)
 }
 
 // seedJoin stands in for WholeTupleOverlapBlocker{MinOverlap: seedOverlap}
 // over the tables learnOnSample drew S from: it is the join learnOnSample
-// returned, so a run computes its seed once.
-type seedJoin struct{ pairs *table.Pairs }
+// returned, with each pair's overlap, so a run computes its seed once.
+type seedJoin struct {
+	pairs *table.Pairs
+	sim   []float64 // pair i's overlap: the whole-tuple tokens it shares
+}
 
-func (s seedJoin) Pairs(lt, rt *table.Table) (*table.Pairs, error) { return s.pairs, nil }
+// atLeast returns the pairs sharing at least k tokens, in join order.
+func (s *seedJoin) atLeast(k int) *table.Pairs {
+	var l, r []int32
+	for i, sim := range s.sim {
+		if sim >= float64(k) {
+			l, r = append(l, s.pairs.L[i]), append(r, s.pairs.R[i])
+		}
+	}
+	return table.NewPairs(s.pairs.LTable, s.pairs.RTable, l, r)
+}
 
-func (s seedJoin) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
+func (s *seedJoin) Pairs(lt, rt *table.Table) (*table.Pairs, error) { return s.pairs, nil }
+
+func (s *seedJoin) Block(lt, rt *table.Table, cat *table.Catalog) (*table.Table, error) {
 	return s.pairs.Table(s.Name(), cat)
 }
 
-func (seedJoin) Name() string { return block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}.Name() }
+func (*seedJoin) Name() string { return block.WholeTupleOverlapBlocker{MinOverlap: seedOverlap}.Name() }

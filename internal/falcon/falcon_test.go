@@ -1,11 +1,15 @@
 package falcon
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/active"
+	"repro/internal/block"
 	"repro/internal/datagen"
+	"repro/internal/feature"
 	"repro/internal/label"
 	"repro/internal/ml"
 	"repro/internal/rules"
@@ -297,6 +301,46 @@ func TestBlockingRulesLookLikeFigure4(t *testing.T) {
 			if !strings.Contains(pred.Feature, "_") {
 				t.Errorf("rule predicate feature %q does not look like a generated feature", pred.Feature)
 			}
+		}
+	}
+}
+
+// TestNoRuleFallbackFiltersSeedJoin: with no rule left, executeRules over
+// the seed join step 1 made returns the pairs, in the order, that a fresh
+// join one shared token tighter emits — for the seed overlap Run uses, and
+// for one above it, whose pairs the seed join holds as well.
+func TestNoRuleFallbackFiltersSeedJoin(t *testing.T) {
+	task, err := datagen.Generate(datagen.Spec{
+		Name: "fallback", Domain: datagen.PersonDomain(),
+		SizeA: 300, SizeB: 300, MatchFraction: 0.4, Typo: 0.2, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := task.A, task.B
+	fs, err := feature.AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, joined, err := samplePairs(a, b, 100, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, overlap := range []int{seedOverlap, seedOverlap + 1} {
+		seed := block.WholeTupleOverlapBlocker{MinOverlap: overlap}
+		got, err := executeRules(seed, joined, rules.RuleSet{}, fs, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ExecuteRules(seed, rules.RuleSet{}, fs, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() == 0 || got.Len() >= joined.pairs.Len() {
+			t.Fatalf("overlap %d: %d of the seed join's %d pairs kept: the fixture prunes nothing or everything", overlap, got.Len(), joined.pairs.Len())
+		}
+		if !slices.Equal(got.L, want.L) || !slices.Equal(got.R, want.R) {
+			t.Fatalf("overlap %d: the filtered seed join has %d pairs, a fresh join %d, or their order differs", overlap, got.Len(), want.Len())
 		}
 	}
 }

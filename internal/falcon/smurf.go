@@ -41,7 +41,7 @@ func Smurf(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config)
 	if err != nil {
 		return nil, err
 	}
-	w := core.Workflow{Blocker: seedJoin{joined}, Features: fs, Matcher: learned.Forest}
+	w := core.Workflow{Blocker: joined, Features: fs, Matcher: learned.Forest}
 	out, err := w.Execute(sa, sb, cat)
 	if err != nil {
 		return nil, fmt.Errorf("falcon: smurf: %w", err)

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -115,15 +116,34 @@ func personRows(b *testing.B, n int) (*Set, []map[string]string, []map[string]st
 }
 
 // BenchmarkPrepare is the per-record half: one corpus-side record through
-// Set.Prepare, interning included.
+// Set.Prepare, interning included. bytes/record is what a prepared record
+// keeps alive: the heap 500 of them hold after a collection, over a
+// dictionary that already knows their tokens.
 func BenchmarkPrepare(b *testing.B) {
 	fs, _, rights := personRows(b, 500)
 	d := intern.NewDict()
+	recs := make([]*Prepared, len(rights))
+	for i := range rights {
+		fs.Prepare(rights[i], true, d.SortedSet)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs.Prepare(rights[i%len(rights)], true, d.SortedSet)
 	}
+	b.StopTimer()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range recs {
+		recs[i] = fs.Prepare(rights[i], true, d.SortedSet)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/float64(len(recs)), "bytes/record")
+	runtime.KeepAlive(recs)
+	runtime.KeepAlive(rights) // and what else "before" held, or the second collection frees it
+	runtime.KeepAlive(d)
 }
 
 // BenchmarkPreparedPairVector is the per-pair half with both records

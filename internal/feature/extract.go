@@ -49,37 +49,48 @@ func buildTokenCache(s *Set, lt, rt *table.Table, workers int) (*tokenCache, err
 }
 
 // prepareTable prepares each row of t as one side of the plan. A column the
-// schema lacks reads as null in every row. The workers decode, lower-case
-// and tokenize; the interning, the one step that writes to d, follows
-// serially in row order.
+// schema lacks reads as null in every row. The workers lower-case and
+// tokenize; the interning, the one step that writes to d, follows serially
+// in row order; then the workers write each row's slab, sets included.
 func (p *plan) prepareTable(t *table.Table, side int, d *intern.Dict, workers int) ([]Prepared, error) {
 	sp := &p.sides[side]
 	idx := make([]int, len(sp.attrs))
 	for c, attr := range sp.attrs {
 		idx[c] = t.Schema().Lookup(attr)
 	}
+	cell := func(i, c int) (string, bool) {
+		if j := idx[c]; j >= 0 && !t.Row(i)[j].IsNull() {
+			return t.Row(i)[j].AsString(), true
+		}
+		return "", false
+	}
 	out := make([]Prepared, t.Len())
 	ns := len(sp.sets)
 	toks := make([][]string, len(out)*ns) // row i's column k at i*ns+k
 	if err := parallel.ForEach(workers, len(out), func(i int) error {
-		row := t.Row(i)
-		p.fill(&out[i], side, func(c int, _ string) (string, bool) {
-			if j := idx[c]; j >= 0 && !row[j].IsNull() {
-				return row[j].AsString(), true
+		for k, sc := range sp.sets {
+			if v, ok := cell(i, sc.col); ok {
+				toks[i*ns+k] = sp.tokens(k, v)
 			}
-			return "", false
-		})
-		out[i].tokenize(sp, func(k int, tt []string) { toks[i*ns+k] = tt })
+		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	sets := make([][]uint32, len(toks))
 	for i := range out {
 		for k, sc := range sp.sets {
-			if out[i].cols[sc.col].ok {
-				out[i].sets[k] = d.SortedSet(toks[i*ns+k])
+			if _, ok := cell(i, sc.col); ok {
+				sets[i*ns+k] = d.SortedSet(toks[i*ns+k])
 			}
 		}
+	}
+	toks = nil // the tokens are garbage before the slabs are written
+	if err := parallel.ForEach(workers, len(out), func(i int) error {
+		p.fill(&out[i], side, func(c int, _ string) (string, bool) { return cell(i, c) }, func(k int, _ string) []uint32 { return sets[i*ns+k] })
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -158,12 +169,13 @@ func (ps *pairScratch) vectorWith(s *Set, lattrs, rattrs map[string]string, lset
 // fromAttrs prepares attrs into rec with the caller's RecordSets-shaped
 // sets in place of interning; nil sets leave every column without one.
 func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets [][]uint32) {
-	p.fill(rec, side, attrGetter(attrs))
-	for i, sc := range p.sides[side].sets {
-		if sets != nil {
-			rec.sets[i] = sets[sc.feat]
+	sp := &p.sides[side]
+	p.fill(rec, side, attrGetter(attrs), func(k int, _ string) []uint32 {
+		if sets == nil {
+			return nil
 		}
-	}
+		return sets[sp.sets[k].feat]
+	})
 }
 
 // Vectors computes the feature matrix for every pair of a candidate set.
@@ -225,9 +237,12 @@ func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row
 	}
 
 	n, nf := pairs.Len(), len(s.Features)
-	scratch := make([]sim.Scratch, parallel.Resolve(opts.Workers))
+	scratch := make([]*sim.Scratch, min(parallel.Resolve(opts.Workers), (n+vectorsChunk-1)/vectorsChunk)) // one per worker Chunks starts
+	for i := range scratch {
+		scratch[i] = scanPool.Get().(*sim.Scratch)
+	}
 	kept, err := parallel.Chunks(opts.Workers, n, vectorsChunk, func(shard, lo, hi int) ([]int, error) {
-		sc := &scratch[shard]
+		sc := scratch[shard]
 		size, stride := nf, 0
 		if keepRows {
 			size, stride = (hi-lo)*nf, nf
@@ -258,16 +273,23 @@ func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row
 		return nil, err
 	}
 	rec.Count(obs.FeatureVectors, float64(n))
-	for i := range scratch {
-		scored, reused := scratch[i].TakeBlockCounts()
+	for _, sc := range scratch {
+		scored, reused := sc.TakeBlockCounts()
 		rec.Count(obs.FeaturePairGroups, float64(scored), obs.L("result", "scored"))
 		rec.Count(obs.FeaturePairGroups, float64(reused), obs.L("result", "reused"))
-		scored, reused = scratch[i].TakeTokenBlockCounts()
+		scored, reused = sc.TakeTokenBlockCounts()
 		rec.Count(obs.FeatureTokenBlocks, float64(scored), obs.L("result", "scored"))
 		rec.Count(obs.FeatureTokenBlocks, float64(reused), obs.L("result", "reused"))
+		scanPool.Put(sc)
 	}
 	return kept, nil
 }
+
+// scanPool holds eachRow's worker scratches between calls, so a call does
+// not allocate, and drop, a scratch's memos (544 KiB) per worker. A reused
+// memo answers nothing of an earlier call: it follows the left record's
+// generation, and no two fillings share one.
+var scanPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
 
 // vectorsChunk is how many consecutive pairs an eachRow worker claims at a
 // time: enough that claiming costs nothing and a left record's run is

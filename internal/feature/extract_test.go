@@ -2,8 +2,10 @@ package feature
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -259,5 +261,46 @@ func TestCacheFallsBackOnMissingAttr(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("cached vectors diverge when a feature's attribute is missing")
+	}
+}
+
+// TestVectorsReusesScanScratch: eachRow's worker scratches come from a
+// pool, so once one call has made their memos, a second small Vectors call
+// allocates less than one memo's 256 KiB; and with memos reused from
+// earlier calls, the rows at Workers 1 and 4 are the same bits.
+func TestVectorsReusesScanScratch(t *testing.T) {
+	a, b, pairs, cat := cacheTables(t, 12, 17)
+	s, err := AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [2][][]float64
+	for i, workers := range []int{1, 4} {
+		opts := ExtractOptions{Workers: workers}
+		if _, err := tableVectors(s, pairs, cat, opts); err != nil {
+			t.Fatal(err)
+		}
+		// The least of three calls: a pool may miss now and then, when
+		// the goroutine has moved to another processor since the Put.
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if rows[i], err = tableVectors(s, pairs, cat, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= 256<<10 {
+			t.Errorf("workers=%d: a second Vectors call over %d pairs allocates %d bytes, a memo's worth", workers, pairs.Len(), least)
+		}
+	}
+	for i := range rows[0] {
+		for k := range rows[0][i] {
+			if math.Float64bits(rows[0][i][k]) != math.Float64bits(rows[1][i][k]) {
+				t.Fatalf("pair %d, column %d: %v at Workers 1, %v at Workers 4", i, k, rows[0][i][k], rows[1][i][k])
+			}
+		}
 	}
 }

@@ -330,19 +330,20 @@ func tokenized(tok tokenize.Tokenizer, f func(a, b []string) float64) PairFunc {
 // lower-cased whitespace token bags.
 func mongeElkanJW(l, r string) float64 { return onStrings(l, r, needTokens, mongeElkanJWKernel) }
 
-func mongeElkanJWKernel(l, r *value, sc *sim.Scratch) float64 {
-	return sim.MongeElkanJWRunes(l.toks, r.toks, sc)
+func mongeElkanJWKernel(l, r value, sc *sim.Scratch) float64 {
+	return sim.MongeElkanJWRunes(l.bag(), r.bag(), sc)
 }
 
 // RelDiff scores two numeric strings by 1 - |a-b| / max(|a|,|b|), clamped
 // to [0, 1]; non-numeric inputs fall back to exact match.
 func RelDiff(l, r string) float64 { return onStrings(l, r, needNumber, relDiffKernel) }
 
-func relDiffKernel(l, r *value, _ *sim.Scratch) float64 {
-	if !l.isNum || !r.isNum {
-		return sim.ExactMatch(l.s, r.s)
+func relDiffKernel(l, r value, _ *sim.Scratch) float64 {
+	lv, lok := l.number()
+	rv, rok := r.number()
+	if !lok || !rok {
+		return sim.ExactMatch(l.str(), r.str())
 	}
-	lv, rv := l.num, r.num
 	if lv == rv {
 		return 1
 	}

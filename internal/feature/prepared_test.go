@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"reflect"
@@ -35,41 +36,190 @@ func (cellText) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(cellText(sb.String()))
 }
 
-// TestQuickFillMatchesStringForms: each prepared form is what the string
-// path derives on every call — []rune(s), the whitespace token bag of the
-// lower-cased value (order and duplicates kept), the Soundex code of the
-// lower-cased value, the parsed float — also when the buffers are reused.
-func TestQuickFillMatchesStringForms(t *testing.T) {
-	var v value
-	var buf []rune
-	prop := func(c cellText) bool {
-		s := string(c)
-		buf = v.fill(s, needRunes|needTokens|needSoundex|needNumber, buf[:0])
-		if !v.ok || v.s != s || !slices.Equal(v.runes, []rune(s)) {
-			t.Errorf("fill(%q): ok %v, s %q, runes %q", s, v.ok, v.s, string(v.runes))
+// slabSet reads attribute v through every registered kind, so v is
+// prepared in every form; w through rel_diff alone, a number and its
+// string; u through jaccard_ws alone, an interned set and its string; and
+// reads s through lev on the left and soundex on the right, so the two
+// sides' plans differ.
+func slabSet(t testing.TB) *Set {
+	t.Helper()
+	s := everyKind(t)
+	for _, kind := range []string{"rel_diff", "jaccard_ws"} {
+		f, err := NewFeature(kind, map[string]string{"rel_diff": "w", "jaccard_ws": "u"}[kind])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lev := builders["lev"]
+	if err := s.Add(Feature{Name: "lev_s_t", LAttr: "s", RAttr: "t", Fn: lev.fn, need: lev.need, prep: lev.prep}); err != nil {
+		t.Fatal(err)
+	}
+	sdx := builders["soundex"]
+	if err := s.Add(Feature{Name: "soundex_t_s", LAttr: "t", RAttr: "s", Fn: sdx.fn, need: sdx.need, prep: sdx.prep}); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// slabRecord is a random record over slabSet's attributes: each null now
+// and then, or empty, white space only, or long — over the 64 runes the
+// bit vector takes — and otherwise a cellText, which brings mixed case,
+// non-ASCII and invalid UTF-8.
+func slabRecord(rng *rand.Rand) map[string]string {
+	rec := map[string]string{}
+	for _, attr := range []string{"v", "w", "u", "s", "t"} {
+		var v string
+		switch rng.Intn(8) {
+		case 0:
+			continue // a null
+		case 1: // empty
+		case 2:
+			v = " \t\u00a0 "
+		case 3:
+			for len([]rune(v)) <= 64 {
+				v += string(cellText("").Generate(rng, 0).Interface().(cellText)) + " Smith "
+			}
+		default:
+			v = string(cellText("").Generate(rng, 0).Interface().(cellText))
+		}
+		rec[attr] = v
+	}
+	return rec
+}
+
+// checkSlab fails unless every view rec's slab gives back is what the
+// string path derives from attrs on every call: the value itself, its
+// hash, []rune(s), the whitespace token bag of the lower-cased value (order
+// and duplicates kept), the Soundex code of the lower-cased value, the
+// parsed float, and each column's interned set.
+func checkSlab(t *testing.T, s *Set, rec *Prepared, attrs map[string]string, right bool, d *intern.Dict) bool {
+	t.Helper()
+	sp := &s.planned().sides[sideOf(right)]
+	for c, attr := range sp.attrs {
+		str, present := attrs[attr]
+		v, n := rec.value(c), sp.needs[c]
+		if v.ok() != present || v.str() != str {
+			t.Errorf("%s (%q, present %v): ok %v, str %q", attr, str, present, v.ok(), v.str())
 			return false
 		}
-		want := tokenize.Whitespace{}.Tokenize(strings.ToLower(s))
-		if len(v.toks) != len(want) {
-			t.Errorf("fill(%q): %d tokens, string path %d (%q)", s, len(v.toks), len(want), want)
+		if !present {
+			continue
+		}
+		if want := uint16(maphash.String(hashSeed, str)); v.hash() != want {
+			t.Errorf("%s (%q): hash %x, want %x", attr, str, v.hash(), want)
+			return false
+		}
+		if runes := n&^needNumber != 0; runes && !slices.Equal(v.runes(), []rune(str)) || !runes && len(v.runes()) != 0 {
+			t.Errorf("%s (%q, need %b): runes %q", attr, str, n, string(v.runes()))
+			return false
+		}
+		var want []string
+		if n&needTokens != 0 {
+			want = strings.Fields(strings.ToLower(str))
+		}
+		if bag := v.bag(); bag.Len() != len(want) {
+			t.Errorf("%s (%q): %d tokens, string path %d (%q)", attr, str, bag.Len(), len(want), want)
 			return false
 		}
 		for i, tok := range want {
-			if !slices.Equal(v.toks[i], []rune(tok)) {
-				t.Errorf("fill(%q): token %d is %q, string path %q", s, i, string(v.toks[i]), tok)
+			if got := v.bag().Token(i); !slices.Equal(got, []rune(tok)) {
+				t.Errorf("%s (%q): token %d is %q, string path %q", attr, str, i, string(got), tok)
 				return false
 			}
 		}
-		if code := sim.Soundex(strings.ToLower(s)); (code == "") != (v.sdx == sim.SoundexCode{}) || (code != "" && code != string(v.sdx[:])) {
-			t.Errorf("fill(%q): soundex %q, string path %q", s, v.sdx, code)
+		if n&needSoundex != 0 {
+			if code, sdx := sim.Soundex(strings.ToLower(str)), v.soundex(); (code == "") != (sdx == sim.SoundexCode{}) || (code != "" && code != string(sdx[:])) {
+				t.Errorf("%s (%q): soundex %q, string path %q", attr, str, sdx, code)
+				return false
+			}
+		}
+		if n&needNumber != 0 {
+			num, isNum := table.String(str).AsFloat()
+			isNum = isNum && !math.IsNaN(num) && !math.IsInf(num, 0) // a non-finite parse is not a number
+			if got, ok := v.number(); ok != isNum || isNum && got != num {
+				t.Errorf("%s (%q): number %v (%v), string path %v (%v)", attr, str, got, ok, num, isNum)
+				return false
+			}
+		}
+	}
+	for k, sc := range sp.sets {
+		got := rec.set(sp, k)
+		str, present := attrs[sp.attrs[sc.col]]
+		if !present {
+			if got != nil {
+				t.Errorf("column %d: a null value has the set %v", k, got)
+				return false
+			}
+			continue
+		}
+		if want := d.SortedSet(sc.tok.Tokenize(strings.ToLower(str))); got == nil || !slices.Equal(got, want) {
+			t.Errorf("column %d (%q): set %v, want %v", k, str, got, want)
 			return false
 		}
-		num, isNum := table.String(s).AsFloat()
-		isNum = isNum && !math.IsNaN(num) && !math.IsInf(num, 0) // a non-finite parse is not a number
-		return v.isNum == isNum && (!isNum || v.num == num)
+	}
+	return true
+}
+
+// TestQuickPreparedSlab: for random records on both sides, every view the
+// slab gives back equals the string path's decoding (checkSlab), for a
+// record Prepare makes and for one scratch record refilled in place, its
+// slab growing for some records and reused, with room to spare, for
+// others.
+func TestQuickPreparedSlab(t *testing.T) {
+	s := slabSet(t)
+	d := intern.NewDict()
+	var scratch Prepared
+	grew, shrank := 0, 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		attrs, right := slabRecord(rng), rng.Intn(2) == 0
+		if !checkSlab(t, s, s.Prepare(attrs, right, d.SortedSet), attrs, right, d) {
+			return false
+		}
+		before := cap(scratch.w)
+		s.PrepareInto(&scratch, attrs, right, d.SortedSet)
+		switch {
+		case cap(scratch.w) > before:
+			grew++
+		case len(scratch.w) < before:
+			shrank++
+		}
+		return checkSlab(t, s, &scratch, attrs, right, d)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
+	}
+	if grew == 0 || shrank == 0 {
+		t.Fatalf("the scratch record grew %d times and was refilled smaller %d times: want both", grew, shrank)
+	}
+}
+
+// TestPrepareAllocs: a corpus-side Prepare allocates, besides producing its
+// sets — each column tokenized and interned, as RecordSets does too — at
+// most 3 times. Today it takes 2: the Prepared and its slab.
+func TestPrepareAllocs(t *testing.T) {
+	a, b, _, _ := cacheTables(t, 6, 3)
+	s, err := AutoGenerate(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := rowAttrs(b, b.Row(1))
+	d := intern.NewDict()
+	sp := &s.planned().sides[1]
+	s.Prepare(attrs, true, d.SortedSet) // the dictionary knows every token from here on
+	sets := testing.AllocsPerRun(100, func() {
+		for k, sc := range sp.sets {
+			if v, ok := attrs[sp.attrs[sc.col]]; ok {
+				d.SortedSet(sp.tokens(k, v))
+			}
+		}
+	})
+	all := testing.AllocsPerRun(100, func() { s.Prepare(attrs, true, d.SortedSet) })
+	if own := all - sets; own > 3 {
+		t.Fatalf("Prepare allocates %.0f times, %.0f of them besides its sets; want at most 3", all, own)
 	}
 }
 

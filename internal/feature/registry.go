@@ -25,11 +25,13 @@ type builder struct {
 	jaro, winkler, mongeElkan bool
 }
 
-func levKernel(l, r *value, sc *sim.Scratch) float64 {
-	return sim.LevenshteinRunes(l.runes, r.runes, sc)
+func levKernel(l, r value, sc *sim.Scratch) float64 {
+	return sim.LevenshteinRunes(l.runes(), r.runes(), sc)
 }
 
-func soundexKernel(l, r *value, _ *sim.Scratch) float64 { return sim.SoundexCodeSim(l.sdx, r.sdx) }
+func soundexKernel(l, r value, _ *sim.Scratch) float64 {
+	return sim.SoundexCodeSim(l.soundex(), r.soundex())
+}
 
 // setBuilder registers a token-set kind: fn over tok's tokens is the string
 // path, and setOf the formula fn applies to its counts, which pair scoring

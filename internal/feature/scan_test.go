@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/intern"
 	"repro/internal/obs"
@@ -201,11 +200,8 @@ func TestScanFollowsPlanChange(t *testing.T) {
 	var sc sim.Scratch
 	scan := func(what string) {
 		t.Helper()
-		p := s.planned()
-		p.fill(&l, 0, attrGetter(left))
-		l.intern(&p.sides[0], d.SortedSet)
-		p.fill(&r, 1, attrGetter(right))
-		r.intern(&p.sides[1], d.SortedSet)
+		s.PrepareInto(&l, left, false, d.SortedSet)
+		s.PrepareInto(&r, right, true, d.SortedSet)
 		x, fresh := make([]float64, s.Len()), make([]float64, s.Len())
 		for range 2 {
 			s.VectorInto(&l, &r, &sc, x)
@@ -289,14 +285,6 @@ func TestScanCheapPass(t *testing.T) {
 	}
 	if scored, reused := sc.TakeBlockCounts(); reused < 10*scored {
 		t.Fatalf("%d blocks scored, %d reused: the run was meant to repeat", scored, reused)
-	}
-}
-
-// TestValueKeepsItsSize: the memo's hash rides in what was padding, so a
-// resident record costs no more memory for it.
-func TestValueKeepsItsSize(t *testing.T) {
-	if size := unsafe.Sizeof(value{}); size != 80 {
-		t.Fatalf("a prepared value takes %d bytes, 80 before it carried a hash", size)
 	}
 }
 

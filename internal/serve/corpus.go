@@ -24,9 +24,6 @@ import (
 type slot struct {
 	rec  Record
 	toks []uint32 // sorted duplicate-free blocking token IDs
-	// prep is the record prepared for the resident feature set's corpus
-	// side (feature.Set.Prepare); nil until a matcher is set.
-	prep *feature.Prepared
 }
 
 // Corpus is a long-lived, incrementally maintained match target. All
@@ -45,6 +42,12 @@ type Corpus struct {
 	mu    sync.Mutex
 	dict  *intern.SnapDict
 	slots []slot
+	// preps holds, slot for slot, the record prepared for the resident
+	// feature set's corpus side (feature.Set.PrepareInto): by value, so
+	// scoring a candidate reads its header from one array, and beside the
+	// slots, so a corpus without a matcher pays nothing for it. nil
+	// without a matcher.
+	preps []feature.Prepared
 	byID  map[string]uint32 // live records only
 	posts []atomic.Pointer[bitvec.Postings]
 	tombs *tombSet
@@ -77,6 +80,7 @@ func (c *Corpus) publishLocked() {
 	c.snap.Store(&snapshot{
 		view:    c.dict.View(),
 		slots:   c.slots,
+		preps:   c.preps,
 		tombs:   c.tombs,
 		posts:   c.posts,
 		records: len(c.byID),
@@ -218,7 +222,8 @@ func (c *Corpus) ingest(rec Record) {
 		toks: c.dict.SortedSet(blockTokens(c.cfg.tok, rec.Attrs)),
 	}
 	if c.fs != nil {
-		s.prep = c.fs.Prepare(rec.Attrs, true, c.dict.SortedSet)
+		c.preps = append(c.preps, feature.Prepared{})
+		c.fs.PrepareInto(&c.preps[si], rec.Attrs, true, c.dict.SortedSet)
 	}
 	c.slots = append(c.slots, s)
 	c.byID[rec.ID] = si
@@ -258,12 +263,19 @@ func (c *Corpus) compactLocked() {
 		return
 	}
 	live := make([]slot, 0, len(c.byID))
+	var preps []feature.Prepared
+	if c.preps != nil {
+		preps = make([]feature.Prepared, 0, len(c.byID))
+	}
 	for i := range c.slots {
 		if !c.tombs.dead(uint32(i)) {
 			live = append(live, c.slots[i])
+			if preps != nil {
+				preps = append(preps, c.preps[i])
+			}
 		}
 	}
-	c.slots = live
+	c.slots, c.preps = live, preps
 	c.byID = make(map[string]uint32, len(live))
 	sets := make([][]uint32, len(live))
 	for i := range live {
@@ -295,17 +307,15 @@ func (c *Corpus) SetMatcher(fs *feature.Set, clf ml.Classifier) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.fs, c.clf = fs, clf
-	// Published slots are immutable, so re-preparing clones the array
-	// instead of patching elements in place.
-	fresh := make([]slot, len(c.slots))
-	copy(fresh, c.slots)
-	for i := range fresh {
-		fresh[i].prep = nil
-		if fs != nil {
-			fresh[i].prep = fs.Prepare(fresh[i].rec.Attrs, true, c.dict.SortedSet)
+	// Published records are immutable, so re-preparing makes a fresh array
+	// instead of refilling elements in place.
+	c.preps = nil
+	if fs != nil {
+		c.preps = make([]feature.Prepared, len(c.slots))
+		for i := range c.slots {
+			fs.PrepareInto(&c.preps[i], c.slots[i].rec.Attrs, true, c.dict.SortedSet)
 		}
 	}
-	c.slots = fresh
 	c.publishLocked()
 	return nil
 }
@@ -358,11 +368,13 @@ func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 		return []ScoredPair{}, nil
 	}
 
-	// Prepare the query side once; candidates were prepared at ingest.
+	// Prepare the query side once, into the pooled scratch's record;
+	// candidates were prepared at ingest.
 	stopFeat := obs.StartTimer(rec, obs.ServeStageSeconds, obs.L("stage", "features"))
 	ps := &pairScorer{sn: sn, sim: &sc.sim}
 	if sn.fs != nil {
-		ps.q = sn.fs.Prepare(q.Attrs, false, sn.view.SortedSetEphemeral)
+		sn.fs.PrepareInto(&sc.q, q.Attrs, false, sn.view.SortedSetEphemeral)
+		ps.q = &sc.q
 		sc.row = slices.Grow(sc.row[:0], sn.fs.Len())[:sn.fs.Len()]
 		ps.row = sc.row
 	} else {
@@ -384,8 +396,7 @@ func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 				return nil, err
 			}
 		}
-		cand := &sn.slots[si]
-		out = offer(out, ScoredPair{QueryID: q.ID, ID: cand.rec.ID, Score: ps.score(cand)}, k)
+		out = offer(out, ScoredPair{QueryID: q.ID, ID: sn.slots[si].rec.ID, Score: ps.score(si)}, k)
 	}
 	sort.Slice(out, func(a, b int) bool { return ranksBefore(out[a], out[b]) })
 	// What the query's scan scored and what its memos answered, once per
@@ -451,7 +462,7 @@ func siftDown(h []ScoredPair, i int) {
 // pairScorer scores one query against one candidate at a time.
 type pairScorer struct {
 	sn   *snapshot
-	q    *feature.Prepared // query side; nil without a matcher
+	q    *feature.Prepared // query side (matchScratch.q); nil without a matcher
 	qset []uint32          // query blocking tokens; the no-matcher fallback
 	sim  *sim.Scratch      // the query's pooled scratch (matchScratch)
 	row  []float64         // likewise: one feature row
@@ -464,12 +475,12 @@ type pairScorer struct {
 // which forest training happened to grow.
 //
 //emlint:zeroalloc
-func (ps *pairScorer) score(cand *slot) float64 {
+func (ps *pairScorer) score(si uint32) float64 {
 	sn := ps.sn
 	if sn.fs == nil {
-		return sim.JaccardU32(ps.qset, cand.toks)
+		return sim.JaccardU32(ps.qset, sn.slots[si].toks)
 	}
-	sn.fs.VectorInto(ps.q, cand.prep, ps.sim, ps.row)
+	sn.fs.VectorInto(ps.q, &sn.preps[si], ps.sim, ps.row)
 	return sn.clf.PredictProba(ps.row)
 }
 

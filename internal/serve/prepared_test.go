@@ -179,9 +179,8 @@ func TestPairScoreZeroAlloc(t *testing.T) {
 			ps.q = fs.Prepare(qs[0].Attrs, false, sn.view.SortedSetEphemeral)
 			ps.row = make([]float64, fs.Len())
 		}
-		cand := &sn.slots[3]
-		ps.score(cand) // grow the scratch once
-		if allocs := testing.AllocsPerRun(100, func() { ps.score(cand) }); allocs != 0 {
+		ps.score(3) // grow the scratch once
+		if allocs := testing.AllocsPerRun(100, func() { ps.score(3) }); allocs != 0 {
 			t.Errorf("%s: %.0f allocations per candidate", tc.name, allocs)
 		}
 		if fs == nil {
@@ -193,7 +192,7 @@ func TestPairScoreZeroAlloc(t *testing.T) {
 			pass++
 			ps.q = queries[pass%2]
 			for i := range sn.slots {
-				ps.score(&sn.slots[i])
+				ps.score(uint32(i))
 			}
 		}
 		scan()
@@ -283,10 +282,8 @@ func TestSetMatcherNilDropsPrepared(t *testing.T) {
 	if err := c.Add(Record{ID: "late", Attrs: qs[0].Attrs}); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range c.snap.Load().slots {
-		if s.prep != nil {
-			t.Fatalf("slot %s keeps a prepared record with no matcher installed", s.rec.ID)
-		}
+	if sn := c.snap.Load(); sn.preps != nil {
+		t.Fatalf("%d prepared records kept with no matcher installed", len(sn.preps))
 	}
 }
 

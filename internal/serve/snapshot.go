@@ -20,10 +20,11 @@ import (
 //
 // What immutability means here, field by field:
 //
-//   - slots: append-only shared backing. The writer appends at indices >=
-//     every published length, so elements [0, len(snapshot.slots)) never
-//     change after publication. SetMatcher and Compact, which would mutate
-//     elements in place, clone the whole array instead.
+//   - slots, and preps beside them: append-only shared backing. The
+//     writer appends at indices >= every published length, so elements
+//     [0, len(snapshot.slots)) never change after publication. SetMatcher
+//     and Compact, which would mutate elements in place, build a fresh
+//     array instead.
 //   - tombs: a persistent bitmap — every mutation produces a new *tombSet
 //     sharing unchanged blocks.
 //   - posts: the entries array is shared with the writer, which keeps
@@ -39,6 +40,7 @@ import (
 type snapshot struct {
 	view  intern.View
 	slots []slot
+	preps []feature.Prepared // per slot; nil without a matcher
 	tombs *tombSet
 	posts []atomic.Pointer[bitvec.Postings]
 
@@ -110,8 +112,9 @@ type matchScratch struct {
 	count bitvec.Counter
 	cands []uint32
 	qids  []uint32
-	sim   sim.Scratch // the pair kernels' working memory
-	row   []float64   // one feature row
+	sim   sim.Scratch      // the pair kernels' working memory
+	row   []float64        // one feature row
+	q     feature.Prepared // the query, prepared in place: its slab is reused
 }
 
 var matchPool = sync.Pool{New: func() any { return &matchScratch{} }}

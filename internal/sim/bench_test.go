@@ -60,14 +60,8 @@ func BenchmarkSoundex(b *testing.B) {
 
 var sink float64
 
-func benchRunes() (a, b []rune, ta, tb [][]rune) {
-	for _, t := range strings.Fields(benchA) {
-		ta = append(ta, []rune(t))
-	}
-	for _, t := range strings.Fields(benchB) {
-		tb = append(tb, []rune(t))
-	}
-	return []rune(benchA), []rune(benchB), ta, tb
+func benchRunes() (a, b []rune, ta, tb Bag) {
+	return []rune(benchA), []rune(benchB), runeTokens(strings.Fields(benchA)), runeTokens(strings.Fields(benchB))
 }
 
 // BenchmarkLevenshteinRunes covers the kernel's three paths: a remainder

@@ -196,12 +196,14 @@ func (kernelText) Generate(rng *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(kernelText(sb.String()))
 }
 
-func runeTokens(toks []string) [][]rune {
-	out := make([][]rune, len(toks))
-	for i, t := range toks {
-		out[i] = []rune(t)
+// runeTokens is toks as a flat bag, each token decoded as []rune(t).
+func runeTokens(toks []string) Bag {
+	var b Bag
+	for _, t := range toks {
+		b.Runes = append(b.Runes, []rune(t)...)
+		b.Ends = append(b.Ends, uint32(len(b.Runes)))
 	}
-	return out
+	return b
 }
 
 // TestQuickKernelsMatchReference: every rune kernel, and the string entry

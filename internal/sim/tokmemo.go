@@ -60,17 +60,17 @@ func (m *tokenMemo) next() {
 // same a.
 //
 //emlint:zeroalloc
-func MongeElkanJWScan(key uint32, a, b [][]rune, sc *Scratch) float64 {
-	if len(a) == 0 || len(b) == 0 {
+func MongeElkanJWScan(key uint32, a, b Bag, sc *Scratch) float64 {
+	if a.Len() == 0 || b.Len() == 0 {
 		return MongeElkanJWRunes(a, b, sc) // 1 or 0, without a call
 	}
-	la := len(a)
+	la := a.Len()
 	row := sc.meRowOf(2*la + 1)
 	best, spare := row[:la], row[la:]
 	clear(best)
 	back := 0.0
-	for _, t := range b {
-		blk := sc.tokenBlock(key, a, t, spare)
+	for j := range b.Len() {
+		blk := sc.tokenBlock(key, a, b.Token(j), spare)
 		for i, s := range blk[:la] {
 			if s > best[i] {
 				best[i] = s
@@ -82,13 +82,13 @@ func MongeElkanJWScan(key uint32, a, b [][]rune, sc *Scratch) float64 {
 	for _, s := range best {
 		fwd += s
 	}
-	return (fwd/float64(la) + back/float64(len(b))) / 2
+	return (fwd/float64(la) + back/float64(b.Len())) / 2
 }
 
 // tokenBlock returns t's block of len(a)+1 scores under key: remembered,
 // or scored now into the memo, or — once the memo is full — into spare.
-func (sc *Scratch) tokenBlock(key uint32, a [][]rune, t []rune, spare []float64) []float64 {
-	m, n, h := sc.toks, len(a)+1, runeHash(t)
+func (sc *Scratch) tokenBlock(key uint32, a Bag, t []rune, spare []float64) []float64 {
+	m, n, h := sc.toks, a.Len()+1, runeHash(t)
 	i := (h ^ key*0x9E3779B9) & tokMask
 	for ; m.slots[i].stamp == m.stamp; i = (i + 1) & tokMask { // tokFill < tokSlots: an empty slot ends the run
 		if s := &m.slots[i]; s.hash == h && s.key == key && slices.Equal(m.runes[s.roff:s.roff+s.n], t) {
@@ -107,7 +107,8 @@ func (sc *Scratch) tokenBlock(key uint32, a [][]rune, t []rune, spare []float64)
 		m.nrunes += len(t)
 	}
 	sig, back := runeSig(t), 0.0
-	for i, ai := range a {
+	for i := range a.Len() {
+		ai := a.Token(i)
 		fwd, bwd := 0.0, 0.0
 		switch {
 		case slices.Equal(ai, t):
@@ -123,7 +124,7 @@ func (sc *Scratch) tokenBlock(key uint32, a [][]rune, t []rune, spare []float64)
 			back = bwd
 		}
 	}
-	blk[len(a)] = back
+	blk[a.Len()] = back
 	return blk
 }
 

@@ -198,7 +198,7 @@ func TestTokenMemoFootprintIsFixed(t *testing.T) {
 		if i%1000 == 0 {
 			sc.Scan(uint64(2 + i))
 		}
-		MongeElkanJWScan(0, a, [][]rune{[]rune(fmt.Sprint(i))}, sc)
+		MongeElkanJWScan(0, a, runeTokens([]string{fmt.Sprint(i)}), sc)
 	}
 	if sc.toks != m {
 		t.Fatal("the token memo was replaced")
@@ -211,7 +211,7 @@ func TestTokenMemoFootprintIsFixed(t *testing.T) {
 // rune with the left bag), on equal tokens, and on hits.
 func TestTokenScanZeroAlloc(t *testing.T) {
 	a := runeTokens([]string{"mississippi", "dept", "of", "revenue", "12"})
-	rights := make([][][]rune, 0, tokFill+600)
+	rights := make([]Bag, 0, tokFill+600)
 	for i := 0; i < cap(rights); i++ {
 		rights = append(rights, runeTokens([]string{fmt.Sprintf("x%dz", i), "dept", "qz", fmt.Sprint(i)}))
 	}
