@@ -1,9 +1,7 @@
 package active
 
 import (
-	"cmp"
 	"math/rand"
-	"slices"
 
 	"repro/internal/simjoin"
 )
@@ -26,15 +24,7 @@ func OverlapSample(nl, nr int, joined simjoin.Rows, n int, rng *rand.Rand) (ls, 
 			ls, rs = append(ls, i), append(rs, j)
 		}
 	}
-	// joined is in (left id, right id) order, so ordering its positions by
-	// (Sim desc, position) breaks ties on the records' ids.
-	byOverlap := make([]int32, len(joined.L))
-	for k := range byOverlap {
-		byOverlap[k] = int32(k)
-	}
-	slices.SortFunc(byOverlap, func(x, y int32) int {
-		return cmp.Or(cmp.Compare(joined.Sim[y], joined.Sim[x]), cmp.Compare(x, y))
-	})
+	byOverlap := byOverlapDesc(joined.Sim)
 	top := min(n/4, len(byOverlap))
 	for _, k := range byOverlap[:top] {
 		add(joined.L[k], joined.R[k])
@@ -48,4 +38,31 @@ func OverlapSample(nl, nr int, joined simjoin.Rows, n int, rng *rand.Rand) (ls, 
 		add(int32(rng.Intn(nl)), int32(rng.Intn(nr)))
 	}
 	return ls, rs
+}
+
+// byOverlapDesc returns the positions of an overlap join's rows ordered by
+// (Sim desc, position). The join is in (left id, right id) order, so ties
+// break on the records' ids. Sim is an overlap count, a whole number, so a
+// stable counting sort gives that order in one pass over the counts.
+func byOverlapDesc(sims []float64) []int32 {
+	top := 0
+	for _, s := range sims {
+		top = max(top, int(s))
+	}
+	// next[top-s] is where the following row of overlap s goes.
+	next := make([]int, top+1)
+	for _, s := range sims {
+		next[top-int(s)]++
+	}
+	at := 0
+	for b, c := range next {
+		next[b], at = at, at+c
+	}
+	out := make([]int32, len(sims))
+	for k, s := range sims {
+		b := top - int(s)
+		out[next[b]] = int32(k)
+		next[b]++
+	}
+	return out
 }

@@ -237,9 +237,12 @@ func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row
 	}
 
 	n, nf := pairs.Len(), len(s.Features)
-	scratch := make([]*sim.Scratch, min(parallel.Resolve(opts.Workers), (n+vectorsChunk-1)/vectorsChunk)) // one per worker Chunks starts
+	// One scratch per worker Chunks starts. Its memos (544 KiB) are made
+	// at its first scan and dropped with it when the call ends, so no
+	// call's memos stay live beside the next call's work.
+	scratch := make([]*sim.Scratch, min(parallel.Resolve(opts.Workers), (n+vectorsChunk-1)/vectorsChunk))
 	for i := range scratch {
-		scratch[i] = scanPool.Get().(*sim.Scratch)
+		scratch[i] = new(sim.Scratch)
 	}
 	kept, err := parallel.Chunks(opts.Workers, n, vectorsChunk, func(shard, lo, hi int) ([]int, error) {
 		sc := scratch[shard]
@@ -280,16 +283,9 @@ func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row
 		scored, reused = sc.TakeTokenBlockCounts()
 		rec.Count(obs.FeatureTokenBlocks, float64(scored), obs.L("result", "scored"))
 		rec.Count(obs.FeatureTokenBlocks, float64(reused), obs.L("result", "reused"))
-		scanPool.Put(sc)
 	}
 	return kept, nil
 }
-
-// scanPool holds eachRow's worker scratches between calls, so a call does
-// not allocate, and drop, a scratch's memos (544 KiB) per worker. A reused
-// memo answers nothing of an earlier call: it follows the left record's
-// generation, and no two fillings share one.
-var scanPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
 
 // vectorsChunk is how many consecutive pairs an eachRow worker claims at a
 // time: enough that claiming costs nothing and a left record's run is

@@ -264,11 +264,12 @@ func TestCacheFallsBackOnMissingAttr(t *testing.T) {
 	}
 }
 
-// TestVectorsReusesScanScratch: eachRow's worker scratches come from a
-// pool, so once one call has made their memos, a second small Vectors call
-// allocates less than one memo's 256 KiB; and with memos reused from
-// earlier calls, the rows at Workers 1 and 4 are the same bits.
-func TestVectorsReusesScanScratch(t *testing.T) {
+// TestVectorsDropsScanScratch: eachRow's worker scratches live only as
+// long as the call, so once it has returned and the heap is collected,
+// their memos (544 KiB a scratch) no longer count — the live heap is less
+// than one memo's 256 KiB above where it stood before the call — and the
+// rows at Workers 1 and 4 are the same bits.
+func TestVectorsDropsScanScratch(t *testing.T) {
 	a, b, pairs, cat := cacheTables(t, 12, 17)
 	s, err := AutoGenerate(a, b)
 	if err != nil {
@@ -277,23 +278,22 @@ func TestVectorsReusesScanScratch(t *testing.T) {
 	var rows [2][][]float64
 	for i, workers := range []int{1, 4} {
 		opts := ExtractOptions{Workers: workers}
-		if _, err := tableVectors(s, pairs, cat, opts); err != nil {
-			t.Fatal(err)
-		}
-		// The least of three calls: a pool may miss now and then, when
-		// the goroutine has moved to another processor since the Put.
-		least := uint64(math.MaxUint64)
+		// The least of three calls, against whatever else the runtime
+		// allocates meanwhile.
+		least := int64(math.MaxInt64)
 		for range 3 {
 			var before, after runtime.MemStats
+			runtime.GC()
 			runtime.ReadMemStats(&before)
 			if rows[i], err = tableVectors(s, pairs, cat, opts); err != nil {
 				t.Fatal(err)
 			}
+			runtime.GC()
 			runtime.ReadMemStats(&after)
-			least = min(least, after.TotalAlloc-before.TotalAlloc)
+			least = min(least, int64(after.HeapAlloc)-int64(before.HeapAlloc))
 		}
 		if least >= 256<<10 {
-			t.Errorf("workers=%d: a second Vectors call over %d pairs allocates %d bytes, a memo's worth", workers, pairs.Len(), least)
+			t.Errorf("workers=%d: a Vectors call over %d pairs leaves %d bytes live after it, a memo's worth", workers, pairs.Len(), least)
 		}
 	}
 	for i := range rows[0] {

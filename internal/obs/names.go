@@ -34,8 +34,9 @@ const (
 
 	// SimjoinSeconds times one similarity join: labels {join}.
 	SimjoinSeconds = "em_simjoin_seconds"
-	// SimjoinCandidates counts prefix-filter candidates verified:
-	// labels {join}.
+	// SimjoinCandidates counts a join's prefix-filter candidates: pairs
+	// verified, or for the overlap join, which verifies nothing, distinct
+	// right records a probe reached. Labels {join}.
 	SimjoinCandidates = "em_simjoin_candidates_total"
 	// SimjoinPairs counts pairs a join emitted: labels {join}.
 	SimjoinPairs = "em_simjoin_pairs_total"
@@ -118,7 +119,7 @@ func DescribeStandard(g *Registry) {
 		{ForestTreeFitSeconds, "Duration of one tree fit inside RandomForest.Fit."},
 		{ForestFitSeconds, "Duration of one RandomForest.Fit call."},
 		{SimjoinSeconds, "Duration of one similarity join."},
-		{SimjoinCandidates, "Prefix-filter candidates verified by a similarity join."},
+		{SimjoinCandidates, "Prefix-filter candidates of a similarity join: pairs verified, or right records an overlap probe reached."},
 		{SimjoinPairs, "Pairs emitted by a similarity join."},
 		{FeatureExtractSeconds, "Duration of one feature-vector extraction pass."},
 		{FeatureVectors, "Feature vectors extracted."},

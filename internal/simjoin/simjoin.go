@@ -9,11 +9,14 @@
 // document frequency (rarest first, ties by first-appearance ID); a record
 // only needs its first few tokens ("the prefix") indexed, because two
 // records whose prefixes are disjoint provably cannot reach the threshold.
-// A size filter prunes candidates whose set sizes alone rule the threshold
-// out, a PPJoin-style positional filter prunes candidates whose shared
-// suffixes are too short, and every surviving candidate is verified with a
-// zero-allocation merge that abandons the pair as soon as the remaining
-// suffix cannot reach the required overlap.
+// For Jaccard, cosine and Dice a size filter prunes candidates whose set
+// sizes alone rule the threshold out, a PPJoin-style positional filter
+// prunes candidates whose shared suffixes are too short, and every
+// surviving candidate is verified with a zero-allocation merge that
+// abandons the pair as soon as the remaining suffix cannot reach the
+// required overlap. An overlap join verifies nothing: its threshold is a
+// count, so the probe counts each record's shared prefix tokens and tops
+// the count up to the exact overlap with at most 2(k−1) lookups.
 //
 // Each join interns its inputs into a per-call dictionary, indexes them
 // with bitvec.BuildPostings and counts what a probe reaches with
@@ -127,7 +130,7 @@ func DiceJoin(l, r []Record, threshold float64, opts ...JoinOption) (Rows, error
 }
 
 // OverlapJoin returns all pairs sharing at least k tokens. Sim in the
-// output is the raw overlap count.
+// output is the raw overlap count, an exact whole number.
 func OverlapJoin(l, r []Record, k int, opts ...JoinOption) (Rows, error) {
 	return setJoin(l, r, float64(k), measureOverlap, opts)
 }
@@ -277,13 +280,17 @@ func similarity(m measure, inter, n1, n2 int) float64 {
 
 // joinIndex is the probe-side view of the indexed right collection.
 //
-// Records are sorted by ascending token-set size (stable, so equal sizes
-// keep their input order; each record carries its rank in ID order, which
-// is what the output is ordered by, so the index order never shows), which
-// buys length-bucketed candidate generation: a probe's size window
-// [lo, hi] becomes one contiguous record-index range found by two binary
-// searches, postings lists are size-sorted for free (they are built in
-// record order), and the per-candidate size check disappears.
+// For Jaccard, cosine and Dice, records are sorted by ascending token-set
+// size (stable, so equal sizes keep their input order; each record carries
+// its rank in ID order, which is what the output is ordered by, so the
+// index order never shows), which buys length-bucketed candidate
+// generation: a probe's size window [lo, hi] becomes one contiguous
+// record-index range found by two binary searches, postings lists are
+// size-sorted for free (they are built in record order), and the
+// per-candidate size check disappears. Overlap has no size window (every
+// record of at least k tokens qualifies by size), so its index is in rank
+// order instead: a record's position is its rank, and a probe's records
+// sort as plain integers into output order.
 //
 // posts[t] lists the positions (in pr) of the records holding token t
 // within their prefix. A posting does not store where in the record t
@@ -291,22 +298,27 @@ func similarity(m measure, inter, n1, n2 int) float64 {
 // with a binary search when the positional filter needs it.
 type joinIndex struct {
 	pr    []intRec
-	sizes []int // sizes[j] = len(pr[j].toks), ascending
+	sizes []int // sizes[j] = len(pr[j].toks), ascending; nil for overlap
 	posts []*bitvec.Postings
 }
 
-// buildIndex size-sorts the right collection and indexes each record's
-// prefix under its tokens. nids is the remapped ID-space size from
-// prepare.
+// buildIndex orders the right collection (by size, or for overlap by rank)
+// and indexes each record's prefix under its tokens. nids is the remapped
+// ID-space size from prepare.
 func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex {
 	idx := &joinIndex{pr: pr}
-	slices.SortStableFunc(idx.pr, func(a, b intRec) int { return cmp.Compare(len(a.toks), len(b.toks)) })
-	idx.sizes = make([]int, len(idx.pr))
+	if m == measureOverlap {
+		slices.SortFunc(idx.pr, func(a, b intRec) int { return cmp.Compare(a.rank, b.rank) })
+	} else {
+		slices.SortStableFunc(idx.pr, func(a, b intRec) int { return cmp.Compare(len(a.toks), len(b.toks)) })
+		idx.sizes = make([]int, len(idx.pr))
+		for j, rec := range idx.pr {
+			idx.sizes[j] = len(rec.toks)
+		}
+	}
 	prefixes := make([][]uint32, len(idx.pr))
 	for j, rec := range idx.pr {
-		n := len(rec.toks)
-		idx.sizes[j] = n
-		prefixes[j] = rec.toks[:prefixLen(m, threshold, n)]
+		prefixes[j] = rec.toks[:prefixLen(m, threshold, len(rec.toks))]
 	}
 	idx.posts = bitvec.BuildPostings(prefixes, nids)
 	return idx
@@ -318,6 +330,67 @@ func buildIndex(pr []intRec, nids int, m measure, threshold float64) *joinIndex 
 //emlint:zeroalloc
 func (idx *joinIndex) sizeWindow(lo, hi int) (jlo, jhi int) {
 	return sort.SearchInts(idx.sizes, lo), sort.SearchInts(idx.sizes, hi+1)
+}
+
+// overlapProbe is one worker's probe of a rank-ordered overlap index,
+// whose threshold k is a count. A probe counts each right record's shared
+// prefix tokens over the postings the left record's prefix reaches
+// (ScanCount beside the prefix filter) and tops each count up to the exact
+// overlap with uncounted: no positional filter and no merge.
+type overlapProbe struct {
+	idx   *joinIndex
+	k     int
+	seen  *bitvec.Counter // the worker's counter
+	found []uint64        // one probe's qualifying records: rank<<32 | overlap
+	nc    int             // records reached, the join's candidates
+}
+
+// probe appends left record q's pairs to hits in rank order.
+func (op *overlapProbe) probe(q intRec, hits []hit[float64]) []hit[float64] {
+	idx := op.idx
+	prefix := prefixLen(measureOverlap, float64(op.k), len(q.toks))
+	if prefix == 0 {
+		return hits
+	}
+	op.seen.Reset(len(idx.pr))
+	for _, t := range q.toks[:prefix] {
+		op.seen.AddPostings(idx.posts[t], 0, uint32(len(idx.pr)))
+	}
+	touched, counts := op.seen.Counts()
+	op.nc += len(touched)
+	op.found = op.found[:0]
+	for _, j := range touched {
+		if ov := int(counts[j]) + uncounted(q.toks, prefix, idx.pr[j].toks, op.k); ov >= op.k {
+			op.found = append(op.found, uint64(j)<<32|uint64(ov))
+		}
+	}
+	slices.Sort(op.found)
+	for _, f := range op.found {
+		j := uint32(f >> 32)
+		hits = append(hits, hit[float64]{rank: j, l: uint32(q.pos), j: uint32(idx.pr[j].pos), v: float64(uint32(f))})
+	}
+	return hits
+}
+
+// uncounted returns what a prefix count leaves out of |q ∩ c| at overlap
+// threshold k, given q's prefix length: q's prefix tokens among c's last
+// k−1 tokens (c's unindexed suffix) and q's suffix tokens anywhere in c —
+// k−1 lookups each, none at k = 1.
+//
+//emlint:zeroalloc
+func uncounted(q []uint32, prefix int, c []uint32, k int) int {
+	ov := 0
+	for _, t := range c[len(c)-(k-1):] {
+		if _, ok := slices.BinarySearch(q[:prefix], t); ok {
+			ov++
+		}
+	}
+	for _, t := range q[prefix:] {
+		if _, ok := slices.BinarySearch(c, t); ok {
+			ov++
+		}
+	}
+	return ov
 }
 
 // setJoin is the one prefix-filter join driver. For measureOverlap the
@@ -337,7 +410,7 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Ro
 	pl, pr, nids := prepare(l, r)
 	// Left records are probed in ID order, one unit per run of equal IDs;
 	// every right record learns its rank in ID order before the index
-	// reorders it by size.
+	// reorders it.
 	perm, runs := idOrder(len(l), func(i int) string { return l[i].ID })
 	for j, rank := range ranks(len(r), func(j int) string { return r[j].ID }) {
 		pr[j].rank = rank
@@ -346,17 +419,20 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Ro
 
 	// Probe the index in chunks of probeChunk units through the shared
 	// pool. The counter over the right side and the tally of candidates
-	// surviving the size and positional filters (i.e. actually verified)
-	// are per worker; the tally is recorded once — the no-op path never
-	// sees a per-pair recorder call.
+	// (records an overlap probe reaches; otherwise those surviving the size
+	// and positional filters, i.e. actually verified) are per worker; the
+	// tally is recorded once — the no-op path never sees a per-pair
+	// recorder call.
 	nw := parallel.Resolve(cfg.workers)
 	counters, cands := make([]bitvec.Counter, nw), make([]int, nw)
+	founds := make([][]uint64, nw) // overlapProbe.found, kept across a worker's chunks
 	chunks, err := parallel.Chunks(cfg.workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]Rows, error) {
 		// Chunk-local probe state, hoisted so the visit closure is
 		// allocated once per chunk, not once per probe.
 		var out []Rows // the chunk's pairs, in blocks of 256 to 4 096 never copied
 		nc := 0
 		seen := &counters[shard] // right records the probe has reached
+		op := overlapProbe{idx: idx, k: int(threshold), seen: seen, found: founds[shard]}
 		var (
 			hits  []hit[float64] // the unit's pairs, Sim as the value
 			probe intRec
@@ -394,6 +470,10 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Ro
 			hits = hits[:0]
 			for i := runs[u]; i < runs[u+1]; i++ {
 				probe = pl[perm[i]]
+				if m == measureOverlap {
+					hits = op.probe(probe, hits)
+					continue
+				}
 				n = len(probe.toks)
 				prefix := prefixLen(m, threshold, n)
 				lo, hi := sizeBounds(m, threshold, n)
@@ -409,7 +489,9 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Ro
 					idx.posts[t].ForEachIn(uint32(jlo), uint32(jhi), visit)
 				}
 			}
-			sortHits(hits)
+			if m != measureOverlap || runs[u+1]-runs[u] > 1 {
+				sortHits(hits) // one overlap probe's hits are in order already
+			}
 			for _, h := range hits {
 				if len(out) == 0 || len(out[len(out)-1].L) == cap(out[len(out)-1].L) {
 					n := 256 << min(len(out), 4)
@@ -419,7 +501,8 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Ro
 				b.L, b.R, b.Sim = append(b.L, int32(h.l)), append(b.R, int32(h.j)), append(b.Sim, h.v)
 			}
 		}
-		cands[shard] += nc
+		cands[shard] += nc + op.nc
+		founds[shard] = op.found
 		return out, nil
 	})
 	if err != nil {

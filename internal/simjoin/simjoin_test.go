@@ -399,8 +399,8 @@ func TestPooledJoinsBitIdenticalAcrossWorkers(t *testing.T) {
 
 // TestJoinHotPathZeroAlloc pins the allocation-free contract of the
 // per-candidate helpers the probe loop runs millions of times: the one
-// overlap verifier, the pair-level overlap bound and the size-window binary
-// search.
+// overlap verifier, the pair-level overlap bound, the size-window binary
+// search and the overlap probe's top-up of a prefix count.
 func TestJoinHotPathZeroAlloc(t *testing.T) {
 	probe := []uint32{1, 3, 5, 7, 9, 11}
 	cand := []uint32{3, 4, 5, 9, 10, 11}
@@ -412,6 +412,7 @@ func TestJoinHotPathZeroAlloc(t *testing.T) {
 		{"verify", func() { sim.IntersectSortedU32Bounded(probe, cand, 2) }},
 		{"pairMinOverlap", func() { pairMinOverlap(measureJaccard, 0.8, len(probe), len(cand)) }},
 		{"sizeWindow", func() { idx.sizeWindow(2, 5) }},
+		{"uncounted", func() { uncounted(probe, 4, cand, 3) }},
 	} {
 		if allocs := testing.AllocsPerRun(50, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f per run, want 0", tc.name, allocs)
