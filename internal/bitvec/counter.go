@@ -8,6 +8,9 @@ package bitvec
 type Counter struct {
 	counts  []int32
 	touched []uint32 // IDs with a non-zero count, in first-touch order
+	// A new ID writes touched's header, so the pad keeps the counters of
+	// a per-worker slice off each other's cache lines.
+	_ [64]byte
 }
 
 // Reset starts a probe over IDs [0, n). Every count is zero afterwards,

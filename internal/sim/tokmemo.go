@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // The token memo sits under the value memo (memo.go) and serves Monge-Elkan
 // with Jaro-Winkler inside, the one hybrid measure a scan scores: a
@@ -107,15 +110,25 @@ func (sc *Scratch) tokenBlock(key uint32, a Bag, t []rune, spare []float64) []fl
 		m.nrunes += len(t)
 	}
 	sig, back := runeSig(t), 0.0
+	tDistinct := bits.OnesCount64(sig) == len(t) // no rune of t repeats
 	for i := range a.Len() {
 		ai := a.Token(i)
+		aiSig := runeSig(ai)
 		fwd, bwd := 0.0, 0.0
 		switch {
 		case slices.Equal(ai, t):
 			fwd, bwd = 1, 1
-		case runeSig(ai)&sig == 0:
+		case aiSig&sig == 0:
 			// No rune in common: Jaro matches nothing and there is no
 			// common prefix, so both directions score exactly 0.
+		case tDistinct || bits.OnesCount64(aiSig) == len(ai):
+			// When no rune repeats on one side, each of its runes matches
+			// the first equal rune of the other side within the window,
+			// whichever side Jaro's greedy scan starts from: the matches,
+			// and with them the transpositions, are the same both ways,
+			// so both directions score alike, bit for bit.
+			fwd = JaroWinklerRunes(ai, t, sc)
+			bwd = fwd
 		default:
 			fwd, bwd = JaroWinklerRunes(ai, t, sc), JaroWinklerRunes(t, ai, sc)
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -234,5 +235,67 @@ func TestTokenScanZeroAlloc(t *testing.T) {
 	}
 	if sink < 0 {
 		t.Fatal("unreachable: similarities are non-negative")
+	}
+}
+
+// TestQuickJaroWinklerSymmetricOnDistinctRunes holds what tokenBlock's
+// one-call branch rests on: when no rune repeats in a, or none in b, as a
+// signature proves, JaroWinklerRunes(a, b) and JaroWinklerRunes(b, a) are
+// the same bits. The tokens are ASCII, non-ASCII (with runes equal mod
+// 64, whose signatures collide) and past 64 runes, where no signature
+// proves it; their runes repeat often enough that many pairs are distinct
+// on one side only.
+func TestQuickJaroWinklerSymmetricOnDistinctRunes(t *testing.T) {
+	alphabet := []rune("abcdefghijklmnopqrstuvwxyz0123456789éüñßø世界¡áÁ€")
+	sc := new(Scratch)
+	held, oneSided := 0, 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		token := func() []rune {
+			n, k := 1+rng.Intn(12), 2+rng.Intn(len(alphabet)-1) // k runes to draw from
+			if rng.Intn(10) == 0 {
+				n = 65 + rng.Intn(20) // past a signature's 64 bits
+			}
+			if rng.Intn(2) == 0 { // a prefix of a shuffle: distinct runes
+				if perm := rng.Perm(len(alphabet)); n <= len(perm) {
+					out := make([]rune, n)
+					for i := range out {
+						out[i] = alphabet[perm[i]]
+					}
+					return out
+				}
+			}
+			out := make([]rune, n)
+			for i := range out {
+				out[i] = alphabet[rng.Intn(k)]
+			}
+			return out
+		}
+		a, b := token(), token()
+		distinct := func(x []rune) bool { return bits.OnesCount64(runeSig(x)) == len(x) }
+		da, db := distinct(a), distinct(b)
+		if !da && !db {
+			return true
+		}
+		if da && len(a) > 64 || db && len(b) > 64 {
+			t.Errorf("%q, %q: a signature cannot prove more than 64 runes distinct", string(a), string(b))
+			return false
+		}
+		held++
+		if da != db {
+			oneSided++
+		}
+		ab, ba := JaroWinklerRunes(a, b, sc), JaroWinklerRunes(b, a, sc)
+		if math.Float64bits(ab) != math.Float64bits(ba) {
+			t.Errorf("JaroWinklerRunes(%q, %q) = %v, reversed %v", string(a), string(b), ab, ba)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	if held < 5000 || oneSided < 2000 {
+		t.Fatalf("of 20000 draws, %d had distinct runes on a side, %d on one side only", held, oneSided)
 	}
 }
