@@ -82,7 +82,7 @@ func TestDebugBlockerGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		as, bs, err := table.DownSample(task.A, task.B, 1000, 1000, rand.New(rand.NewSource(seed)))
+		as, bs, err := table.DownSample(task.A, task.B, 1000, 1000, rand.New(rand.NewSource(seed)), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,7 +117,8 @@ func standardServices() []*Service {
 				return nil, d.err
 			}
 			rng := rand.New(rand.NewSource(d.ctx.Seed))
-			as, bs, err := table.DownSample(at, bt, sizeA, sizeB, rng)
+			// On every core, as extract_features is.
+			as, bs, err := table.DownSample(at, bt, sizeA, sizeB, rng, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -231,7 +232,8 @@ func standardServices() []*Service {
 			if d.err != nil {
 				return nil, d.err
 			}
-			matches, err := table.PredictedPairs("matches", v.rows, d.ctx.Catalog, ml.PredictAll(model, v.X))
+			// On every core, as extract_features is.
+			matches, err := table.PredictedPairs("matches", v.rows, d.ctx.Catalog, ml.PredictAll(model, v.X, 0))
 			if err != nil {
 				return nil, err
 			}

@@ -54,7 +54,7 @@ func matrixPath(t *testing.T, w *Workflow, a, b *table.Table) *table.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := ml.PredictAll(w.Matcher, x)
+	y := ml.PredictAll(w.Matcher, x, 0)
 	if w.Rules != nil {
 		promote, err := rules.CompileSet(w.Rules.Promote, w.Features.Names())
 		if err != nil {

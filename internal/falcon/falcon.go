@@ -141,7 +141,8 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	}
 	res.MatchingQuestions = lab.Stats().Questions - before
 	res.Matcher = stage2.Forest
-	res.Matches, err = table.PredictedPairs("falcon_matches", c, cat, ml.PredictAll(stage2.Forest, cx))
+	// Extraction and the forests run on every core, and so does prediction.
+	res.Matches, err = table.PredictedPairs("falcon_matches", c, cat, ml.PredictAll(stage2.Forest, cx, 0))
 	if err != nil {
 		return nil, err
 	}

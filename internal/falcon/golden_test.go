@@ -33,7 +33,7 @@ func TestSamplePairsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		as, bs, err := table.DownSample(task.A, task.B, 1000, 1000, rng)
+		as, bs, err := table.DownSample(task.A, task.B, 1000, 1000, rng, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,8 +69,10 @@ func (c Confusion) String() string {
 		c.TP, c.FP, c.TN, c.FN, c.Precision(), c.Recall(), c.F1())
 }
 
-// Evaluate fits nothing: it scores a trained classifier on a dataset.
+// Evaluate fits nothing: it scores a trained classifier on a dataset, on
+// one core: cross-validation, its main caller, already runs folds side by
+// side.
 func Evaluate(c Classifier, d *Dataset) (Confusion, error) {
-	pred := PredictAll(c, d.X)
+	pred := PredictAll(c, d.X, 1)
 	return NewConfusion(d.Y, pred)
 }

@@ -566,7 +566,7 @@ func TestPredictThreshold(t *testing.T) {
 	if err := rf.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	preds := PredictAll(rf, d.X)
+	preds := PredictAll(rf, d.X, 0)
 	if len(preds) != d.Len() {
 		t.Fatalf("predictions = %d", len(preds))
 	}

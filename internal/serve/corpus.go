@@ -14,6 +14,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/topk"
 )
 
 // slot is one corpus record's resident state. Slots are append-only
@@ -396,7 +397,7 @@ func (c *Corpus) MatchOne(ctx context.Context, q Record) ([]ScoredPair, error) {
 				return nil, err
 			}
 		}
-		out = offer(out, ScoredPair{QueryID: q.ID, ID: sn.slots[si].rec.ID, Score: ps.score(si)}, k)
+		out = topk.Offer(out, ScoredPair{QueryID: q.ID, ID: sn.slots[si].rec.ID, Score: ps.score(si)}, k, ranksBefore)
 	}
 	sort.Slice(out, func(a, b int) bool { return ranksBefore(out[a], out[b]) })
 	// What the query's scan scored and what its memos answered, once per
@@ -420,43 +421,6 @@ func ranksBefore(a, b ScoredPair) bool {
 		return a.Score > b.Score
 	}
 	return a.ID < b.ID
-}
-
-// offer adds p to h, the best k >= 1 pairs seen so far: a plain list until
-// it holds k, from then on a heap with the worst of them on top, which a
-// later pair enters only by ranking before it.
-func offer(h []ScoredPair, p ScoredPair, k int) []ScoredPair {
-	switch {
-	case len(h) < k:
-		if h = append(h, p); len(h) == k {
-			for i := k/2 - 1; i >= 0; i-- {
-				siftDown(h, i)
-			}
-		}
-	case ranksBefore(p, h[0]):
-		h[0] = p
-		siftDown(h, 0)
-	}
-	return h
-}
-
-// siftDown restores, below node i, the heap order in which every node
-// ranks after its children.
-func siftDown(h []ScoredPair, i int) {
-	for {
-		w := 2*i + 1
-		if w >= len(h) {
-			return
-		}
-		if r := w + 1; r < len(h) && ranksBefore(h[w], h[r]) {
-			w = r
-		}
-		if !ranksBefore(h[i], h[w]) {
-			return
-		}
-		h[i], h[w] = h[w], h[i]
-		i = w
-	}
 }
 
 // pairScorer scores one query against one candidate at a time.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/table"
+	"repro/internal/topk"
 )
 
 // tableRecords renders table rows as serving records; nulls are omitted.
@@ -300,7 +301,7 @@ func TestQuickTopKEqualsStableSortTruncated(t *testing.T) {
 		limit := min(1+int(k)%12, len(all))
 		var heap []ScoredPair
 		for _, p := range all {
-			heap = offer(heap, p, limit)
+			heap = topk.Offer(heap, p, limit, ranksBefore)
 		}
 		sort.Slice(heap, func(a, b int) bool { return ranksBefore(heap[a], heap[b]) })
 		want := slices.Clone(all)

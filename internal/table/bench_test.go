@@ -21,7 +21,7 @@ func BenchmarkDownSample(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := table.DownSample(task.A, task.B, 1000, 1000, rand.New(rand.NewSource(1))); err != nil {
+		if _, _, err := table.DownSample(task.A, task.B, 1000, 1000, rand.New(rand.NewSource(1)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

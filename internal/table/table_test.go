@@ -536,7 +536,7 @@ func TestDownSampleKeepsMatches(t *testing.T) {
 	}
 	a.MustSetKey("id")
 	b.MustSetKey("id")
-	as, bs, err := DownSample(a, b, 100, 50, rng)
+	as, bs, err := DownSample(a, b, 100, 50, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,14 +564,14 @@ func TestDownSampleErrors(t *testing.T) {
 	empty := New("E", StringSchema("id"))
 	full := New("F", StringSchema("id"))
 	full.MustAppend(String("x"))
-	if _, _, err := DownSample(empty, full, 1, 1, rng); err == nil {
+	if _, _, err := DownSample(empty, full, 1, 1, rng, 0); err == nil {
 		t.Error("want empty-table error")
 	}
-	if _, _, err := DownSample(full, full, 0, 1, rng); err == nil {
+	if _, _, err := DownSample(full, full, 0, 1, rng, 0); err == nil {
 		t.Error("want size error")
 	}
 	// Oversized request returns clones.
-	as, bs, err := DownSample(full, full, 10, 10, rng)
+	as, bs, err := DownSample(full, full, 10, 10, rng, 0)
 	if err != nil || as.Len() != 1 || bs.Len() != 1 {
 		t.Errorf("oversized downsample: %v %d %d", err, as.Len(), bs.Len())
 	}
