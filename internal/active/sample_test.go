@@ -78,7 +78,7 @@ func TestOverlapSampleOrderOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		l, r := overlapRecords("a", 80+rng.Intn(60), rng), overlapRecords("b", 80+rng.Intn(60), rng)
 		for _, k := range []int{1, 2} {
-			joined, err := simjoin.OverlapJoin(l, r, k)
+			joined, err := simjoin.OverlapJoin(l, r, k, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,8 +32,8 @@ func (b OverlapBlocker) Name() string {
 // Pairs implements Blocker.
 func (b OverlapBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, attrRecords(b.Attr),
-		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error) {
-			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
+		func(l, r []simjoin.Record, workers int, rec obs.Recorder) (simjoin.Rows, error) {
+			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), workers, rec)
 		})
 }
 
@@ -63,8 +63,8 @@ func (b JaccardBlocker) Name() string {
 // Pairs implements Blocker.
 func (b JaccardBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, attrRecords(b.Attr),
-		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error) {
-			return simjoin.JaccardJoin(l, r, b.Threshold, opts...)
+		func(l, r []simjoin.Record, workers int, rec obs.Recorder) (simjoin.Rows, error) {
+			return simjoin.JaccardJoin(l, r, b.Threshold, workers, rec)
 		})
 }
 
@@ -79,7 +79,7 @@ func (b JaccardBlocker) Block(lt, rt *table.Table, cat *table.Catalog) (*table.T
 // joined pairs are the candidate set.
 func (f frame) joinPairs(lt, rt *table.Table,
 	records func(*table.Table) ([]simjoin.Record, error),
-	join func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error)) (*table.Pairs, error) {
+	join func(l, r []simjoin.Record, workers int, rec obs.Recorder) (simjoin.Rows, error)) (*table.Pairs, error) {
 	return f.run(lt, rt, func() ([]rows, int, error) {
 		lrecs, err := records(lt)
 		if err != nil {
@@ -89,7 +89,7 @@ func (f frame) joinPairs(lt, rt *table.Table,
 		if err != nil {
 			return nil, 0, err
 		}
-		joined, err := join(lrecs, rrecs, simjoin.WithWorkers(f.workers), simjoin.WithMetrics(f.metrics))
+		joined, err := join(lrecs, rrecs, f.workers, f.metrics)
 		return []rows{{joined.L, joined.R}}, -1, err
 	})
 }

@@ -233,7 +233,7 @@ func TestRuleBlockerEqualsMatrixOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			x, err := feature.Vectors(sub, cand, feature.ExtractOptions{Workers: 1})
+			x, err := feature.Vectors(sub, cand, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,7 @@ func (b RuleBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		kept, err := feature.Select(sub, cand, feature.ExtractOptions{Workers: b.Workers, Metrics: b.Metrics}, func(x []float64, fill func()) bool {
+		kept, err := feature.Select(sub, cand, b.Workers, b.Metrics, func(x []float64, fill func()) bool {
 			fill()
 			fired, _ := compiled.AnyFires(x)
 			return !fired

@@ -31,9 +31,10 @@ func (b WholeTupleOverlapBlocker) Name() string {
 
 // Pairs implements Blocker.
 func (b WholeTupleOverlapBlocker) Pairs(lt, rt *table.Table) (*table.Pairs, error) {
-	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, wholeTupleRecords,
-		func(l, r []simjoin.Record, opts ...simjoin.JoinOption) (simjoin.Rows, error) {
-			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), opts...)
+	records := func(t *table.Table) ([]simjoin.Record, error) { return WholeTupleRecords(t), nil }
+	return frame{b.Name(), b.Workers, b.Metrics}.joinPairs(lt, rt, records,
+		func(l, r []simjoin.Record, workers int, rec obs.Recorder) (simjoin.Rows, error) {
+			return simjoin.OverlapJoin(l, r, max(b.MinOverlap, 1), workers, rec)
 		})
 }
 
@@ -42,13 +43,14 @@ func (b WholeTupleOverlapBlocker) Block(lt, rt *table.Table, cat *table.Catalog)
 	return tableNamed(b.Name(), cat)(b.Pairs(lt, rt))
 }
 
-// wholeTupleRecords keys every row's whole-tuple token set
-// (table.WholeTupleTokens) by the table key.
-func wholeTupleRecords(t *table.Table) ([]simjoin.Record, error) {
+// WholeTupleRecords keys every row's whole-tuple token set
+// (table.WholeTupleTokens) by the table key: the join input of
+// WholeTupleOverlapBlocker, and of Falcon's sample join.
+func WholeTupleRecords(t *table.Table) []simjoin.Record {
 	ids := keyStrings(t)
 	out := make([]simjoin.Record, len(ids))
 	for i, toks := range table.WholeTupleTokens(t) {
 		out[i] = simjoin.Record{ID: ids[i], Tokens: toks}
 	}
-	return out, nil
+	return out
 }

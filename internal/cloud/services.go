@@ -187,7 +187,7 @@ func standardServices() []*Service {
 			if err != nil {
 				return nil, err
 			}
-			x, err := feature.Vectors(fs, rows, feature.ExtractOptions{Metrics: d.ctx.Metrics})
+			x, err := feature.Vectors(fs, rows, 0, d.ctx.Metrics)
 			if err != nil {
 				return nil, err
 			}

@@ -224,7 +224,7 @@ func (s *Session) SampleAndLabel(n int, lab label.Labeler) (*LabeledSet, error) 
 	}
 	defer obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "sample_label"))()
 	stop := obs.StartTimer(obs.Or(s.Metrics), obs.StageSeconds, obs.L("stage", "feature"))
-	allX, err := feature.Vectors(s.Features, s.Candidates, feature.ExtractOptions{Workers: s.Workers, Metrics: s.Metrics})
+	allX, err := feature.Vectors(s.Features, s.Candidates, s.Workers, s.Metrics)
 	stop()
 	if err != nil {
 		return nil, err
@@ -279,7 +279,7 @@ func (s *Session) SelectMatcher(factories []func() ml.Classifier, folds int) ([]
 	if err != nil {
 		return nil, err
 	}
-	return ml.SelectMatcher(factories, ds, folds, s.rng, ml.WithWorkers(s.Workers), ml.WithMetrics(s.Metrics))
+	return ml.SelectMatcher(factories, ds, folds, s.rng, s.Workers, s.Metrics)
 }
 
 // TrainAndPredict fits the matcher on the full labeled set and predicts
@@ -303,7 +303,7 @@ func (s *Session) TrainAndPredict(factory func() ml.Classifier) (*table.Table, m
 	defer obs.StartTimer(rec, obs.StageSeconds, obs.L("stage", "predict"))()
 	x := s.candX
 	if x == nil {
-		x, err = feature.Vectors(s.Features, s.Candidates, feature.ExtractOptions{Workers: s.Workers, Metrics: s.Metrics})
+		x, err = feature.Vectors(s.Features, s.Candidates, s.Workers, s.Metrics)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -139,7 +139,7 @@ func linearMatcher(t *testing.T, wf *Workflow, task *datagen.Task) ml.Classifier
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := feature.Vectors(wf.Features, cand, feature.ExtractOptions{})
+	x, err := feature.Vectors(wf.Features, cand, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 		deferred = w.Features.Deferred()
 	}
 	var filled atomic.Int64
-	kept, err := feature.Select(w.Features, cand, feature.ExtractOptions{Workers: w.Workers}, func(x []float64, fill func()) bool {
+	kept, err := feature.Select(w.Features, cand, w.Workers, nil, func(x []float64, fill func()) bool {
 		if early {
 			if match, ok := dec.Decide(x, deferred); ok {
 				return match

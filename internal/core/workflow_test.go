@@ -50,7 +50,7 @@ func matrixPath(t *testing.T, w *Workflow, a, b *table.Table) *table.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := feature.Vectors(w.Features, cand, feature.ExtractOptions{Workers: w.Workers})
+	x, err := feature.Vectors(w.Features, cand, w.Workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	res.Candidates = c
 
 	// Step 6: active-learn the matcher on C and predict.
-	cx, err := feature.Vectors(fs, c, feature.ExtractOptions{})
+	cx, err := feature.Vectors(fs, c, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +159,7 @@ func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Co
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sx, err := feature.Vectors(fs, sample, feature.ExtractOptions{})
+	sx, err := feature.Vectors(fs, sample, 0, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -182,16 +182,7 @@ func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (sample *table.Pairs,
 	if a.Len() == 0 || b.Len() == 0 {
 		return nil, nil, fmt.Errorf("falcon: empty input table")
 	}
-	// Every row's whole-tuple token set, keyed by the table key.
-	records := func(t *table.Table) []simjoin.Record {
-		kj := t.Schema().Lookup(t.Key())
-		out := make([]simjoin.Record, t.Len())
-		for i, toks := range table.WholeTupleTokens(t) {
-			out[i] = simjoin.Record{ID: t.Row(i)[kj].AsString(), Tokens: toks}
-		}
-		return out
-	}
-	rows, err := simjoin.OverlapJoin(records(a), records(b), seedOverlap)
+	rows, err := simjoin.OverlapJoin(block.WholeTupleRecords(a), block.WholeTupleRecords(b), seedOverlap, 0, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -55,7 +55,7 @@ func BenchmarkVectors1K(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Vectors(fs, pairs, ExtractOptions{}); err != nil {
+		if _, err := Vectors(fs, pairs, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkVectors1KSerial(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Vectors(fs, pairs, ExtractOptions{Workers: 1}); err != nil {
+		if _, err := Vectors(fs, pairs, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

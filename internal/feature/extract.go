@@ -13,16 +13,6 @@ import (
 	"repro/internal/table"
 )
 
-// ExtractOptions tunes feature-vector extraction.
-type ExtractOptions struct {
-	// Workers parallelizes extraction across pairs; 0 means GOMAXPROCS
-	// (parallel.Resolve).
-	Workers int
-	// Metrics receives extraction timings and vector counts
-	// (obs.FeatureExtractSeconds, obs.FeatureVectors); nil means off.
-	Metrics obs.Recorder
-}
-
 // tokenCache holds every row of both tables in prepared form (Prepared):
 // attribute values decoded, tokenized and interned once per row, and the
 // schema lookups every feature needs resolved once per table, so the pair
@@ -182,10 +172,12 @@ func (p *plan) fromAttrs(rec *Prepared, side int, attrs map[string]string, sets 
 // Per the paper's self-containment principle the set is re-validated
 // against its base tables before use (table.Pairs.Validate); a user's pair
 // table becomes a Pairs through Catalog.Pairs, which checks its foreign
-// keys.
-func Vectors(s *Set, pairs *table.Pairs, opts ExtractOptions) ([][]float64, error) {
+// keys. Extraction runs on workers goroutines; 0 means GOMAXPROCS
+// (parallel.Resolve). rec receives extraction timings and vector counts
+// (obs.FeatureExtractSeconds, obs.FeatureVectors); nil means off.
+func Vectors(s *Set, pairs *table.Pairs, workers int, rec obs.Recorder) ([][]float64, error) {
 	out := make([][]float64, pairs.Len())
-	if _, err := eachRow(s, pairs, opts, true, func(i int, x []float64, _ func()) bool {
+	if _, err := eachRow(s, pairs, workers, rec, true, func(i int, x []float64, _ func()) bool {
 		out[i] = x
 		return false
 	}); err != nil {
@@ -201,10 +193,10 @@ func Vectors(s *Set, pairs *table.Pairs, opts ExtractOptions) ([][]float64, erro
 // and hands keep the row and fill, which completes the row in place with
 // the deferred columns; until fill is called they hold stale values. keep
 // runs on every worker at once and must not retain the row or fill. The
-// indices are the same at any Workers setting; the metrics are Vectors',
-// the cheap pass's memo blocks counted among the pair groups.
-func Select(s *Set, pairs *table.Pairs, opts ExtractOptions, keep func(row []float64, fill func()) bool) ([]int, error) {
-	kept, err := eachRow(s, pairs, opts, false, func(_ int, x []float64, fill func()) bool { return keep(x, fill) })
+// indices are the same at any width; the metrics are Vectors', the cheap
+// pass's memo blocks counted among the pair groups.
+func Select(s *Set, pairs *table.Pairs, workers int, rec obs.Recorder, keep func(row []float64, fill func()) bool) ([]int, error) {
+	kept, err := eachRow(s, pairs, workers, rec, false, func(_ int, x []float64, fill func()) bool { return keep(x, fill) })
 	if err != nil {
 		return nil, err
 	}
@@ -221,17 +213,17 @@ func Select(s *Set, pairs *table.Pairs, opts ExtractOptions, keep func(row []flo
 // cheap columns alone (cheapInto) and fill completes it.
 //
 // Each pair's vector is a function of its two rows alone, so extraction at
-// any Workers setting is bit-identical to serial. Workers claim chunks of
+// any width is bit-identical to serial. Workers claim chunks of
 // consecutive pairs — a blocker emits a left record's candidates together,
 // and the scratch's memo reuses scores along a run — and a chunk's pairs
 // are visited in order by one worker.
-func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row func(i int, x []float64, fill func()) bool) ([][]int, error) {
-	rec := obs.Or(opts.Metrics)
+func eachRow(s *Set, pairs *table.Pairs, workers int, rec obs.Recorder, keepRows bool, row func(i int, x []float64, fill func()) bool) ([][]int, error) {
+	rec = obs.Or(rec)
 	defer obs.StartTimer(rec, obs.FeatureExtractSeconds)()
 	if err := pairs.Validate(); err != nil {
 		return nil, fmt.Errorf("feature: %w", err)
 	}
-	cache, err := buildTokenCache(s, pairs.LTable, pairs.RTable, opts.Workers)
+	cache, err := buildTokenCache(s, pairs.LTable, pairs.RTable, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +232,11 @@ func eachRow(s *Set, pairs *table.Pairs, opts ExtractOptions, keepRows bool, row
 	// One scratch per worker Chunks starts. Its memos (544 KiB) are made
 	// at its first scan and dropped with it when the call ends, so no
 	// call's memos stay live beside the next call's work.
-	scratch := make([]*sim.Scratch, min(parallel.Resolve(opts.Workers), (n+vectorsChunk-1)/vectorsChunk))
+	scratch := make([]*sim.Scratch, min(parallel.Resolve(workers), (n+vectorsChunk-1)/vectorsChunk))
 	for i := range scratch {
 		scratch[i] = new(sim.Scratch)
 	}
-	kept, err := parallel.Chunks(opts.Workers, n, vectorsChunk, func(shard, lo, hi int) ([]int, error) {
+	kept, err := parallel.Chunks(workers, n, vectorsChunk, func(shard, lo, hi int) ([]int, error) {
 		sc := scratch[shard]
 		size, stride := nf, 0
 		if keepRows {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/table"
 )
 
@@ -70,12 +71,12 @@ func cacheTables(t *testing.T, rows int, seed int64) (*table.Table, *table.Table
 
 // tableVectors is Vectors over a registered pair table, resolved to row
 // indices through Catalog.Pairs.
-func tableVectors(s *Set, pairs *table.Table, cat *table.Catalog, opts ExtractOptions) ([][]float64, error) {
+func tableVectors(s *Set, pairs *table.Table, cat *table.Catalog, workers int, rec obs.Recorder) ([][]float64, error) {
 	p, err := cat.Pairs(pairs)
 	if err != nil {
 		return nil, err
 	}
-	return Vectors(s, p, opts)
+	return Vectors(s, p, workers, rec)
 }
 
 // stringPathVectors is the reference extraction: every pair through
@@ -122,7 +123,7 @@ func TestVectorsCacheEquivalence(t *testing.T) {
 		s.Missing = missing
 		want := stringPathVectors(t, s, pairs, cat)
 		for _, workers := range []int{1, 4, 0} {
-			got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers})
+			got, err := tableVectors(s, pairs, cat, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,18 +156,18 @@ func TestVectorsResolvesPairRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		appendPair(bad, tc.lid, tc.rid)
-		if _, err := tableVectors(s, bad, cat, ExtractOptions{}); err == nil || err.Error() != tc.want {
+		if _, err := tableVectors(s, bad, cat, 0, nil); err == nil || err.Error() != tc.want {
 			t.Errorf("dangling id: %v; want %q", err, tc.want)
 		}
 	}
 	outside := table.NewPairs(a, b, []int32{int32(a.Len())}, []int32{0})
-	if _, err := Vectors(s, outside, ExtractOptions{}); err == nil || !strings.HasPrefix(err.Error(), "feature: ") || !strings.Contains(err.Error(), "FK constraint violated") {
+	if _, err := Vectors(s, outside, 0, nil); err == nil || !strings.HasPrefix(err.Error(), "feature: ") || !strings.Contains(err.Error(), "FK constraint violated") {
 		t.Errorf("row outside the table: %v", err)
 	}
 	grownA := a.Clone()
 	grown := table.NewPairs(grownA, b, []int32{0}, []int32{0})
 	grownA.MustAppend(a.Row(0)...)
-	if _, err := Vectors(s, grown, ExtractOptions{}); err == nil || !strings.HasPrefix(err.Error(), "feature: ") {
+	if _, err := Vectors(s, grown, 0, nil); err == nil || !strings.HasPrefix(err.Error(), "feature: ") {
 		t.Errorf("grown base table: %v", err)
 	}
 
@@ -180,11 +181,11 @@ func TestVectorsResolvesPairRows(t *testing.T) {
 	}
 	want := stringPathVectors(t, s, pairs, cat)
 	for _, workers := range []int{0, 1} {
-		x, err := tableVectors(s, empty, cat, ExtractOptions{Workers: workers})
+		x, err := tableVectors(s, empty, cat, workers, nil)
 		if err != nil || len(x) != 0 {
 			t.Fatalf("workers=%d: zero pairs gave %d vectors, %v", workers, len(x), err)
 		}
-		got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers})
+		got, err := tableVectors(s, pairs, cat, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +221,7 @@ func TestCustomFnThroughPreparedRows(t *testing.T) {
 	}
 	want := stringPathVectors(t, s, pairs, cat)
 	calls = 0
-	got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	got, err := tableVectors(s, pairs, cat, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestCacheFallsBackOnMissingAttr(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := stringPathVectors(t, s, pairs, cat)
-	got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	got, err := tableVectors(s, pairs, cat, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,6 @@ func TestVectorsDropsScanScratch(t *testing.T) {
 	}
 	var rows [2][][]float64
 	for i, workers := range []int{1, 4} {
-		opts := ExtractOptions{Workers: workers}
 		// The least of three calls, against whatever else the runtime
 		// allocates meanwhile.
 		least := int64(math.MaxInt64)
@@ -285,7 +285,7 @@ func TestVectorsDropsScanScratch(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			if rows[i], err = tableVectors(s, pairs, cat, opts); err != nil {
+			if rows[i], err = tableVectors(s, pairs, cat, workers, nil); err != nil {
 				t.Fatal(err)
 			}
 			runtime.GC()

@@ -228,7 +228,7 @@ func TestVectorsFromPairTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := tableVectors(s, pairs, cat, ExtractOptions{})
+	x, err := tableVectors(s, pairs, cat, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestVectorsFromPairTable(t *testing.T) {
 		}
 	}
 	// Parallel extraction agrees with serial.
-	x1, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	x1, err := tableVectors(s, pairs, cat, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestVectorsUnregisteredPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tableVectors(s, orphan, cat, ExtractOptions{}); err == nil {
+	if _, err := tableVectors(s, orphan, cat, 0, nil); err == nil {
 		t.Fatal("want unregistered-pair error")
 	}
 }
@@ -279,7 +279,7 @@ func TestVectorsValidatesFK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tableVectors(s, pairs, cat, ExtractOptions{}); err == nil {
+	if _, err := tableVectors(s, pairs, cat, 0, nil); err == nil {
 		t.Fatal("want FK-violation error (self-containment check)")
 	}
 }
@@ -345,12 +345,12 @@ func TestVectorsBitIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	serial, err := tableVectors(s, pairs, cat, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 16} {
-		par, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers})
+		par, err := tableVectors(s, pairs, cat, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,11 +117,11 @@ func TestSpecsRoundTripKeepsSetPath(t *testing.T) {
 	if fast == 0 {
 		t.Fatal("fixture generated no token-set feature; the test proves nothing")
 	}
-	want, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1})
+	want, err := tableVectors(s, pairs, cat, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tableVectors(back, pairs, cat, ExtractOptions{Workers: 1})
+	got, err := tableVectors(back, pairs, cat, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

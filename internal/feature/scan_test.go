@@ -352,7 +352,7 @@ func TestVectorsChunkedScan(t *testing.T) {
 	want := stringPathVectors(t, s, pairs, cat)
 	for _, workers := range []int{1, 3, 0} {
 		reg := obs.NewRegistry()
-		got, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: reg})
+		got, err := tableVectors(s, pairs, cat, workers, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,14 +413,14 @@ func TestSelectChunkedScan(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 0} {
 		reg, vreg := obs.NewRegistry(), obs.NewRegistry()
-		got, err := Select(s, cand, ExtractOptions{Workers: workers, Metrics: reg}, keep)
+		got, err := Select(s, cand, workers, reg, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: Select keeps %d pairs, the string path %d (or in another order)", workers, len(got), len(want))
 		}
-		if _, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: workers, Metrics: vreg}); err != nil {
+		if _, err := tableVectors(s, pairs, cat, workers, vreg); err != nil {
 			t.Fatal(err)
 		}
 		g, v := counts(reg), counts(vreg)
@@ -462,7 +462,7 @@ func TestVectorsCountsTokenBlocks(t *testing.T) {
 	}
 	scored, reused := sc.TakeTokenBlockCounts()
 	reg := obs.NewRegistry()
-	if _, err := tableVectors(s, pairs, cat, ExtractOptions{Workers: 1, Metrics: reg}); err != nil {
+	if _, err := tableVectors(s, pairs, cat, 1, reg); err != nil {
 		t.Fatal(err)
 	}
 	got := [2]float64{

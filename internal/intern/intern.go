@@ -20,8 +20,7 @@ import (
 // mutation — intern everything up front, then share the built dictionary
 // read-only across goroutines (the DESIGN.md §5 convention).
 type Dict struct {
-	ids  map[string]uint32
-	toks []string
+	ids map[string]uint32
 }
 
 // NewDict returns an empty dictionary.
@@ -30,16 +29,15 @@ func NewDict() *Dict {
 }
 
 // Len returns the number of distinct tokens interned so far.
-func (d *Dict) Len() int { return len(d.toks) }
+func (d *Dict) Len() int { return len(d.ids) }
 
 // Intern returns the ID of tok, assigning the next dense ID on first sight.
 func (d *Dict) Intern(tok string) uint32 {
 	if id, ok := d.ids[tok]; ok {
 		return id
 	}
-	id := uint32(len(d.toks))
+	id := uint32(len(d.ids))
 	d.ids[tok] = id
-	d.toks = append(d.toks, tok)
 	return id
 }
 
@@ -51,12 +49,6 @@ func (d *Dict) Lookup(tok string) (uint32, bool) {
 	id, ok := d.ids[tok]
 	return id, ok
 }
-
-// Token returns the string for an ID previously returned by Intern.
-//
-//emlint:zeroalloc
-//emlint:hotpath
-func (d *Dict) Token(id uint32) string { return d.toks[id] }
 
 // InternTokens interns every token and returns the IDs in token order
 // (duplicates preserved).
@@ -98,7 +90,7 @@ func (d *Dict) SortedSetEphemeral(toks []string) []uint32 {
 		if eph == nil {
 			eph = make(map[string]uint32)
 		}
-		id := uint32(len(d.toks) + len(eph))
+		id := uint32(len(d.ids) + len(eph))
 		eph[t] = id
 		out = append(out, id)
 	}

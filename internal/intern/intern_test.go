@@ -15,9 +15,6 @@ func TestDictRoundTrip(t *testing.T) {
 	if got := d.Intern("acme"); got != a {
 		t.Errorf("re-intern changed ID: %d != %d", got, a)
 	}
-	if d.Token(a) != "acme" || d.Token(b) != "corp" {
-		t.Errorf("Token round trip failed")
-	}
 	if id, ok := d.Lookup("corp"); !ok || id != b {
 		t.Errorf("Lookup(corp) = %d,%v", id, ok)
 	}
@@ -110,7 +107,6 @@ func TestInternKernelsZeroAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"Lookup", func() { d.Lookup("widgets") }},
-		{"Token", func() { d.Token(1) }},
 		{"SortedDedup", func() { SortedDedup(scratch) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

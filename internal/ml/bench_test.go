@@ -76,7 +76,7 @@ func BenchmarkCrossValidate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CrossValidate(func() Classifier { return &DecisionTree{Seed: 1} }, ds, 5, rng); err != nil {
+		if _, err := CrossValidate(func() Classifier { return &DecisionTree{Seed: 1} }, ds, 5, rng, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

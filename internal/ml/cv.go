@@ -19,39 +19,6 @@ type CVResult struct {
 	F1        float64
 }
 
-// CVOption tunes cross-validation execution; see WithWorkers and
-// WithMetrics. Options are applied in order, so later options win.
-type CVOption func(*cvConfig)
-
-// cvConfig is the resolved option set.
-type cvConfig struct {
-	workers int
-	metrics obs.Recorder
-}
-
-func applyCVOptions(opts []CVOption) cvConfig {
-	var c cvConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
-// WithWorkers parallelizes fold evaluation across n goroutines; 0 (the
-// default) means GOMAXPROCS. The result is bit-identical for every
-// setting: fold assignment is drawn from the caller's RNG before any fold
-// runs, each fold's model draws only on its own factory-provided seed,
-// and per-fold scores are accumulated in fold order.
-func WithWorkers(n int) CVOption {
-	return func(c *cvConfig) { c.workers = n }
-}
-
-// WithMetrics records per-run and per-fold timings
-// (obs.CVSeconds/obs.CVFoldSeconds, labeled by matcher name) into r.
-func WithMetrics(r obs.Recorder) CVOption {
-	return func(c *cvConfig) { c.metrics = r }
-}
-
 // foldScore holds one evaluated fold's metrics.
 type foldScore struct {
 	ok            bool
@@ -64,8 +31,15 @@ type foldScore struct {
 // Degenerate folds (empty train or test split, possible when one class is
 // rarer than k) are skipped, and the means are taken over the folds
 // actually evaluated; it is an error for every fold to be degenerate.
-func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand, opts ...CVOption) (CVResult, error) {
-	cfg := applyCVOptions(opts)
+//
+// The folds run on workers goroutines; 0 means GOMAXPROCS. The result is
+// bit-identical for every width: fold assignment is drawn from rng before
+// any fold runs, each fold's model draws only on its own factory-provided
+// seed, and per-fold scores are accumulated in fold order. A fold's fit
+// and prediction run at width 1, since the folds already fan out. rec
+// receives per-run and per-fold timings (obs.CVSeconds/CVFoldSeconds,
+// labeled by matcher name); nil means off.
+func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand, workers int, rec obs.Recorder) (CVResult, error) {
 	if k < 2 {
 		return CVResult{}, fmt.Errorf("ml: cross-validation needs k >= 2, got %d", k)
 	}
@@ -75,10 +49,10 @@ func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand,
 	// All shared randomness is consumed here, before the folds fan out.
 	folds := stratifiedFolds(d, k, rng)
 	name := factory().Name()
-	rec := obs.Or(cfg.metrics)
+	rec = obs.Or(rec)
 	defer obs.StartTimer(rec, obs.CVSeconds, obs.L("matcher", name))()
 	scores := make([]foldScore, k)
-	err := parallel.ForEach(cfg.workers, k, func(fi int) error {
+	err := parallel.ForEach(workers, k, func(fi int) error {
 		stop := obs.StartTimer(rec, obs.CVFoldSeconds, obs.L("matcher", name))
 		defer stop()
 		testIdx := make([]int, 0, len(folds[fi]))
@@ -94,6 +68,9 @@ func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand,
 			return nil
 		}
 		model := factory()
+		if rf, ok := model.(*RandomForest); ok {
+			rf.Workers = 1
+		}
 		if err := model.Fit(d.Subset(trainIdx)); err != nil {
 			return fmt.Errorf("ml: cv fold %d: %w", fi, err)
 		}
@@ -156,13 +133,13 @@ func stratifiedFolds(d *Dataset, k int, rng *rand.Rand) [][]int {
 // in order (each consumes the shared RNG for its fold assignment, so
 // reordering would change results); the folds inside each
 // cross-validation run concurrently.
-func SelectMatcher(factories []func() Classifier, d *Dataset, k int, rng *rand.Rand, opts ...CVOption) ([]CVResult, error) {
+func SelectMatcher(factories []func() Classifier, d *Dataset, k int, rng *rand.Rand, workers int, rec obs.Recorder) ([]CVResult, error) {
 	if len(factories) == 0 {
 		return nil, fmt.Errorf("ml: no matchers to select among")
 	}
 	results := make([]CVResult, 0, len(factories))
 	for _, f := range factories {
-		r, err := CrossValidate(f, d, k, rng, opts...)
+		r, err := CrossValidate(f, d, k, rng, workers, rec)
 		if err != nil {
 			return nil, err
 		}

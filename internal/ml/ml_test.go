@@ -517,7 +517,7 @@ func TestConfusionEdgeConventions(t *testing.T) {
 func TestCrossValidate(t *testing.T) {
 	d := synthDataset(300, 0, 22)
 	rng := rand.New(rand.NewSource(1))
-	res, err := CrossValidate(func() Classifier { return &DecisionTree{Seed: 1} }, d, 5, rng)
+	res, err := CrossValidate(func() Classifier { return &DecisionTree{Seed: 1} }, d, 5, rng, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,11 +527,11 @@ func TestCrossValidate(t *testing.T) {
 	if res.F1 < 0.85 {
 		t.Errorf("cv f1 = %.3f, want >= 0.85", res.F1)
 	}
-	if _, err := CrossValidate(func() Classifier { return &DecisionTree{} }, d, 1, rng); err == nil {
+	if _, err := CrossValidate(func() Classifier { return &DecisionTree{} }, d, 1, rng, 0, nil); err == nil {
 		t.Error("want k>=2 error")
 	}
 	tiny := synthDataset(3, 0, 23)
-	if _, err := CrossValidate(func() Classifier { return &DecisionTree{} }, tiny, 10, rng); err == nil {
+	if _, err := CrossValidate(func() Classifier { return &DecisionTree{} }, tiny, 10, rng, 0, nil); err == nil {
 		t.Error("want too-few-examples error")
 	}
 }
@@ -539,7 +539,7 @@ func TestCrossValidate(t *testing.T) {
 func TestSelectMatcher(t *testing.T) {
 	d := xorDataset(400, 24)
 	rng := rand.New(rand.NewSource(2))
-	results, err := SelectMatcher(DefaultMatcherFactories(1), d, 3, rng)
+	results, err := SelectMatcher(DefaultMatcherFactories(1), d, 3, rng, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestSelectMatcher(t *testing.T) {
 	if results[0].Name == "logistic_regression" || results[0].Name == "linear_svm" {
 		t.Errorf("linear model won XOR: %+v", results[0])
 	}
-	if _, err := SelectMatcher(nil, d, 3, rng); err == nil {
+	if _, err := SelectMatcher(nil, d, 3, rng, 0, nil); err == nil {
 		t.Error("want no-matchers error")
 	}
 }

@@ -7,18 +7,18 @@ import (
 	"repro/internal/obs"
 )
 
-// TestCrossValidateRecordsMetrics: WithMetrics must record one CV-run
+// TestCrossValidateRecordsMetrics: a recorder must receive one CV-run
 // timer and k per-fold timers labeled by matcher name, without changing
 // the result.
 func TestCrossValidateRecordsMetrics(t *testing.T) {
 	ds := benchDataset(200, 6, 9)
 	factory := func() Classifier { return &DecisionTree{Seed: 3} }
 	reg := obs.NewRegistry()
-	withRec, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)), WithMetrics(reg))
+	withRec, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)), 0, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)))
+	plain, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestRandomForestParallelDeterminism: a forest trained with Workers=k
@@ -71,9 +73,26 @@ func (p soloProbe) PredictProba(x []float64) float64 {
 	return p.Classifier.PredictProba(x)
 }
 
+// soloRecorder notes, on every sample observed, whether any goroutine
+// beyond the base count was running: a forest's per-tree fit timer fires
+// inside its fit workers.
+type soloRecorder struct {
+	obs.Recorder
+	base  int
+	extra *atomic.Bool
+}
+
+func (p soloRecorder) Observe(string, float64, ...obs.Label) {
+	if runtime.NumGoroutine() > p.base {
+		p.extra.Store(true)
+	}
+}
+
 // TestSerialAcrossWorkers: at Workers 1, cross-validation whose test folds
 // span several prediction chunks, and PredictAll itself, predict with no
-// goroutine started, however many cores there are.
+// goroutine started, however many cores there are; and a forest
+// cross-validated at Workers 1 fits its trees with none either, whatever
+// its own Workers says.
 func TestSerialAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	ds := benchDataset(4*predictChunk, 4, 7) // two folds of 2 048 rows each
@@ -82,12 +101,29 @@ func TestSerialAcrossWorkers(t *testing.T) {
 	factory := func() Classifier {
 		return soloProbe{Classifier: &LogisticRegression{Seed: 1}, base: base, extra: &extra}
 	}
-	if _, err := CrossValidate(factory, ds, 2, rand.New(rand.NewSource(1)), WithWorkers(1)); err != nil {
+	if _, err := CrossValidate(factory, ds, 2, rand.New(rand.NewSource(1)), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if extra.Load() {
 		t.Fatal("CrossValidate at Workers 1 started a goroutine")
 	}
+	forest := func() Classifier {
+		return &RandomForest{NumTrees: 8, Seed: 1, Metrics: soloRecorder{obs.Nop, base, &extra}}
+	}
+	if _, err := CrossValidate(forest, ds, 2, rand.New(rand.NewSource(1)), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if extra.Load() {
+		t.Fatal("a forest cross-validated at Workers 1 fitted its trees on extra goroutines")
+	}
+	// The recorder sees the workers a forest's own Fit starts.
+	if err := forest().Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	if !extra.Load() {
+		t.Fatal("the recorder missed the forest's fit workers")
+	}
+	extra.Store(false)
 	c := factory()
 	if err := c.Fit(ds); err != nil {
 		t.Fatal(err)
@@ -115,12 +151,12 @@ func sameCV(a, b CVResult) bool {
 func TestCrossValidateParallelDeterminism(t *testing.T) {
 	ds := benchDataset(300, 8, 3)
 	factory := func() Classifier { return &RandomForest{NumTrees: 12, Seed: 5, Workers: 1} }
-	serial, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)), WithWorkers(1))
+	serial, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 5, 16} {
-		par, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)), WithWorkers(workers))
+		par, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(2)), workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +170,11 @@ func TestCrossValidateParallelDeterminism(t *testing.T) {
 // ranks identically under concurrent fold evaluation.
 func TestSelectMatcherParallelDeterminism(t *testing.T) {
 	ds := benchDataset(200, 6, 9)
-	serial, err := SelectMatcher(DefaultMatcherFactories(1), ds, 4, rand.New(rand.NewSource(4)), WithWorkers(1))
+	serial, err := SelectMatcher(DefaultMatcherFactories(1), ds, 4, rand.New(rand.NewSource(4)), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SelectMatcher(DefaultMatcherFactories(1), ds, 4, rand.New(rand.NewSource(4)), WithWorkers(8))
+	par, err := SelectMatcher(DefaultMatcherFactories(1), ds, 4, rand.New(rand.NewSource(4)), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +203,7 @@ func TestCrossValidateSkippedFoldsMean(t *testing.T) {
 	// A perfectly separable single feature: every evaluated fold scores
 	// P=R=F1=1, so the mean must be exactly 1. Dividing by k=5 would
 	// report 0.6.
-	res, err := CrossValidate(func() Classifier { return &DecisionTree{Seed: 1} }, ds, 5, rand.New(rand.NewSource(1)))
+	res, err := CrossValidate(func() Classifier { return &DecisionTree{Seed: 1} }, ds, 5, rand.New(rand.NewSource(1)), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +223,7 @@ func TestCrossValidateAllFoldsDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = CrossValidate(func() Classifier { return &GaussianNB{} }, ds, 2, rand.New(rand.NewSource(1)))
+	_, err = CrossValidate(func() Classifier { return &GaussianNB{} }, ds, 2, rand.New(rand.NewSource(1)), 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "degenerate") {
 		t.Fatalf("err = %v, want all-folds-degenerate error", err)
 	}
@@ -199,33 +235,10 @@ func TestCrossValidateFoldErrorPropagates(t *testing.T) {
 	ds := benchDataset(50, 4, 6)
 	factory := func() Classifier { return &failFitClassifier{} }
 	for _, workers := range []int{1, 4} {
-		_, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(1)), WithWorkers(workers))
+		_, err := CrossValidate(factory, ds, 5, rand.New(rand.NewSource(1)), workers, nil)
 		if err == nil || !strings.Contains(err.Error(), "cv fold") {
 			t.Fatalf("workers=%d: err = %v, want cv fold error", workers, err)
 		}
-	}
-}
-
-// TestCVOptionOrdering: options apply in order, so a later WithWorkers
-// overrides an earlier one — the contract callers of the variadic API rely
-// on when layering defaults under caller-supplied options.
-func TestCVOptionOrdering(t *testing.T) {
-	cfg := applyCVOptions([]CVOption{WithWorkers(3), WithWorkers(7)})
-	if cfg.workers != 7 {
-		t.Fatalf("workers = %d, want the later option (7) to win", cfg.workers)
-	}
-	ds := benchDataset(120, 4, 3)
-	factory := func() Classifier { return &DecisionTree{Seed: 3} }
-	a, err := CrossValidate(factory, ds, 4, rand.New(rand.NewSource(8)), WithWorkers(1), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CrossValidate(factory, ds, 4, rand.New(rand.NewSource(8)), WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameCV(a, b) {
-		t.Errorf("layered options %+v != direct options %+v", a, b)
 	}
 }
 

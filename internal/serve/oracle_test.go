@@ -50,7 +50,7 @@ func TestBatchServeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := feature.Vectors(fs, p, feature.ExtractOptions{})
+			rows, err := feature.Vectors(fs, p, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestQuickBatchServeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := feature.Vectors(fs, p, feature.ExtractOptions{})
+			rows, err := feature.Vectors(fs, p, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ func BenchmarkJaccardJoin1K(b *testing.B) {
 	r := benchRecords(1000, 5, 2000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := JaccardJoin(l, r, 0.5); err != nil {
+		if _, err := JaccardJoin(l, r, 0.5, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkReferenceJaccardJoin1K(b *testing.B) {
 	r := benchRecords(1000, 5, 2000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReferenceJaccardJoin(l, r, 0.5); err != nil {
+		if _, err := ReferenceJaccardJoin(l, r, 0.5, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func BenchmarkOverlapJoin1K(b *testing.B) {
 	r := benchRecords(1000, 5, 2000, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OverlapJoin(l, r, 2); err != nil {
+		if _, err := OverlapJoin(l, r, 2, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,7 +124,7 @@ func BenchmarkOverlapJoinFigure2(b *testing.B) {
 	b.ResetTimer()
 	var pairs int
 	for i := 0; i < b.N; i++ {
-		ps, err := OverlapJoin(l, r, 2)
+		ps, err := OverlapJoin(l, r, 2, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkEditDistanceJoin(b *testing.B) {
 	l, r := mk(500), mk(500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EditDistanceJoin(l, r, 1); err != nil {
+		if _, err := EditDistanceJoin(l, r, 1, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

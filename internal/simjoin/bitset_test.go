@@ -45,21 +45,29 @@ var bitsetJoins = []struct {
 	name      string
 	m         measure
 	threshold float64
-	run       func(l, r []Record, opts ...JoinOption) ([]pair, error)
+	run       func(l, r []Record, workers int, rec obs.Recorder) ([]pair, error)
 	ref       func(l, r []Record) ([]pair, error)
 }{
 	{"jaccard", measureJaccard, 0.3,
-		func(l, r []Record, o ...JoinOption) ([]pair, error) { return jaccardPairs(l, r, 0.3, o...) },
-		func(l, r []Record) ([]pair, error) { return ReferenceJaccardJoin(l, r, 0.3) }},
+		func(l, r []Record, w int, rec obs.Recorder) ([]pair, error) {
+			return pairsOf(l, r)(JaccardJoin(l, r, 0.3, w, rec))
+		},
+		func(l, r []Record) ([]pair, error) { return ReferenceJaccardJoin(l, r, 0.3, 0) }},
 	{"cosine", measureCosine, 0.5,
-		func(l, r []Record, o ...JoinOption) ([]pair, error) { return cosinePairs(l, r, 0.5, o...) },
-		func(l, r []Record) ([]pair, error) { return ReferenceCosineJoin(l, r, 0.5) }},
+		func(l, r []Record, w int, rec obs.Recorder) ([]pair, error) {
+			return pairsOf(l, r)(CosineJoin(l, r, 0.5, w, rec))
+		},
+		func(l, r []Record) ([]pair, error) { return ReferenceCosineJoin(l, r, 0.5, 0) }},
 	{"dice", measureDice, 0.45,
-		func(l, r []Record, o ...JoinOption) ([]pair, error) { return dicePairs(l, r, 0.45, o...) },
-		func(l, r []Record) ([]pair, error) { return ReferenceDiceJoin(l, r, 0.45) }},
+		func(l, r []Record, w int, rec obs.Recorder) ([]pair, error) {
+			return pairsOf(l, r)(DiceJoin(l, r, 0.45, w, rec))
+		},
+		func(l, r []Record) ([]pair, error) { return ReferenceDiceJoin(l, r, 0.45, 0) }},
 	{"overlap", measureOverlap, 3,
-		func(l, r []Record, o ...JoinOption) ([]pair, error) { return overlapPairs(l, r, 3, o...) },
-		func(l, r []Record) ([]pair, error) { return ReferenceOverlapJoin(l, r, 3) }},
+		func(l, r []Record, w int, rec obs.Recorder) ([]pair, error) {
+			return pairsOf(l, r)(OverlapJoin(l, r, 3, w, rec))
+		},
+		func(l, r []Record) ([]pair, error) { return ReferenceOverlapJoin(l, r, 3, 0) }},
 }
 
 // specCandidates counts, from the definition alone, the pairs a join must
@@ -115,7 +123,7 @@ func TestBitsetPathsBitIdentical(t *testing.T) {
 		wantCands := specCandidates(l, r, j.m, j.threshold)
 		for _, workers := range []int{1, 4} {
 			reg := obs.NewRegistry()
-			got, err := j.run(l, r, WithWorkers(workers), WithMetrics(reg))
+			got, err := j.run(l, r, workers, reg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,14 +151,14 @@ func TestBitsetKnobsAsymmetric(t *testing.T) {
 		{"dense_probes_sparse", dense, sparse},
 		{"sparse_probes_dense", sparse, dense},
 	} {
-		want, err := ReferenceJaccardJoin(tc.l, tc.r, 0.02)
+		want, err := ReferenceJaccardJoin(tc.l, tc.r, 0.02, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(want) == 0 {
 			t.Fatalf("%s: oracle produced no pairs", tc.name)
 		}
-		got, err := jaccardPairs(tc.l, tc.r, 0.02)
+		got, err := jaccardPairs(tc.l, tc.r, 0.02, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

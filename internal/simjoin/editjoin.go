@@ -30,12 +30,11 @@ type DistPair struct {
 // max(|a|,|b|) - q + 1 - k*q positional-free q-grams) before verifying
 // candidates with the exact distance. Strings shorter than one q-gram are
 // compared against everything that passes the length filter.
-func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]DistPair, error) {
-	cfg := applyJoinOptions(jopts)
+func EditDistanceJoin(l, r []StringRecord, maxDist, workers int, rec obs.Recorder) ([]DistPair, error) {
 	if maxDist < 0 {
 		return nil, fmt.Errorf("simjoin: negative edit-distance bound %d", maxDist)
 	}
-	mrec := obs.Or(cfg.metrics)
+	mrec := obs.Or(rec)
 	join := obs.L("join", "edit")
 	defer obs.StartTimer(mrec, obs.SimjoinSeconds, join)()
 	const q = 2
@@ -72,9 +71,9 @@ func EditDistanceJoin(l, r []StringRecord, maxDist int, jopts ...JoinOption) ([]
 	// verified with the exact distance are per worker.
 	perm, runs := idOrder(len(l), func(i int) string { return l[i].ID })
 	rrank := ranks(len(r), func(j int) string { return r[j].ID })
-	nw := parallel.Resolve(cfg.workers)
+	nw := parallel.Resolve(workers)
 	counters, cands := make([]bitvec.Counter, nw), make([]int, nw)
-	chunks, err := parallel.Chunks(cfg.workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]DistPair, error) {
+	chunks, err := parallel.Chunks(workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]DistPair, error) {
 		out := make([]DistPair, 0, runs[uhi]-runs[ulo])
 		var hits []hit[int] // the unit's pairs, Dist as the value
 		nc := 0

@@ -15,16 +15,16 @@ func TestInternedJoinsMatchReference(t *testing.T) {
 		l := randomRecords(70, rng)
 		r := randomRecords(70, rng)
 		for _, th := range []float64{0.3, 0.5, 0.75, 1.0} {
-			for name, pair := range map[string][2]func([]Record, []Record, float64, ...JoinOption) ([]pair, error){
+			for name, pair := range map[string][2]func([]Record, []Record, float64, int) ([]pair, error){
 				"jaccard": {jaccardPairs, ReferenceJaccardJoin},
 				"cosine":  {cosinePairs, ReferenceCosineJoin},
 				"dice":    {dicePairs, ReferenceDiceJoin},
 			} {
-				got, err := pair[0](l, r, th)
+				got, err := pair[0](l, r, th, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := pair[1](l, r, th)
+				want, err := pair[1](l, r, th, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -35,11 +35,11 @@ func TestInternedJoinsMatchReference(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 2, 3} {
-			got, err := overlapPairs(l, r, k)
+			got, err := overlapPairs(l, r, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ReferenceOverlapJoin(l, r, k)
+			want, err := ReferenceOverlapJoin(l, r, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -97,19 +97,19 @@ func TestJoinOutputOrderExact(t *testing.T) {
 		name string
 		m    measure
 		th   float64
-		run  func(l, r []Record, opts ...JoinOption) ([]pair, error)
+		run  func(l, r []Record, workers int) ([]pair, error)
 	}{
-		{"jaccard", measureJaccard, 0.5, func(l, r []Record, o ...JoinOption) ([]pair, error) { return jaccardPairs(l, r, 0.5, o...) }},
-		{"cosine", measureCosine, 0.6, func(l, r []Record, o ...JoinOption) ([]pair, error) { return cosinePairs(l, r, 0.6, o...) }},
-		{"dice", measureDice, 0.5, func(l, r []Record, o ...JoinOption) ([]pair, error) { return dicePairs(l, r, 0.5, o...) }},
-		{"overlap", measureOverlap, 2, func(l, r []Record, o ...JoinOption) ([]pair, error) { return overlapPairs(l, r, 2, o...) }},
+		{"jaccard", measureJaccard, 0.5, func(l, r []Record, w int) ([]pair, error) { return jaccardPairs(l, r, 0.5, w) }},
+		{"cosine", measureCosine, 0.6, func(l, r []Record, w int) ([]pair, error) { return cosinePairs(l, r, 0.6, w) }},
+		{"dice", measureDice, 0.5, func(l, r []Record, w int) ([]pair, error) { return dicePairs(l, r, 0.5, w) }},
+		{"overlap", measureOverlap, 2, func(l, r []Record, w int) ([]pair, error) { return overlapPairs(l, r, 2, w) }},
 	} {
 		want := nestedJoin(l, r, measureScore(tc.m, tc.th))
 		if len(want) == 0 {
 			t.Fatalf("%s: the oracle found no pairs", tc.name)
 		}
 		for _, workers := range []int{1, 2, 7} {
-			got, err := tc.run(l, r, WithWorkers(workers))
+			got, err := tc.run(l, r, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestJoinOutputOrderExact(t *testing.T) {
 		return strings.Compare(a.RID, b.RID)
 	})
 	for _, workers := range []int{1, 2, 7} {
-		got, err := EditDistanceJoin(ls, rs, maxDist, WithWorkers(workers))
+		got, err := EditDistanceJoin(ls, rs, maxDist, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

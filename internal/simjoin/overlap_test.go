@@ -46,7 +46,7 @@ func TestQuickOverlapCountMatchesReference(t *testing.T) {
 		l := overlapInputs("l", nl+rng.Intn(60), vocab, rng)
 		r := overlapInputs("r", rng.Intn(60), vocab, rng)
 		for k := 1; k <= 6; k++ {
-			want, err := ReferenceOverlapJoin(l, r, k)
+			want, err := ReferenceOverlapJoin(l, r, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestQuickOverlapCountMatchesReference(t *testing.T) {
 				return cmp.Or(strings.Compare(a.LID, b.LID), strings.Compare(a.RID, b.RID), cmp.Compare(a.R, b.R), cmp.Compare(a.L, b.L))
 			})
 			for _, workers := range []int{1, 4} {
-				got, err := overlapPairs(l, r, k, WithWorkers(workers))
+				got, err := overlapPairs(l, r, k, workers)
 				if err != nil {
 					t.Fatal(err)
 				}

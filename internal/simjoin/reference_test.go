@@ -110,22 +110,22 @@ func refVerify(m measure, a, b []string) float64 {
 }
 
 // ReferenceJaccardJoin is the retained string-kernel JaccardJoin.
-func ReferenceJaccardJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
-	return refSetJoin(l, r, threshold, measureJaccard, applyJoinOptions(opts))
+func ReferenceJaccardJoin(l, r []Record, threshold float64, workers int) ([]pair, error) {
+	return refSetJoin(l, r, threshold, measureJaccard, workers)
 }
 
 // ReferenceCosineJoin is the retained string-kernel CosineJoin.
-func ReferenceCosineJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
-	return refSetJoin(l, r, threshold, measureCosine, applyJoinOptions(opts))
+func ReferenceCosineJoin(l, r []Record, threshold float64, workers int) ([]pair, error) {
+	return refSetJoin(l, r, threshold, measureCosine, workers)
 }
 
 // ReferenceDiceJoin is the retained string-kernel DiceJoin.
-func ReferenceDiceJoin(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
-	return refSetJoin(l, r, threshold, measureDice, applyJoinOptions(opts))
+func ReferenceDiceJoin(l, r []Record, threshold float64, workers int) ([]pair, error) {
+	return refSetJoin(l, r, threshold, measureDice, workers)
 }
 
 // refSetJoin is the retained string-kernel prefix-filter driver.
-func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]pair, error) {
+func refSetJoin(l, r []Record, threshold float64, m measure, workers int) ([]pair, error) {
 	if threshold <= 0 || threshold > 1 {
 		return nil, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}
@@ -147,7 +147,7 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]pair
 		}
 	}
 
-	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]pair, error) {
+	shards, err := parallel.Chunks(workers, len(pl), probeChunk, func(_, clo, chi int) ([]pair, error) {
 		out := make([]pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
@@ -191,8 +191,7 @@ func refSetJoin(l, r []Record, threshold float64, m measure, cfg config) ([]pair
 }
 
 // ReferenceOverlapJoin is the retained string-kernel OverlapJoin.
-func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]pair, error) {
-	cfg := applyJoinOptions(jopts)
+func ReferenceOverlapJoin(l, r []Record, k, workers int) ([]pair, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("simjoin: overlap threshold %d must be >= 1", k)
 	}
@@ -211,7 +210,7 @@ func ReferenceOverlapJoin(l, r []Record, k int, jopts ...JoinOption) ([]pair, er
 			index[rec.toks[p]] = append(index[rec.toks[p]], j)
 		}
 	}
-	shards, err := parallel.Chunks(cfg.workers, len(pl), probeChunk, func(_, clo, chi int) ([]pair, error) {
+	shards, err := parallel.Chunks(workers, len(pl), probeChunk, func(_, clo, chi int) ([]pair, error) {
 		out := make([]pair, 0, chi-clo)
 		seen := make(map[int]bool)
 		for i := clo; i < chi; i++ {
@@ -268,18 +267,18 @@ func pairsOf(l, r []Record) func(Rows, error) ([]pair, error) {
 	}
 }
 
-func jaccardPairs(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
-	return pairsOf(l, r)(JaccardJoin(l, r, threshold, opts...))
+func jaccardPairs(l, r []Record, threshold float64, workers int) ([]pair, error) {
+	return pairsOf(l, r)(JaccardJoin(l, r, threshold, workers, nil))
 }
 
-func cosinePairs(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
-	return pairsOf(l, r)(CosineJoin(l, r, threshold, opts...))
+func cosinePairs(l, r []Record, threshold float64, workers int) ([]pair, error) {
+	return pairsOf(l, r)(CosineJoin(l, r, threshold, workers, nil))
 }
 
-func dicePairs(l, r []Record, threshold float64, opts ...JoinOption) ([]pair, error) {
-	return pairsOf(l, r)(DiceJoin(l, r, threshold, opts...))
+func dicePairs(l, r []Record, threshold float64, workers int) ([]pair, error) {
+	return pairsOf(l, r)(DiceJoin(l, r, threshold, workers, nil))
 }
 
-func overlapPairs(l, r []Record, k int, opts ...JoinOption) ([]pair, error) {
-	return pairsOf(l, r)(OverlapJoin(l, r, k, opts...))
+func overlapPairs(l, r []Record, k, workers int) ([]pair, error) {
+	return pairsOf(l, r)(OverlapJoin(l, r, k, workers, nil))
 }

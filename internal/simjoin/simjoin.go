@@ -24,6 +24,13 @@
 // DiceJoin and OverlapJoin return Rows: record positions and similarity in
 // (LID, RID) order, no IDs; EditDistanceJoin returns DistPairs. The
 // map-based string join in reference_test.go is the equivalence oracle.
+//
+// Every join takes its width and recorder as its last two arguments:
+// workers goroutines probe the index (0 means GOMAXPROCS,
+// parallel.Resolve; a probe scan of at most probeChunk units stays
+// serial), and rec receives the join's timing and candidate and output
+// counters (obs.SimjoinSeconds/Candidates/Pairs, labeled by join name);
+// nil means off.
 package simjoin
 
 import (
@@ -57,43 +64,6 @@ type Rows struct {
 	Sim  []float64
 }
 
-// JoinOption tunes join execution; see WithWorkers and WithMetrics.
-// Options apply in order, so later options win. The same option surface
-// serves the set joins and the edit-distance join. How postings are
-// represented is not an option: it follows from list length
-// (bitvec.Postings).
-type JoinOption func(*config)
-
-// config is the resolved option set.
-type config struct {
-	workers int
-	metrics obs.Recorder
-}
-
-// WithWorkers sets the number of goroutines probing the index; 0 (the
-// default) means GOMAXPROCS (parallel.Resolve). The paper scales PyMatcher
-// commands with Dask on multicore machines; this is the equivalent knob.
-// A probe scan of at most probeChunk units stays serial regardless (the
-// parallel cost gate).
-func WithWorkers(n int) JoinOption {
-	return func(c *config) { c.workers = n }
-}
-
-// WithMetrics directs join timings and candidate/output counters
-// (obs.SimjoinSeconds/Candidates/Pairs, labeled by join name) into r; nil
-// (the default) means off.
-func WithMetrics(r obs.Recorder) JoinOption {
-	return func(c *config) { c.metrics = r }
-}
-
-func applyJoinOptions(opts []JoinOption) config {
-	var c config
-	for _, fn := range opts {
-		fn(&c)
-	}
-	return c
-}
-
 // probeChunk is how many units (runs of equal left IDs) a probe worker
 // claims at a time, and so the smallest probe scan worth fanning out.
 const probeChunk = 128
@@ -115,24 +85,24 @@ func (m measure) String() string {
 }
 
 // JaccardJoin returns all pairs with Jaccard similarity >= threshold.
-func JaccardJoin(l, r []Record, threshold float64, opts ...JoinOption) (Rows, error) {
-	return setJoin(l, r, threshold, measureJaccard, opts)
+func JaccardJoin(l, r []Record, threshold float64, workers int, rec obs.Recorder) (Rows, error) {
+	return setJoin(l, r, threshold, measureJaccard, workers, rec)
 }
 
 // CosineJoin returns all pairs with set-cosine similarity >= threshold.
-func CosineJoin(l, r []Record, threshold float64, opts ...JoinOption) (Rows, error) {
-	return setJoin(l, r, threshold, measureCosine, opts)
+func CosineJoin(l, r []Record, threshold float64, workers int, rec obs.Recorder) (Rows, error) {
+	return setJoin(l, r, threshold, measureCosine, workers, rec)
 }
 
 // DiceJoin returns all pairs with Dice similarity >= threshold.
-func DiceJoin(l, r []Record, threshold float64, opts ...JoinOption) (Rows, error) {
-	return setJoin(l, r, threshold, measureDice, opts)
+func DiceJoin(l, r []Record, threshold float64, workers int, rec obs.Recorder) (Rows, error) {
+	return setJoin(l, r, threshold, measureDice, workers, rec)
 }
 
 // OverlapJoin returns all pairs sharing at least k tokens. Sim in the
 // output is the raw overlap count, an exact whole number.
-func OverlapJoin(l, r []Record, k int, opts ...JoinOption) (Rows, error) {
-	return setJoin(l, r, float64(k), measureOverlap, opts)
+func OverlapJoin(l, r []Record, k, workers int, rec obs.Recorder) (Rows, error) {
+	return setJoin(l, r, float64(k), measureOverlap, workers, rec)
 }
 
 // intRec is a canonicalized record: duplicate-free token IDs remapped to
@@ -395,8 +365,7 @@ func uncounted(q []uint32, prefix int, c []uint32, k int) int {
 
 // setJoin is the one prefix-filter join driver. For measureOverlap the
 // threshold is the integer k.
-func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Rows, error) {
-	cfg := applyJoinOptions(opts)
+func setJoin(l, r []Record, threshold float64, m measure, workers int, rec obs.Recorder) (Rows, error) {
 	if m == measureOverlap {
 		if threshold < 1 {
 			return Rows{}, fmt.Errorf("simjoin: overlap threshold %v must be >= 1", threshold)
@@ -404,7 +373,7 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Ro
 	} else if threshold <= 0 || threshold > 1 {
 		return Rows{}, fmt.Errorf("simjoin: threshold %v out of (0, 1]", threshold)
 	}
-	rec := obs.Or(cfg.metrics)
+	rec = obs.Or(rec)
 	join := obs.L("join", m.String())
 	defer obs.StartTimer(rec, obs.SimjoinSeconds, join)()
 	pl, pr, nids := prepare(l, r)
@@ -423,10 +392,10 @@ func setJoin(l, r []Record, threshold float64, m measure, opts []JoinOption) (Ro
 	// and positional filters, i.e. actually verified) are per worker; the
 	// tally is recorded once — the no-op path never sees a per-pair
 	// recorder call.
-	nw := parallel.Resolve(cfg.workers)
+	nw := parallel.Resolve(workers)
 	counters, cands := make([]bitvec.Counter, nw), make([]int, nw)
 	founds := make([][]uint64, nw) // overlapProbe.found, kept across a worker's chunks
-	chunks, err := parallel.Chunks(cfg.workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]Rows, error) {
+	chunks, err := parallel.Chunks(workers, len(runs)-1, probeChunk, func(shard, ulo, uhi int) ([]Rows, error) {
 		// Chunk-local probe state, hoisted so the visit closure is
 		// allocated once per chunk, not once per probe.
 		var out []Rows // the chunk's pairs, in blocks of 256 to 4 096 never copied

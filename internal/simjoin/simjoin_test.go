@@ -78,7 +78,7 @@ func TestJaccardJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(60, rng)
 		r := randomRecords(60, rng)
 		for _, th := range []float64{0.3, 0.5, 0.8, 1.0} {
-			got, err := jaccardPairs(l, r, th)
+			got, err := jaccardPairs(l, r, th, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestCosineJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(50, rng)
 		r := randomRecords(50, rng)
 		for _, th := range []float64{0.4, 0.7, 0.95} {
-			got, err := cosinePairs(l, r, th)
+			got, err := cosinePairs(l, r, th, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestDiceJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(50, rng)
 		r := randomRecords(50, rng)
 		for _, th := range []float64{0.4, 0.6, 0.9} {
-			got, err := dicePairs(l, r, th)
+			got, err := dicePairs(l, r, th, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestOverlapJoinMatchesNaive(t *testing.T) {
 		l := randomRecords(50, rng)
 		r := randomRecords(50, rng)
 		for _, k := range []int{1, 2, 3} {
-			got, err := overlapPairs(l, r, k)
+			got, err := overlapPairs(l, r, k, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,24 +154,24 @@ func TestOverlapJoinMatchesNaive(t *testing.T) {
 
 func TestJoinThresholdValidation(t *testing.T) {
 	l := recs("a b")
-	if _, err := jaccardPairs(l, l, 0); err == nil {
+	if _, err := jaccardPairs(l, l, 0, 0); err == nil {
 		t.Error("want threshold error for 0")
 	}
-	if _, err := jaccardPairs(l, l, 1.5); err == nil {
+	if _, err := jaccardPairs(l, l, 1.5, 0); err == nil {
 		t.Error("want threshold error for > 1")
 	}
-	if _, err := overlapPairs(l, l, 0); err == nil {
+	if _, err := overlapPairs(l, l, 0, 0); err == nil {
 		t.Error("want overlap threshold error")
 	}
 }
 
 func TestJoinEmptyInputs(t *testing.T) {
-	got, err := jaccardPairs(nil, recs("a"), 0.5)
+	got, err := jaccardPairs(nil, recs("a"), 0.5, 0)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty left: %v %v", got, err)
 	}
 	// Records with empty token sets never match.
-	got, err = jaccardPairs([]Record{{ID: "x"}}, recs("a"), 0.5)
+	got, err = jaccardPairs([]Record{{ID: "x"}}, recs("a"), 0.5, 0)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty-token record: %v %v", got, err)
 	}
@@ -180,7 +180,7 @@ func TestJoinEmptyInputs(t *testing.T) {
 func TestJoinDuplicateTokensCollapse(t *testing.T) {
 	l := []Record{{ID: "l", Tokens: []string{"a", "a", "b"}}}
 	r := []Record{{ID: "r", Tokens: []string{"a", "b", "b"}}}
-	got, err := jaccardPairs(l, r, 0.99)
+	got, err := jaccardPairs(l, r, 0.99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestJoinExactThreshold(t *testing.T) {
 	// Jaccard exactly at the threshold must be kept.
 	l := recs("a b c d")       // {a b c d}
 	r := recs("a b c d e f g") // overlap 4, union 7 -> 4/7
-	got, err := jaccardPairs(l, r, 4.0/7.0)
+	got, err := jaccardPairs(l, r, 4.0/7.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ func TestJoinExactThreshold(t *testing.T) {
 // silently return nothing.
 func TestJoinTinyThreshold(t *testing.T) {
 	l, r := recs("a b c"), recs("a b d")
-	for name, join := range map[string]func([]Record, []Record, float64, ...JoinOption) ([]pair, error){
+	for name, join := range map[string]func([]Record, []Record, float64, int) ([]pair, error){
 		"jaccard": jaccardPairs, "cosine": cosinePairs, "dice": dicePairs,
 	} {
 		for _, th := range []float64{0.1, 1e-18, 1e-19, 1e-200} {
-			got, err := join(l, r, th)
+			got, err := join(l, r, th, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,11 +229,11 @@ func TestJoinWorkersConsistent(t *testing.T) {
 	if len(l) < 3*probeChunk {
 		t.Fatalf("%d left records are fewer than three chunks of %d", len(l), probeChunk)
 	}
-	a, err := jaccardPairs(l, r, 0.5, WithWorkers(1))
+	a, err := jaccardPairs(l, r, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := jaccardPairs(l, r, 0.5, WithWorkers(8))
+	b, err := jaccardPairs(l, r, 0.5, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestEditDistanceJoin(t *testing.T) {
 	r := []StringRecord{
 		{"r1", "madisson"}, {"r2", "midleton"}, {"r3", "boston"}, {"r4", "xy"},
 	}
-	got, err := EditDistanceJoin(l, r, 1)
+	got, err := EditDistanceJoin(l, r, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestEditDistanceJoinMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		l, r := mk(40), mk(40)
 		for _, k := range []int{0, 1, 2} {
-			got, err := EditDistanceJoin(l, r, k)
+			got, err := EditDistanceJoin(l, r, k, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +298,7 @@ func TestEditDistanceJoinMatchesNaive(t *testing.T) {
 }
 
 func TestEditDistanceJoinValidation(t *testing.T) {
-	if _, err := EditDistanceJoin(nil, nil, -1); err == nil {
+	if _, err := EditDistanceJoin(nil, nil, -1, 0, nil); err == nil {
 		t.Error("want negative-bound error")
 	}
 }
@@ -312,7 +312,7 @@ func TestJaccardJoinCompletenessProperty(t *testing.T) {
 		l := randomRecords(20, lr)
 		r := randomRecords(20, lr)
 		_ = rng
-		got, err := jaccardPairs(l, r, 0.6, WithWorkers(2))
+		got, err := jaccardPairs(l, r, 0.6, 2)
 		if err != nil {
 			return false
 		}
@@ -330,7 +330,7 @@ func TestTokenizeIntegration(t *testing.T) {
 	tok := tokenize.QGram{Q: 3, ReturnSet: true}
 	l := []Record{{ID: "a", Tokens: tok.Tokenize("saving the amazon")}}
 	r := []Record{{ID: "b", Tokens: tok.Tokenize("saving the amazonn")}}
-	got, err := jaccardPairs(l, r, 0.7)
+	got, err := jaccardPairs(l, r, 0.7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,35 +359,34 @@ func TestPooledJoinsBitIdenticalAcrossWorkers(t *testing.T) {
 		rs[i] = StringRecord{ID: r[i].ID, Str: strings.Join(r[i].Tokens, " ")}
 	}
 
-	serialJac, err := JaccardJoin(l, r, 0.4, WithWorkers(1))
+	serialJac, err := JaccardJoin(l, r, 0.4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialOv, err := OverlapJoin(l, r, 2, WithWorkers(1))
+	serialOv, err := OverlapJoin(l, r, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialEd, err := EditDistanceJoin(ls, rs, 2, WithWorkers(1))
+	serialEd, err := EditDistanceJoin(ls, rs, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 7, 32} {
-		opts := WithWorkers(workers)
-		jac, err := JaccardJoin(l, r, 0.4, opts)
+		jac, err := JaccardJoin(l, r, 0.4, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(jac, serialJac) {
 			t.Fatalf("workers=%d: JaccardJoin output differs from serial", workers)
 		}
-		ov, err := OverlapJoin(l, r, 2, opts)
+		ov, err := OverlapJoin(l, r, 2, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ov, serialOv) {
 			t.Fatalf("workers=%d: OverlapJoin output differs from serial", workers)
 		}
-		ed, err := EditDistanceJoin(ls, rs, 2, opts)
+		ed, err := EditDistanceJoin(ls, rs, 2, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
