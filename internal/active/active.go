@@ -13,14 +13,16 @@
 package active
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/label"
 	"repro/internal/ml"
 	"repro/internal/table"
+	"repro/internal/topk"
 )
 
 // Pool is the unlabeled example pool: one feature vector per candidate
@@ -56,6 +58,14 @@ func (p *Pool) Ask(lab label.Labeler, i int) (match, answered bool) {
 	return match, true
 }
 
+// What a Config field left 0 means, and what ForBudget starts from: a
+// seed set of 20 pairs, then up to 20 rounds of 10 questions each.
+const (
+	defaultSeedSize  = 20
+	defaultBatchSize = 10
+	defaultMaxRounds = 20
+)
+
 // Config tunes the active-learning loop.
 type Config struct {
 	// SeedSize is the number of randomly chosen pairs labeled before the
@@ -69,23 +79,36 @@ type Config struct {
 	Seed int64
 }
 
+// ForBudget returns the config, drawing randomness from seed, whose worst
+// case — the seed set and every round's batch — fits q questions, give or
+// take the one round it always leaves: the default seed set, cut to q/2
+// when that is smaller, the default batch, and as many rounds as the rest
+// of q pays for.
+func ForBudget(q int, seed int64) Config {
+	size := defaultSeedSize
+	if size > q/2 && q >= 2 {
+		size = q / 2
+	}
+	return Config{SeedSize: size, BatchSize: defaultBatchSize, MaxRounds: max((q-size)/defaultBatchSize, 1), Seed: seed}
+}
+
 func (c Config) seedSize() int {
 	if c.SeedSize <= 0 {
-		return 20
+		return defaultSeedSize
 	}
 	return c.SeedSize
 }
 
 func (c Config) batchSize() int {
 	if c.BatchSize <= 0 {
-		return 10
+		return defaultBatchSize
 	}
 	return c.BatchSize
 }
 
 func (c Config) maxRounds() int {
 	if c.MaxRounds <= 0 {
-		return 20
+		return defaultMaxRounds
 	}
 	return c.MaxRounds
 }
@@ -113,15 +136,20 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	labeled := make(map[int]int) // pool index -> label
+	labels := make([]int, pool.Len()) // pool row -> its answer, or unasked
+	for i := range labels {
+		labels[i] = unasked
+	}
+	positives := 0
 	budget, budgeted := lab.(*label.Budgeted)
 
 	ask := func(i int) bool {
 		match, answered := pool.Ask(lab, i)
 		if answered {
-			labeled[i] = 0
+			labels[i] = 0
 			if match {
-				labeled[i] = 1
+				labels[i] = 1
+				positives++
 			}
 		}
 		return answered
@@ -143,18 +171,18 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 	// with no positive example leaves the forest degenerate. Probe the
 	// pairs with the highest mean feature value (most similar-looking)
 	// until a positive turns up, as practical implementations do.
-	if countPos(labeled) == 0 {
+	if positives == 0 {
 		order := MeanFeatureOrder(pool.X)
 		probes := 0
 		for _, i := range order {
-			if _, done := labeled[i]; done {
+			if labels[i] != unasked {
 				continue
 			}
 			if !ask(i) {
 				break
 			}
 			probes++
-			if labeled[i] == 1 || probes >= cfg.batchSize()*2 {
+			if labels[i] == 1 || probes >= cfg.batchSize()*2 {
 				break
 			}
 		}
@@ -162,7 +190,7 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 
 	forest := &ml.RandomForest{Seed: cfg.Seed}
 	fit := func() error {
-		ds := datasetFrom(pool, labeled)
+		ds := datasetFrom(pool, labels)
 		if ds.Len() == 0 {
 			return fmt.Errorf("active: no labels obtained")
 		}
@@ -177,7 +205,7 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 		if budgeted && budget.Remaining() == 0 {
 			break
 		}
-		batch := selectUncertain(pool, labeled, forest, cfg.batchSize())
+		batch := selectUncertain(pool, labels, forest, cfg.batchSize())
 		if len(batch) == 0 {
 			break // pool exhausted or committee unanimous everywhere
 		}
@@ -196,47 +224,42 @@ func Learn(pool *Pool, lab label.Labeler, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	return &Result{Forest: forest, Labeled: datasetFrom(pool, labeled), Rounds: rounds}, nil
+	return &Result{Forest: forest, Labeled: datasetFrom(pool, labels), Rounds: rounds}, nil
 }
 
-// selectUncertain returns up to k unlabeled pool indices with the highest
-// committee entropy, skipping zero-entropy (unanimous) pairs.
-func selectUncertain(pool *Pool, labeled map[int]int, f *ml.RandomForest, k int) []int {
+// unasked marks a pool row no answer is held for in Learn's labels.
+const unasked = -1
+
+// selectUncertain returns up to k unasked pool rows of the highest
+// committee entropy, highest first and row order breaking ties, skipping
+// zero-entropy (unanimous) rows.
+func selectUncertain(pool *Pool, labels []int, f *ml.RandomForest, k int) []int {
 	type cand struct {
 		i int
 		e float64
 	}
-	var cands []cand
-	for i := range pool.X {
-		if _, done := labeled[i]; done {
+	order := func(a, b cand) int {
+		if c := cmp.Compare(b.e, a.e); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	}
+	before := func(a, b cand) bool { return order(a, b) < 0 }
+	var top []cand
+	for i, y := range labels {
+		if y != unasked {
 			continue
 		}
 		if e := f.Entropy(pool.X[i]); e > 0 {
-			cands = append(cands, cand{i, e})
+			top = topk.Offer(top, cand{i, e}, k, before)
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].e != cands[b].e {
-			return cands[a].e > cands[b].e
-		}
-		return cands[a].i < cands[b].i
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]int, len(cands))
-	for j, c := range cands {
+	slices.SortFunc(top, order)
+	out := make([]int, len(top))
+	for j, c := range top {
 		out[j] = c.i
 	}
 	return out
-}
-
-func countPos(labeled map[int]int) int {
-	n := 0
-	for _, y := range labeled {
-		n += y
-	}
-	return n
 }
 
 // MeanFeatureOrder returns the row indices of x by descending mean feature
@@ -312,17 +335,13 @@ func meanKey(s float64, n int) uint64 {
 	return ^b
 }
 
-func datasetFrom(pool *Pool, labeled map[int]int) *ml.Dataset {
-	idxs := make([]int, 0, len(labeled))
-	for i := range labeled {
-		idxs = append(idxs, i)
+// datasetFrom is the pool rows labels holds answers for, in row order.
+func datasetFrom(pool *Pool, labels []int) *ml.Dataset {
+	ds := &ml.Dataset{Names: pool.Names}
+	for i, y := range labels {
+		if y != unasked {
+			ds.X, ds.Y = append(ds.X, pool.X[i]), append(ds.Y, y)
+		}
 	}
-	sort.Ints(idxs)
-	x := make([][]float64, len(idxs))
-	y := make([]int, len(idxs))
-	for k, i := range idxs {
-		x[k] = pool.X[i]
-		y[k] = labeled[i]
-	}
-	return &ml.Dataset{X: x, Y: y, Names: pool.Names}
+	return ds
 }

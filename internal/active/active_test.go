@@ -118,6 +118,43 @@ func TestLearnRespectsBudget(t *testing.T) {
 	}
 }
 
+// maxQuestions is the most questions a Learn under cfg can ask: the seed
+// set and every round's batch.
+func maxQuestions(cfg Config) int {
+	return cfg.seedSize() + cfg.maxRounds()*cfg.batchSize()
+}
+
+func TestForBudgetWithinBounds(t *testing.T) {
+	for _, q := range []int{10, 40, 100, 500, 2000} {
+		got := ForBudget(q, 7)
+		// Worst case must not exceed the budget by more than one batch
+		// (the loop checks the budget between batches).
+		if mx := maxQuestions(got); mx > q+got.BatchSize {
+			t.Errorf("budget %d: worst case %d questions (cfg %+v)", q, mx, got)
+		}
+		if got.MaxRounds < 1 {
+			t.Errorf("budget %d: rounds = %d, must leave at least one", q, got.MaxRounds)
+		}
+		if got.SeedSize < 1 {
+			t.Errorf("budget %d: seed = %d", q, got.SeedSize)
+		}
+		if got.Seed != 7 {
+			t.Errorf("budget %d: seed %d, want 7", q, got.Seed)
+		}
+	}
+	// A budget the defaults fit in runs the default seed set and batch.
+	if got := ForBudget(2000, 0); got.SeedSize != defaultSeedSize || got.BatchSize != defaultBatchSize {
+		t.Errorf("ForBudget(2000) = %+v, want the default seed set and batch", got)
+	}
+}
+
+func TestForBudgetTinyBudget(t *testing.T) {
+	got := ForBudget(4, 0)
+	if got.SeedSize > 2 {
+		t.Errorf("seed %d exceeds half of a 4-question budget", got.SeedSize)
+	}
+}
+
 // TestLearnKeepsOnlyGivenAnswers: a budgeted labeler answers false without
 // asking once the budget is spent; that refusal is no label. Under every
 // budget each row of Labeled must be an answer the oracle gave.

@@ -133,3 +133,84 @@ func TestLearnAcrossWorkers(t *testing.T) {
 		t.Fatal("the fallback found no positive")
 	}
 }
+
+// selectUncertainOracle is selectUncertain as it was before the top-k heap,
+// kept as the reference the heap is held to: every unlabeled row of
+// positive entropy, sorted by (entropy desc, index), cut to k.
+func selectUncertainOracle(pool *Pool, labeled map[int]int, f *ml.RandomForest, k int) []int {
+	type cand struct {
+		i int
+		e float64
+	}
+	var cands []cand
+	for i := range pool.X {
+		if _, done := labeled[i]; done {
+			continue
+		}
+		if e := f.Entropy(pool.X[i]); e > 0 {
+			cands = append(cands, cand{i, e})
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].e != cands[b].e {
+			return cands[a].e > cands[b].e
+		}
+		return cands[a].i < cands[b].i
+	})
+	if len(cands) > k {
+		cands = cands[:k]
+	}
+	out := make([]int, len(cands))
+	for j, c := range cands {
+		out[j] = c.i
+	}
+	return out
+}
+
+// TestSelectUncertainOracle: the top-k selection picks the rows, in the
+// order, the full sort did, on committees of 1, 2, 10 and 11 trees — one
+// tree is unanimous everywhere, two tie on every split vote — over pools
+// whose rows repeat (tied entropies), with rows labeled already.
+func TestSelectUncertainOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		for _, trees := range []int{1, 2, 10, 11} {
+			n := 1 + rng.Intn(300)
+			pool := &Pool{X: make([][]float64, n)}
+			train := &ml.Dataset{}
+			for i := range pool.X {
+				// Two features of four values each: rows repeat.
+				pool.X[i] = []float64{float64(rng.Intn(4)) / 3, float64(rng.Intn(4)) / 3}
+				if rng.Intn(3) == 0 {
+					y := 0
+					if pool.X[i][0]+pool.X[i][1]+0.5*rng.Float64() > 1 {
+						y = 1
+					}
+					train.X, train.Y = append(train.X, pool.X[i]), append(train.Y, y)
+				}
+			}
+			if train.Len() == 0 {
+				train.X, train.Y = [][]float64{pool.X[0]}, []int{1}
+			}
+			f := &ml.RandomForest{NumTrees: trees, Seed: int64(trial)}
+			if err := f.Fit(train); err != nil {
+				t.Fatal(err)
+			}
+			labels := make([]int, n)
+			labeled := map[int]int{}
+			for i := range labels {
+				labels[i] = unasked
+				if rng.Intn(4) == 0 {
+					labels[i] = rng.Intn(2)
+					labeled[i] = labels[i]
+				}
+			}
+			for _, k := range []int{1, 3, 10, n + 1} {
+				got, want := selectUncertain(pool, labels, f, k), selectUncertainOracle(pool, labeled, f, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d, %d trees, k %d: selectUncertain = %v, oracle %v", trial, trees, k, got, want)
+				}
+			}
+		}
+	}
+}

@@ -322,11 +322,11 @@ func standardServices() []*Service {
 		Doc: "active-learn a random forest over a candidate set",
 		Run: decoded(func(d *decoder) (any, error) {
 			v := stored[*vectors](d, "vectors", "vectors")
-			cfg := active.Config{
+			cfg := active.Config{ // a count left out is 0, active's default
 				Seed:      d.ctx.Seed + 5,
-				SeedSize:  d.countOr("seed_size", 20),
-				BatchSize: d.countOr("batch_size", 10),
-				MaxRounds: d.countOr("max_rounds", 20),
+				SeedSize:  d.countOr("seed_size", 0),
+				BatchSize: d.countOr("batch_size", 0),
+				MaxRounds: d.countOr("max_rounds", 0),
 			}
 			if d.err != nil {
 				return nil, d.err

@@ -295,7 +295,7 @@ func (s *Session) TrainAndPredict(factory func() ml.Classifier) (*table.Table, m
 	}
 	model := factory()
 	stopTrain := obs.StartTimer(rec, obs.StageSeconds, obs.L("stage", "train"))
-	err = model.Fit(ds)
+	err = ml.FitAt(model, ds, s.Workers)
 	stopTrain()
 	if err != nil {
 		return nil, nil, err

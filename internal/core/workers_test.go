@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/label"
 	"repro/internal/ml"
+	"repro/internal/obs"
 	"repro/internal/table"
 )
 
@@ -65,6 +68,55 @@ func TestSessionAcrossWorkers(t *testing.T) {
 	for _, w := range []int{4, 0} {
 		if run(w) != want {
 			t.Errorf("Workers %d: the guide's tables, reports or predictions differ from Workers 1", w)
+		}
+	}
+}
+
+// soloRecorder notes, on every sample observed, whether any goroutine
+// beyond the base count was running: a forest's per-tree fit timer fires
+// inside its fit workers.
+type soloRecorder struct {
+	obs.Recorder
+	base  int
+	extra *atomic.Bool
+}
+
+func (p soloRecorder) Observe(string, float64, ...obs.Label) {
+	if runtime.NumGoroutine() > p.base {
+		p.extra.Store(true)
+	}
+}
+
+// TestSessionFitsAtItsWidth: the session's width reaches the matcher it
+// fits, so a Session at Workers 1 fits a random forest with no goroutine
+// started, however many cores there are, and one at Workers 4 fits it on
+// its workers.
+func TestSessionFitsAtItsWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	task := personTask(t, 300, 6)
+	oracle := label.NewOracle(task.Gold)
+	for _, workers := range []int{1, 4} {
+		s, err := NewSession(task.A, task.B, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Workers = workers
+		if _, err := s.Block(block.WholeTupleOverlapBlocker{MinOverlap: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SampleAndLabel(200, oracle); err != nil {
+			t.Fatal(err)
+		}
+		var extra atomic.Bool
+		base := runtime.NumGoroutine()
+		forest := func() ml.Classifier {
+			return &ml.RandomForest{Seed: 1, Metrics: soloRecorder{obs.Nop, base, &extra}}
+		}
+		if _, _, err := s.TrainAndPredict(forest); err != nil {
+			t.Fatal(err)
+		}
+		if got := extra.Load(); got != (workers > 1) {
+			t.Errorf("Workers %d: forest fit on extra goroutines = %v", workers, got)
 		}
 	}
 }

@@ -30,56 +30,6 @@ func diagonalPairs(n int) *table.Pairs {
 	return table.NewPairs(keyed("a"), keyed("b"), rows, slices.Clone(rows))
 }
 
-func maxQuestions(cfg active.Config) int {
-	seed := cfg.SeedSize
-	if seed <= 0 {
-		seed = 20
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 10
-	}
-	rounds := cfg.MaxRounds
-	if rounds <= 0 {
-		rounds = 20
-	}
-	return seed + rounds*batch
-}
-
-func TestFitBudgetWithinBounds(t *testing.T) {
-	for _, q := range []int{10, 40, 100, 500, 2000} {
-		got := fitBudget(active.Config{}, q)
-		// Worst case must not exceed the budget by more than one batch
-		// (the loop checks the budget between batches).
-		if mx := maxQuestions(got); mx > q+got.BatchSize {
-			t.Errorf("budget %d: worst case %d questions (cfg %+v)", q, mx, got)
-		}
-		if got.MaxRounds < 1 {
-			t.Errorf("budget %d: rounds = %d, must leave at least one", q, got.MaxRounds)
-		}
-		if got.SeedSize < 1 {
-			t.Errorf("budget %d: seed = %d", q, got.SeedSize)
-		}
-	}
-}
-
-func TestFitBudgetRespectsExplicitRounds(t *testing.T) {
-	got := fitBudget(active.Config{MaxRounds: 3, SeedSize: 10, BatchSize: 5}, 1000)
-	if got.MaxRounds != 3 {
-		t.Errorf("explicit MaxRounds overridden: %d", got.MaxRounds)
-	}
-	if got.SeedSize != 10 || got.BatchSize != 5 {
-		t.Errorf("explicit sizes changed: %+v", got)
-	}
-}
-
-func TestFitBudgetTinyBudget(t *testing.T) {
-	got := fitBudget(active.Config{}, 4)
-	if got.SeedSize > 2 {
-		t.Errorf("seed %d exceeds half of a 4-question budget", got.SeedSize)
-	}
-}
-
 // TestEvaluateRulesRefusalIsNoEvidence: a budgeted labeler answers false
 // without asking once its budget is spent. That refusal is not a labeled
 // non-match: a rule whose review the budget cuts short is not kept.

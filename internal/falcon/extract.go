@@ -17,7 +17,6 @@ package falcon
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ml"
 	"repro/internal/rules"
@@ -35,62 +34,41 @@ func ExtractBlockingRules(f *ml.RandomForest, featureNames []string) (rules.Rule
 	var rs rules.RuleSet
 	seen := make(map[string]bool)
 	for _, t := range f.Trees() {
-		for _, branch := range noBranches(t.Root(), nil) {
-			r := rules.Rule{Predicates: branch}
-			key := r.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			rs.Add(r)
+		branches, err := noBranches(t.Root(), featureNames, nil)
+		if err != nil {
+			return rules.RuleSet{}, err
 		}
-	}
-	// Name rules and resolve feature indices outside the per-branch loop;
-	// the index at add time equals the slice index, so names are unchanged.
-	for i := range rs.Rules {
-		rs.Rules[i].Name = fmt.Sprintf("falcon_rule_%d", i)
-		for j := range rs.Rules[i].Predicates {
-			p := &rs.Rules[i].Predicates[j]
-			idx, err := parseFeatureIndex(p.Feature)
-			if err != nil {
-				return rules.RuleSet{}, err
+		for _, branch := range branches {
+			r := rules.Rule{Name: fmt.Sprintf("falcon_rule_%d", rs.Len()), Predicates: branch}
+			if key := r.String(); !seen[key] {
+				seen[key] = true
+				rs.Add(r)
 			}
-			if idx < 0 || idx >= len(featureNames) {
-				return rules.RuleSet{}, fmt.Errorf("falcon: tree references feature %d, have %d features", idx, len(featureNames))
-			}
-			p.Feature = featureNames[idx]
 		}
 	}
 	return rs, nil
 }
 
-// noBranches enumerates the predicate paths from n to every "No" leaf.
-// Internal nodes encode features positionally as "#<index>"; the caller
-// rewrites them to names.
-func noBranches(n *ml.TreeNode, path []rules.Predicate) [][]rules.Predicate {
+// noBranches enumerates the predicate paths from n to every "No" leaf,
+// naming each split's feature from featureNames.
+func noBranches(n *ml.TreeNode, featureNames []string, path []rules.Predicate) ([][]rules.Predicate, error) {
 	if n == nil {
-		return nil
+		return nil, nil
 	}
 	if n.Leaf {
 		if n.Proba < 0.5 && len(path) > 0 {
-			return [][]rules.Predicate{append([]rules.Predicate(nil), path...)}
+			return [][]rules.Predicate{append([]rules.Predicate(nil), path...)}, nil
 		}
-		return nil
+		return nil, nil
 	}
-	feat := fmt.Sprintf("#%d", n.Feature)
-	var out [][]rules.Predicate
-	out = append(out, noBranches(n.Left, append(path, rules.Predicate{Feature: feat, Op: rules.LE, Value: n.Threshold}))...)
-	out = append(out, noBranches(n.Right, append(path, rules.Predicate{Feature: feat, Op: rules.GT, Value: n.Threshold}))...)
-	return out
-}
-
-func parseFeatureIndex(s string) (int, error) {
-	if !strings.HasPrefix(s, "#") {
-		return 0, fmt.Errorf("falcon: internal: feature %q is not positional", s)
+	if n.Feature < 0 || n.Feature >= len(featureNames) {
+		return nil, fmt.Errorf("falcon: tree references feature %d, have %d features", n.Feature, len(featureNames))
 	}
-	var idx int
-	if _, err := fmt.Sscanf(s[1:], "%d", &idx); err != nil {
-		return 0, fmt.Errorf("falcon: internal: bad feature index %q: %w", s, err)
+	feat := featureNames[n.Feature]
+	left, err := noBranches(n.Left, featureNames, append(path, rules.Predicate{Feature: feat, Op: rules.LE, Value: n.Threshold}))
+	if err != nil {
+		return nil, err
 	}
-	return idx, nil
+	right, err := noBranches(n.Right, featureNames, append(path, rules.Predicate{Feature: feat, Op: rules.GT, Value: n.Threshold}))
+	return append(left, right...), err
 }

@@ -1,9 +1,10 @@
 package falcon
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/active"
@@ -21,11 +22,9 @@ type Config struct {
 	// SampleSize is |S|, the tuple-pair sample active-learned for
 	// blocking rules; 0 means 2000.
 	SampleSize int
-	// Blocking configures stage-1 active learning.
-	Blocking active.Config
-	// Matching configures stage-2 active learning.
-	Matching active.Config
-	// Seed drives all randomness.
+	// Seed drives all randomness: the sample and rule reviews draw from
+	// Seed, the blocking stage's active learning from Seed+1 and the
+	// matching stage's from Seed+2.
 	Seed int64
 }
 
@@ -91,13 +90,16 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	// questions per task, Table 2), allocate roughly 40% of the remaining
 	// budget to the blocking stage, 20% to rule evaluation, and the rest to
 	// the matching stage, so a tight cap still leaves the matcher labeled
-	// examples to learn from.
+	// examples to learn from. Stage k draws its randomness from Seed+k.
 	budget, budgeted := lab.(*label.Budgeted)
-	if budgeted {
-		cfg.Blocking = fitBudget(cfg.Blocking, budget.Remaining()*2/5)
+	stage := func(k int64, num, den int) active.Config {
+		if !budgeted {
+			return active.Config{Seed: cfg.Seed + k}
+		}
+		return active.ForBudget(budget.Remaining()*num/den, cfg.Seed+k)
 	}
 	before := lab.Stats().Questions
-	pool, stage1, joined, err := learnOnSample(a, b, fs, lab, cfg, rng)
+	pool, stage1, joined, err := learnOnSample(a, b, fs, lab, cfg.sampleSize(), stage(1, 2, 5), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -128,14 +130,7 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 		return nil, err
 	}
 	before = lab.Stats().Questions
-	mcfg := cfg.Matching
-	if mcfg.Seed == 0 {
-		mcfg.Seed = cfg.Seed + 2
-	}
-	if budgeted {
-		mcfg = fitBudget(mcfg, budget.Remaining())
-	}
-	stage2, err := active.Learn(&active.Pool{X: cx, Pairs: c, Names: fs.Names()}, lab, mcfg)
+	stage2, err := active.Learn(&active.Pool{X: cx, Pairs: c, Names: fs.Names()}, lab, stage(2, 1, 1))
 	if err != nil {
 		return nil, fmt.Errorf("falcon: matching stage: %w", err)
 	}
@@ -150,12 +145,11 @@ func Run(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (
 	return res, nil
 }
 
-// learnOnSample is steps 1 and 2, which Run and Smurf share: sample S of
+// learnOnSample is steps 1 and 2, which Run and Smurf share: sample S of n
 // tuple pairs, score it on fs, and active-learn a forest on it with
-// cfg.Blocking (seeded cfg.Seed+1 unless set). It also returns the
-// whole-tuple overlap join S was drawn from.
-func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Config, rng *rand.Rand) (*active.Pool, *active.Result, *seedJoin, error) {
-	sample, joined, err := samplePairs(a, b, cfg.sampleSize(), rng)
+// stage. It also returns the whole-tuple overlap join S was drawn from.
+func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, n int, stage active.Config, rng *rand.Rand) (*active.Pool, *active.Result, *seedJoin, error) {
+	sample, joined, err := samplePairs(a, b, n, rng)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -164,10 +158,7 @@ func learnOnSample(a, b *table.Table, fs *feature.Set, lab label.Labeler, cfg Co
 		return nil, nil, nil, err
 	}
 	pool := &active.Pool{X: sx, Pairs: sample, Names: fs.Names()}
-	if cfg.Blocking.Seed == 0 {
-		cfg.Blocking.Seed = cfg.Seed + 1
-	}
-	learned, err := active.Learn(pool, lab, cfg.Blocking)
+	learned, err := active.Learn(pool, lab, stage)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("falcon: blocking stage: %w", err)
 	}
@@ -188,48 +179,6 @@ func samplePairs(a, b *table.Table, n int, rng *rand.Rand) (sample *table.Pairs,
 	}
 	ls, rs := active.OverlapSample(a.Len(), b.Len(), rows, n, rng)
 	return table.NewPairs(a, b, ls, rs), &seedJoin{table.NewPairs(a, b, rows.L, rows.R), rows.Sim}, nil
-}
-
-// sortByVoteDesc orders pool indices by the forest's match-vote fraction,
-// highest first, with index order as the tiebreak.
-func sortByVoteDesc(idxs []int, pool *active.Pool, forest *ml.RandomForest) {
-	votes := make(map[int]float64, len(idxs))
-	for _, i := range idxs {
-		votes[i] = forest.VoteFraction(pool.X[i])
-	}
-	sort.Slice(idxs, func(a, b int) bool {
-		if votes[idxs[a]] != votes[idxs[b]] {
-			return votes[idxs[a]] > votes[idxs[b]]
-		}
-		return idxs[a] < idxs[b]
-	})
-}
-
-// fitBudget shrinks an active-learning config so its worst-case question
-// count (seed + rounds*batch) fits within q.
-func fitBudget(cfg active.Config, q int) active.Config {
-	seed := cfg.SeedSize
-	if seed <= 0 {
-		seed = 20
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 10
-	}
-	if seed > q/2 && q >= 2 {
-		seed = q / 2
-	}
-	rounds := (q - seed) / batch
-	if rounds < 1 {
-		rounds = 1
-	}
-	if cfg.MaxRounds > 0 && cfg.MaxRounds < rounds {
-		rounds = cfg.MaxRounds
-	}
-	cfg.SeedSize = seed
-	cfg.BatchSize = batch
-	cfg.MaxRounds = rounds
-	return cfg
 }
 
 // EvaluateRules is step 4, and the evaluate_blocking_rules service: it
@@ -259,6 +208,12 @@ func EvaluateRules(cand rules.RuleSet, pool *active.Pool, stage1 *active.Result,
 		if y == 1 {
 			knownMatches = append(knownMatches, stage1.Labeled.X[i])
 		}
+	}
+	// The stage-1 forest's match vote on each pool pair: a review's
+	// adversarial half is the fired pairs it votes highest.
+	votes := make([]float64, len(pool.X))
+	for i, x := range pool.X {
+		votes[i] = stage1.Forest.VoteFraction(x)
 	}
 	type scored struct {
 		rule     rules.Rule
@@ -295,12 +250,12 @@ review:
 			continue
 		}
 		sampleN := min(ruleEvalSamples, len(fired))
-		// Adversarial half: fired pairs with the highest forest vote.
-		byVote := append([]int(nil), fired...)
-		sortByVoteDesc(byVote, pool, stage1.Forest)
-		eval := append([]int(nil), byVote[:sampleN/2]...)
+		// Adversarial half: the fired pairs of the highest vote, in index
+		// order among equal votes, as fired is in index order.
+		slices.SortStableFunc(fired, func(a, b int) int { return cmp.Compare(votes[b], votes[a]) })
+		eval := slices.Clone(fired[:sampleN/2])
 		// Random half from the remainder.
-		rest := append([]int(nil), byVote[sampleN/2:]...)
+		rest := fired[sampleN/2:]
 		rng.Shuffle(len(rest), func(a, b int) { rest[a], rest[b] = rest[b], rest[a] })
 		eval = append(eval, rest[:min(sampleN-len(eval), len(rest))]...)
 		nonMatches := 0

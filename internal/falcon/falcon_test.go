@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/active"
 	"repro/internal/block"
 	"repro/internal/datagen"
 	"repro/internal/feature"
@@ -152,8 +151,6 @@ func TestRunEndToEndMembers(t *testing.T) {
 	res, err := Run(task.A, task.B, oracle, cat, Config{
 		SampleSize: 800,
 		Seed:       1,
-		Blocking:   active.Config{SeedSize: 20, BatchSize: 10, MaxRounds: 10},
-		Matching:   active.Config{SeedSize: 20, BatchSize: 10, MaxRounds: 15},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/active"
 	"repro/internal/core"
 	"repro/internal/feature"
 	"repro/internal/label"
@@ -22,14 +23,15 @@ var smurfKinds = []string{"lev", "jaro", "jaro_winkler", "jaccard_ws", "jaccard_
 // string matcher §5.3 of the progress report folds into CloudMatcher: Falcon
 // with the rule rounds removed. Each tuple becomes one string, its key and
 // its lower-cased table.WholeTupleStrings; steps 1 and 2 of Run learn one
-// forest on those strings with cfg.Blocking, and that forest then runs as
+// forest on those strings (seeded as Run's blocking stage, with the
+// active-learning defaults at any budget), and that forest then runs as
 // both blocker and matcher over every pair sharing a whole-tuple token, so
 // the rule-validation and second-matcher labeling rounds disappear — the
 // paper reports 43–76% fewer labels at the same accuracy.
 //
 // All questions are BlockingQuestions and Matcher is the one forest.
 // CandidateRules, BlockingRules, Candidates, MatchingQuestions and
-// RuleQuestions stay empty, and cfg.Matching is not read.
+// RuleQuestions stay empty.
 func Smurf(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config) (*Result, error) {
 	start := time.Now()
 	sa, sb, fs, err := smurfInput(a, b)
@@ -37,7 +39,7 @@ func Smurf(a, b *table.Table, lab label.Labeler, cat *table.Catalog, cfg Config)
 		return nil, err
 	}
 	before := lab.Stats().Questions
-	_, learned, joined, err := learnOnSample(sa, sb, fs, lab, cfg, rand.New(rand.NewSource(cfg.Seed)))
+	_, learned, joined, err := learnOnSample(sa, sb, fs, lab, cfg.sampleSize(), active.Config{Seed: cfg.Seed + 1}, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestSmurfPoolGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, _, _, err := learnOnSample(sa, sb, fs, label.NewOracle(task.Gold), Config{SampleSize: 1000, Seed: 1}, rand.New(rand.NewSource(1)))
+		pool, _, _, err := learnOnSample(sa, sb, fs, label.NewOracle(task.Gold), 1000, active.Config{Seed: 2}, rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,8 +165,7 @@ func TestSmurfEmptyInput(t *testing.T) {
 func TestSmurfBudget(t *testing.T) {
 	a, b, gold := stringTask(t, 200, 23)
 	budget := label.NewBudgeted(label.NewOracle(gold), 80)
-	_, err := Smurf(a, b, budget, table.NewCatalog(), Config{SampleSize: 500, Seed: 3,
-		Blocking: active.Config{SeedSize: 20, BatchSize: 10, MaxRounds: 20}})
+	_, err := Smurf(a, b, budget, table.NewCatalog(), Config{SampleSize: 500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

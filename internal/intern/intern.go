@@ -76,10 +76,16 @@ func (d *Dict) SortedSet(toks []string) []uint32 {
 // MatchOne featurize a query record that carries never-before-seen tokens.
 // The result is never nil.
 func (d *Dict) SortedSetEphemeral(toks []string) []uint32 {
+	return sortedSetEphemeral(toks, d.Lookup, uint32(len(d.ids)))
+}
+
+// sortedSetEphemeral is both SortedSetEphemeral methods: lookup resolves
+// the known tokens, and the k-th distinct unknown one gets base+k.
+func sortedSetEphemeral(toks []string, lookup func(string) (uint32, bool), base uint32) []uint32 {
 	out := make([]uint32, 0, len(toks))
 	var eph map[string]uint32
 	for _, t := range toks {
-		if id, ok := d.ids[t]; ok {
+		if id, ok := lookup(t); ok {
 			out = append(out, id)
 			continue
 		}
@@ -90,7 +96,7 @@ func (d *Dict) SortedSetEphemeral(toks []string) []uint32 {
 		if eph == nil {
 			eph = make(map[string]uint32)
 		}
-		id := uint32(len(d.ids) + len(eph))
+		id := base + uint32(len(eph))
 		eph[t] = id
 		out = append(out, id)
 	}

@@ -177,23 +177,5 @@ func (v View) Lookup(tok string) (uint32, bool) {
 // query sets stays exact — the same contract as Dict.SortedSetEphemeral,
 // minus any lock. The result is never nil.
 func (v View) SortedSetEphemeral(toks []string) []uint32 {
-	out := make([]uint32, 0, len(toks))
-	var eph map[string]uint32
-	for _, t := range toks {
-		if id, ok := v.Lookup(t); ok {
-			out = append(out, id)
-			continue
-		}
-		if id, ok := eph[t]; ok {
-			out = append(out, id)
-			continue
-		}
-		if eph == nil {
-			eph = make(map[string]uint32)
-		}
-		id := v.n + uint32(len(eph))
-		eph[t] = id
-		out = append(out, id)
-	}
-	return SortedDedup(out)
+	return sortedSetEphemeral(toks, v.Lookup, v.n)
 }

@@ -68,10 +68,7 @@ func CrossValidate(factory func() Classifier, d *Dataset, k int, rng *rand.Rand,
 			return nil
 		}
 		model := factory()
-		if rf, ok := model.(*RandomForest); ok {
-			rf.Workers = 1
-		}
-		if err := model.Fit(d.Subset(trainIdx)); err != nil {
+		if err := FitAt(model, d.Subset(trainIdx), 1); err != nil {
 			return fmt.Errorf("ml: cv fold %d: %w", fi, err)
 		}
 		conf, err := Evaluate(model, d.Subset(testIdx))

@@ -119,6 +119,16 @@ type Decider interface {
 	Decide(x []float64, unknown []bool) (match, ok bool)
 }
 
+// FitAt fits c to d at a width (the Workers knob, DESIGN.md §5): a
+// RandomForest fits its trees on that many workers, any other classifier
+// fits as it always does.
+func FitAt(c Classifier, d *Dataset, workers int) error {
+	if rf, ok := c.(*RandomForest); ok {
+		rf.Workers = workers
+	}
+	return c.Fit(d)
+}
+
 // Predict thresholds PredictProba at 0.5.
 func Predict(c Classifier, x []float64) int {
 	if c.PredictProba(x) >= 0.5 {

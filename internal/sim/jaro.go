@@ -12,8 +12,15 @@ func Jaro(a, b string) float64 {
 }
 
 // JaroRunes is Jaro over decoded values and caller-owned scratch: the
-// kernel Jaro wraps. It is not symmetric in general (the greedy matching
-// runs from a's side), so callers wanting both directions compute both.
+// kernel Jaro wraps. It is symmetric, bit for bit, though its greedy
+// matching runs from a's side. A rune matches only an equal rune, so each
+// rune class matches on its own: a's positions p₁ < p₂ < … of the rune
+// against b's q₁ < q₂ < …. Taking each p in turn and giving it the first
+// free q within the window is the two-pointer merge of the two lists —
+// match p and q when |p−q| ≤ window, otherwise drop whichever lags, as
+// nothing later can match it — and that merge reads the same from b's
+// side. So both directions match the same positions, count the same
+// transpositions and sum the same terms.
 //
 //emlint:zeroalloc
 func JaroRunes(ra, rb []rune, sc *Scratch) float64 {

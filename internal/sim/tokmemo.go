@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // The token memo sits under the value memo (memo.go) and serves Monge-Elkan
 // with Jaro-Winkler inside, the one hybrid measure a scan scores: a
@@ -11,8 +8,9 @@ import (
 // earlier values brought — street words, suffixes, first names — and a
 // token's scores against the scan's left bag a are a pure function of the
 // two. So for each (key, right-hand token t) the scan meets, the scratch
-// keeps one block of len(a)+1 scores: JW(aᵢ, t) for each aᵢ in a's order,
-// then maxᵢ JW(t, aᵢ), t's best score in the backward direction. A block is
+// keeps one block of len(a) scores, JW(aᵢ, t) for each aᵢ in a's order;
+// Jaro-Winkler is symmetric (JaroRunes), so the block's maximum is t's
+// best score in the backward direction too. A block is
 // keyed by key and a 32-bit hash of t's runes, verified by comparing the
 // runes, which the memo copies in. Like the value memo it is scan-stamped
 // and of fixed footprint: 288 KiB a scratch, allocated beside the value
@@ -57,8 +55,8 @@ func (m *tokenMemo) next() {
 // MongeElkanJWScan is MongeElkanJWRunes inside a scan, bit for bit: a is the
 // scan's left bag under key, b a right-hand bag. The row is built from
 // token blocks alone — the forward half sums, in a's order, each aᵢ's best
-// over b's blocks, the backward half sums the blocks' stored maxima in b's
-// order — which is mongeElkan's summation order in both directions. Scan
+// over b's blocks, the backward half sums the blocks' maxima in b's order —
+// which is mongeElkan's summation order in both directions. Scan
 // must have been called, and within one scan key must always come with the
 // same a.
 //
@@ -68,18 +66,21 @@ func MongeElkanJWScan(key uint32, a, b Bag, sc *Scratch) float64 {
 		return MongeElkanJWRunes(a, b, sc) // 1 or 0, without a call
 	}
 	la := a.Len()
-	row := sc.meRowOf(2*la + 1)
+	row := sc.meRowOf(2 * la)
 	best, spare := row[:la], row[la:]
 	clear(best)
 	back := 0.0
 	for j := range b.Len() {
-		blk := sc.tokenBlock(key, a, b.Token(j), spare)
-		for i, s := range blk[:la] {
+		tBest := 0.0
+		for i, s := range sc.tokenBlock(key, a, b.Token(j), spare) {
 			if s > best[i] {
 				best[i] = s
 			}
+			if s > tBest {
+				tBest = s
+			}
 		}
-		back += blk[la]
+		back += tBest
 	}
 	fwd := 0.0
 	for _, s := range best {
@@ -88,10 +89,10 @@ func MongeElkanJWScan(key uint32, a, b Bag, sc *Scratch) float64 {
 	return (fwd/float64(la) + back/float64(b.Len())) / 2
 }
 
-// tokenBlock returns t's block of len(a)+1 scores under key: remembered,
-// or scored now into the memo, or — once the memo is full — into spare.
+// tokenBlock returns t's block of len(a) scores under key: remembered, or
+// scored now into the memo, or — once the memo is full — into spare.
 func (sc *Scratch) tokenBlock(key uint32, a Bag, t []rune, spare []float64) []float64 {
-	m, n, h := sc.toks, a.Len()+1, runeHash(t)
+	m, n, h := sc.toks, a.Len(), runeHash(t)
 	i := (h ^ key*0x9E3779B9) & tokMask
 	for ; m.slots[i].stamp == m.stamp; i = (i + 1) & tokMask { // tokFill < tokSlots: an empty slot ends the run
 		if s := &m.slots[i]; s.hash == h && s.key == key && slices.Equal(m.runes[s.roff:s.roff+s.n], t) {
@@ -109,35 +110,19 @@ func (sc *Scratch) tokenBlock(key uint32, a Bag, t []rune, spare []float64) []fl
 		m.used += n
 		m.nrunes += len(t)
 	}
-	sig, back := runeSig(t), 0.0
-	tDistinct := bits.OnesCount64(sig) == len(t) // no rune of t repeats
+	sig := runeSig(t)
 	for i := range a.Len() {
-		ai := a.Token(i)
-		aiSig := runeSig(ai)
-		fwd, bwd := 0.0, 0.0
-		switch {
+		switch ai := a.Token(i); {
 		case slices.Equal(ai, t):
-			fwd, bwd = 1, 1
-		case aiSig&sig == 0:
+			blk[i] = 1
+		case runeSig(ai)&sig == 0:
 			// No rune in common: Jaro matches nothing and there is no
-			// common prefix, so both directions score exactly 0.
-		case tDistinct || bits.OnesCount64(aiSig) == len(ai):
-			// When no rune repeats on one side, each of its runes matches
-			// the first equal rune of the other side within the window,
-			// whichever side Jaro's greedy scan starts from: the matches,
-			// and with them the transpositions, are the same both ways,
-			// so both directions score alike, bit for bit.
-			fwd = JaroWinklerRunes(ai, t, sc)
-			bwd = fwd
+			// common prefix, so the score is exactly 0.
+			blk[i] = 0
 		default:
-			fwd, bwd = JaroWinklerRunes(ai, t, sc), JaroWinklerRunes(t, ai, sc)
-		}
-		blk[i] = fwd
-		if bwd > back {
-			back = bwd
+			blk[i] = JaroWinklerRunes(ai, t, sc)
 		}
 	}
-	blk[a.Len()] = back
 	return blk
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -238,13 +239,14 @@ func TestTokenScanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestQuickJaroWinklerSymmetricOnDistinctRunes holds what tokenBlock's
-// one-call branch rests on: when no rune repeats in a, or none in b, as a
-// signature proves, JaroWinklerRunes(a, b) and JaroWinklerRunes(b, a) are
-// the same bits. The tokens are ASCII, non-ASCII (with runes equal mod
-// 64, whose signatures collide) and past 64 runes, where no signature
-// proves it; their runes repeat often enough that many pairs are distinct
-// on one side only.
+// TestQuickJaroWinklerSymmetricOnDistinctRunes: when no rune repeats in a,
+// or none in b, as a signature proves, JaroWinklerRunes(a, b) and
+// JaroWinklerRunes(b, a) are the same bits — the case where each rune
+// plainly matches the first equal rune of the other side. The tokens are
+// ASCII, non-ASCII (with runes equal mod 64, whose signatures collide) and
+// past 64 runes, where no signature proves it; their runes repeat often
+// enough that many pairs are distinct on one side only.
+// TestQuickJaroWinklerSymmetric holds the general case.
 func TestQuickJaroWinklerSymmetricOnDistinctRunes(t *testing.T) {
 	alphabet := []rune("abcdefghijklmnopqrstuvwxyz0123456789éüñßø世界¡áÁ€")
 	sc := new(Scratch)
@@ -298,4 +300,61 @@ func TestQuickJaroWinklerSymmetricOnDistinctRunes(t *testing.T) {
 	if held < 5000 || oneSided < 2000 {
 		t.Fatalf("of 20000 draws, %d had distinct runes on a side, %d on one side only", held, oneSided)
 	}
+}
+
+// TestQuickJaroWinklerSymmetric holds what the token memo's one score per
+// (aᵢ, t) rests on: JaroWinklerRunes(a, b) and JaroWinklerRunes(b, a) are
+// the same bits for any two tokens (JaroRunes has the argument). The
+// tokens draw from a few runes, so runes repeat on both sides, mixing
+// ASCII with non-ASCII runes, some equal mod 64, and one in ten is past 64
+// runes; one in five pairs is a token and a shuffle of it, so most runes
+// match and transpositions abound.
+func TestQuickJaroWinklerSymmetric(t *testing.T) {
+	alphabet := []rune("abcab世éüa界¡ÁbcAa€")
+	sc := new(Scratch)
+	repeated := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		token := func() []rune {
+			n, k := 1+rng.Intn(14), 1+rng.Intn(len(alphabet))
+			if rng.Intn(10) == 0 {
+				n = 65 + rng.Intn(40)
+			}
+			out := make([]rune, n)
+			for i := range out {
+				out[i] = alphabet[rng.Intn(k)]
+			}
+			return out
+		}
+		a, b := token(), token()
+		if rng.Intn(5) == 0 {
+			b = slices.Clone(a)
+			rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		}
+		if hasRepeat(a) && hasRepeat(b) {
+			repeated++
+		}
+		ab, ba := JaroWinklerRunes(a, b, sc), JaroWinklerRunes(b, a, sc)
+		if math.Float64bits(ab) != math.Float64bits(ba) {
+			t.Errorf("JaroWinklerRunes(%q, %q) = %v, reversed %v", string(a), string(b), ab, ba)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	if repeated < 10000 {
+		t.Fatalf("of 20000 draws, %d repeat a rune on both sides", repeated)
+	}
+}
+
+// hasRepeat reports whether a rune occurs twice in x.
+func hasRepeat(x []rune) bool {
+	for i, r := range x {
+		if slices.Contains(x[i+1:], r) {
+			return true
+		}
+	}
+	return false
 }

@@ -25,11 +25,9 @@
 // under internal/ that no non-test file writes — as a composite-literal key
 // (or an unkeyed literal of the struct), on the left of an assignment or
 // ++/--, or by taking its address; a field with a `json:` struct tag is
-// written by encoding/json. Two things do not count or are not asked:
-// `if x.F <op> <literal> { x.F = ... }` inside the declaring package is that
-// package's defaulting code, not a caller setting the knob; and a field
-// whose own type is a struct declared under internal/ is a container,
-// judged by its leaves.
+// written by encoding/json. `if x.F <op> <literal> { x.F = ... }` inside the
+// declaring package does not count: it is that package's defaulting code,
+// not a caller setting the knob.
 package main
 
 import (
@@ -85,20 +83,6 @@ func fieldPos(obj types.Object, fset *token.FileSet) string {
 	return fset.Position(v.Origin().Pos()).String()
 }
 
-// internalStruct reports whether t is (a pointer to) a named struct type
-// declared under internal/.
-func internalStruct(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil || !strings.Contains(n.Obj().Pkg().Path(), "/internal/") {
-		return false
-	}
-	_, ok = n.Underlying().(*types.Struct)
-	return ok
-}
-
 // sweepFields records the struct fields a non-test file declares and the
 // ones it writes. defaulting holds the assignments already recognised as
 // the declaring package's own defaulting code.
@@ -113,7 +97,7 @@ func sweepFields(n ast.Node, pkgPath string, info *types.Info, fset *token.FileS
 		for _, f := range st.Fields.List {
 			jsonTag := f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`)
 			for _, id := range f.Names {
-				if obj := info.Defs[id]; obj != nil && obj.Exported() && !internalStruct(obj.Type()) {
+				if obj := info.Defs[id]; obj != nil && obj.Exported() {
 					pos := fset.Position(id.Pos()).String()
 					fields[pos] = owner + "." + id.Name
 					written[pos] = written[pos] || jsonTag
