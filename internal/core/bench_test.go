@@ -99,6 +99,7 @@ func BenchmarkWorkflowExecute(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(res.Candidates), "pairs")
+	b.ReportMetric(float64(res.Settled), "settled")
 	b.ReportMetric(float64(res.Settled)/float64(res.Candidates), "settled/pair")
 }
 

@@ -103,15 +103,14 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 	res.Candidates = cand.Len()
 
 	t0 = time.Now()
-	dec, early := w.Matcher.(ml.Decider)
-	var deferred []bool
-	if early = early && (w.Rules == nil || w.Rules.Promote.Len()+w.Rules.Veto.Len() == 0); early {
-		deferred = w.Features.Deferred()
+	var decide func(x []float64) (match, ok bool)
+	if dec, ok := w.Matcher.(ml.Decider); ok && (w.Rules == nil || w.Rules.Promote.Len()+w.Rules.Veto.Len() == 0) {
+		decide = dec.DecideFor(w.Features.Deferred())
 	}
 	var filled atomic.Int64
 	kept, err := feature.Select(w.Features, cand, w.Workers, nil, func(x []float64, fill func()) bool {
-		if early {
-			if match, ok := dec.Decide(x, deferred); ok {
+		if decide != nil {
+			if match, ok := decide(x); ok {
 				return match
 			}
 			filled.Add(1)
@@ -123,7 +122,7 @@ func (w *Workflow) Execute(a, b *table.Table, cat *table.Catalog) (*WorkflowResu
 		return nil, fmt.Errorf("core: workflow feature extraction: %w", err)
 	}
 	res.ExtractTime = time.Since(t0)
-	if early {
+	if decide != nil {
 		res.Settled = res.Candidates - int(filled.Load())
 	}
 

@@ -573,7 +573,11 @@ func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch,
 		if fp.set[0] >= 0 {
 			if ls, rs := l.set(&p.sides[0], fp.set[0]), r.set(&p.sides[1], fp.set[1]); ls != nil && rs != nil {
 				if interOf != fp.set[0] {
-					interOf, inter = fp.set[0], sim.IntersectSortedU32(ls, rs)
+					if interOf = fp.set[0]; scan {
+						inter = sc.IntersectLeft(interOf, ls, rs)
+					} else {
+						inter = sim.IntersectSortedU32(ls, rs)
+					}
 				}
 				x[k] = f.setOf(inter, len(ls), len(rs))
 				continue

@@ -78,39 +78,55 @@ func (l *linear) PredictProba(x []float64) float64 {
 	return sigmoid(z + l.b)
 }
 
-// Decide implements Decider for both models. The margin is b plus the
-// known columns' terms w_j(x_j−mean_j)/std_j; an unknown column's term is
-// linear in x_j, so over x_j ∈ [0, 1] it spans the interval between its
-// values at 0 and 1. The verdict is settled when the margin's interval
-// clears 0 by more than slack: the rounding PredictProba's sum and this one
-// can make between them — each term ~3 roundings, each sum n+1, 2⁻⁵³ a
-// rounding, so under (n+4)·2⁻⁵² of the terms' magnitudes — plus
-// 1e-9, because sigmoid rounds to exactly 0.5 for a tiny negative margin
-// and Predict calls 0.5 a match. A NaN leaves every comparison false, so
-// the row is unsettled. An unfitted model settles every row on 0, as
-// PredictProba scores it.
-func (l *linear) Decide(x []float64, unknown []bool) (match, ok bool) {
+// DecideFor implements Decider for both models. The margin is b plus the
+// terms w_j(x_j−mean_j)/std_j; per mask it takes each known column's
+// coefficient c_j = w_j/std_j and mean once, and sums each unknown
+// column's term over x_j ∈ [0, 1] — linear in x_j, so it spans the
+// interval between its values at 0 and 1 — into lo and hi, and the larger
+// of the two magnitudes into mag. Per row it adds c_j(x_j−mean_j) for each
+// known column, and |c_j(x_j−mean_j)| to mag: a row's values are not
+// bounded, and its rounding grows with them. The verdict is settled when
+// the margin's interval clears 0 by more than slack: the rounding that
+// PredictProba's sum, w(x−mean)/std per term, and this one,
+// fl(w/std)·(x−mean) per term, can make between them. Each term is three
+// roundings either way, each sum of n+1 terms n more, 2⁻⁵³ a rounding, so
+// the two differ by under (n+3)·2⁻⁵²·mag, and slack is (n+4)·2⁻⁵²·mag —
+// the extra 2⁻⁵² covering mag's own rounding — plus 1e-9, because sigmoid
+// rounds to exactly 0.5 for a tiny negative margin and Predict calls 0.5 a
+// match. A NaN leaves every comparison false, so the row is unsettled. An
+// unfitted model settles every row on 0, as PredictProba scores it.
+func (l *linear) DecideFor(unknown []bool) func(x []float64) (match, ok bool) {
 	if l.w == nil {
-		return false, true
+		return func([]float64) (bool, bool) { return false, true }
 	}
-	z, lo, hi, mag := l.b, 0.0, 0.0, math.Abs(l.b)
+	var cols []int
+	var coef, mean []float64
+	lo, hi, mag0 := 0.0, 0.0, math.Abs(l.b)
 	for j, w := range l.w {
+		c := w / l.std[j]
 		if !unknown[j] {
-			t := w * (x[j] - l.mean[j]) / l.std[j]
-			z, mag = z+t, mag+math.Abs(t)
+			cols, coef, mean = append(cols, j), append(coef, c), append(mean, l.mean[j])
 			continue
 		}
-		t0, t1 := w*(0-l.mean[j])/l.std[j], w*(1-l.mean[j])/l.std[j]
-		lo, hi, mag = lo+min(t0, t1), hi+max(t0, t1), mag+max(math.Abs(t0), math.Abs(t1))
+		t0, t1 := c*(0-l.mean[j]), c*(1-l.mean[j])
+		lo, hi, mag0 = lo+min(t0, t1), hi+max(t0, t1), mag0+max(math.Abs(t0), math.Abs(t1))
 	}
-	slack := float64(len(l.w)+4)*0x1p-52*mag + 1e-9
-	switch {
-	case z+lo > slack:
-		return true, true
-	case z+hi < -slack:
-		return false, true
+	b, eps := l.b, float64(len(l.w)+4)*0x1p-52
+	return func(x []float64) (match, ok bool) {
+		z, mag := b, mag0
+		for i, j := range cols {
+			t := coef[i] * (x[j] - mean[i])
+			z, mag = z+t, mag+math.Abs(t)
+		}
+		slack := eps*mag + 1e-9
+		switch {
+		case z+lo > slack:
+			return true, true
+		case z+hi < -slack:
+			return false, true
+		}
+		return false, false
 	}
-	return false, false
 }
 
 func sigmoid(z float64) float64 {

@@ -110,13 +110,16 @@ type Classifier interface {
 // Decider is a Classifier that can settle a row before all of it is known.
 type Decider interface {
 	Classifier
-	// Decide returns Predict's verdict on x and true when that verdict is
-	// the same for every value the unknown columns could take — each
-	// column j with unknown[j] anywhere in [0, 1], whatever x holds there
-	// — and false, false when it is not, or is not certain. unknown is as
-	// long as x. Safe for concurrent use once Fit has returned, like
-	// PredictProba, and it does not retain x.
-	Decide(x []float64, unknown []bool) (match, ok bool)
+	// DecideFor returns the decision for rows whose columns j with
+	// unknown[j] are not known yet, as long as unknown: called on such a
+	// row x, it returns Predict's verdict on x and true when that verdict
+	// is the same for every value the unknown columns could take — each
+	// anywhere in [0, 1], whatever x holds there — and false, false when it
+	// is not, or is not certain. What the mask fixes is worked out once, so
+	// a row pays only for its known columns. Both it and the decision are
+	// safe for concurrent use once Fit has returned, like PredictProba; the
+	// decision does not retain x, nor DecideFor unknown.
+	DecideFor(unknown []bool) func(x []float64) (match, ok bool)
 }
 
 // FitAt fits c to d at a width (the Workers knob, DESIGN.md §5): a

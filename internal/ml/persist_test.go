@@ -145,7 +145,7 @@ func FuzzImport(f *testing.F) {
 		}
 		c.PredictProba(make([]float64, dim))
 		if d, ok := c.(Decider); ok {
-			d.Decide(make([]float64, dim), make([]bool, dim))
+			d.DecideFor(make([]bool, dim))(make([]float64, dim))
 		}
 		if _, err := Export(c); err != nil {
 			t.Fatalf("imported %s does not export: %v", c.Name(), err)

@@ -122,3 +122,34 @@ func BenchmarkSoundexRunes(b *testing.B) {
 		sink += SoundexCodeSim(SoundexRunes(ra), SoundexRunes(rb))
 	}
 }
+
+// BenchmarkIntersectMerge and BenchmarkIntersectMarked count one scan of
+// batch_figure2's shape (figure2Sets: seven left sets, 160 right sets
+// each), by merging and by the scan's left marks; ns/op is per scan.
+func BenchmarkIntersectMerge(b *testing.B) {
+	lefts, rights := figure2Sets()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		for c := range lefts {
+			for _, r := range rights[c] {
+				n += IntersectSortedU32(lefts[c], r)
+			}
+		}
+	}
+	sink += float64(n)
+}
+
+func BenchmarkIntersectMarked(b *testing.B) {
+	lefts, rights := figure2Sets()
+	sc := new(Scratch)
+	n := 0
+	for i := 0; i < b.N; i++ {
+		sc.Scan(uint64(i + 1))
+		for c := range lefts {
+			for _, r := range rights[c] {
+				n += sc.IntersectLeft(c, lefts[c], r)
+			}
+		}
+	}
+	sink += float64(n)
+}

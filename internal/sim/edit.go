@@ -9,7 +9,8 @@ import "sync"
 // it has seen. It also holds the two memos a scan reuses scores from: score
 // blocks by right-hand value (memo.go) and Monge-Elkan's blocks by
 // right-hand token (tokmemo.go), with counts of what each scored and
-// reused. The zero value is ready to use.
+// reused, and the scan's left token sets as marks by dictionary ID
+// (IntersectLeft). The zero value is ready to use.
 type Scratch struct {
 	row   []int      // Levenshtein's single DP row
 	marks []bool     // Jaro's matched flags, a's then b's
@@ -17,6 +18,10 @@ type Scratch struct {
 	memo  *memo      // nil until the first Scan
 	toks  *tokenMemo // MongeElkanJWScan's blocks; allocated with memo
 	meRow []float64  // MongeElkanJWScan's per-token maxima, then a block's room
+
+	left    []uint8  // per dictionary ID, bit c: in the scan's left set of set-column c (IntersectLeft)
+	touched []uint32 // the IDs left marks, cleared by the next scan
+	marked  uint8    // bit c: set-column c is marked for this scan
 
 	scored, reused       int // blocks Block missed and hit since TakeBlockCounts
 	tokScored, tokReused int // token blocks scored and remembered, since TakeTokenBlockCounts

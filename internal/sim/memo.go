@@ -39,9 +39,10 @@ func (sc *Scratch) newMemo() *memo {
 	return sc.memo
 }
 
-// Scan says that the Block and MongeElkanJWScan calls that follow score
-// against left-hand record id, a non-zero number no two records share; a change of id drops
-// everything remembered. The caller issues the number: an address would
+// Scan says that the Block, MongeElkanJWScan and IntersectLeft calls that
+// follow score against left-hand record id, a non-zero number no two
+// records share; a change of id drops everything remembered and clears the
+// left marks. The caller issues the number: an address would
 // not do, since a record refilled in place, or freed and its memory reused,
 // is another record at the same address.
 //
@@ -55,6 +56,10 @@ func (sc *Scratch) Scan(id uint64) {
 		return
 	}
 	m.scan, m.blocks, m.used = id, 0, 0
+	for _, t := range sc.touched {
+		sc.left[t] = 0
+	}
+	sc.touched, sc.marked = sc.touched[:0], 0
 	sc.toks.next()
 	if m.stamp++; m.stamp == 0 { // wrapped: stamps of 2³² scans ago would read as live
 		clear(m.slots[:])

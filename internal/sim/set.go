@@ -182,3 +182,61 @@ func JaccardU32(a, b []uint32) float64 { return JaccardOf(intersectSorted(a, b),
 //emlint:zeroalloc
 //emlint:hotpath
 func IntersectSortedU32(a, b []uint32) int { return intersectSorted(a, b) }
+
+// markBits is how many set-columns a scan's left marks tell apart: one bit
+// each of a byte per dictionary ID.
+const markBits = 8
+
+// IntersectLeft returns |l ∩ r| for two sorted duplicate-free ID sets
+// inside a scan (Scan), l being the scan's left set of set-column c: the
+// same l for every call with c until the scan changes. The first such call
+// marks l's IDs in the scratch, a byte per dictionary ID whose bit c means
+// "in l", and every call counts r's marked IDs, one lookup per right-hand
+// ID instead of a merge; an ID past the marks is in no left set. The
+// marks take a byte for every ID up to l's largest, so IDs are to be a
+// dictionary's, dense from 0. A column past the byte's bits (c ≥ 8) is
+// merged, as IntersectSortedU32 does.
+//
+//emlint:zeroalloc
+func (sc *Scratch) IntersectLeft(c int, l, r []uint32) int {
+	if c >= markBits {
+		return intersectSorted(l, r)
+	}
+	if sc.marked>>c&1 == 0 {
+		sc.markLeft(c, l)
+	}
+	marks, n := sc.left, 0
+	for _, id := range r {
+		if int(id) >= len(marks) {
+			break // r ascends, so the rest lie past the marks too
+		}
+		n += int(marks[id] >> c & 1)
+	}
+	return n
+}
+
+// markLeft sets bit c of l's IDs, noting each ID it marks first, for the
+// next scan to clear.
+func (sc *Scratch) markLeft(c int, l []uint32) {
+	if len(l) > 0 && int(l[len(l)-1]) >= len(sc.left) {
+		sc.growLeft(int(l[len(l)-1]) + 1)
+	}
+	for _, id := range l {
+		if sc.left[id] == 0 {
+			sc.touched = append(sc.touched, id)
+		}
+		sc.left[id] |= 1 << c
+	}
+	sc.marked |= 1 << c
+}
+
+// growLeft makes room for n IDs' marks, keeping the scan's, at least
+// doubling so that a dictionary growing under a pooled scratch costs it
+// amortized O(1) an ID.
+//
+//go:noinline
+func (sc *Scratch) growLeft(n int) {
+	left := make([]uint8, max(n, 2*len(sc.left)))
+	copy(left, sc.left)
+	sc.left = left
+}

@@ -16,7 +16,8 @@
 // record against many (package feature) — two fixed-size memos of what a
 // scan has computed already: score blocks by right-hand value (memo.go)
 // and, under it, Monge-Elkan's Jaro-Winkler scores by right-hand token,
-// which MongeElkanJWScan reads (tokmemo.go).
+// which MongeElkanJWScan reads (tokmemo.go); and the scan's left token
+// sets, marked by ID, which IntersectLeft counts right-hand sets against.
 package sim
 
 // ExactMatch returns 1 if the strings are byte-identical, else 0.
