@@ -101,8 +101,11 @@ var pairPool = sync.Pool{New: func() any { return new(pairScratch) }}
 // attrs maps attribute name to rendered value; an absent key is a null.
 // right selects the RAttr column (corpus side) instead of LAttr (query
 // side). interner turns a lower-cased token slice into a sorted
-// duplicate-free ID set and must never return nil (intern.Dict.SortedSet
-// and SortedSetEphemeral both qualify); it runs once per distinct
+// duplicate-free ID set and must never return nil; the two sides of a
+// pair must take their IDs from one dictionary, dense from 0, as
+// intern.Dict.SortedSet and SortedSetEphemeral give them, since scoring
+// marks the left set's IDs in a table as long as its largest ID
+// (sim.Scratch.IntersectLeft). It runs once per distinct
 // (attribute, tokenizer) column of the Set's plan. The result
 // is indexed by feature; nil entries mark features without a set path or
 // with a null attribute.
@@ -129,7 +132,8 @@ func (s *Set) RecordSets(attrs map[string]string, right bool, interner func(toks
 // features with both cached sets score their formula over them,
 // everything else falls back to the string PairFunc, and a null on either
 // side scores the missing policy. Either sets argument may be nil to force
-// the string path for every feature.
+// the string path for every feature; otherwise both are one dictionary's
+// IDs, dense from 0, as RecordSets requires.
 func (s *Set) VectorWith(lattrs, rattrs map[string]string, lsets, rsets [][]uint32) []float64 {
 	x := make([]float64, len(s.Features))
 	s.VectorWithInto(lattrs, rattrs, lsets, rsets, x)
@@ -140,9 +144,9 @@ func (s *Set) VectorWith(lattrs, rattrs map[string]string, lsets, rsets [][]uint
 // len(s.Features) entries, for callers that featurize many pairs through
 // reusable scratch. Both sides are prepared into pooled scratch — one
 // decode per attribute and side, shared by every feature over it — and
-// scored by the group kernels Prepare-d records go through (without the
-// scan memo: one pair has nothing to reuse), so the values are
-// bit-identical to VectorWith's and to theirs.
+// scored by VectorInto, each call a scan of its own (the fill gives the
+// left side a new generation), so the values are bit-identical to
+// VectorWith's and to Prepare-d records'.
 func (s *Set) VectorWithInto(lattrs, rattrs map[string]string, lsets, rsets [][]uint32, x []float64) {
 	ps := pairPool.Get().(*pairScratch)
 	defer pairPool.Put(ps)
@@ -153,7 +157,7 @@ func (ps *pairScratch) vectorWith(s *Set, lattrs, rattrs map[string]string, lset
 	p := s.planned()
 	p.fromAttrs(&ps.l, 0, lattrs, lsets)
 	p.fromAttrs(&ps.r, 1, rattrs, rsets)
-	s.vector(&ps.l, &ps.r, &ps.sim, x, false, false)
+	s.VectorInto(&ps.l, &ps.r, &ps.sim, x)
 }
 
 // fromAttrs prepares attrs into rec with the caller's RecordSets-shaped
@@ -193,8 +197,8 @@ func Vectors(s *Set, pairs *table.Pairs, workers int, rec obs.Recorder) ([][]flo
 // and hands keep the row and fill, which completes the row in place with
 // the deferred columns; until fill is called they hold stale values. keep
 // runs on every worker at once and must not retain the row or fill. The
-// indices are the same at any width; the metrics are Vectors', the cheap
-// pass's memo blocks counted among the pair groups.
+// indices are the same at any width; the metrics are Vectors', the pair
+// groups counting the rows fill completes.
 func Select(s *Set, pairs *table.Pairs, workers int, rec obs.Recorder, keep func(row []float64, fill func()) bool) ([]int, error) {
 	kept, err := eachRow(s, pairs, workers, rec, false, func(_ int, x []float64, fill func()) bool { return keep(x, fill) })
 	if err != nil {

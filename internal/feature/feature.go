@@ -62,8 +62,9 @@ type Feature struct {
 	// every set measure of a column (pinned to Fn by
 	// TestVectorsCacheEquivalence). jaro marks the two kinds that are Jaro
 	// — winkler the one with the prefix bonus — in place of a prep;
-	// mongeElkan marks monge_elkan_jw, which a scan scores through
-	// sim.MongeElkanJWScan instead of its prep.
+	// mongeElkan marks monge_elkan_jw, which pair scoring scores through
+	// sim.MongeElkanJWScan, also in place of a prep: its kernel,
+	// mongeElkanJWKernel, serves only onStrings, that is Fn.
 	tok                       tokenize.Tokenizer
 	setOf                     func(inter, na, nb int) float64
 	jaro, winkler, mongeElkan bool

@@ -196,7 +196,7 @@ func (s *Set) planned() *plan {
 // Prepared is one record in the form pair scoring reads: each distinct
 // attribute of its side prepared once, each distinct (attribute,
 // tokenizer) column interned once, all of it in one pointer-free slab of
-// words, w, laid out in the order vector and scoreGroup read it:
+// words, w, laid out in the order VectorInto and scoreGroup read it:
 //
 //	headers  hdrWords words per planned attribute of the side (hFlags…hEnd)
 //	set dir  two words per planned interned column: its set's start and
@@ -498,73 +498,64 @@ func (s *Set) Deferred() []bool {
 //emlint:zeroalloc
 func (s *Set) VectorInto(l, r *Prepared, sc *sim.Scratch, x []float64) {
 	sc.Scan(l.gen)
-	s.vector(l, r, sc, x, true, false)
-}
-
-// cheapInto is VectorInto for the cheap columns alone: it fills the prefix
-// of every group that is not deferred, through the same scratch and memo
-// under a key of its own, and leaves the deferred entries of x as they
-// were. Bit for bit those entries are VectorInto's, and VectorInto on the
-// same pair completes the row.
-//
-//emlint:zeroalloc
-func (s *Set) cheapInto(l, r *Prepared, sc *sim.Scratch, x []float64) {
-	sc.Scan(l.gen)
-	s.vector(l, r, sc, x, true, true)
-}
-
-// vector scores the pair group by group; scan says whether the scratch's
-// memo is open on l, or this is a pair on its own with nothing to reuse,
-// and cheap whether to score only each group's cheap prefix. A cheap block
-// is memoized under the group's index plus the number of groups, so it
-// never answers for the whole group, nor the whole group for it.
-//
-//emlint:zeroalloc
-func (s *Set) vector(l, r *Prepared, sc *sim.Scratch, x []float64, scan, cheap bool) {
-	groups := l.p.groups
-	for gi := range groups {
-		g := &groups[gi]
-		feats, key := g.feats, uint32(gi)
-		if cheap {
-			feats, key = g.feats[:g.cheap], uint32(len(groups)+gi)
-			if len(feats) == 0 {
-				continue
-			}
+	for gi := range l.p.groups {
+		g := &l.p.groups[gi]
+		if s.missing(g, g.feats, l, r, x) {
+			continue
 		}
 		rv := r.value(g.col[1])
-		if !l.value(g.col[0]).ok() || !rv.ok() {
-			for _, k := range feats {
-				x[k] = s.missingScore()
+		blk, hit := sc.Block(uint32(gi), rv.hash(), rv.str(), len(g.feats))
+		if hit {
+			for i, k := range g.feats {
+				x[k] = blk[i]
 			}
 			continue
 		}
-		var blk []float64
-		if scan {
-			var hit bool
-			if blk, hit = sc.Block(key, rv.hash(), rv.str(), len(feats)); hit {
-				for i, k := range feats {
-					x[k] = blk[i]
-				}
-				continue
-			}
-		}
-		s.scoreGroup(g, feats, l, r, sc, x, scan, key)
-		for i := range blk { // no block: the memo is full, or not in use
-			blk[i] = x[feats[i]]
+		s.scoreGroup(g, g.feats, l, r, sc, x, uint32(gi))
+		for i := range blk { // no block: the memo is full
+			blk[i] = x[g.feats[i]]
 		}
 	}
 }
 
-// scoreGroup scores feats, some of g's features, for a pair with both
-// values present, each into its own entry of x: the interned-set formula
-// over the column's one intersection when both sides carry the sets, the
-// feature's prepared kernel otherwise — Jaro computed once for jaro and
-// jaro_winkler, and monge_elkan_jw, inside a scan, through the scratch's
-// token memo under key — and Fn over the strings for a feature that has
-// neither.
+// cheapInto is VectorInto for the cheap columns alone: it scores the
+// prefix of every group that is not deferred, without the value memo, and
+// leaves the deferred entries of x as they were. Bit for bit those entries
+// are VectorInto's, and VectorInto on the same pair completes the row.
 //
 //emlint:zeroalloc
-func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch, x []float64, scan bool, key uint32) {
+func (s *Set) cheapInto(l, r *Prepared, sc *sim.Scratch, x []float64) {
+	sc.Scan(l.gen)
+	for gi := range l.p.groups {
+		g := &l.p.groups[gi]
+		if feats := g.feats[:g.cheap]; len(feats) > 0 && !s.missing(g, feats, l, r, x) {
+			s.scoreGroup(g, feats, l, r, sc, x, uint32(gi))
+		}
+	}
+}
+
+// missing reports whether either of the pair's values in g is null, and
+// if so writes the missing score to feats' entries of x.
+func (s *Set) missing(g *group, feats []int, l, r *Prepared, x []float64) bool {
+	if l.value(g.col[0]).ok() && r.value(g.col[1]).ok() {
+		return false
+	}
+	for _, k := range feats {
+		x[k] = s.missingScore()
+	}
+	return true
+}
+
+// scoreGroup scores feats, some of g's features, for a pair with both
+// values present inside a scan on l, each into its own entry of x: the
+// interned-set formula over the column's one intersection
+// (sim.Scratch.IntersectLeft) when both sides carry the sets, the
+// feature's prepared kernel otherwise — Jaro computed once for jaro and
+// jaro_winkler, and monge_elkan_jw through the scratch's token memo under
+// key — and Fn over the strings for a feature that has neither.
+//
+//emlint:zeroalloc
+func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch, x []float64, key uint32) {
 	p, lv, rv := l.p, l.value(g.col[0]), r.value(g.col[1])
 	interOf, inter := -1, 0 // the set column inter was counted over
 	jaro := -1.0            // not computed yet
@@ -573,11 +564,7 @@ func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch,
 		if fp.set[0] >= 0 {
 			if ls, rs := l.set(&p.sides[0], fp.set[0]), r.set(&p.sides[1], fp.set[1]); ls != nil && rs != nil {
 				if interOf != fp.set[0] {
-					if interOf = fp.set[0]; scan {
-						inter = sc.IntersectLeft(interOf, ls, rs)
-					} else {
-						inter = sim.IntersectSortedU32(ls, rs)
-					}
+					interOf, inter = fp.set[0], sc.IntersectLeft(fp.set[0], ls, rs)
 				}
 				x[k] = f.setOf(inter, len(ls), len(rs))
 				continue
@@ -592,7 +579,7 @@ func (s *Set) scoreGroup(g *group, feats []int, l, r *Prepared, sc *sim.Scratch,
 			if f.winkler {
 				x[k] = sim.WinklerOf(jaro, lv.runes(), rv.runes())
 			}
-		case f.mongeElkan && scan:
+		case f.mongeElkan:
 			x[k] = sim.MongeElkanJWScan(key, lv.bag(), rv.bag(), sc)
 		case f.prep != nil:
 			x[k] = f.prep(lv, rv, sc)

@@ -381,9 +381,9 @@ func TestPlanFollowsAddAndRemove(t *testing.T) {
 }
 
 // TestPairKernelsZeroAlloc: with records prepared ahead, a pair's row costs
-// no allocation — scored (vector, scoreGroup) or taken from the scan's memo
-// (VectorInto, and the cheap pass cheapInto) — once the scratch holds its
-// memo; preparing both sides from their strings into scratch first, as
+// no allocation — scored (scoreGroup, the cheap pass cheapInto) or taken
+// from the scan's memo (VectorInto) — once the scratch holds its memo;
+// preparing both sides from their strings into scratch first, as
 // VectorWithInto does with scratch from its pool, costs none either once
 // the scratch has grown.
 func TestPairKernelsZeroAlloc(t *testing.T) {
@@ -400,10 +400,10 @@ func TestPairKernelsZeroAlloc(t *testing.T) {
 	var ps pairScratch
 	x := make([]float64, s.Len())
 	run := func() {
-		s.vector(l, r, &sc, x, false, false)
+		sc.Scan(l.gen)
 		for gi := range l.p.groups {
 			g := &l.p.groups[gi]
-			s.scoreGroup(g, g.feats, l, r, &sc, x, false, 0)
+			s.scoreGroup(g, g.feats, l, r, &sc, x, uint32(gi))
 		}
 		s.cheapInto(l, r, &sc, x)
 		s.VectorInto(l, r, &sc, x)

@@ -13,8 +13,8 @@ import (
 // the interned sets' counts (Feature.tok, Feature.setOf), and — for the
 // character-level kinds every AutoGenerate battery draws on — the prepared
 // forms and the kernel over them (Feature.need, Feature.prep; Feature.jaro
-// for the two Jaro kinds, Feature.mongeElkan for the one a scan scores
-// through its token memo). exact needs only the string.
+// for the two Jaro kinds, Feature.mongeElkan for the one pair scoring
+// scores through the scan's token memo). exact needs only the string.
 type builder struct {
 	fn    PairFunc
 	tok   tokenize.Tokenizer
@@ -57,7 +57,7 @@ var builders = func() map[string]builder {
 		"jaro_winkler":     {fn: sim.JaroWinkler, need: needRunes, jaro: true, winkler: true},
 		"soundex":          {fn: sim.SoundexSim, need: needSoundex, prep: soundexKernel},
 		"rel_diff":         {fn: RelDiff, need: needNumber, prep: relDiffKernel},
-		"monge_elkan_jw":   {fn: mongeElkanJW, need: needTokens, prep: mongeElkanJWKernel, mongeElkan: true},
+		"monge_elkan_jw":   {fn: mongeElkanJW, need: needTokens, mongeElkan: true},
 		"jaccard_ws":       setBuilder(ws, sim.JaccardOf, sim.Jaccard),
 		"jaccard_3gram":    setBuilder(g3, sim.JaccardOf, sim.Jaccard),
 		"jaccard_2gram":    setBuilder(g2, sim.JaccardOf, sim.Jaccard),

@@ -232,10 +232,10 @@ func TestScanFollowsPlanChange(t *testing.T) {
 // TestScanCheapPass: on one scratch, one left record's run of right
 // records whose values repeat, nulls among them. Pair by pair the run takes
 // the cheap pass alone, the cheap pass and then the whole row, or the whole
-// row alone, so each memo key answers sometimes. The cheap pass fills
-// exactly the columns Deferred does not mark, with the bits a memo-free
-// VectorInto gives, and leaves the deferred ones as they were; every whole
-// row is that VectorInto's.
+// row alone, so the memo answers sometimes. The cheap pass fills exactly
+// the columns Deferred does not mark, with the string path's bits, and
+// leaves the deferred ones as they were; every whole row is the string
+// path's. The cheap pass alone asks the value memo nothing.
 func TestScanCheapPass(t *testing.T) {
 	s := everyKind(t)
 	deferred := s.Deferred()
@@ -251,9 +251,11 @@ func TestScanCheapPass(t *testing.T) {
 	vals := scanValues()
 	rng := rand.New(rand.NewSource(9))
 	d := intern.NewDict()
-	lp := s.Prepare(map[string]string{"v": "anne smith"}, false, d.SortedSet)
-	var sc, ref sim.Scratch
-	x, want := make([]float64, s.Len()), make([]float64, s.Len())
+	left := map[string]string{"v": "anne smith"}
+	lp := s.Prepare(left, false, d.SortedSet)
+	var sc sim.Scratch
+	x := make([]float64, s.Len())
+	scored, reused := 0, 0 // the whole rows' value memo, taken after each
 	stale := math.Float64frombits(0x7ff8dead) // a NaN no feature returns
 	for step := 0; step < 3000; step++ {
 		right := map[string]string{}
@@ -261,13 +263,16 @@ func TestScanCheapPass(t *testing.T) {
 			right["v"] = vals[rng.Intn(len(vals))]
 		}
 		rp := s.Prepare(right, true, d.SortedSet)
-		s.vector(lp, rp, &ref, want, false, false)
+		want := s.VectorWith(left, right, nil, nil)
 		mode := rng.Intn(3) // 0: cheap alone, 1: cheap then whole, 2: whole alone
 		if mode < 2 {
 			for k := range x {
 				x[k] = stale
 			}
 			s.cheapInto(lp, rp, &sc, x)
+			if n, hit := sc.TakeBlockCounts(); n != 0 || hit != 0 {
+				t.Fatalf("step %d: the cheap pass missed the value memo %d times and hit it %d", step, n, hit)
+			}
 			for k := range x {
 				if got := math.Float64bits(x[k]); deferred[k] && got != math.Float64bits(stale) || !deferred[k] && got != math.Float64bits(want[k]) {
 					t.Fatalf("step %d, right %q: cheap pass has %s = %v, want %v (deferred %v)", step, right["v"], s.Features[k].Name, x[k], want[k], deferred[k])
@@ -276,6 +281,8 @@ func TestScanCheapPass(t *testing.T) {
 		}
 		if mode > 0 {
 			s.VectorInto(lp, rp, &sc, x)
+			n, hit := sc.TakeBlockCounts()
+			scored, reused = scored+n, reused+hit
 			for k := range x {
 				if math.Float64bits(x[k]) != math.Float64bits(want[k]) {
 					t.Fatalf("step %d, right %q, mode %d: %s = %v, want %v", step, right["v"], mode, s.Features[k].Name, x[k], want[k])
@@ -283,7 +290,7 @@ func TestScanCheapPass(t *testing.T) {
 			}
 		}
 	}
-	if scored, reused := sc.TakeBlockCounts(); reused < 10*scored {
+	if reused < 10*scored {
 		t.Fatalf("%d blocks scored, %d reused: the run was meant to repeat", scored, reused)
 	}
 }
@@ -370,9 +377,9 @@ func TestVectorsChunkedScan(t *testing.T) {
 // TestSelectChunkedScan: Select over the same several-chunk candidate set,
 // with a keep that completes every row, keeps, ascending, exactly the pairs
 // whose string-path row its predicate accepts, at any worker count, and
-// counts what Vectors counts at that count: the same vectors and, since
-// every group has a cheap prefix, each pair's groups twice (cheap and
-// whole), and at one worker twice the groups reused.
+// counts what Vectors counts at that count: the same vectors and pair
+// groups, since only the rows fill completes ask the value memo, and at one
+// worker the same groups reused.
 func TestSelectChunkedScan(t *testing.T) {
 	a, b, _, cat := cacheTables(t, 80, 11)
 	s, err := AutoGenerate(a, b)
@@ -427,8 +434,8 @@ func TestSelectChunkedScan(t *testing.T) {
 		if workers != 1 { // which worker continues a left run is scheduling
 			g[2], v[2] = 0, 0
 		}
-		if v[1], v[2] = 2*v[1], 2*v[2]; g != v {
-			t.Fatalf("workers=%d: Select counts (vectors, groups, reused) %v, Vectors %v doubled", workers, g, v)
+		if g != v {
+			t.Fatalf("workers=%d: Select counts (vectors, groups, reused) %v, Vectors %v", workers, g, v)
 		}
 	}
 }

@@ -48,8 +48,7 @@ const (
 	// FeaturePairGroups counts, over feature.Vectors scans, the attribute
 	// groups of pairs that were scored and those whose scores the scan had
 	// already computed for the same two values: labels {result}
-	// (scored|reused). reused / (scored + reused) is the reuse rate. Under
-	// feature.Select a group's cheap prefix counts as a group of its own.
+	// (scored|reused). reused / (scored + reused) is the reuse rate.
 	FeaturePairGroups = "em_feature_pair_groups_total"
 	// FeatureTokenBlocks counts, over feature.Vectors scans, the
 	// right-hand tokens monge_elkan_jw scored against the scan's left bag

@@ -329,8 +329,9 @@ func BenchmarkMatchOneMatcher(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	// Untimed, the same queries again with a registry: how many candidate
-	// tokens Monge-Elkan took from the token memo rather than scored.
+	// Untimed, the same queries again with a registry: how many pair
+	// groups the value memo answered, and how many candidate tokens
+	// Monge-Elkan took from the token memo, rather than scored.
 	reg := obs.NewRegistry()
 	c.cfg.metrics = reg
 	for i := 0; i < min(b.N, len(qs)); i++ {
@@ -340,7 +341,10 @@ func BenchmarkMatchOneMatcher(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cands)/float64(min(b.N, len(qs))), "candidates/op")
-	scored := reg.CounterValue(obs.ServeTokenBlocks, obs.L("result", "scored"))
-	reused := reg.CounterValue(obs.ServeTokenBlocks, obs.L("result", "reused"))
-	b.ReportMetric(reused/(scored+reused), "token_reuse")
+	reuse := func(name string) float64 {
+		scored, reused := reg.CounterValue(name, obs.L("result", "scored")), reg.CounterValue(name, obs.L("result", "reused"))
+		return reused / (scored + reused)
+	}
+	b.ReportMetric(reuse(obs.ServePairGroups), "group_reuse")
+	b.ReportMetric(reuse(obs.ServeTokenBlocks), "token_reuse")
 }

@@ -132,7 +132,7 @@ func BenchmarkIntersectMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for c := range lefts {
 			for _, r := range rights[c] {
-				n += IntersectSortedU32(lefts[c], r)
+				n += intersectSorted[uint32](lefts[c], r)
 			}
 		}
 	}

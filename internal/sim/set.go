@@ -177,12 +177,6 @@ func OverlapSize(a, b []string) int {
 //emlint:zeroalloc
 func JaccardU32(a, b []uint32) float64 { return JaccardOf(intersectSorted(a, b), len(a), len(b)) }
 
-// IntersectSortedU32 returns |a ∩ b| for two sorted duplicate-free ID sets.
-//
-//emlint:zeroalloc
-//emlint:hotpath
-func IntersectSortedU32(a, b []uint32) int { return intersectSorted(a, b) }
-
 // markBits is how many set-columns a scan's left marks tell apart: one bit
 // each of a byte per dictionary ID.
 const markBits = 8
@@ -195,7 +189,7 @@ const markBits = 8
 // ID instead of a merge; an ID past the marks is in no left set. The
 // marks take a byte for every ID up to l's largest, so IDs are to be a
 // dictionary's, dense from 0. A column past the byte's bits (c ≥ 8) is
-// merged, as IntersectSortedU32 does.
+// merged.
 //
 //emlint:zeroalloc
 func (sc *Scratch) IntersectLeft(c int, l, r []uint32) int {

@@ -32,9 +32,9 @@ func internPair(a, b []string) (sa, sb []uint32) {
 }
 
 // viaCounts scores interned sets the way feature scoring does: the
-// measure's formula over one IntersectSortedU32 and the two set sizes.
+// measure's formula over one merge and the two set sizes.
 func viaCounts(of func(inter, na, nb int) float64) func(a, b []uint32) float64 {
-	return func(a, b []uint32) float64 { return of(IntersectSortedU32(a, b), len(a), len(b)) }
+	return func(a, b []uint32) float64 { return of(intersectSorted[uint32](a, b), len(a), len(b)) }
 }
 
 // TestIntegerKernelsMatchStringKernels is the equivalence property of the
@@ -52,7 +52,7 @@ func TestIntegerKernelsMatchStringKernels(t *testing.T) {
 		{"overlap_coeff", OverlapCoefficient, viaCounts(OverlapCoefficientOf)},
 		{"overlap_size",
 			func(a, b []string) float64 { return float64(OverlapSize(a, b)) },
-			func(a, b []uint32) float64 { return float64(IntersectSortedU32(a, b)) }},
+			func(a, b []uint32) float64 { return float64(intersectSorted[uint32](a, b)) }},
 		{"tversky",
 			func(a, b []string) float64 { return Tversky(a, b, 0.7, 0.2) },
 			viaCounts(func(inter, na, nb int) float64 { return TverskyOf(inter, na, nb, 0.7, 0.2) })},
@@ -78,7 +78,7 @@ func TestBoundedIntersectExact(t *testing.T) {
 	f := func(a, b tokenMultiset, needRaw uint8) bool {
 		sa, sb := internPair(a, b)
 		need := int(needRaw % 8)
-		exact := IntersectSortedU32(sa, sb)
+		exact := intersectSorted[uint32](sa, sb)
 		got := IntersectSortedU32Bounded(sa, sb, need)
 		if got >= 0 {
 			return got == exact
@@ -98,7 +98,6 @@ func TestIntegerKernelsZeroAlloc(t *testing.T) {
 	b := d.SortedSet([]string{"acme", "widget", "co", "madison", "wi"})
 	checks := map[string]func(){
 		"intersectSorted":           func() { intersectSorted(a, b) },
-		"IntersectSortedU32":        func() { IntersectSortedU32(a, b) },
 		"IntersectSortedU32Bounded": func() { IntersectSortedU32Bounded(a, b, 3) },
 		"JaccardU32":                func() { JaccardU32(a, b) },
 	}
@@ -123,8 +122,8 @@ func TestIntersectSortedU32Basics(t *testing.T) {
 		{[]uint32{1, 2, 9}, []uint32{2, 9, 10}, 2},
 	}
 	for _, c := range cases {
-		if got := IntersectSortedU32(c.a, c.b); got != c.want {
-			t.Errorf("IntersectSortedU32(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		if got := intersectSorted[uint32](c.a, c.b); got != c.want {
+			t.Errorf("intersectSorted(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 	if got := IntersectSortedU32Bounded([]uint32{1, 2}, []uint32{3, 4}, 2); got != -1 {
@@ -142,7 +141,7 @@ func randomIDSet(rng *rand.Rand, n, size int) []uint32 {
 }
 
 // TestQuickIntersectLeftMatchesMerge: over a stream of scans on one
-// scratch, IntersectLeft's count is IntersectSortedU32's, whatever the
+// scratch, IntersectLeft's count is the merge's, whatever the
 // marks hold. The stream interleaves left records and returns to them
 // under new scans; refills a left record's sets in place under a new scan;
 // draws right IDs past every left ID, so past the marks; scores serve's
@@ -205,7 +204,7 @@ func TestQuickIntersectLeftMatchesMerge(t *testing.T) {
 			sc.Scan(l.scan)
 			c := rng.Intn(len(l.sets))
 			r := randomIDSet(rng, n+rng.Intn(2*n), rng.Intn(25)) // past the dictionary, and past every left ID
-			if got, want := sc.IntersectLeft(c, l.sets[c], r), IntersectSortedU32(l.sets[c], r); got != want {
+			if got, want := sc.IntersectLeft(c, l.sets[c], r), intersectSorted[uint32](l.sets[c], r); got != want {
 				t.Logf("column %d of %d: IntersectLeft(%v, %v) = %d, want %d", c, len(l.sets), l.sets[c], r, got, want)
 				return false
 			}
